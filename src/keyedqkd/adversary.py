@@ -26,7 +26,7 @@ from .keystream import (
     SeedKey,
     expand_running_key,
 )
-from .protocol import ChannelModel, ProtocolConfig
+from .protocol import ChannelModel, ProtocolConfig, keyed_channel
 from .qubits import (
     HALF_PI,
     BasisAlphabet,
@@ -160,29 +160,62 @@ def _map_chunks(kernel, chunks, threads: int):
     return [kernel(*c) for c in chunks]
 
 
-def _apply_channel_and_receive(theta_fwd, phi_key, channel, rng):
-    lost = rng.random(theta_fwd.shape) < channel.loss
-    flipped = rng.random(theta_fwd.shape) < channel.flip_prob
-    bob = measure_many(theta_fwd + flipped * HALF_PI, phi_key, rng)
-    return bob, ~lost
+def measure_resend(theta, eve_phi, rng: np.random.Generator):
+    """The attacker measures each state in her basis and resends the projected
+    state; works on arrays of any shape. Returns (resent states, outcomes)."""
+    outcome = measure_many(theta, eve_phi, rng)
+    return eve_phi + outcome * HALF_PI, outcome
 
 
-def _resend_round(config: ProtocolConfig, eve_phi, attacked, rng):
-    """Common measure-resend round. Returns per-position arrays: selectors,
-    alice bits, eve outcomes (on attacked positions), bob bits, detected mask."""
-    n = config.n
-    m = config.alphabet.m
-    selectors = config.keystream.running_key(n, config.alphabet).selectors
-    alice = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    phi_key = selectors * (HALF_PI / m)
+def _resend_round(phi_key, channel: ChannelModel, eve_phi, attacked, rng):
+    """One transmission of any shape with measure-resend on the positions that
+    `attacked` (a mask or slice) selects. Returns per-position arrays: alice
+    bits, eve outcomes (on attacked positions), bob bits, detected mask."""
+    alice = rng.integers(0, 2, size=phi_key.shape, dtype=np.int64).astype(np.uint8)
     theta = phi_key + alice * HALF_PI
+    theta[attacked], outcome = measure_resend(theta[attacked], eve_phi[attacked], rng)
+    bob, detected = keyed_channel(theta, phi_key, channel, rng)
+    return alice, outcome, bob, detected
 
-    outcome = measure_many(theta[attacked], eve_phi[attacked], rng)
-    theta_fwd = theta.copy()
-    theta_fwd[attacked] = eve_phi[attacked] + outcome * HALF_PI
 
-    bob, detected = _apply_channel_and_receive(theta_fwd, phi_key, config.channel, rng)
-    return selectors, alice, outcome, bob, detected
+def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
+    """Attacked-position mask and attacker basis angles for one round of an
+    intercept or fixed-basis strategy."""
+    if strategy.kind == "intercept_resend_random":
+        attacked = rng.random(n) < strategy.fraction
+        return attacked, rng.integers(0, 2, size=n, dtype=np.int64) * (HALF_PI / 2)
+    return np.ones(n, dtype=bool), np.full(n, strategy.phi)
+
+
+def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
+                         rng: np.random.Generator, trials: int, threads: int):
+    """Error rates of intercept or fixed-basis measure-resend over `trials` rounds.
+
+    The attacker is granted the running key afterwards and decodes each bit
+    by likelihood: keep the outcome when her basis is within pi/4 of the
+    keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
+    attacker is never off by more than pi/4, so her outcome stands.
+    Returns (her bit error over attacked positions, user error over detected
+    positions).
+    """
+    phi_key = config.key_angles()
+
+    def kernel(count, chunk_rng):
+        eve_err = eve_tot = user_err = user_tot = 0
+        for _ in range(count):
+            attacked, eve_phi = _eve_bases(strategy, config.n, chunk_rng)
+            alice, outcome, bob, detected = _resend_round(
+                phi_key, config.channel, eve_phi, attacked, chunk_rng)
+            flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
+            eve_err += int(np.sum((outcome ^ flip) != alice[attacked]))
+            eve_tot += int(np.sum(attacked))
+            user_err += int(np.sum((bob != alice) & detected))
+            user_tot += int(np.sum(detected))
+        return eve_err, eve_tot, user_err, user_tot
+
+    parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
+    eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
+    return binomial_ci(eve_err, max(1, eve_tot)), binomial_ci(user_err, max(1, user_tot))
 
 
 def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
@@ -199,31 +232,12 @@ def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
     """
     if config.alphabet.m != 2:
         raise ValueError("the random-basis opaque attack is defined on the two-basis alphabet")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"attacked fraction must lie in [0, 1], got {fraction}")
-
-    def kernel(count, chunk_rng):
-        eve_err = eve_tot = user_err = user_tot = 0
-        for _ in range(count):
-            attacked = chunk_rng.random(config.n) < fraction
-            eve_basis = chunk_rng.integers(0, 2, size=config.n, dtype=np.int64)
-            eve_phi = eve_basis * (HALF_PI / 2)
-            _, alice, outcome, bob, detected = _resend_round(config, eve_phi, attacked, chunk_rng)
-            # With two bases the outcome is already the optimal key-granted
-            # decoding: exact on a matched basis, a fair coin otherwise.
-            eve_err += int(np.sum(outcome != alice[attacked]))
-            eve_tot += int(np.sum(attacked))
-            user_err += int(np.sum((bob != alice) & detected))
-            user_tot += int(np.sum(detected))
-        return eve_err, eve_tot, user_err, user_tot
-
-    parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
-    eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
+    eve_error, induced = _state_attack_errors(
+        AttackStrategy("intercept_resend_random", fraction=fraction), config, rng, trials, threads)
     return AttackReport(
         strategy=f"intercept:{fraction:g}" if fraction != 1.0 else "intercept",
         trials=trials, qubits=config.n,
-        eve_bit_error=binomial_ci(eve_err, max(1, eve_tot)),
-        induced_qber=binomial_ci(user_err, max(1, user_tot)),
+        eve_bit_error=eve_error, induced_qber=induced,
         eve_bit_error_analytic=0.25,
         induced_qber_analytic=0.25 * fraction,
     )
@@ -242,37 +256,17 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     """Measure-resend with one fixed basis for every qubit.
 
     The attacker stores outcomes, is granted the running key afterwards, and
-    decodes each bit by likelihood: keep the outcome when her basis is within
-    pi/4 of the keyed basis, flip it otherwise. Her error matches
+    decodes each bit by likelihood. Her error matches
     eve_error_key_granted(phi, m); the induced user error matches the
     closed-form average reported in the analytic field.
     """
     basis = MeasBasis(phi)
-    m = config.alphabet.m
-
-    def kernel(count, chunk_rng):
-        eve_err = eve_tot = user_err = user_tot = 0
-        for _ in range(count):
-            attacked = np.ones(config.n, dtype=bool)
-            eve_phi = np.full(config.n, basis.phi)
-            selectors, alice, outcome, bob, detected = _resend_round(
-                config, eve_phi, attacked, chunk_rng)
-            delta = selectors * (HALF_PI / m) - basis.phi
-            flip = (np.cos(delta) ** 2) < 0.5
-            guess = outcome ^ flip.astype(np.uint8)
-            eve_err += int(np.sum(guess != alice))
-            eve_tot += config.n
-            user_err += int(np.sum((bob != alice) & detected))
-            user_tot += int(np.sum(detected))
-        return eve_err, eve_tot, user_err, user_tot
-
-    parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
-    eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
+    eve_error, induced = _state_attack_errors(
+        AttackStrategy("fixed_basis", phi=basis.phi), config, rng, trials, threads)
     return AttackReport(
         strategy=f"fixed:{basis.phi:.9g}",
         trials=trials, qubits=config.n,
-        eve_bit_error=binomial_ci(eve_err, max(1, eve_tot)),
-        induced_qber=binomial_ci(user_err, max(1, user_tot)),
+        eve_bit_error=eve_error, induced_qber=induced,
         eve_bit_error_analytic=eve_error_key_granted(basis, config.alphabet),
         induced_qber_analytic=fixed_basis_induced_qber(basis, config.alphabet),
     )
@@ -287,22 +281,25 @@ def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Gener
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
-    actual = config.keystream.seed
-    if len(guess) != len(actual):
+    if len(guess) != len(config.keystream.seed):
         raise ValueError("guess length must match the seed length")
+    return _guess_round(config, config.key_angles(), guess, rng)
+
+
+def _guess_round(config: ProtocolConfig, phi_key, guess: SeedKey, rng: np.random.Generator):
     if guess.is_zero:
-        guess_selectors = np.zeros(config.n, dtype=np.int64)
+        eve_phi = np.zeros(config.n)
     else:
         guess_selectors = expand_running_key(
             LfsrGenerator(config.keystream.spec, guess), config.n, config.alphabet
         ).selectors
-    eve_phi = guess_selectors * (HALF_PI / config.alphabet.m)
-    attacked = np.ones(config.n, dtype=bool)
-    _, alice, outcome, bob, detected = _resend_round(config, eve_phi, attacked, rng)
+        eve_phi = guess_selectors * (HALF_PI / config.alphabet.m)
+    alice, outcome, bob, detected = _resend_round(
+        phi_key, config.channel, eve_phi, slice(None), rng)
     eve_error = float(np.mean(outcome != alice))
     detected_total = int(np.sum(detected))
     induced = float(np.sum((bob != alice) & detected) / detected_total) if detected_total else 0.0
-    return guess.bits == actual.bits, eve_error, induced
+    return guess == config.keystream.seed, eve_error, induced
 
 
 def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
@@ -326,10 +323,11 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     successes = sum(_map_chunks(success_kernel, _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
+    phi_key = config.key_angles()
     eve_err_sum = induced_sum = 0.0
     for _, chunk_rng in _chunk_rngs(rng, qubit_trials, chunk=1):
         guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=length)))
-        _, eve_err, induced = key_guess_round(config, guess, chunk_rng)
+        _, eve_err, induced = _guess_round(config, phi_key, guess, chunk_rng)
         eve_err_sum += eve_err
         induced_sum += induced
     return AttackReport(
@@ -381,11 +379,8 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
 
         key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
         guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
-        alice = chunk_rng.integers(0, 2, size=(count, attacked_len), dtype=np.int64).astype(np.uint8)
-        theta = key_phi + alice * HALF_PI
-        outcome = measure_many(theta, guess_phi, chunk_rng)
-        resent = guess_phi + outcome * HALF_PI
-        bob, detected = _apply_channel_and_receive(resent, key_phi, channel, chunk_rng)
+        alice, outcome, bob, detected = _resend_round(
+            key_phi, channel, guess_phi, slice(None), chunk_rng)
         errors = np.sum((bob != alice) & detected, axis=1)
         eve_errors = np.sum(outcome != alice, axis=1)
         return success, errors, eve_errors
@@ -457,16 +452,9 @@ def measure_resend_interference(strategy: AttackStrategy):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
     def interfere(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = theta.size
-        if strategy.kind == "intercept_resend_random":
-            attacked = rng.random(n) < strategy.fraction
-            eve_phi = rng.integers(0, 2, size=n, dtype=np.int64) * (HALF_PI / 2)
-        else:
-            attacked = np.ones(n, dtype=bool)
-            eve_phi = np.full(n, strategy.phi)
-        outcome = measure_many(theta[attacked], eve_phi[attacked], rng)
+        attacked, eve_phi = _eve_bases(strategy, theta.size, rng)
         forwarded = theta.copy()
-        forwarded[attacked] = eve_phi[attacked] + outcome * HALF_PI
+        forwarded[attacked], _ = measure_resend(theta[attacked], eve_phi[attacked], rng)
         return forwarded
 
     return interfere
@@ -475,6 +463,8 @@ def measure_resend_interference(strategy: AttackStrategy):
 def run_attack(strategy: AttackStrategy, config: ProtocolConfig, rng: np.random.Generator,
                trials: int = 1, threads: int = 1) -> AttackReport:
     """Dispatch a parsed strategy against a protocol configuration."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if strategy.kind == "intercept_resend_random":
         return attack_intercept_resend(config, rng, trials=trials,
                                        fraction=strategy.fraction, threads=threads)

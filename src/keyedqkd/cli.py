@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,23 +23,6 @@ from .protocol import ProtocolConfig, run_protocol
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ABORT = 2
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One CLI work item: a named config plus optional attack selection."""
-
-    name: str
-    config: ProtocolConfig
-    strategy: AttackStrategy | None = None
-    trials: int = 1
-    output: Path | None = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("scenario name must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 def _round_sig(value, digits: int = 9):
@@ -73,20 +55,16 @@ def _write_meta(path: Path | None, argv: list[str]):
 
 
 def _load_config(path: str) -> ProtocolConfig:
-    text = Path(path).read_text()
-    return ProtocolConfig.from_json_dict(json.loads(text))
+    return ProtocolConfig.from_json(Path(path).read_text())
 
 
 def cmd_run(args, argv) -> int:
     try:
-        config = _load_config(args.config)
-        scenario = Scenario(name=Path(args.config).stem, config=config,
-                            output=Path(args.output))
-        outcome = run_protocol(scenario.config, np.random.default_rng(args.seed))
+        outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(scenario.output, _render_json(outcome.to_json_dict()))
+    _write(Path(args.output), _render_json(outcome.to_json_dict()))
     _write_meta(args.meta and Path(args.meta), argv)
     return EXIT_OK if outcome.verified else EXIT_ABORT
 
@@ -95,14 +73,12 @@ def cmd_attack(args, argv) -> int:
     try:
         strategy = AttackStrategy.parse(args.strategy)
         config = _load_config(args.config)
-        scenario = Scenario(name=args.strategy, config=config, strategy=strategy,
-                            trials=args.trials, output=Path(args.output))
         report = run_attack(strategy, config, np.random.default_rng(args.seed),
-                            trials=scenario.trials, threads=args.threads)
+                            trials=args.trials, threads=args.threads)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(scenario.output, _render_json(report.to_json_dict()))
+    _write(Path(args.output), _render_json(report.to_json_dict()))
     _write_meta(args.meta and Path(args.meta), argv)
     return EXIT_OK
 

@@ -8,8 +8,7 @@ stretches an m_k-bit key over n qubits in contiguous blocks. Any deterministic
 stream (e.g. a standard stream cipher) can be plugged in through the same
 iterable contract.
 
-Generators are stateful single-owner objects; clone() snapshots the state for
-deterministic parallel replay.
+Generators are stateful single-owner objects.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ class LfsrGenerator:
             raise ValueError(f"seed length {len(seed)} != register length {spec.length}")
         if seed.is_zero:
             raise ValueError("all-zero seed is rejected (degenerate cycle)")
-        self._spec = spec
         self._length = spec.length
         self._mask = sum(1 << (spec.length - t) for t in spec.taps)
         self._state = sum(bit << i for i, bit in enumerate(seed.bits))
@@ -120,13 +118,6 @@ class LfsrGenerator:
     @property
     def state(self) -> int:
         return self._state
-
-    def clone(self) -> "LfsrGenerator":
-        dup = object.__new__(LfsrGenerator)
-        dup._spec, dup._length, dup._mask, dup._state = (
-            self._spec, self._length, self._mask, self._state,
-        )
-        return dup
 
     def __iter__(self):
         return self

@@ -114,14 +114,14 @@ class ProtocolConfig:
             else:
                 raise ValueError(f"unknown keystream kind {kind!r}")
             return cls(
-                n=int(doc["n"]),
-                alphabet=BasisAlphabet(int(doc["m"])),
+                n=_integer(doc, "n"),
+                alphabet=BasisAlphabet(_integer(doc, "m")),
                 keystream=keystream,
                 channel=ChannelModel(float(doc["channel"]["flip_prob"]),
                                      float(doc["channel"]["loss"])),
                 code_rate=float(doc["code_rate"]),
-                pa_security_param=int(doc["pa_security_param"]),
-                verification_len=int(doc["verification_len"]),
+                pa_security_param=_integer(doc, "pa_security_param"),
+                verification_len=_integer(doc, "verification_len"),
                 mode=str(doc.get("mode", MODE_KEY_GENERATION)),
             )
         except KeyError as exc:
@@ -130,6 +130,19 @@ class ProtocolConfig:
     @classmethod
     def from_json(cls, text: str) -> "ProtocolConfig":
         return cls.from_json_dict(json.loads(text))
+
+    def key_angles(self) -> np.ndarray:
+        """Keyed basis angle of every qubit, selected by the running key."""
+        selectors = self.keystream.running_key(self.n, self.alphabet).selectors
+        return selectors * (HALF_PI / self.alphabet.m)
+
+
+def _integer(doc: dict, field: str) -> int:
+    """Integer config field; bools and non-integral numbers are rejected, not truncated."""
+    value = doc[field]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"config field {field!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -189,31 +202,37 @@ class ProtocolOutcome:
         }
 
 
+def keyed_channel(theta, phi, channel: ChannelModel, rng: np.random.Generator):
+    """The users' channel and the receiver's keyed detection, on arrays of any shape.
+
+    Each state is erased, then flipped, then measured in its keyed basis phi.
+    Returns (bob bits, detected mask).
+    """
+    lost = rng.random(theta.shape) < channel.loss
+    flipped = rng.random(theta.shape) < channel.flip_prob
+    bob = measure_many(theta + flipped * HALF_PI, phi, rng)
+    return bob, ~lost
+
+
 def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interference=None):
     """One keyed transmission: returns (alice bits, bob bits, detected positions).
 
     The sender draws n uniform bits and encodes each in the basis selected by
-    the shared running key; the channel erases then flips; the receiver
-    measures in the same keyed basis and decodes the outcome directly.
+    the shared running key; the states then cross keyed_channel.
 
     `interference`, if given, is a callable (state_angles, rng) -> state_angles
     applied between the sender and the channel: the hook an eavesdropper uses
     to measure and resend in-line with a full run.
     """
-    n = config.n
-    m = config.alphabet.m
-    selectors = config.keystream.running_key(n, config.alphabet).selectors
-    alice = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    phi = selectors * (HALF_PI / m)
+    phi = config.key_angles()
+    alice = rng.integers(0, 2, size=config.n, dtype=np.int64).astype(np.uint8)
     theta = phi + alice * HALF_PI
     if interference is not None:
         theta = np.asarray(interference(theta, rng), dtype=float)
         if theta.shape != phi.shape:
             raise ValueError("interference must return one state angle per qubit")
-    lost = rng.random(n) < config.channel.loss
-    flipped = rng.random(n) < config.channel.flip_prob
-    bob = measure_many(theta + flipped * HALF_PI, phi, rng)
-    detected = np.nonzero(~lost)[0]
+    bob, detected = keyed_channel(theta, phi, config.channel, rng)
+    detected = np.nonzero(detected)[0]
     return alice[detected], bob[detected], detected
 
 
@@ -239,13 +258,12 @@ def rate_gate(p_c_hat: float, code_rate: float) -> RateVerdict:
     return RateVerdict.OK
 
 
-def reconcile(alice_bits, bob_bits, code_rate: float, rng=None):
+def reconcile(alice_bits, bob_bits, code_rate: float):
     """Idealized Shannon-limit reconciliation.
 
     Succeeds iff h2(empirical error rate) <= (1 - R) - margin; on success the
     receiver's bits are replaced by the sender's and ceil(l*(1-R)) bits count
-    as leaked syndrome. The decoder itself is deterministic; rng is accepted
-    for interface parity and unused.
+    as leaked syndrome.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
@@ -383,7 +401,8 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
     is discarded from the key material. The privacy-amplification seed and the
     estimation subsample are public coins: only the seed key and the 2*|K_v|
     verification bits count as consumed secret key. Aborts before the
-    verification step consume no verification bits.
+    verification step, including an amplified key shorter than |K_v|
+    ("key_too_short"), consume no verification bits.
 
     An `interference` callable (see transmit_round) runs the pipeline against
     an in-line eavesdropper; errors she induces surface in the estimate and
@@ -395,11 +414,11 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
     kv = config.verification_len
     empty = np.zeros(0, dtype=np.uint8)
 
-    def aborted(reason, detected, qber=None, consumed_verification=0):
+    def aborted(reason, detected, qber=None):
         return ProtocolOutcome(
             alice_key=empty, bob_key=empty, qber_raw=qber,
             detected_positions=detected, verified=False,
-            ledger=KeyLedger(consumed_seed, consumed_verification, 0),
+            ledger=KeyLedger(consumed_seed, 0, 0),
             abort_reason=reason,
         )
 
@@ -425,6 +444,8 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
 
     out_len = pa_output_length(alice_kept.size, config.code_rate, config.alphabet,
                                config.pa_security_param)
+    if out_len < kv:
+        return aborted("key_too_short", detected, qber_hat)
     pa_seed = rng.integers(0, 2, size=max(0, alice_kept.size + out_len - 1), dtype=np.int64)
     key_a = privacy_amplify(alice_kept, out_len, pa_seed)
     key_b = privacy_amplify(bob_corrected, out_len, pa_seed)
@@ -467,19 +488,18 @@ def run_direct_encryption(config: ProtocolConfig, plaintext,
     data_capacity = math.floor(n * config.code_rate)
     if pt.size > data_capacity:
         raise ValueError(f"plaintext of {pt.size} bits exceeds rate-R payload {data_capacity}")
+    if pt.size < config.verification_len:
+        raise ValueError(f"plaintext of {pt.size} bits is shorter than the "
+                         f"{config.verification_len}-bit authentication tag")
 
     filler = rng.integers(0, 2, size=data_capacity - pt.size, dtype=np.int64).astype(np.uint8)
     parity = rng.integers(0, 2, size=n - data_capacity, dtype=np.int64).astype(np.uint8)
     frame = np.concatenate([pt, filler, parity])
 
-    m = config.alphabet.m
-    selectors = config.keystream.running_key(n, config.alphabet).selectors
-    phi = selectors * (HALF_PI / m)
+    phi = config.key_angles()
     theta = phi + frame * HALF_PI
-    lost = rng.random(n) < config.channel.loss
-    flipped = rng.random(n) < config.channel.flip_prob
-    bob_frame = measure_many(theta + flipped * HALF_PI, phi, rng)
-    bob_frame[lost] = 0
+    bob_frame, detected = keyed_channel(theta, phi, config.channel, rng)
+    bob_frame[~detected] = 0
 
     corrected, _, reconciled = reconcile(frame, bob_frame, config.code_rate)
     if not reconciled:

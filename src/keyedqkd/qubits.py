@@ -55,9 +55,6 @@ class StateAngle:
     def vector(self) -> np.ndarray:
         return np.array([math.cos(self.theta), math.sin(self.theta)])
 
-    def orthogonal(self) -> "StateAngle":
-        return StateAngle(self.theta + HALF_PI)
-
 
 @dataclass(frozen=True)
 class MeasBasis:
@@ -72,10 +69,6 @@ class MeasBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _wrap(float(self.phi), HALF_PI))
-
-    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        c, s = math.cos(self.phi), math.sin(self.phi)
-        return np.array([c, s]), np.array([-s, c])
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,13 @@ class TestRunAttackDispatch:
             run_attack(AttackStrategy.parse("keyguess"), repetition_config(40, "1001"),
                        np.random.default_rng(0))
 
+    @pytest.mark.parametrize("text", ["intercept", "intercept:0.3", "fixed:0", "breidbart",
+                                      "keyguess", "blockguess:2"])
+    def test_rejects_zero_trials(self, text):
+        config = repetition_config(40, "1001") if text.startswith("block") else lfsr_config(n=40)
+        with pytest.raises(ValueError, match="trials"):
+            run_attack(AttackStrategy.parse(text), config, np.random.default_rng(0), trials=0)
+
     def test_block_guess_from_config(self):
         report = run_attack(AttackStrategy.parse("blockguess:3"),
                             repetition_config(40, "10011010"),

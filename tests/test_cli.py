@@ -57,6 +57,18 @@ class TestRunCommand:
                      "--output", str(out)]) == EXIT_ABORT
         assert json.loads(out.read_text())["abort_reason"] == "rate_gate"
 
+    def test_key_too_short_to_verify_exits_two(self, tmp_path):
+        # The README config at n = 400 amplifies to fewer than |K_v| = 32 bits.
+        config = write_config(tmp_path, n=400, keystream={
+            "kind": "lfsr", "spec": "64:64,63,61,60", "seed": "1" + "0" * 62 + "1"})
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(config), "--seed", "7",
+                     "--output", str(out)]) == EXIT_ABORT
+        doc = json.loads(out.read_text())
+        assert doc["abort_reason"] == "key_too_short"
+        assert doc["ledger"] == {"consumed_seed": 64, "consumed_verification": 0,
+                                 "generated": 0, "net": -64}
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "1",
                      "--output", str(tmp_path / "o.json")]) == EXIT_USAGE

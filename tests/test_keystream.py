@@ -105,11 +105,11 @@ class TestLfsrStream:
         one_by_one = [next(gen) for _ in range(40)]
         assert np.array_equal(one_by_one, lfsr_stream(spec, seed, 40))
 
-    def test_clone_replays_midstream(self):
-        gen = LfsrGenerator(LfsrSpec((5, 3)), SeedKey.from_string("10011"))
-        gen.take(13)
-        dup = gen.clone()
-        assert np.array_equal(gen.take(20), dup.take(20))
+    def test_take_continues_midstream(self):
+        spec, seed = LfsrSpec((5, 3)), SeedKey.from_string("10011")
+        gen = LfsrGenerator(spec, seed)
+        head = gen.take(13)
+        assert np.array_equal(np.concatenate([head, gen.take(20)]), lfsr_stream(spec, seed, 33))
 
 
 class TestLfsrPeriod:

@@ -330,6 +330,16 @@ class TestRunProtocol:
         outcome = run_protocol(config, np.random.default_rng(1))
         assert outcome.ledger.net < 0
 
+    def test_key_shorter_than_verification_tag_aborts(self):
+        # 380 kept bits amplify to floor(380 * 0.2009) - 64 = 12 < |K_v| = 32.
+        config = make_config(n=400, keystream=LFSR64)
+        outcome = run_protocol(config, np.random.default_rng(3))
+        assert not outcome.verified
+        assert outcome.abort_reason == "key_too_short"
+        assert outcome.qber_raw == 0.0 and outcome.alice_key.size == 0
+        assert outcome.ledger == KeyLedger(consumed_seed=64, consumed_verification=0, generated=0)
+        assert outcome.ledger.net == -64
+
     def test_ledger_conservation(self):
         for seed in range(4):
             config = make_config(n=5000, flip=0.03, keystream=LFSR16)
@@ -401,6 +411,12 @@ class TestDirectEncryption:
         with pytest.raises(ValueError):
             run_direct_encryption(config, np.ones(501, np.uint8), np.random.default_rng(0))
 
+    def test_rejects_plaintext_shorter_than_the_tag(self):
+        config = make_config(n=1000, mode="direct-encryption")
+        with pytest.raises(ValueError, match="31 bits is shorter than the 32-bit authentication tag"):
+            run_direct_encryption(config, np.ones(31, np.uint8), np.random.default_rng(0))
+        assert run_direct_encryption(config, np.ones(32, np.uint8), np.random.default_rng(0)).ok
+
     def test_rejects_key_generation_mode(self):
         with pytest.raises(ValueError):
             run_direct_encryption(make_config(), np.ones(4, np.uint8), np.random.default_rng(0))
@@ -442,6 +458,16 @@ class TestConfigSerialization:
             make_config(mode="broadcast")
         with pytest.raises(ValueError):
             make_config(m=4, keystream=RepetitionKeystream(SeedKey.from_string("1001")))
+        doc = make_config().to_json_dict()
+        for field, value in [("n", 1.7), ("n", True), ("m", 2.9), ("verification_len", 3.5),
+                             ("pa_security_param", 64.5), ("pa_security_param", False)]:
+            with pytest.raises(ValueError):
+                ProtocolConfig.from_json_dict(dict(doc, **{field: value}))
+
+    def test_integral_floats_are_accepted(self):
+        doc = dict(make_config().to_json_dict(), n=1e5, m=4.0, verification_len=32.0)
+        config = ProtocolConfig.from_json_dict(doc)
+        assert (config.n, config.alphabet.m, config.verification_len) == (100000, 4, 32)
 
 
 class TestOutcomeSerialization:
