@@ -1,6 +1,6 @@
 """Command-line scenario runner with reproducible, machine-readable outputs.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 protocol-level
+Exit codes: 0 success, 1 usage, configuration or numerical error, 2 protocol-level
 abort. All randomness derives from the mandatory --seed, so identical
 invocations produce byte-identical outputs regardless of --threads; wall-clock
 metadata goes only to the optional --meta sidecar.
@@ -61,7 +61,7 @@ def _load_config(path: str) -> ProtocolConfig:
 def cmd_run(args, argv) -> int:
     try:
         outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write(Path(args.output), _render_json(outcome.to_json_dict()))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .analysis import CONSERVATIVE_EVE_ERROR, h2
 from .keystream import LfsrGenerator, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey
@@ -29,9 +28,6 @@ RECONCILE_MARGIN = 0.02
 
 # Fraction of detected bits disclosed for channel estimation and discarded.
 QBER_SAMPLE_FRACTION = 0.05
-
-# Direct Toeplitz multiply below this work bound, exact-rounded FFT above it.
-_DIRECT_CONV_WORK = 1 << 22
 
 MODE_KEY_GENERATION = "key-generation"
 MODE_DIRECT_ENCRYPTION = "direct-encryption"
@@ -117,9 +113,9 @@ class ProtocolConfig:
                 n=_integer(doc, "n"),
                 alphabet=BasisAlphabet(_integer(doc, "m")),
                 keystream=keystream,
-                channel=ChannelModel(float(doc["channel"]["flip_prob"]),
-                                     float(doc["channel"]["loss"])),
-                code_rate=float(doc["code_rate"]),
+                channel=ChannelModel(_real(doc["channel"], "flip_prob"),
+                                     _real(doc["channel"], "loss")),
+                code_rate=_real(doc, "code_rate"),
                 pa_security_param=_integer(doc, "pa_security_param"),
                 verification_len=_integer(doc, "verification_len"),
                 mode=str(doc.get("mode", MODE_KEY_GENERATION)),
@@ -137,10 +133,19 @@ class ProtocolConfig:
         return selectors * (HALF_PI / self.alphabet.m)
 
 
-def _integer(doc: dict, field: str) -> int:
-    """Integer config field; bools and non-integral numbers are rejected, not truncated."""
+def _real(doc: dict, field: str) -> float:
+    """Numeric config field; bools, strings and other JSON values are rejected, not coerced."""
     value = doc[field]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(doc: dict, field: str) -> int:
+    """Integer config field; bools, strings and non-integral numbers are rejected, not truncated."""
+    value = doc[field]
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
         raise ValueError(f"config field {field!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -293,17 +298,13 @@ def privacy_amplify(bits, out_len: int, hash_seed) -> np.ndarray:
         raise ValueError(f"hash seed must have {max(0, n + out_len - 1)} bits, got {seed.size}")
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    if n == 0:
-        return np.zeros(out_len, dtype=np.uint8)
-    if n * out_len <= _DIRECT_CONV_WORK:
-        conv = np.convolve(seed.astype(np.int64), bits.astype(np.int64))
-        seg = conv[n - 1:n - 1 + out_len]
-    else:
-        conv = fftconvolve(seed.astype(np.float64), bits.astype(np.float64))
-        seg = np.round(conv[n - 1:n - 1 + out_len])
-        if np.abs(conv[n - 1:n - 1 + out_len] - seg).max() > 0.25:
-            raise ArithmeticError("FFT convolution lost integer exactness")
-        seg = seg.astype(np.int64)
+    # At least len(seed) circular points leave the window [n - 1, n - 1 + out_len) unaliased.
+    size = 1 << (seed.size - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
+    window = conv[n - 1:n - 1 + out_len]
+    seg = np.rint(window)
+    if np.abs(window - seg).max() > 0.25:
+        raise ArithmeticError("FFT convolution lost integer exactness")
     return (seg % 2).astype(np.uint8)
 
 

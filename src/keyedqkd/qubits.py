@@ -313,16 +313,13 @@ def optimal_fixed_basis(alphabet: BasisAlphabet, grid_points: int = 4096) -> tup
 def keyless_error(alphabet: BasisAlphabet) -> float:
     """Minimum bit error of an observer who never learns the basis selectors.
 
-    Helstrom discrimination of the two equal-weight bit ensembles over the
-    labeled basis family. Adjacent bases take opposite bit orientation, so the
-    2m encodings tile the state circle uniformly: with that layout both bit
-    ensembles converge to the maximally mixed state and the keyless error
-    approaches its maximum 1/2 as m grows. For m = 2 the value coincides with
-    the optimal fixed-basis error, (2 - sqrt(2))/4.
+    Helstrom discrimination of the two equal-weight bit ensembles. Adjacent
+    bases take opposite bit orientation, so the 2m encodings tile the state
+    circle uniformly. On the Bloch circle (doubled angles) the bit-0 state of
+    basis j sits at (-1)^j e^{i j pi/m}, so rho0's Bloch vector is a geometric
+    sum of length 1/(m cos(pi/(2m))); rho1 = I - rho0 has the opposite vector,
+    and the error is (1 - 1/(m cos(pi/(2m))))/2. That is (2 - sqrt(2))/4, the
+    optimal fixed-basis error, at m = 2, and it rises to 1/2 as m grows.
     """
-    j = np.arange(alphabet.m)
-    bit0 = j * (HALF_PI / alphabet.m) + (j % 2) * HALF_PI
-    weights = np.full(alphabet.m, 1.0 / alphabet.m)
-    rho0 = DensityMatrix(_mixture_entries(weights, bit0))
-    rho1 = DensityMatrix(_mixture_entries(weights, bit0 + HALF_PI))
-    return helstrom_error(rho0, rho1, 0.5)
+    m = alphabet.m
+    return 0.5 * (1.0 - 1.0 / (m * math.cos(math.pi / (2 * m))))

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import keyedqkd.protocol
 from keyedqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
 
 BASE_CONFIG = {
@@ -68,6 +73,15 @@ class TestRunCommand:
         assert doc["abort_reason"] == "key_too_short"
         assert doc["ledger"] == {"consumed_seed": 64, "consumed_verification": 0,
                                  "generated": 0, "net": -64}
+
+    def test_arithmetic_error_exits_one(self, tmp_path, config_path, monkeypatch, capsys):
+        def lose_exactness(*args):
+            raise ArithmeticError("FFT convolution lost integer exactness")
+
+        monkeypatch.setattr(keyedqkd.protocol, "privacy_amplify", lose_exactness)
+        assert main(["run", "--config", str(config_path), "--seed", "7",
+                     "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: FFT convolution lost integer exactness\n"
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "1",
@@ -191,6 +205,17 @@ class TestRateWindowCommand:
         capsys.readouterr()
         assert main(["rate-window", "0.6"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must not pull it in.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, keyedqkd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -120,16 +120,17 @@ class TestPrivacyAmplify:
 
     def test_matches_direct_matrix_construction(self):
         rng = np.random.default_rng(17)
-        for n, out_len in [(1, 1), (5, 3), (37, 16), (128, 50)]:
+        # (40, 25) and (40, 26) put the seed length at exactly 2^6 and 2^6 + 1.
+        for n, out_len in [(1, 1), (5, 3), (37, 16), (128, 50), (40, 25), (40, 26)]:
             bits = rng.integers(0, 2, n)
             seed = rng.integers(0, 2, n + out_len - 1)
             assert np.array_equal(privacy_amplify(bits, out_len, seed),
                                   toeplitz_hash_direct(bits, out_len, seed))
 
-    def test_fft_path_matches_direct_path(self):
-        # n*out_len above the internal switchover exercises the FFT route.
+    @pytest.mark.parametrize("n, out_len", [(4000, 1500), (19000, 32)])
+    def test_matches_integer_convolution(self, n, out_len):
+        # (19000, 32) is the shape of a 32-bit verification tag over a long key.
         rng = np.random.default_rng(18)
-        n, out_len = 4000, 1500
         bits = rng.integers(0, 2, n)
         seed = rng.integers(0, 2, n + out_len - 1)
         out = privacy_amplify(bits, out_len, seed)
@@ -460,14 +461,19 @@ class TestConfigSerialization:
             make_config(m=4, keystream=RepetitionKeystream(SeedKey.from_string("1001")))
         doc = make_config().to_json_dict()
         for field, value in [("n", 1.7), ("n", True), ("m", 2.9), ("verification_len", 3.5),
-                             ("pa_security_param", 64.5), ("pa_security_param", False)]:
+                             ("pa_security_param", 64.5), ("pa_security_param", False),
+                             ("n", "400"), ("m", None), ("code_rate", "0.6"), ("code_rate", True),
+                             ("channel", {"flip_prob": False, "loss": 0.0}),
+                             ("channel", {"flip_prob": 0.0, "loss": "0.1"})]:
             with pytest.raises(ValueError):
                 ProtocolConfig.from_json_dict(dict(doc, **{field: value}))
 
     def test_integral_floats_are_accepted(self):
-        doc = dict(make_config().to_json_dict(), n=1e5, m=4.0, verification_len=32.0)
+        doc = dict(make_config().to_json_dict(), n=1e5, m=4.0, verification_len=32.0,
+                   channel={"flip_prob": 0, "loss": 0})
         config = ProtocolConfig.from_json_dict(doc)
         assert (config.n, config.alphabet.m, config.verification_len) == (100000, 4, 32)
+        assert config.channel == ChannelModel(0.0, 0.0)
 
 
 class TestOutcomeSerialization:

@@ -290,17 +290,18 @@ class TestKeylessError:
         assert abs(keyless_error(M2) - BREIDBART_ERROR) < 1e-9
         assert abs(keyless_error(M2) - optimal_fixed_basis(M2)[1]) < 1e-9
 
-    def test_four_bases_against_direct_construction(self):
+    @pytest.mark.parametrize("m", [4, 8, 64, 1024])
+    def test_against_direct_construction(self, m):
         # Rebuild the alternating-orientation ensembles from outer products.
-        angles = [0.0, PI / 8 + PI / 2, PI / 4, 3 * PI / 8 + PI / 2]
-        rho0 = sum(np.outer([math.cos(t), math.sin(t)], [math.cos(t), math.sin(t)])
-                   for t in angles) / 4.0
-        rho1 = sum(np.outer([math.cos(t + PI / 2), math.sin(t + PI / 2)],
-                            [math.cos(t + PI / 2), math.sin(t + PI / 2)])
-                   for t in angles) / 4.0
-        eigs = np.linalg.eigvalsh(0.5 * rho1 - 0.5 * rho0)
+        angles = [j * (PI / 2) / m + (j % 2) * (PI / 2) for j in range(m)]
+
+        def ensemble(shift):
+            vecs = [np.array([math.cos(t + shift), math.sin(t + shift)]) for t in angles]
+            return sum(np.outer(v, v) for v in vecs) / m
+
+        eigs = np.linalg.eigvalsh(0.5 * ensemble(PI / 2) - 0.5 * ensemble(0.0))
         expected = 0.5 * (1.0 - np.abs(eigs).sum())
-        assert abs(keyless_error(BasisAlphabet(4)) - expected) < 1e-12
+        assert abs(keyless_error(BasisAlphabet(m)) - expected) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 4, 16, 256, 2 ** 16])
     def test_bounded_by_half(self, m):
