@@ -12,6 +12,7 @@ the worker-thread count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ BREIDBART_ANGLE = math.pi / 8
 # Monte Carlo trials are processed in chunks of this size; each chunk draws
 # its own child generator so thread scheduling cannot reorder randomness.
 TRIAL_CHUNK = 4096
+
+# Child seeds are drawn this many at a time, so a huge trial count never
+# holds every chunk's seed at once.
+SEED_DRAW = 1024
 
 # Transmission simulations are capped when a strategy's success statistic
 # needs far more trials than its error statistics do.
@@ -141,23 +146,31 @@ class AttackReport:
 
 
 def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK):
-    """Split `trials` into chunks with independent child generators.
+    """Yield (size, child generator) for `trials` split into chunks, lazily.
 
-    Child seeds come from one draw on the caller's generator, so the split is
-    deterministic and identical for every thread count.
+    Child seeds come from the caller's generator, SEED_DRAW at a time; each
+    seed is one 64-bit draw, so the pieces reproduce a single draw of all the
+    seeds and the split is deterministic and identical for every thread count.
     """
-    sizes = [chunk] * (trials // chunk)
-    if trials % chunk:
-        sizes.append(trials % chunk)
-    seeds = rng.integers(0, 2 ** 63, size=len(sizes))
-    return [(size, np.random.default_rng(int(seed))) for size, seed in zip(sizes, seeds)]
+    chunks = -(-trials // chunk)
+    for first in range(0, chunks, SEED_DRAW):
+        seeds = rng.integers(0, 2 ** 63, size=min(SEED_DRAW, chunks - first))
+        for index, seed in enumerate(seeds, first):
+            yield min(chunk, trials - index * chunk), np.random.default_rng(int(seed))
 
 
-def _map_chunks(kernel, chunks, threads: int):
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: kernel(*c), chunks))
-    return [kernel(*c) for c in chunks]
+def _map_chunks(kernel, chunks, threads: int) -> list:
+    """kernel(*chunk) for each chunk, in order, with at most `threads` chunks in flight."""
+    if threads <= 1:
+        return [kernel(*c) for c in chunks]
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for c in chunks:
+            if len(pending) == threads:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(kernel, *c))
+        results.extend(future.result() for future in pending)
+    return results
 
 
 def measure_resend(theta, eve_phi, rng: np.random.Generator):

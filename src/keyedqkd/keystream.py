@@ -13,8 +13,10 @@ Generators are stateful single-owner objects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import xor
 
 import numpy as np
 
@@ -90,6 +92,34 @@ class LfsrSpec:
         return f"{self.length}:{','.join(str(t) for t in self.taps)}"
 
 
+# Output bits per jump-table block of LfsrGenerator.take.
+_BLOCK = 512
+_BLOCK_MASK = (1 << _BLOCK) - 1
+# bytes.translate table turning the digits of format(state, "b") into 0/1 bytes.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=64)
+def _jump_rows(length: int, mask: int) -> tuple[int, ...]:
+    """Jump table of the register (length, mask): one row per state bit.
+
+    Row j holds the first _BLOCK + length sequence bits (bit k = sequence bit
+    k) of the register started from the unit state with only bit
+    length - 1 - j set, i.e. rows run from the top state bit down, in the
+    order format(state, "b") lists the bits.
+    """
+    feedback = [j for j in range(length) if mask >> j & 1]
+    # forms[k] has bit i set when sequence bit k depends on state bit i.
+    forms = [1 << i for i in range(length)]
+    for k in range(_BLOCK):
+        forms.append(functools.reduce(xor, (forms[k + j] for j in feedback), 0))
+    width = (length + 7) // 8
+    deps = np.frombuffer(b"".join(f.to_bytes(width, "little") for f in forms), dtype=np.uint8)
+    deps = np.unpackbits(deps.reshape(-1, width), axis=1, count=length, bitorder="little")
+    rows = np.packbits(deps.T[::-1], axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+
+
 class LfsrGenerator:
     """Fibonacci-configuration LFSR over the seed-key state.
 
@@ -104,6 +134,16 @@ class LfsrGenerator:
     rejected: its cycle is degenerate. A register of length L has at most
     2^L - 1 nonzero states, so the maximal period is 2^L - 1, attained exactly
     when the connection polynomial is primitive.
+
+    The state holds the next L sequence bits, a[s..s+L-1] with bit i = a[s+i].
+    Iteration steps one bit at a time. `take` is block-parallel (the F2-linear
+    jump-ahead of Haramoto et al., 2008): the sequence is linear in the state,
+    so the next B + L bits from any state, B = _BLOCK = 512, are the XOR of
+    the rows of `_jump_rows` picked by its set bits. A block yields B output
+    bits, and its last L bits are the state B steps on. Rows are Python ints,
+    so any L works, and the table of each (L, taps) is built once per
+    process. `take(count)` runs blocks until it has count + L sequence bits,
+    returns the first count and reads the new state from the last L.
     """
 
     def __init__(self, spec: LfsrSpec, seed: SeedKey):
@@ -129,19 +169,26 @@ class LfsrGenerator:
         return out
 
     def take(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.uint8)
-        state, mask, top = self._state, self._mask, self._length - 1
-        for i in range(count):
-            out[i] = state & 1
-            state = (state >> 1) | (((state & mask).bit_count() & 1) << top)
-        self._state = state
-        return out
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        length = self._length
+        rows = _jump_rows(length, self._mask)
+        digits = f"0{length}b"
+        state, blocks = self._state, []
+        for _ in range(-(-(count + length) // _BLOCK)):
+            state_bits = format(state, digits).encode().translate(_BINARY_DIGITS)
+            span = functools.reduce(xor, itertools.compress(rows, state_bits), 0)
+            blocks.append((span & _BLOCK_MASK).to_bytes(_BLOCK // 8, "little"))
+            state = span >> _BLOCK
+        bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
+                             count=count + length, bitorder="little")
+        state_bytes = np.packbits(bits[count:], bitorder="little").tobytes()
+        self._state = int.from_bytes(state_bytes, "little")
+        return bits[:count]
 
 
 def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
     """First `count` output bits of the register started from `seed`."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     return LfsrGenerator(spec, seed).take(count)
 
 

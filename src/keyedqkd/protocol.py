@@ -96,25 +96,27 @@ class ProtocolConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ProtocolConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config document must be a JSON object, got {doc!r}")
         unknown = set(doc) - cls._JSON_FIELDS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         try:
-            ks_doc = doc["keystream"]
-            kind = ks_doc["kind"]
+            ks_doc = _object(doc, "keystream")
+            kind = _string(ks_doc, "kind")
             if kind == "lfsr":
-                keystream = LfsrKeystream(LfsrSpec.from_text(ks_doc["spec"]),
-                                          SeedKey.from_string(ks_doc["seed"]))
+                keystream = LfsrKeystream(LfsrSpec.from_text(_string(ks_doc, "spec")),
+                                          SeedKey.from_string(_string(ks_doc, "seed")))
             elif kind == "repetition":
-                keystream = RepetitionKeystream(SeedKey.from_string(ks_doc["key"]))
+                keystream = RepetitionKeystream(SeedKey.from_string(_string(ks_doc, "key")))
             else:
                 raise ValueError(f"unknown keystream kind {kind!r}")
+            channel = _object(doc, "channel")
             return cls(
                 n=_integer(doc, "n"),
                 alphabet=BasisAlphabet(_integer(doc, "m")),
                 keystream=keystream,
-                channel=ChannelModel(_real(doc["channel"], "flip_prob"),
-                                     _real(doc["channel"], "loss")),
+                channel=ChannelModel(_real(channel, "flip_prob"), _real(channel, "loss")),
                 code_rate=_real(doc, "code_rate"),
                 pa_security_param=_integer(doc, "pa_security_param"),
                 verification_len=_integer(doc, "verification_len"),
@@ -131,6 +133,22 @@ class ProtocolConfig:
         """Keyed basis angle of every qubit, selected by the running key."""
         selectors = self.keystream.running_key(self.n, self.alphabet).selectors
         return selectors * (HALF_PI / self.alphabet.m)
+
+
+def _object(doc: dict, field: str) -> dict:
+    """Nested config object; any other JSON value is rejected."""
+    value = doc[field]
+    if not isinstance(value, dict):
+        raise ValueError(f"config field {field!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _string(doc: dict, field: str) -> str:
+    """Text config field; numbers and other JSON values are rejected, not converted."""
+    value = doc[field]
+    if not isinstance(value, str):
+        raise ValueError(f"config field {field!r} must be a string, got {value!r}")
+    return value
 
 
 def _real(doc: dict, field: str) -> float:

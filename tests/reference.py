@@ -51,6 +51,17 @@ def primitive_tap_sets(max_degree: int) -> dict[int, list[tuple[int, ...]]]:
     return table
 
 
+def lfsr_reference(taps, seed_bits, count: int) -> np.ndarray:
+    """First `count` terms of a[k] = XOR over taps t of a[k - t], one at a time,
+    with a[0..L-1] = seed_bits and L the highest tap."""
+    seq = [int(b) for b in seed_bits]
+    if len(seq) != max(taps):
+        raise ValueError("seed length must equal the highest tap")
+    while len(seq) < count:
+        seq.append(sum(seq[-t] for t in taps) % 2)
+    return np.array(seq[:count], dtype=np.uint8)
+
+
 def toeplitz_hash_direct(bits, out_len: int, seed) -> np.ndarray:
     """Hash via explicit matrix: T[i, j] = seed[i - j + len(bits) - 1]."""
     bits = np.asarray(bits, dtype=np.int64)

@@ -1,7 +1,10 @@
 """Eavesdropper strategies: analytic values vs Monte Carlo, strategy parsing,
 ciphertext-only states."""
 
+import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from keyedqkd import (
     key_guess_round,
     run_attack,
 )
+from keyedqkd.adversary import SEED_DRAW, TRIAL_CHUNK, _chunk_rngs, _map_chunks
 from keyedqkd.qubits import MeasBasis
 
 PI = math.pi
@@ -310,3 +314,47 @@ class TestRunAttackDispatch:
         a = run_attack(strategy, config, np.random.default_rng(5), trials=20000, threads=1)
         b = run_attack(strategy, config, np.random.default_rng(5), trials=20000, threads=8)
         assert a == b
+
+
+class TestTrialChunks:
+    def test_seed_pieces_reproduce_one_draw(self):
+        trials = 2 * SEED_DRAW + 5
+        seeds = np.random.default_rng(9).integers(0, 2 ** 63, size=trials)
+        chunks = list(_chunk_rngs(np.random.default_rng(9), trials, chunk=1))
+        assert [size for size, _ in chunks] == [1] * trials
+        for seed, (_, child) in zip(seeds, chunks):
+            assert child.random() == np.random.default_rng(int(seed)).random()
+        sizes = [size for size, _ in _chunk_rngs(np.random.default_rng(0), 2 * TRIAL_CHUNK + 7)]
+        assert sizes == [TRIAL_CHUNK, TRIAL_CHUNK, 7]
+
+    def test_enormous_trials_are_not_built_up_front(self):
+        rng = np.random.default_rng(3)
+        first = list(itertools.islice(_chunk_rngs(rng, 10 ** 18), 3))
+        assert [size for size, _ in first] == [TRIAL_CHUNK] * 3
+        # Only the first piece of seeds was drawn from the caller's generator.
+        reference = np.random.default_rng(3)
+        reference.integers(0, 2 ** 63, size=SEED_DRAW)
+        assert rng.random() == reference.random()
+
+    def test_at_most_threads_chunks_in_flight(self):
+        threads, lock = 2, threading.Lock()
+        pulled = finished = 0
+        ahead = []
+
+        def chunks():
+            nonlocal pulled
+            for index in range(40):
+                with lock:
+                    pulled += 1
+                    ahead.append(pulled - finished)
+                yield (index,)
+
+        def kernel(index):
+            nonlocal finished
+            time.sleep(0.001)
+            with lock:
+                finished += 1
+            return index * index
+
+        assert _map_chunks(kernel, chunks(), threads) == [i * i for i in range(40)]
+        assert max(ahead) <= threads + 1

@@ -222,6 +222,24 @@ class TestExitCodes:
     def test_disjoint_codes(self):
         assert {EXIT_OK, EXIT_USAGE, EXIT_ABORT} == {0, 1, 2}
 
+    @pytest.mark.parametrize("command", ["run", "attack"])
+    @pytest.mark.parametrize("text", [
+        "5", "[]", "null",
+        json.dumps(dict(BASE_CONFIG, channel=5)),
+        json.dumps(dict(BASE_CONFIG, keystream=5)),
+        json.dumps(dict(BASE_CONFIG, keystream=dict(BASE_CONFIG["keystream"], seed=5))),
+        json.dumps(dict(BASE_CONFIG, keystream=dict(BASE_CONFIG["keystream"], spec=16))),
+        json.dumps(dict(BASE_CONFIG, keystream=dict(BASE_CONFIG["keystream"], kind=5))),
+        json.dumps(dict(BASE_CONFIG, keystream={"kind": "repetition", "key": 1001})),
+    ], ids=["number", "list", "null", "channel", "keystream", "seed", "spec", "kind", "key"])
+    def test_wrong_json_shape_exits_one(self, tmp_path, capsys, command, text):
+        config = tmp_path / "shape.json"
+        config.write_text(text)
+        strategy = ["intercept"] if command == "attack" else []
+        assert main([command, *strategy, "--config", str(config), "--seed", "1",
+                     "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_command_exits_one(self, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()

@@ -15,7 +15,9 @@ from keyedqkd import (
     repetition_running_key,
 )
 
-from reference import primitive_tap_sets
+from keyedqkd.keystream import _BLOCK
+
+from reference import lfsr_reference, primitive_tap_sets
 
 M2 = BasisAlphabet(2)
 M4 = BasisAlphabet(4)
@@ -110,6 +112,54 @@ class TestLfsrStream:
         gen = LfsrGenerator(spec, seed)
         head = gen.take(13)
         assert np.array_equal(np.concatenate([head, gen.take(20)]), lfsr_stream(spec, seed, 33))
+
+
+def random_register(rng, length):
+    """Random tap set with highest tap `length` and a random nonzero seed."""
+    taps = {length, *(int(t) for t in rng.integers(1, length, size=rng.integers(1, 5)))}
+    bits = rng.integers(0, 2, size=length)
+    bits[rng.integers(length)] = 1
+    return tuple(taps), SeedKey(tuple(int(b) for b in bits))
+
+
+def state_of(bits) -> int:
+    """Generator state holding the sequence bits `bits` (bit i = bits[i])."""
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+class TestTakeKernel:
+    """take's jump-table blocks against the per-bit reference and __next__."""
+
+    @pytest.mark.parametrize("length", [2, 3, 7, 16, 31, 32, 33, 63, 64, 65, 97, 127, 128])
+    def test_matches_reference_and_iteration(self, length):
+        rng = np.random.default_rng(length)
+        taps, seed = random_register(rng, length)
+        for count in (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length):
+            expected = lfsr_reference(taps, seed.bits, count + length)
+            gen = LfsrGenerator(LfsrSpec(taps), seed)
+            assert np.array_equal(gen.take(count), expected[:count]), (taps, count)
+            assert gen.state == state_of(expected[count:]), (taps, count)
+            stepper = LfsrGenerator(LfsrSpec(taps), seed)
+            assert [next(stepper) for _ in range(count)] == expected[:count].tolist()
+            assert stepper.state == gen.state
+
+    @pytest.mark.parametrize("length", [5, 64, 100])
+    def test_take_after_take_tracks_state(self, length):
+        rng = np.random.default_rng(1000 + length)
+        taps, seed = random_register(rng, length)
+        counts = (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length, 7)
+        expected = lfsr_reference(taps, seed.bits, sum(counts) + length + 1)
+        gen = LfsrGenerator(LfsrSpec(taps), seed)
+        done = 0
+        for count in counts:
+            assert np.array_equal(gen.take(count), expected[done:done + count]), count
+            done += count
+            assert gen.state == state_of(expected[done:done + length]), count
+        assert next(gen) == expected[done]
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError):
+            LfsrGenerator(LfsrSpec((4, 1)), SeedKey.from_string("1000")).take(-1)
 
 
 class TestLfsrPeriod:

@@ -31,7 +31,7 @@ from keyedqkd import (
 )
 from keyedqkd.protocol import bits_to_hex
 
-from reference import toeplitz_hash_direct
+from reference import lfsr_reference, toeplitz_hash_direct
 
 M2 = BasisAlphabet(2)
 LFSR16 = LfsrKeystream(LfsrSpec.from_text("16:16,15,13,4"), SeedKey.from_string("1011001110001111"))
@@ -272,6 +272,19 @@ class TestVerifyKey:
             for q in sympy.factorint(order):
                 assert modexp(order // q, poly, degree) != 1, (degree, q)
 
+    def test_tag_expands_every_table_register_like_the_reference(self):
+        # A 600-bit key needs a seed of 599 + |K_v| bits: more than one
+        # 512-bit block of the keystream kernel.
+        from keyedqkd.protocol import _VERIFICATION_TAPS
+        rng = np.random.default_rng(17)
+        for kv, taps in _VERIFICATION_TAPS.items():
+            key = rng.integers(0, 2, 600)
+            selector = rng.integers(0, 2, kv)
+            selector[rng.integers(kv)] = 1
+            seed = lfsr_reference(taps, selector, key.size + kv - 1)
+            assert np.array_equal(verification_tag(key, selector),
+                                  toeplitz_hash_direct(key, kv, seed)), kv
+
     def test_verification_len_above_table_rejected(self):
         with pytest.raises(ValueError):
             verification_tag(np.zeros(8, np.uint8), np.zeros(65, np.uint8) + 1)
@@ -467,6 +480,27 @@ class TestConfigSerialization:
                              ("channel", {"flip_prob": 0.0, "loss": "0.1"})]:
             with pytest.raises(ValueError):
                 ProtocolConfig.from_json_dict(dict(doc, **{field: value}))
+
+    @pytest.mark.parametrize("shape", [
+        "top-level number", "top-level list", "top-level null", "channel number",
+        "keystream number", "seed number", "spec number", "kind number", "key number",
+    ])
+    def test_wrong_json_shapes_raise_value_error(self, shape):
+        doc = make_config().to_json_dict()
+        ks = doc["keystream"]
+        bad = {
+            "top-level number": 5,
+            "top-level list": [doc],
+            "top-level null": None,
+            "channel number": dict(doc, channel=5),
+            "keystream number": dict(doc, keystream=5),
+            "seed number": dict(doc, keystream=dict(ks, seed=5)),
+            "spec number": dict(doc, keystream=dict(ks, spec=16)),
+            "kind number": dict(doc, keystream=dict(ks, kind=5)),
+            "key number": dict(doc, keystream={"kind": "repetition", "key": 1001}),
+        }[shape]
+        with pytest.raises(ValueError):
+            ProtocolConfig.from_json_dict(bad)
 
     def test_integral_floats_are_accepted(self):
         doc = dict(make_config().to_json_dict(), n=1e5, m=4.0, verification_len=32.0,
