@@ -68,14 +68,11 @@ from .qubits import (
     MeasBasis,
     StateAngle,
     density_of_mixture,
-    encode_state,
     eve_error_key_granted,
     helstrom_error,
     keyless_error,
-    measure,
     measure_many,
     optimal_fixed_basis,
-    outcome_probability,
 )
 
 __version__ = "0.1.0"

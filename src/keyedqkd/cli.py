@@ -59,50 +59,32 @@ def _load_config(path: str) -> ProtocolConfig:
 
 
 def cmd_run(args, argv) -> int:
-    try:
-        outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
-    except (OSError, ValueError, json.JSONDecodeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
     _write(Path(args.output), _render_json(outcome.to_json_dict()))
     _write_meta(args.meta and Path(args.meta), argv)
     return EXIT_OK if outcome.verified else EXIT_ABORT
 
 
 def cmd_attack(args, argv) -> int:
-    try:
-        strategy = AttackStrategy.parse(args.strategy)
-        config = _load_config(args.config)
-        report = run_attack(strategy, config, np.random.default_rng(args.seed),
-                            trials=args.trials, threads=args.threads)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    strategy = AttackStrategy.parse(args.strategy)
+    report = run_attack(strategy, _load_config(args.config), np.random.default_rng(args.seed),
+                        trials=args.trials, threads=args.threads)
     _write(Path(args.output), _render_json(report.to_json_dict()))
     _write_meta(args.meta and Path(args.meta), argv)
     return EXIT_OK
 
 
 def cmd_sweep(args, argv) -> int:
-    try:
-        m_values = [int(v) for v in args.m.split(",") if v.strip()]
-        if not m_values:
-            raise ValueError("empty basis-count list")
-        rows = sweep_m(m_values, include_keyless=not args.no_keyless)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write(Path(args.output), sweep_csv(rows))
+    m_values = [int(v) for v in args.m.split(",") if v.strip()]
+    if not m_values:
+        raise ValueError("empty basis-count list")
+    _write(Path(args.output), sweep_csv(sweep_m(m_values, include_keyless=not args.no_keyless)))
     _write_meta(args.meta and Path(args.meta), argv)
     return EXIT_OK
 
 
 def cmd_rate_window(args, argv) -> int:
-    try:
-        window = rate_window(args.p_c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    window = rate_window(args.p_c)
     sys.stdout.write(_render_json({
         "p_c": args.p_c,
         "lower": window.lower,
@@ -158,7 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.fn(args, argv)
+    try:
+        return args.fn(args, argv)
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # ValueError covers json.JSONDecodeError from a malformed config.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

@@ -1,12 +1,11 @@
 """Seed-keyed deterministic expansion of a short secret key into a running key
 of per-qubit basis selectors.
 
-A bit source is any iterable yielding 0/1 values; sources may additionally
-provide ``take(count) -> uint8 array`` for bulk consumption. Two sources are
-built in: a Fibonacci-configuration LFSR and the repetition expander that
-stretches an m_k-bit key over n qubits in contiguous blocks. Any deterministic
-stream (e.g. a standard stream cipher) can be plugged in through the same
-iterable contract.
+A bit source is a 0/1 sequence (array, list or tuple) or an object with
+``take(count) -> uint8 array``. Two sources are built in: a
+Fibonacci-configuration LFSR and the repetition expander that stretches an
+m_k-bit key over n qubits in contiguous blocks. Any deterministic stream
+(e.g. a standard stream cipher) can be plugged in through ``take``.
 
 Generators are stateful single-owner objects.
 """
@@ -120,6 +119,37 @@ def _jump_rows(length: int, mask: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
+def lfsr_bits(length: int, mask: int, state: int, count: int) -> tuple[np.ndarray, int]:
+    """Next `count` output bits of the register (length, mask) from `state`,
+    and the state after them.
+
+    `mask` has bit L - t set for each tap t, and `state` holds the next L
+    sequence bits (bit i = a[s+i]), as in LfsrGenerator. The kernel is
+    block-parallel (the F2-linear jump-ahead of Haramoto et al., 2008): the
+    sequence is linear in the state, so the next B + L bits from any state,
+    B = _BLOCK = 512, are the XOR of the rows of `_jump_rows` picked by its
+    set bits. A block yields B output bits, and its last L bits are the state
+    B steps on. Rows are Python ints, so any L works, and the table of each
+    (L, taps) is built once per process. Blocks run until count + L sequence
+    bits are out; the first count are returned and the last L are the new
+    state. State 0 yields zeros and stays 0.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    rows = _jump_rows(length, mask)
+    digits = f"0{length}b"
+    blocks = []
+    for _ in range(-(-(count + length) // _BLOCK)):
+        state_bits = format(state, digits).encode().translate(_BINARY_DIGITS)
+        span = functools.reduce(xor, itertools.compress(rows, state_bits), 0)
+        blocks.append((span & _BLOCK_MASK).to_bytes(_BLOCK // 8, "little"))
+        state = span >> _BLOCK
+    bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
+                         count=count + length, bitorder="little")
+    state_bytes = np.packbits(bits[count:], bitorder="little").tobytes()
+    return bits[:count], int.from_bytes(state_bytes, "little")
+
+
 class LfsrGenerator:
     """Fibonacci-configuration LFSR over the seed-key state.
 
@@ -136,14 +166,8 @@ class LfsrGenerator:
     when the connection polynomial is primitive.
 
     The state holds the next L sequence bits, a[s..s+L-1] with bit i = a[s+i].
-    Iteration steps one bit at a time. `take` is block-parallel (the F2-linear
-    jump-ahead of Haramoto et al., 2008): the sequence is linear in the state,
-    so the next B + L bits from any state, B = _BLOCK = 512, are the XOR of
-    the rows of `_jump_rows` picked by its set bits. A block yields B output
-    bits, and its last L bits are the state B steps on. Rows are Python ints,
-    so any L works, and the table of each (L, taps) is built once per
-    process. `take(count)` runs blocks until it has count + L sequence bits,
-    returns the first count and reads the new state from the last L.
+    Iteration steps one bit at a time; `take` runs the block kernel
+    `lfsr_bits`.
     """
 
     def __init__(self, spec: LfsrSpec, seed: SeedKey):
@@ -169,22 +193,8 @@ class LfsrGenerator:
         return out
 
     def take(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        length = self._length
-        rows = _jump_rows(length, self._mask)
-        digits = f"0{length}b"
-        state, blocks = self._state, []
-        for _ in range(-(-(count + length) // _BLOCK)):
-            state_bits = format(state, digits).encode().translate(_BINARY_DIGITS)
-            span = functools.reduce(xor, itertools.compress(rows, state_bits), 0)
-            blocks.append((span & _BLOCK_MASK).to_bytes(_BLOCK // 8, "little"))
-            state = span >> _BLOCK
-        bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
-                             count=count + length, bitorder="little")
-        state_bytes = np.packbits(bits[count:], bitorder="little").tobytes()
-        self._state = int.from_bytes(state_bytes, "little")
-        return bits[:count]
+        bits, self._state = lfsr_bits(self._length, self._mask, self._state, count)
+        return bits
 
 
 def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
@@ -232,27 +242,20 @@ class RunningKey:
 def expand_running_key(bit_source, n: int, alphabet: BasisAlphabet) -> RunningKey:
     """Consume n*log2(m) bits from the source, big-endian grouped into selectors.
 
-    Prefix-stable: extending n extends, never changes, earlier selectors.
-    Finite sources that run out raise a keystream-exhausted error.
+    The source is a 0/1 sequence (array, list or tuple) or an object with
+    take(count). Prefix-stable: extending n extends, never changes, earlier
+    selectors. Finite sources that run out raise a keystream-exhausted error.
     """
     if n < 0:
         raise ValueError("selector count must be nonnegative")
     k = alphabet.bits_per_selector
     need = n * k
-    if isinstance(bit_source, (np.ndarray, list, tuple)):
-        arr = np.asarray(bit_source, dtype=np.uint8)
-        if arr.size < need:
-            raise ValueError(f"keystream exhausted: needed {need} bits, got {arr.size}")
-        raw = arr[:need]
-    elif callable(getattr(bit_source, "take", None)):
-        raw = np.asarray(bit_source.take(need), dtype=np.uint8)
-        if raw.size < need:
-            raise ValueError(f"keystream exhausted: needed {need} bits, got {raw.size}")
-    else:
-        try:
-            raw = np.fromiter(itertools.islice(iter(bit_source), need), dtype=np.uint8, count=need)
-        except ValueError:
-            raise ValueError(f"keystream exhausted before {need} bits") from None
+    if not isinstance(bit_source, (np.ndarray, list, tuple)):
+        bit_source = bit_source.take(need)
+    raw = np.asarray(bit_source, dtype=np.uint8)
+    if raw.size < need:
+        raise ValueError(f"keystream exhausted: needed {need} bits, got {raw.size}")
+    raw = raw[:need]
     if raw.size and (raw > 1).any():
         raise ValueError("bit source yielded non-bit values")
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .analysis import CONSERVATIVE_EVE_ERROR, h2
-from .keystream import LfsrGenerator, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey
+from .keystream import LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, lfsr_bits
 from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
@@ -71,8 +71,12 @@ class ProtocolConfig:
             raise ValueError(f"verification length must lie in [1, {MAX_VERIFICATION_LEN}]")
         if self.mode not in (MODE_KEY_GENERATION, MODE_DIRECT_ENCRYPTION):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if isinstance(self.keystream, RepetitionKeystream) and self.alphabet.m != 2:
-            raise ValueError("repetition keystream requires the two-basis alphabet")
+        if isinstance(self.keystream, RepetitionKeystream):
+            if self.alphabet.m != 2:
+                raise ValueError("repetition keystream requires the two-basis alphabet")
+            if self.keystream.secret_bits > self.n:
+                raise ValueError(f"repetition key of {self.keystream.secret_bits} bits "
+                                 f"exceeds the qubit count {self.n}")
 
     def to_json_dict(self) -> dict:
         if isinstance(self.keystream, LfsrKeystream):
@@ -381,17 +385,17 @@ def verification_tag(key_bits, selector) -> np.ndarray:
     kv = selector.size
     if kv < 1:
         raise ValueError("selector must be nonempty")
+    if (selector > 1).any():
+        raise ValueError("selector bits must be 0 or 1")
     seed_len = max(0, key_bits.size + kv - 1)
-    if not selector.any():
-        seed = np.zeros(seed_len, dtype=np.uint8)
-    elif kv == 1:
-        seed = np.ones(seed_len, dtype=np.uint8)
+    if kv == 1:
+        seed = np.full(seed_len, selector[0], dtype=np.uint8)
     else:
         taps = _VERIFICATION_TAPS.get(kv)
         if taps is None:
             raise ValueError(f"verification hash supports |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-        gen = LfsrGenerator(LfsrSpec(taps), SeedKey(tuple(int(b) for b in selector)))
-        seed = gen.take(seed_len)
+        state = int.from_bytes(np.packbits(selector, bitorder="little").tobytes(), "little")
+        seed, _ = lfsr_bits(kv, sum(1 << (kv - t) for t in taps), state, seed_len)
     return privacy_amplify(key_bits, kv, seed)
 
 

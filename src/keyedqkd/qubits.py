@@ -30,6 +30,9 @@ ANGLE_TOL = 1e-12
 # so co-minimizers are resolved by angle rather than by float noise.
 _TIE_TOL = 1e-12
 
+# Angles in the grid scan of optimal_fixed_basis.
+_GRID_POINTS = 4096
+
 
 def _wrap(angle: float, period: float) -> float:
     a = math.fmod(angle, period)
@@ -90,9 +93,6 @@ class BasisAlphabet:
             raise ValueError(f"basis index {j} out of range [0, {self.m})")
         return j * (HALF_PI / self.m)
 
-    def basis(self, j: int) -> MeasBasis:
-        return MeasBasis(self.basis_angle(j))
-
     def angles(self) -> np.ndarray:
         """All basis angles as a vector, strictly increasing in [0, pi/2)."""
         return np.arange(self.m) * (HALF_PI / self.m)
@@ -135,38 +135,14 @@ class DensityMatrix:
         return cls(np.eye(2, dtype=complex) / 2.0)
 
 
-def encode_state(bit: int, basis_index: int, alphabet: BasisAlphabet) -> StateAngle:
-    """State carrying `bit` in basis `basis_index`: theta = j*(pi/2)/m + bit*(pi/2)."""
-    if bit not in (0, 1):
-        raise ValueError(f"data bit must be 0 or 1, got {bit!r}")
-    return StateAngle(alphabet.basis_angle(basis_index) + bit * HALF_PI)
-
-
-def outcome_probability(state: StateAngle, basis: MeasBasis) -> float:
-    """Probability of outcome 0, exactly cos^2(theta - phi)."""
-    return math.cos(state.theta - basis.phi) ** 2
-
-
-def measure(state: StateAngle, basis: MeasBasis, rng: np.random.Generator) -> int:
-    """Sample a projective measurement outcome (0 or 1).
-
-    Outcomes whose probability is within 1e-12 of 0 or 1 are treated as
-    certain, so aligned and anti-aligned measurements are exactly
-    deterministic for every rng state.
-    """
-    p0 = outcome_probability(state, basis)
-    if p0 >= 1.0 - ANGLE_TOL:
-        return 0
-    if p0 <= ANGLE_TOL:
-        return 1
-    return 0 if rng.random() < p0 else 1
-
-
 def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized projective measurement: outcome array for state/basis angle arrays.
+    """Projective measurement: outcome array for state/basis angle arrays.
 
-    Same degenerate-probability snapping as measure(); one uniform draw per
-    element regardless of degeneracy, so draw alignment is shape-stable.
+    Outcome 1 has probability sin^2(theta - phi). Probabilities within 1e-12
+    of 0 or 1 are snapped to certainty, so aligned and anti-aligned
+    measurements are exactly deterministic for every rng state. One uniform
+    draw per element regardless of degeneracy, so draw alignment is
+    shape-stable.
     """
     p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
     p1 = np.where(p1 <= ANGLE_TOL, 0.0, np.where(p1 >= 1.0 - ANGLE_TOL, 1.0, p1))
@@ -287,18 +263,16 @@ def _refine_minimum(f, alphabet: BasisAlphabet, lo: float, hi: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def optimal_fixed_basis(alphabet: BasisAlphabet, grid_points: int = 4096) -> tuple[MeasBasis, float]:
+def optimal_fixed_basis(alphabet: BasisAlphabet) -> tuple[MeasBasis, float]:
     """Fixed measurement basis minimizing the key-granted error, with its error.
 
-    Grid scan over [0, pi/2) followed by sub-nanoradian refinement of the best
-    basin. Co-minimizers (the error profile has period (pi/2)/m) are tie-broken
-    toward the smallest angle, with grid values within 1e-12 of the minimum
-    treated as exact ties.
+    Grid scan of _GRID_POINTS angles over [0, pi/2) followed by
+    sub-nanoradian refinement of the best basin. Co-minimizers (the error
+    profile has period (pi/2)/m) are tie-broken toward the smallest angle,
+    with grid values within 1e-12 of the minimum treated as exact ties.
     """
-    if grid_points < 4096:
-        raise ValueError("grid must have at least 4096 points")
-    step = HALF_PI / grid_points
-    grid = np.arange(grid_points) * step
+    step = HALF_PI / _GRID_POINTS
+    grid = np.arange(_GRID_POINTS) * step
     values = _granted_error_profile(grid, alphabet)
     tied = np.nonzero(values <= values.min() + _TIE_TOL)[0]
     best = int(tied.min())

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import keyedqkd.protocol
 from keyedqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_USAGE, main
@@ -82,6 +85,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--seed", "7",
                      "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: FFT convolution lost integer exactness\n"
+
+    def test_verification_abort_exits_two(self, tmp_path, config_path, monkeypatch):
+        # A "corrected" key with one residual error fails verification.
+        reconcile = keyedqkd.protocol.reconcile
+
+        def leave_one_error(alice_bits, bob_bits, code_rate):
+            corrected, leaked, ok = reconcile(alice_bits, bob_bits, code_rate)
+            corrected[0] ^= 1
+            return corrected, leaked, ok
+
+        monkeypatch.setattr(keyedqkd.protocol, "reconcile", leave_one_error)
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(config_path), "--seed", "7",
+                     "--output", str(out)]) == EXIT_ABORT
+        doc = json.loads(out.read_text())
+        assert doc["abort_reason"] == "verification" and doc["verified"] is False
+        assert doc["ledger"] == {"consumed_seed": 16, "consumed_verification": 64,
+                                 "generated": 0, "net": -80}
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "1",
@@ -244,3 +265,97 @@ class TestExitCodes:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--output", "--meta"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["attack", "intercept"], ["sweep", "--m", "2,4"],
+    ], ids=["run", "attack", "sweep"])
+    def test_unwritable_path_exits_one(self, tmp_path, config_path, capsys, command, flag):
+        # A directory where a file is to be written is an error, not a traceback.
+        paths = {"--output": str(tmp_path / "o.out"), "--meta": str(tmp_path / "m.json")}
+        paths[flag] = str(tmp_path)
+        config = [] if command[0] == "sweep" else ["--config", str(config_path), "--seed", "1"]
+        argv = [*command, *config, "--output", paths["--output"], "--meta", paths["--meta"]]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Text without decimal digits, so stray tokens never spell a huge basis count.
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Config paths (good, bad, missing, a directory) and output paths (files,
+    a new subdirectory, a directory, a path under a file) for the argv fuzzer."""
+    root = tmp_path_factory.mktemp("fuzz")
+    documents = {
+        "lfsr.json": json.dumps(dict(BASE_CONFIG, n=2000, pa_security_param=0,
+                                     verification_len=16)),
+        "repetition.json": json.dumps(dict(BASE_CONFIG, n=300, keystream={
+            "kind": "repetition", "key": "10011010"})),
+        "bad-rate.json": json.dumps(dict(BASE_CONFIG, n=300, code_rate=1.5)),
+        "malformed.json": "{not json",
+    }
+    for name, text in documents.items():
+        (root / name).write_text(text)
+    configs = [str(root / name) for name in documents]
+    configs += [configs[0], configs[1], str(root / "missing.json"), str(root)]
+    outputs = [str(root / "o.out"), str(root / "p.out"), str(root / "new" / "o.out"),
+               str(root), str(root / "lfsr.json" / "o.out")]
+    return configs, outputs
+
+
+# Options each command takes; the required ones are dropped only now and then.
+COMMAND_OPTIONS = {
+    "run": ["--config", "--seed", "--output", "--meta"],
+    "attack": ["--config", "--seed", "--output", "--meta", "--trials", "--threads"],
+    "sweep": ["--m", "--output", "--meta", "--no-keyless"],
+    "rate-window": [],
+    "frobnicate": [],
+}
+REQUIRED_OPTIONS = {"--config", "--seed", "--output", "--m"}
+MOSTLY = st.sampled_from([True] * 9 + [False])
+
+
+@st.composite
+def cli_argv(draw, configs, outputs):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command == "attack":
+        argv.append(draw(st.one_of(st.sampled_from([
+            "breidbart", "intercept", "intercept:0.3", "intercept:2", "fixed:0.2", "fixed:banana",
+            "keyguess", "blockguess:3", "blockguess:0"]), NO_DIGITS)))
+    if command == "rate-window":
+        argv.append(draw(st.one_of(st.floats(-1, 1), st.floats()).map(repr)))
+    # Good values first, so that most runs get past argparse.
+    values = {
+        "--config": st.sampled_from(configs),
+        "--seed": st.one_of(st.integers(0, 99), st.integers(-3, 2 ** 70), NO_DIGITS),
+        "--output": st.sampled_from(outputs),
+        "--meta": st.sampled_from(outputs),
+        "--trials": st.integers(-1, 4),
+        "--threads": st.integers(-1, 2),
+        "--m": st.one_of(st.lists(st.sampled_from([2, 4, 16, 256, 3, 0, -2]), max_size=4)
+                         .map(lambda ms: ",".join(map(str, ms))), NO_DIGITS),
+        "--no-keyless": st.none(),
+    }
+    for flag in COMMAND_OPTIONS[command]:
+        if draw(MOSTLY if flag in REQUIRED_OPTIONS else st.booleans()):
+            value = draw(values[flag])
+            argv += [flag] if value is None else [flag, str(value)]
+    if not draw(MOSTLY):
+        argv.append(draw(NO_DIGITS))
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(fuzz_paths, data):
+    argv = data.draw(cli_argv(*fuzz_paths))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_ABORT}
+    assert "Traceback" not in err.getvalue()

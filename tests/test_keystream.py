@@ -15,7 +15,7 @@ from keyedqkd import (
     repetition_running_key,
 )
 
-from keyedqkd.keystream import _BLOCK
+from keyedqkd.keystream import _BLOCK, lfsr_bits
 
 from reference import lfsr_reference, primitive_tap_sets
 
@@ -160,6 +160,19 @@ class TestTakeKernel:
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             LfsrGenerator(LfsrSpec((4, 1)), SeedKey.from_string("1000")).take(-1)
+
+    @pytest.mark.parametrize("length", [2, 16, 64, 100])
+    def test_kernel_matches_reference_and_keeps_state_zero(self, length):
+        rng = np.random.default_rng(2000 + length)
+        taps, seed = random_register(rng, length)
+        mask = sum(1 << (length - t) for t in taps)
+        for count in (0, 1, _BLOCK, 2 * _BLOCK + 3):
+            expected = lfsr_reference(taps, seed.bits, count + length)
+            bits, state = lfsr_bits(length, mask, state_of(seed.bits), count)
+            assert np.array_equal(bits, expected[:count]), (taps, count)
+            assert state == state_of(expected[count:]), (taps, count)
+            zeros, zero_state = lfsr_bits(length, mask, 0, count)
+            assert zero_state == 0 and zeros.size == count and not zeros.any()
 
 
 class TestLfsrPeriod:

@@ -29,6 +29,7 @@ from keyedqkd import (
     verification_tag,
     verify_key,
 )
+import keyedqkd.protocol
 from keyedqkd.protocol import bits_to_hex
 
 from reference import lfsr_reference, toeplitz_hash_direct
@@ -281,13 +282,19 @@ class TestVerifyKey:
             key = rng.integers(0, 2, 600)
             selector = rng.integers(0, 2, kv)
             selector[rng.integers(kv)] = 1
-            seed = lfsr_reference(taps, selector, key.size + kv - 1)
-            assert np.array_equal(verification_tag(key, selector),
-                                  toeplitz_hash_direct(key, kv, seed)), kv
+            for sel in (selector, np.zeros(kv, np.int64)):
+                seed = lfsr_reference(taps, sel, key.size + kv - 1)
+                assert np.array_equal(verification_tag(key, sel),
+                                      toeplitz_hash_direct(key, kv, seed)), (kv, sel.any())
 
     def test_verification_len_above_table_rejected(self):
         with pytest.raises(ValueError):
             verification_tag(np.zeros(8, np.uint8), np.zeros(65, np.uint8) + 1)
+
+    def test_rejects_non_bit_selector(self):
+        for selector in ([2], [1, 0, 2], [0, 3, 0, 0]):
+            with pytest.raises(ValueError):
+                verification_tag(np.zeros(8, np.uint8), np.array(selector))
 
 
 class TestTransmitRound:
@@ -354,6 +361,21 @@ class TestRunProtocol:
         assert outcome.ledger == KeyLedger(consumed_seed=64, consumed_verification=0, generated=0)
         assert outcome.ledger.net == -64
 
+    def test_residual_error_aborts_at_verification(self, monkeypatch):
+        # The idealized decoder always returns the sender's bits; leave one
+        # residual error so the verification step has something to catch.
+        def leave_one_error(alice_bits, bob_bits, code_rate):
+            corrected, leaked, ok = reconcile(alice_bits, bob_bits, code_rate)
+            corrected[0] ^= 1
+            return corrected, leaked, ok
+
+        monkeypatch.setattr(keyedqkd.protocol, "reconcile", leave_one_error)
+        config = make_config(n=10 ** 4, flip=0.02, keystream=LFSR64, kv=32)
+        outcome = run_protocol(config, np.random.default_rng(42))
+        assert outcome.abort_reason == "verification" and not outcome.verified
+        assert outcome.ledger == KeyLedger(64, 2 * 32, 0)
+        assert not np.array_equal(outcome.alice_key, outcome.bob_key)
+
     def test_ledger_conservation(self):
         for seed in range(4):
             config = make_config(n=5000, flip=0.03, keystream=LFSR16)
@@ -380,6 +402,48 @@ class TestRunProtocol:
         config = make_config(mode="direct-encryption")
         with pytest.raises(ValueError):
             run_protocol(config, np.random.default_rng(0))
+
+
+ABORT_REASONS = {None, "no_detected", "rate_gate", "reconcile", "key_too_short", "verification"}
+
+# Primitive and non-primitive registers of a few lengths, drawn by the fuzzer.
+FUZZ_TAPS = [(2, 1), (3, 2), (4, 2), (5, 2), (8, 7, 2, 1), (16, 12, 3, 1), (17, 3)]
+
+
+# Each field mixes a range that reaches every abort reason and a verified key
+# (clean channel, rate inside the window) with its whole valid range.
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40), st.integers(1, 4000)),
+    m=st.sampled_from([2, 4, 8, 16]),
+    taps=st.sampled_from([None, None, *FUZZ_TAPS]),
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    flip=st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.0, 0.49)),
+    loss=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    rate=st.one_of(st.floats(0.45, 0.7), st.floats(0.01, 0.99)),
+    s=st.integers(0, 128),
+    kv=st.one_of(st.integers(1, 64), st.integers(-1, 70)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_valid_configs_return_an_outcome(n, m, taps, bits, flip, loss, rate, s, kv, seed):
+    # Aborts are outcomes: a config either fails validation or runs to an outcome.
+    # taps None draws a repetition key of the drawn bits, else an LFSR seed of them.
+    try:
+        if taps is None:
+            keystream = RepetitionKeystream(SeedKey(tuple(bits)))
+        else:
+            keystream = LfsrKeystream(LfsrSpec(taps),
+                                      SeedKey(tuple((bits * max(taps))[:max(taps)])))
+        config = make_config(n=n, m=m, keystream=keystream, flip=flip, loss=loss,
+                             rate=rate, s=s, kv=kv)
+    except ValueError:
+        return
+    outcome = run_protocol(config, np.random.default_rng(seed))
+    assert outcome.abort_reason in ABORT_REASONS
+    assert outcome.verified == (outcome.abort_reason is None)
+    ledger = outcome.ledger
+    assert ledger.net == ledger.generated - ledger.consumed_seed - ledger.consumed_verification
+    assert ledger.generated == (outcome.alice_key.size if outcome.verified else 0)
 
 
 class TestDirectEncryption:
@@ -472,6 +536,8 @@ class TestConfigSerialization:
             make_config(mode="broadcast")
         with pytest.raises(ValueError):
             make_config(m=4, keystream=RepetitionKeystream(SeedKey.from_string("1001")))
+        with pytest.raises(ValueError):
+            make_config(n=4, keystream=RepetitionKeystream(SeedKey.from_string("10011010")))
         doc = make_config().to_json_dict()
         for field, value in [("n", 1.7), ("n", True), ("m", 2.9), ("verification_len", 3.5),
                              ("pa_security_param", 64.5), ("pa_security_param", False),

@@ -12,13 +12,11 @@ from keyedqkd import (
     MeasBasis,
     StateAngle,
     density_of_mixture,
-    encode_state,
     eve_error_key_granted,
     helstrom_error,
     keyless_error,
-    measure,
+    measure_many,
     optimal_fixed_basis,
-    outcome_probability,
 )
 
 from reference import brute_force_basis_scan
@@ -54,54 +52,54 @@ def test_alphabet_requires_power_of_two():
 
 
 class TestEncodeState:
+    """Bit b in basis j is sent as the state at basis_angle(j) + b*pi/2."""
+
     def test_vertical_state(self):
-        assert encode_state(0, 0, M2).theta == 0.0
+        assert M2.basis_angle(0) == 0.0
 
     def test_diagonal_state(self):
-        assert abs(encode_state(0, 1, M2).theta - PI / 4) < 1e-15
+        assert abs(M2.basis_angle(1) - PI / 4) < 1e-15
 
     def test_orthogonal_partner_of_diagonal(self):
-        assert abs(encode_state(1, 1, M2).theta - 3 * PI / 4) < 1e-15
+        partner = M2.basis_angle(1) + PI / 2
+        assert abs(StateAngle(partner).theta - 3 * PI / 4) < 1e-15
+        outcomes = measure_many(np.full(64, partner), np.full(64, M2.basis_angle(1)),
+                                np.random.default_rng(2))
+        assert (outcomes == 1).all()
 
     def test_wraps_mod_pi_for_m4(self):
         # 3*(pi/2)/4 + pi/2 = 7*pi/8
-        assert abs(encode_state(1, 3, BasisAlphabet(4)).theta - 7 * PI / 8) < 1e-15
+        assert abs(StateAngle(BasisAlphabet(4).basis_angle(3) + PI / 2).theta - 7 * PI / 8) < 1e-15
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            encode_state(2, 0, M2)
+            M2.basis_angle(2)
         with pytest.raises(ValueError):
-            encode_state(0, 2, M2)
-        with pytest.raises(ValueError):
-            encode_state(0, -1, M2)
+            M2.basis_angle(-1)
 
 
-class TestOutcomeProbability:
-    def test_aligned(self):
-        assert outcome_probability(StateAngle(0), MeasBasis(0)) == 1.0
+class PinnedDraws:
+    """Stand-in generator whose uniform draws all equal `value`."""
 
-    def test_conjugate(self):
-        assert abs(outcome_probability(StateAngle(PI / 4), MeasBasis(0)) - 0.5) < 1e-15
+    def __init__(self, value):
+        self.value = value
 
-    def test_eighth_turn(self):
-        expected = math.cos(PI / 8) ** 2  # ~ 0.853553
-        assert abs(outcome_probability(StateAngle(PI / 8), MeasBasis(0)) - expected) < 1e-15
-        assert abs(expected - 0.8535533905932737) < 1e-12
-
-    def test_complement_of_orthogonal_state(self):
-        rng = np.random.default_rng(5)
-        for theta, phi in zip(rng.uniform(0, PI, 50), rng.uniform(0, PI / 2, 50)):
-            p = outcome_probability(StateAngle(theta), MeasBasis(phi))
-            q = outcome_probability(StateAngle(theta + PI / 2), MeasBasis(phi))
-            assert 0.0 <= p <= 1.0
-            assert abs(p + q - 1.0) < 1e-12
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 class TestMeasure:
     def test_deterministic_when_aligned(self):
         rng = np.random.default_rng(0)
-        assert all(measure(StateAngle(0), MeasBasis(0), rng) == 0 for _ in range(64))
-        assert all(measure(StateAngle(PI / 2), MeasBasis(0), rng) == 1 for _ in range(64))
+        assert (measure_many(np.zeros(64), np.zeros(64), rng) == 0).all()
+        assert (measure_many(np.full(64, PI / 2), np.zeros(64), rng) == 1).all()
+        # Within 1e-12 of certainty the outcome is snapped: even the most
+        # extreme uniform draw cannot flip a near-aligned or near-anti-aligned state.
+        phis = BasisAlphabet(16).angles()
+        for offset in (-1e-7, 1e-7):
+            assert (measure_many(phis + offset, phis, PinnedDraws(0.0)) == 0).all()
+            anti = phis + PI / 2 + offset
+            assert (measure_many(anti, phis, PinnedDraws(np.nextafter(1.0, 0.0))) == 1).all()
 
     def test_frequencies_match_probabilities(self):
         # 16-point (theta, phi) grid, 1e5 draws each, 4 standard errors.
@@ -109,21 +107,19 @@ class TestMeasure:
         trials = 10 ** 5
         for theta in np.linspace(0.1, PI - 0.2, 4):
             for phi in np.linspace(0.0, PI / 2 - 0.1, 4):
-                p0 = outcome_probability(StateAngle(theta), MeasBasis(phi))
-                zeros = sum(
-                    1 - b for b in
-                    (measure(StateAngle(theta), MeasBasis(phi), rng) for _ in range(trials))
-                )
+                p0 = math.cos(theta - phi) ** 2
+                ones = measure_many(np.full(trials, theta), np.full(trials, phi), rng)
+                zeros = trials - int(ones.sum())
                 sigma = math.sqrt(max(p0 * (1 - p0), 1e-12) / trials)
                 assert abs(zeros / trials - p0) < 4 * sigma + 1e-9
 
     def test_seeded_reproducibility(self):
-        a = [measure(StateAngle(0.7), MeasBasis(0.2), np.random.default_rng(9)) for _ in range(1)]
-        b = [measure(StateAngle(0.7), MeasBasis(0.2), np.random.default_rng(9)) for _ in range(1)]
-        assert a == b
+        thetas = np.random.default_rng(8).uniform(0, PI, 500)
+        a = measure_many(thetas, np.full(500, 0.2), np.random.default_rng(9))
+        b = measure_many(thetas, np.full(500, 0.2), np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_eighth_turn_frequency_at_one_million_draws(self):
-        from keyedqkd import measure_many
         rng = np.random.default_rng(77)
         n = 10 ** 6
         ones = int(measure_many(np.full(n, PI / 8), np.zeros(n), rng).sum())
