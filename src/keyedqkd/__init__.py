@@ -16,7 +16,6 @@ from .adversary import (
     attack_key_guess,
     block_guess_trials,
     ciphertext_only_state,
-    fixed_basis_induced_qber,
     key_guess_round,
     measure_resend_interference,
     run_attack,

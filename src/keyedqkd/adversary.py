@@ -256,22 +256,17 @@ def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
     )
 
 
-def fixed_basis_induced_qber(basis: MeasBasis, alphabet: BasisAlphabet) -> float:
-    """Noiseless user error rate induced by measure-resend in a fixed basis:
-    averaging the projection products over bases and bits gives
-    (1/(2m)) * sum_j sin^2(2*(theta_j - phi))."""
-    deltas = alphabet.angles() - basis.phi
-    return float(np.mean(np.sin(2.0 * deltas) ** 2) / 2.0)
-
-
 def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Generator,
                        trials: int = 1, threads: int = 1) -> AttackReport:
     """Measure-resend with one fixed basis for every qubit.
 
     The attacker stores outcomes, is granted the running key afterwards, and
     decodes each bit by likelihood. Her error matches
-    eve_error_key_granted(phi, m); the induced user error matches the
-    closed-form average reported in the analytic field.
+    eve_error_key_granted(phi, m). The noiseless induced user error is 1/4
+    for every phi and m: averaging the projection products over bases and
+    bits gives (1/(2m)) * sum_j sin^2(2*d_j) with d_j = theta_j - phi, and
+    sin^2(2*d_j) = (1 - cos(4*d_j))/2 where 4*d_j = 2*pi*j/m - 4*phi, whose
+    cosines sum to 0 for m >= 2; the sum is m/2 and the rate 1/4.
     """
     basis = MeasBasis(phi)
     eve_error, induced = _state_attack_errors(
@@ -281,7 +276,7 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
         trials=trials, qubits=config.n,
         eve_bit_error=eve_error, induced_qber=induced,
         eve_bit_error_analytic=eve_error_key_granted(basis, config.alphabet),
-        induced_qber_analytic=fixed_basis_induced_qber(basis, config.alphabet),
+        induced_qber_analytic=0.25,
     )
 
 

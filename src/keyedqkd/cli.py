@@ -42,56 +42,53 @@ def _render_json(doc: dict) -> str:
     return json.dumps(_round_sig(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _write_meta(path: Path | None, argv: list[str]):
-    if path is None:
-        return
-    meta = {"argv": argv, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    _write(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _write_all(files: list[tuple[Path, str]]):
+    """Write every (path, text); if one write fails, remove the files already
+    opened, so a failed command leaves no partial output behind."""
+    opened = []
+    try:
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with path.open("w") as handle:
+                opened.append(path)
+                handle.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _load_config(path: str) -> ProtocolConfig:
     return ProtocolConfig.from_json(Path(path).read_text())
 
 
-def cmd_run(args, argv) -> int:
+def cmd_run(args) -> tuple[int, str]:
     outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
-    _write(Path(args.output), _render_json(outcome.to_json_dict()))
-    _write_meta(args.meta and Path(args.meta), argv)
-    return EXIT_OK if outcome.verified else EXIT_ABORT
+    return EXIT_OK if outcome.verified else EXIT_ABORT, _render_json(outcome.to_json_dict())
 
 
-def cmd_attack(args, argv) -> int:
+def cmd_attack(args) -> tuple[int, str]:
     strategy = AttackStrategy.parse(args.strategy)
     report = run_attack(strategy, _load_config(args.config), np.random.default_rng(args.seed),
                         trials=args.trials, threads=args.threads)
-    _write(Path(args.output), _render_json(report.to_json_dict()))
-    _write_meta(args.meta and Path(args.meta), argv)
-    return EXIT_OK
+    return EXIT_OK, _render_json(report.to_json_dict())
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     m_values = [int(v) for v in args.m.split(",") if v.strip()]
     if not m_values:
         raise ValueError("empty basis-count list")
-    _write(Path(args.output), sweep_csv(sweep_m(m_values, include_keyless=not args.no_keyless)))
-    _write_meta(args.meta and Path(args.meta), argv)
-    return EXIT_OK
+    return EXIT_OK, sweep_csv(sweep_m(m_values, include_keyless=not args.no_keyless))
 
 
-def cmd_rate_window(args, argv) -> int:
+def cmd_rate_window(args) -> tuple[int, str]:
     window = rate_window(args.p_c)
-    sys.stdout.write(_render_json({
+    return EXIT_OK, _render_json({
         "p_c": args.p_c,
         "lower": window.lower,
         "upper": window.upper,
         "nonempty": window.nonempty,
-    }))
-    return EXIT_OK
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +138,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args, argv)
+        code, document = args.fn(args)
+        if "output" not in args:
+            sys.stdout.write(document)
+            return code
+        files = [(Path(args.output), document)]
+        if args.meta:
+            meta = {"argv": argv, "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+            files.append((Path(args.meta), json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+        _write_all(files)
+        return code
     except (OSError, ValueError, ArithmeticError) as exc:
         # ValueError covers json.JSONDecodeError from a malformed config.
         print(f"error: {exc}", file=sys.stderr)

@@ -284,8 +284,6 @@ class LfsrKeystream:
     spec: LfsrSpec
     seed: SeedKey
 
-    kind = "lfsr"
-
     def __post_init__(self):
         LfsrGenerator(self.spec, self.seed)  # validates length and nonzero seed
 
@@ -302,8 +300,6 @@ class RepetitionKeystream:
     """Protocol keystream choice: repetition expansion (two-basis alphabet only)."""
 
     key: SeedKey
-
-    kind = "repetition"
 
     def running_key(self, n: int, alphabet: BasisAlphabet) -> RunningKey:
         if alphabet.m != 2:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import CONSERVATIVE_EVE_ERROR, h2
+from .analysis import h2, rate_window
 from .keystream import LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, lfsr_bits
 from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
 
@@ -272,15 +272,15 @@ class RateVerdict(str, Enum):
 def rate_gate(p_c_hat: float, code_rate: float) -> RateVerdict:
     """Feasibility of code rate R against the estimated channel error.
 
-    ok requires 1 - h2(p_c_hat) > R (users can correct) and
-    R > 1 - h2(0.15) (rate exceeds a fixed-basis eavesdropper's capacity).
-    When both fail, the correction failure is reported.
+    ok requires R inside rate_window(p_c_hat): below the users' capacity
+    1 - h2(p_c_hat) (they can correct) and above 1 - h2(0.15) (the rate
+    exceeds a fixed-basis eavesdropper's capacity). When both fail, the
+    correction failure is reported.
     """
-    if not 0.0 <= p_c_hat < 0.5:
-        raise ValueError(f"error estimate must lie in [0, 0.5), got {p_c_hat}")
-    if 1.0 - h2(p_c_hat) <= code_rate:
+    window = rate_window(p_c_hat)
+    if window.upper <= code_rate:
         return RateVerdict.RATE_TOO_HIGH
-    if code_rate <= 1.0 - h2(CONSERVATIVE_EVE_ERROR):
+    if code_rate <= window.lower:
         return RateVerdict.RATE_TOO_LOW_FOR_SECURITY
     return RateVerdict.OK
 
@@ -349,8 +349,9 @@ def pa_output_length(reconciled_len: int, code_rate: float, alphabet: BasisAlpha
 
 # Primitive tap sets for the verification-hash expander, one per register
 # length; each entry is order-checked against the factorization of 2^k - 1.
+# Length 1 is x + 1, whose register repeats its one state bit.
 _VERIFICATION_TAPS = {
-    2: (2, 1), 3: (3, 1), 4: (4, 1), 5: (5, 2), 6: (6, 1), 7: (7, 1),
+    1: (1,), 2: (2, 1), 3: (3, 1), 4: (4, 1), 5: (5, 2), 6: (6, 1), 7: (7, 1),
     8: (8, 7, 2, 1), 9: (9, 4), 10: (10, 3), 11: (11, 2), 12: (12, 8, 2, 1),
     13: (13, 5, 2, 1), 14: (14, 12, 2, 1), 15: (15, 1), 16: (16, 12, 3, 1),
     17: (17, 3), 18: (18, 7), 19: (19, 5, 2, 1), 20: (20, 3), 21: (21, 2),
@@ -379,23 +380,19 @@ def verification_tag(key_bits, selector) -> np.ndarray:
     consecutive zeros, so for a random selector any single-bit difference in
     the hashed keys collides only on the all-zero selector, i.e. with
     probability 2^-|selector|; random unequal keys collide at the same order.
+    For |selector| = 1 the register is x + 1, which repeats the selector bit:
+    the tag is the key's parity or 0.
     """
     selector = np.asarray(selector, dtype=np.uint8)
     key_bits = np.asarray(key_bits, dtype=np.uint8)
     kv = selector.size
-    if kv < 1:
-        raise ValueError("selector must be nonempty")
     if (selector > 1).any():
         raise ValueError("selector bits must be 0 or 1")
-    seed_len = max(0, key_bits.size + kv - 1)
-    if kv == 1:
-        seed = np.full(seed_len, selector[0], dtype=np.uint8)
-    else:
-        taps = _VERIFICATION_TAPS.get(kv)
-        if taps is None:
-            raise ValueError(f"verification hash supports |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-        state = int.from_bytes(np.packbits(selector, bitorder="little").tobytes(), "little")
-        seed, _ = lfsr_bits(kv, sum(1 << (kv - t) for t in taps), state, seed_len)
+    taps = _VERIFICATION_TAPS.get(kv)
+    if taps is None:
+        raise ValueError(f"verification hash supports 1 <= |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
+    state = int.from_bytes(np.packbits(selector, bitorder="little").tobytes(), "little")
+    seed, _ = lfsr_bits(kv, sum(1 << (kv - t) for t in taps), state, key_bits.size + kv - 1)
     return privacy_amplify(key_bits, kv, seed)
 
 
@@ -404,16 +401,18 @@ def verify_key(alice_key, bob_key, verification_key) -> bool:
 
     The verification key splits in half: |K_v| bits select the hash, |K_v|
     bits pad the transmitted digest. Unequal keys are accepted with
-    probability about 2^-|K_v|.
+    probability about 2^-|K_v|. The hash is GF(2)-linear and the pad is the
+    same on both sides, so the padded tags agree exactly when the tag of
+    a XOR b is zero: that one tag is computed, and the pad cancels.
     """
     vk = np.asarray(verification_key, dtype=np.uint8)
     if vk.size < 2 or vk.size % 2:
         raise ValueError("verification key must be 2*|K_v| bits (selector + pad)")
-    kv = vk.size // 2
-    selector, pad = vk[:kv], vk[kv:]
-    tag_a = verification_tag(alice_key, selector) ^ pad
-    tag_b = verification_tag(bob_key, selector) ^ pad
-    return bool(np.array_equal(tag_a, tag_b))
+    alice = np.asarray(alice_key, dtype=np.uint8)
+    bob = np.asarray(bob_key, dtype=np.uint8)
+    if alice.shape != bob.shape:
+        raise ValueError(f"length mismatch: {alice.size} vs {bob.size}")
+    return not verification_tag(alice ^ bob, vk[:vk.size // 2]).any()
 
 
 def run_protocol(config: ProtocolConfig, rng: np.random.Generator,

@@ -25,7 +25,6 @@ from keyedqkd import (
     block_guess_trials,
     ciphertext_only_state,
     eve_error_key_granted,
-    fixed_basis_induced_qber,
     key_guess_round,
     run_attack,
 )
@@ -110,9 +109,8 @@ class TestFixedBasis:
 
     def test_induced_qber_matches_brute_force_average(self):
         # Oracle: enumerate (basis, bit, outcome) cases and average the
-        # projection products directly.
+        # projection products directly; every fixed basis induces 1/4.
         for m, phi in [(2, PI / 8), (2, 0.0), (4, 0.3), (8, 0.11)]:
-            alphabet = BasisAlphabet(m)
             total = 0.0
             for j in range(m):
                 theta_j = j * (PI / 2) / m
@@ -124,7 +122,7 @@ class TestFixedBasis:
                         p_wrong = math.cos(resent - (theta_j + (1 - bit) * PI / 2)) ** 2
                         total += p_outcome * p_wrong
             oracle = total / (2 * m)
-            assert abs(fixed_basis_induced_qber(MeasBasis(phi), alphabet) - oracle) < 1e-12
+            assert abs(oracle - 0.25) < 1e-12, (m, phi)
 
     def test_bisecting_basis_induces_quarter_qber(self):
         report = attack_fixed_basis(lfsr_config(n=2 * 10 ** 5), PI / 8, np.random.default_rng(6))
@@ -139,9 +137,9 @@ class TestFixedBasis:
         expected = eve_error_key_granted(MeasBasis(phi), config.alphabet)
         sigma = math.sqrt(expected * (1 - expected) / (2 * 10 ** 5))
         assert abs(report.eve_bit_error.estimate - expected) < 4 * sigma
-        induced = fixed_basis_induced_qber(MeasBasis(phi), config.alphabet)
-        sigma_q = math.sqrt(induced * (1 - induced) / (2 * 10 ** 5))
-        assert abs(report.induced_qber.estimate - induced) < 4 * sigma_q
+        assert report.induced_qber_analytic == 0.25
+        sigma_q = math.sqrt(0.25 * 0.75 / (2 * 10 ** 5))
+        assert abs(report.induced_qber.estimate - 0.25) < 4 * sigma_q
 
 
 class TestKeyGuess:

@@ -271,7 +271,8 @@ class TestExitCodes:
         ["run"], ["attack", "intercept"], ["sweep", "--m", "2,4"],
     ], ids=["run", "attack", "sweep"])
     def test_unwritable_path_exits_one(self, tmp_path, config_path, capsys, command, flag):
-        # A directory where a file is to be written is an error, not a traceback.
+        # A directory where a file is to be written is an error, not a traceback,
+        # and the command leaves neither file behind.
         paths = {"--output": str(tmp_path / "o.out"), "--meta": str(tmp_path / "m.json")}
         paths[flag] = str(tmp_path)
         config = [] if command[0] == "sweep" else ["--config", str(config_path), "--seed", "1"]
@@ -279,6 +280,8 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        other = "--meta" if flag == "--output" else "--output"
+        assert not Path(paths[other]).exists()
 
 
 # Text without decimal digits, so stray tokens never spell a huge basis count.

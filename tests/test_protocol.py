@@ -239,9 +239,33 @@ class TestVerifyKey:
         rate = accepts / trials
         assert rate <= 2 ** -12 + 4 * math.sqrt(max(rate, 1e-9) * (1 - rate) / trials)
 
+    @pytest.mark.parametrize("kv", [1, 2, 16, 64])
+    def test_matches_comparing_both_padded_tags(self, kv):
+        # Oracle: hash each key, pad both tags and compare them.
+        def padded_tags_equal(a, b, vk):
+            selector, pad = vk[:kv], vk[kv:]
+            return np.array_equal(verification_tag(a, selector) ^ pad,
+                                  verification_tag(b, selector) ^ pad)
+
+        rng = np.random.default_rng(kv)
+        for length in (kv, 3 * kv, 200):
+            for _ in range(40):
+                key = rng.integers(0, 2, length)
+                flipped = key.copy()
+                flipped[rng.integers(length)] ^= 1
+                vk = rng.integers(0, 2, 2 * kv)
+                if rng.random() < 0.1:
+                    vk[:kv] = 0  # the degenerate selector accepts every pair
+                for other in (key.copy(), flipped, rng.integers(0, 2, length)):
+                    assert verify_key(key, other, vk) == padded_tags_equal(key, other, vk)
+
     def test_rejects_odd_verification_key(self):
         with pytest.raises(ValueError):
             verify_key(np.zeros(8, np.uint8), np.zeros(8, np.uint8), np.zeros(7, np.uint8))
+
+    def test_rejects_keys_of_different_lengths(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            verify_key(np.zeros(8, np.uint8), np.zeros(9, np.uint8), np.zeros(8, np.uint8))
 
     def test_hash_expander_taps_are_all_primitive(self):
         # The verification hash relies on every table entry driving a
@@ -260,7 +284,7 @@ class TestVerifyKey:
                 exponent >>= 1
             return result
 
-        assert sorted(_VERIFICATION_TAPS) == list(range(2, 65))
+        assert sorted(_VERIFICATION_TAPS) == list(range(1, 65))
         for degree, taps in _VERIFICATION_TAPS.items():
             assert max(taps) == degree
             # characteristic polynomial of the implemented recurrence
