@@ -33,7 +33,6 @@ from .analysis import (
     sweep_m,
 )
 from .keystream import (
-    LfsrGenerator,
     LfsrKeystream,
     LfsrSpec,
     RepetitionKeystream,

@@ -20,12 +20,12 @@ import numpy as np
 
 from .analysis import ConfidenceInterval, binomial_ci
 from .keystream import (
-    LfsrGenerator,
     LfsrKeystream,
     RepetitionKeystream,
     RunningKey,
     SeedKey,
     expand_running_key,
+    lfsr_bits,
 )
 from .protocol import ChannelModel, ProtocolConfig, keyed_channel
 from .qubits import (
@@ -213,18 +213,13 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     """
     phi_key = config.key_angles()
 
-    def kernel(count, chunk_rng):
-        eve_err = eve_tot = user_err = user_tot = 0
-        for _ in range(count):
-            attacked, eve_phi = _eve_bases(strategy, config.n, chunk_rng)
-            alice, outcome, bob, detected = _resend_round(
-                phi_key, config.channel, eve_phi, attacked, chunk_rng)
-            flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
-            eve_err += int(np.sum((outcome ^ flip) != alice[attacked]))
-            eve_tot += int(np.sum(attacked))
-            user_err += int(np.sum((bob != alice) & detected))
-            user_tot += int(np.sum(detected))
-        return eve_err, eve_tot, user_err, user_tot
+    def kernel(_, chunk_rng):
+        attacked, eve_phi = _eve_bases(strategy, config.n, chunk_rng)
+        alice, outcome, bob, detected = _resend_round(
+            phi_key, config.channel, eve_phi, attacked, chunk_rng)
+        flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
+        return (int(np.sum((outcome ^ flip) != alice[attacked])), int(np.sum(attacked)),
+                int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
 
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
@@ -295,13 +290,10 @@ def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Gener
 
 
 def _guess_round(config: ProtocolConfig, phi_key, guess: SeedKey, rng: np.random.Generator):
-    if guess.is_zero:
-        eve_phi = np.zeros(config.n)
-    else:
-        guess_selectors = expand_running_key(
-            LfsrGenerator(config.keystream.spec, guess), config.n, config.alphabet
-        ).selectors
-        eve_phi = guess_selectors * (HALF_PI / config.alphabet.m)
+    bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
+                        config.n * config.alphabet.bits_per_selector)
+    guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
+    eve_phi = guess_selectors * (HALF_PI / config.alphabet.m)
     alice, outcome, bob, detected = _resend_round(
         phi_key, config.channel, eve_phi, slice(None), rng)
     eve_error = float(np.mean(outcome != alice))
@@ -332,12 +324,13 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
     phi_key = config.key_angles()
-    eve_err_sum = induced_sum = 0.0
-    for _, chunk_rng in _chunk_rngs(rng, qubit_trials, chunk=1):
+
+    def round_kernel(_, chunk_rng):
         guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=length)))
-        _, eve_err, induced = _guess_round(config, phi_key, guess, chunk_rng)
-        eve_err_sum += eve_err
-        induced_sum += induced
+        return _guess_round(config, phi_key, guess, chunk_rng)[1:]
+
+    rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
+    eve_err_sum, induced_sum = (sum(r[i] for r in rounds) for i in range(2))
     return AttackReport(
         strategy="keyguess",
         trials=trials, qubits=config.n,

@@ -1,13 +1,10 @@
 """Seed-keyed deterministic expansion of a short secret key into a running key
 of per-qubit basis selectors.
 
-A bit source is a 0/1 sequence (array, list or tuple) or an object with
-``take(count) -> uint8 array``. Two sources are built in: a
-Fibonacci-configuration LFSR and the repetition expander that stretches an
-m_k-bit key over n qubits in contiguous blocks. Any deterministic stream
-(e.g. a standard stream cipher) can be plugged in through ``take``.
-
-Generators are stateful single-owner objects.
+Two expanders are built in: a Fibonacci-configuration LFSR over the seed key
+(`lfsr_stream`, one block-parallel kernel `lfsr_bits`) and the repetition
+expander that stretches an m_k-bit key over n qubits in contiguous blocks.
+`expand_running_key` groups a 0/1 bit array into selectors.
 """
 
 from __future__ import annotations
@@ -91,27 +88,36 @@ class LfsrSpec:
         return f"{self.length}:{','.join(str(t) for t in self.taps)}"
 
 
-# Output bits per jump-table block of LfsrGenerator.take.
+# Output bits per jump-table block of lfsr_bits.
 _BLOCK = 512
 _BLOCK_MASK = (1 << _BLOCK) - 1
 # bytes.translate table turning the digits of format(state, "b") into 0/1 bytes.
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@functools.lru_cache(maxsize=64)
-def _jump_rows(length: int, mask: int) -> tuple[int, ...]:
-    """Jump table of the register (length, mask): one row per state bit.
+def as_bits(values, what: str) -> np.ndarray:
+    """`values` as a uint8 0/1 array; other values raise before the cast can wrap them."""
+    arr = np.asarray(values)
+    unsigned = arr.view(f"u{arr.itemsize}") if arr.dtype.kind == "i" else arr  # -1 > 1 too
+    if arr.size and (unsigned.dtype.kind not in "bu" or unsigned.max() > 1):
+        raise ValueError(f"{what} must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
 
-    Row j holds the first _BLOCK + length sequence bits (bit k = sequence bit
-    k) of the register started from the unit state with only bit
-    length - 1 - j set, i.e. rows run from the top state bit down, in the
-    order format(state, "b") lists the bits.
+
+@functools.lru_cache(maxsize=64)
+def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
+    """Jump table of the register with `taps`: one row per state bit.
+
+    Row j holds the first _BLOCK + L sequence bits (bit k = sequence bit k) of
+    the register started from the unit state with only bit L - 1 - j set, i.e.
+    rows run from the top state bit down, in the order format(state, "b")
+    lists the bits.
     """
-    feedback = [j for j in range(length) if mask >> j & 1]
+    length = max(taps)
     # forms[k] has bit i set when sequence bit k depends on state bit i.
     forms = [1 << i for i in range(length)]
     for k in range(_BLOCK):
-        forms.append(functools.reduce(xor, (forms[k + j] for j in feedback), 0))
+        forms.append(functools.reduce(xor, (forms[k + length - t] for t in taps), 0))
     width = (length + 7) // 8
     deps = np.frombuffer(b"".join(f.to_bytes(width, "little") for f in forms), dtype=np.uint8)
     deps = np.unpackbits(deps.reshape(-1, width), axis=1, count=length, bitorder="little")
@@ -119,24 +125,27 @@ def _jump_rows(length: int, mask: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
-def lfsr_bits(length: int, mask: int, state: int, count: int) -> tuple[np.ndarray, int]:
-    """Next `count` output bits of the register (length, mask) from `state`,
-    and the state after them.
+def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next `count` output bits of the register with `taps` from `state`, and
+    the state after them.
 
-    `mask` has bit L - t set for each tap t, and `state` holds the next L
-    sequence bits (bit i = a[s+i]), as in LfsrGenerator. The kernel is
-    block-parallel (the F2-linear jump-ahead of Haramoto et al., 2008): the
-    sequence is linear in the state, so the next B + L bits from any state,
-    B = _BLOCK = 512, are the XOR of the rows of `_jump_rows` picked by its
-    set bits. A block yields B output bits, and its last L bits are the state
-    B steps on. Rows are Python ints, so any L works, and the table of each
-    (L, taps) is built once per process. Blocks run until count + L sequence
-    bits are out; the first count are returned and the last L are the new
-    state. State 0 yields zeros and stays 0.
+    A state is the next L sequence bits a[s..s+L-1], as a 0/1 sequence;
+    nothing is validated, and state 0 yields zeros. The recurrence is
+    lfsr_stream's. The kernel is block-parallel (the F2-linear jump-ahead of
+    Haramoto et al., 2008): the sequence is linear in the state, so the next
+    B + L bits from any state, B = _BLOCK = 512, are the XOR of the rows of
+    `_jump_rows` picked by its set bits. A block yields B output bits, and its
+    last L bits are the state B steps on. Rows are Python ints, so any L works,
+    and the table of each tap tuple is built once per process. Blocks run
+    until count + L sequence bits are out; the first count are returned and
+    the last L are the new state.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rows = _jump_rows(length, mask)
+    rows = _jump_rows(taps)
+    length = len(rows)
+    packed = np.packbits(np.asarray(state, dtype=np.uint8), bitorder="little")
+    state = int.from_bytes(packed.tobytes(), "little")
     digits = f"0{length}b"
     blocks = []
     for _ in range(-(-(count + length) // _BLOCK)):
@@ -146,12 +155,12 @@ def lfsr_bits(length: int, mask: int, state: int, count: int) -> tuple[np.ndarra
         state = span >> _BLOCK
     bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
                          count=count + length, bitorder="little")
-    state_bytes = np.packbits(bits[count:], bitorder="little").tobytes()
-    return bits[:count], int.from_bytes(state_bytes, "little")
+    return bits[:count], bits[count:]
 
 
-class LfsrGenerator:
-    """Fibonacci-configuration LFSR over the seed-key state.
+def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
+    """First `count` output bits of the Fibonacci-configuration LFSR started
+    from `seed`.
 
     The output bit leaves at position 1 and the feedback enters at position L;
     tap t combines the bit sitting t stages before the feedback point, which
@@ -164,59 +173,26 @@ class LfsrGenerator:
     rejected: its cycle is degenerate. A register of length L has at most
     2^L - 1 nonzero states, so the maximal period is 2^L - 1, attained exactly
     when the connection polynomial is primitive.
-
-    The state holds the next L sequence bits, a[s..s+L-1] with bit i = a[s+i].
-    Iteration steps one bit at a time; `take` runs the block kernel
-    `lfsr_bits`.
     """
-
-    def __init__(self, spec: LfsrSpec, seed: SeedKey):
-        if len(seed) != spec.length:
-            raise ValueError(f"seed length {len(seed)} != register length {spec.length}")
-        if seed.is_zero:
-            raise ValueError("all-zero seed is rejected (degenerate cycle)")
-        self._length = spec.length
-        self._mask = sum(1 << (spec.length - t) for t in spec.taps)
-        self._state = sum(bit << i for i, bit in enumerate(seed.bits))
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        out = self._state & 1
-        feedback = (self._state & self._mask).bit_count() & 1
-        self._state = (self._state >> 1) | (feedback << (self._length - 1))
-        return out
-
-    def take(self, count: int) -> np.ndarray:
-        bits, self._state = lfsr_bits(self._length, self._mask, self._state, count)
-        return bits
-
-
-def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
-    """First `count` output bits of the register started from `seed`."""
-    return LfsrGenerator(spec, seed).take(count)
+    if len(seed) != spec.length:
+        raise ValueError(f"seed length {len(seed)} != register length {spec.length}")
+    if seed.is_zero:
+        raise ValueError("all-zero seed is rejected (degenerate cycle)")
+    return lfsr_bits(spec.taps, seed.bits, count)[0]
 
 
 def lfsr_period(spec: LfsrSpec, seed: SeedKey) -> int:
-    """Smallest T > 0 with state(T) = state(0), by direct simulation.
+    """Smallest T > 0 with state(T) = state(0).
 
-    Exhaustive, so register lengths above 24 are refused.
+    The highest tap is L, so a step is invertible and a nonzero state returns
+    within 2^L - 1 steps. State(T) is sequence bits T..T+L-1, so T is the first
+    place after 0 where the seed reappears in the first 2^L - 1 + L bits. That
+    stream takes 2^L bytes, so register lengths above 24 are refused.
     """
     if spec.length > 24:
         raise ValueError("exhaustive period search supports register lengths up to 24")
-    gen = LfsrGenerator(spec, seed)
-    start = gen.state
-    steps = 0
-    while True:
-        next(gen)
-        steps += 1
-        if gen.state == start:
-            return steps
+    bits = lfsr_stream(spec, seed, 2 ** spec.length - 1 + spec.length)
+    return bits.tobytes().find(bytes(seed.bits), 1)
 
 
 @dataclass(frozen=True)
@@ -240,26 +216,21 @@ class RunningKey:
 
 
 def expand_running_key(bit_source, n: int, alphabet: BasisAlphabet) -> RunningKey:
-    """Consume n*log2(m) bits from the source, big-endian grouped into selectors.
+    """Group the first n*log2(m) bits of a 0/1 sequence (array, list or tuple)
+    big-endian into selectors.
 
-    The source is a 0/1 sequence (array, list or tuple) or an object with
-    take(count). Prefix-stable: extending n extends, never changes, earlier
-    selectors. Finite sources that run out raise a keystream-exhausted error.
+    Prefix-stable: extending n extends, never changes, earlier selectors. A
+    sequence that runs out raises a keystream-exhausted error.
     """
     if n < 0:
         raise ValueError("selector count must be nonnegative")
     k = alphabet.bits_per_selector
     need = n * k
-    if not isinstance(bit_source, (np.ndarray, list, tuple)):
-        bit_source = bit_source.take(need)
-    raw = np.asarray(bit_source, dtype=np.uint8)
+    raw = as_bits(bit_source, "keystream bits")
     if raw.size < need:
         raise ValueError(f"keystream exhausted: needed {need} bits, got {raw.size}")
-    raw = raw[:need]
-    if raw.size and (raw > 1).any():
-        raise ValueError("bit source yielded non-bit values")
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    selectors = raw.reshape(n, k).astype(np.int64) @ weights
+    selectors = raw[:need].reshape(n, k).astype(np.int64) @ weights
     return RunningKey(selectors, alphabet.m)
 
 
@@ -285,10 +256,11 @@ class LfsrKeystream:
     seed: SeedKey
 
     def __post_init__(self):
-        LfsrGenerator(self.spec, self.seed)  # validates length and nonzero seed
+        lfsr_stream(self.spec, self.seed, 0)  # validates length and nonzero seed
 
     def running_key(self, n: int, alphabet: BasisAlphabet) -> RunningKey:
-        return expand_running_key(LfsrGenerator(self.spec, self.seed), n, alphabet)
+        bits = lfsr_stream(self.spec, self.seed, n * alphabet.bits_per_selector)
+        return expand_running_key(bits, n, alphabet)
 
     @property
     def secret_bits(self) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .analysis import h2, rate_window
-from .keystream import LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, lfsr_bits
+from .keystream import LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, lfsr_bits
 from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
@@ -309,10 +309,13 @@ def privacy_amplify(bits, out_len: int, hash_seed) -> np.ndarray:
 
     The matrix is T[i, j] = seed[i - j + (len(bits) - 1)], so the seed runs
     along the diagonals and must have length len(bits) + out_len - 1. Linear
-    over GF(2) in the input for a fixed seed.
+    over GF(2) in the input for a fixed seed. Inputs must be 0/1.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    seed = np.asarray(hash_seed, dtype=np.uint8)
+    return _toeplitz_hash(as_bits(bits, "hash input"), out_len, as_bits(hash_seed, "hash seed"))
+
+
+def _toeplitz_hash(bits: np.ndarray, out_len: int, seed: np.ndarray) -> np.ndarray:
+    """privacy_amplify on uint8 0/1 arrays."""
     n = bits.size
     if not 0 <= out_len <= n:
         raise ValueError(f"output length must lie in [0, {n}], got {out_len}")
@@ -381,19 +384,19 @@ def verification_tag(key_bits, selector) -> np.ndarray:
     the hashed keys collides only on the all-zero selector, i.e. with
     probability 2^-|selector|; random unequal keys collide at the same order.
     For |selector| = 1 the register is x + 1, which repeats the selector bit:
-    the tag is the key's parity or 0.
+    the tag is the key's parity or 0. Inputs must be 0/1.
     """
-    selector = np.asarray(selector, dtype=np.uint8)
-    key_bits = np.asarray(key_bits, dtype=np.uint8)
+    return _tag(as_bits(key_bits, "key bits"), as_bits(selector, "selector bits"))
+
+
+def _tag(key_bits: np.ndarray, selector: np.ndarray) -> np.ndarray:
+    """verification_tag on uint8 0/1 arrays."""
     kv = selector.size
-    if (selector > 1).any():
-        raise ValueError("selector bits must be 0 or 1")
     taps = _VERIFICATION_TAPS.get(kv)
     if taps is None:
         raise ValueError(f"verification hash supports 1 <= |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-    state = int.from_bytes(np.packbits(selector, bitorder="little").tobytes(), "little")
-    seed, _ = lfsr_bits(kv, sum(1 << (kv - t) for t in taps), state, key_bits.size + kv - 1)
-    return privacy_amplify(key_bits, kv, seed)
+    seed, _ = lfsr_bits(taps, selector, key_bits.size + kv - 1)
+    return _toeplitz_hash(key_bits, kv, seed)
 
 
 def verify_key(alice_key, bob_key, verification_key) -> bool:
@@ -403,16 +406,17 @@ def verify_key(alice_key, bob_key, verification_key) -> bool:
     bits pad the transmitted digest. Unequal keys are accepted with
     probability about 2^-|K_v|. The hash is GF(2)-linear and the pad is the
     same on both sides, so the padded tags agree exactly when the tag of
-    a XOR b is zero: that one tag is computed, and the pad cancels.
+    a XOR b is zero: that one tag is computed, and the pad cancels. Keys and
+    the verification key must be 0/1.
     """
-    vk = np.asarray(verification_key, dtype=np.uint8)
+    vk = as_bits(verification_key, "verification key")
     if vk.size < 2 or vk.size % 2:
         raise ValueError("verification key must be 2*|K_v| bits (selector + pad)")
-    alice = np.asarray(alice_key, dtype=np.uint8)
-    bob = np.asarray(bob_key, dtype=np.uint8)
+    alice = as_bits(alice_key, "key bits")
+    bob = as_bits(bob_key, "key bits")
     if alice.shape != bob.shape:
         raise ValueError(f"length mismatch: {alice.size} vs {bob.size}")
-    return not verification_tag(alice ^ bob, vk[:vk.size // 2]).any()
+    return not _tag(alice ^ bob, vk[:vk.size // 2]).any()
 
 
 def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
@@ -505,7 +509,7 @@ def run_direct_encryption(config: ProtocolConfig, plaintext,
     """
     if config.mode != MODE_DIRECT_ENCRYPTION:
         raise ValueError("run_direct_encryption requires a direct-encryption config")
-    pt = np.asarray(plaintext, dtype=np.uint8)
+    pt = as_bits(plaintext, "plaintext")
     n = config.n
     data_capacity = math.floor(n * config.code_rate)
     if pt.size > data_capacity:

@@ -35,6 +35,8 @@ _GRID_POINTS = 4096
 
 
 def _wrap(angle: float, period: float) -> float:
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     a = math.fmod(angle, period)
     if a < 0.0:
         a += period

@@ -170,6 +170,16 @@ class TestKeyGuess:
         success, eve_err, induced = key_guess_round(config, wrong, np.random.default_rng(11))
         assert not success and eve_err > 0.1 and induced > 0.1
 
+    def test_all_zero_guess_measures_in_basis_zero(self):
+        # State 0 expands to zeros: every qubit is measured at angle 0, which
+        # errs on the half of the qubits keyed to pi/4, half of the time.
+        config = lfsr_config(n=20000)
+        success, eve_err, induced = key_guess_round(
+            config, SeedKey((0,) * len(config.keystream.seed)), np.random.default_rng(12))
+        sigma = math.sqrt(0.25 * 0.75 / config.n)
+        assert not success
+        assert abs(eve_err - 0.25) < 4 * sigma and abs(induced - 0.25) < 4 * sigma
+
     def test_requires_lfsr_keystream(self):
         with pytest.raises(ValueError):
             attack_key_guess(repetition_config(40, "10011010"), np.random.default_rng(0))

@@ -170,9 +170,14 @@ class TestAttackCommand:
         assert abs(doc["success_probability"]["analytic"] - 3.0517578125e-5) < 1e-9
         assert doc["info_fraction"] == 0.15
 
-    def test_unparseable_strategy_exits_one(self, tmp_path, config_path):
-        assert main(["attack", "fixed:banana", "--config", str(config_path),
-                     "--seed", "1", "--output", str(tmp_path / "r.json")]) == EXIT_USAGE
+    def test_unparseable_strategy_exits_one(self, tmp_path, config_path, capsys):
+        # A NaN angle once ran and wrote a report that was not valid JSON.
+        for strategy in ("fixed:banana", "fixed:nan", "fixed:inf", "fixed:-inf"):
+            out = tmp_path / "r.json"
+            assert main(["attack", strategy, "--config", str(config_path),
+                         "--seed", "1", "--output", str(out)]) == EXIT_USAGE, strategy
+            assert not out.exists(), strategy
+        assert "angle must be finite" in capsys.readouterr().err
 
     def test_mismatched_keystream_exits_one(self, tmp_path, config_path):
         assert main(["attack", "blockguess:3", "--config", str(config_path),

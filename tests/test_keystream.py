@@ -1,12 +1,14 @@
 """Keystream expanders: LFSR, repetition, selector grouping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyedqkd import (
     BasisAlphabet,
-    LfsrGenerator,
+    LfsrKeystream,
     LfsrSpec,
     SeedKey,
     expand_running_key,
@@ -100,18 +102,12 @@ class TestLfsrStream:
         b = lfsr_stream(spec, seed, 200)
         assert np.array_equal(a, b)
 
-    def test_iterator_matches_bulk_take(self):
-        spec = LfsrSpec((5, 3))
-        seed = SeedKey.from_string("10011")
-        gen = LfsrGenerator(spec, seed)
-        one_by_one = [next(gen) for _ in range(40)]
-        assert np.array_equal(one_by_one, lfsr_stream(spec, seed, 40))
-
     def test_take_continues_midstream(self):
+        # The state lfsr_bits returns continues the stream where it stopped.
         spec, seed = LfsrSpec((5, 3)), SeedKey.from_string("10011")
-        gen = LfsrGenerator(spec, seed)
-        head = gen.take(13)
-        assert np.array_equal(np.concatenate([head, gen.take(20)]), lfsr_stream(spec, seed, 33))
+        head, state = lfsr_bits(spec.taps, seed.bits, 13)
+        tail, _ = lfsr_bits(spec.taps, state, 20)
+        assert np.array_equal(np.concatenate([head, tail]), lfsr_stream(spec, seed, 33))
 
 
 def random_register(rng, length):
@@ -122,13 +118,8 @@ def random_register(rng, length):
     return tuple(taps), SeedKey(tuple(int(b) for b in bits))
 
 
-def state_of(bits) -> int:
-    """Generator state holding the sequence bits `bits` (bit i = bits[i])."""
-    return sum(int(b) << i for i, b in enumerate(bits))
-
-
 class TestTakeKernel:
-    """take's jump-table blocks against the per-bit reference and __next__."""
+    """lfsr_bits' jump-table blocks, and lfsr_stream, against the per-bit reference."""
 
     @pytest.mark.parametrize("length", [2, 3, 7, 16, 31, 32, 33, 63, 64, 65, 97, 127, 128])
     def test_matches_reference_and_iteration(self, length):
@@ -136,43 +127,63 @@ class TestTakeKernel:
         taps, seed = random_register(rng, length)
         for count in (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length):
             expected = lfsr_reference(taps, seed.bits, count + length)
-            gen = LfsrGenerator(LfsrSpec(taps), seed)
-            assert np.array_equal(gen.take(count), expected[:count]), (taps, count)
-            assert gen.state == state_of(expected[count:]), (taps, count)
-            stepper = LfsrGenerator(LfsrSpec(taps), seed)
-            assert [next(stepper) for _ in range(count)] == expected[:count].tolist()
-            assert stepper.state == gen.state
+            bits, state = lfsr_bits(taps, seed.bits, count)
+            assert np.array_equal(bits, expected[:count]), (taps, count)
+            assert np.array_equal(state, expected[count:]), (taps, count)
+            assert np.array_equal(lfsr_stream(LfsrSpec(taps), seed, count), bits), (taps, count)
 
     @pytest.mark.parametrize("length", [5, 64, 100])
     def test_take_after_take_tracks_state(self, length):
+        # Chained calls, each fed the state the previous one returned.
         rng = np.random.default_rng(1000 + length)
         taps, seed = random_register(rng, length)
         counts = (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length, 7)
         expected = lfsr_reference(taps, seed.bits, sum(counts) + length + 1)
-        gen = LfsrGenerator(LfsrSpec(taps), seed)
-        done = 0
+        state, done = seed.bits, 0
         for count in counts:
-            assert np.array_equal(gen.take(count), expected[done:done + count]), count
+            bits, state = lfsr_bits(taps, state, count)
+            assert np.array_equal(bits, expected[done:done + count]), count
             done += count
-            assert gen.state == state_of(expected[done:done + length]), count
-        assert next(gen) == expected[done]
+            assert np.array_equal(state, expected[done:done + length]), count
+        assert lfsr_bits(taps, state, 1)[0][0] == expected[done]
 
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
-            LfsrGenerator(LfsrSpec((4, 1)), SeedKey.from_string("1000")).take(-1)
+            lfsr_bits((4, 1), (1, 0, 0, 0), -1)
+        with pytest.raises(ValueError):
+            lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("1000"), -1)
 
     @pytest.mark.parametrize("length", [2, 16, 64, 100])
     def test_kernel_matches_reference_and_keeps_state_zero(self, length):
         rng = np.random.default_rng(2000 + length)
         taps, seed = random_register(rng, length)
-        mask = sum(1 << (length - t) for t in taps)
         for count in (0, 1, _BLOCK, 2 * _BLOCK + 3):
             expected = lfsr_reference(taps, seed.bits, count + length)
-            bits, state = lfsr_bits(length, mask, state_of(seed.bits), count)
+            bits, state = lfsr_bits(taps, np.array(seed.bits, dtype=np.uint8), count)
             assert np.array_equal(bits, expected[:count]), (taps, count)
-            assert state == state_of(expected[count:]), (taps, count)
-            zeros, zero_state = lfsr_bits(length, mask, 0, count)
-            assert zero_state == 0 and zeros.size == count and not zeros.any()
+            assert np.array_equal(state, expected[count:]), (taps, count)
+            zeros, zero_state = lfsr_bits(taps, np.zeros(length, dtype=np.uint8), count)
+            assert zeros.size == count and not zeros.any()
+            assert zero_state.size == length and not zero_state.any()
+
+
+def reference_periods(taps):
+    """Period of every nonzero state of the register, from `lfsr_reference`.
+
+    The highest tap makes a step invertible, so the L-bit windows before the
+    seed first reappears are distinct states of one cycle, each returning
+    after the cycle's length; one reference sequence serves the whole cycle.
+    """
+    length = max(taps)
+    periods = {}
+    for value in range(1, 2 ** length):
+        seed = tuple((value >> i) & 1 for i in range(length))
+        if seed not in periods:
+            seq = lfsr_reference(taps, seed, 2 ** length - 1 + length).tolist()
+            period = next(t for t in range(1, 2 ** length) if tuple(seq[t:t + length]) == seed)
+            for i in range(period):
+                periods[tuple(seq[i:i + length])] = period
+    return periods
 
 
 class TestLfsrPeriod:
@@ -208,6 +219,23 @@ class TestLfsrPeriod:
                     assert lfsr_period(spec, seed) == 2 ** degree - 1
 
 
+    def test_matches_reference_for_every_register_up_to_length_7(self):
+        # Every tap set with highest tap 2..7, primitive or not, every nonzero seed.
+        pairs = 0
+        for length in range(2, 8):
+            for lower in itertools.chain.from_iterable(
+                    itertools.combinations(range(1, length), r) for r in range(1, length)):
+                taps = (length, *lower)
+                for seed_bits, period in reference_periods(taps).items():
+                    assert lfsr_period(LfsrSpec(taps), SeedKey(seed_bits)) == period, (taps, seed_bits)
+                    pairs += 1
+        assert pairs == 10548
+
+    def test_primitive_twenty_bit_register(self):
+        # x^20 + x^3 + 1 is primitive.
+        assert lfsr_period(LfsrSpec((20, 3)), SeedKey(tuple([1] + [0] * 19))) == 2 ** 20 - 1
+
+
 class TestExpandRunningKey:
     def test_identity_grouping_two_bases(self):
         rk = expand_running_key([0, 1, 1, 0], 4, M2)
@@ -220,17 +248,15 @@ class TestExpandRunningKey:
     def test_lfsr_composition(self):
         spec = LfsrSpec((4, 1))
         seed = SeedKey.from_string("0001")
-        rk = expand_running_key(LfsrGenerator(spec, seed), 15, M2)
+        rk = LfsrKeystream(spec, seed).running_key(15, M2)
         assert np.array_equal(rk.selectors, lfsr_stream(spec, seed, 15))
 
     def test_accepts_precomputed_bit_array(self):
-        # A numpy bit vector must group the same way as the live generator.
-        spec = LfsrSpec((4, 1))
-        seed = SeedKey.from_string("0001")
-        stream = lfsr_stream(spec, seed, 16)
+        # A numpy bit vector groups the same way as the list and tuple forms.
+        stream = lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("0001"), 16)
         from_array = expand_running_key(stream, 8, M4)
-        from_generator = expand_running_key(LfsrGenerator(spec, seed), 8, M4)
-        assert np.array_equal(from_array.selectors, from_generator.selectors)
+        for other in (stream.tolist(), tuple(stream.tolist())):
+            assert np.array_equal(from_array.selectors, expand_running_key(other, 8, M4).selectors)
         with pytest.raises(ValueError):
             expand_running_key(stream, 9, M4)
 
@@ -246,8 +272,10 @@ class TestExpandRunningKey:
             expand_running_key([1, 0, 1], 4, M2)
 
     def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            expand_running_key([0, 1, 2, 1], 4, M2)
+        # 257's low byte is 1: the check must come before the uint8 cast.
+        for bits in ([0, 1, 2, 1], [0, -1, 1, 1], np.array([0, 1, 257, 1]), [0.0, 1.0, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                expand_running_key(bits, 4, M2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -261,8 +289,8 @@ class TestExpandRunningKey:
         alphabet = BasisAlphabet(2 ** m_exp)
         spec = LfsrSpec((8, 6, 5, 4))
         seed = SeedKey(tuple((seed_value >> i) & 1 for i in range(8)))
-        short = expand_running_key(LfsrGenerator(spec, seed), lo, alphabet)
-        long = expand_running_key(LfsrGenerator(spec, seed), hi, alphabet)
+        short = LfsrKeystream(spec, seed).running_key(lo, alphabet)
+        long = LfsrKeystream(spec, seed).running_key(hi, alphabet)
         assert np.array_equal(long.selectors[:lo], short.selectors)
 
 

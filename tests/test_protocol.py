@@ -319,6 +319,21 @@ class TestVerifyKey:
         for selector in ([2], [1, 0, 2], [0, 3, 0, 0]):
             with pytest.raises(ValueError):
                 verification_tag(np.zeros(8, np.uint8), np.array(selector))
+        # Every hash input is checked before the uint8 cast, which would keep
+        # 2 -> 0 under the low-bit hash, 257 -> 1 and -1 -> 255.
+        zeros, ones = np.zeros(4, np.int64), np.ones(4, np.int64)
+        for bad in ([2, 0, 0, 0], np.array([257, 0, 0, 0]), [-1, 0, 0, 0], [0.5, 0, 0, 0]):
+            calls = [
+                lambda: verification_tag(bad, [1, 0]),
+                lambda: verify_key(bad, zeros, [1, 1, 0, 0]),
+                lambda: verify_key(zeros, bad, [1, 1, 0, 0]),
+                lambda: verify_key(zeros, zeros, bad),
+                lambda: privacy_amplify(bad, 2, [1, 1, 0, 1, 1]),
+                lambda: privacy_amplify(ones, 2, [1, *bad]),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="must be 0 or 1"):
+                    call()
 
 
 class TestTransmitRound:
@@ -522,6 +537,15 @@ class TestDirectEncryption:
     def test_rejects_key_generation_mode(self):
         with pytest.raises(ValueError):
             run_direct_encryption(make_config(), np.ones(4, np.uint8), np.random.default_rng(0))
+
+    def test_rejects_non_bit_plaintext_before_sending(self):
+        # A 2 travels as the state of a 0 (theta + pi), yet the run once
+        # reported ok: the low-bit hash cannot see it. It is refused up front.
+        config = make_config(n=1000, mode="direct-encryption")
+        plaintext = np.ones(64, np.int64)
+        plaintext[5] = 2
+        with pytest.raises(ValueError, match="plaintext must be 0 or 1"):
+            run_direct_encryption(config, plaintext, np.random.default_rng(0))
 
 
 class TestConfigSerialization:

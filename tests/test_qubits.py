@@ -41,6 +41,13 @@ def test_meas_basis_normalizes_mod_half_pi(phi):
     assert 0.0 <= MeasBasis(phi).phi < PI / 2
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(angle):
+    for kind in (StateAngle, MeasBasis):
+        with pytest.raises(ValueError, match="finite"):
+            kind(angle)
+
+
 def test_alphabet_requires_power_of_two():
     for bad in (0, 1, 3, 6, 12):
         with pytest.raises(ValueError):
