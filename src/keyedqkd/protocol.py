@@ -193,15 +193,10 @@ class KeyLedger:
         }
 
 
-def bits_to_hex(bits: np.ndarray) -> str:
-    """Hex rendering of a bit vector, big-endian, right-padded to a nibble."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size == 0:
-        return ""
-    pad = (-bits.size) % 4
-    padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    nibbles = padded.reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
-    return "".join("0123456789abcdef"[v] for v in nibbles)
+def bits_to_hex(bits) -> str:
+    """Hex rendering of a 0/1 vector, big-endian, right-padded to a nibble."""
+    bits = as_bits(bits, "key bits")
+    return np.packbits(bits).tobytes().hex()[:-(-bits.size // 4)]
 
 
 @dataclass(frozen=True)
@@ -292,8 +287,8 @@ def reconcile(alice_bits, bob_bits, code_rate: float):
     receiver's bits are replaced by the sender's and ceil(l*(1-R)) bits count
     as leaked syndrome.
     """
-    alice = np.asarray(alice_bits, dtype=np.uint8)
-    bob = np.asarray(bob_bits, dtype=np.uint8)
+    alice = as_bits(alice_bits, "sender bits")
+    bob = as_bits(bob_bits, "receiver bits")
     if alice.shape != bob.shape:
         raise ValueError(f"length mismatch: {alice.size} vs {bob.size}")
     length = alice.size
@@ -324,13 +319,26 @@ def _toeplitz_hash(bits: np.ndarray, out_len: int, seed: np.ndarray) -> np.ndarr
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
     # At least len(seed) circular points leave the window [n - 1, n - 1 + out_len) unaliased.
-    size = 1 << (seed.size - 1).bit_length()
+    size = _fft_size(seed.size)
     conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
     window = conv[n - 1:n - 1 + out_len]
     seg = np.rint(window)
     if np.abs(window - seg).max() > 0.25:
         raise ArithmeticError("FFT convolution lost integer exactness")
     return (seg % 2).astype(np.uint8)
+
+
+def _fft_size(length: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= length, for length >= 1: a size pocketfft transforms fast."""
+    best = 1 << (length - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-length // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def pa_output_length(reconciled_len: int, code_rate: float, alphabet: BasisAlphabet,
@@ -378,11 +386,12 @@ def verification_tag(key_bits, selector) -> np.ndarray:
     """Keyed hash for key verification.
 
     The |selector|-bit selector seeds a maximal-length register whose output
-    becomes the diagonal seed of a Toeplitz hash (the privacy-amplification
-    primitive with a short key). A maximal sequence never shows |selector|
-    consecutive zeros, so for a random selector any single-bit difference in
-    the hashed keys collides only on the all-zero selector, i.e. with
-    probability 2^-|selector|; random unequal keys collide at the same order.
+    becomes the diagonal seed of a |selector|-row Toeplitz hash: Krawczyk's
+    LFSR-based hash (CRYPTO '94), each row one word parity over Python ints.
+    A maximal sequence never shows |selector| consecutive zeros, so for a
+    random selector any single-bit difference in the hashed keys collides
+    only on the all-zero selector, i.e. with probability 2^-|selector|;
+    random unequal keys collide at the same order.
     For |selector| = 1 the register is x + 1, which repeats the selector bit:
     the tag is the key's parity or 0. Inputs must be 0/1.
     """
@@ -395,8 +404,19 @@ def _tag(key_bits: np.ndarray, selector: np.ndarray) -> np.ndarray:
     taps = _VERIFICATION_TAPS.get(kv)
     if taps is None:
         raise ValueError(f"verification hash supports 1 <= |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-    seed, _ = lfsr_bits(taps, selector, key_bits.size + kv - 1)
-    return _toeplitz_hash(key_bits, kv, seed)
+    n = key_bits.size
+    if n < kv:
+        raise ValueError(f"output length must lie in [0, {n}], got {kv}")
+    seed, _ = lfsr_bits(taps, selector, n + kv - 1)
+    # Tag bit i = XOR_j seed[i - j + n - 1] & key[j]: bit k of the reversed key
+    # meets bit k of the seed shifted down by i.
+    key, seed = _bits_int(key_bits[::-1]), _bits_int(seed)
+    return np.array([(key & (seed >> i)).bit_count() & 1 for i in range(kv)], dtype=np.uint8)
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """The 0/1 array as a Python int, bits[k] at bit k."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def verify_key(alice_key, bob_key, verification_key) -> bool:
@@ -474,7 +494,12 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
         return aborted("key_too_short", detected, qber_hat)
     pa_seed = rng.integers(0, 2, size=max(0, alice_kept.size + out_len - 1), dtype=np.int64)
     key_a = privacy_amplify(alice_kept, out_len, pa_seed)
-    key_b = privacy_amplify(bob_corrected, out_len, pa_seed)
+    # The hash is a function of the frame, so an exactly reconciled frame
+    # needs no second one.
+    if np.array_equal(bob_corrected, alice_kept):
+        key_b = key_a.copy()
+    else:
+        key_b = privacy_amplify(bob_corrected, out_len, pa_seed)
 
     verification_key = rng.integers(0, 2, size=2 * kv, dtype=np.int64)
     verified = verify_key(key_a, key_b, verification_key)

@@ -104,6 +104,13 @@ class TestReconcile:
         with pytest.raises(ValueError):
             reconcile(np.zeros(4, np.uint8), np.zeros(5, np.uint8), 0.5)
 
+    def test_rejects_non_bits(self):
+        # A uint8 cast would read 257 as 1 and report [257, 0] reconciled with [1, 0].
+        for bad in ([2, 0], np.array([257, 0]), [-1, 0], [0.5, 0]):
+            for args in ((bad, [1, 0]), ([1, 0], bad)):
+                with pytest.raises(ValueError, match="must be 0 or 1"):
+                    reconcile(*args, 0.5)
+
 
 class TestPrivacyAmplify:
     def test_hand_oracle(self):
@@ -128,9 +135,12 @@ class TestPrivacyAmplify:
             assert np.array_equal(privacy_amplify(bits, out_len, seed),
                                   toeplitz_hash_direct(bits, out_len, seed))
 
-    @pytest.mark.parametrize("n, out_len", [(4000, 1500), (19000, 32)])
+    @pytest.mark.parametrize("n, out_len", [(4000, 1500), (19000, 32), (1500, 688), (1500, 689),
+                                            (1000, 126), (1000, 127)])
     def test_matches_integer_convolution(self, n, out_len):
         # (19000, 32) is the shape of a 32-bit verification tag over a long key.
+        # The last four put the seed at 2187 = 3^7, 2188, 1125 = 3^2 * 5^3 and
+        # 1126 bits: an FFT of exactly the seed's length, and the next size up.
         rng = np.random.default_rng(18)
         bits = rng.integers(0, 2, n)
         seed = rng.integers(0, 2, n + out_len - 1)
@@ -149,6 +159,13 @@ class TestPrivacyAmplify:
         seed = draw(n + out_len - 1 if out_len else max(0, n - 1))
         assert np.array_equal(privacy_amplify(a ^ b, out_len, seed),
                               privacy_amplify(a, out_len, seed) ^ privacy_amplify(b, out_len, seed))
+
+    def test_fft_size_is_the_smallest_five_smooth_length(self):
+        from keyedqkd.protocol import _fft_size
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(14) for b in range(9) for c in range(7))
+        for length in range(1, 5001):
+            assert _fft_size(length) == next(k for k in smooth if k >= length), length
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
@@ -311,6 +328,28 @@ class TestVerifyKey:
                 assert np.array_equal(verification_tag(key, sel),
                                       toeplitz_hash_direct(key, kv, seed)), (kv, sel.any())
 
+    def test_word_parity_tag_matches_the_toeplitz_reference(self):
+        # Key lengths around one 64-bit word and past one 512-bit keystream block.
+        from keyedqkd.protocol import _VERIFICATION_TAPS
+        rng = np.random.default_rng(23)
+        for kv, taps in _VERIFICATION_TAPS.items():
+            for length in sorted({kv, 63, 64, 65, 513}):
+                if length < kv:
+                    continue
+                key = rng.integers(0, 2, length)
+                selector = rng.integers(0, 2, kv)
+                seed = lfsr_reference(taps, selector, length + kv - 1)
+                assert np.array_equal(verification_tag(key, selector),
+                                      toeplitz_hash_direct(key, kv, seed)), (kv, length)
+
+    def test_key_shorter_than_the_tag_raises(self):
+        for kv in (1, 2, 16, 64):
+            key = np.ones(kv - 1, np.uint8)
+            with pytest.raises(ValueError, match="output length"):
+                verification_tag(key, np.ones(kv, np.uint8))
+            with pytest.raises(ValueError, match="output length"):
+                verify_key(key, key, np.ones(2 * kv, np.uint8))
+
     def test_verification_len_above_table_rejected(self):
         with pytest.raises(ValueError):
             verification_tag(np.zeros(8, np.uint8), np.zeros(65, np.uint8) + 1)
@@ -414,6 +453,20 @@ class TestRunProtocol:
         assert outcome.abort_reason == "verification" and not outcome.verified
         assert outcome.ledger == KeyLedger(64, 2 * 32, 0)
         assert not np.array_equal(outcome.alice_key, outcome.bob_key)
+
+    def test_verified_run_hashes_once_and_copies_the_key(self, monkeypatch):
+        calls = []
+
+        def counting(bits, out_len, hash_seed):
+            calls.append(out_len)
+            return privacy_amplify(bits, out_len, hash_seed)
+
+        monkeypatch.setattr(keyedqkd.protocol, "privacy_amplify", counting)
+        config = make_config(n=10 ** 4, flip=0.02, keystream=LFSR64)
+        outcome = run_protocol(config, np.random.default_rng(42))
+        assert outcome.verified and len(calls) == 1
+        assert np.array_equal(outcome.bob_key, outcome.alice_key)
+        assert not np.shares_memory(outcome.bob_key, outcome.alice_key)
 
     def test_ledger_conservation(self):
         for seed in range(4):
@@ -630,6 +683,19 @@ class TestOutcomeSerialization:
         assert bits_to_hex(np.array([1, 0, 1, 0], np.uint8)) == "a"
         assert bits_to_hex(np.array([1, 1, 1, 1, 0, 0, 0, 1], np.uint8)) == "f1"
         assert bits_to_hex(np.array([1, 0, 1], np.uint8)) == "a"  # right-padded
+
+    def test_bits_to_hex_matches_nibble_rendering(self):
+        rng = np.random.default_rng(6)
+        for n in (*range(40), 19019):
+            bits = rng.integers(0, 2, n)
+            text = "".join(map(str, bits)) + "0" * (-n % 4)
+            nibbles = "".join(f"{int(text[i:i + 4], 2):x}" for i in range(0, len(text), 4))
+            assert bits_to_hex(bits) == nibbles, n
+
+    def test_bits_to_hex_rejects_non_bits(self):
+        for bad in ([2, 0, 0, 0], np.array([257, 0]), [-1], [0.5]):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                bits_to_hex(bad)
 
     def test_outcome_json_shape(self):
         outcome = run_protocol(make_config(n=2000, flip=0.02), np.random.default_rng(5))
