@@ -12,6 +12,7 @@ the worker-thread count.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -160,13 +161,16 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
 
 
 def _map_chunks(kernel, chunks, threads: int) -> list:
-    """kernel(*chunk) for each chunk, in order, with at most `threads` chunks in flight."""
-    if threads <= 1:
+    """kernel(*chunk) per chunk, in order; min(threads, CPU count) workers, as many in flight."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         return [kernel(*c) for c in chunks]
     results, pending = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for c in chunks:
-            if len(pending) == threads:
+            if len(pending) == workers:
                 results.append(pending.popleft().result())
             pending.append(pool.submit(kernel, *c))
         results.extend(future.result() for future in pending)
@@ -209,7 +213,7 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
     attacker is never off by more than pi/4, so her outcome stands.
     Returns (her bit error over attacked positions, user error over detected
-    positions).
+    positions), each None when there are no such positions.
     """
     phi_key = config.key_angles()
 
@@ -223,7 +227,8 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
 
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
-    return binomial_ci(eve_err, max(1, eve_tot)), binomial_ci(user_err, max(1, user_tot))
+    return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
+            binomial_ci(user_err, user_tot) if user_tot else None)
 
 
 def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,

@@ -14,7 +14,7 @@ from .qubits import BasisAlphabet, keyless_error, optimal_fixed_basis
 # alphabet; the exact optimum is (2 - sqrt(2))/4 ~ 0.1464.
 CONSERVATIVE_EVE_ERROR = 0.15
 
-# Exact-density keyless computation is capped here by convention.
+# Keyless sweep rows stop here by a convention that test_keyless_cap pins.
 KEYLESS_MAX_BASES = 2 ** 16
 
 
@@ -68,7 +68,7 @@ def sweep_m(m_values: Iterable[int], include_keyless: bool = True) -> list[Sweep
 
     e_key_granted is the optimal fixed-basis error when selectors are granted
     after measurement; e_keyless is the never-revealed-key discrimination
-    error (exact finite-mixture computation, m capped at 2^16).
+    error, capped by convention at m = KEYLESS_MAX_BASES = 2^16.
     """
     rows = []
     for m in m_values:

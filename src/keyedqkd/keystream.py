@@ -104,6 +104,12 @@ def as_bits(values, what: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def bits_int(bits) -> int:
+    """The 0/1 sequence as a Python int, bits[k] at bit k."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 @functools.lru_cache(maxsize=64)
 def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     """Jump table of the register with `taps`: one row per state bit.
@@ -121,8 +127,7 @@ def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     width = (length + 7) // 8
     deps = np.frombuffer(b"".join(f.to_bytes(width, "little") for f in forms), dtype=np.uint8)
     deps = np.unpackbits(deps.reshape(-1, width), axis=1, count=length, bitorder="little")
-    rows = np.packbits(deps.T[::-1], axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return tuple(bits_int(row) for row in deps.T[::-1])
 
 
 def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +149,7 @@ def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.
         raise ValueError("count must be nonnegative")
     rows = _jump_rows(taps)
     length = len(rows)
-    packed = np.packbits(np.asarray(state, dtype=np.uint8), bitorder="little")
-    state = int.from_bytes(packed.tobytes(), "little")
+    state = bits_int(state)
     digits = f"0{length}b"
     blocks = []
     for _ in range(-(-(count + length) // _BLOCK)):

@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .analysis import h2, rate_window
-from .keystream import LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, lfsr_bits
+from .keystream import (LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, bits_int,
+                        lfsr_bits)
 from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
@@ -310,14 +311,17 @@ def privacy_amplify(bits, out_len: int, hash_seed) -> np.ndarray:
 
 
 def _toeplitz_hash(bits: np.ndarray, out_len: int, seed: np.ndarray) -> np.ndarray:
-    """privacy_amplify on uint8 0/1 arrays."""
+    """privacy_amplify on uint8 0/1: word parities to MAX_VERIFICATION_LEN bits, else an FFT."""
     n = bits.size
     if not 0 <= out_len <= n:
         raise ValueError(f"output length must lie in [0, {n}], got {out_len}")
     if seed.size != max(0, n + out_len - 1):
         raise ValueError(f"hash seed must have {max(0, n + out_len - 1)} bits, got {seed.size}")
-    if out_len == 0:
-        return np.zeros(0, dtype=np.uint8)
+    if out_len <= MAX_VERIFICATION_LEN:
+        # Bit i = XOR_j seed[i - j + n - 1] & bits[j] = parity(reversed bits & seed >> i).
+        word, seed_int = bits_int(bits[::-1]), bits_int(seed)
+        return np.array([(word & (seed_int >> i)).bit_count() & 1 for i in range(out_len)],
+                        dtype=np.uint8)
     # At least len(seed) circular points leave the window [n - 1, n - 1 + out_len) unaliased.
     size = _fft_size(seed.size)
     conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(bits, size), size)
@@ -404,19 +408,8 @@ def _tag(key_bits: np.ndarray, selector: np.ndarray) -> np.ndarray:
     taps = _VERIFICATION_TAPS.get(kv)
     if taps is None:
         raise ValueError(f"verification hash supports 1 <= |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-    n = key_bits.size
-    if n < kv:
-        raise ValueError(f"output length must lie in [0, {n}], got {kv}")
-    seed, _ = lfsr_bits(taps, selector, n + kv - 1)
-    # Tag bit i = XOR_j seed[i - j + n - 1] & key[j]: bit k of the reversed key
-    # meets bit k of the seed shifted down by i.
-    key, seed = _bits_int(key_bits[::-1]), _bits_int(seed)
-    return np.array([(key & (seed >> i)).bit_count() & 1 for i in range(kv)], dtype=np.uint8)
-
-
-def _bits_int(bits: np.ndarray) -> int:
-    """The 0/1 array as a Python int, bits[k] at bit k."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    seed, _ = lfsr_bits(taps, selector, key_bits.size + kv - 1)
+    return _toeplitz_hash(key_bits, kv, seed)
 
 
 def verify_key(alice_key, bob_key, verification_key) -> bool:

@@ -95,10 +95,6 @@ class BasisAlphabet:
             raise ValueError(f"basis index {j} out of range [0, {self.m})")
         return j * (HALF_PI / self.m)
 
-    def angles(self) -> np.ndarray:
-        """All basis angles as a vector, strictly increasing in [0, pi/2)."""
-        return np.arange(self.m) * (HALF_PI / self.m)
-
     @property
     def bits_per_selector(self) -> int:
         return self.m.bit_length() - 1
@@ -193,16 +189,22 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
     return max(0.0, 0.5 * (1.0 - trace_norm))
 
 
-def _granted_error_profile(phis: np.ndarray, alphabet: BasisAlphabet) -> np.ndarray:
-    """Key-granted bit-error rate of a fixed-basis observer, per basis angle in phis."""
-    thetas = alphabet.angles()
-    out = np.empty(phis.size)
-    chunk = max(1, 2_000_000 // alphabet.m)
-    for lo in range(0, phis.size, chunk):
-        d = thetas[None, :] - phis[lo:lo + chunk, None]
-        s2 = np.sin(d) ** 2
-        out[lo:lo + chunk] = np.minimum(s2, 1.0 - s2).mean(axis=1)
-    return out
+def _peak_offsets(phis, m: int):
+    """h = pi/(2m) and each angle's offset f = u - rint(u) from its nearest peak, u = phi/h."""
+    h = HALF_PI / m
+    u = np.asarray(phis, dtype=float) / h
+    return h, u - np.rint(u)
+
+
+def _granted_error_profile(phis, alphabet: BasisAlphabet):
+    """Key-granted bit-error rate of a fixed-basis observer at basis angle(s) phis:
+    1/2 - cos(h(1 - 2|f|)) / (2m sin h), h and f from _peak_offsets (rint makes it
+    bitwise even in phi). As min(sin^2, cos^2)(x) = (1 - |cos 2x|)/2, this is
+    sum_j |sin(y + j*pi/m)| = cos(y - pi/(2m)) / sin(pi/(2m)), y in [0, pi/m], over the
+    m angles 2(theta_j - phi) + pi/2: one period pi of |sin|, peaks at k*h as m is even.
+    """
+    h, f = _peak_offsets(phis, alphabet.m)
+    return 0.5 - np.cos(h * (1.0 - 2.0 * np.abs(f))) / (2 * alphabet.m * math.sin(h))
 
 
 def eve_error_key_granted(basis: MeasBasis, alphabet: BasisAlphabet) -> float:
@@ -212,7 +214,7 @@ def eve_error_key_granted(basis: MeasBasis, alphabet: BasisAlphabet) -> float:
     Equals (1/m) * sum_j min(sin^2, cos^2)(theta_j - phi): on each basis the
     better of the two outcome-to-bit decodings is available after disclosure.
     """
-    return float(_granted_error_profile(np.array([basis.phi]), alphabet)[0])
+    return float(_granted_error_profile(basis.phi, alphabet))
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
@@ -234,15 +236,9 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
 
 
 def _granted_error_slope(phi: float, alphabet: BasisAlphabet) -> float:
-    """Derivative of the key-granted error profile at phi.
-
-    Each min(sin^2, cos^2) term contributes -sin(2*delta) on its sine branch
-    and +sin(2*delta) on its cosine branch; the profile is piecewise smooth.
-    """
-    deltas = alphabet.angles() - phi
-    s2 = np.sin(deltas) ** 2
-    sign = np.where(s2 <= 0.5, -1.0, 1.0)
-    return float(np.mean(sign * np.sin(2.0 * deltas)))
+    """Derivative of the key-granted error profile at phi; 0 on a peak."""
+    h, f = _peak_offsets(phi, alphabet.m)
+    return float(-np.sign(f) * np.sin(h * (1.0 - 2.0 * np.abs(f))) / (alphabet.m * math.sin(h)))
 
 
 def _refine_minimum(f, alphabet: BasisAlphabet, lo: float, hi: float) -> float:
@@ -280,7 +276,7 @@ def optimal_fixed_basis(alphabet: BasisAlphabet) -> tuple[MeasBasis, float]:
     best = int(tied.min())
 
     def f(phi: float) -> float:
-        return float(_granted_error_profile(np.array([phi]), alphabet)[0])
+        return float(_granted_error_profile(phi, alphabet))
 
     phi_star = _refine_minimum(f, alphabet, grid[best] - step, grid[best] + step)
     return MeasBasis(phi_star), f(phi_star)

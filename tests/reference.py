@@ -74,15 +74,20 @@ def toeplitz_hash_direct(bits, out_len: int, seed) -> np.ndarray:
     return ((matrix @ bits) % 2).astype(np.uint8)
 
 
+def granted_error_sum(phis, m: int) -> np.ndarray:
+    """Key-granted error as its m-point sum, (1/m) * sum_j min(sin^2, cos^2)(theta_j - phi)
+    with theta_j = j * (pi/2) / m, one value per angle in phis."""
+    deltas = np.arange(m) * (np.pi / 2 / m) - np.asarray(phis, dtype=float).reshape(-1, 1)
+    s2 = np.sin(deltas) ** 2
+    return np.minimum(s2, 1.0 - s2).mean(axis=1)
+
+
 def brute_force_basis_scan(m: int, points: int) -> tuple[float, float]:
     """Grid scan of the key-granted error profile; returns (phi, error) at the
     smallest-angle grid minimum."""
-    thetas = np.arange(m) * (np.pi / 2 / m)
     best_phi, best_val = 0.0, np.inf
     for chunk in np.array_split(np.arange(points) * (np.pi / 2 / points), max(1, points // 4096)):
-        deltas = thetas[None, :] - chunk[:, None]
-        s2 = np.sin(deltas) ** 2
-        values = np.minimum(s2, 1.0 - s2).mean(axis=1)
+        values = granted_error_sum(chunk, m)
         idx = int(np.argmin(values))
         if values[idx] < best_val - 1e-15:
             best_val, best_phi = float(values[idx]), float(chunk[idx])

@@ -3,6 +3,7 @@ ciphertext-only states."""
 
 import itertools
 import math
+import os
 import threading
 import time
 
@@ -89,6 +90,10 @@ class TestInterceptResend:
     def test_no_interception_no_errors(self):
         report = attack_intercept_resend(lfsr_config(n=10 ** 4), np.random.default_rng(3), fraction=0.0)
         assert report.induced_qber.estimate == 0.0
+        # Nothing attacked: no error estimate rather than a perfect eavesdropper.
+        assert report.eve_bit_error is None and report.to_json_dict()["eve_bit_error"] is None
+        lost = attack_fixed_basis(lfsr_config(n=4, loss=0.999), PI / 8, np.random.default_rng(0))
+        assert lost.induced_qber is None and lost.to_json_dict()["induced_qber"] is None
 
     def test_requires_two_basis_alphabet(self):
         with pytest.raises(ValueError):
@@ -366,3 +371,20 @@ class TestTrialChunks:
 
         assert _map_chunks(kernel, chunks(), threads) == [i * i for i in range(40)]
         assert max(ahead) <= threads + 1
+
+    def test_pool_is_bounded_by_the_cpu_count(self):
+        idents = set()
+
+        def kernel(index):
+            idents.add(threading.get_ident())
+            time.sleep(0.01)
+            return index
+
+        assert _map_chunks(kernel, ((i,) for i in range(64)), 10_000) == list(range(64))
+        assert len(idents) <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_attack(AttackStrategy.parse("breidbart"), lfsr_config(n=40),
+                       np.random.default_rng(0), threads=threads)

@@ -187,6 +187,11 @@ class TestAttackCommand:
         assert main(["attack", "breidbart", "--config", str(config_path), "--trials", "0",
                      "--seed", "1", "--output", str(tmp_path / "r.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_fewer_than_one_thread_exits_one(self, tmp_path, config_path, threads):
+        assert main(["attack", "breidbart", "--config", str(config_path), "--threads", threads,
+                     "--seed", "1", "--output", str(tmp_path / "r.json")]) == EXIT_USAGE
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         config = write_config(tmp_path, n=40,
                               keystream={"kind": "repetition", "key": "10011010"})

@@ -128,8 +128,10 @@ class TestPrivacyAmplify:
 
     def test_matches_direct_matrix_construction(self):
         rng = np.random.default_rng(17)
-        # (40, 25) and (40, 26) put the seed length at exactly 2^6 and 2^6 + 1.
-        for n, out_len in [(1, 1), (5, 3), (37, 16), (128, 50), (40, 25), (40, 26)]:
+        # (40, 25) and (40, 26) put the seed length at exactly 2^6 and 2^6 + 1; at
+        # 130 bits, outputs of 0...64 bits are word parities and 65 is an FFT.
+        for n, out_len in [(1, 1), (5, 3), (37, 16), (128, 50), (40, 25), (40, 26),
+                           (130, 0), (130, 1), (130, 63), (130, 64), (130, 65)]:
             bits = rng.integers(0, 2, n)
             seed = rng.integers(0, 2, n + out_len - 1)
             assert np.array_equal(privacy_amplify(bits, out_len, seed),

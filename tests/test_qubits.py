@@ -18,8 +18,9 @@ from keyedqkd import (
     measure_many,
     optimal_fixed_basis,
 )
+from keyedqkd.qubits import _granted_error_profile, _granted_error_slope
 
-from reference import brute_force_basis_scan
+from reference import brute_force_basis_scan, granted_error_sum
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0  # = sin^2(pi/8) ~ 0.146447
@@ -53,7 +54,7 @@ def test_alphabet_requires_power_of_two():
         with pytest.raises(ValueError):
             BasisAlphabet(bad)
     for m in (2, 4, 8, 1024):
-        angles = BasisAlphabet(m).angles()
+        angles = np.array([BasisAlphabet(m).basis_angle(j) for j in range(m)])
         assert (np.diff(angles) > 0).all()
         assert angles[0] == 0.0 and angles[-1] < PI / 2
 
@@ -102,7 +103,7 @@ class TestMeasure:
         assert (measure_many(np.full(64, PI / 2), np.zeros(64), rng) == 1).all()
         # Within 1e-12 of certainty the outcome is snapped: even the most
         # extreme uniform draw cannot flip a near-aligned or near-anti-aligned state.
-        phis = BasisAlphabet(16).angles()
+        phis = np.arange(16) * (PI / 32)
         for offset in (-1e-7, 1e-7):
             assert (measure_many(phis + offset, phis, PinnedDraws(0.0)) == 0).all()
             anti = phis + PI / 2 + offset
@@ -153,8 +154,9 @@ class TestDensityOfMixture:
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
     def test_uniform_mixture_over_all_encodings_is_identity_over_two(self, m):
         alphabet = BasisAlphabet(m)
-        states = [(0.5 / m, StateAngle(a)) for a in alphabet.angles()]
-        states += [(0.5 / m, StateAngle(a + PI / 2)) for a in alphabet.angles()]
+        angles = [alphabet.basis_angle(j) for j in range(m)]
+        states = [(0.5 / m, StateAngle(a)) for a in angles]
+        states += [(0.5 / m, StateAngle(a + PI / 2)) for a in angles]
         rho = density_of_mixture(states)
         assert np.abs(rho.entries - np.eye(2) / 2).max() < 1e-12
 
@@ -240,6 +242,29 @@ class TestEveErrorKeyGranted:
             a = eve_error_key_granted(MeasBasis(phi), alphabet)
             b = eve_error_key_granted(MeasBasis(phi + period), alphabet)
             assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("m", [2 ** k for k in range(1, 13)])
+    def test_closed_form_matches_the_m_point_sum(self, m):
+        alphabet, h = BasisAlphabet(m), (PI / 2) / m
+        k = np.arange(-6, 7)
+        phis = np.concatenate([np.random.default_rng(m).uniform(-4, 4, 64), k * h, (k + 0.5) * h])
+        got = [eve_error_key_granted(MeasBasis(phi), alphabet) for phi in phis]
+        assert np.abs(np.array(got) - granted_error_sum(phis, m)).max() <= 1e-15
+        profile = _granted_error_profile(phis, alphabet)
+        assert np.array_equal(_granted_error_profile(-phis, alphabet), profile)
+
+    @pytest.mark.parametrize("m", [2 ** k for k in range(1, 13)])
+    def test_slope_matches_a_central_difference_of_the_sum(self, m):
+        alphabet, h = BasisAlphabet(m), (PI / 2) / m
+        rng = np.random.default_rng(m)
+        # Offsets of 0.05...0.5 periods on either side of a peak, where the sum is smooth.
+        offsets = rng.choice([-1.0, 1.0], 32) * rng.uniform(0.05, 0.5, 32)
+        phis = (rng.integers(-20, 20, 32) + offsets) * h
+        eps = 1e-4 * h
+        central = (granted_error_sum(phis + eps, m) - granted_error_sum(phis - eps, m)) / (2 * eps)
+        slopes = [_granted_error_slope(phi, alphabet) for phi in phis]
+        assert np.abs(np.array(slopes) - central).max() < 1e-6
+        assert _granted_error_slope(0.0, alphabet) == 0.0
 
     def test_invariant_under_half_pi_shift(self):
         for phi in (0.1, 0.3, 0.7):
