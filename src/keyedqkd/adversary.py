@@ -16,6 +16,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -108,7 +109,14 @@ class AttackStrategy:
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Per-strategy statistics; confidence half-widths are four standard errors."""
+    """Per-strategy statistics; confidence half-widths are four standard errors.
+
+    A binomial interval at 0 or `trials` successes has zero width, since the
+    plug-in standard error vanishes there. It then records the observed
+    count only; it does not claim that the rate is exactly 0 or 1, and any
+    rate much closer than 1/trials to that boundary is expected to read the
+    same.
+    """
 
     strategy: str
     trials: int
@@ -161,10 +169,13 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
 
 
 def _map_chunks(kernel, chunks, threads: int) -> list:
-    """kernel(*chunk) per chunk, in order; min(threads, CPU count) workers, as many in flight."""
+    """kernel(*chunk) per chunk, in order; min(threads, usable CPUs) workers,
+    as many in flight. Usable CPUs are the process's affinity set where the
+    OS reports one; with one worker the chunks run on the calling thread."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, usable or 1)
     if workers == 1:
         return [kernel(*c) for c in chunks]
     results, pending = [], deque()
@@ -283,18 +294,22 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
 def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Generator):
     """One transmission attacked under a guessed seed key.
 
-    Returns (success, eve bit-error rate, induced user error rate). The guess
-    expands through the same register spec; an all-zero guess expands to the
+    Returns (success, eve bit-error rate, induced user error rate); the
+    induced rate is None when no qubit was detected. The guess expands
+    through the same register spec; an all-zero guess expands to the
     all-zero stream (the attacker is free to guess a degenerate seed).
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
     if len(guess) != len(config.keystream.seed):
         raise ValueError("guess length must match the seed length")
-    return _guess_round(config, config.key_angles(), guess, rng)
+    success, eve_error, user_errors, detected = _guess_round(
+        config, config.key_angles(), guess, rng)
+    return success, eve_error, user_errors / detected if detected else None
 
 
 def _guess_round(config: ProtocolConfig, phi_key, guess: SeedKey, rng: np.random.Generator):
+    """(success, eve bit-error rate, user errors, detected count) of one round."""
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
@@ -302,9 +317,28 @@ def _guess_round(config: ProtocolConfig, phi_key, guess: SeedKey, rng: np.random
     alice, outcome, bob, detected = _resend_round(
         phi_key, config.channel, eve_phi, slice(None), rng)
     eve_error = float(np.mean(outcome != alice))
-    detected_total = int(np.sum(detected))
-    induced = float(np.sum((bob != alice) & detected) / detected_total) if detected_total else 0.0
-    return guess == config.keystream.seed, eve_error, induced
+    return (guess == config.keystream.seed, eve_error,
+            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+
+
+def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Generator) -> int:
+    """How many of `count` uniform guesses equal `seed_bits`.
+
+    The guesses are those of rng.integers(0, 2, size=(count, L)): each bit
+    is the top bit of one 32-bit word (Lemire's bounded draw with range 2),
+    and the words are the low, then the high half of each 64-bit raw output.
+    Those words are read as a (count, L) view of the raw output and rows are
+    filtered a column at a time, so no int64 guess matrix is built.
+    """
+    length = seed_bits.size
+    raw = rng.bit_generator.random_raw(-(-count * length // 2))
+    words = raw.astype("<u8", copy=False).view("<u4")[:count * length].reshape(count, length)
+    alive = np.arange(count)
+    for column, bit in zip(words.T, seed_bits):
+        alive = alive[column[alive] >> 31 == bit]
+        if not alive.size:
+            break
+    return int(alive.size)
 
 
 def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
@@ -312,20 +346,22 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     """Uniform seed-key guessing before measurement.
 
     Success (guess equals the actual seed) is counted over every trial; the
-    analytic rate is 2^-|K_s|. Transmission-level error statistics come from a
-    capped number of simulated rounds, since the success statistic alone needs
-    very large trial counts.
+    analytic rate is 2^-|K_s|. Its interval is binomial_ci's, which has zero
+    width at 0 or `trials` successes: an estimate of 0 with half-width 0
+    says that no guess in `trials` hit, not that the rate is 0; any rate
+    well below 1/trials, such as 2^-|K_s| for a long seed, is expected to
+    read exactly that. Transmission-level error statistics come from a
+    capped number of simulated rounds, since the success statistic alone
+    needs very large trial counts; the induced user error pools errors over
+    the detected qubits of every round and is None when none was detected.
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
     seed_bits = np.array(config.keystream.seed.bits, dtype=np.uint8)
     length = seed_bits.size
 
-    def success_kernel(count, chunk_rng):
-        guesses = chunk_rng.integers(0, 2, size=(count, length), dtype=np.int64)
-        return int(np.sum(np.all(guesses == seed_bits, axis=1)))
-
-    successes = sum(_map_chunks(success_kernel, _chunk_rngs(rng, trials), threads))
+    successes = sum(_map_chunks(partial(_key_guess_successes, seed_bits),
+                                _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
     phi_key = config.key_angles()
@@ -335,14 +371,14 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
         return _guess_round(config, phi_key, guess, chunk_rng)[1:]
 
     rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
-    eve_err_sum, induced_sum = (sum(r[i] for r in rounds) for i in range(2))
+    eve_err_sum, user_errors, detected = (sum(r[i] for r in rounds) for i in range(3))
     return AttackReport(
         strategy="keyguess",
         trials=trials, qubits=config.n,
         eve_bit_error=ConfidenceInterval(eve_err_sum / qubit_trials,
                                          4.0 * math.sqrt(0.25 / (qubit_trials * config.n))),
-        induced_qber=ConfidenceInterval(induced_sum / qubit_trials,
-                                        4.0 * math.sqrt(0.25 / (qubit_trials * config.n))),
+        induced_qber=ConfidenceInterval(user_errors / detected, 4.0 * math.sqrt(0.25 / detected))
+        if detected else None,
         success_analytic=2.0 ** -length,
         success_mc=binomial_ci(successes, trials),
         info_fraction=1.0,

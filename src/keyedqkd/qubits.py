@@ -26,6 +26,9 @@ HALF_PI = math.pi / 2
 # Angle / matrix-invariant tolerance; probability assertions elsewhere use 1e-9.
 ANGLE_TOL = 1e-12
 
+# Largest uniform draw measure_many keeps: the last double below 1 - ANGLE_TOL.
+_DRAW_MAX = float(np.nextafter(1.0 - ANGLE_TOL, 0.0))
+
 # Grid values within this distance of the minimum are treated as exact ties,
 # so co-minimizers are resolved by angle rather than by float noise.
 _TIE_TOL = 1e-12
@@ -138,13 +141,21 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
 
     Outcome 1 has probability sin^2(theta - phi). Probabilities within 1e-12
     of 0 or 1 are snapped to certainty, so aligned and anti-aligned
-    measurements are exactly deterministic for every rng state. One uniform
-    draw per element regardless of degeneracy, so draw alignment is
-    shape-stable.
+    measurements are exactly deterministic for every rng state. The snap is
+    done on the draw instead of the probability: clipping u into
+    [1e-12, nextafter(1 - 1e-12, 0)] gives the same `u < p1` for every p1,
+    since no p1 <= 1e-12 exceeds the clipped u and every p1 >= 1 - 1e-12
+    does. One uniform draw per element regardless of degeneracy, so draw
+    alignment is shape-stable.
     """
-    p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
-    p1 = np.where(p1 <= ANGLE_TOL, 0.0, np.where(p1 >= 1.0 - ANGLE_TOL, 1.0, p1))
-    return (rng.random(p1.shape) < p1).astype(np.uint8)
+    thetas, phis = np.asarray(thetas), np.asarray(phis)
+    # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
+    p1 = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
+    np.sin(p1, out=p1)
+    np.square(p1, out=p1)
+    u = rng.random(p1.shape)
+    np.clip(u, ANGLE_TOL, _DRAW_MAX, out=u)
+    return (u < p1).view(np.uint8)
 
 
 def _mixture_entries(weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:

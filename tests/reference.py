@@ -92,3 +92,18 @@ def brute_force_basis_scan(m: int, points: int) -> tuple[float, float]:
         if values[idx] < best_val - 1e-15:
             best_val, best_phi = float(values[idx]), float(chunk[idx])
     return best_phi, best_val
+
+
+def measure_many_snapped(thetas, phis, rng) -> np.ndarray:
+    """Projective measurement that snaps sin^2(theta - phi) within 1e-12 of 0 or 1
+    to certainty before comparing one uniform draw per element against it."""
+    p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
+    p1 = np.where(p1 <= 1e-12, 0.0, np.where(p1 >= 1.0 - 1e-12, 1.0, p1))
+    return (rng.random(p1.shape) < p1).astype(np.uint8)
+
+
+def key_guess_successes(seed_bits, count: int, rng) -> int:
+    """Rows of a (count, L) int64 matrix of uniform bits that equal seed_bits."""
+    seed_bits = np.asarray(seed_bits)
+    guesses = rng.integers(0, 2, size=(count, seed_bits.size), dtype=np.int64)
+    return int(np.sum(np.all(guesses == seed_bits, axis=1)))

@@ -29,8 +29,18 @@ from keyedqkd import (
     key_guess_round,
     run_attack,
 )
-from keyedqkd.adversary import SEED_DRAW, TRIAL_CHUNK, _chunk_rngs, _map_chunks
+from keyedqkd.adversary import (
+    MAX_QUBIT_TRIALS,
+    SEED_DRAW,
+    TRIAL_CHUNK,
+    _chunk_rngs,
+    _guess_round,
+    _key_guess_successes,
+    _map_chunks,
+)
 from keyedqkd.qubits import MeasBasis
+
+from reference import key_guess_successes
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
@@ -188,6 +198,45 @@ class TestKeyGuess:
     def test_requires_lfsr_keystream(self):
         with pytest.raises(ValueError):
             attack_key_guess(repetition_config(40, "10011010"), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 16, 64])
+    @pytest.mark.parametrize("count", [1, 7, 4096])
+    def test_success_count_matches_the_int64_reference(self, length, count):
+        # Seeds taken from rows the reference itself draws, so long seeds
+        # still have successes to count; odd count * length leaves half of
+        # the last raw word unused.
+        for seed in range(4):
+            rows = np.random.default_rng(seed).integers(0, 2, size=(count, length), dtype=np.int64)
+            for row in (0, count // 2, count - 1):
+                seed_bits = rows[row].astype(np.uint8)
+                got = _key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+                assert got >= 1
+                assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+
+    def test_induced_rate_pools_detected_qubits(self):
+        # Under heavy loss some rounds detect nothing: they add to neither
+        # the error nor the detection count, instead of adding a rate of 0.
+        config = lfsr_config(n=4, loss=0.8, flip=0.2)
+        trials = MAX_QUBIT_TRIALS
+        report = attack_key_guess(config, np.random.default_rng(21), trials=trials)
+        replay = np.random.default_rng(21)
+        for _ in _chunk_rngs(replay, trials):
+            pass
+        counts = []
+        for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
+            guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=8)))
+            counts.append(_guess_round(config, config.key_angles(), guess, chunk_rng)[2:])
+        errors, detected = (sum(c[i] for c in counts) for i in range(2))
+        assert any(d == 0 for _, d in counts) and detected > 0
+        assert report.induced_qber.estimate == errors / detected
+        assert report.induced_qber.half_width == 4.0 * math.sqrt(0.25 / detected)
+
+    def test_nothing_detected_reads_null(self):
+        config = lfsr_config(n=4, loss=0.999)
+        guess = SeedKey.from_string("01101011")
+        assert key_guess_round(config, guess, np.random.default_rng(0))[2] is None
+        report = attack_key_guess(config, np.random.default_rng(0), trials=3)
+        assert report.induced_qber is None and report.to_json_dict()["induced_qber"] is None
 
 
 class TestBlockGuess:
@@ -382,6 +431,28 @@ class TestTrialChunks:
 
         assert _map_chunks(kernel, ((i,) for i in range(64)), 10_000) == list(range(64))
         assert len(idents) <= (os.cpu_count() or 1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+    def test_one_usable_cpu_runs_on_the_calling_thread(self):
+        idents = []
+
+        def kernel(index):
+            idents.append(threading.get_ident())
+            return index * index
+
+        config = lfsr_config(n=64)
+        strategy = AttackStrategy.parse("keyguess")
+        expected = run_attack(strategy, config, np.random.default_rng(4), trials=10 ** 4, threads=1)
+        saved = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(saved)})
+        try:
+            assert _map_chunks(kernel, ((i,) for i in range(16)), 8) == [i * i for i in range(16)]
+            pinned = run_attack(strategy, config, np.random.default_rng(4), trials=10 ** 4,
+                                threads=8)
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert set(idents) == {threading.get_ident()}
+        assert pinned == expected
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_fewer_than_one_thread(self, threads):

@@ -35,6 +35,11 @@ CASES = [
     ("attack-keyguess.json",
      ["attack", "keyguess", "--config", "{golden}/lfsr-m2-small.json",
       "--trials", "5000", "--seed", "7"], 0),
+    # A 4-bit seed, so about one guess in 16 succeeds and the success count
+    # is pinned, not just its zero.
+    ("attack-keyguess-4bit.json",
+     ["attack", "keyguess", "--config", "{golden}/lfsr-m2-4bit.json",
+      "--trials", "3000", "--seed", "1001"], 0),
     ("attack-blockguess-3.json",
      ["attack", "blockguess:3", "--config", "{golden}/repetition.json",
       "--trials", "5000", "--seed", "12"], 0),

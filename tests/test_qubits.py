@@ -18,9 +18,9 @@ from keyedqkd import (
     measure_many,
     optimal_fixed_basis,
 )
-from keyedqkd.qubits import _granted_error_profile, _granted_error_slope
+from keyedqkd.qubits import ANGLE_TOL, _granted_error_profile, _granted_error_slope
 
-from reference import brute_force_basis_scan, granted_error_sum
+from reference import brute_force_basis_scan, granted_error_sum, measure_many_snapped
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0  # = sin^2(pi/8) ~ 0.146447
@@ -108,6 +108,34 @@ class TestMeasure:
             assert (measure_many(phis + offset, phis, PinnedDraws(0.0)) == 0).all()
             anti = phis + PI / 2 + offset
             assert (measure_many(anti, phis, PinnedDraws(np.nextafter(1.0, 0.0))) == 1).all()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (40,), (8, 5)])
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_matches_the_snapped_reference(self, shape, m):
+        # States near every multiple of pi/(2m), offset onto, just off and
+        # across the 1e-12 snapping band (p1 ~ offset^2 near alignment), with
+        # pinned draws at both ends of the clip and random draws.
+        size = math.prod(shape)
+        ks = np.random.default_rng(m + size).integers(0, 4 * m, size=size).reshape(shape)
+        phis = np.random.default_rng(size).integers(0, m, size=size).reshape(shape) * (PI / 2 / m)
+        draws = [PinnedDraws(v) for v in (0.0, ANGLE_TOL, np.nextafter(1.0 - ANGLE_TOL, 0.0),
+                                          np.nextafter(1.0, 0.0))]
+        for offset in (0.0, 1e-13, -1e-13, 1e-7, -1e-7, 1e-6, -1e-6):
+            thetas = phis + ks * (PI / 2 / m) + offset
+            for rng, expected_rng in [(d, d) for d in draws] + [
+                    (np.random.default_rng(s), np.random.default_rng(s)) for s in (0, 1)]:
+                got = measure_many(thetas, phis, rng)
+                expected = measure_many_snapped(thetas, phis, expected_rng)
+                assert type(got) is type(expected) and got.dtype == np.uint8
+                assert np.shape(got) == shape and np.array_equal(got, expected)
+
+    def test_probability_on_the_tolerance_is_snapped_to_zero(self):
+        d = np.array([1.0000000000001666e-06])
+        if float(np.sin(d[0]) ** 2) != ANGLE_TOL:
+            pytest.skip("this libm's sine does not land on the tolerance here")
+        for value in (0.0, ANGLE_TOL):
+            assert measure_many(d, np.zeros(1), PinnedDraws(value))[0] == 0
+            assert measure_many_snapped(d, np.zeros(1), PinnedDraws(value))[0] == 0
 
     def test_frequencies_match_probabilities(self):
         # 16-point (theta, phi) grid, 1e5 draws each, 4 standard errors.
