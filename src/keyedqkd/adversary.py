@@ -29,7 +29,7 @@ from .keystream import (
     expand_running_key,
     lfsr_bits,
 )
-from .protocol import ChannelModel, ProtocolConfig, keyed_channel
+from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
     HALF_PI,
     BasisAlphabet,
@@ -39,6 +39,7 @@ from .qubits import (
     density_of_mixture,
     eve_error_key_granted,
     measure_many,
+    _sample_outcomes,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -54,6 +55,12 @@ SEED_DRAW = 1024
 # Transmission simulations are capped when a strategy's success statistic
 # needs far more trials than its error statistics do.
 MAX_QUBIT_TRIALS = 16
+
+# The turn a bit b puts on a state, b * pi/2, by b.
+_BIT_TURNS = np.array([0.0, HALF_PI])
+
+# The two-basis alphabet's basis angles, 0 and pi/4, by code.
+_TWO_BASES = np.arange(2) * (HALF_PI / 2)
 
 
 @dataclass(frozen=True)
@@ -195,24 +202,89 @@ def measure_resend(theta, eve_phi, rng: np.random.Generator):
     return eve_phi + outcome * HALF_PI, outcome
 
 
-def _resend_round(phi_key, channel: ChannelModel, eve_phi, attacked, rng):
+def _key_bases(alphabet: BasisAlphabet) -> np.ndarray:
+    """The alphabet's basis angles by selector; equal, bit for bit, to
+    ProtocolConfig.key_angles at each selector."""
+    return np.arange(alphabet.m) * (HALF_PI / alphabet.m)
+
+
+def _with_bit(angles: np.ndarray) -> np.ndarray:
+    """The angles turned by a bit: angles[i] + b * pi/2 at code 2*i + b."""
+    return (angles[:, None] + _BIT_TURNS).ravel()
+
+
+def _sin2(d: np.ndarray) -> np.ndarray:
+    """sin^2 in place, in measure_many's order of operations."""
+    np.sin(d, out=d)
+    return np.square(d, out=d)
+
+
+def _decode_flip(d: np.ndarray) -> np.ndarray:
+    """Likelihood decoding flips an outcome whose basis is more than pi/4 off the keyed one."""
+    return np.cos(d) ** 2 < 0.5
+
+
+def _by_codes(func, rows, row_codes, cols, col_codes):
+    """func(rows[row_codes] - cols[col_codes]) for an elementwise func.
+
+    When the table of every (row, col) difference has no more entries than
+    there are positions, func runs once over that table and the positions
+    gather from it; otherwise it runs over the gathered differences. The
+    differences are the same floats either way, and np.sin and np.cos give
+    each float the same result wherever it sits in an array (a test checks
+    this for np.sin), so both ways give the float path's bits.
+    """
+    if rows.size * cols.size <= row_codes.size:
+        table = func(np.subtract.outer(rows, cols)).ravel()
+        return table[row_codes * cols.size + col_codes]
+    return func(rows[row_codes] - cols[col_codes])
+
+
+def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     """One transmission of any shape with measure-resend on the positions that
-    `attacked` (a mask or slice) selects. Returns per-position arrays: alice
-    bits, eve outcomes (on attacked positions), bob bits, detected mask."""
-    alice = rng.integers(0, 2, size=phi_key.shape, dtype=np.int64).astype(np.uint8)
-    theta = phi_key + alice * HALF_PI
-    theta[attacked], outcome = measure_resend(theta[attacked], eve_phi[attacked], rng)
-    bob, detected = keyed_channel(theta, phi_key, channel, rng)
-    return alice, outcome, bob, detected
+    `attacked` (a mask or slice) selects.
+
+    Bases come as (angles, codes) pairs: `key` holds the keyed bases and
+    `eve` the attacker's, each code array the shape of the transmission.
+    States are codes too, 2*i + b for angle i turned by bit b, and every p1
+    is measure_many's sin^2(theta - phi) on the same floats, sampled with its
+    draws in its order. Returns per-position arrays: alice bits, eve outcomes
+    (on attacked positions), bob bits, detected mask.
+    """
+    (key_angles, key_codes), (eve_angles, eve_codes) = key, eve
+    alice = rng.integers(0, 2, size=key_codes.shape, dtype=np.int64).astype(np.uint8)
+    keyed = _with_bit(key_angles)
+    state = 2 * key_codes + alice
+    eve_codes = eve_codes[attacked]
+    outcome = _sample_outcomes(_by_codes(_sin2, keyed, state[attacked], eve_angles, eve_codes), rng)
+    state[attacked] = keyed.size + 2 * eve_codes + outcome
+    sent = np.concatenate([keyed, _with_bit(eve_angles)])
+    lost, flipped = channel.draw(state.shape, rng)
+    bob = _sample_outcomes(
+        _by_codes(_sin2, _with_bit(sent), 2 * state + flipped, key_angles, key_codes), rng)
+    return alice, outcome, bob, ~lost
 
 
 def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
-    """Attacked-position mask and attacker basis angles for one round of an
-    intercept or fixed-basis strategy."""
+    """Attacked positions (a mask or slice) and attacker bases as (angles, codes)
+    for one round of an intercept or fixed-basis strategy."""
     if strategy.kind == "intercept_resend_random":
         attacked = rng.random(n) < strategy.fraction
-        return attacked, rng.integers(0, 2, size=n, dtype=np.int64) * (HALF_PI / 2)
-    return np.ones(n, dtype=bool), np.full(n, strategy.phi)
+        return attacked, (_TWO_BASES, rng.integers(0, 2, size=n, dtype=np.int64))
+    return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.int64))
+
+
+def _state_attack_counts(strategy: AttackStrategy, key, channel: ChannelModel, rng):
+    """One round of intercept or fixed-basis measure-resend against the keyed
+    bases `key`, an (angles, codes) pair: (her bit errors, attacked positions,
+    user errors, detected positions)."""
+    key_angles, key_codes = key
+    attacked, (eve_angles, eve_codes) = _eve_bases(strategy, key_codes.size, rng)
+    alice, outcome, bob, detected = _resend_round(
+        key, (eve_angles, eve_codes), attacked, channel, rng)
+    flip = _by_codes(_decode_flip, key_angles, key_codes[attacked], eve_angles, eve_codes[attacked])
+    return (int(np.count_nonzero((outcome ^ flip) != alice[attacked])), outcome.size,
+            int(np.count_nonzero((bob != alice) & detected)), int(np.count_nonzero(detected)))
 
 
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
@@ -226,15 +298,10 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
-    phi_key = config.key_angles()
+    key = (_key_bases(config.alphabet), config.key_selectors())
 
     def kernel(_, chunk_rng):
-        attacked, eve_phi = _eve_bases(strategy, config.n, chunk_rng)
-        alice, outcome, bob, detected = _resend_round(
-            phi_key, config.channel, eve_phi, attacked, chunk_rng)
-        flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
-        return (int(np.sum((outcome ^ flip) != alice[attacked])), int(np.sum(attacked)),
-                int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+        return _state_attack_counts(strategy, key, config.channel, chunk_rng)
 
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
@@ -304,18 +371,19 @@ def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Gener
     if len(guess) != len(config.keystream.seed):
         raise ValueError("guess length must match the seed length")
     success, eve_error, user_errors, detected = _guess_round(
-        config, config.key_angles(), guess, rng)
+        config, config.key_selectors(), guess, rng)
     return success, eve_error, user_errors / detected if detected else None
 
 
-def _guess_round(config: ProtocolConfig, phi_key, guess: SeedKey, rng: np.random.Generator):
+def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
+                 rng: np.random.Generator):
     """(success, eve bit-error rate, user errors, detected count) of one round."""
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
-    eve_phi = guess_selectors * (HALF_PI / config.alphabet.m)
+    bases = _key_bases(config.alphabet)
     alice, outcome, bob, detected = _resend_round(
-        phi_key, config.channel, eve_phi, slice(None), rng)
+        (bases, key_selectors), (bases, guess_selectors), slice(None), config.channel, rng)
     eve_error = float(np.mean(outcome != alice))
     return (guess == config.keystream.seed, eve_error,
             int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
@@ -364,11 +432,11 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
                                 _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
-    phi_key = config.key_angles()
+    key_selectors = config.key_selectors()
 
     def round_kernel(_, chunk_rng):
         guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=length)))
-        return _guess_round(config, phi_key, guess, chunk_rng)[1:]
+        return _guess_round(config, key_selectors, guess, chunk_rng)[1:]
 
     rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
     eve_err_sum, user_errors, detected = (sum(r[i] for r in rounds) for i in range(3))
@@ -397,6 +465,18 @@ class BlockGuessTrials:
     attacked_per_trial: int
 
 
+def _block_guess_chunk(count: int, rng: np.random.Generator, k_blocks: int, block_len: int,
+                       channel: ChannelModel):
+    """`count` block-guess trials: (success flags, user errors, attacker errors)."""
+    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    success = np.all(guesses == key_blocks, axis=1)
+    alice, outcome, bob, detected = _resend_round(
+        (_TWO_BASES, np.repeat(key_blocks, block_len, axis=1)),
+        (_TWO_BASES, np.repeat(guesses, block_len, axis=1)), slice(None), channel, rng)
+    return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)
+
+
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
                        trials: int = 1, threads: int = 1,
                        channel: ChannelModel | None = None) -> BlockGuessTrials:
@@ -410,29 +490,15 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
         raise ValueError(f"k_blocks must lie in [1, {m_k}], got {k_blocks}")
     if n % m_k:
         raise ValueError(f"block arithmetic needs m_k | n, got n={n}, m_k={m_k}")
-    channel = channel or ChannelModel()
     block_len = n // m_k
-    attacked_len = k_blocks * block_len
-
-    def kernel(count, chunk_rng):
-        key_blocks = chunk_rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
-        guesses = chunk_rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
-        success = np.all(guesses == key_blocks, axis=1)
-
-        key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
-        guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
-        alice, outcome, bob, detected = _resend_round(
-            key_phi, channel, guess_phi, slice(None), chunk_rng)
-        errors = np.sum((bob != alice) & detected, axis=1)
-        eve_errors = np.sum(outcome != alice, axis=1)
-        return success, errors, eve_errors
-
+    kernel = partial(_block_guess_chunk, k_blocks=k_blocks, block_len=block_len,
+                     channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
     return BlockGuessTrials(
         success=np.concatenate([p[0] for p in parts]),
         attacked_errors=np.concatenate([p[1] for p in parts]),
         eve_errors=np.concatenate([p[2] for p in parts]),
-        attacked_per_trial=attacked_len,
+        attacked_per_trial=k_blocks * block_len,
     )
 
 
@@ -494,9 +560,9 @@ def measure_resend_interference(strategy: AttackStrategy):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
     def interfere(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        attacked, eve_phi = _eve_bases(strategy, theta.size, rng)
+        attacked, (angles, codes) = _eve_bases(strategy, theta.size, rng)
         forwarded = theta.copy()
-        forwarded[attacked], _ = measure_resend(theta[attacked], eve_phi[attacked], rng)
+        forwarded[attacked], _ = measure_resend(theta[attacked], angles[codes[attacked]], rng)
         return forwarded
 
     return interfere

@@ -201,17 +201,21 @@ def lfsr_period(spec: LfsrSpec, seed: SeedKey) -> int:
 
 @dataclass(frozen=True)
 class RunningKey:
-    """Sequence of n basis selectors, each in [0, m)."""
+    """Sequence of n basis selectors, each an integer in [0, m)."""
 
     selectors: np.ndarray
     m: int
 
     def __post_init__(self):
-        sel = np.asarray(self.selectors, dtype=np.int64)
-        if sel.ndim != 1:
+        raw = np.asarray(self.selectors)
+        if raw.ndim != 1:
             raise ValueError("selectors must be one-dimensional")
-        if sel.size and (sel.min() < 0 or sel.max() >= self.m):
+        # Checked before the int64 cast, which would truncate 1.9 to 1.
+        if raw.size and raw.dtype.kind not in "biu":
+            raise ValueError(f"selectors must be integers, got {raw.dtype}")
+        if raw.size and (raw.min() < 0 or raw.max() >= self.m):
             raise ValueError(f"selectors must lie in [0, {self.m})")
+        sel = np.asarray(raw, dtype=np.int64)
         sel.setflags(write=False)
         object.__setattr__(self, "selectors", sel)
 

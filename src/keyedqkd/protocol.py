@@ -47,6 +47,10 @@ class ChannelModel:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must lie in [0, 1), got {self.loss}")
 
+    def draw(self, shape, rng: np.random.Generator):
+        """(lost, flipped) masks for states of `shape`: the erasure draw, then the flip draw."""
+        return rng.random(shape) < self.loss, rng.random(shape) < self.flip_prob
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -134,10 +138,13 @@ class ProtocolConfig:
     def from_json(cls, text: str) -> "ProtocolConfig":
         return cls.from_json_dict(json.loads(text))
 
+    def key_selectors(self) -> np.ndarray:
+        """Keyed basis index of every qubit: the running key's selectors."""
+        return self.keystream.running_key(self.n, self.alphabet).selectors
+
     def key_angles(self) -> np.ndarray:
         """Keyed basis angle of every qubit, selected by the running key."""
-        selectors = self.keystream.running_key(self.n, self.alphabet).selectors
-        return selectors * (HALF_PI / self.alphabet.m)
+        return self.key_selectors() * (HALF_PI / self.alphabet.m)
 
 
 def _object(doc: dict, field: str) -> dict:
@@ -231,8 +238,7 @@ def keyed_channel(theta, phi, channel: ChannelModel, rng: np.random.Generator):
     Each state is erased, then flipped, then measured in its keyed basis phi.
     Returns (bob bits, detected mask).
     """
-    lost = rng.random(theta.shape) < channel.loss
-    flipped = rng.random(theta.shape) < channel.flip_prob
+    lost, flipped = channel.draw(theta.shape, rng)
     bob = measure_many(theta + flipped * HALF_PI, phi, rng)
     return bob, ~lost
 
@@ -254,6 +260,8 @@ def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interferenc
         theta = np.asarray(interference(theta, rng), dtype=float)
         if theta.shape != phi.shape:
             raise ValueError("interference must return one state angle per qubit")
+        if not np.isfinite(theta).all():
+            raise ValueError("interference returned a non-finite state angle")
     bob, detected = keyed_channel(theta, phi, config.channel, rng)
     detected = np.nonzero(detected)[0]
     return alice[detected], bob[detected], detected

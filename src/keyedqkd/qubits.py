@@ -153,6 +153,12 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     p1 = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
     np.sin(p1, out=p1)
     np.square(p1, out=p1)
+    return _sample_outcomes(p1, rng)
+
+
+def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Outcome 1 with probability p1, one uniform draw per element in C order;
+    the clipped draw that measure_many's docstring describes."""
     u = rng.random(p1.shape)
     np.clip(u, ANGLE_TOL, _DRAW_MAX, out=u)
     return (u < p1).view(np.uint8)

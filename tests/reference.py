@@ -107,3 +107,52 @@ def key_guess_successes(seed_bits, count: int, rng) -> int:
     seed_bits = np.asarray(seed_bits)
     guesses = rng.integers(0, 2, size=(count, seed_bits.size), dtype=np.int64)
     return int(np.sum(np.all(guesses == seed_bits, axis=1)))
+
+
+# The attack kernels as they were on float angles: every state and basis is an
+# angle array and every outcome comes from measure_many_snapped. The library
+# carries the same kernels on integer angle codes.
+
+HALF_PI = np.pi / 2
+
+
+def resend_round(phi_key, channel, eve_phi, attacked, rng):
+    """One transmission with measure-resend on the positions `attacked` (a mask
+    or slice) selects: (alice bits, eve outcomes on attacked positions, bob
+    bits, detected mask). Draws: alice, eve, lost, flipped, bob."""
+    alice = rng.integers(0, 2, size=phi_key.shape, dtype=np.int64).astype(np.uint8)
+    theta = phi_key + alice * HALF_PI
+    outcome = measure_many_snapped(theta[attacked], eve_phi[attacked], rng)
+    theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
+    lost = rng.random(theta.shape) < channel.loss
+    flipped = rng.random(theta.shape) < channel.flip_prob
+    bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng)
+    return alice, outcome, bob, ~lost
+
+
+def state_attack_counts(strategy, phi_key, channel, rng):
+    """One intercept or fixed-basis round, decoded by likelihood once the key
+    is granted: (eve bit errors, attacked, user errors, detected)."""
+    n = phi_key.size
+    if strategy.kind == "intercept_resend_random":
+        attacked = rng.random(n) < strategy.fraction
+        eve_phi = rng.integers(0, 2, size=n, dtype=np.int64) * (HALF_PI / 2)
+    else:
+        attacked = np.ones(n, dtype=bool)
+        eve_phi = np.full(n, strategy.phi)
+    alice, outcome, bob, detected = resend_round(phi_key, channel, eve_phi, attacked, rng)
+    flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
+    return (int(np.sum((outcome ^ flip) != alice[attacked])), int(np.sum(attacked)),
+            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+
+
+def block_guess_chunk(count, rng, k_blocks, block_len, channel):
+    """`count` block-guess trials on the two-basis alphabet: (success flags,
+    user errors, attacker errors) per trial."""
+    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    success = np.all(guesses == key_blocks, axis=1)
+    key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
+    guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
+    alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng)
+    return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)

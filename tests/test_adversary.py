@@ -1,6 +1,7 @@
 """Eavesdropper strategies: analytic values vs Monte Carlo, strategy parsing,
 ciphertext-only states."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -29,17 +30,27 @@ from keyedqkd import (
     key_guess_round,
     run_attack,
 )
+import keyedqkd.adversary
 from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
     TRIAL_CHUNK,
+    _block_guess_chunk,
+    _by_codes,
     _chunk_rngs,
     _guess_round,
+    _key_bases,
     _key_guess_successes,
     _map_chunks,
+    _resend_round,
+    _sin2,
+    _state_attack_counts,
+    _with_bit,
 )
+from keyedqkd.analysis import binomial_ci
 from keyedqkd.qubits import MeasBasis
 
+import reference
 from reference import key_guess_successes
 
 PI = math.pi
@@ -225,7 +236,7 @@ class TestKeyGuess:
         counts = []
         for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
             guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=8)))
-            counts.append(_guess_round(config, config.key_angles(), guess, chunk_rng)[2:])
+            counts.append(_guess_round(config, config.key_selectors(), guess, chunk_rng)[2:])
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0
         assert report.induced_qber.estimate == errors / detected
@@ -459,3 +470,146 @@ class TestTrialChunks:
         with pytest.raises(ValueError, match="threads"):
             run_attack(AttackStrategy.parse("breidbart"), lfsr_config(n=40),
                        np.random.default_rng(0), threads=threads)
+
+
+CHANNELS = [ChannelModel(), ChannelModel(flip_prob=0.1, loss=0.2)]
+CHANNEL_IDS = ["noiseless", "flip0.1-loss0.2"]
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestCodedKernels:
+    """The attack kernels on integer angle codes against their float-angle
+    originals in tests/reference.py: identical outputs and the same generator
+    state afterwards."""
+
+    @pytest.fixture
+    def table_use(self, monkeypatch):
+        """Records, per _by_codes call, whether it took the table branch."""
+        seen = []
+
+        def spy(func, rows, row_codes, cols, col_codes):
+            seen.append(rows.size * cols.size <= row_codes.size)
+            return _by_codes(func, rows, row_codes, cols, col_codes)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_by_codes", spy)
+        return seen
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m,text", [(2, "fixed:0.3"), (16, "fixed:0.3"), (2, "breidbart"),
+                                        (16, "breidbart"), (2, "intercept:0.5"),
+                                        (2, "intercept:1")])
+    def test_state_attack_round(self, table_use, m, text, channel):
+        config = lfsr_config(n=3000, m=m)
+        strategy = AttackStrategy.parse(text)
+        key = (_key_bases(config.alphabet), config.key_selectors())
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _state_attack_counts(strategy, key, channel, rng)
+            assert got == reference.state_attack_counts(strategy, config.key_angles(), channel,
+                                                        ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(table_use)
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m,n,tables", [(2, 500, True), (16, 2500, True), (4096, 300, False)])
+    def test_key_guess_round(self, table_use, m, n, tables, channel):
+        # 8m^2 entries for the receiver's table: taken at m = 2 and 16, too
+        # many for 300 positions at m = 4096, where every p1 is per element.
+        config = dataclasses.replace(lfsr_config(n=n, m=m), channel=channel)
+        spec = config.keystream.spec
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            guess_bits = np.random.default_rng(100 + seed).integers(0, 2, 8)
+            guess = SeedKey(tuple(int(b) for b in guess_bits))
+            guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
+            got = _guess_round(config, config.key_selectors(), guess, rng)
+            alice, outcome, bob, detected = reference.resend_round(
+                config.key_angles(), channel, guessed.key_angles(), slice(None), ref_rng)
+            assert got == (guess == config.keystream.seed, float(np.mean(outcome != alice)),
+                           int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert table_use and all(used == tables for used in table_use)
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_block_guess_chunk(self, count, channel):
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _block_guess_chunk(count, rng, k_blocks=3, block_len=8, channel=channel)
+            _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, 8, channel))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    def test_resend_round_arrays(self, channel):
+        config = lfsr_config(n=1000, m=16)
+        bases = _key_bases(config.alphabet)
+        mask = np.random.default_rng(1).random(config.n) < 0.4
+        guess = np.random.default_rng(2).integers(0, 16, config.n)
+        for attacked in (mask, slice(None)):
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            got = _resend_round((bases, config.key_selectors()), (bases, guess), attacked,
+                                channel, rng)
+            want = reference.resend_round(config.key_angles(), channel, bases[guess], attacked,
+                                          ref_rng)
+            _same_arrays(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("text", ["fixed:0.3", "breidbart", "intercept:0.5", "intercept:1"])
+    def test_run_attack_state_strategies(self, text, channel, threads):
+        config = dataclasses.replace(lfsr_config(n=600), channel=channel)
+        strategy, trials = AttackStrategy.parse(text), 5
+        report = run_attack(strategy, config, np.random.default_rng(8), trials=trials,
+                            threads=threads)
+        rounds = [reference.state_attack_counts(strategy, config.key_angles(), channel, chunk_rng)
+                  for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
+        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
+        assert report.eve_bit_error == (binomial_ci(eve_err, eve_tot) if eve_tot else None)
+        assert report.induced_qber == binomial_ci(user_err, user_tot)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    def test_run_attack_block_guess(self, channel, threads):
+        config = dataclasses.replace(repetition_config(64, "10011010"), channel=channel)
+        trials = TRIAL_CHUNK + 100
+        report = run_attack(AttackStrategy.parse("blockguess:3"), config,
+                            np.random.default_rng(9), trials=trials, threads=threads)
+        parts = [reference.block_guess_chunk(count, chunk_rng, 3, 8, channel)
+                 for count, chunk_rng in _chunk_rngs(np.random.default_rng(9), trials)]
+        success, errors, eve_errors = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        attacked = 3 * 8 * trials
+        assert report.success_mc == binomial_ci(int(success.sum()), trials)
+        assert report.induced_qber == binomial_ci(int(errors.sum()), attacked)
+        assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), attacked)
+
+
+@pytest.mark.parametrize("m", [2, 16, 1024])
+def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m):
+    """The coded kernels rest on this: np.sin gives each float the same bits
+    whether it is computed once in a small table or wherever it sits in a
+    full per-position array. If a numpy build breaks it, coded attack
+    outputs drift from the float path's and this test names the cause.
+
+    Both of the key-guess round's measurements are checked: the attacker's
+    (keyed states against guessed bases) and the receiver's (resent states,
+    turned by a channel flip, against keyed bases).
+    """
+    rng = np.random.default_rng(m)
+    bases = _key_bases(BasisAlphabet(m))
+    positions = 2 ** 18
+    for rows in (_with_bit(bases), _with_bit(_with_bit(bases))):
+        # At m = 1024 a random subset of the rows keeps the table within
+        # `positions` entries, so _by_codes still takes its table branch.
+        rows = rows[np.sort(rng.permutation(rows.size)[:positions // m])]
+        row_codes = rng.integers(0, rows.size, positions)
+        col_codes = rng.integers(0, m, positions)
+        full = np.sin(rows[row_codes] - bases[col_codes]) ** 2
+        coded = _by_codes(_sin2, rows, row_codes, bases, col_codes)
+        assert rows.size * m <= positions
+        assert np.array_equal(coded.view(np.uint64), full.view(np.uint64))

@@ -10,6 +10,7 @@ from keyedqkd import (
     BasisAlphabet,
     LfsrKeystream,
     LfsrSpec,
+    RunningKey,
     SeedKey,
     expand_running_key,
     lfsr_period,
@@ -292,6 +293,22 @@ class TestExpandRunningKey:
         short = LfsrKeystream(spec, seed).running_key(lo, alphabet)
         long = LfsrKeystream(spec, seed).running_key(hi, alphabet)
         assert np.array_equal(long.selectors[:lo], short.selectors)
+
+
+class TestRunningKey:
+    def test_rejects_non_integral_selectors(self):
+        # The int64 cast would store [0, 1] for these.
+        with pytest.raises(ValueError, match="integers"):
+            RunningKey(np.array([0.5, 1.9]), 2)
+        with pytest.raises(ValueError, match="integers"):
+            RunningKey(np.array([np.nan]), 2)
+
+    def test_integer_and_bool_selectors(self):
+        for selectors in ([1, 0, 3], np.array([1, 0, 3], dtype=np.uint8)):
+            assert RunningKey(selectors, 4).selectors.tolist() == [1, 0, 3]
+        assert RunningKey(np.array([True, False]), 2).selectors.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="lie in"):
+            RunningKey(np.array([2 ** 64 - 1], dtype=np.uint64), 4)
 
 
 class TestRepetitionRunningKey:

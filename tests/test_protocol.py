@@ -404,6 +404,18 @@ class TestTransmitRound:
         alice, bob, _ = transmit_round(config, np.random.default_rng(14))
         assert np.array_equal(alice, bob)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_interference(self, bad):
+        # A NaN state would read as outcome 0 everywhere, and an infinite one
+        # as a made-up error rate, if it reached the channel.
+        def interfere(theta, rng):
+            theta = theta.copy()
+            theta[7] = bad
+            return theta
+
+        with pytest.raises(ValueError, match="non-finite"):
+            transmit_round(make_config(n=100), np.random.default_rng(15), interfere)
+
 
 class TestRunProtocol:
     def test_standard_run_generates_key(self):
