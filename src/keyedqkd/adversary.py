@@ -28,6 +28,7 @@ from .keystream import (
     SeedKey,
     expand_running_key,
     lfsr_bits,
+    uniform_bits,
 )
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
@@ -242,7 +243,7 @@ def _by_codes(func, rows, row_codes, cols, col_codes):
 
 def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     """One transmission of any shape with measure-resend on the positions that
-    `attacked` (a mask or slice) selects.
+    `attacked` (indices, a mask or a slice) selects.
 
     Bases come as (angles, codes) pairs: `key` holds the keyed bases and
     `eve` the attacker's, each code array the shape of the transmission.
@@ -252,7 +253,7 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     (on attacked positions), bob bits, detected mask.
     """
     (key_angles, key_codes), (eve_angles, eve_codes) = key, eve
-    alice = rng.integers(0, 2, size=key_codes.shape, dtype=np.int64).astype(np.uint8)
+    alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
     keyed = _with_bit(key_angles)
     state = 2 * key_codes + alice
     eve_codes = eve_codes[attacked]
@@ -266,11 +267,11 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
 
 
 def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
-    """Attacked positions (a mask or slice) and attacker bases as (angles, codes)
+    """Attacked positions (indices or a slice) and attacker bases as (angles, codes)
     for one round of an intercept or fixed-basis strategy."""
     if strategy.kind == "intercept_resend_random":
-        attacked = rng.random(n) < strategy.fraction
-        return attacked, (_TWO_BASES, rng.integers(0, 2, size=n, dtype=np.int64))
+        attacked = np.flatnonzero(rng.random(n) < strategy.fraction)
+        return attacked, (_TWO_BASES, uniform_bits(rng, n))
     return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.int64))
 
 

@@ -4,13 +4,16 @@ of per-qubit basis selectors.
 Two expanders are built in: a Fibonacci-configuration LFSR over the seed key
 (`lfsr_stream`, one block-parallel kernel `lfsr_bits`) and the repetition
 expander that stretches an m_k-bit key over n qubits in contiguous blocks.
-`expand_running_key` groups a 0/1 bit array into selectors.
+`expand_running_key` groups a 0/1 bit array into selectors. `uniform_bits`
+and `uniform_below` are the uniform draws of a run, read from raw generator
+words or skipped where the bit generator's layout allows it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import xor
 
@@ -89,7 +92,7 @@ class LfsrSpec:
 
 
 # Output bits per jump-table block of lfsr_bits.
-_BLOCK = 512
+_BLOCK = 4096
 _BLOCK_MASK = (1 << _BLOCK) - 1
 # bytes.translate table turning the digits of format(state, "b") into 0/1 bytes.
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -110,6 +113,68 @@ def bits_int(bits) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def _half_buffered(bitgen) -> bool:
+    """Whether the bit generator's 32-bit draws take the low, then the buffered
+    high half of each 64-bit output, and its advance(k) skips k outputs.
+    np.random is looked up at call time: importing it with this module would
+    add about 6 MB of RSS to processes that draw nothing, such as a sweep."""
+    return type(bitgen) in (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8), equal in
+    its bits and in the generator state it leaves.
+
+    Each bit of that call is Lemire's bounded draw with range 2 (2019), i.e.
+    the top bit of one 32-bit draw. On a half-buffered bit generator the bits
+    are read from random_raw: a pending high half first, then the low and the
+    high half of each raw output; after an odd count the last high half is
+    left pending. `uinteger` keeps the last high half drawn, as the 32-bit
+    draw leaves it. Other bit generators take the integers call.
+    """
+    bitgen = rng.bit_generator
+    if not n or not _half_buffered(bitgen):
+        return rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+    state = bitgen.state
+    pending = state["has_uint32"]
+    bits = np.empty(n, dtype=np.uint8)
+    bits[:pending] = state["uinteger"] >> 31
+    fresh = n - pending
+    if fresh:
+        words = bitgen.random_raw(-(-fresh // 2)).astype("<u8", copy=False).view("<u4")
+        np.right_shift(words[:fresh], 31, out=bits[pending:], casting="unsafe")
+        state = bitgen.state
+        state["uinteger"] = int(words[-1])
+    state["has_uint32"] = fresh & 1
+    bitgen.state = state
+    return bits
+
+
+def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """rng.random(shape) < p, leaving the same generator state.
+
+    No uniform is below 0, so at p = 0 a half-buffered bit generator skips
+    the draws with advance (O'Neill, PCG, 2014; one raw output per double)
+    and gets back the pending half that advance clears. Other bit generators
+    draw: Philox's advance does not count raw outputs.
+    """
+    bitgen = rng.bit_generator
+    if p or not _half_buffered(bitgen):
+        return rng.random(shape) < p
+    buffered = bitgen.state
+    bitgen.advance(math.prod(shape))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
+    bitgen.state = state
+    return np.zeros(shape, dtype=bool)
+
+
+def _jump(rows: tuple[int, ...], state: int, digits: str) -> int:
+    """The XOR of the jump-table rows that the set bits of `state` pick."""
+    state_bits = format(state, digits).encode().translate(_BINARY_DIGITS)
+    return functools.reduce(xor, itertools.compress(rows, state_bits), 0)
+
+
 @functools.lru_cache(maxsize=64)
 def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     """Jump table of the register with `taps`: one row per state bit.
@@ -117,17 +182,29 @@ def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     Row j holds the first _BLOCK + L sequence bits (bit k = sequence bit k) of
     the register started from the unit state with only bit L - 1 - j set, i.e.
     rows run from the top state bit down, in the order format(state, "b")
-    lists the bits.
+    lists the bits. Row 0 is the impulse response. One step takes unit state
+    i to unit state i - 1, plus unit state L - 1 when L - i is a tap, so row j
+    shifted down one bit is row j + 1, XOR row 0 when j + 1 is a tap. Rows of
+    B + L bits thus take B + 2L - 1 impulse bits, and a table of block B
+    extends the impulse response by B bits (from its last L bits as a state),
+    so the block doubles from 1 until it reaches _BLOCK.
     """
     length = max(taps)
-    # forms[k] has bit i set when sequence bit k depends on state bit i.
-    forms = [1 << i for i in range(length)]
-    for k in range(_BLOCK):
-        forms.append(functools.reduce(xor, (forms[k + length - t] for t in taps), 0))
-    width = (length + 7) // 8
-    deps = np.frombuffer(b"".join(f.to_bytes(width, "little") for f in forms), dtype=np.uint8)
-    deps = np.unpackbits(deps.reshape(-1, width), axis=1, count=length, bitorder="little")
-    return tuple(bits_int(row) for row in deps.T[::-1])
+    digits = f"0{length}b"
+    impulse, size = 1 << length - 1, 2 * length
+    for k in range(length, size):
+        impulse |= (functools.reduce(xor, (impulse >> k - t for t in taps)) & 1) << k
+    while True:
+        block = min(size - 2 * length + 1, _BLOCK)
+        rows = [impulse]
+        for j in range(1, length):
+            rows.append(rows[-1] >> 1 ^ (impulse if j in taps else 0))
+        mask = (1 << block + length) - 1
+        rows = tuple(row & mask for row in rows)
+        if block == _BLOCK:
+            return rows
+        impulse |= _jump(rows, impulse >> size - length, digits) >> length << size
+        size += block
 
 
 def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +215,7 @@ def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.
     nothing is validated, and state 0 yields zeros. The recurrence is
     lfsr_stream's. The kernel is block-parallel (the F2-linear jump-ahead of
     Haramoto et al., 2008): the sequence is linear in the state, so the next
-    B + L bits from any state, B = _BLOCK = 512, are the XOR of the rows of
+    B + L bits from any state, B = _BLOCK = 4096, are the XOR of the rows of
     `_jump_rows` picked by its set bits. A block yields B output bits, and its
     last L bits are the state B steps on. Rows are Python ints, so any L works,
     and the table of each tap tuple is built once per process. Blocks run
@@ -153,8 +230,7 @@ def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.
     digits = f"0{length}b"
     blocks = []
     for _ in range(-(-(count + length) // _BLOCK)):
-        state_bits = format(state, digits).encode().translate(_BINARY_DIGITS)
-        span = functools.reduce(xor, itertools.compress(rows, state_bits), 0)
+        span = _jump(rows, state, digits)
         blocks.append((span & _BLOCK_MASK).to_bytes(_BLOCK // 8, "little"))
         state = span >> _BLOCK
     bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
@@ -216,6 +292,9 @@ class RunningKey:
         if raw.size and (raw.min() < 0 or raw.max() >= self.m):
             raise ValueError(f"selectors must lie in [0, {self.m})")
         sel = np.asarray(raw, dtype=np.int64)
+        # Freezing a writeable array the caller still holds would freeze theirs.
+        if raw.flags.writeable and np.may_share_memory(sel, raw):
+            sel = sel.copy()
         sel.setflags(write=False)
         object.__setattr__(self, "selectors", sel)
 
@@ -237,8 +316,12 @@ def expand_running_key(bit_source, n: int, alphabet: BasisAlphabet) -> RunningKe
     raw = as_bits(bit_source, "keystream bits")
     if raw.size < need:
         raise ValueError(f"keystream exhausted: needed {need} bits, got {raw.size}")
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    selectors = raw[:need].reshape(n, k).astype(np.int64) @ weights
+    columns = raw[:need].reshape(n, k)
+    selectors = columns[:, 0].astype(np.int64)
+    for column in columns.T[1:]:
+        selectors <<= 1
+        selectors |= column
+    selectors.setflags(write=False)  # read-only, so RunningKey keeps it without a copy
     return RunningKey(selectors, alphabet.m)
 
 

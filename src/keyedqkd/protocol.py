@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import h2, rate_window
 from .keystream import (LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, bits_int,
-                        lfsr_bits)
+                        lfsr_bits, uniform_below, uniform_bits)
 from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
@@ -49,7 +49,7 @@ class ChannelModel:
 
     def draw(self, shape, rng: np.random.Generator):
         """(lost, flipped) masks for states of `shape`: the erasure draw, then the flip draw."""
-        return rng.random(shape) < self.loss, rng.random(shape) < self.flip_prob
+        return uniform_below(self.loss, shape, rng), uniform_below(self.flip_prob, shape, rng)
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interferenc
     to measure and resend in-line with a full run.
     """
     phi = config.key_angles()
-    alice = rng.integers(0, 2, size=config.n, dtype=np.int64).astype(np.uint8)
+    alice = uniform_bits(rng, config.n)
     theta = phi + alice * HALF_PI
     if interference is not None:
         theta = np.asarray(interference(theta, rng), dtype=float)
@@ -263,7 +263,9 @@ def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interferenc
         if not np.isfinite(theta).all():
             raise ValueError("interference returned a non-finite state angle")
     bob, detected = keyed_channel(theta, phi, config.channel, rng)
-    detected = np.nonzero(detected)[0]
+    detected = np.flatnonzero(detected)
+    if detected.size == config.n:
+        return alice, bob, detected
     return alice[detected], bob[detected], detected
 
 
@@ -475,16 +477,16 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
 
     sample_size = max(1, round(QBER_SAMPLE_FRACTION * detected.size))
     sample = rng.choice(detected.size, size=sample_size, replace=False)
-    sample_mask = np.zeros(detected.size, dtype=bool)
-    sample_mask[sample] = True
-    qber_hat = float(np.mean(alice[sample_mask] != bob[sample_mask]))
+    qber_hat = float(np.mean(alice[sample] != bob[sample]))
 
     # Estimates at or beyond 1/2 are hopeless; clamp into the gate's domain.
     if rate_gate(min(qber_hat, 0.5 - 1e-9), config.code_rate) is not RateVerdict.OK:
         return aborted("rate_gate", detected, qber_hat)
 
-    alice_kept = alice[~sample_mask]
-    bob_kept = bob[~sample_mask]
+    kept = np.ones(detected.size, dtype=bool)
+    kept[sample] = False
+    alice_kept = alice[kept]
+    bob_kept = bob[kept]
     bob_corrected, _, reconciled = reconcile(alice_kept, bob_kept, config.code_rate)
     if not reconciled:
         return aborted("reconcile", detected, qber_hat)
@@ -493,7 +495,7 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
                                config.pa_security_param)
     if out_len < kv:
         return aborted("key_too_short", detected, qber_hat)
-    pa_seed = rng.integers(0, 2, size=max(0, alice_kept.size + out_len - 1), dtype=np.int64)
+    pa_seed = uniform_bits(rng, max(0, alice_kept.size + out_len - 1))
     key_a = privacy_amplify(alice_kept, out_len, pa_seed)
     # The hash is a function of the frame, so an exactly reconciled frame
     # needs no second one.
@@ -502,7 +504,7 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
     else:
         key_b = privacy_amplify(bob_corrected, out_len, pa_seed)
 
-    verification_key = rng.integers(0, 2, size=2 * kv, dtype=np.int64)
+    verification_key = uniform_bits(rng, 2 * kv)
     verified = verify_key(key_a, key_b, verification_key)
     return ProtocolOutcome(
         alice_key=key_a, bob_key=key_b, qber_raw=qber_hat,
@@ -544,8 +546,8 @@ def run_direct_encryption(config: ProtocolConfig, plaintext,
         raise ValueError(f"plaintext of {pt.size} bits is shorter than the "
                          f"{config.verification_len}-bit authentication tag")
 
-    filler = rng.integers(0, 2, size=data_capacity - pt.size, dtype=np.int64).astype(np.uint8)
-    parity = rng.integers(0, 2, size=n - data_capacity, dtype=np.int64).astype(np.uint8)
+    filler = uniform_bits(rng, data_capacity - pt.size)
+    parity = uniform_bits(rng, n - data_capacity)
     frame = np.concatenate([pt, filler, parity])
 
     phi = config.key_angles()
@@ -558,7 +560,7 @@ def run_direct_encryption(config: ProtocolConfig, plaintext,
         return DirectEncryptionResult(theta, None, False, "reconcile")
 
     recovered = corrected[:pt.size]
-    auth_key = rng.integers(0, 2, size=2 * config.verification_len, dtype=np.int64)
+    auth_key = uniform_bits(rng, 2 * config.verification_len)
     if not verify_key(pt, recovered, auth_key):
         return DirectEncryptionResult(theta, recovered, False, "authentication")
     return DirectEncryptionResult(theta, recovered, True)

@@ -156,3 +156,35 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
     alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng)
     return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)
+
+
+# Draw, selector and jump-table code as it was before the keygen kernels.
+
+def integer_bits(rng, n: int) -> np.ndarray:
+    """n uniform bits through the bounded-integer draw."""
+    return rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+
+
+def draw_below(p: float, shape, rng) -> np.ndarray:
+    """One uniform double per element, compared with p."""
+    return rng.random(shape) < p
+
+
+def selectors_matmul(bits, n: int, k: int) -> np.ndarray:
+    """The first n*k bits grouped big-endian into selectors by an (n, k) @ (k,) product."""
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.asarray(bits)[:n * k].reshape(n, k).astype(np.int64) @ weights
+
+
+def jump_rows_recurrence(taps, block: int) -> tuple:
+    """Jump table of lfsr_bits from the recurrence: row j has bit k set when
+    sequence bit k (k < block + L) depends on state bit L - 1 - j."""
+    length = max(taps)
+    forms = [1 << i for i in range(length)]  # forms[k]: the state bits sequence bit k depends on
+    for k in range(block):
+        term = 0
+        for t in taps:
+            term ^= forms[k + length - t]
+        forms.append(term)
+    return tuple(sum(((form >> bit) & 1) << k for k, form in enumerate(forms))
+                 for bit in reversed(range(length)))

@@ -1,4 +1,4 @@
-"""Keystream expanders: LFSR, repetition, selector grouping."""
+"""Keystream expanders: LFSR, repetition, selector grouping; uniform draw kernels."""
 
 import itertools
 
@@ -18,9 +18,10 @@ from keyedqkd import (
     repetition_running_key,
 )
 
-from keyedqkd.keystream import _BLOCK, lfsr_bits
+from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits, uniform_below, uniform_bits
 
-from reference import lfsr_reference, primitive_tap_sets
+from reference import (draw_below, integer_bits, jump_rows_recurrence, lfsr_reference,
+                       primitive_tap_sets, selectors_matmul)
 
 M2 = BasisAlphabet(2)
 M4 = BasisAlphabet(4)
@@ -154,6 +155,11 @@ class TestTakeKernel:
         with pytest.raises(ValueError):
             lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("1000"), -1)
 
+    @pytest.mark.parametrize("taps", [(1,), (2, 1), (5, 2), (16, 12, 3, 1), (64, 63, 61, 60),
+                                      (100, 37, 5)])
+    def test_jump_table_matches_recurrence(self, taps):
+        assert _jump_rows(taps) == jump_rows_recurrence(taps, _BLOCK)
+
     @pytest.mark.parametrize("length", [2, 16, 64, 100])
     def test_kernel_matches_reference_and_keeps_state_zero(self, length):
         rng = np.random.default_rng(2000 + length)
@@ -272,6 +278,13 @@ class TestExpandRunningKey:
         with pytest.raises(ValueError):
             expand_running_key([1, 0, 1], 4, M2)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_shift_or_matches_matmul(self, k):
+        bits = np.random.default_rng(k).integers(0, 2, size=1000 * k + 5).astype(np.uint8)
+        selectors = expand_running_key(bits, 1000, BasisAlphabet(2 ** k)).selectors
+        assert selectors.dtype == np.int64
+        assert np.array_equal(selectors, selectors_matmul(bits, 1000, k))
+
     def test_rejects_non_bits(self):
         # 257's low byte is 1: the check must come before the uint8 cast.
         for bits in ([0, 1, 2, 1], [0, -1, 1, 1], np.array([0, 1, 257, 1]), [0.0, 1.0, 0.5, 1.0]):
@@ -310,6 +323,13 @@ class TestRunningKey:
         with pytest.raises(ValueError, match="lie in"):
             RunningKey(np.array([2 ** 64 - 1], dtype=np.uint64), 4)
 
+    def test_leaves_the_callers_array_writeable(self):
+        a = np.array([0, 1, 1])
+        key = RunningKey(a, 2)
+        assert a.flags.writeable and not key.selectors.flags.writeable
+        a[0] = 1
+        assert key.selectors.tolist() == [0, 1, 1]
+
 
 class TestRepetitionRunningKey:
     def test_two_blocks(self):
@@ -336,3 +356,50 @@ class TestRepetitionRunningKey:
     def test_rejects_key_longer_than_sequence(self):
         with pytest.raises(ValueError):
             repetition_running_key(SeedKey.from_string("1010"), 3)
+
+
+def same_state(a, b) -> bool:
+    """Bit generator state dicts equal, array entries (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
+
+
+def twin_generators(bit_generator, pending):
+    """Two equal generators; with `pending`, after an odd 32-bit draw count."""
+    pair = [np.random.Generator(bit_generator(77)) for _ in range(2)]
+    for rng in pair:
+        rng.integers(0, 2, size=3 if pending else 4)
+    return pair
+
+
+class TestUniformDraws:
+    """uniform_bits and uniform_below against the draws they replace, bits and state."""
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_bits_match_the_integers_draw(self, bit_generator, pending):
+        for n in (0, 1, 2, 3, 7, 100_001):
+            ref, rng = twin_generators(bit_generator, pending)
+            expected, bits = integer_bits(ref, n), uniform_bits(rng, n)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, expected), n
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state), n
+            # The next draws, 32- and 64-bit, agree too.
+            assert np.array_equal(rng.integers(0, 2, size=5), ref.integers(0, 2, size=5)), n
+            assert rng.random() == ref.random(), n
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_zero_probability_skips_the_draw_state_exactly(self, bit_generator, pending):
+        for p in (0.0, 0.3):
+            for shape in ((0,), (1,), (1001,), (7, 3)):
+                ref, rng = twin_generators(bit_generator, pending)
+                expected, mask = draw_below(p, shape, ref), uniform_below(p, shape, rng)
+                assert mask.dtype == bool and mask.shape == shape
+                assert np.array_equal(mask, expected), (p, shape)
+                assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, shape)
+                assert rng.integers(0, 2) == ref.integers(0, 2), (p, shape)

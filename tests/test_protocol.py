@@ -32,7 +32,7 @@ from keyedqkd import (
 import keyedqkd.protocol
 from keyedqkd.protocol import bits_to_hex
 
-from reference import lfsr_reference, toeplitz_hash_direct
+from reference import draw_below, integer_bits, lfsr_reference, toeplitz_hash_direct
 
 M2 = BasisAlphabet(2)
 LFSR16 = LfsrKeystream(LfsrSpec.from_text("16:16,15,13,4"), SeedKey.from_string("1011001110001111"))
@@ -417,7 +417,30 @@ class TestTransmitRound:
             transmit_round(make_config(n=100), np.random.default_rng(15), interfere)
 
 
+def with_reference_draws(monkeypatch, run):
+    """run(rng) once with the library's draw kernels and once with the draws
+    they replace; returns both results and both final generator states."""
+    fast_rng = np.random.default_rng(2024)
+    fast = run(fast_rng)
+    monkeypatch.setattr(keyedqkd.protocol, "uniform_bits", integer_bits)
+    monkeypatch.setattr(keyedqkd.protocol, "uniform_below", draw_below)
+    ref_rng = np.random.default_rng(2024)
+    return fast, run(ref_rng), fast_rng.bit_generator.state, ref_rng.bit_generator.state
+
+
 class TestRunProtocol:
+    @pytest.mark.parametrize("m", [2, 16])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_draw_kernels_match_the_draws_they_replace(self, monkeypatch, m, loss):
+        # Odd n leaves a pending 32-bit half after the alice bits.
+        config = make_config(n=20_001, m=m, flip=0.02, loss=loss, keystream=LFSR64)
+        fast, ref, fast_state, ref_state = with_reference_draws(
+            monkeypatch, lambda rng: run_protocol(config, rng))
+        assert fast.verified
+        assert fast.to_json_dict() == ref.to_json_dict()
+        assert np.array_equal(fast.detected_positions, ref.detected_positions)
+        assert fast_state == ref_state
+
     def test_standard_run_generates_key(self):
         config = make_config(n=10 ** 5, flip=0.02, keystream=LFSR64)
         outcome = run_protocol(config, np.random.default_rng(42))
@@ -553,6 +576,17 @@ def test_valid_configs_return_an_outcome(n, m, taps, bits, flip, loss, rate, s, 
 
 
 class TestDirectEncryption:
+    @pytest.mark.parametrize("loss", [0.0, 0.1])
+    def test_draw_kernels_match_the_draws_they_replace(self, monkeypatch, loss):
+        config = make_config(n=4001, loss=loss, rate=0.5, mode="direct-encryption")
+        plaintext = np.random.default_rng(8).integers(0, 2, 1001).astype(np.uint8)
+        fast, ref, fast_state, ref_state = with_reference_draws(
+            monkeypatch, lambda rng: run_direct_encryption(config, plaintext, rng))
+        assert fast.ok and ref.ok
+        assert np.array_equal(fast.ciphertext_angles, ref.ciphertext_angles)
+        assert np.array_equal(fast.recovered_plaintext, ref.recovered_plaintext)
+        assert fast_state == ref_state
+
     def test_noiseless_recovers_plaintext(self):
         config = make_config(n=4000, mode="direct-encryption")
         rng = np.random.default_rng(2)
