@@ -271,7 +271,7 @@ def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
     for one round of an intercept or fixed-basis strategy."""
     if strategy.kind == "intercept_resend_random":
         attacked = np.flatnonzero(rng.random(n) < strategy.fraction)
-        return attacked, (_TWO_BASES, uniform_bits(rng, n))
+        return attacked, (_TWO_BASES, uniform_bits(rng, n).astype(np.int64))
     return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.int64))
 
 

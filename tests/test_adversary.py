@@ -516,6 +516,20 @@ class TestCodedKernels:
         assert all(table_use)
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m", [128, 256])
+    @pytest.mark.parametrize("text", ["intercept:0.5", "intercept:1"])
+    def test_intercept_round_on_wide_alphabets(self, m, text, channel):
+        # Resent state codes start at 2m, past the range of a uint8.
+        config = lfsr_config(n=3000, m=m)
+        strategy = AttackStrategy.parse(text)
+        key = (_key_bases(config.alphabet), config.key_selectors())
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = _state_attack_counts(strategy, key, channel, rng)
+        assert got == reference.state_attack_counts(strategy, config.key_angles(), channel,
+                                                    ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,n,tables", [(2, 500, True), (16, 2500, True), (4096, 300, False)])
     def test_key_guess_round(self, table_use, m, n, tables, channel):
         # 8m^2 entries for the receiver's table: taken at m = 2 and 16, too
