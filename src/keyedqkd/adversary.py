@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -186,6 +185,9 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
     workers = min(threads, usable or 1)
     if workers == 1:
         return [kernel(*c) for c in chunks]
+    # Imported here, so one-worker runs never load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     results, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for c in chunks:

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import AttackStrategy, run_attack
+# Only the modules `sweep` and `rate-window` use load with the CLI; the
+# protocol and attack code load inside the commands that run them. sweep_m
+# stays a module global, where a tracer can wrap it.
 from .analysis import rate_window, sweep_csv, sweep_m
-from .protocol import ProtocolConfig, run_protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,16 +59,22 @@ def _write_all(files: list[tuple[Path, str]]):
         raise
 
 
-def _load_config(path: str) -> ProtocolConfig:
+def _load_config(path: str):
+    from .protocol import ProtocolConfig
+
     return ProtocolConfig.from_json(Path(path).read_text())
 
 
 def cmd_run(args) -> tuple[int, str]:
+    from .protocol import run_protocol
+
     outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
     return EXIT_OK if outcome.verified else EXIT_ABORT, _render_json(outcome.to_json_dict())
 
 
 def cmd_attack(args) -> tuple[int, str]:
+    from .adversary import AttackStrategy, run_attack
+
     strategy = AttackStrategy.parse(args.strategy)
     report = run_attack(strategy, _load_config(args.config), np.random.default_rng(args.seed),
                         trials=args.trials, threads=args.threads)

@@ -292,11 +292,13 @@ class RunningKey:
         if raw.size and (raw.min() < 0 or raw.max() >= self.m):
             raise ValueError(f"selectors must lie in [0, {self.m})")
         sel = np.asarray(raw, dtype=np.int64)
-        # Freezing a writeable array the caller still holds would freeze theirs,
-        # so that one is copied. A read-only array is kept as it is, which lets
-        # expand_running_key hand over its fresh selectors without a second
-        # 8n-byte copy; copying always cost keygen-small about 4 % of its rate.
-        if raw.flags.writeable and np.may_share_memory(sel, raw):
+        # Storing memory someone else can still write would let the key change
+        # after the fact: a writeable array, or a view whose base may be
+        # writeable. Those are copied. A read-only array that owns its data is
+        # kept as it is, which lets expand_running_key hand over its fresh
+        # selectors without a second 8n-byte copy; copying always cost
+        # keygen-small about 4 % of its rate.
+        if (raw.flags.writeable or raw.base is not None) and np.may_share_memory(sel, raw):
             sel = sel.copy()
         sel.setflags(write=False)
         object.__setattr__(self, "selectors", sel)

@@ -238,15 +238,50 @@ class TestRateWindowCommand:
         assert "error" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package must not pull it in.
+def run_python(code: str, *args: str) -> str:
+    """Run `code` in a fresh interpreter that imports keyedqkd from src/; its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, keyedqkd.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; no module of the package may pull it in.
+    probe = ("import sys; from keyedqkd import *; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_python(probe).strip() == "[]"
+
+
+# What each command must not load: sweep and rate-window need only the
+# qubit algebra and the analysis, run needs no attack code, and one-worker
+# attacks start no thread pool.
+ATTACK_CODE = ("keyedqkd.protocol", "keyedqkd.keystream", "keyedqkd.adversary",
+               "concurrent.futures")
+UNUSED_MODULES = [
+    pytest.param(["sweep", "--m", "2,4,8", "--output", "{tmp}/sweep.csv"], ATTACK_CODE,
+                 id="sweep"),
+    pytest.param(["rate-window", "0.05"], ATTACK_CODE, id="rate-window"),
+    pytest.param(["run", "--config", "{config}", "--seed", "7", "--output", "{tmp}/run.json"],
+                 ("keyedqkd.adversary", "concurrent.futures"), id="run"),
+    pytest.param(["attack", "breidbart", "--config", "{config}", "--seed", "7",
+                  "--threads", "1", "--output", "{tmp}/attack.json"],
+                 ("concurrent.futures",), id="attack-one-thread"),
+]
+
+
+@pytest.mark.parametrize("argv, unused", UNUSED_MODULES)
+def test_command_loads_only_what_it_uses(tmp_path, config_path, argv, unused):
+    probe = ("import json, sys, keyedqkd.cli\n"
+             "code = keyedqkd.cli.main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    argv = [a.format(tmp=tmp_path, config=config_path) for a in argv]
+    code, modules = json.loads(run_python(probe, *argv).splitlines()[-1])
+    assert code == EXIT_OK
+    assert "keyedqkd.analysis" in modules
+    assert [m for m in unused if m in modules] == []
 
 
 class TestExitCodes:

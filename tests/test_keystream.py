@@ -330,6 +330,20 @@ class TestRunningKey:
         a[0] = 1
         assert key.selectors.tolist() == [0, 1, 1]
 
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        a = np.arange(3)
+        v = a.view()
+        v.flags.writeable = False
+        key = RunningKey(v, 3)
+        a[0] = 2
+        assert key.selectors.tolist() == [0, 1, 2]
+
+    def test_owned_read_only_selectors_are_kept_uncopied(self):
+        # expand_running_key hands over its fresh selectors this way.
+        owned = np.arange(3)
+        owned.setflags(write=False)
+        assert RunningKey(owned, 3).selectors is owned
+
 
 class TestRepetitionRunningKey:
     def test_two_blocks(self):

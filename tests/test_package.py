@@ -1,0 +1,93 @@
+"""Package exports: the names `keyedqkd` exports and the objects they resolve to."""
+
+import importlib
+import types
+
+import pytest
+
+import keyedqkd
+from test_cli import run_python
+
+# The exported names by owning submodule, written out so that a change to
+# the package's exports fails here.
+EXPORTS = {
+    "adversary": [
+        "AttackReport", "AttackStrategy", "attack_block_guess", "attack_fixed_basis",
+        "attack_intercept_resend", "attack_key_guess", "block_guess_trials",
+        "ciphertext_only_state", "key_guess_round", "measure_resend_interference",
+        "run_attack",
+    ],
+    "analysis": [
+        "ConfidenceInterval", "RateWindow", "SweepRow", "binomial_ci", "eve_capacity", "h2",
+        "net_key_rate", "rate_window", "sweep_csv", "sweep_m",
+    ],
+    "keystream": [
+        "LfsrKeystream", "LfsrSpec", "RepetitionKeystream", "RunningKey", "SeedKey",
+        "expand_running_key", "lfsr_period", "lfsr_stream", "repetition_running_key",
+    ],
+    "protocol": [
+        "ChannelModel", "DirectEncryptionResult", "KeyLedger", "ProtocolConfig",
+        "ProtocolOutcome", "RateVerdict", "pa_output_length", "privacy_amplify", "rate_gate",
+        "reconcile", "run_direct_encryption", "run_protocol", "transmit_round",
+        "verification_tag", "verify_key",
+    ],
+    "qubits": [
+        "BasisAlphabet", "DensityMatrix", "MeasBasis", "StateAngle", "density_of_mixture",
+        "eve_error_key_granted", "helstrom_error", "keyless_error", "measure_many",
+        "optimal_fixed_basis",
+    ],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+# `from keyedqkd import *` also binds the submodules.
+STAR_NAMES = sorted(NAMES + list(EXPORTS))
+
+
+def test_exported_names_are_unchanged():
+    assert len(NAMES) == 55
+    assert sorted(keyedqkd.__all__) == STAR_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_its_modules_object(module):
+    owner = importlib.import_module(f"keyedqkd.{module}")
+    assert getattr(keyedqkd, module) is owner
+    for name in EXPORTS[module]:
+        assert getattr(keyedqkd, name) is getattr(owner, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from keyedqkd import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == STAR_NAMES
+    for name, value in namespace.items():
+        assert value is getattr(keyedqkd, name)
+    assert all(isinstance(namespace[m], types.ModuleType) for m in EXPORTS)
+
+
+def test_dir_lists_every_name():
+    assert set(STAR_NAMES) <= set(dir(keyedqkd))
+    assert "__version__" in dir(keyedqkd)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        keyedqkd.no_such_name
+    # A submodule's own names are not exported through the package.
+    with pytest.raises(AttributeError, match="uniform_bits"):
+        keyedqkd.uniform_bits
+
+
+def test_bare_import_loads_no_submodule_until_first_use():
+    probe = (
+        "import sys, keyedqkd\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('keyedqkd.'))\n"
+        "print(loaded(), set(keyedqkd.__all__) <= set(dir(keyedqkd)))\n"
+        "print(keyedqkd.protocol.__name__, loaded())\n"
+        "print(keyedqkd.run_attack is sys.modules['keyedqkd.adversary'].run_attack)\n"
+    )
+    lines = run_python(probe).splitlines()
+    assert lines[0] == "[] True"
+    assert lines[1] == ("keyedqkd.protocol ['keyedqkd.analysis', 'keyedqkd.keystream', "
+                        "'keyedqkd.protocol', 'keyedqkd.qubits']")
+    assert lines[2] == "True"
