@@ -291,17 +291,25 @@ class RunningKey:
             raise ValueError(f"selectors must be integers, got {raw.dtype}")
         if raw.size and (raw.min() < 0 or raw.max() >= self.m):
             raise ValueError(f"selectors must lie in [0, {self.m})")
-        sel = np.asarray(raw, dtype=np.int64)
-        # Storing memory someone else can still write would let the key change
-        # after the fact: a writeable array, or a view whose base may be
-        # writeable. Those are copied. A read-only array that owns its data is
-        # kept as it is, which lets expand_running_key hand over its fresh
-        # selectors without a second 8n-byte copy; copying always cost
-        # keygen-small about 4 % of its rate.
-        if (raw.flags.writeable or raw.base is not None) and np.may_share_memory(sel, raw):
-            sel = sel.copy()
+        # Always a copy: the caller's array, or any view of it, may be written
+        # later, and a read-only flag can be set back to writeable.
+        sel = np.array(raw, dtype=np.int64)
         sel.setflags(write=False)
         object.__setattr__(self, "selectors", sel)
+
+    @classmethod
+    def _adopt(cls, selectors: np.ndarray, m: int) -> "RunningKey":
+        """Wrap int64 selectors in [0, m) that no other code references.
+
+        expand_running_key builds its selectors fresh and in range, so it hands
+        them over here without the second 8n-byte copy; copying them cost
+        keygen-small about 4 % of its rate.
+        """
+        selectors.setflags(write=False)
+        key = object.__new__(cls)
+        object.__setattr__(key, "selectors", selectors)
+        object.__setattr__(key, "m", m)
+        return key
 
     def __len__(self) -> int:
         return int(self.selectors.size)
@@ -326,8 +334,7 @@ def expand_running_key(bit_source, n: int, alphabet: BasisAlphabet) -> RunningKe
     for column in columns.T[1:]:
         selectors <<= 1
         selectors |= column
-    selectors.setflags(write=False)  # read-only: RunningKey then stores it uncopied
-    return RunningKey(selectors, alphabet.m)
+    return RunningKey._adopt(selectors, alphabet.m)
 
 
 def repetition_running_key(key: SeedKey, n: int) -> RunningKey:

@@ -250,7 +250,7 @@ def run_python(code: str, *args: str) -> str:
 
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; no module of the package may pull it in.
-    probe = ("import sys; from keyedqkd import *; "
+    probe = ("import sys, keyedqkd.cli; from keyedqkd import *; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert run_python(probe).strip() == "[]"
 

@@ -338,11 +338,26 @@ class TestRunningKey:
         a[0] = 2
         assert key.selectors.tolist() == [0, 1, 2]
 
-    def test_owned_read_only_selectors_are_kept_uncopied(self):
-        # expand_running_key hands over its fresh selectors this way.
-        owned = np.arange(3)
-        owned.setflags(write=False)
-        assert RunningKey(owned, 3).selectors is owned
+    def test_read_only_owner_with_a_writeable_view_is_copied(self):
+        a = np.arange(3)
+        w = a[:]
+        a.setflags(write=False)
+        key = RunningKey(a, 3)
+        w[0] = 2
+        assert key.selectors.tolist() == [0, 1, 2]
+
+    def test_read_only_array_made_writeable_again_is_copied(self):
+        a = np.arange(3)
+        a.setflags(write=False)
+        key = RunningKey(a, 3)
+        a.setflags(write=True)
+        a[0] = 2
+        assert key.selectors.tolist() == [0, 1, 2]
+
+    def test_expanded_selectors_are_read_only(self):
+        key = expand_running_key([1, 0, 0, 1, 1, 1], 3, BasisAlphabet(4))
+        assert key.selectors.tolist() == [2, 1, 3]
+        assert key.m == 4 and not key.selectors.flags.writeable
 
 
 class TestRepetitionRunningKey:
