@@ -28,10 +28,10 @@ from .keystream import (
     expand_running_key,
     lfsr_bits,
     uniform_bits,
+    uniform_words,
 )
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
-    HALF_PI,
     BasisAlphabet,
     DensityMatrix,
     MeasBasis,
@@ -39,7 +39,9 @@ from .qubits import (
     density_of_mixture,
     eve_error_key_granted,
     measure_many,
+    turn_by_bits,
     _sample_outcomes,
+    _sin2,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -56,11 +58,8 @@ SEED_DRAW = 1024
 # needs far more trials than its error statistics do.
 MAX_QUBIT_TRIALS = 16
 
-# The turn a bit b puts on a state, b * pi/2, by b.
-_BIT_TURNS = np.array([0.0, HALF_PI])
-
 # The two-basis alphabet's basis angles, 0 and pi/4, by code.
-_TWO_BASES = np.arange(2) * (HALF_PI / 2)
+_TWO_BASES = BasisAlphabet(2).angle(np.arange(2))
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,8 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
     seed is one 64-bit draw, so the pieces reproduce a single draw of all the
     seeds and the split is deterministic and identical for every thread count.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     chunks = -(-trials // chunk)
     for first in range(0, chunks, SEED_DRAW):
         seeds = rng.integers(0, 2 ** 63, size=min(SEED_DRAW, chunks - first))
@@ -198,28 +199,9 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
     return results
 
 
-def measure_resend(theta, eve_phi, rng: np.random.Generator):
-    """The attacker measures each state in her basis and resends the projected
-    state; works on arrays of any shape. Returns (resent states, outcomes)."""
-    outcome = measure_many(theta, eve_phi, rng)
-    return eve_phi + outcome * HALF_PI, outcome
-
-
-def _key_bases(alphabet: BasisAlphabet) -> np.ndarray:
-    """The alphabet's basis angles by selector; equal, bit for bit, to
-    ProtocolConfig.key_angles at each selector."""
-    return np.arange(alphabet.m) * (HALF_PI / alphabet.m)
-
-
 def _with_bit(angles: np.ndarray) -> np.ndarray:
     """The angles turned by a bit: angles[i] + b * pi/2 at code 2*i + b."""
-    return (angles[:, None] + _BIT_TURNS).ravel()
-
-
-def _sin2(d: np.ndarray) -> np.ndarray:
-    """sin^2 in place, in measure_many's order of operations."""
-    np.sin(d, out=d)
-    return np.square(d, out=d)
+    return turn_by_bits(angles[:, None], np.arange(2)).ravel()
 
 
 def _decode_flip(d: np.ndarray) -> np.ndarray:
@@ -301,7 +283,7 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
-    key = (_key_bases(config.alphabet), config.key_selectors())
+    key = (config.alphabet.angle(np.arange(config.alphabet.m)), config.key_selectors())
 
     def kernel(_, chunk_rng):
         return _state_attack_counts(strategy, key, config.channel, chunk_rng)
@@ -384,7 +366,7 @@ def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
-    bases = _key_bases(config.alphabet)
+    bases = config.alphabet.angle(np.arange(config.alphabet.m))
     alice, outcome, bob, detected = _resend_round(
         (bases, key_selectors), (bases, guess_selectors), slice(None), config.channel, rng)
     eve_error = float(np.mean(outcome != alice))
@@ -396,14 +378,15 @@ def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Gener
     """How many of `count` uniform guesses equal `seed_bits`.
 
     The guesses are those of rng.integers(0, 2, size=(count, L)): each bit
-    is the top bit of one 32-bit word (Lemire's bounded draw with range 2),
-    and the words are the low, then the high half of each 64-bit raw output.
-    Those words are read as a (count, L) view of the raw output and rows are
+    is the top bit of one 32-bit draw (Lemire's bounded draw with range 2).
+    The draws are read as a (count, L) array of uniform_words and rows are
     filtered a column at a time, so no int64 guess matrix is built.
     """
     length = seed_bits.size
-    raw = rng.bit_generator.random_raw(-(-count * length // 2))
-    words = raw.astype("<u8", copy=False).view("<u4")[:count * length].reshape(count, length)
+    head, words = uniform_words(rng, count * length)
+    if head:  # a pending half, which a fresh chunk generator never has
+        words = np.concatenate([np.array(head, dtype=np.uint32), words])
+    words = words.reshape(count, length)
     alive = np.arange(count)
     for column, bit in zip(words.T, seed_bits):
         alive = alive[column[alive] >> 31 == bit]
@@ -545,7 +528,7 @@ def ciphertext_only_state(running_key: RunningKey, alphabet: BasisAlphabet,
         theta = alphabet.basis_angle(int(selector))
         out.append(density_of_mixture([
             (p_zero, StateAngle(theta)),
-            (1.0 - p_zero, StateAngle(theta + HALF_PI)),
+            (1.0 - p_zero, StateAngle(turn_by_bits(theta, 1))),
         ]))
     return out
 
@@ -564,8 +547,9 @@ def measure_resend_interference(strategy: AttackStrategy):
 
     def interfere(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         attacked, (angles, codes) = _eve_bases(strategy, theta.size, rng)
+        eve_phi = angles[codes[attacked]]
         forwarded = theta.copy()
-        forwarded[attacked], _ = measure_resend(theta[attacked], angles[codes[attacked]], rng)
+        forwarded[attacked] = turn_by_bits(eve_phi, measure_many(theta[attacked], eve_phi, rng))
         return forwarded
 
     return interfere
@@ -574,8 +558,6 @@ def measure_resend_interference(strategy: AttackStrategy):
 def run_attack(strategy: AttackStrategy, config: ProtocolConfig, rng: np.random.Generator,
                trials: int = 1, threads: int = 1) -> AttackReport:
     """Dispatch a parsed strategy against a protocol configuration."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if strategy.kind == "intercept_resend_random":
         return attack_intercept_resend(config, rng, trials=trials,
                                        fraction=strategy.fraction, threads=threads)

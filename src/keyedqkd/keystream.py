@@ -121,32 +121,44 @@ def _half_buffered(bitgen) -> bool:
     return type(bitgen) in (np.random.PCG64, np.random.PCG64DXSM)
 
 
+def uniform_words(rng: np.random.Generator, count: int):
+    """The generator's next `count` 32-bit draws, leaving the state they
+    leave, as (head, words): a list of the first 0 or 1 draws and a uint32
+    array of the rest, so no array is copied to join them.
+
+    On a half-buffered bit generator the head is a pending high half and the
+    words are read from random_raw: the low, then the high half of each raw
+    output; after an odd count the last high half is left pending, and
+    `uinteger` keeps the last high half drawn, as the 32-bit draw does. Other
+    bit generators take rng.integers over the whole uint32 range, one 32-bit
+    draw a value.
+    """
+    bitgen = rng.bit_generator
+    if not count or not _half_buffered(bitgen):
+        return [], rng.integers(0, 1 << 32, size=count, dtype=np.uint32)
+    state = bitgen.state
+    head = [state["uinteger"]] if state["has_uint32"] else []
+    fresh = count - len(head)
+    words = bitgen.random_raw(-(-fresh // 2)).astype("<u8", copy=False).view("<u4")
+    if fresh:
+        state = bitgen.state
+        state["uinteger"] = int(words[-1])
+    state["has_uint32"] = fresh & 1
+    bitgen.state = state
+    return head, words[:fresh]
+
+
 def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8), equal in
     its bits and in the generator state it leaves.
 
     Each bit of that call is Lemire's bounded draw with range 2 (2019), i.e.
-    the top bit of one 32-bit draw. On a half-buffered bit generator the bits
-    are read from random_raw: a pending high half first, then the low and the
-    high half of each raw output; after an odd count the last high half is
-    left pending. `uinteger` keeps the last high half drawn, as the 32-bit
-    draw leaves it. Other bit generators take the integers call.
+    the top bit of one 32-bit draw, so the bits are uniform_words' top bits.
     """
-    bitgen = rng.bit_generator
-    if not n or not _half_buffered(bitgen):
-        return rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
-    state = bitgen.state
-    pending = state["has_uint32"]
+    head, words = uniform_words(rng, n)
     bits = np.empty(n, dtype=np.uint8)
-    bits[:pending] = state["uinteger"] >> 31
-    fresh = n - pending
-    if fresh:
-        words = bitgen.random_raw(-(-fresh // 2)).astype("<u8", copy=False).view("<u4")
-        np.right_shift(words[:fresh], 31, out=bits[pending:], casting="unsafe")
-        state = bitgen.state
-        state["uinteger"] = int(words[-1])
-    state["has_uint32"] = fresh & 1
-    bitgen.state = state
+    bits[:len(head)] = [word >> 31 for word in head]
+    np.right_shift(words, 31, out=bits[len(head):], casting="unsafe")
     return bits
 
 

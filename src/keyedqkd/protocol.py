@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import h2, rate_window
 from .keystream import (LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, bits_int,
                         lfsr_bits, uniform_below, uniform_bits)
-from .qubits import HALF_PI, BasisAlphabet, measure_many, optimal_fixed_basis
+from .qubits import BasisAlphabet, measure_many, optimal_fixed_basis, require_integer, turn_by_bits
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
 # entropy stays this far below the code redundancy 1 - R. Chosen so finite-n
@@ -66,6 +66,8 @@ class ProtocolConfig:
     mode: str = MODE_KEY_GENERATION
 
     def __post_init__(self):
+        for field in ("n", "pa_security_param", "verification_len"):
+            object.__setattr__(self, field, require_integer(getattr(self, field), field))
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
         if not 0.0 < self.code_rate < 1.0:
@@ -141,10 +143,6 @@ class ProtocolConfig:
     def key_selectors(self) -> np.ndarray:
         """Keyed basis index of every qubit: the running key's selectors."""
         return self.keystream.running_key(self.n, self.alphabet).selectors
-
-    def key_angles(self) -> np.ndarray:
-        """Keyed basis angle of every qubit, selected by the running key."""
-        return self.key_selectors() * (HALF_PI / self.alphabet.m)
 
 
 def _object(doc: dict, field: str) -> dict:
@@ -232,37 +230,34 @@ class ProtocolOutcome:
         }
 
 
-def keyed_channel(theta, phi, channel: ChannelModel, rng: np.random.Generator):
-    """The users' channel and the receiver's keyed detection, on arrays of any shape.
-
-    Each state is erased, then flipped, then measured in its keyed basis phi.
-    Returns (bob bits, detected mask).
-    """
-    lost, flipped = channel.draw(theta.shape, rng)
-    bob = measure_many(theta + flipped * HALF_PI, phi, rng)
-    return bob, ~lost
-
-
-def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interference=None):
-    """One keyed transmission: returns (alice bits, bob bits, detected positions).
-
-    The sender draws n uniform bits and encodes each in the basis selected by
-    the shared running key; the states then cross keyed_channel.
+def keyed_channel(config: ProtocolConfig, bits, rng: np.random.Generator, interference=None):
+    """Send one bit per qubit in its keyed basis, erase, flip, and measure it there.
 
     `interference`, if given, is a callable (state_angles, rng) -> state_angles
     applied between the sender and the channel: the hook an eavesdropper uses
-    to measure and resend in-line with a full run.
+    to measure and resend in-line with a full run. Returns (sent state angles,
+    bob bits, detected mask).
     """
-    phi = config.key_angles()
-    alice = uniform_bits(rng, config.n)
-    theta = phi + alice * HALF_PI
+    phi = config.alphabet.angle(config.key_selectors())
+    sent = theta = turn_by_bits(phi, bits)
     if interference is not None:
         theta = np.asarray(interference(theta, rng), dtype=float)
         if theta.shape != phi.shape:
             raise ValueError("interference must return one state angle per qubit")
         if not np.isfinite(theta).all():
             raise ValueError("interference returned a non-finite state angle")
-    bob, detected = keyed_channel(theta, phi, config.channel, rng)
+    lost, flipped = config.channel.draw(theta.shape, rng)
+    return sent, measure_many(turn_by_bits(theta, flipped), phi, rng), ~lost
+
+
+def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interference=None):
+    """One keyed transmission: returns (alice bits, bob bits, detected positions).
+
+    The sender draws n uniform bits and sends them across keyed_channel,
+    with `interference`, if given, acting on the states in between.
+    """
+    alice = uniform_bits(rng, config.n)
+    _, bob, detected = keyed_channel(config, alice, rng, interference)
     detected = np.flatnonzero(detected)
     if detected.size == config.n:
         return alice, bob, detected
@@ -453,7 +448,7 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
     verification step, including an amplified key shorter than |K_v|
     ("key_too_short"), consume no verification bits.
 
-    An `interference` callable (see transmit_round) runs the pipeline against
+    An `interference` callable (see keyed_channel) runs the pipeline against
     an in-line eavesdropper; errors she induces surface in the estimate and
     close the rate gate like any other channel noise.
     """
@@ -550,9 +545,7 @@ def run_direct_encryption(config: ProtocolConfig, plaintext,
     parity = uniform_bits(rng, n - data_capacity)
     frame = np.concatenate([pt, filler, parity])
 
-    phi = config.key_angles()
-    theta = phi + frame * HALF_PI
-    bob_frame, detected = keyed_channel(theta, phi, config.channel, rng)
+    theta, bob_frame, detected = keyed_channel(config, frame, rng)
     bob_frame[~detected] = 0
 
     corrected, _, reconciled = reconcile(frame, bob_frame, config.code_rate)

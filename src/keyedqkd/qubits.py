@@ -15,6 +15,7 @@ orthogonal ones on a qubit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -79,6 +80,14 @@ class MeasBasis:
         object.__setattr__(self, "phi", _wrap(float(self.phi), HALF_PI))
 
 
+def require_integer(value, what: str) -> int:
+    """`value` as an int; bools, floats and other non-integers raise ValueError
+    rather than reaching arithmetic that would truncate them or raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BasisAlphabet:
     """Family of m measurement bases at angles j*(pi/2)/m for j in [0, m).
@@ -90,13 +99,19 @@ class BasisAlphabet:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", require_integer(self.m, "basis count"))
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
             raise ValueError(f"basis count must be a power of two >= 2, got {self.m}")
+
+    def angle(self, j):
+        """Basis angle j*(pi/2)/m of a basis index or an integer array of them,
+        unchecked: one multiply per element, so a keyed n-qubit run gathers nothing."""
+        return j * (HALF_PI / self.m)
 
     def basis_angle(self, j: int) -> float:
         if not 0 <= j < self.m:
             raise ValueError(f"basis index {j} out of range [0, {self.m})")
-        return j * (HALF_PI / self.m)
+        return self.angle(j)
 
     @property
     def bits_per_selector(self) -> int:
@@ -136,6 +151,11 @@ class DensityMatrix:
         return cls(np.eye(2, dtype=complex) / 2.0)
 
 
+def turn_by_bits(angles, bits):
+    """angle + b*pi/2: the state carrying bit b in the basis at that angle."""
+    return angles + bits * HALF_PI
+
+
 def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Projective measurement: outcome array for state/basis angle arrays.
 
@@ -150,10 +170,14 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     """
     thetas, phis = np.asarray(thetas), np.asarray(phis)
     # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
-    p1 = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
-    np.sin(p1, out=p1)
-    np.square(p1, out=p1)
-    return _sample_outcomes(p1, rng)
+    d = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
+    return _sample_outcomes(_sin2(d), rng)
+
+
+def _sin2(d: np.ndarray) -> np.ndarray:
+    """sin^2 in place: every p1, per element in measure_many or per table entry."""
+    np.sin(d, out=d)
+    return np.square(d, out=d)
 
 
 def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:

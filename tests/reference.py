@@ -116,6 +116,11 @@ def key_guess_successes(seed_bits, count: int, rng) -> int:
 HALF_PI = np.pi / 2
 
 
+def key_angles(config):
+    """Keyed basis angle of every qubit: selector j at j*(pi/2)/m."""
+    return config.key_selectors() * (HALF_PI / config.alphabet.m)
+
+
 def resend_round(phi_key, channel, eve_phi, attacked, rng):
     """One transmission with measure-resend on the positions `attacked` (a mask
     or slice) selects: (alice bits, eve outcomes on attacked positions, bob

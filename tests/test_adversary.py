@@ -7,6 +7,7 @@ import math
 import os
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,19 +40,17 @@ from keyedqkd.adversary import (
     _by_codes,
     _chunk_rngs,
     _guess_round,
-    _key_bases,
     _key_guess_successes,
     _map_chunks,
     _resend_round,
-    _sin2,
     _state_attack_counts,
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
-from keyedqkd.qubits import MeasBasis
+from keyedqkd.qubits import MeasBasis, _sin2
 
 import reference
-from reference import key_guess_successes
+from reference import key_angles, key_guess_successes
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
@@ -223,6 +222,12 @@ class TestKeyGuess:
                 got = _key_guess_successes(seed_bits, count, np.random.default_rng(seed))
                 assert got >= 1
                 assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+        # A pending 32-bit half is the first guess bit, as in the integers draw.
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        rng.integers(0, 2), ref.integers(0, 2)
+        assert (_key_guess_successes(seed_bits, count, rng)
+                == key_guess_successes(seed_bits, count, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_induced_rate_pools_detected_qubits(self):
         # Under heavy loss some rounds detect nothing: they add to neither
@@ -371,9 +376,21 @@ class TestRunAttackDispatch:
     @pytest.mark.parametrize("text", ["intercept", "intercept:0.3", "fixed:0", "breidbart",
                                       "keyguess", "blockguess:2"])
     def test_rejects_zero_trials(self, text):
+        # Through run_attack and through the public function that runs the strategy.
+        strategy = AttackStrategy.parse(text)
         config = repetition_config(40, "1001") if text.startswith("block") else lfsr_config(n=40)
-        with pytest.raises(ValueError, match="trials"):
-            run_attack(AttackStrategy.parse(text), config, np.random.default_rng(0), trials=0)
+        direct = {
+            "intercept_resend_random": [partial(attack_intercept_resend, config,
+                                                fraction=strategy.fraction)],
+            "fixed_basis": [partial(attack_fixed_basis, config, strategy.phi)],
+            "key_guess": [partial(attack_key_guess, config)],
+            "block_guess": [partial(f, 40, 4, strategy.k_blocks)
+                            for f in (attack_block_guess, block_guess_trials)],
+        }[strategy.kind]
+        for trials in (0, -1):
+            for attack in [partial(run_attack, strategy, config), *direct]:
+                with pytest.raises(ValueError, match="trials must be >= 1"):
+                    attack(np.random.default_rng(0), trials=trials)
 
     def test_block_guess_from_config(self):
         report = run_attack(AttackStrategy.parse("blockguess:3"),
@@ -506,11 +523,11 @@ class TestCodedKernels:
     def test_state_attack_round(self, table_use, m, text, channel):
         config = lfsr_config(n=3000, m=m)
         strategy = AttackStrategy.parse(text)
-        key = (_key_bases(config.alphabet), config.key_selectors())
+        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _state_attack_counts(strategy, key, channel, rng)
-            assert got == reference.state_attack_counts(strategy, config.key_angles(), channel,
+            assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
                                                         ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(table_use)
@@ -522,10 +539,10 @@ class TestCodedKernels:
         # Resent state codes start at 2m, past the range of a uint8.
         config = lfsr_config(n=3000, m=m)
         strategy = AttackStrategy.parse(text)
-        key = (_key_bases(config.alphabet), config.key_selectors())
+        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = _state_attack_counts(strategy, key, channel, rng)
-        assert got == reference.state_attack_counts(strategy, config.key_angles(), channel,
+        assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
                                                     ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -543,7 +560,7 @@ class TestCodedKernels:
             guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
             got = _guess_round(config, config.key_selectors(), guess, rng)
             alice, outcome, bob, detected = reference.resend_round(
-                config.key_angles(), channel, guessed.key_angles(), slice(None), ref_rng)
+                key_angles(config), channel, key_angles(guessed), slice(None), ref_rng)
             assert got == (guess == config.keystream.seed, float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -561,14 +578,14 @@ class TestCodedKernels:
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     def test_resend_round_arrays(self, channel):
         config = lfsr_config(n=1000, m=16)
-        bases = _key_bases(config.alphabet)
+        bases = config.alphabet.angle(np.arange(16))
         mask = np.random.default_rng(1).random(config.n) < 0.4
         guess = np.random.default_rng(2).integers(0, 16, config.n)
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
             got = _resend_round((bases, config.key_selectors()), (bases, guess), attacked,
                                 channel, rng)
-            want = reference.resend_round(config.key_angles(), channel, bases[guess], attacked,
+            want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng)
             _same_arrays(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -581,7 +598,7 @@ class TestCodedKernels:
         strategy, trials = AttackStrategy.parse(text), 5
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials,
                             threads=threads)
-        rounds = [reference.state_attack_counts(strategy, config.key_angles(), channel, chunk_rng)
+        rounds = [reference.state_attack_counts(strategy, key_angles(config), channel, chunk_rng)
                   for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
         eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
         assert report.eve_bit_error == (binomial_ci(eve_err, eve_tot) if eve_tot else None)
@@ -615,7 +632,7 @@ def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m):
     turned by a channel flip, against keyed bases).
     """
     rng = np.random.default_rng(m)
-    bases = _key_bases(BasisAlphabet(m))
+    bases = BasisAlphabet(m).angle(np.arange(m))
     positions = 2 ** 18
     for rows in (_with_bit(bases), _with_bit(_with_bit(bases))):
         # At m = 1024 a random subset of the rows keeps the table within

@@ -1,6 +1,7 @@
 """Protocol pipeline: rate gate, reconciliation, privacy amplification,
 verification, full runs, direct encryption, serialization."""
 
+import hashlib
 import json
 import math
 
@@ -587,6 +588,25 @@ class TestDirectEncryption:
         assert np.array_equal(fast.recovered_plaintext, ref.recovered_plaintext)
         assert fast_state == ref_state
 
+    def test_lossy_noisy_run_matches_recorded_outputs(self):
+        # Recorded before the send step moved into the shared keyed channel:
+        # a change in its draw order changes the hash or the final state.
+        config = make_config(n=4001, m=4, flip=0.03, loss=0.1, rate=0.5,
+                             mode="direct-encryption")
+        plaintext = np.random.default_rng(9).integers(0, 2, 1001).astype(np.uint8)
+        rng = np.random.default_rng(2031)
+        result = run_direct_encryption(config, plaintext, rng)
+        assert hashlib.sha256(result.ciphertext_angles.tobytes()).hexdigest() == (
+            "e6848ad077ffc329afb6f9a6782acf2ce1480a3b313a3053243c415a7bf813e3")
+        assert result.ok and result.reason is None
+        assert np.array_equal(result.recovered_plaintext, plaintext)
+        assert rng.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": 246312628571000974458910357910331652885,
+                      "inc": 327797321855181304204031774571720475759},
+            "has_uint32": 0, "uinteger": 3207962984,
+        }
+
     def test_noiseless_recovers_plaintext(self):
         config = make_config(n=4000, mode="direct-encryption")
         rng = np.random.default_rng(2)
@@ -695,6 +715,21 @@ class TestConfigSerialization:
                              ("channel", {"flip_prob": 0.0, "loss": "0.1"})]:
             with pytest.raises(ValueError):
                 ProtocolConfig.from_json_dict(dict(doc, **{field: value}))
+
+    @pytest.mark.parametrize("value", [1.5, 64.0, np.float64(64.0), True, "64", None],
+                             ids=["fraction", "float", "numpy-float", "bool", "str", "none"])
+    @pytest.mark.parametrize("field", ["n", "m", "s", "kv"])
+    def test_non_integer_fields_raise_when_built(self, field, value):
+        # Once a TypeError from inside run_protocol, or a truncation.
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_config(**{field: value})
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        config = make_config(n=np.int64(4000), m=np.int32(4), s=np.uint16(64), kv=np.int8(32))
+        fields = (config.n, config.alphabet.m, config.pa_security_param, config.verification_len)
+        assert fields == (4000, 4, 64, 32) and all(type(f) is int for f in fields)
+        json.dumps(config.to_json_dict())
+        assert run_protocol(config, np.random.default_rng(0)).verified
 
     @pytest.mark.parametrize("shape", [
         "top-level number", "top-level list", "top-level null", "channel number",

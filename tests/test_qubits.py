@@ -18,7 +18,7 @@ from keyedqkd import (
     measure_many,
     optimal_fixed_basis,
 )
-from keyedqkd.qubits import ANGLE_TOL, _granted_error_profile, _granted_error_slope
+from keyedqkd.qubits import ANGLE_TOL, _granted_error_profile, _granted_error_slope, turn_by_bits
 
 from reference import brute_force_basis_scan, granted_error_sum, measure_many_snapped
 
@@ -57,6 +57,18 @@ def test_alphabet_requires_power_of_two():
         angles = np.array([BasisAlphabet(m).basis_angle(j) for j in range(m)])
         assert (np.diff(angles) > 0).all()
         assert angles[0] == 0.0 and angles[-1] < PI / 2
+
+
+@pytest.mark.parametrize("m", [2, 16, 4096])
+def test_angle_takes_indices_and_index_arrays(m):
+    alphabet = BasisAlphabet(m)
+    j = np.arange(m)
+    expected = np.array([alphabet.basis_angle(int(i)) for i in j])
+    assert np.array_equal(alphabet.angle(j), expected)
+    assert np.array_equal(alphabet.angle(j.astype(np.uint16)), expected)
+    assert alphabet.angle(m - 1) == expected[-1]
+    assert np.array_equal(turn_by_bits(expected[:, None], np.arange(2)),
+                          np.stack([expected, expected + PI / 2], axis=1))
 
 
 class TestEncodeState:
