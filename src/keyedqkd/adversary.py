@@ -39,6 +39,7 @@ from .qubits import (
     density_of_mixture,
     eve_error_key_granted,
     measure_many,
+    require_integer,
     turn_by_bits,
     _sample_outcomes,
     _sin2,
@@ -81,7 +82,8 @@ class AttackStrategy:
                 raise ValueError("fixed_basis needs a basis angle")
             object.__setattr__(self, "phi", MeasBasis(self.phi).phi)
         elif self.kind == "block_guess":
-            if self.k_blocks is None or self.k_blocks < 1:
+            object.__setattr__(self, "k_blocks", require_integer(self.k_blocks, "k_blocks"))
+            if self.k_blocks < 1:
                 raise ValueError("block_guess needs k_blocks >= 1")
         elif self.kind == "intercept_resend_random":
             if not 0.0 <= self.fraction <= 1.0:
@@ -167,7 +169,7 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
     seed is one 64-bit draw, so the pieces reproduce a single draw of all the
     seeds and the split is deterministic and identical for every thread count.
     """
-    if trials < 1:
+    if require_integer(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
     chunks = -(-trials // chunk)
     for first in range(0, chunks, SEED_DRAW):
@@ -474,6 +476,8 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     first k_blocks blocks (the choice is irrelevant by symmetry), guesses one
     basis bit per block, and measure-resends the k*n/m_k covered qubits.
     """
+    n, m_k = require_integer(n, "qubit count"), require_integer(m_k, "key length")
+    k_blocks = require_integer(k_blocks, "k_blocks")
     if not 1 <= k_blocks <= m_k:
         raise ValueError(f"k_blocks must lie in [1, {m_k}], got {k_blocks}")
     if n % m_k:

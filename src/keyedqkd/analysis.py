@@ -72,7 +72,7 @@ def sweep_m(m_values: Iterable[int], include_keyless: bool = True) -> list[Sweep
     """
     rows = []
     for m in m_values:
-        alphabet = BasisAlphabet(int(m))
+        alphabet = BasisAlphabet(m)
         basis, granted = optimal_fixed_basis(alphabet)
         keyless = None
         if include_keyless:

@@ -14,10 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-# Only the modules `sweep` and `rate-window` use load with the CLI; the
-# protocol and attack code load inside the commands that run them. sweep_m
+# Only the modules `sweep` and `rate-window` use load with the CLI; numpy and
+# the protocol and attack code load inside the commands that run them. sweep_m
 # stays a module global, where a tracer can wrap it.
 from .analysis import rate_window, sweep_csv, sweep_m
 
@@ -66,6 +64,8 @@ def _load_config(path: str):
 
 
 def cmd_run(args) -> tuple[int, str]:
+    import numpy as np
+
     from .protocol import run_protocol
 
     outcome = run_protocol(_load_config(args.config), np.random.default_rng(args.seed))
@@ -73,6 +73,8 @@ def cmd_run(args) -> tuple[int, str]:
 
 
 def cmd_attack(args) -> tuple[int, str]:
+    import numpy as np
+
     from .adversary import AttackStrategy, run_attack
 
     strategy = AttackStrategy.parse(args.strategy)

@@ -20,7 +20,8 @@ import numpy as np
 from .analysis import h2, rate_window
 from .keystream import (LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, bits_int,
                         lfsr_bits, uniform_below, uniform_bits)
-from .qubits import BasisAlphabet, measure_many, optimal_fixed_basis, require_integer, turn_by_bits
+from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
+                     require_real, turn_by_bits)
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
 # entropy stays this far below the code redundancy 1 - R. Chosen so finite-n
@@ -42,6 +43,8 @@ class ChannelModel:
     loss: float = 0.0
 
     def __post_init__(self):
+        for field in ("flip_prob", "loss"):
+            object.__setattr__(self, field, require_real(getattr(self, field), field))
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError(f"flip probability must lie in [0, 0.5), got {self.flip_prob}")
         if not 0.0 <= self.loss < 1.0:
@@ -68,6 +71,7 @@ class ProtocolConfig:
     def __post_init__(self):
         for field in ("n", "pa_security_param", "verification_len"):
             object.__setattr__(self, field, require_integer(getattr(self, field), field))
+        object.__setattr__(self, "code_rate", require_real(self.code_rate, "code_rate"))
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
         if not 0.0 < self.code_rate < 1.0:
@@ -163,10 +167,7 @@ def _string(doc: dict, field: str) -> str:
 
 def _real(doc: dict, field: str) -> float:
     """Numeric config field; bools, strings and other JSON values are rejected, not coerced."""
-    value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config field {field!r} must be a number, got {value!r}")
-    return float(value)
+    return require_real(doc[field], f"config field {field!r}")
 
 
 def _integer(doc: dict, field: str) -> int:

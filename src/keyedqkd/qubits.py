@@ -18,9 +18,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+# numpy loads inside the functions that build or sample arrays, so the
+# scalar functionals (and the `sweep` and `rate-window` commands) never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_PI = math.pi / 2
 
@@ -28,7 +31,7 @@ HALF_PI = math.pi / 2
 ANGLE_TOL = 1e-12
 
 # Largest uniform draw measure_many keeps: the last double below 1 - ANGLE_TOL.
-_DRAW_MAX = float(np.nextafter(1.0 - ANGLE_TOL, 0.0))
+_DRAW_MAX = math.nextafter(1.0 - ANGLE_TOL, 0.0)
 
 # Grid values within this distance of the minimum are treated as exact ties,
 # so co-minimizers are resolved by angle rather than by float noise.
@@ -62,6 +65,8 @@ class StateAngle:
         object.__setattr__(self, "theta", _wrap(float(self.theta), math.pi))
 
     def vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
@@ -86,6 +91,14 @@ def require_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, what: str) -> float:
+    """`value` as a float; bools, strings and other non-reals raise ValueError
+    rather than TypeError from a range comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         a = np.array(self.entries, dtype=complex)
         if a.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {a.shape}")
@@ -143,11 +158,15 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, state: StateAngle) -> "DensityMatrix":
+        import numpy as np
+
         v = state.vector().astype(complex)
         return cls(np.outer(v, v.conj()))
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
+        import numpy as np
+
         return cls(np.eye(2, dtype=complex) / 2.0)
 
 
@@ -168,6 +187,8 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     does. One uniform draw per element regardless of degeneracy, so draw
     alignment is shape-stable.
     """
+    import numpy as np
+
     thetas, phis = np.asarray(thetas), np.asarray(phis)
     # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
     d = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
@@ -176,6 +197,8 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
 
 def _sin2(d: np.ndarray) -> np.ndarray:
     """sin^2 in place: every p1, per element in measure_many or per table entry."""
+    import numpy as np
+
     np.sin(d, out=d)
     return np.square(d, out=d)
 
@@ -184,11 +207,13 @@ def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Outcome 1 with probability p1, one uniform draw per element in C order;
     the clipped draw that measure_many's docstring describes."""
     u = rng.random(p1.shape)
-    np.clip(u, ANGLE_TOL, _DRAW_MAX, out=u)
-    return (u < p1).view(np.uint8)
+    u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
+    return (u < p1).view("u1")
 
 
 def _mixture_entries(weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     c, s = np.cos(thetas), np.sin(thetas)
     off = float(np.sum(weights * c * s))
     return np.array(
@@ -205,6 +230,8 @@ def density_of_mixture(components: Iterable[tuple[float, StateAngle]]) -> Densit
 
     Weights must be nonnegative and sum to 1 within 1e-12.
     """
+    import numpy as np
+
     comp = list(components)
     if not comp:
         raise ValueError("mixture needs at least one component")
@@ -223,6 +250,8 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
     Standard minimum-error bound: (1 - ||p1*rho1 - p0*rho0||_1) / 2 with the
     trace norm evaluated by eigendecomposition of the Hermitian difference.
     """
+    import numpy as np
+
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"prior must lie in [0, 1], got {p0}")
     diff = (1.0 - p0) * rho1.entries - p0 * rho0.entries
@@ -230,22 +259,30 @@ def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float
     return max(0.0, 0.5 * (1.0 - trace_norm))
 
 
-def _peak_offsets(phis, m: int):
-    """h = pi/(2m) and each angle's offset f = u - rint(u) from its nearest peak, u = phi/h."""
+def _peak_offsets(phi: float, m: int) -> tuple[float, float]:
+    """h = pi/(2m) and the angle's offset f = u - round(u) from its nearest peak, u = phi/h."""
     h = HALF_PI / m
-    u = np.asarray(phis, dtype=float) / h
-    return h, u - np.rint(u)
+    u = phi / h
+    return h, u - round(u)
 
 
-def _granted_error_profile(phis, alphabet: BasisAlphabet):
-    """Key-granted bit-error rate of a fixed-basis observer at basis angle(s) phis:
-    1/2 - cos(h(1 - 2|f|)) / (2m sin h), h and f from _peak_offsets (rint makes it
-    bitwise even in phi). As min(sin^2, cos^2)(x) = (1 - |cos 2x|)/2, this is
+def _granted_error_profile(alphabet: BasisAlphabet):
+    """Key-granted bit-error rate of a fixed-basis observer as a function of the
+    basis angle phi, with h and 2m sin h computed once per alphabet:
+    1/2 - cos(h(1 - 2|f|)) / (2m sin h), h and f as in _peak_offsets (round, half
+    to even, makes it bitwise even in phi). As min(sin^2, cos^2)(x) = (1 - |cos 2x|)/2, this is
     sum_j |sin(y + j*pi/m)| = cos(y - pi/(2m)) / sin(pi/(2m)), y in [0, pi/m], over the
     m angles 2(theta_j - phi) + pi/2: one period pi of |sin|, peaks at k*h as m is even.
     """
-    h, f = _peak_offsets(phis, alphabet.m)
-    return 0.5 - np.cos(h * (1.0 - 2.0 * np.abs(f))) / (2 * alphabet.m * math.sin(h))
+    m = alphabet.m
+    h = HALF_PI / m
+    scale = 2 * m * math.sin(h)
+
+    def profile(phi: float) -> float:
+        u = phi / h
+        return 0.5 - math.cos(h * (1.0 - 2.0 * abs(u - round(u)))) / scale
+
+    return profile
 
 
 def eve_error_key_granted(basis: MeasBasis, alphabet: BasisAlphabet) -> float:
@@ -255,7 +292,7 @@ def eve_error_key_granted(basis: MeasBasis, alphabet: BasisAlphabet) -> float:
     Equals (1/m) * sum_j min(sin^2, cos^2)(theta_j - phi): on each basis the
     better of the two outcome-to-bit decodings is available after disclosure.
     """
-    return float(_granted_error_profile(basis.phi, alphabet))
+    return _granted_error_profile(alphabet)(basis.phi)
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
@@ -279,7 +316,8 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
 def _granted_error_slope(phi: float, alphabet: BasisAlphabet) -> float:
     """Derivative of the key-granted error profile at phi; 0 on a peak."""
     h, f = _peak_offsets(phi, alphabet.m)
-    return float(-np.sign(f) * np.sin(h * (1.0 - 2.0 * np.abs(f))) / (alphabet.m * math.sin(h)))
+    sign = (f > 0.0) - (f < 0.0)  # sign(0) = 0
+    return -sign * math.sin(h * (1.0 - 2.0 * abs(f))) / (alphabet.m * math.sin(h))
 
 
 def _refine_minimum(f, alphabet: BasisAlphabet, lo: float, hi: float) -> float:
@@ -305,22 +343,23 @@ def _refine_minimum(f, alphabet: BasisAlphabet, lo: float, hi: float) -> float:
 def optimal_fixed_basis(alphabet: BasisAlphabet) -> tuple[MeasBasis, float]:
     """Fixed measurement basis minimizing the key-granted error, with its error.
 
-    Grid scan of _GRID_POINTS angles over [0, pi/2) followed by
-    sub-nanoradian refinement of the best basin. Co-minimizers (the error
-    profile has period (pi/2)/m) are tie-broken toward the smallest angle,
-    with grid values within 1e-12 of the minimum treated as exact ties.
+    Grid scan of one profile period of the _GRID_POINTS-angle grid over
+    [0, pi/2), followed by sub-nanoradian refinement of the best basin.
+    Co-minimizers (the error profile has period (pi/2)/m) are tie-broken
+    toward the smallest angle, with grid values within 1e-12 of the minimum
+    treated as exact ties. The grid step divides the period 4096/m times for
+    m <= 4096, and the grid values repeat with it to about 1e-16; for
+    m >= 4096 every grid point is a peak and all tie. Either way the smallest
+    tied index of the whole grid lies in its first period, the points scanned.
     """
+    profile = _granted_error_profile(alphabet)
     step = HALF_PI / _GRID_POINTS
-    grid = np.arange(_GRID_POINTS) * step
-    values = _granted_error_profile(grid, alphabet)
-    tied = np.nonzero(values <= values.min() + _TIE_TOL)[0]
-    best = int(tied.min())
-
-    def f(phi: float) -> float:
-        return float(_granted_error_profile(phi, alphabet))
-
-    phi_star = _refine_minimum(f, alphabet, grid[best] - step, grid[best] + step)
-    return MeasBasis(phi_star), f(phi_star)
+    values = [profile(i * step) for i in range(max(1, _GRID_POINTS // alphabet.m))]
+    low = min(values) + _TIE_TOL
+    best = next(i for i, value in enumerate(values) if value <= low)
+    phi = best * step
+    phi_star = _refine_minimum(profile, alphabet, phi - step, phi + step)
+    return MeasBasis(phi_star), profile(phi_star)
 
 
 def keyless_error(alphabet: BasisAlphabet) -> float:

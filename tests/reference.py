@@ -5,6 +5,8 @@ polynomial order for primitivity, explicit Toeplitz matrix construction,
 and brute-force scans.
 """
 
+import math
+
 import numpy as np
 
 
@@ -92,6 +94,25 @@ def brute_force_basis_scan(m: int, points: int) -> tuple[float, float]:
         if values[idx] < best_val - 1e-15:
             best_val, best_phi = float(values[idx]), float(chunk[idx])
     return best_phi, best_val
+
+
+# The basis search's grid scan as it was on numpy arrays: the closed-form
+# profile at every point of the 4096-point grid.
+
+def granted_error_profile(phis, m: int) -> np.ndarray:
+    """Key-granted error 1/2 - cos(h(1 - 2|f|)) / (2m sin h) of every angle in phis,
+    with h = pi/(2m) and f = u - rint(u) for u = phi/h."""
+    h = np.pi / 2 / m
+    u = np.asarray(phis, dtype=float) / h
+    f = u - np.rint(u)
+    return 0.5 - np.cos(h * (1.0 - 2.0 * np.abs(f))) / (2 * m * math.sin(h))
+
+
+def grid_scan_index(m: int, points: int = 4096) -> int:
+    """Smallest index of the grid angles i*(pi/2)/points whose profile value
+    lies within 1e-12 of the grid minimum."""
+    values = granted_error_profile(np.arange(points) * (np.pi / 2 / points), m)
+    return int(np.nonzero(values <= values.min() + 1e-12)[0].min())
 
 
 def measure_many_snapped(thetas, phis, rng) -> np.ndarray:

@@ -92,6 +92,28 @@ class TestStrategyParsing:
     def test_fixed_basis_angle_normalized(self):
         assert 0.0 <= AttackStrategy.parse("fixed:3.0").phi < PI / 2
 
+    @pytest.mark.parametrize("k_blocks", [2.5, 2.0, True, "2"])
+    def test_block_count_must_be_an_integer(self, k_blocks):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AttackStrategy("block_guess", k_blocks=k_blocks)
+
+    def test_numpy_block_count_is_stored_as_an_int(self):
+        assert type(AttackStrategy("block_guess", k_blocks=np.int64(3)).k_blocks) is int
+
+
+# A float count raises ValueError before it reaches a numpy shape or range.
+@pytest.mark.parametrize("call", [
+    lambda rng: attack_block_guess(40, 4, 2.5, rng, trials=3),
+    lambda rng: attack_block_guess(40, 4, 2, rng, trials=2.5),
+    lambda rng: block_guess_trials(40.0, 4, 2, rng),
+    lambda rng: attack_intercept_resend(lfsr_config(), rng, trials=2.5),
+    lambda rng: attack_key_guess(lfsr_config(), rng, trials=2.5),
+], ids=["block-guess-k", "block-guess-trials", "block-guess-n", "intercept-trials",
+        "keyguess-trials"])
+def test_non_integer_counts_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(np.random.default_rng(0))
+
 
 class TestInterceptResend:
     def test_quarter_error_rates(self):

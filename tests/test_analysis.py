@@ -136,6 +136,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_m([3])
 
+    def test_rejects_non_integer_counts(self):
+        # Rejected, not truncated to rows for m = 4 and 2.
+        with pytest.raises(ValueError, match="must be an integer"):
+            sweep_m([4.7, 2.9])
+
     def test_csv_rendering(self):
         text = sweep_csv(sweep_m([2, 4]))
         lines = text.strip().split("\n")

@@ -256,14 +256,14 @@ def test_import_loads_no_scipy():
 
 
 # What each command must not load: sweep and rate-window need only the
-# qubit algebra and the analysis, run needs no attack code, and one-worker
-# attacks start no thread pool.
-ATTACK_CODE = ("keyedqkd.protocol", "keyedqkd.keystream", "keyedqkd.adversary",
-               "concurrent.futures")
+# qubit algebra and the analysis, and no numpy, run needs no attack code, and
+# one-worker attacks start no thread pool.
+ARRAY_CODE = ("numpy", "keyedqkd.protocol", "keyedqkd.keystream", "keyedqkd.adversary",
+              "concurrent.futures")
 UNUSED_MODULES = [
-    pytest.param(["sweep", "--m", "2,4,8", "--output", "{tmp}/sweep.csv"], ATTACK_CODE,
+    pytest.param(["sweep", "--m", "2,4,8", "--output", "{tmp}/sweep.csv"], ARRAY_CODE,
                  id="sweep"),
-    pytest.param(["rate-window", "0.05"], ATTACK_CODE, id="rate-window"),
+    pytest.param(["rate-window", "0.05"], ARRAY_CODE, id="rate-window"),
     pytest.param(["run", "--config", "{config}", "--seed", "7", "--output", "{tmp}/run.json"],
                  ("keyedqkd.adversary", "concurrent.futures"), id="run"),
     pytest.param(["attack", "breidbart", "--config", "{config}", "--seed", "7",

@@ -724,6 +724,19 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="must be an integer"):
             make_config(**{field: value})
 
+    @pytest.mark.parametrize("build", [
+        lambda: ChannelModel(flip_prob="0.1"),
+        lambda: ChannelModel(flip_prob=False),
+        lambda: ChannelModel(loss=None),
+        lambda: make_config(rate="0.6"),
+        lambda: make_config(rate=True),
+    ], ids=["str-flip", "bool-flip", "none-loss", "str-rate", "bool-rate"])
+    def test_non_real_fields_raise_when_built(self, build):
+        # ValueError, as for out-of-range values, rather than TypeError from a range
+        # check or a bool read as 0.
+        with pytest.raises(ValueError, match="must be a real number"):
+            build()
+
     def test_numpy_integer_fields_are_stored_as_ints(self):
         config = make_config(n=np.int64(4000), m=np.int32(4), s=np.uint16(64), kv=np.int8(32))
         fields = (config.n, config.alphabet.m, config.pa_security_param, config.verification_len)

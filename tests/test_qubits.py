@@ -18,9 +18,11 @@ from keyedqkd import (
     measure_many,
     optimal_fixed_basis,
 )
-from keyedqkd.qubits import ANGLE_TOL, _granted_error_profile, _granted_error_slope, turn_by_bits
+from keyedqkd.qubits import (ANGLE_TOL, _granted_error_profile, _granted_error_slope,
+                             _refine_minimum, turn_by_bits)
 
-from reference import brute_force_basis_scan, granted_error_sum, measure_many_snapped
+from reference import (brute_force_basis_scan, granted_error_profile, granted_error_sum,
+                       grid_scan_index, measure_many_snapped)
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0  # = sin^2(pi/8) ~ 0.146447
@@ -290,8 +292,14 @@ class TestEveErrorKeyGranted:
         phis = np.concatenate([np.random.default_rng(m).uniform(-4, 4, 64), k * h, (k + 0.5) * h])
         got = [eve_error_key_granted(MeasBasis(phi), alphabet) for phi in phis]
         assert np.abs(np.array(got) - granted_error_sum(phis, m)).max() <= 1e-15
-        profile = _granted_error_profile(phis, alphabet)
-        assert np.array_equal(_granted_error_profile(-phis, alphabet), profile)
+        profile = _granted_error_profile(alphabet)
+        assert [profile(float(-phi)) for phi in phis] == [profile(float(phi)) for phi in phis]
+
+    @pytest.mark.parametrize("m", [2, 16, 1024])
+    def test_scalar_profile_equals_the_array_profile(self, m):
+        phis = np.random.default_rng(m).uniform(0.0, PI / 2, 256)
+        got = [eve_error_key_granted(MeasBasis(phi), BasisAlphabet(m)) for phi in phis]
+        assert got == granted_error_profile(phis, m).tolist()
 
     @pytest.mark.parametrize("m", [2 ** k for k in range(1, 13)])
     def test_slope_matches_a_central_difference_of_the_sum(self, m):
@@ -302,7 +310,7 @@ class TestEveErrorKeyGranted:
         phis = (rng.integers(-20, 20, 32) + offsets) * h
         eps = 1e-4 * h
         central = (granted_error_sum(phis + eps, m) - granted_error_sum(phis - eps, m)) / (2 * eps)
-        slopes = [_granted_error_slope(phi, alphabet) for phi in phis]
+        slopes = [_granted_error_slope(float(phi), alphabet) for phi in phis]
         assert np.abs(np.array(slopes) - central).max() < 1e-6
         assert _granted_error_slope(0.0, alphabet) == 0.0
 
@@ -347,6 +355,20 @@ class TestOptimalFixedBasis:
         assert abs(limit - (0.5 - 1.0 / PI)) < 1e-9
         _, err = optimal_fixed_basis(BasisAlphabet(2 ** 12))
         assert abs(err - limit) < 2e-3
+
+    @pytest.mark.parametrize("m", [2 ** k for k in range(1, 21)])
+    def test_one_period_scan_matches_the_whole_grid_scan(self, m):
+        # The numpy scan of all 4096 grid points, refined as the library refines,
+        # gives the same angle and error bit for bit.
+        alphabet, step = BasisAlphabet(m), (PI / 2) / 4096
+        phi = grid_scan_index(m) * step
+
+        def profile(x):
+            return float(granted_error_profile(x, m))
+
+        phi_star = _refine_minimum(profile, alphabet, phi - step, phi + step)
+        basis, err = optimal_fixed_basis(alphabet)
+        assert (basis.phi, err) == (MeasBasis(phi_star).phi, profile(phi_star))
 
     def test_error_nondecreasing_in_m(self):
         errors = [optimal_fixed_basis(BasisAlphabet(2 ** k))[1] for k in range(1, 11)]
