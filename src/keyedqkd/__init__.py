@@ -71,10 +71,7 @@ _EXPORTS = {
         "BasisAlphabet",
         "DensityMatrix",
         "MeasBasis",
-        "StateAngle",
-        "density_of_mixture",
         "eve_error_key_granted",
-        "helstrom_error",
         "keyless_error",
         "measure_many",
         "optimal_fixed_basis",

@@ -35,11 +35,10 @@ from .qubits import (
     BasisAlphabet,
     DensityMatrix,
     MeasBasis,
-    StateAngle,
-    density_of_mixture,
     eve_error_key_granted,
     measure_many,
     require_integer,
+    require_real,
     turn_by_bits,
     _sample_outcomes,
     _sin2,
@@ -526,17 +525,23 @@ def ciphertext_only_state(running_key: RunningKey, alphabet: BasisAlphabet,
     regardless of the selector, so the transmitted sequence carries no
     information about the running key. A biased data prior breaks that
     reduction, which is what makes the uniform-data premise load-bearing.
+
+    The mixture of bit 0 at theta (weight p0) and bit 1 at theta + pi/2 is
+    I/2 + (p0 - 1/2) [[cos 2theta, sin 2theta], [sin 2theta, -cos 2theta]]:
+    Bloch vector (2p0 - 1)(cos 2theta, sin 2theta). One matrix is built per
+    distinct selector, and positions with equal selectors share it.
     """
+    p_zero = require_real(p_zero, "data prior")
     if not 0.0 <= p_zero <= 1.0:
         raise ValueError(f"data prior must lie in [0, 1], got {p_zero}")
-    out = []
-    for selector in running_key.selectors:
-        theta = alphabet.basis_angle(int(selector))
-        out.append(density_of_mixture([
-            (p_zero, StateAngle(theta)),
-            (1.0 - p_zero, StateAngle(turn_by_bits(theta, 1))),
-        ]))
-    return out
+    selectors, position = np.unique(running_key.selectors, return_inverse=True)
+    bias = p_zero - 0.5
+    states = []
+    for j in selectors.tolist():
+        two_theta = 2.0 * alphabet.basis_angle(j)
+        c, s = bias * math.cos(two_theta), bias * math.sin(two_theta)
+        states.append(DensityMatrix([[0.5 + c, s], [s, 0.5 - c]]))
+    return [states[i] for i in position.tolist()]
 
 
 def measure_resend_interference(strategy: AttackStrategy):

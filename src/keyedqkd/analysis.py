@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .qubits import BasisAlphabet, keyless_error, optimal_fixed_basis
+from .qubits import BasisAlphabet, keyless_error, optimal_fixed_basis, require_integer
 
 # Conservative fixed-basis eavesdropper error figure for the two-basis
 # alphabet; the exact optimum is (2 - sqrt(2))/4 ~ 0.1464.
@@ -122,6 +122,7 @@ def binomial_ci(successes: int, trials: int) -> ConfidenceInterval:
 
 def net_key_rate(outcome, n: int) -> float:
     """Net generated key bits per transmitted qubit (negative on abort)."""
+    n = require_integer(n, "qubit count")
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     return outcome.ledger.net / n

@@ -1,11 +1,12 @@
-"""Real-plane qubit algebra: encoding, projective measurement, density matrices,
-minimum-error discrimination, and eavesdropper error-rate functionals.
+"""Real-plane qubit algebra: encoding, projective measurement, and
+eavesdropper error-rate functionals.
 
 Every state handled here lies on the real great circle of the Bloch sphere, so a
 pure state is a single angle theta with vector (cos theta, sin theta), and an
 orthogonal measurement basis is a single angle phi with vectors
-(cos phi, sin phi) and (-sin phi, cos phi). Density matrices keep a complex 2x2
-container for generality, but all in-scope entries are real.
+(cos phi, sin phi) and (-sin phi, cos phi). `DensityMatrix` is the validated
+2x2 container for a mixed state; its entries are complex for generality, but
+all in-scope entries are real.
 
 Measurement searches are restricted to orthogonal projective measurements:
 for the binary decision problems treated here, general POVMs reduce to
@@ -18,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 # numpy loads inside the functions that build or sample arrays, so the
 # scalar functionals (and the `sweep` and `rate-window` commands) never load it.
@@ -41,33 +42,16 @@ _TIE_TOL = 1e-12
 _GRID_POINTS = 4096
 
 
-def _wrap(angle: float, period: float) -> float:
+def _wrap(angle: float) -> float:
+    """angle reduced to [0, pi/2)."""
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
-    a = math.fmod(angle, period)
+    a = math.fmod(angle, HALF_PI)
     if a < 0.0:
-        a += period
-    if a >= period:  # fmod rounding can land exactly on the period
+        a += HALF_PI
+    if a >= HALF_PI:  # fmod rounding can land exactly on the period
         a = 0.0
     return a
-
-
-@dataclass(frozen=True)
-class StateAngle:
-    """Pure qubit state (cos theta, sin theta); theta normalized to [0, pi).
-
-    A vector and its negation are the same state, hence the modulo-pi range.
-    """
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _wrap(float(self.theta), math.pi))
-
-    def vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
 @dataclass(frozen=True)
@@ -82,7 +66,7 @@ class MeasBasis:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _wrap(float(self.phi), HALF_PI))
+        object.__setattr__(self, "phi", _wrap(float(self.phi)))
 
 
 def require_integer(value, what: str) -> int:
@@ -156,19 +140,6 @@ class DensityMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @classmethod
-    def pure(cls, state: StateAngle) -> "DensityMatrix":
-        import numpy as np
-
-        v = state.vector().astype(complex)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls) -> "DensityMatrix":
-        import numpy as np
-
-        return cls(np.eye(2, dtype=complex) / 2.0)
-
 
 def turn_by_bits(angles, bits):
     """angle + b*pi/2: the state carrying bit b in the basis at that angle."""
@@ -209,54 +180,6 @@ def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(p1.shape)
     u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
     return (u < p1).view("u1")
-
-
-def _mixture_entries(weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    c, s = np.cos(thetas), np.sin(thetas)
-    off = float(np.sum(weights * c * s))
-    return np.array(
-        [
-            [float(np.sum(weights * c * c)), off],
-            [off, float(np.sum(weights * s * s))],
-        ],
-        dtype=complex,
-    )
-
-
-def density_of_mixture(components: Iterable[tuple[float, StateAngle]]) -> DensityMatrix:
-    """Density matrix of a weighted mixture of pure states.
-
-    Weights must be nonnegative and sum to 1 within 1e-12.
-    """
-    import numpy as np
-
-    comp = list(components)
-    if not comp:
-        raise ValueError("mixture needs at least one component")
-    weights = np.array([w for w, _ in comp], dtype=float)
-    if (weights < 0.0).any():
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > ANGLE_TOL:
-        raise ValueError(f"mixture weights sum to {weights.sum()}, not 1")
-    thetas = np.array([st.theta for _, st in comp])
-    return DensityMatrix(_mixture_entries(weights, thetas))
-
-
-def helstrom_error(rho0: DensityMatrix, rho1: DensityMatrix, p0: float) -> float:
-    """Minimum error probability for discriminating rho0 (prior p0) from rho1.
-
-    Standard minimum-error bound: (1 - ||p1*rho1 - p0*rho0||_1) / 2 with the
-    trace norm evaluated by eigendecomposition of the Hermitian difference.
-    """
-    import numpy as np
-
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"prior must lie in [0, 1], got {p0}")
-    diff = (1.0 - p0) * rho1.entries - p0 * rho0.entries
-    trace_norm = float(np.abs(np.linalg.eigvalsh(diff)).sum())
-    return max(0.0, 0.5 * (1.0 - trace_norm))
 
 
 def _peak_offsets(phi: float, m: int) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the library's own code paths: GF(2)
 polynomial order for primitivity, explicit Toeplitz matrix construction,
-and brute-force scans.
+outer-product mixtures and brute-force scans.
 """
 
 import math
@@ -113,6 +113,24 @@ def grid_scan_index(m: int, points: int = 4096) -> int:
     lies within 1e-12 of the grid minimum."""
     values = granted_error_profile(np.arange(points) * (np.pi / 2 / points), m)
     return int(np.nonzero(values <= values.min() + 1e-12)[0].min())
+
+
+# Mixed states and minimum-error discrimination from first principles: plain
+# 2x2 arrays summed from outer products, with no validated types.
+
+def mixture(weights, thetas) -> np.ndarray:
+    """sum_k w_k v_k v_k^T for the real-plane pure states v_k = (cos theta_k, sin theta_k)."""
+    vectors = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    return sum(w * np.outer(v, v) for w, v in zip(weights, vectors))
+
+
+def helstrom_error(rho0, rho1, p0: float) -> float:
+    """Minimum error of telling rho0 (prior p0) from rho1, (1 - ||(1 - p0) rho1 - p0 rho0||_1)/2,
+    with the trace norm as the sum of the absolute eigenvalues."""
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"prior must lie in [0, 1], got {p0}")
+    eigs = np.linalg.eigvalsh((1.0 - p0) * np.asarray(rho1) - p0 * np.asarray(rho0))
+    return 0.5 * (1.0 - float(np.abs(eigs).sum()))
 
 
 def measure_many_snapped(thetas, phis, rng) -> np.ndarray:

@@ -20,6 +20,7 @@ from keyedqkd import (
     LfsrSpec,
     ProtocolConfig,
     RepetitionKeystream,
+    RunningKey,
     SeedKey,
     attack_block_guess,
     attack_fixed_basis,
@@ -344,8 +345,27 @@ class TestCiphertextOnlyState:
     def test_rejects_bad_prior(self):
         config = lfsr_config(n=4)
         running_key = config.keystream.running_key(4, config.alphabet)
-        with pytest.raises(ValueError):
-            ciphertext_only_state(running_key, config.alphabet, p_zero=1.2)
+        for bad in (1.2, "0.5", True):
+            with pytest.raises(ValueError):
+                ciphertext_only_state(running_key, config.alphabet, p_zero=bad)
+
+    def test_rejects_a_selector_outside_the_alphabet(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ciphertext_only_state(RunningKey([0, 1, 3], 4), BasisAlphabet(2))
+
+    @pytest.mark.parametrize("p_zero", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [2, 16, 1024])
+    def test_closed_form_matches_the_reference_mixture(self, m, p_zero):
+        alphabet = BasisAlphabet(m)
+        selectors = np.random.default_rng(m).integers(0, m, 4 * m).tolist()
+        states = ciphertext_only_state(RunningKey(selectors, m), alphabet, p_zero=p_zero)
+        assert len(states) == len(selectors)
+        shared = {}
+        for j, rho in zip(selectors, states):
+            theta = alphabet.basis_angle(j)
+            expected = reference.mixture([p_zero, 1.0 - p_zero], [theta, theta + PI / 2])
+            assert np.abs(rho.entries - expected).max() <= 1e-15
+            assert shared.setdefault(j, rho) is rho
 
 
 class TestInlineInterference:

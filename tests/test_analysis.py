@@ -204,6 +204,12 @@ class TestNetKeyRate:
         rate = net_key_rate(outcome, 10 ** 5)
         assert 0.17 < rate < 0.21
 
+    def test_rejects_a_non_integer_qubit_count(self):
+        outcome = run_protocol(self.config(10 ** 4), np.random.default_rng(3))
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                net_key_rate(outcome, bad)
+
     def test_rate_improves_with_block_length(self):
         small = net_key_rate(run_protocol(self.config(10 ** 5), np.random.default_rng(4)), 10 ** 5)
         large = net_key_rate(run_protocol(self.config(10 ** 6), np.random.default_rng(4)), 10 ** 6)

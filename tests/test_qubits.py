@@ -1,4 +1,5 @@
-"""Qubit algebra: encoding, measurement, density matrices, discrimination."""
+"""Qubit algebra: encoding, measurement, density-matrix invariants, error functionals,
+and the reference mixture and discrimination oracles they are checked against."""
 
 import math
 
@@ -10,10 +11,7 @@ from keyedqkd import (
     BasisAlphabet,
     DensityMatrix,
     MeasBasis,
-    StateAngle,
-    density_of_mixture,
     eve_error_key_granted,
-    helstrom_error,
     keyless_error,
     measure_many,
     optimal_fixed_basis,
@@ -22,21 +20,11 @@ from keyedqkd.qubits import (ANGLE_TOL, _granted_error_profile, _granted_error_s
                              _refine_minimum, turn_by_bits)
 
 from reference import (brute_force_basis_scan, granted_error_profile, granted_error_sum,
-                       grid_scan_index, measure_many_snapped)
+                       grid_scan_index, helstrom_error, measure_many_snapped, mixture)
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0  # = sin^2(pi/8) ~ 0.146447
 M2 = BasisAlphabet(2)
-
-
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-def test_state_angle_normalizes_mod_pi(theta):
-    state = StateAngle(theta)
-    assert 0.0 <= state.theta < PI
-    assert abs(StateAngle(theta + PI).theta - state.theta) < 1e-6 or (
-        # wrap-around comparison for values that normalize near 0 / pi
-        min(state.theta, PI - state.theta) < 1e-6
-    )
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -46,9 +34,8 @@ def test_meas_basis_normalizes_mod_half_pi(phi):
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_rejected(angle):
-    for kind in (StateAngle, MeasBasis):
-        with pytest.raises(ValueError, match="finite"):
-            kind(angle)
+    with pytest.raises(ValueError, match="finite"):
+        MeasBasis(angle)
 
 
 def test_alphabet_requires_power_of_two():
@@ -84,14 +71,14 @@ class TestEncodeState:
 
     def test_orthogonal_partner_of_diagonal(self):
         partner = M2.basis_angle(1) + PI / 2
-        assert abs(StateAngle(partner).theta - 3 * PI / 4) < 1e-15
+        assert abs(partner - 3 * PI / 4) < 1e-15
         outcomes = measure_many(np.full(64, partner), np.full(64, M2.basis_angle(1)),
                                 np.random.default_rng(2))
         assert (outcomes == 1).all()
 
     def test_wraps_mod_pi_for_m4(self):
-        # 3*(pi/2)/4 + pi/2 = 7*pi/8
-        assert abs(StateAngle(BasisAlphabet(4).basis_angle(3) + PI / 2).theta - 7 * PI / 8) < 1e-15
+        # 3*(pi/2)/4 + pi/2 = 7*pi/8: the last basis's bit-1 state stays below pi
+        assert abs(turn_by_bits(BasisAlphabet(4).basis_angle(3), 1) - 7 * PI / 8) < 1e-15
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -179,36 +166,23 @@ class TestMeasure:
 
 
 class TestDensityOfMixture:
+    """The reference mixture on ensembles whose density matrices are known."""
+
     def test_pure_state(self):
-        rho = density_of_mixture([(1.0, StateAngle(0))])
-        assert np.allclose(rho.entries, [[1, 0], [0, 0]], atol=1e-15)
+        assert np.allclose(mixture([1.0], [0.0]), [[1, 0], [0, 0]], atol=1e-15)
 
     def test_orthogonal_equal_mixture(self):
-        rho = density_of_mixture([(0.5, StateAngle(0)), (0.5, StateAngle(PI / 2))])
-        assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(mixture([0.5, 0.5], [0.0, PI / 2]), np.eye(2) / 2, atol=1e-15)
 
     def test_four_state_mixture_is_maximally_mixed(self):
-        rho = density_of_mixture(
-            [(0.25, StateAngle(t)) for t in (0, PI / 4, PI / 2, 3 * PI / 4)]
-        )
-        assert np.abs(rho.entries - np.eye(2) / 2).max() < 1e-12
+        rho = mixture([0.25] * 4, [0, PI / 4, PI / 2, 3 * PI / 4])
+        assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 64])
     def test_uniform_mixture_over_all_encodings_is_identity_over_two(self, m):
-        alphabet = BasisAlphabet(m)
-        angles = [alphabet.basis_angle(j) for j in range(m)]
-        states = [(0.5 / m, StateAngle(a)) for a in angles]
-        states += [(0.5 / m, StateAngle(a + PI / 2)) for a in angles]
-        rho = density_of_mixture(states)
-        assert np.abs(rho.entries - np.eye(2) / 2).max() < 1e-12
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            density_of_mixture([(0.7, StateAngle(0)), (0.2, StateAngle(1))])
-        with pytest.raises(ValueError):
-            density_of_mixture([(1.5, StateAngle(0)), (-0.5, StateAngle(1))])
-        with pytest.raises(ValueError):
-            density_of_mixture([])
+        angles = BasisAlphabet(m).angle(np.arange(m))
+        rho = mixture(np.full(2 * m, 0.5 / m), np.concatenate([angles, angles + PI / 2]))
+        assert np.abs(rho - np.eye(2) / 2).max() < 1e-12
 
 
 class TestDensityMatrixInvariants:
@@ -225,26 +199,26 @@ class TestDensityMatrixInvariants:
             DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))
 
     def test_entries_read_only(self):
-        rho = DensityMatrix.maximally_mixed()
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 0.9
 
 
 class TestHelstromError:
+    """The reference minimum-error oracle on pairs whose error is known."""
+
     def test_indistinguishable(self):
-        rho = DensityMatrix.maximally_mixed()
+        rho = np.eye(2) / 2
         assert helstrom_error(rho, rho, 0.5) == 0.5
 
     def test_orthogonal_pure_states(self):
-        rho0 = DensityMatrix.pure(StateAngle(0))
-        rho1 = DensityMatrix.pure(StateAngle(PI / 2))
-        assert helstrom_error(rho0, rho1, 0.5) < 1e-15
+        assert abs(helstrom_error(mixture([1.0], [0.0]), mixture([1.0], [PI / 2]), 0.5)) < 1e-15
 
     def test_conjugate_pair_mixtures(self):
         # Equal mixtures of {0, pi/4} vs {pi/2, 3pi/4}: the 2x2 difference has
         # eigenvalues +-sqrt(1/8), so the error is 1/2 - sqrt(1/8) = (2-sqrt(2))/4.
-        rho0 = density_of_mixture([(0.5, StateAngle(0)), (0.5, StateAngle(PI / 4))])
-        rho1 = density_of_mixture([(0.5, StateAngle(PI / 2)), (0.5, StateAngle(3 * PI / 4))])
+        rho0 = mixture([0.5, 0.5], [0.0, PI / 4])
+        rho1 = mixture([0.5, 0.5], [PI / 2, 3 * PI / 4])
         assert abs(helstrom_error(rho0, rho1, 0.5) - BREIDBART_ERROR) < 1e-12
 
     def test_symmetry_and_prior_bound(self):
@@ -252,15 +226,14 @@ class TestHelstromError:
         for _ in range(32):
             thetas = rng.uniform(0, PI, size=4)
             w = rng.dirichlet(np.ones(2))
-            rho0 = density_of_mixture([(w[0], StateAngle(thetas[0])), (w[1], StateAngle(thetas[1]))])
-            rho1 = density_of_mixture([(w[0], StateAngle(thetas[2])), (w[1], StateAngle(thetas[3]))])
+            rho0, rho1 = mixture(w, thetas[:2]), mixture(w, thetas[2:])
             p0 = rng.uniform(0, 1)
             e = helstrom_error(rho0, rho1, p0)
             assert abs(e - helstrom_error(rho1, rho0, 1.0 - p0)) < 1e-12
             assert -1e-12 <= e <= min(p0, 1.0 - p0) + 1e-12
 
     def test_rejects_bad_prior(self):
-        rho = DensityMatrix.maximally_mixed()
+        rho = np.eye(2) / 2
         with pytest.raises(ValueError):
             helstrom_error(rho, rho, 1.5)
 
@@ -380,17 +353,13 @@ class TestKeylessError:
         assert abs(keyless_error(M2) - BREIDBART_ERROR) < 1e-9
         assert abs(keyless_error(M2) - optimal_fixed_basis(M2)[1]) < 1e-9
 
-    @pytest.mark.parametrize("m", [4, 8, 64, 1024])
+    @pytest.mark.parametrize("m", [2, 4, 8, 64, 1024])
     def test_against_direct_construction(self, m):
-        # Rebuild the alternating-orientation ensembles from outer products.
-        angles = [j * (PI / 2) / m + (j % 2) * (PI / 2) for j in range(m)]
-
-        def ensemble(shift):
-            vecs = [np.array([math.cos(t + shift), math.sin(t + shift)]) for t in angles]
-            return sum(np.outer(v, v) for v in vecs) / m
-
-        eigs = np.linalg.eigvalsh(0.5 * ensemble(PI / 2) - 0.5 * ensemble(0.0))
-        expected = 0.5 * (1.0 - np.abs(eigs).sum())
+        # The alternating-orientation ensembles: bit 0 of basis j at its angle
+        # turned by (j % 2) * pi/2, bit 1 a quarter turn further.
+        angles = np.array([j * (PI / 2) / m + (j % 2) * (PI / 2) for j in range(m)])
+        weights = np.full(m, 1.0 / m)
+        expected = helstrom_error(mixture(weights, angles), mixture(weights, angles + PI / 2), 0.5)
         assert abs(keyless_error(BasisAlphabet(m)) - expected) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 4, 16, 256, 2 ** 16])
