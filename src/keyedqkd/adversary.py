@@ -27,6 +27,7 @@ from .keystream import (
     SeedKey,
     expand_running_key,
     lfsr_bits,
+    uniform_below,
     uniform_bits,
     uniform_words,
 )
@@ -85,6 +86,7 @@ class AttackStrategy:
             if self.k_blocks < 1:
                 raise ValueError("block_guess needs k_blocks >= 1")
         elif self.kind == "intercept_resend_random":
+            object.__setattr__(self, "fraction", require_real(self.fraction, "attacked fraction"))
             if not 0.0 <= self.fraction <= 1.0:
                 raise ValueError(f"attacked fraction must lie in [0, 1], got {self.fraction}")
         elif self.kind != "key_guess":
@@ -181,6 +183,7 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
     """kernel(*chunk) per chunk, in order; min(threads, usable CPUs) workers,
     as many in flight. Usable CPUs are the process's affinity set where the
     OS reports one; with one worker the chunks run on the calling thread."""
+    threads = require_integer(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -220,12 +223,14 @@ def _by_codes(func, rows, row_codes, cols, col_codes):
     gather from it; otherwise it runs over the gathered differences. The
     differences are the same floats either way, and np.sin and np.cos give
     each float the same result wherever it sits in an array (a test checks
-    this for np.sin), so both ways give the float path's bits.
+    this for np.sin), so both ways give the float path's bits. The gathers
+    use take, which reads narrow codes about as fast as int64 ones; fancy
+    indexing with a uint8 index array takes about twice as long.
     """
     if rows.size * cols.size <= row_codes.size:
         table = func(np.subtract.outer(rows, cols)).ravel()
-        return table[row_codes * cols.size + col_codes]
-    return func(rows[row_codes] - cols[col_codes])
+        return table.take(row_codes * cols.size + col_codes)
+    return func(rows.take(row_codes) - cols.take(col_codes))
 
 
 def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
@@ -238,28 +243,48 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     is measure_many's sin^2(theta - phi) on the same floats, sampled with its
     draws in its order. Returns per-position arrays: alice bits, eve outcomes
     (on attacked positions), bob bits, detected mask.
+
+    Codes live in one dtype, chosen here: the narrowest unsigned type that
+    holds 2 * (2m + 2E) * m for m keyed and E attacker bases, the size of
+    the receiver's (state turned by a flip, keyed basis) table and so above
+    every code and table index of the round. The arithmetic on them runs in
+    place in that type and cannot wrap.
     """
     (key_angles, key_codes), (eve_angles, eve_codes) = key, eve
+    keyed, resent = _with_bit(key_angles), _with_bit(eve_angles)
+    code = np.min_scalar_type(2 * (keyed.size + resent.size) * key_angles.size)
+    key_codes = key_codes.astype(code, copy=False)
     alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
-    keyed = _with_bit(key_angles)
-    state = 2 * key_codes + alice
-    eve_codes = eve_codes[attacked]
+    state = key_codes * 2
+    state += alice
+    eve_codes = eve_codes[attacked].astype(code)
     outcome = _sample_outcomes(_by_codes(_sin2, keyed, state[attacked], eve_angles, eve_codes), rng)
-    state[attacked] = keyed.size + 2 * eve_codes + outcome
-    sent = np.concatenate([keyed, _with_bit(eve_angles)])
+    eve_codes *= 2
+    eve_codes += outcome
+    eve_codes += keyed.size
+    state[attacked] = eve_codes
     lost, flipped = channel.draw(state.shape, rng)
-    bob = _sample_outcomes(
-        _by_codes(_sin2, _with_bit(sent), 2 * state + flipped, key_angles, key_codes), rng)
+    state *= 2
+    state += flipped
+    sent = _with_bit(np.concatenate([keyed, resent]))
+    bob = _sample_outcomes(_by_codes(_sin2, sent, state, key_angles, key_codes), rng)
     return alice, outcome, bob, ~lost
 
 
 def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
-    """Attacked positions (indices or a slice) and attacker bases as (angles, codes)
-    for one round of an intercept or fixed-basis strategy."""
+    """Attacked positions and attacker bases as (angles, codes) for one round
+    of an intercept or fixed-basis strategy.
+
+    The positions are slice(None) when every one is attacked (a fixed
+    basis, or intercept at fraction 1, where uniform_below returns an
+    all-true mask and skips its draws on PCG64), so no n-element index
+    array is gathered or scattered; otherwise they are indices.
+    """
     if strategy.kind == "intercept_resend_random":
-        attacked = np.flatnonzero(rng.random(n) < strategy.fraction)
-        return attacked, (_TWO_BASES, uniform_bits(rng, n).astype(np.int64))
-    return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.int64))
+        hit = uniform_below(strategy.fraction, (n,), rng)
+        attacked = np.flatnonzero(hit) if strategy.fraction < 1.0 else slice(None)
+        return attacked, (_TWO_BASES, uniform_bits(rng, n))
+    return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.uint8))
 
 
 def _state_attack_counts(strategy: AttackStrategy, key, channel: ChannelModel, rng):
@@ -382,17 +407,27 @@ def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Gener
 
     The guesses are those of rng.integers(0, 2, size=(count, L)): each bit
     is the top bit of one 32-bit draw (Lemire's bounded draw with range 2).
-    The draws are read as a (count, L) array of uniform_words and rows are
-    filtered a column at a time, so no int64 guess matrix is built.
+    The draws are read as a (count, L) array of uniform_words, so no int64
+    guess matrix is built, and the rows still alive are filtered two guess
+    bits a step: columns 2i and 2i + 1 are the low and high halves of one
+    little-endian 64-bit word (unaligned in odd rows when L is odd), whose
+    bits 31 and 63 are those guess bits. An odd L ends on its last column.
     """
     length = seed_bits.size
     head, words = uniform_words(rng, count * length)
     if head:  # a pending half, which a fresh chunk generator never has
         words = np.concatenate([np.array(head, dtype=np.uint32), words])
     words = words.reshape(count, length)
+    pairs = words[:, :length & ~1].view("<u8")
+    bits = seed_bits.tolist()
     alive = np.arange(count)
-    for column, bit in zip(words.T, seed_bits):
-        alive = alive[column[alive] >> 31 == bit]
+    for c in range(0, length, 2):
+        if c + 1 < length:
+            column, mask = pairs[:, c // 2], 1 << 63 | 1 << 31
+            want = bits[c + 1] << 63 | bits[c] << 31
+        else:
+            column, mask, want = words[:, c], 1 << 31, bits[c] << 31
+        alive = alive[column[alive] & mask == want]
         if not alive.size:
             break
     return int(alive.size)
@@ -457,8 +492,8 @@ class BlockGuessTrials:
 def _block_guess_chunk(count: int, rng: np.random.Generator, k_blocks: int, block_len: int,
                        channel: ChannelModel):
     """`count` block-guess trials: (success flags, user errors, attacker errors)."""
-    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
-    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64).astype(np.uint8)
+    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64).astype(np.uint8)
     success = np.all(guesses == key_blocks, axis=1)
     alice, outcome, bob, detected = _resend_round(
         (_TWO_BASES, np.repeat(key_blocks, block_len, axis=1)),
@@ -558,7 +593,7 @@ def measure_resend_interference(strategy: AttackStrategy):
 
     def interfere(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         attacked, (angles, codes) = _eve_bases(strategy, theta.size, rng)
-        eve_phi = angles[codes[attacked]]
+        eve_phi = angles.take(codes[attacked])
         forwarded = theta.copy()
         forwarded[attacked] = turn_by_bits(eve_phi, measure_many(theta[attacked], eve_phi, rng))
         return forwarded

@@ -8,7 +8,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .qubits import BasisAlphabet, keyless_error, optimal_fixed_basis, require_integer
+from .qubits import (
+    BasisAlphabet,
+    keyless_error,
+    optimal_fixed_basis,
+    require_integer,
+    require_real,
+)
 
 # Conservative fixed-basis eavesdropper error figure for the two-basis
 # alphabet; the exact optimum is (2 - sqrt(2))/4 ~ 0.1464.
@@ -20,6 +26,7 @@ KEYLESS_MAX_BASES = 2 ** 16
 
 def h2(p: float) -> float:
     """Binary entropy in bits, with h2(0) = h2(1) = 0 by continuity."""
+    p = require_real(p, "probability")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     if p in (0.0, 1.0):
@@ -44,6 +51,7 @@ class RateWindow:
 
 
 def rate_window(p_c: float) -> RateWindow:
+    p_c = require_real(p_c, "channel error rate")
     if not 0.0 <= p_c < 0.5:
         raise ValueError(f"channel error rate must lie in [0, 0.5), got {p_c}")
     return RateWindow(lower=1.0 - h2(CONSERVATIVE_EVE_ERROR), upper=1.0 - h2(p_c))
@@ -112,6 +120,8 @@ class ConfidenceInterval:
 
 
 def binomial_ci(successes: int, trials: int) -> ConfidenceInterval:
+    successes = require_integer(successes, "successes")
+    trials = require_integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:

@@ -165,20 +165,21 @@ def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
     """rng.random(shape) < p, leaving the same generator state.
 
-    No uniform is below 0, so at p = 0 a half-buffered bit generator skips
-    the draws with advance (O'Neill, PCG, 2014; one raw output per double)
-    and gets back the pending half that advance clears. Other bit generators
-    draw: Philox's advance does not count raw outputs.
+    Uniforms lie in [0, 1): none is below p <= 0 and all are below p >= 1,
+    so there a half-buffered bit generator skips the draws with advance
+    (O'Neill, PCG, 2014; one raw output per double), gets back the pending
+    half that advance clears and returns the constant mask. Other bit
+    generators draw: Philox's advance does not count raw outputs.
     """
     bitgen = rng.bit_generator
-    if p or not _half_buffered(bitgen):
+    if not (p <= 0.0 or p >= 1.0) or not _half_buffered(bitgen):
         return rng.random(shape) < p
     buffered = bitgen.state
     bitgen.advance(math.prod(shape))
     state = bitgen.state
     state["has_uint32"], state["uinteger"] = buffered["has_uint32"], buffered["uinteger"]
     bitgen.state = state
-    return np.zeros(shape, dtype=bool)
+    return np.ones(shape, dtype=bool) if p >= 1.0 else np.zeros(shape, dtype=bool)
 
 
 def _jump(rows: tuple[int, ...], state: int, digits: str) -> int:

@@ -66,7 +66,7 @@ class MeasBasis:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _wrap(float(self.phi)))
+        object.__setattr__(self, "phi", _wrap(require_real(self.phi, "basis angle")))
 
 
 def require_integer(value, what: str) -> int:
@@ -106,6 +106,7 @@ class BasisAlphabet:
         return j * (HALF_PI / self.m)
 
     def basis_angle(self, j: int) -> float:
+        j = require_integer(j, "basis index")
         if not 0 <= j < self.m:
             raise ValueError(f"basis index {j} out of range [0, {self.m})")
         return self.angle(j)

@@ -190,6 +190,14 @@ def state_attack_counts(strategy, phi_key, channel, rng):
             int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
 
 
+def eve_bases(strategy, n: int, rng):
+    """Attacked positions and attacker bases of one intercept round as index
+    arrays, even when every position is attacked: (indices, (angles, int64
+    codes)). Draws: the attack mask, then the attacker's basis bits."""
+    attacked = np.flatnonzero(rng.random(n) < strategy.fraction)
+    return attacked, (np.array([0.0, HALF_PI / 2]), rng.integers(0, 2, size=n, dtype=np.int64))
+
+
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
     user errors, attacker errors) per trial."""

@@ -101,6 +101,11 @@ class TestStrategyParsing:
     def test_numpy_block_count_is_stored_as_an_int(self):
         assert type(AttackStrategy("block_guess", k_blocks=np.int64(3)).k_blocks) is int
 
+    @pytest.mark.parametrize("fraction", [True, "0.5"])
+    def test_fraction_must_be_a_real_number(self, fraction):
+        with pytest.raises(ValueError, match="must be a real number"):
+            AttackStrategy("intercept_resend_random", fraction=fraction)
+
 
 # A float count raises ValueError before it reaches a numpy shape or range.
 @pytest.mark.parametrize("call", [
@@ -232,12 +237,13 @@ class TestKeyGuess:
         with pytest.raises(ValueError):
             attack_key_guess(repetition_config(40, "10011010"), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 16, 64])
-    @pytest.mark.parametrize("count", [1, 7, 4096])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 16, 64])
+    @pytest.mark.parametrize("count", [1, 7, 3001, 4096])
     def test_success_count_matches_the_int64_reference(self, length, count):
         # Seeds taken from rows the reference itself draws, so long seeds
         # still have successes to count; odd count * length leaves half of
-        # the last raw word unused.
+        # the last raw word unused, and at odd length the two-bit steps read
+        # unaligned words and end on one column.
         for seed in range(4):
             rows = np.random.default_rng(seed).integers(0, 2, size=(count, length), dtype=np.int64)
             for row in (0, count // 2, count - 1):
@@ -530,6 +536,14 @@ class TestTrialChunks:
             run_attack(AttackStrategy.parse("breidbart"), lfsr_config(n=40),
                        np.random.default_rng(0), threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, True, "2"])
+    def test_rejects_a_non_integer_thread_count(self, threads):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            _map_chunks(lambda size, rng: size, _chunk_rngs(np.random.default_rng(0), 3), threads)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            run_attack(AttackStrategy.parse("breidbart"), lfsr_config(n=40),
+                       np.random.default_rng(0), threads=threads)
+
 
 CHANNELS = [ChannelModel(), ChannelModel(flip_prob=0.1, loss=0.2)]
 CHANNEL_IDS = ["noiseless", "flip0.1-loss0.2"]
@@ -539,6 +553,18 @@ def _same_arrays(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _recording_eve_bases(seen):
+    """The library's _eve_bases, appending the attacked positions of each round to `seen`."""
+    real = keyedqkd.adversary._eve_bases
+
+    def eve_bases(strategy, n, rng):
+        attacked, eve = real(strategy, n, rng)
+        seen.append(attacked)
+        return attacked, eve
+
+    return eve_bases
 
 
 class TestCodedKernels:
@@ -607,6 +633,89 @@ class TestCodedKernels:
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert table_use and all(used == tables for used in table_use)
+
+    @pytest.fixture
+    def code_dtypes(self, monkeypatch):
+        """Records the dtype of the row codes of every _by_codes call."""
+        seen = []
+
+        def spy(func, rows, row_codes, cols, col_codes):
+            seen.append(row_codes.dtype)
+            return _by_codes(func, rows, row_codes, cols, col_codes)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_by_codes", spy)
+        return seen
+
+    # m keyed and E attacker bases, and the narrowest dtype above 2 * (2m + 2E) * m:
+    # 32 and 24 fit a uint8, 2048 and 1088 a uint16, 66560 and 264192 a uint32.
+    # At m = E = 4096 (a key-guess round) every p1 is per element.
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m,e,n,code", [
+        (2, 2, 3000, np.uint8), (2, 1, 3000, np.uint8), (16, 16, 3000, np.uint16),
+        (16, 1, 3000, np.uint16), (128, 2, 3000, np.uint32), (256, 2, 3000, np.uint32),
+        (4096, 4096, 300, np.uint32)])
+    def test_resend_round_at_each_code_width(self, code_dtypes, m, e, n, code, channel):
+        key_angles = BasisAlphabet(m).angle(np.arange(m))
+        eve_angles = BasisAlphabet(e).angle(np.arange(e)) if e > 1 else np.array([0.3])
+        draw = np.random.default_rng(m + e)
+        key_codes = draw.integers(0, m, n)
+        eve_codes = draw.integers(0, e, n).astype(np.min_scalar_type(e - 1))
+        inputs = key_codes.copy(), eve_codes.copy()
+        mask = draw.random(n) < 0.4
+        for attacked in (mask, np.flatnonzero(mask), slice(None)):
+            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+            got = _resend_round((key_angles, key_codes), (eve_angles, eve_codes), attacked,
+                                channel, rng)
+            want = reference.resend_round(key_angles[key_codes], channel, eve_angles[eve_codes],
+                                          attacked, ref_rng)
+            _same_arrays(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _same_arrays((key_codes, eve_codes), inputs)
+        assert set(code_dtypes) == {np.dtype(code)}
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m,text,code", [
+        (2, "breidbart", np.uint8), (2, "intercept:1", np.uint8), (16, "fixed:0.3", np.uint16),
+        (128, "intercept:1", np.uint32), (256, "intercept:0.5", np.uint32)])
+    def test_state_attack_round_at_each_code_width(self, code_dtypes, m, text, code, channel):
+        config = lfsr_config(n=3000, m=m)
+        strategy = AttackStrategy.parse(text)
+        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = _state_attack_counts(strategy, key, channel, rng)
+        assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
+                                                    ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # The round's two measurements gather by codes of the round's dtype;
+        # the decoding then reads the caller's int64 selectors.
+        assert code_dtypes == [np.dtype(code)] * 2 + [np.dtype(np.int64)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    def test_full_interception_slice_equals_the_index_path(self, monkeypatch, channel, threads):
+        config = dataclasses.replace(lfsr_config(n=600), channel=channel)
+        strategy, seen = AttackStrategy.parse("intercept"), []
+        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", _recording_eve_bases(seen))
+        fast = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
+        assert seen == [slice(None)] * 5
+        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", reference.eve_bases)
+        assert fast == run_attack(strategy, config, np.random.default_rng(8), trials=5,
+                                  threads=threads)
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    def test_full_interception_inline_slice_equals_the_index_path(self, monkeypatch, channel):
+        from keyedqkd import measure_resend_interference, run_protocol
+        config = dataclasses.replace(lfsr_config(n=4000), channel=channel)
+        hook = measure_resend_interference(AttackStrategy.parse("intercept"))
+        seen, runs = [], []
+        for eve_bases in (_recording_eve_bases(seen), reference.eve_bases):
+            monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", eve_bases)
+            rng = np.random.default_rng(23)
+            outcome = run_protocol(config, rng, interference=hook)
+            runs.append((outcome.to_json_dict(), outcome.detected_positions.tolist(),
+                         rng.bit_generator.state))
+        assert seen == [slice(None)]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("count", [1, 50])

@@ -61,6 +61,10 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             h2(1.1)
 
+    def test_rejects_a_bool(self):
+        with pytest.raises(ValueError, match="must be a real number"):
+            h2(True)
+
 
 class TestEveCapacity:
     def test_two_basis_value(self):
@@ -105,6 +109,10 @@ class TestRateWindow:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             rate_window(0.5)
+
+    def test_rejects_a_string(self):
+        with pytest.raises(ValueError, match="must be a real number"):
+            rate_window("0.1")
 
 
 class TestSweep:
@@ -174,6 +182,11 @@ class TestBinomialCi:
             binomial_ci(1, 0)
         with pytest.raises(ValueError):
             binomial_ci(5, 4)
+
+    @pytest.mark.parametrize("successes,trials", [(1.5, 3), (True, 3), (1, 3.5)])
+    def test_rejects_non_integer_counts(self, successes, trials):
+        with pytest.raises(ValueError, match="must be an integer"):
+            binomial_ci(successes, trials)
 
 
 class TestNetKeyRate:

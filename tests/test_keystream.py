@@ -1,6 +1,7 @@
 """Keystream expanders: LFSR, repetition, selector grouping; uniform draw kernels."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -424,11 +425,15 @@ class TestUniformDraws:
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_zero_probability_skips_the_draw_state_exactly(self, bit_generator, pending):
-        for p in (0.0, 0.3):
+        # p <= 0 and p >= 1 give constant masks, whose draws a half-buffered
+        # generator skips; the others (Philox among them) draw, as at 0 < p < 1
+        # and at NaN, and the state check holds them to rng.random's draws.
+        for p in (-0.5, 0.0, 0.3, 1.0, 1.5, math.nan):
             for shape in ((0,), (1,), (1001,), (7, 3)):
                 ref, rng = twin_generators(bit_generator, pending)
                 expected, mask = draw_below(p, shape, ref), uniform_below(p, shape, rng)
                 assert mask.dtype == bool and mask.shape == shape
                 assert np.array_equal(mask, expected), (p, shape)
+                assert mask.all() or not p >= 1.0, (p, shape)
                 assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, shape)
                 assert rng.integers(0, 2) == ref.integers(0, 2), (p, shape)

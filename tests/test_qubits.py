@@ -38,6 +38,12 @@ def test_non_finite_angles_rejected(angle):
         MeasBasis(angle)
 
 
+@pytest.mark.parametrize("angle", ["0.3", True])
+def test_non_real_angles_rejected(angle):
+    with pytest.raises(ValueError, match="must be a real number"):
+        MeasBasis(angle)
+
+
 def test_alphabet_requires_power_of_two():
     for bad in (0, 1, 3, 6, 12):
         with pytest.raises(ValueError):
@@ -85,6 +91,11 @@ class TestEncodeState:
             M2.basis_angle(2)
         with pytest.raises(ValueError):
             M2.basis_angle(-1)
+
+    @pytest.mark.parametrize("j", [1.5, True])
+    def test_rejects_a_non_integer_index(self, j):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BasisAlphabet(4).basis_angle(j)
 
 
 class PinnedDraws:
