@@ -25,11 +25,11 @@ from .keystream import (
     RepetitionKeystream,
     RunningKey,
     SeedKey,
+    bits_int,
     expand_running_key,
     lfsr_bits,
     uniform_below,
     uniform_bits,
-    uniform_words,
 )
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
@@ -277,8 +277,8 @@ def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
 
     The positions are slice(None) when every one is attacked (a fixed
     basis, or intercept at fraction 1, where uniform_below returns an
-    all-true mask and skips its draws on PCG64), so no n-element index
-    array is gathered or scattered; otherwise they are indices.
+    all-true mask without drawing), so no n-element index array is
+    gathered or scattered; otherwise they are indices.
     """
     if strategy.kind == "intercept_resend_random":
         hit = uniform_below(strategy.fraction, (n,), rng)
@@ -405,32 +405,20 @@ def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
 def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Generator) -> int:
     """How many of `count` uniform guesses equal `seed_bits`.
 
-    The guesses are those of rng.integers(0, 2, size=(count, L)): each bit
-    is the top bit of one 32-bit draw (Lemire's bounded draw with range 2).
-    The draws are read as a (count, L) array of uniform_words, so no int64
-    guess matrix is built, and the rows still alive are filtered two guess
-    bits a step: columns 2i and 2i + 1 are the low and high halves of one
-    little-endian 64-bit word (unaligned in odd rows when L is odd), whose
-    bits 31 and 63 are those guess bits. An odd L ends on its last column.
+    A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
+    ceil(L/64) whole 64-bit draws. The guesses are therefore one
+    (count, ceil(L/64)) draw of words, and a row hits when its words, with
+    the bits past L masked off, equal the seed packed the same way.
     """
-    length = seed_bits.size
-    head, words = uniform_words(rng, count * length)
-    if head:  # a pending half, which a fresh chunk generator never has
-        words = np.concatenate([np.array(head, dtype=np.uint32), words])
-    words = words.reshape(count, length)
-    pairs = words[:, :length & ~1].view("<u8")
-    bits = seed_bits.tolist()
-    alive = np.arange(count)
-    for c in range(0, length, 2):
-        if c + 1 < length:
-            column, mask = pairs[:, c // 2], 1 << 63 | 1 << 31
-            want = bits[c + 1] << 63 | bits[c] << 31
-        else:
-            column, mask, want = words[:, c], 1 << 31, bits[c] << 31
-        alive = alive[column[alive] & mask == want]
-        if not alive.size:
-            break
-    return int(alive.size)
+    width = -(-seed_bits.size // 64)
+    words = rng.integers(0, 1 << 64, size=(count, width), dtype=np.uint64)
+    words &= _packed((1 << seed_bits.size) - 1, width)
+    return int(np.count_nonzero((words == _packed(bits_int(seed_bits), width)).all(axis=1)))
+
+
+def _packed(value: int, width: int) -> np.ndarray:
+    """The low 64 * width bits of `value` as `width` uint64 words, lowest first."""
+    return np.array([value >> 64 * i & (1 << 64) - 1 for i in range(width)], dtype=np.uint64)
 
 
 def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
@@ -459,7 +447,7 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     key_selectors = config.key_selectors()
 
     def round_kernel(_, chunk_rng):
-        guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=length)))
+        guess = SeedKey(tuple(uniform_bits(chunk_rng, length).tolist()))
         return _guess_round(config, key_selectors, guess, chunk_rng)[1:]
 
     rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
@@ -491,9 +479,9 @@ class BlockGuessTrials:
 
 def _block_guess_chunk(count: int, rng: np.random.Generator, k_blocks: int, block_len: int,
                        channel: ChannelModel):
-    """`count` block-guess trials: (success flags, user errors, attacker errors)."""
-    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64).astype(np.uint8)
-    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64).astype(np.uint8)
+    """`count` block-guess trials: (success flags, user errors, attacker errors).
+    The users' key blocks and the attacker's guesses come from one bit draw."""
+    key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
     success = np.all(guesses == key_blocks, axis=1)
     alice, outcome, bob, detected = _resend_round(
         (_TWO_BASES, np.repeat(key_blocks, block_len, axis=1)),

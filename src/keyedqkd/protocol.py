@@ -71,11 +71,9 @@ class ProtocolConfig:
     def __post_init__(self):
         for field in ("n", "pa_security_param", "verification_len"):
             object.__setattr__(self, field, require_integer(getattr(self, field), field))
-        object.__setattr__(self, "code_rate", require_real(self.code_rate, "code_rate"))
+        object.__setattr__(self, "code_rate", _code_rate(self.code_rate))
         if self.n < 1:
             raise ValueError("qubit count must be >= 1")
-        if not 0.0 < self.code_rate < 1.0:
-            raise ValueError(f"code rate must lie in (0, 1), got {self.code_rate}")
         if self.pa_security_param < 0:
             raise ValueError("security parameter must be >= 0")
         if not 1 <= self.verification_len <= MAX_VERIFICATION_LEN:
@@ -265,6 +263,14 @@ def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interferenc
     return alice[detected], bob[detected], detected
 
 
+def _code_rate(value) -> float:
+    """A code rate R as a float; non-reals and R outside (0, 1) raise ValueError."""
+    rate = require_real(value, "code rate")
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"code rate must lie in (0, 1), got {rate}")
+    return rate
+
+
 class RateVerdict(str, Enum):
     OK = "ok"
     RATE_TOO_HIGH = "rate_too_high"
@@ -279,6 +285,7 @@ def rate_gate(p_c_hat: float, code_rate: float) -> RateVerdict:
     exceeds a fixed-basis eavesdropper's capacity). When both fail, the
     correction failure is reported.
     """
+    code_rate = _code_rate(code_rate)
     window = rate_window(p_c_hat)
     if window.upper <= code_rate:
         return RateVerdict.RATE_TOO_HIGH
@@ -294,6 +301,7 @@ def reconcile(alice_bits, bob_bits, code_rate: float):
     receiver's bits are replaced by the sender's and ceil(l*(1-R)) bits count
     as leaked syndrome.
     """
+    code_rate = _code_rate(code_rate)
     alice = as_bits(alice_bits, "sender bits")
     bob = as_bits(bob_bits, "receiver bits")
     if alice.shape != bob.shape:
@@ -313,7 +321,8 @@ def privacy_amplify(bits, out_len: int, hash_seed) -> np.ndarray:
     along the diagonals and must have length len(bits) + out_len - 1. Linear
     over GF(2) in the input for a fixed seed. Inputs must be 0/1.
     """
-    return _toeplitz_hash(as_bits(bits, "hash input"), out_len, as_bits(hash_seed, "hash seed"))
+    return _toeplitz_hash(as_bits(bits, "hash input"), require_integer(out_len, "output length"),
+                          as_bits(hash_seed, "hash seed"))
 
 
 def _toeplitz_hash(bits: np.ndarray, out_len: int, seed: np.ndarray) -> np.ndarray:
@@ -359,6 +368,9 @@ def pa_output_length(reconciled_len: int, code_rate: float, alphabet: BasisAlpha
     1 - h2(e*) from the code rate, so reconciliation side information is
     covered by the rate condition itself; s is an extra security haircut.
     """
+    reconciled_len = require_integer(reconciled_len, "reconciled length")
+    security_bits = require_integer(security_bits, "security parameter")
+    code_rate = _code_rate(code_rate)
     if reconciled_len < 0:
         raise ValueError("reconciled length must be >= 0")
     if security_bits < 0:

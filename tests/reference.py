@@ -142,9 +142,11 @@ def measure_many_snapped(thetas, phis, rng) -> np.ndarray:
 
 
 def key_guess_successes(seed_bits, count: int, rng) -> int:
-    """Rows of a (count, L) int64 matrix of uniform bits that equal seed_bits."""
+    """Rows of a (count, L) int64 matrix of uniform bits that equal seed_bits;
+    row i is the bits of the i-th guess's whole words, as integer_bits draws them."""
     seed_bits = np.asarray(seed_bits)
-    guesses = rng.integers(0, 2, size=(count, seed_bits.size), dtype=np.int64)
+    width = -(-seed_bits.size // 64)
+    guesses = word_bits(rng, (count, width))[:, :seed_bits.size].astype(np.int64)
     return int(np.sum(np.all(guesses == seed_bits, axis=1)))
 
 
@@ -164,12 +166,12 @@ def resend_round(phi_key, channel, eve_phi, attacked, rng):
     """One transmission with measure-resend on the positions `attacked` (a mask
     or slice) selects: (alice bits, eve outcomes on attacked positions, bob
     bits, detected mask). Draws: alice, eve, lost, flipped, bob."""
-    alice = rng.integers(0, 2, size=phi_key.shape, dtype=np.int64).astype(np.uint8)
+    alice = integer_bits(rng, phi_key.size).reshape(phi_key.shape)
     theta = phi_key + alice * HALF_PI
     outcome = measure_many_snapped(theta[attacked], eve_phi[attacked], rng)
     theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
-    lost = rng.random(theta.shape) < channel.loss
-    flipped = rng.random(theta.shape) < channel.flip_prob
+    lost = draw_below(channel.loss, theta.shape, rng)
+    flipped = draw_below(channel.flip_prob, theta.shape, rng)
     bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng)
     return alice, outcome, bob, ~lost
 
@@ -179,8 +181,8 @@ def state_attack_counts(strategy, phi_key, channel, rng):
     is granted: (eve bit errors, attacked, user errors, detected)."""
     n = phi_key.size
     if strategy.kind == "intercept_resend_random":
-        attacked = rng.random(n) < strategy.fraction
-        eve_phi = rng.integers(0, 2, size=n, dtype=np.int64) * (HALF_PI / 2)
+        attacked = draw_below(strategy.fraction, n, rng)
+        eve_phi = integer_bits(rng, n) * (HALF_PI / 2)
     else:
         attacked = np.ones(n, dtype=bool)
         eve_phi = np.full(n, strategy.phi)
@@ -194,15 +196,17 @@ def eve_bases(strategy, n: int, rng):
     """Attacked positions and attacker bases of one intercept round as index
     arrays, even when every position is attacked: (indices, (angles, int64
     codes)). Draws: the attack mask, then the attacker's basis bits."""
-    attacked = np.flatnonzero(rng.random(n) < strategy.fraction)
-    return attacked, (np.array([0.0, HALF_PI / 2]), rng.integers(0, 2, size=n, dtype=np.int64))
+    attacked = np.flatnonzero(draw_below(strategy.fraction, n, rng))
+    return attacked, (np.array([0.0, HALF_PI / 2]), integer_bits(rng, n).astype(np.int64))
 
 
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
-    user errors, attacker errors) per trial."""
-    key_blocks = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
-    guesses = rng.integers(0, 2, size=(count, k_blocks), dtype=np.int64)
+    user errors, attacker errors) per trial. Draws: the key blocks and then
+    the guesses, in one bit draw."""
+    blocks = integer_bits(rng, 2 * count * k_blocks).astype(np.int64)
+    key_blocks = blocks[:count * k_blocks].reshape(count, k_blocks)
+    guesses = blocks[count * k_blocks:].reshape(count, k_blocks)
     success = np.all(guesses == key_blocks, axis=1)
     key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
     guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
@@ -210,15 +214,30 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)
 
 
-# Draw, selector and jump-table code as it was before the keygen kernels.
+# The draw contract of uniform_bits and uniform_below, rebuilt with shifts
+# over the raw bytes, and selector and jump-table code as it was before the
+# keygen kernels.
+
+def word_bits(rng, shape) -> np.ndarray:
+    """Uniform 64-bit words of `shape` (every value 0..2^64 - 1, endpoint
+    included), each expanded to its 64 bits: bit j of a word is bit j % 8 of
+    its little-endian byte j // 8. Shape (..., 64 * shape[-1]), uint8."""
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True)
+    raw = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)
+    bits = (raw[:, None] >> np.arange(8, dtype=np.uint8)) & 1
+    return bits.reshape(*np.shape(words)[:-1], -1)
+
 
 def integer_bits(rng, n: int) -> np.ndarray:
-    """n uniform bits through the bounded-integer draw."""
-    return rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+    """n uniform bits: the first n bits of ceil(n/64) words."""
+    return word_bits(rng, (-(-n // 64),))[:n]
 
 
 def draw_below(p: float, shape, rng) -> np.ndarray:
-    """One uniform double per element, compared with p."""
+    """One uniform double per element, compared with p; no draw at p <= 0 or
+    p >= 1, where every double is at least p or below it."""
+    if p <= 0 or p >= 1:
+        return np.zeros(shape, dtype=bool) | (p >= 1)
     return rng.random(shape) < p
 
 

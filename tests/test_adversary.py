@@ -48,6 +48,7 @@ from keyedqkd.adversary import (
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
+from keyedqkd.keystream import uniform_bits
 from keyedqkd.qubits import MeasBasis, _sin2
 
 import reference
@@ -237,21 +238,25 @@ class TestKeyGuess:
         with pytest.raises(ValueError):
             attack_key_guess(repetition_config(40, "10011010"), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 16, 64])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 16, 64, 65, 130])
     @pytest.mark.parametrize("count", [1, 7, 3001, 4096])
     def test_success_count_matches_the_int64_reference(self, length, count):
         # Seeds taken from rows the reference itself draws, so long seeds
-        # still have successes to count; odd count * length leaves half of
-        # the last raw word unused, and at odd length the two-bit steps read
-        # unaligned words and end on one column.
+        # still have successes to count; a guess takes whole 64-bit words,
+        # and past 64 bits it spans several, the last one masked.
+        width = -(-length // 64)
         for seed in range(4):
-            rows = np.random.default_rng(seed).integers(0, 2, size=(count, length), dtype=np.int64)
+            rows = reference.word_bits(np.random.default_rng(seed), (count, width))[:, :length]
+            # Each row is the guess uniform_bits draws for one trial.
+            draw = np.random.default_rng(seed)
+            for row in rows[:7]:
+                assert np.array_equal(uniform_bits(draw, length), row)
             for row in (0, count // 2, count - 1):
-                seed_bits = rows[row].astype(np.uint8)
+                seed_bits = rows[row]
                 got = _key_guess_successes(seed_bits, count, np.random.default_rng(seed))
                 assert got >= 1
                 assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
-        # A pending 32-bit half is the first guess bit, as in the integers draw.
+        # A pending 32-bit half is left pending: the guesses take whole 64-bit draws.
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         rng.integers(0, 2), ref.integers(0, 2)
         assert (_key_guess_successes(seed_bits, count, rng)
@@ -269,7 +274,7 @@ class TestKeyGuess:
             pass
         counts = []
         for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
-            guess = SeedKey(tuple(int(b) for b in chunk_rng.integers(0, 2, size=8)))
+            guess = SeedKey(tuple(uniform_bits(chunk_rng, 8).tolist()))
             counts.append(_guess_round(config, config.key_selectors(), guess, chunk_rng)[2:])
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0

@@ -68,6 +68,16 @@ class TestLfsrSpec:
         with pytest.raises(ValueError):
             LfsrSpec((4, 0))
 
+    @pytest.mark.parametrize("taps", [(4.7, 1), (True, 4), (4, 1.0), ("4", 1)])
+    def test_rejects_non_integer_taps(self, taps):
+        # An int() cast would truncate 4.7 to 4 and read True as tap 1.
+        with pytest.raises(ValueError, match="tap position must be an integer"):
+            LfsrSpec(taps)
+
+    def test_numpy_integer_taps_are_stored_as_ints(self):
+        spec = LfsrSpec((np.int64(4), np.uint8(1)))
+        assert spec.taps == (4, 1) and all(type(t) is int for t in spec.taps)
+
 
 class TestLfsrStream:
     def test_maximal_cycle_visits_every_nonzero_state(self):
@@ -97,6 +107,12 @@ class TestLfsrStream:
             lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("0000"), 4)
         with pytest.raises(ValueError):
             lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("101"), 4)
+
+    @pytest.mark.parametrize("count", [True, 3.0, 2.5])
+    def test_rejects_a_non_integer_count(self, count):
+        # Read as 1, True would give one bit; floats would raise TypeError.
+        with pytest.raises(ValueError, match="count must be an integer"):
+            lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("1001"), count)
 
     def test_deterministic_across_instances(self):
         spec = LfsrSpec((8, 6, 5, 4))
@@ -279,6 +295,11 @@ class TestExpandRunningKey:
         with pytest.raises(ValueError):
             expand_running_key([1, 0, 1], 4, M2)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5])
+    def test_rejects_a_non_integer_count(self, n):
+        with pytest.raises(ValueError, match="selector count must be an integer"):
+            expand_running_key([1, 0, 1, 1], n, M2)
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_shift_or_matches_matmul(self, k):
         bits = np.random.default_rng(k).integers(0, 2, size=1000 * k + 5).astype(np.uint8)
@@ -387,6 +408,13 @@ class TestRepetitionRunningKey:
         with pytest.raises(ValueError):
             repetition_running_key(SeedKey.from_string("1010"), 3)
 
+    @pytest.mark.parametrize("n", [True, 4.0, 2.5])
+    def test_rejects_a_non_integer_length(self, n):
+        # Read as 1, True would give one selector; floats would raise
+        # TypeError or IndexError.
+        with pytest.raises(ValueError, match="sequence length must be an integer"):
+            repetition_running_key(SeedKey.from_string("1"), n)
+
 
 def same_state(a, b) -> bool:
     """Bit generator state dicts equal, array entries (MT19937's key) included."""
@@ -408,7 +436,8 @@ def twin_generators(bit_generator, pending):
 
 
 class TestUniformDraws:
-    """uniform_bits and uniform_below against the draws they replace, bits and state."""
+    """uniform_bits and uniform_below against the draw contract as tests/reference.py
+    rebuilds it, bits and state, with and without a pending 32-bit half."""
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
@@ -425,9 +454,9 @@ class TestUniformDraws:
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_zero_probability_skips_the_draw_state_exactly(self, bit_generator, pending):
-        # p <= 0 and p >= 1 give constant masks, whose draws a half-buffered
-        # generator skips; the others (Philox among them) draw, as at 0 < p < 1
-        # and at NaN, and the state check holds them to rng.random's draws.
+        # p <= 0 and p >= 1 give constant masks and draw nothing, on every
+        # bit generator; 0 < p < 1 and NaN draw, and the state check holds
+        # them to rng.random's draws.
         for p in (-0.5, 0.0, 0.3, 1.0, 1.5, math.nan):
             for shape in ((0,), (1,), (1001,), (7, 3)):
                 ref, rng = twin_generators(bit_generator, pending)

@@ -75,6 +75,12 @@ class TestRateGate:
         with pytest.raises(ValueError):
             rate_gate(-0.01, 0.6)
 
+    @pytest.mark.parametrize("rate", [True, "0.5", 0.0, 1.0, 1.5, math.nan])
+    def test_rejects_a_code_rate_outside_the_open_unit_interval(self, rate):
+        # Read as R = 1.0, True would report rate_too_high.
+        with pytest.raises(ValueError, match="code rate"):
+            rate_gate(0.05, rate)
+
 
 class TestReconcile:
     def test_error_free_succeeds(self):
@@ -111,6 +117,13 @@ class TestReconcile:
             for args in ((bad, [1, 0]), ([1, 0], bad)):
                 with pytest.raises(ValueError, match="must be 0 or 1"):
                     reconcile(*args, 0.5)
+
+    @pytest.mark.parametrize("rate", [1.5, -0.5, 0.0, 1.0, True, math.nan])
+    def test_rejects_a_code_rate_outside_the_open_unit_interval(self, rate):
+        # Unchecked, 1.5 would leak -4 bits and -0.5 would leak 12 of 8.
+        bits = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(ValueError, match="code rate"):
+            reconcile(bits, bits.copy(), rate)
 
 
 class TestPrivacyAmplify:
@@ -176,6 +189,12 @@ class TestPrivacyAmplify:
         with pytest.raises(ValueError):
             privacy_amplify([1, 0, 1], 2, [1, 1, 0])
 
+    @pytest.mark.parametrize("out_len", [True, 1.0, 1.5])
+    def test_rejects_a_non_integer_output_length(self, out_len):
+        # Read as 1, True would hash down to one bit.
+        with pytest.raises(ValueError, match="output length must be an integer"):
+            privacy_amplify([1, 0, 1], out_len, [1, 1, 0])
+
 
 class TestPaOutputLength:
     def test_reference_point(self):
@@ -191,6 +210,23 @@ class TestPaOutputLength:
 
     def test_huge_security_param_clamps(self):
         assert pa_output_length(10 ** 4, 0.6, M2, 10 ** 6) == 0
+
+    @pytest.mark.parametrize("rate", [2.0, 1.0, 0.0, -0.5, True, "0.6"])
+    def test_rejects_a_code_rate_outside_the_open_unit_interval(self, rate):
+        # Unchecked, R = 2 would give 1600 bits from 1000.
+        with pytest.raises(ValueError, match="code rate"):
+            pa_output_length(1000, rate, M2, 0)
+
+    @pytest.mark.parametrize("security_bits", [True, 1.0, 64.5])
+    def test_rejects_a_non_integer_security_parameter(self, security_bits):
+        with pytest.raises(ValueError, match="security parameter must be an integer"):
+            pa_output_length(1000, 0.6, M2, security_bits)
+
+    @pytest.mark.parametrize("length", [100.7, 100.0, True])
+    def test_rejects_a_non_integer_reconciled_length(self, length):
+        # The floor would silently truncate 100.7.
+        with pytest.raises(ValueError, match="reconciled length must be an integer"):
+            pa_output_length(length, 0.6, M2, 0)
 
 
 class TestVerifyKey:
@@ -433,7 +469,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("m", [2, 16])
     @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_draw_kernels_match_the_draws_they_replace(self, monkeypatch, m, loss):
-        # Odd n leaves a pending 32-bit half after the alice bits.
+        # Odd n leaves the alice bits' last 64-bit word partly unused.
         config = make_config(n=20_001, m=m, flip=0.02, loss=loss, keystream=LFSR64)
         fast, ref, fast_state, ref_state = with_reference_draws(
             monkeypatch, lambda rng: run_protocol(config, rng))
@@ -589,22 +625,22 @@ class TestDirectEncryption:
         assert fast_state == ref_state
 
     def test_lossy_noisy_run_matches_recorded_outputs(self):
-        # Recorded before the send step moved into the shared keyed channel:
-        # a change in its draw order changes the hash or the final state.
+        # Recorded when uniform bits became whole 64-bit draws: a change in
+        # the draw order or sizes changes the hash or the final state.
         config = make_config(n=4001, m=4, flip=0.03, loss=0.1, rate=0.5,
                              mode="direct-encryption")
         plaintext = np.random.default_rng(9).integers(0, 2, 1001).astype(np.uint8)
         rng = np.random.default_rng(2031)
         result = run_direct_encryption(config, plaintext, rng)
         assert hashlib.sha256(result.ciphertext_angles.tobytes()).hexdigest() == (
-            "e6848ad077ffc329afb6f9a6782acf2ce1480a3b313a3053243c415a7bf813e3")
+            "9e67ad24ff0d35616187f0503369d0066464296ee82e92cb2b479bc7cd2ef31a")
         assert result.ok and result.reason is None
         assert np.array_equal(result.recovered_plaintext, plaintext)
         assert rng.bit_generator.state == {
             "bit_generator": "PCG64",
-            "state": {"state": 246312628571000974458910357910331652885,
+            "state": {"state": 97485132327729613724611674921710047724,
                       "inc": 327797321855181304204031774571720475759},
-            "has_uint32": 0, "uinteger": 3207962984,
+            "has_uint32": 0, "uinteger": 0,
         }
 
     def test_noiseless_recovers_plaintext(self):
