@@ -43,6 +43,7 @@ from .qubits import (
     turn_by_bits,
     _sample_outcomes,
     _sin2,
+    _snap,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -215,22 +216,26 @@ def _decode_flip(d: np.ndarray) -> np.ndarray:
     return np.cos(d) ** 2 < 0.5
 
 
-def _by_codes(func, rows, row_codes, cols, col_codes):
-    """func(rows[row_codes] - cols[col_codes]) for an elementwise func.
+def _measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
+    """measure_many(rows[row_codes], cols[col_codes], rng) on angle codes: the
+    same outcomes from the same draws.
 
-    When the table of every (row, col) difference has no more entries than
-    there are positions, func runs once over that table and the positions
-    gather from it; otherwise it runs over the gathered differences. The
-    differences are the same floats either way, and np.sin and np.cos give
-    each float the same result wherever it sits in an array (a test checks
-    this for np.sin), so both ways give the float path's bits. The gathers
-    use take, which reads narrow codes about as fast as int64 ones; fancy
-    indexing with a uint8 index array takes about twice as long.
+    When the table of every (row, col) p1 has no more entries than there
+    are positions, sin^2 runs once over that table, which _snap snaps, and
+    the positions gather from it and compare the raw draws: one pass fewer
+    per draw than the clip. Otherwise sin^2 runs over the gathered
+    differences and _sample_outcomes clips the draws. The differences are
+    the same floats either way, and np.sin gives each float the same result
+    wherever it sits in an array (a test checks this), so both ways give the
+    float path's bits. The gathers use take, which reads narrow codes about
+    as fast as int64 ones; fancy indexing with a uint8 index array takes
+    about twice as long.
     """
     if rows.size * cols.size <= row_codes.size:
-        table = func(np.subtract.outer(rows, cols)).ravel()
-        return table.take(row_codes * cols.size + col_codes)
-    return func(rows.take(row_codes) - cols.take(col_codes))
+        table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
+        p1 = table.take(row_codes * cols.size + col_codes)
+        return (rng.random(p1.shape) < p1).view("u1")
+    return _sample_outcomes(_sin2(rows.take(row_codes) - cols.take(col_codes)), rng)
 
 
 def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
@@ -241,8 +246,10 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     `eve` the attacker's, each code array the shape of the transmission.
     States are codes too, 2*i + b for angle i turned by bit b, and every p1
     is measure_many's sin^2(theta - phi) on the same floats, sampled with its
-    draws in its order. Returns per-position arrays: alice bits, eve outcomes
-    (on attacked positions), bob bits, detected mask.
+    draws in its order by _measure_codes, which snaps p1 on its table where
+    it builds one and clips the draws where it does not. Returns
+    per-position arrays: alice bits, eve outcomes (on attacked positions),
+    bob bits, detected mask.
 
     Codes live in one dtype, chosen here: the narrowest unsigned type that
     holds 2 * (2m + 2E) * m for m keyed and E attacker bases, the size of
@@ -258,7 +265,7 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     state = key_codes * 2
     state += alice
     eve_codes = eve_codes[attacked].astype(code)
-    outcome = _sample_outcomes(_by_codes(_sin2, keyed, state[attacked], eve_angles, eve_codes), rng)
+    outcome = _measure_codes(keyed, state[attacked], eve_angles, eve_codes, rng)
     eve_codes *= 2
     eve_codes += outcome
     eve_codes += keyed.size
@@ -267,7 +274,7 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     state *= 2
     state += flipped
     sent = _with_bit(np.concatenate([keyed, resent]))
-    bob = _sample_outcomes(_by_codes(_sin2, sent, state, key_angles, key_codes), rng)
+    bob = _measure_codes(sent, state, key_angles, key_codes, rng)
     return alice, outcome, bob, ~lost
 
 
@@ -287,17 +294,29 @@ def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
     return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.uint8))
 
 
+def _user_counts(alice, bob, detected):
+    """(user errors, detected positions) of one round."""
+    return int(np.count_nonzero((bob ^ alice) & detected)), int(np.count_nonzero(detected))
+
+
 def _state_attack_counts(strategy: AttackStrategy, key, channel: ChannelModel, rng):
     """One round of intercept or fixed-basis measure-resend against the keyed
     bases `key`, an (angles, codes) pair: (her bit errors, attacked positions,
-    user errors, detected positions)."""
+    user errors, detected positions).
+
+    Her decoding flips are read from the (keyed basis, attacker basis) table
+    by the round's codes, and not at all when the table holds no flip, as
+    on the two-basis alphabet."""
     key_angles, key_codes = key
     attacked, (eve_angles, eve_codes) = _eve_bases(strategy, key_codes.size, rng)
     alice, outcome, bob, detected = _resend_round(
         key, (eve_angles, eve_codes), attacked, channel, rng)
-    flip = _by_codes(_decode_flip, key_angles, key_codes[attacked], eve_angles, eve_codes[attacked])
-    return (int(np.count_nonzero((outcome ^ flip) != alice[attacked])), outcome.size,
-            int(np.count_nonzero((bob != alice) & detected)), int(np.count_nonzero(detected)))
+    wrong = outcome ^ alice[attacked]
+    flips = _decode_flip(np.subtract.outer(key_angles, eve_angles)).ravel()
+    if flips.any():
+        wrong ^= flips.take(key_codes[attacked] * eve_angles.size + eve_codes[attacked])
+    return (int(np.count_nonzero(wrong)), outcome.size,
+            *_user_counts(alice, bob, detected))
 
 
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
@@ -397,9 +416,9 @@ def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
     bases = config.alphabet.angle(np.arange(config.alphabet.m))
     alice, outcome, bob, detected = _resend_round(
         (bases, key_selectors), (bases, guess_selectors), slice(None), config.channel, rng)
-    eve_error = float(np.mean(outcome != alice))
+    eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
     return (guess == config.keystream.seed, eve_error,
-            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+            *_user_counts(alice, bob, detected))
 
 
 def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Generator) -> int:
@@ -407,13 +426,18 @@ def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Gener
 
     A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
     ceil(L/64) whole 64-bit draws. The guesses are therefore one
-    (count, ceil(L/64)) draw of words, and a row hits when its words, with
-    the bits past L masked off, equal the seed packed the same way.
+    (count, ceil(L/64)) draw of words, and a row hits when its words XOR
+    the seed packed the same way, with the bits past L masked off, are all
+    zero.
     """
     width = -(-seed_bits.size // 64)
     words = rng.integers(0, 1 << 64, size=(count, width), dtype=np.uint64)
+    words ^= _packed(bits_int(seed_bits), width)
     words &= _packed((1 << seed_bits.size) - 1, width)
-    return int(np.count_nonzero((words == _packed(bits_int(seed_bits), width)).all(axis=1)))
+    misses = words[:, 0]
+    for column in words.T[1:]:
+        misses |= column
+    return count - int(np.count_nonzero(misses))
 
 
 def _packed(value: int, width: int) -> np.ndarray:
@@ -468,25 +492,41 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
 @dataclass(frozen=True)
 class BlockGuessTrials:
     """Per-trial records of the block-guessing attack (noiseless unless a
-    channel is supplied): success flags plus user and attacker error counts
-    on attacked positions."""
+    channel is supplied): success flags, user error counts over detected
+    attacked positions, attacker error counts over attacked positions, and
+    the detected attacked positions."""
 
     success: np.ndarray
     attacked_errors: np.ndarray
     eve_errors: np.ndarray
     attacked_per_trial: int
+    attacked_detected: np.ndarray
+
+
+def _row_counts(bits: np.ndarray) -> np.ndarray:
+    """The ones in each row of a 2-D 0/1 array, as int64. A row of fewer
+    than 256 positions takes a uint8 product with a ones vector, which
+    cannot wrap there, makes no wider copy of the rows and runs about twice
+    as fast as a sum over the row."""
+    if bits.shape[1] < 256:
+        return (bits.view(np.uint8) @ np.ones(bits.shape[1], np.uint8)).astype(np.int64)
+    return np.count_nonzero(bits, axis=1)
 
 
 def _block_guess_chunk(count: int, rng: np.random.Generator, k_blocks: int, block_len: int,
                        channel: ChannelModel):
-    """`count` block-guess trials: (success flags, user errors, attacker errors).
-    The users' key blocks and the attacker's guesses come from one bit draw."""
+    """`count` block-guess trials: (success flags, user errors, attacker errors,
+    detected positions), the errors and positions per trial as in
+    BlockGuessTrials. The users' key blocks and the attacker's guesses come
+    from one bit draw."""
     key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
-    success = np.all(guesses == key_blocks, axis=1)
+    success = _row_counts(guesses ^ key_blocks) == 0
     alice, outcome, bob, detected = _resend_round(
         (_TWO_BASES, np.repeat(key_blocks, block_len, axis=1)),
         (_TWO_BASES, np.repeat(guesses, block_len, axis=1)), slice(None), channel, rng)
-    return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)
+    wrong = bob ^ alice
+    wrong &= detected
+    return success, _row_counts(wrong), _row_counts(outcome ^ alice), _row_counts(detected)
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -513,6 +553,7 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
         attacked_errors=np.concatenate([p[1] for p in parts]),
         eve_errors=np.concatenate([p[2] for p in parts]),
         attacked_per_trial=k_blocks * block_len,
+        attacked_detected=np.concatenate([p[3] for p in parts]),
     )
 
 
@@ -524,15 +565,18 @@ def attack_block_guess(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     Success (all k guesses right) has analytic probability 2^-k; a successful
     trial reads k/m_k of the data with zero induced error on the attacked
     region, while each wrongly guessed block suffers 50% errors, which
-    averages to an unconditional 1/4 over attacked positions.
+    averages to an unconditional 1/4 over attacked positions. Her bit error
+    is reported over attacked positions, the induced user error over the
+    detected ones (None when none was detected), as for the other attacks.
     """
     record = block_guess_trials(n, m_k, k_blocks, rng, trials, threads, channel)
-    attacked_total = record.attacked_per_trial * trials
+    detected = int(record.attacked_detected.sum())
     return AttackReport(
         strategy=f"blockguess:{k_blocks}",
         trials=trials, qubits=n,
-        eve_bit_error=binomial_ci(int(record.eve_errors.sum()), attacked_total),
-        induced_qber=binomial_ci(int(record.attacked_errors.sum()), attacked_total),
+        eve_bit_error=binomial_ci(int(record.eve_errors.sum()), record.attacked_per_trial * trials),
+        induced_qber=binomial_ci(int(record.attacked_errors.sum()), detected)
+        if detected else None,
         induced_qber_analytic=0.25,
         success_analytic=2.0 ** -k_blocks,
         success_mc=binomial_ci(int(record.success.sum()), trials),

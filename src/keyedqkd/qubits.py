@@ -152,12 +152,14 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
 
     Outcome 1 has probability sin^2(theta - phi). Probabilities within 1e-12
     of 0 or 1 are snapped to certainty, so aligned and anti-aligned
-    measurements are exactly deterministic for every rng state. The snap is
-    done on the draw instead of the probability: clipping u into
-    [1e-12, nextafter(1 - 1e-12, 0)] gives the same `u < p1` for every p1,
-    since no p1 <= 1e-12 exceeds the clipped u and every p1 >= 1 - 1e-12
-    does. One uniform draw per element regardless of degeneracy, so draw
-    alignment is shape-stable.
+    measurements are exactly deterministic for every rng state. Here the
+    snap is done on the draw instead of the probability (_sample_outcomes):
+    clipping u into [1e-12, nextafter(1 - 1e-12, 0)] gives the same `u < p1`
+    for every p1, since no p1 <= 1e-12 exceeds the clipped u and every
+    p1 >= 1 - 1e-12 does. The attack kernels, which read p1 from a small
+    table, snap the table instead (_snap) and compare the raw draws: the
+    same outcome for every draw. One uniform draw per element regardless of
+    degeneracy, so draw alignment is shape-stable.
     """
     import numpy as np
 
@@ -177,10 +179,24 @@ def _sin2(d: np.ndarray) -> np.ndarray:
 
 def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Outcome 1 with probability p1, one uniform draw per element in C order;
-    the clipped draw that measure_many's docstring describes."""
+    the clipped draw that measure_many's docstring describes. For p1 that
+    went through _snap, `rng.random(p1.shape) < p1` gives the same outcomes
+    without the clip."""
     u = rng.random(p1.shape)
     u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
     return (u < p1).view("u1")
+
+
+def _snap(p1: np.ndarray) -> np.ndarray:
+    """p1 in place with values <= ANGLE_TOL set to 0 and values >= 1 - ANGLE_TOL
+    set to 1, so that for every draw u in [0, 1), u < snap(p1) exactly when
+    _sample_outcomes' clipped u < p1: at or beyond the tolerances both are
+    certain, and in between p1 lies in [nextafter(ANGLE_TOL, 1), _DRAW_MAX],
+    where the clip moves no draw across p1, as no double lies strictly
+    between _DRAW_MAX and 1 - ANGLE_TOL."""
+    p1[p1 <= ANGLE_TOL] = 0.0
+    p1[p1 >= 1.0 - ANGLE_TOL] = 1.0
+    return p1
 
 
 def _peak_offsets(phi: float, m: int) -> tuple[float, float]:

@@ -202,8 +202,8 @@ def eve_bases(strategy, n: int, rng):
 
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
-    user errors, attacker errors) per trial. Draws: the key blocks and then
-    the guesses, in one bit draw."""
+    user errors on detected positions, attacker errors, detected positions)
+    per trial. Draws: the key blocks and then the guesses, in one bit draw."""
     blocks = integer_bits(rng, 2 * count * k_blocks).astype(np.int64)
     key_blocks = blocks[:count * k_blocks].reshape(count, k_blocks)
     guesses = blocks[count * k_blocks:].reshape(count, k_blocks)
@@ -211,7 +211,8 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
     guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
     alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng)
-    return success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1)
+    return (success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1),
+            np.sum(detected, axis=1))
 
 
 # The draw contract of uniform_bits and uniform_below, rebuilt with shifts

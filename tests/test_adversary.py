@@ -38,18 +38,18 @@ from keyedqkd.adversary import (
     SEED_DRAW,
     TRIAL_CHUNK,
     _block_guess_chunk,
-    _by_codes,
     _chunk_rngs,
     _guess_round,
     _key_guess_successes,
     _map_chunks,
+    _measure_codes,
     _resend_round,
     _state_attack_counts,
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
 from keyedqkd.keystream import uniform_bits
-from keyedqkd.qubits import MeasBasis, _sin2
+from keyedqkd.qubits import ANGLE_TOL, MeasBasis, _DRAW_MAX, _sample_outcomes, _sin2
 
 import reference
 from reference import key_angles, key_guess_successes
@@ -256,6 +256,12 @@ class TestKeyGuess:
                 got = _key_guess_successes(seed_bits, count, np.random.default_rng(seed))
                 assert got >= 1
                 assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+                # The seed with its last bit flipped: a guess that matches
+                # only its earlier words is no hit.
+                near = seed_bits.copy()
+                near[-1] ^= 1
+                assert (_key_guess_successes(near, count, np.random.default_rng(seed))
+                        == key_guess_successes(near, count, np.random.default_rng(seed)))
         # A pending 32-bit half is left pending: the guesses take whole 64-bit draws.
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         rng.integers(0, 2), ref.integers(0, 2)
@@ -321,6 +327,27 @@ class TestBlockGuess:
         total = record.attacked_errors.sum() / (record.attacked_per_trial * record.success.size)
         sigma = math.sqrt(0.25 * 0.75 / (record.attacked_per_trial * record.success.size))
         assert abs(total - 0.25) < 6 * sigma  # positions within a trial correlate by block
+
+    @pytest.mark.parametrize("loss", [0.2, 0.5])
+    def test_induced_error_is_over_detected_positions(self, loss):
+        # Lost positions carry no user error; counting them in the
+        # denominator read 0.199 at loss 0.2 and 0.125 at loss 0.5.
+        report = attack_block_guess(40, 8, 3, np.random.default_rng(1), trials=20_000,
+                                    channel=ChannelModel(loss=loss))
+        record = block_guess_trials(40, 8, 3, np.random.default_rng(1), trials=20_000,
+                                    channel=ChannelModel(loss=loss))
+        detected = int(record.attacked_detected.sum())
+        attacked = record.attacked_per_trial * record.success.size
+        assert abs(detected / attacked - (1 - loss)) < 6 * math.sqrt(loss * (1 - loss) / attacked)
+        assert report.induced_qber == binomial_ci(int(record.attacked_errors.sum()), detected)
+        sigma = math.sqrt(0.25 * 0.75 / detected)
+        assert abs(report.induced_qber.estimate - 0.25) < 6 * sigma
+
+    def test_nothing_detected_reads_null(self):
+        report = attack_block_guess(40, 8, 1, np.random.default_rng(0), trials=1,
+                                    channel=ChannelModel(loss=0.999))
+        assert report.induced_qber is None and report.to_json_dict()["induced_qber"] is None
+        assert report.eve_bit_error is not None
 
     def test_rejects_bad_block_counts(self):
         rng = np.random.default_rng(0)
@@ -572,6 +599,18 @@ def _recording_eve_bases(seen):
     return eve_bases
 
 
+class _GivenDraws:
+    """A generator whose uniform draws are `draws`, tiled to each requested
+    shape; each call advances the real generator `rng` by the same draws."""
+
+    def __init__(self, draws, seed):
+        self.draws, self.rng = np.asarray(draws), np.random.default_rng(seed)
+
+    def random(self, shape):
+        self.rng.random(shape)
+        return np.resize(self.draws, shape)
+
+
 class TestCodedKernels:
     """The attack kernels on integer angle codes against their float-angle
     originals in tests/reference.py: identical outputs and the same generator
@@ -579,14 +618,14 @@ class TestCodedKernels:
 
     @pytest.fixture
     def table_use(self, monkeypatch):
-        """Records, per _by_codes call, whether it took the table branch."""
+        """Records, per _measure_codes call, whether it took the table branch."""
         seen = []
 
-        def spy(func, rows, row_codes, cols, col_codes):
+        def spy(rows, row_codes, cols, col_codes, rng):
             seen.append(rows.size * cols.size <= row_codes.size)
-            return _by_codes(func, rows, row_codes, cols, col_codes)
+            return _measure_codes(rows, row_codes, cols, col_codes, rng)
 
-        monkeypatch.setattr(keyedqkd.adversary, "_by_codes", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "_measure_codes", spy)
         return seen
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -641,14 +680,14 @@ class TestCodedKernels:
 
     @pytest.fixture
     def code_dtypes(self, monkeypatch):
-        """Records the dtype of the row codes of every _by_codes call."""
+        """Records the dtype of the row codes of every _measure_codes call."""
         seen = []
 
-        def spy(func, rows, row_codes, cols, col_codes):
+        def spy(rows, row_codes, cols, col_codes, rng):
             seen.append(row_codes.dtype)
-            return _by_codes(func, rows, row_codes, cols, col_codes)
+            return _measure_codes(rows, row_codes, cols, col_codes, rng)
 
-        monkeypatch.setattr(keyedqkd.adversary, "_by_codes", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "_measure_codes", spy)
         return seen
 
     # m keyed and E attacker bases, and the narrowest dtype above 2 * (2m + 2E) * m:
@@ -691,9 +730,8 @@ class TestCodedKernels:
         assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
                                                     ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # The round's two measurements gather by codes of the round's dtype;
-        # the decoding then reads the caller's int64 selectors.
-        assert code_dtypes == [np.dtype(code)] * 2 + [np.dtype(np.int64)]
+        # The round's two measurements gather by codes of the round's dtype.
+        assert code_dtypes == [np.dtype(code)] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -722,14 +760,37 @@ class TestCodedKernels:
         assert seen == [slice(None)]
         assert runs[0] == runs[1]
 
+    # 200-qubit blocks give rows of 600 positions, whose counts pass 255.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("count", [1, 50])
-    def test_block_guess_chunk(self, count, channel):
+    @pytest.mark.parametrize("count,block_len", [(1, 8), (50, 8), (50, 200)])
+    def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _block_guess_chunk(count, rng, k_blocks=3, block_len=8, channel=channel)
-            _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, 8, channel))
+            got = _block_guess_chunk(count, rng, k_blocks=3, block_len=block_len, channel=channel)
+            _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("table", [True, False])
+    def test_snapped_table_equals_the_clipped_draws_at_the_edges(self, monkeypatch, table):
+        # With sin^2 replaced by the identity, the rows are the p1 values
+        # themselves; every edge p1 meets every edge draw. Five attacker
+        # columns make the table larger than the positions, so the
+        # per-element branch, which clips the draws, runs instead.
+        monkeypatch.setattr(keyedqkd.adversary, "_sin2", lambda d: d)
+        p1 = np.array([0.0, ANGLE_TOL, math.nextafter(ANGLE_TOL, 1.0), 0.5, _DRAW_MAX,
+                       1.0 - ANGLE_TOL, 1.0])
+        draws = [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]
+        codes = np.repeat(np.arange(p1.size), len(draws))
+        cols = np.zeros(1 if table else 5)
+        rng, ref_rng = _GivenDraws(draws, 7), _GivenDraws(draws, 7)
+        got = _measure_codes(p1, codes, cols, np.zeros_like(codes), rng)
+        want = _sample_outcomes(p1[codes], ref_rng)
+        _same_arrays([got], [want])
+        assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+        # Certain below and above the tolerances, the clip's reading between them.
+        assert want.reshape(p1.size, len(draws)).tolist() == [
+            [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0],
+            [1, 1, 1, 1], [1, 1, 1, 1]]
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     def test_resend_round_arrays(self, channel):
@@ -769,11 +830,11 @@ class TestCodedKernels:
                             np.random.default_rng(9), trials=trials, threads=threads)
         parts = [reference.block_guess_chunk(count, chunk_rng, 3, 8, channel)
                  for count, chunk_rng in _chunk_rngs(np.random.default_rng(9), trials)]
-        success, errors, eve_errors = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        attacked = 3 * 8 * trials
+        success, errors, eve_errors, detected = (np.concatenate([p[i] for p in parts])
+                                                 for i in range(4))
         assert report.success_mc == binomial_ci(int(success.sum()), trials)
-        assert report.induced_qber == binomial_ci(int(errors.sum()), attacked)
-        assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), attacked)
+        assert report.induced_qber == binomial_ci(int(errors.sum()), int(detected.sum()))
+        assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), 3 * 8 * trials)
 
 
 @pytest.mark.parametrize("m", [2, 16, 1024])
@@ -792,11 +853,11 @@ def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m):
     positions = 2 ** 18
     for rows in (_with_bit(bases), _with_bit(_with_bit(bases))):
         # At m = 1024 a random subset of the rows keeps the table within
-        # `positions` entries, so _by_codes still takes its table branch.
+        # `positions` entries, the size at which _measure_codes builds one.
         rows = rows[np.sort(rng.permutation(rows.size)[:positions // m])]
         row_codes = rng.integers(0, rows.size, positions)
         col_codes = rng.integers(0, m, positions)
         full = np.sin(rows[row_codes] - bases[col_codes]) ** 2
-        coded = _by_codes(_sin2, rows, row_codes, bases, col_codes)
+        coded = _sin2(np.subtract.outer(rows, bases)).ravel().take(row_codes * m + col_codes)
         assert rows.size * m <= positions
         assert np.array_equal(coded.view(np.uint64), full.view(np.uint64))
