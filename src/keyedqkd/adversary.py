@@ -37,13 +37,11 @@ from .qubits import (
     DensityMatrix,
     MeasBasis,
     eve_error_key_granted,
+    measure_codes,
     measure_many,
     require_integer,
     require_real,
     turn_by_bits,
-    _sample_outcomes,
-    _sin2,
-    _snap,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -96,7 +94,9 @@ class AttackStrategy:
     @classmethod
     def parse(cls, text: str) -> "AttackStrategy":
         """Grammar: "intercept[:f]", "fixed:<phi>", "breidbart", "keyguess", "blockguess:<k>"."""
-        name, _, arg = text.partition(":")
+        name, colon, arg = text.partition(":")
+        if colon and not arg:
+            raise ValueError(f"empty parameter in strategy {text!r}")
 
         def number(convert):
             try:
@@ -216,40 +216,16 @@ def _decode_flip(d: np.ndarray) -> np.ndarray:
     return np.cos(d) ** 2 < 0.5
 
 
-def _measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
-    """measure_many(rows[row_codes], cols[col_codes], rng) on angle codes: the
-    same outcomes from the same draws.
-
-    When the table of every (row, col) p1 has no more entries than there
-    are positions, sin^2 runs once over that table, which _snap snaps, and
-    the positions gather from it and compare the raw draws: one pass fewer
-    per draw than the clip. Otherwise sin^2 runs over the gathered
-    differences and _sample_outcomes clips the draws. The differences are
-    the same floats either way, and np.sin gives each float the same result
-    wherever it sits in an array (a test checks this), so both ways give the
-    float path's bits. The gathers use take, which reads narrow codes about
-    as fast as int64 ones; fancy indexing with a uint8 index array takes
-    about twice as long.
-    """
-    if rows.size * cols.size <= row_codes.size:
-        table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
-        p1 = table.take(row_codes * cols.size + col_codes)
-        return (rng.random(p1.shape) < p1).view("u1")
-    return _sample_outcomes(_sin2(rows.take(row_codes) - cols.take(col_codes)), rng)
-
-
 def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     """One transmission of any shape with measure-resend on the positions that
     `attacked` (indices, a mask or a slice) selects.
 
     Bases come as (angles, codes) pairs: `key` holds the keyed bases and
     `eve` the attacker's, each code array the shape of the transmission.
-    States are codes too, 2*i + b for angle i turned by bit b, and every p1
-    is measure_many's sin^2(theta - phi) on the same floats, sampled with its
-    draws in its order by _measure_codes, which snaps p1 on its table where
-    it builds one and clips the draws where it does not. Returns
-    per-position arrays: alice bits, eve outcomes (on attacked positions),
-    bob bits, detected mask.
+    States are codes too, 2*i + b for angle i turned by bit b, and both
+    measurements go through qubits.measure_codes, which gives measure_many's
+    outcomes from the same floats and draws. Returns per-position arrays:
+    alice bits, eve outcomes (on attacked positions), bob bits, detected mask.
 
     Codes live in one dtype, chosen here: the narrowest unsigned type that
     holds 2 * (2m + 2E) * m for m keyed and E attacker bases, the size of
@@ -265,7 +241,7 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     state = key_codes * 2
     state += alice
     eve_codes = eve_codes[attacked].astype(code)
-    outcome = _measure_codes(keyed, state[attacked], eve_angles, eve_codes, rng)
+    outcome = measure_codes(keyed, state[attacked], eve_angles, eve_codes, rng)
     eve_codes *= 2
     eve_codes += outcome
     eve_codes += keyed.size
@@ -274,7 +250,7 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     state *= 2
     state += flipped
     sent = _with_bit(np.concatenate([keyed, resent]))
-    bob = _measure_codes(sent, state, key_angles, key_codes, rng)
+    bob = measure_codes(sent, state, key_angles, key_codes, rng)
     return alice, outcome, bob, ~lost
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -147,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if getattr(args, "meta", None) and os.path.realpath(args.meta) == os.path.realpath(
+                args.output):
+            raise ValueError(f"--meta and --output name the same file: {args.output}")
         code, document = args.fn(args)
         if "output" not in args:
             sys.stdout.write(document)

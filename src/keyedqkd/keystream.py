@@ -22,6 +22,9 @@ import numpy as np
 
 from .qubits import BasisAlphabet, require_integer
 
+# Selectors are int64, so a selector holds at most 63 bits (m <= 2^63).
+MAX_SELECTOR_BITS = 63
+
 
 @dataclass(frozen=True)
 class SeedKey:
@@ -251,6 +254,9 @@ class RunningKey:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", require_integer(self.m, "basis count"))
+        if self.m < 1:
+            raise ValueError(f"basis count must be >= 1, got {self.m}")
         raw = np.asarray(self.selectors)
         if raw.ndim != 1:
             raise ValueError("selectors must be one-dimensional")
@@ -288,11 +294,14 @@ def expand_running_key(bit_source, n: int, alphabet: BasisAlphabet) -> RunningKe
     big-endian into selectors.
 
     Prefix-stable: extending n extends, never changes, earlier selectors. A
-    sequence that runs out raises a keystream-exhausted error.
+    sequence that runs out raises a keystream-exhausted error, and selectors
+    of more than MAX_SELECTOR_BITS bits, which would wrap in int64, raise too.
     """
     if require_integer(n, "selector count") < 0:
         raise ValueError("selector count must be nonnegative")
     k = alphabet.bits_per_selector
+    if k > MAX_SELECTOR_BITS:
+        raise ValueError(f"selectors of {k} bits exceed the {MAX_SELECTOR_BITS}-bit limit")
     need = n * k
     raw = as_bits(bit_source, "keystream bits")
     if raw.size < need:

@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .analysis import h2, rate_window
-from .keystream import (LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey, as_bits, bits_int,
-                        lfsr_bits, uniform_below, uniform_bits)
+from .keystream import (MAX_SELECTOR_BITS, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey,
+                        as_bits, bits_int, lfsr_bits, uniform_below, uniform_bits)
 from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
                      require_real, turn_by_bits)
 
@@ -80,6 +80,8 @@ class ProtocolConfig:
             raise ValueError(f"verification length must lie in [1, {MAX_VERIFICATION_LEN}]")
         if self.mode not in (MODE_KEY_GENERATION, MODE_DIRECT_ENCRYPTION):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.alphabet.bits_per_selector > MAX_SELECTOR_BITS:
+            raise ValueError(f"basis count {self.alphabet.m} exceeds 2^{MAX_SELECTOR_BITS}")
         if isinstance(self.keystream, RepetitionKeystream):
             if self.alphabet.m != 2:
                 raise ValueError("repetition keystream requires the two-basis alphabet")

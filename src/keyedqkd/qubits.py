@@ -150,23 +150,43 @@ def turn_by_bits(angles, bits):
 def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Projective measurement: outcome array for state/basis angle arrays.
 
-    Outcome 1 has probability sin^2(theta - phi). Probabilities within 1e-12
-    of 0 or 1 are snapped to certainty, so aligned and anti-aligned
-    measurements are exactly deterministic for every rng state. Here the
-    snap is done on the draw instead of the probability (_sample_outcomes):
-    clipping u into [1e-12, nextafter(1 - 1e-12, 0)] gives the same `u < p1`
-    for every p1, since no p1 <= 1e-12 exceeds the clipped u and every
-    p1 >= 1 - 1e-12 does. The attack kernels, which read p1 from a small
-    table, snap the table instead (_snap) and compare the raw draws: the
-    same outcome for every draw. One uniform draw per element regardless of
-    degeneracy, so draw alignment is shape-stable.
+    This module owns the sampling rule. Outcome 1 has probability
+    p1 = sin^2(theta - phi), and p1 within 1e-12 of 0 or 1 is certain, so
+    aligned and anti-aligned measurements are exactly deterministic for every
+    rng state. One uniform draw per element in C order, regardless of
+    degeneracy, so draw alignment is shape-stable. Here the certainty comes
+    from clipping each draw u into [1e-12, _DRAW_MAX] and comparing u < p1:
+    no p1 <= 1e-12 exceeds a clipped u and every p1 >= 1 - 1e-12 does.
+    measure_codes snaps a small p1 table instead (_snap) and compares the
+    raw draws; both give the same outcome for every draw.
     """
     import numpy as np
 
     thetas, phis = np.asarray(thetas), np.asarray(phis)
     # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
     d = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
-    return _sample_outcomes(_sin2(d), rng)
+    p1 = _sin2(d)
+    u = rng.random(p1.shape)
+    u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
+    return (u < p1).view("u1")
+
+
+def measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
+    """measure_many(rows.take(row_codes), cols.take(col_codes), rng) on angle
+    codes: the same outcomes from the same draws. When the (row, col) p1 table
+    has no more entries than there are positions, it is built and snapped once
+    (_snap) and the positions gather from it and compare the raw draws. The
+    differences are the same floats either way, and np.sin gives a float the
+    same bits wherever it sits in an array (a test checks this). take reads
+    narrow codes about as fast as int64 ones; fancy indexing with a uint8
+    index array takes about twice as long."""
+    if rows.size * cols.size <= row_codes.size:
+        import numpy as np
+
+        table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
+        p1 = table.take(row_codes * cols.size + col_codes)
+        return (rng.random(p1.shape) < p1).view("u1")
+    return measure_many(rows.take(row_codes), cols.take(col_codes), rng)
 
 
 def _sin2(d: np.ndarray) -> np.ndarray:
@@ -177,20 +197,10 @@ def _sin2(d: np.ndarray) -> np.ndarray:
     return np.square(d, out=d)
 
 
-def _sample_outcomes(p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Outcome 1 with probability p1, one uniform draw per element in C order;
-    the clipped draw that measure_many's docstring describes. For p1 that
-    went through _snap, `rng.random(p1.shape) < p1` gives the same outcomes
-    without the clip."""
-    u = rng.random(p1.shape)
-    u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
-    return (u < p1).view("u1")
-
-
 def _snap(p1: np.ndarray) -> np.ndarray:
     """p1 in place with values <= ANGLE_TOL set to 0 and values >= 1 - ANGLE_TOL
     set to 1, so that for every draw u in [0, 1), u < snap(p1) exactly when
-    _sample_outcomes' clipped u < p1: at or beyond the tolerances both are
+    measure_many's clipped u < p1: at or beyond the tolerances both are
     certain, and in between p1 lies in [nextafter(ANGLE_TOL, 1), _DRAW_MAX],
     where the clip moves no draw across p1, as no double lies strictly
     between _DRAW_MAX and 1 - ANGLE_TOL."""

@@ -33,6 +33,7 @@ from keyedqkd import (
     run_attack,
 )
 import keyedqkd.adversary
+import keyedqkd.qubits
 from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
@@ -42,14 +43,13 @@ from keyedqkd.adversary import (
     _guess_round,
     _key_guess_successes,
     _map_chunks,
-    _measure_codes,
     _resend_round,
     _state_attack_counts,
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
 from keyedqkd.keystream import uniform_bits
-from keyedqkd.qubits import ANGLE_TOL, MeasBasis, _DRAW_MAX, _sample_outcomes, _sin2
+from keyedqkd.qubits import ANGLE_TOL, MeasBasis, _DRAW_MAX, _sin2, measure_codes, measure_many
 
 import reference
 from reference import key_angles, key_guess_successes
@@ -87,7 +87,8 @@ class TestStrategyParsing:
 
     def test_rejects_malformed(self):
         for bad in ("fixed:banana", "fixed:", "bogus", "blockguess:x", "blockguess:0",
-                    "intercept:1.5", "breidbart:1", "keyguess:2"):
+                    "intercept:1.5", "breidbart:1", "keyguess:2", "intercept:", "breidbart:",
+                    "keyguess:", "blockguess:"):
             with pytest.raises(ValueError):
                 AttackStrategy.parse(bad)
 
@@ -618,14 +619,14 @@ class TestCodedKernels:
 
     @pytest.fixture
     def table_use(self, monkeypatch):
-        """Records, per _measure_codes call, whether it took the table branch."""
+        """Records, per measure_codes call, whether it took the table branch."""
         seen = []
 
         def spy(rows, row_codes, cols, col_codes, rng):
             seen.append(rows.size * cols.size <= row_codes.size)
-            return _measure_codes(rows, row_codes, cols, col_codes, rng)
+            return measure_codes(rows, row_codes, cols, col_codes, rng)
 
-        monkeypatch.setattr(keyedqkd.adversary, "_measure_codes", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -680,14 +681,14 @@ class TestCodedKernels:
 
     @pytest.fixture
     def code_dtypes(self, monkeypatch):
-        """Records the dtype of the row codes of every _measure_codes call."""
+        """Records the dtype of the row codes of every measure_codes call."""
         seen = []
 
         def spy(rows, row_codes, cols, col_codes, rng):
             seen.append(row_codes.dtype)
-            return _measure_codes(rows, row_codes, cols, col_codes, rng)
+            return measure_codes(rows, row_codes, cols, col_codes, rng)
 
-        monkeypatch.setattr(keyedqkd.adversary, "_measure_codes", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
 
     # m keyed and E attacker bases, and the narrowest dtype above 2 * (2m + 2E) * m:
@@ -776,15 +777,15 @@ class TestCodedKernels:
         # themselves; every edge p1 meets every edge draw. Five attacker
         # columns make the table larger than the positions, so the
         # per-element branch, which clips the draws, runs instead.
-        monkeypatch.setattr(keyedqkd.adversary, "_sin2", lambda d: d)
+        monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
         p1 = np.array([0.0, ANGLE_TOL, math.nextafter(ANGLE_TOL, 1.0), 0.5, _DRAW_MAX,
                        1.0 - ANGLE_TOL, 1.0])
         draws = [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]
         codes = np.repeat(np.arange(p1.size), len(draws))
         cols = np.zeros(1 if table else 5)
         rng, ref_rng = _GivenDraws(draws, 7), _GivenDraws(draws, 7)
-        got = _measure_codes(p1, codes, cols, np.zeros_like(codes), rng)
-        want = _sample_outcomes(p1[codes], ref_rng)
+        got = measure_codes(p1, codes, cols, np.zeros_like(codes), rng)
+        want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
         # Certain below and above the tolerances, the clip's reading between them.
@@ -853,7 +854,7 @@ def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m):
     positions = 2 ** 18
     for rows in (_with_bit(bases), _with_bit(_with_bit(bases))):
         # At m = 1024 a random subset of the rows keeps the table within
-        # `positions` entries, the size at which _measure_codes builds one.
+        # `positions` entries, the size at which measure_codes builds one.
         rows = rows[np.sort(rng.permutation(rows.size)[:positions // m])]
         row_codes = rng.integers(0, rows.size, positions)
         col_codes = rng.integers(0, m, positions)

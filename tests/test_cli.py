@@ -329,6 +329,22 @@ class TestExitCodes:
         assert not Path(paths[other]).exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["attack", "intercept"], ["sweep", "--m", "2,4"],
+    ], ids=["run", "attack", "sweep"])
+    def test_meta_on_the_output_path_exits_one(self, tmp_path, config_path, capsys,
+                                               monkeypatch, command):
+        # The same file by another spelling is rejected before anything is written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        config = [] if command[0] == "sweep" else ["--config", str(config_path), "--seed", "1"]
+        argv = [*command, *config, "--output", "x.json", "--meta", "sub/../x.json"]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_USAGE
+        assert "same file" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+
 # Text without decimal digits, so stray tokens never spell a huge basis count.
 NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
 

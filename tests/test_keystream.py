@@ -307,6 +307,14 @@ class TestExpandRunningKey:
         assert selectors.dtype == np.int64
         assert np.array_equal(selectors, selectors_matmul(bits, 1000, k))
 
+    def test_selectors_of_63_bits_expand_in_range_and_64_raise(self):
+        # Three all-ones selectors: 2^63 - 1 is the largest an int64 holds;
+        # at 64 bits the shift-or would wrap each one to -1.
+        key = expand_running_key(np.ones(3 * 63, np.uint8), 3, BasisAlphabet(2 ** 63))
+        assert key.selectors.tolist() == [2 ** 63 - 1] * 3 and key.m == 2 ** 63
+        with pytest.raises(ValueError, match="63-bit limit"):
+            expand_running_key(np.ones(3 * 64, np.uint8), 3, BasisAlphabet(2 ** 64))
+
     def test_rejects_non_bits(self):
         # 257's low byte is 1: the check must come before the uint8 cast.
         for bits in ([0, 1, 2, 1], [0, -1, 1, 1], np.array([0, 1, 257, 1]), [0.0, 1.0, 0.5, 1.0]):
@@ -344,6 +352,17 @@ class TestRunningKey:
         assert RunningKey(np.array([True, False]), 2).selectors.tolist() == [1, 0]
         with pytest.raises(ValueError, match="lie in"):
             RunningKey(np.array([2 ** 64 - 1], dtype=np.uint64), 4)
+
+    @pytest.mark.parametrize("selectors,m,match", [
+        ([0, 1], 2.5, "must be an integer"), ([0, 1], "4", "must be an integer"),
+        ([0, 1], True, "must be an integer"), ([], -1, ">= 1"), ([], 0, ">= 1"),
+        ([0], 0, ">= 1")])
+    def test_rejects_a_bad_basis_count(self, selectors, m, match):
+        with pytest.raises(ValueError, match=match):
+            RunningKey(selectors, m)
+
+    def test_numpy_basis_count_is_stored_as_an_int(self):
+        assert type(RunningKey([0, 1], np.int64(2)).m) is int
 
     def test_leaves_the_callers_array_writeable(self):
         a = np.array([0, 1, 1])

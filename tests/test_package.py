@@ -1,6 +1,9 @@
-"""Package exports: the names `keyedqkd` exports and the objects they resolve to."""
+"""Package exports: the names `keyedqkd` exports and the objects they resolve to,
+and no private name shared between its modules."""
 
+import ast
 import importlib
+import pathlib
 import types
 
 import pytest
@@ -90,3 +93,15 @@ def test_bare_import_loads_no_submodule_until_first_use():
     assert lines[1] == ("keyedqkd.protocol ['keyedqkd.analysis', 'keyedqkd.keystream', "
                         "'keyedqkd.protocol', 'keyedqkd.qubits']")
     assert lines[2] == "True"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # Relative or absolute, at module level or inside a function.
+    private = []
+    for path in sorted(pathlib.Path(keyedqkd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "keyedqkd"):
+                private += [(path.name, node.module, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

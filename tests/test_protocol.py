@@ -752,6 +752,16 @@ class TestConfigSerialization:
             with pytest.raises(ValueError):
                 ProtocolConfig.from_json_dict(dict(doc, **{field: value}))
 
+    def test_basis_counts_above_2_to_the_63_raise(self):
+        # 64-bit selectors would wrap in int64 and run to "verified" on aliased bases.
+        with pytest.raises(ValueError, match="exceeds 2\\^63"):
+            make_config(n=200, keystream=LFSR64, m=2 ** 64)
+        with pytest.raises(ValueError, match="exceeds 2\\^63"):
+            ProtocolConfig.from_json_dict(dict(make_config().to_json_dict(), m=2 ** 64))
+        config = make_config(n=200, keystream=LFSR64, m=2 ** 63)
+        assert config.key_selectors().min() >= 0
+        assert run_protocol(config, np.random.default_rng(1)).abort_reason in ABORT_REASONS
+
     @pytest.mark.parametrize("value", [1.5, 64.0, np.float64(64.0), True, "64", None],
                              ids=["fraction", "float", "numpy-float", "bool", "str", "none"])
     @pytest.mark.parametrize("field", ["n", "m", "s", "kv"])
