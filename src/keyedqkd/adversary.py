@@ -223,9 +223,11 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     Bases come as (angles, codes) pairs: `key` holds the keyed bases and
     `eve` the attacker's, each code array the shape of the transmission.
     States are codes too, 2*i + b for angle i turned by bit b, and both
-    measurements go through qubits.measure_codes, which gives measure_many's
-    outcomes from the same floats and draws. Returns per-position arrays:
-    alice bits, eve outcomes (on attacked positions), bob bits, detected mask.
+    measurements go through qubits.measure_codes, which draws one bit per
+    position on a table of only 0, 1/2 and 1 and otherwise gives
+    measure_many's outcomes from the same floats and draws. Returns
+    per-position arrays: alice bits, eve outcomes (on attacked positions),
+    bob bits, detected mask.
 
     Codes live in one dtype, chosen here: the narrowest unsigned type that
     holds 2 * (2m + 2E) * m for m keyed and E attacker bases, the size of

@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             files.append((Path(args.meta), json.dumps(meta, indent=2, sort_keys=True) + "\n"))
         _write_all(files)
         return code
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
         # ValueError covers json.JSONDecodeError from a malformed config.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -157,8 +157,9 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     degeneracy, so draw alignment is shape-stable. Here the certainty comes
     from clipping each draw u into [1e-12, _DRAW_MAX] and comparing u < p1:
     no p1 <= 1e-12 exceeds a clipped u and every p1 >= 1 - 1e-12 does.
-    measure_codes snaps a small p1 table instead (_snap) and compares the
-    raw draws; both give the same outcome for every draw.
+    measure_codes snaps a small p1 table instead (_snap) and, unless every
+    entry is 0, 1/2 or 1, compares the raw draws; both give the same
+    outcome for every draw.
     """
     import numpy as np
 
@@ -172,21 +173,59 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
 
 
 def measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
-    """measure_many(rows.take(row_codes), cols.take(col_codes), rng) on angle
-    codes: the same outcomes from the same draws. When the (row, col) p1 table
-    has no more entries than there are positions, it is built and snapped once
-    (_snap) and the positions gather from it and compare the raw draws. The
-    differences are the same floats either way, and np.sin gives a float the
-    same bits wherever it sits in an array (a test checks this). take reads
-    narrow codes about as fast as int64 ones; fancy indexing with a uint8
-    index array takes about twice as long."""
+    """Outcomes of measuring states rows.take(row_codes) in bases
+    cols.take(col_codes), on angle codes. When the (row, col) p1 table has
+    no more entries than there are positions, it is built and snapped once
+    (_snap) and the positions gather from it. If every entry is then 0, 1
+    or within 1e-12 of 1/2 (every two-basis attack), the call draws
+    uniform_bits, one bit per position in C order whatever entry the
+    position gathers, and reads each outcome from _coin_outcomes by
+    (entry, bit). Any other table compares one raw double per position
+    with the gathered p1, which gives
+    measure_many(rows.take(row_codes), cols.take(col_codes), rng)'s
+    outcomes from the same draws: the differences are the same floats
+    either way, and np.sin gives a float the same bits wherever it sits in
+    an array (a test checks this). A larger table takes that call itself.
+    take reads narrow codes about as fast as int64 ones; fancy indexing
+    with a uint8 index array takes about twice as long."""
     if rows.size * cols.size <= row_codes.size:
         import numpy as np
 
         table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
-        p1 = table.take(row_codes * cols.size + col_codes)
-        return (rng.random(p1.shape) < p1).view("u1")
+        index = row_codes * cols.size + col_codes
+        outcomes = _coin_outcomes(table)
+        if outcomes is None:
+            return (rng.random(index.shape) < table.take(index)).view("u1")
+        from .keystream import uniform_bits
+
+        # 2 * index + 1 reaches 2 * table.size - 1, which may not fit the codes' type.
+        index = index.astype(np.promote_types(index.dtype, np.min_scalar_type(len(outcomes))),
+                             copy=False)
+        index *= 2
+        index += uniform_bits(rng, index.size).reshape(index.shape)
+        return np.frombuffer(outcomes, np.uint8).take(index)
     return measure_many(rows.take(row_codes), cols.take(col_codes), rng)
+
+
+def _coin_outcomes(table: np.ndarray) -> bytearray | None:
+    """The outcome of each snapped p1 entry e at each uniform bit b, at byte
+    2e + b, when every entry is 0, 1 or a fair coin (within ANGLE_TOL of
+    1/2, bounds included): the bit for a coin, the entry itself otherwise.
+    None as soon as an entry is anything else. The tables hold tens of
+    entries, where this loop takes about a third of the time of numpy
+    calls over the whole table, and most other tables stop it early."""
+    low, high = 0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL
+    outcomes = bytearray()
+    for p1 in memoryview(table):
+        if p1 == 0.0:
+            outcomes += b"\0\0"
+        elif p1 == 1.0:
+            outcomes += b"\1\1"
+        elif low <= p1 <= high:
+            outcomes += b"\0\1"
+        else:
+            return None
+    return outcomes
 
 
 def _sin2(d: np.ndarray) -> np.ndarray:

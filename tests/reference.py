@@ -133,12 +133,33 @@ def helstrom_error(rho0, rho1, p0: float) -> float:
     return 0.5 * (1.0 - float(np.abs(eigs).sum()))
 
 
-def measure_many_snapped(thetas, phis, rng) -> np.ndarray:
+def measure_many_snapped(thetas, phis, rng, coins: bool = False) -> np.ndarray:
     """Projective measurement that snaps sin^2(theta - phi) within 1e-12 of 0 or 1
-    to certainty before comparing one uniform draw per element against it."""
+    to certainty before comparing one uniform draw per element against it.
+    With `coins` every snapped p1 must be 0, 1/2 or 1 within 1e-12: then each
+    element reads one uniform bit instead, the bit itself where p1 is 1/2."""
     p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
     p1 = np.where(p1 <= 1e-12, 0.0, np.where(p1 >= 1.0 - 1e-12, 1.0, p1))
+    if coins:
+        bits = integer_bits(rng, p1.size).reshape(p1.shape)
+        return np.where(is_coin(p1), bits, p1).astype(np.uint8)
     return (rng.random(p1.shape) < p1).astype(np.uint8)
+
+
+def is_coin(p1):
+    """p1 in [1/2 - 1e-12, 1/2 + 1e-12], the bounds rounded to doubles."""
+    return (p1 >= 0.5 - 1e-12) & (p1 <= 0.5 + 1e-12)
+
+
+def draws_coins(states, bases, positions: int) -> bool:
+    """Whether measuring `positions` qubits whose states lie in `states` and
+    bases in `bases` draws bits, not doubles: the table of sin^2(state - basis)
+    over every pair has at most one entry per position, and each entry lies
+    within 1e-12 of 0, 1/2 or 1."""
+    if np.size(states) * np.size(bases) > positions:
+        return False
+    p1 = np.sin(np.subtract.outer(np.ravel(states), bases)) ** 2
+    return bool(np.all((p1 <= 1e-12) | (p1 >= 1.0 - 1e-12) | is_coin(p1)))
 
 
 def key_guess_successes(seed_bits, count: int, rng) -> int:
@@ -162,31 +183,55 @@ def key_angles(config):
     return config.key_selectors() * (HALF_PI / config.alphabet.m)
 
 
-def resend_round(phi_key, channel, eve_phi, attacked, rng):
+def basis_angles(m: int) -> np.ndarray:
+    """The m basis angles j*(pi/2)/m."""
+    return np.arange(m) * (HALF_PI / m)
+
+
+def with_turns(angles) -> np.ndarray:
+    """Every angle and the angle turned by pi/2."""
+    return np.add.outer(np.ravel(angles), [0.0, HALF_PI])
+
+
+def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
     """One transmission with measure-resend on the positions `attacked` (a mask
     or slice) selects: (alice bits, eve outcomes on attacked positions, bob
-    bits, detected mask). Draws: alice, eve, lost, flipped, bob."""
+    bits, detected mask). `bases` holds every angle the keyed and the
+    attacker bases may take, (key, eve); with the bit and flip turns they give
+    the states each measurement may meet, which decide whether it draws bits
+    (draws_coins). Draws: alice, eve, lost, flipped, bob."""
+    key_bases, eve_bases = bases
+    keyed = with_turns(key_bases)
     alice = integer_bits(rng, phi_key.size).reshape(phi_key.shape)
     theta = phi_key + alice * HALF_PI
-    outcome = measure_many_snapped(theta[attacked], eve_phi[attacked], rng)
+    seen = theta[attacked]
+    outcome = measure_many_snapped(seen, eve_phi[attacked], rng,
+                                   draws_coins(keyed, eve_bases, seen.size))
     theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
     lost = draw_below(channel.loss, theta.shape, rng)
     flipped = draw_below(channel.flip_prob, theta.shape, rng)
-    bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng)
+    sent = with_turns(np.concatenate([keyed.ravel(), with_turns(eve_bases).ravel()]))
+    bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng,
+                               draws_coins(sent, key_bases, theta.size))
     return alice, outcome, bob, ~lost
 
 
-def state_attack_counts(strategy, phi_key, channel, rng):
-    """One intercept or fixed-basis round, decoded by likelihood once the key
-    is granted: (eve bit errors, attacked, user errors, detected)."""
+def state_attack_counts(strategy, config, channel, rng):
+    """One intercept or fixed-basis round against `config`'s keyed bases over
+    `channel`, decoded by likelihood once the key is granted: (eve bit errors,
+    attacked, user errors, detected)."""
+    phi_key = key_angles(config)
     n = phi_key.size
     if strategy.kind == "intercept_resend_random":
         attacked = draw_below(strategy.fraction, n, rng)
+        eve_bases = basis_angles(2)
         eve_phi = integer_bits(rng, n) * (HALF_PI / 2)
     else:
         attacked = np.ones(n, dtype=bool)
+        eve_bases = np.array([strategy.phi])
         eve_phi = np.full(n, strategy.phi)
-    alice, outcome, bob, detected = resend_round(phi_key, channel, eve_phi, attacked, rng)
+    alice, outcome, bob, detected = resend_round(
+        phi_key, channel, eve_phi, attacked, rng, (basis_angles(config.alphabet.m), eve_bases))
     flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
     return (int(np.sum((outcome ^ flip) != alice[attacked])), int(np.sum(attacked)),
             int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
@@ -210,7 +255,8 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     success = np.all(guesses == key_blocks, axis=1)
     key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
     guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
-    alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng)
+    alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng,
+                                                 (basis_angles(2), basis_angles(2)))
     return (success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1),
             np.sum(detected, axis=1))
 

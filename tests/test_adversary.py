@@ -33,11 +33,13 @@ from keyedqkd import (
     run_attack,
 )
 import keyedqkd.adversary
+import keyedqkd.keystream
 import keyedqkd.qubits
 from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
     TRIAL_CHUNK,
+    _TWO_BASES,
     _block_guess_chunk,
     _chunk_rngs,
     _guess_round,
@@ -640,8 +642,7 @@ class TestCodedKernels:
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _state_attack_counts(strategy, key, channel, rng)
-            assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
-                                                        ref_rng)
+            assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(table_use)
 
@@ -655,8 +656,7 @@ class TestCodedKernels:
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = _state_attack_counts(strategy, key, channel, rng)
-        assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
-                                                    ref_rng)
+        assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -672,8 +672,10 @@ class TestCodedKernels:
             guess = SeedKey(tuple(int(b) for b in guess_bits))
             guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
             got = _guess_round(config, config.key_selectors(), guess, rng)
+            bases = reference.basis_angles(m)
             alice, outcome, bob, detected = reference.resend_round(
-                key_angles(config), channel, key_angles(guessed), slice(None), ref_rng)
+                key_angles(config), channel, key_angles(guessed), slice(None), ref_rng,
+                (bases, bases))
             assert got == (guess == config.keystream.seed, float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -712,7 +714,7 @@ class TestCodedKernels:
             got = _resend_round((key_angles, key_codes), (eve_angles, eve_codes), attacked,
                                 channel, rng)
             want = reference.resend_round(key_angles[key_codes], channel, eve_angles[eve_codes],
-                                          attacked, ref_rng)
+                                          attacked, ref_rng, (key_angles, eve_angles))
             _same_arrays(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         _same_arrays((key_codes, eve_codes), inputs)
@@ -728,8 +730,7 @@ class TestCodedKernels:
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         got = _state_attack_counts(strategy, key, channel, rng)
-        assert got == reference.state_attack_counts(strategy, key_angles(config), channel,
-                                                    ref_rng)
+        assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # The round's two measurements gather by codes of the round's dtype.
         assert code_dtypes == [np.dtype(code)] * 2
@@ -804,7 +805,7 @@ class TestCodedKernels:
             got = _resend_round((bases, config.key_selectors()), (bases, guess), attacked,
                                 channel, rng)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
-                                          ref_rng)
+                                          ref_rng, (bases, bases))
             _same_arrays(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -816,7 +817,7 @@ class TestCodedKernels:
         strategy, trials = AttackStrategy.parse(text), 5
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials,
                             threads=threads)
-        rounds = [reference.state_attack_counts(strategy, key_angles(config), channel, chunk_rng)
+        rounds = [reference.state_attack_counts(strategy, config, channel, chunk_rng)
                   for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
         eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
         assert report.eve_bit_error == (binomial_ci(eve_err, eve_tot) if eve_tot else None)
@@ -836,6 +837,102 @@ class TestCodedKernels:
         assert report.success_mc == binomial_ci(int(success.sum()), trials)
         assert report.induced_qber == binomial_ci(int(errors.sum()), int(detected.sum()))
         assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), 3 * 8 * trials)
+
+
+class TestCoinDraws:
+    """measure_codes draws one bit per position, not one double, when every
+    entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2. The
+    rule reads the table, never the positions. With sin^2 replaced by the
+    identity, the rows of a one-column table are the p1 values themselves."""
+
+    @pytest.fixture
+    def identity_sin2(self, monkeypatch):
+        monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
+
+    @staticmethod
+    def measure(p1, codes, seed):
+        """measure_codes on the p1 rows by `codes`, and the generator it drew from."""
+        rng = np.random.default_rng(seed)
+        return measure_codes(np.array(p1), codes, np.zeros(1), np.zeros_like(codes), rng), rng
+
+    @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
+    def test_an_entry_on_the_half_tolerance_is_a_coin(self, identity_sin2, edge):
+        codes = np.tile(np.arange(3, dtype=np.uint8), 100).reshape(20, 15)
+        got, rng = self.measure([0.0, 1.0, edge], codes, 11)
+        want_rng = np.random.default_rng(11)
+        bits = uniform_bits(want_rng, codes.size).reshape(codes.shape)
+        # Certain 0 at code 0, certain 1 at code 1, the position's bit at code 2.
+        _same_arrays([got], [np.where(codes == 2, bits, codes).astype(np.uint8)])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, identity_sin2):
+        # 201 entries on uint8 codes: (entry, bit) indices run to 401.
+        p1 = np.tile([0.0, 1.0, 0.5], 67)
+        codes = np.tile(np.arange(p1.size, dtype=np.uint8), 3)
+        got, rng = self.measure(p1, codes, 17)
+        bits = uniform_bits(np.random.default_rng(17), codes.size)
+        _same_arrays([got], [np.where(p1[codes] == 0.5, bits, p1[codes]).astype(np.uint8)])
+
+    @pytest.mark.parametrize("p1", [
+        [0.0, 1.0, 0.5 - 2 * ANGLE_TOL], [0.0, 1.0, 0.5 + 2 * ANGLE_TOL],
+        [0.0, 1.0, 0.5, 0.3]], ids=["half-minus-2tol", "half-plus-2tol", "one-other-entry"])
+    def test_a_table_with_another_entry_draws_doubles(self, identity_sin2, p1):
+        # Positions gather codes 0..2 only: the entry that sends the call
+        # down the double path need not be gathered at all.
+        codes = np.tile(np.arange(3, dtype=np.uint8), 100)
+        got, rng = self.measure(p1, codes, 12)
+        want_rng = np.random.default_rng(12)
+        want = (want_rng.random(codes.size) < np.array(p1)[codes]).view(np.uint8)
+        _same_arrays([got], [want])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("positions", [64, 130])
+    def test_certain_positions_of_a_coin_table_still_draw_a_bit_each(self, identity_sin2,
+                                                                     positions):
+        codes = np.arange(positions) % 2
+        got, rng = self.measure([0.0, 1.0, 0.5], codes, 13)
+        want_rng = np.random.default_rng(13)
+        want_rng.integers(0, 1 << 64, size=-(-positions // 64), dtype=np.uint64)
+        _same_arrays([got], [codes.astype(np.uint8)])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_coin_positions_read_half(self):
+        # State 0 in the basis at pi/4, from the intercept attacker's own table.
+        positions = 2 ** 20
+        codes = np.zeros(positions, dtype=np.uint8)
+        ones = int(measure_codes(_with_bit(_TWO_BASES), codes, _TWO_BASES, codes + 1,
+                                 np.random.default_rng(14)).sum())
+        assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
+
+    @pytest.fixture
+    def coin_draws(self, monkeypatch):
+        """Counts the bit draws measure_codes makes; the adversary's own bit
+        draws go through its imported name and are not counted."""
+        seen = []
+
+        def spy(rng, n):
+            seen.append(n)
+            return uniform_bits(rng, n)
+
+        monkeypatch.setattr(keyedqkd.keystream, "uniform_bits", spy)
+        return seen
+
+    @pytest.mark.parametrize("m,text,coins", [
+        (2, "fixed:0.3", 0), (2, "breidbart", 0), (16, "fixed:0.3", 0), (16, "breidbart", 0),
+        (16, "intercept:1", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2)])
+    def test_only_two_basis_measure_resend_rounds_draw_coins(self, coin_draws, m, text, coins):
+        config = lfsr_config(n=3000, m=m)
+        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
+        _state_attack_counts(AttackStrategy.parse(text), key, ChannelModel(flip_prob=0.1),
+                             np.random.default_rng(15))
+        assert len(coin_draws) == coins
+
+    @pytest.mark.parametrize("m,coins", [(2, 2), (16, 0)])
+    def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
+        config = lfsr_config(n=2500, m=m, flip=0.1)
+        guess = SeedKey.from_string("01101100")
+        _guess_round(config, config.key_selectors(), guess, np.random.default_rng(16))
+        assert len(coin_draws) == coins
 
 
 @pytest.mark.parametrize("m", [2, 16, 1024])

@@ -238,13 +238,19 @@ class TestRateWindowCommand:
         assert "error" in capsys.readouterr().err
 
 
-def run_python(code: str, *args: str) -> str:
-    """Run `code` in a fresh interpreter that imports keyedqkd from src/; its stdout."""
+def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports keyedqkd from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def run_python(code: str, *args: str) -> str:
+    """run_child's stdout; a nonzero exit raises."""
+    out = run_child(code, *args)
+    out.check_returncode()
     return out.stdout
 
 
@@ -343,6 +349,24 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "same file" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+    @pytest.mark.parametrize("strategy", ["breidbart", "keyguess"])
+    def test_attack_out_of_memory_exits_one(self, tmp_path, strategy):
+        # At m = 2^36 the attack asks for 8m bytes of basis angles. The child
+        # caps its own address space at 2 GB before it loads anything, so
+        # the allocation fails there and never reaches the machine.
+        pytest.importorskip("resource")
+        limited = ("import resource, sys\n"
+                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                   "from keyedqkd.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))")
+        config = write_config(tmp_path, n=200, m=2 ** 36)
+        out = run_child(limited, "attack", strategy, "--config", str(config), "--seed", "1",
+                        "--output", str(tmp_path / "o.json"))
+        assert out.returncode == EXIT_USAGE
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+        assert not (tmp_path / "o.json").exists()
 
 
 # Text without decimal digits, so stray tokens never spell a huge basis count.
