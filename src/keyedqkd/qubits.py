@@ -34,6 +34,12 @@ ANGLE_TOL = 1e-12
 # Largest uniform draw measure_many keeps: the last double below 1 - ANGLE_TOL.
 _DRAW_MAX = math.nextafter(1.0 - ANGLE_TOL, 0.0)
 
+# measure_many's float32 filter: it decides from a float32 sin^2 when every
+# float32 theta - phi lies within _F32_ANGLE of 0, and recomputes the draws
+# within _F32_BAND of that p1, 100 times the float32 p1's error bound.
+_F32_ANGLE = 8.0
+_F32_BAND = 1e-4
+
 # Grid values within this distance of the minimum are treated as exact ties,
 # so co-minimizers are resolved by angle rather than by float noise.
 _TIE_TOL = 1e-12
@@ -155,8 +161,22 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     aligned and anti-aligned measurements are exactly deterministic for every
     rng state. One uniform draw per element in C order, regardless of
     degeneracy, so draw alignment is shape-stable. Here the certainty comes
-    from clipping each draw u into [1e-12, _DRAW_MAX] and comparing u < p1:
-    no p1 <= 1e-12 exceeds a clipped u and every p1 >= 1 - 1e-12 does.
+    from clipping each draw u into [1e-12, _DRAW_MAX] and comparing u < p1,
+    p1 evaluated in the dtype of theta - phi: no p1 <= 1e-12 exceeds a
+    clipped u and every p1 >= 1 - 1e-12 does.
+
+    The comparison takes two stages when the angles form an array of at
+    least one element and every float32(theta - phi) lies in [-8, 8]. First
+    p32 = sin^2(float32(theta - phi)) in float32: rounding the difference
+    errs by at most 2^-21 and the float32 sine and square by a few ulp, so
+    p32 lies within 1e-6 of p1 (a test holds the host's float32 sine to
+    that). Each outcome is float32(u) < p32 where the two differ by more than
+    1e-4, and u < p1 in the angles' own dtype where they do not; those draws
+    are the only ones whose outcome the float32 errors could move, with 100
+    times the margin. About 1e-4 n draws are recomputed when every p1 is 0
+    or 1, 2e-4 n otherwise. Any other input takes the second stage alone,
+    and both give u < p1's outcome for every draw.
+
     measure_codes snaps a small p1 table instead (_snap) and, unless every
     entry is 0, 1/2 or 1, compares the raw draws; both give the same
     outcome for every draw.
@@ -164,12 +184,26 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     import numpy as np
 
     thetas, phis = np.asarray(thetas), np.asarray(phis)
-    # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
-    d = np.asarray(np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0)))
-    p1 = _sin2(d)
-    u = rng.random(p1.shape)
+    dtype = np.result_type(thetas, phis, 1.0)
+    u = rng.random(np.broadcast_shapes(thetas.shape, phis.shape))
     u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
-    return (u < p1).view("u1")
+    # Out-of-range differences fail the test below, and the second stage
+    # recomputes them, with numpy's warnings for them, in the angles' dtype.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.subtract(thetas, phis, out=np.empty(u.shape, np.float32), dtype=dtype,
+                        casting="same_kind")
+    if p.ndim and p.size and -_F32_ANGLE <= p.min() and p.max() <= _F32_ANGLE:
+        np.subtract(_sin2(p), u, out=p, dtype=np.float32, casting="same_kind")
+        outcomes = p > 0.0
+        near = np.flatnonzero(np.abs(p, out=p) <= _F32_BAND)
+        if near.size:
+            d = np.subtract(np.broadcast_to(thetas, u.shape).flat[near],
+                            np.broadcast_to(phis, u.shape).flat[near], dtype=dtype)
+            outcomes.flat[near] = u.flat[near] < _sin2(d)
+        return outcomes.view("u1")
+    # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
+    d = np.asarray(np.subtract(thetas, phis, dtype=dtype))
+    return (u < _sin2(d)).view("u1")
 
 
 def measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
@@ -229,7 +263,8 @@ def _coin_outcomes(table: np.ndarray) -> bytearray | None:
 
 
 def _sin2(d: np.ndarray) -> np.ndarray:
-    """sin^2 in place: every p1, per element in measure_many or per table entry."""
+    """sin^2 in place: every p1, per element in measure_many (float32 first,
+    then the draws near it) or per table entry."""
     import numpy as np
 
     np.sin(d, out=d)

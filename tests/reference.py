@@ -146,6 +146,19 @@ def measure_many_snapped(thetas, phis, rng, coins: bool = False) -> np.ndarray:
     return (rng.random(p1.shape) < p1).astype(np.uint8)
 
 
+class GivenDraws:
+    """A stand-in generator whose uniform draws are `draws`, tiled to each
+    requested shape; each call advances the real generator `rng` by as many
+    draws, so its state shows how many were taken."""
+
+    def __init__(self, draws, seed):
+        self.draws, self.rng = np.asarray(draws), np.random.default_rng(seed)
+
+    def random(self, shape):
+        self.rng.random(shape)
+        return np.resize(self.draws, shape)
+
+
 def is_coin(p1):
     """p1 in [1/2 - 1e-12, 1/2 + 1e-12], the bounds rounded to doubles."""
     return (p1 >= 0.5 - 1e-12) & (p1 <= 0.5 + 1e-12)

@@ -2,7 +2,9 @@
 ciphertext-only states."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import os
 import threading
@@ -54,7 +56,7 @@ from keyedqkd.keystream import uniform_bits
 from keyedqkd.qubits import ANGLE_TOL, MeasBasis, _DRAW_MAX, _sin2, measure_codes, measure_many
 
 import reference
-from reference import key_angles, key_guess_successes
+from reference import GivenDraws, key_angles, key_guess_successes
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
@@ -444,6 +446,36 @@ class TestInlineInterference:
         sigma = math.sqrt(0.25 * 0.75 / 10 ** 5)
         assert abs(qber - 0.25) < 4 * sigma
 
+    # In-line interference is where measure_many sees p1 other than 0 or 1:
+    # Eve's measurement and Bob's of her resent states. Recorded with a
+    # sampler that took every p1 in float64: sha256 of a run's outcome JSON
+    # with its final generator state, and of Bob's bits from one round.
+    INLINE_PINS = {
+        ("breidbart", 2): ("00b15be6d0ae6ccb72e51ca430debdcce57e2417f7763a313038273b731013a6",
+                           "0a29a8b114e170725fba2ee79b7f4ccb3ae3a04025d9cba64ef680bc6251c62a"),
+        ("breidbart", 16): ("8329d24b6d1ff79684b4adf296975b410dfef46d10e8764bfcb4bebf0a93fd6b",
+                            "cecbe39686c0265cbada3ed2b15b7468a89a07c7fe463eb3afe67acc9ba9d701"),
+        ("intercept:0.5", 2): (
+            "3f69fa4e738a8f07ac15c188c0fece1c9edecfaee72cdb792345eaf51074f4c8",
+            "90a1d9f407921df4be9f6ddbf4094d099c64b63938aab8abbf948fac1122f261"),
+        ("intercept:0.5", 16): (
+            "7c5b516e38cbbaccf02ff11c362189cd4195b6f6ead74e3d771ba9543284dc7d",
+            "0fa675674b39b29e35da97e5a9e10666fe2f8f3574db18121c2acc54d2488928"),
+    }
+
+    @pytest.mark.parametrize("text,m", list(INLINE_PINS))
+    def test_interfered_runs_match_their_pins(self, text, m):
+        from keyedqkd import measure_resend_interference, run_protocol, transmit_round
+        config = lfsr_config(n=20001, flip=0.02, loss=0.3, m=m)
+        hook = measure_resend_interference(AttackStrategy.parse(text))
+        rng = np.random.default_rng(2201)
+        outcome = run_protocol(config, rng, interference=hook)
+        record = json.dumps([outcome.to_json_dict(), rng.bit_generator.state], sort_keys=True)
+        _, bob, _ = transmit_round(config, np.random.default_rng(2202), hook)
+        assert bob.dtype == np.uint8
+        assert (hashlib.sha256(record.encode()).hexdigest(),
+                hashlib.sha256(bob.tobytes()).hexdigest()) == self.INLINE_PINS[text, m], record
+
 
 class TestRunAttackDispatch:
     def test_block_guess_needs_repetition_keystream(self):
@@ -600,18 +632,6 @@ def _recording_eve_bases(seen):
         return attacked, eve
 
     return eve_bases
-
-
-class _GivenDraws:
-    """A generator whose uniform draws are `draws`, tiled to each requested
-    shape; each call advances the real generator `rng` by the same draws."""
-
-    def __init__(self, draws, seed):
-        self.draws, self.rng = np.asarray(draws), np.random.default_rng(seed)
-
-    def random(self, shape):
-        self.rng.random(shape)
-        return np.resize(self.draws, shape)
 
 
 class TestCodedKernels:
@@ -784,7 +804,7 @@ class TestCodedKernels:
         draws = [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]
         codes = np.repeat(np.arange(p1.size), len(draws))
         cols = np.zeros(1 if table else 5)
-        rng, ref_rng = _GivenDraws(draws, 7), _GivenDraws(draws, 7)
+        rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
         got = measure_codes(p1, codes, cols, np.zeros_like(codes), rng)
         want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])

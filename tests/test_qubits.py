@@ -16,11 +16,13 @@ from keyedqkd import (
     measure_many,
     optimal_fixed_basis,
 )
-from keyedqkd.qubits import (ANGLE_TOL, _granted_error_profile, _granted_error_slope,
-                             _refine_minimum, turn_by_bits)
+import keyedqkd.qubits
+from keyedqkd.qubits import (ANGLE_TOL, HALF_PI, _DRAW_MAX, _F32_BAND, _granted_error_profile,
+                             _granted_error_slope, _refine_minimum, _sin2, turn_by_bits)
 
-from reference import (brute_force_basis_scan, granted_error_profile, granted_error_sum,
-                       grid_scan_index, helstrom_error, measure_many_snapped, mixture)
+from reference import (GivenDraws, brute_force_basis_scan, granted_error_profile,
+                       granted_error_sum, grid_scan_index, helstrom_error, measure_many_snapped,
+                       mixture)
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0  # = sin^2(pi/8) ~ 0.146447
@@ -174,6 +176,133 @@ class TestMeasure:
         p0 = math.cos(PI / 8) ** 2
         sigma = math.sqrt(p0 * (1 - p0) / n)
         assert abs((n - ones) / n - p0) < 4 * sigma
+
+
+EIGHT_UP = math.nextafter(8.0, 9.0)
+
+# Differences theta - phi the float32 stage decides: near every multiple of
+# pi/32 up to pi, on and just off alignment; generic angles; both ends of
+# [-8, 8] and the next double above 8, which rounds to 8 in float32.
+FILTERED = np.concatenate(
+    [np.arange(33) * (PI / 32) + offset for offset in (0.0, 1e-13, -1e-7, 1e-6)]
+    + [np.random.default_rng(22).uniform(-8.0, 8.0, 40), [8.0, -8.0, EIGHT_UP, -EIGHT_UP]])
+# One of these sends the whole call to the second stage alone: the next
+# float32 above 8, a larger difference, NaN and +-inf, and for float64 one
+# that overflows float32.
+UNFILTERED = [float(np.nextafter(np.float32(8.0), np.float32(9.0))), -100.0,
+              math.nan, math.inf, -math.inf]
+DIFFERENCES = [(np.float32, FILTERED, UNFILTERED), (np.float64, FILTERED, UNFILTERED + [1e39]),
+               (np.int64, np.arange(-8, 9), [9, -100])]
+
+
+def _edge_draws(thetas, phis):
+    """Draw columns for each element: its p1 in the angles' own dtype and one
+    ulp either side, float32 p1 -+ 1e-4 and 1e-7 inside and outside each band
+    edge, and both ends of the clip."""
+    d = np.subtract(thetas, phis, dtype=np.result_type(thetas, phis, 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        p1 = (np.sin(d) ** 2).astype(float)
+        p32 = (np.sin(d.astype(np.float32)) ** 2).astype(float)
+    p1, p32 = np.nan_to_num(p1, nan=0.5), np.nan_to_num(p32, nan=0.5)
+    columns = [p1, np.nextafter(p1, -1.0), np.nextafter(p1, 2.0)]
+    for edge in (-_F32_BAND, _F32_BAND):
+        columns += [p32 + edge + step for step in (-1e-7, 0.0, 1e-7)]
+    columns += [np.full(d.shape, v) for v in (0.0, ANGLE_TOL, _DRAW_MAX, math.nextafter(1.0, 0.0))]
+    return [np.clip(c, 0.0, math.nextafter(1.0, 0.0)) for c in columns]
+
+
+def _chunks(values, shape):
+    """values as arrays of `shape`, the last one wrapped around; a 0-d shape
+    takes every ninth value, and a 0-size one gives one empty array."""
+    size = math.prod(shape)
+    if not shape:
+        return [np.array(v) for v in values[::9]]
+    return [np.resize(values[i:], size).reshape(shape)
+            for i in range(0, values.size if size else 1, max(size, 1))]
+
+
+def _filter_cases():
+    """(thetas, phis, whether the float32 stage runs) over dtypes and shapes:
+    each chunk of differences, then the chunk with one outlier."""
+    bases = np.arange(40) % 4 * (PI / 4)
+    for dtype, kept, outliers in DIFFERENCES:
+        for shape in [(), (0,), (40,), (8, 5)]:
+            for chunk in _chunks(kept, shape):
+                cases = [(chunk, chunk.ndim > 0 and chunk.size > 0)]
+                for outlier in outliers if chunk.size else []:
+                    mixed = chunk.copy()
+                    mixed.flat[0] = outlier
+                    cases.append((mixed, False))
+                for diffs, filtered in cases:
+                    # A scalar basis keeps each difference exact; an array of
+                    # them exercises the gathered subtraction.
+                    yield diffs.astype(dtype), dtype(0), filtered
+                    if dtype is not np.int64:
+                        phis = bases[:diffs.size].reshape(shape)
+                        yield (diffs + phis).astype(dtype), phis.astype(dtype), filtered
+
+
+class TestFloat32Filter:
+    """measure_many's float32 stage against the float64 snapped reference, on
+    draws placed on and around each p1 and the stage's band edges."""
+
+    def test_matches_the_snapped_reference(self, monkeypatch):
+        stages = []
+
+        def recording_sin2(d):
+            stages.append(d.dtype)
+            return _sin2(d)
+
+        monkeypatch.setattr(keyedqkd.qubits, "_sin2", recording_sin2)
+        cases = 0
+        for thetas, phis, filtered in _filter_cases():
+            dtype = np.result_type(thetas, phis, 1.0)
+            for draws in _edge_draws(thetas, phis):
+                rng, ref_rng = GivenDraws(draws, 3), GivenDraws(draws, 3)
+                stages.clear()
+                with np.errstate(invalid="ignore"):
+                    got = measure_many(thetas, phis, rng)
+                    expected = measure_many_snapped(thetas, phis, ref_rng)
+                assert type(got) is type(expected) and got.dtype == np.uint8
+                assert np.shape(got) == np.shape(thetas)
+                assert np.array_equal(got, expected), (thetas, phis, draws)
+                assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+                # The float32 stage's p1 comes first, then the near draws'.
+                assert stages[0] == (np.float32 if filtered else dtype)
+                assert filtered or stages == [dtype]
+                cases += 1
+        assert cases > 3000
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_draws_leave_the_generator_where_the_reference_does(self, dtype):
+        thetas = np.random.default_rng(5).uniform(-8.0, 8.0, (64, 33)).astype(dtype)
+        phis = (np.arange(33) * (PI / 32)).astype(dtype)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(measure_many(thetas, phis, rng),
+                                  measure_many_snapped(thetas, phis, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_out_of_range_angles_warn_as_before(self):
+        # 1e39 overflows float32 but not sin; only the non-finite sine warns.
+        rng = np.random.default_rng(0)
+        assert measure_many(np.array([1e39, 0.0]), 0.0, rng).tolist() == \
+            measure_many_snapped(np.array([1e39, 0.0]), 0.0, np.random.default_rng(0)).tolist()
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in sin"):
+            measure_many(np.array([math.inf, 0.0]), 0.0, rng)
+
+    def test_float32_sine_errs_by_at_most_a_hundredth_of_the_band(self):
+        # The float32 stage's p1 against float64 sin^2: a million generic
+        # differences in [-8, 8], and nine points within 1e-6 of every
+        # k pi/(2m) there for m <= 4096 (all multiples of pi/8192). A host
+        # whose float32 sine errs more fails here rather than moving outcomes.
+        peaks = np.arange(-20860, 20861) * (HALF_PI / 4096)
+        d = np.concatenate([np.random.default_rng(2022).uniform(-8.0, 8.0, 10 ** 6),
+                            np.add.outer(peaks, np.linspace(-1e-6, 1e-6, 9)).ravel(),
+                            [-8.0, 8.0]])
+        assert np.abs(d).max() <= 8.0
+        p32 = _sin2(d.astype(np.float32))
+        assert np.abs(p32 - _sin2(d)).max() <= _F32_BAND / 100
 
 
 class TestDensityOfMixture:
