@@ -28,8 +28,6 @@ from .keystream import (
     bits_int,
     expand_running_key,
     lfsr_bits,
-    uniform_below,
-    uniform_bits,
 )
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
@@ -42,6 +40,8 @@ from .qubits import (
     require_integer,
     require_real,
     turn_by_bits,
+    uniform_below,
+    uniform_bits,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -230,14 +230,14 @@ def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
     bob bits, detected mask.
 
     Codes live in one dtype, chosen here: the narrowest unsigned type that
-    holds 2 * (2m + 2E) * m for m keyed and E attacker bases, the size of
-    the receiver's (state turned by a flip, keyed basis) table and so above
-    every code and table index of the round. The arithmetic on them runs in
-    place in that type and cannot wrap.
+    holds 2 * (2m + 2E) for m keyed and E attacker bases, above the largest
+    state code (a keyed or resent state turned by a flip) and so above
+    every code of the round. The arithmetic on them runs in place in that
+    type and cannot wrap; measure_codes sizes its own table index.
     """
     (key_angles, key_codes), (eve_angles, eve_codes) = key, eve
     keyed, resent = _with_bit(key_angles), _with_bit(eve_angles)
-    code = np.min_scalar_type(2 * (keyed.size + resent.size) * key_angles.size)
+    code = np.min_scalar_type(2 * (keyed.size + resent.size))
     key_codes = key_codes.astype(code, copy=False)
     alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
     state = key_codes * 2
@@ -272,6 +272,20 @@ def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
     return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.uint8))
 
 
+def _bases_in_use(alphabet: BasisAlphabet, *selectors):
+    """(basis angles, one code array per selector array) for a round.
+
+    When the alphabet has no more bases than the round has positions, the
+    angles are all m of them and the codes the selectors themselves.
+    Otherwise they are only the bases that the selectors use, compacted
+    together (np.unique), so memory follows n, not m; each angle is the
+    same float either way."""
+    if alphabet.m <= selectors[0].size:
+        return alphabet.angle(np.arange(alphabet.m)), selectors
+    used, codes = np.unique(np.concatenate(selectors), return_inverse=True)
+    return alphabet.angle(used), np.split(codes, len(selectors))
+
+
 def _user_counts(alice, bob, detected):
     """(user errors, detected positions) of one round."""
     return int(np.count_nonzero((bob ^ alice) & detected)), int(np.count_nonzero(detected))
@@ -284,7 +298,8 @@ def _state_attack_counts(strategy: AttackStrategy, key, channel: ChannelModel, r
 
     Her decoding flips are read from the (keyed basis, attacker basis) table
     by the round's codes, and not at all when the table holds no flip, as
-    on the two-basis alphabet."""
+    for intercept and breidbart on the two-basis alphabet; a fixed basis
+    past pi/4 there, such as fixed:1.2, flips basis 0."""
     key_angles, key_codes = key
     attacked, (eve_angles, eve_codes) = _eve_bases(strategy, key_codes.size, rng)
     alice, outcome, bob, detected = _resend_round(
@@ -308,10 +323,10 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
-    key = (config.alphabet.angle(np.arange(config.alphabet.m)), config.key_selectors())
+    angles, (codes,) = _bases_in_use(config.alphabet, config.key_selectors())
 
     def kernel(_, chunk_rng):
-        return _state_attack_counts(strategy, key, config.channel, chunk_rng)
+        return _state_attack_counts(strategy, (angles, codes), config.channel, chunk_rng)
 
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
@@ -391,9 +406,10 @@ def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
-    bases = config.alphabet.angle(np.arange(config.alphabet.m))
+    bases, (key_codes, guess_codes) = _bases_in_use(config.alphabet, key_selectors,
+                                                    guess_selectors)
     alice, outcome, bob, detected = _resend_round(
-        (bases, key_selectors), (bases, guess_selectors), slice(None), config.channel, rng)
+        (bases, key_codes), (bases, guess_codes), slice(None), config.channel, rng)
     eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
     return (guess == config.keystream.seed, eve_error,
             *_user_counts(alice, bob, detected))
@@ -574,8 +590,12 @@ def ciphertext_only_state(running_key: RunningKey, alphabet: BasisAlphabet,
     The mixture of bit 0 at theta (weight p0) and bit 1 at theta + pi/2 is
     I/2 + (p0 - 1/2) [[cos 2theta, sin 2theta], [sin 2theta, -cos 2theta]]:
     Bloch vector (2p0 - 1)(cos 2theta, sin 2theta). One matrix is built per
-    distinct selector, and positions with equal selectors share it.
+    distinct selector, and positions with equal selectors share it. The
+    running key must select from `alphabet`'s m bases.
     """
+    if running_key.m != alphabet.m:
+        raise ValueError(f"running key selects from {running_key.m} bases, "
+                         f"the alphabet has {alphabet.m}")
     p_zero = require_real(p_zero, "data prior")
     if not 0.0 <= p_zero <= 1.0:
         raise ValueError(f"data prior must lie in [0, 1], got {p_zero}")

@@ -4,11 +4,7 @@ of per-qubit basis selectors.
 Two expanders are built in: a Fibonacci-configuration LFSR over the seed key
 (`lfsr_stream`, one block-parallel kernel `lfsr_bits`) and the repetition
 expander that stretches an m_k-bit key over n qubits in contiguous blocks.
-`expand_running_key` groups a 0/1 bit array into selectors. `uniform_bits`
-and `uniform_below` are the uniform draws of a run: bits unpacked from whole
-64-bit draws, and a probability mask that draws nothing when it is constant.
-They ask any bit generator for uniform, independent bits the same way and do
-not reproduce a particular integer stream.
+`expand_running_key` groups a 0/1 bit array into selectors.
 """
 
 from __future__ import annotations
@@ -116,28 +112,6 @@ def bits_int(bits) -> int:
     """The 0/1 sequence as a Python int, bits[k] at bit k."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform bits as uint8 0/1: the first n bits of one draw of
-    ceil(n/64) full-range words, rng.integers(0, 2**64, dtype=np.uint64),
-    read as little-endian bytes and each byte from its low bit up.
-
-    Every bit generator takes this path. It measured faster than unpacking
-    rng.bytes, which draws 32 bits at a time. A draw takes whole words, so a
-    k-bit call consumes ceil(k/64) of them.
-    """
-    words = rng.integers(0, 1 << 64, size=-(-n // 64), dtype=np.uint64)
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
-                         bitorder="little")
-
-
-def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
-    """rng.random(shape) < p, except that p <= 0 and p >= 1 draw nothing:
-    uniforms lie in [0, 1), so the mask is then all false or all true."""
-    if p <= 0.0 or p >= 1.0:
-        return np.full(shape, p >= 1.0)
-    return rng.random(shape) < p
 
 
 def _jump(rows: tuple[int, ...], state: int, digits: str) -> int:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .analysis import h2, rate_window
 from .keystream import (MAX_SELECTOR_BITS, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey,
-                        as_bits, bits_int, lfsr_bits, uniform_below, uniform_bits)
+                        as_bits, bits_int, lfsr_bits)
 from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
-                     require_real, turn_by_bits)
+                     require_real, turn_by_bits, uniform_below, uniform_bits)
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
 # entropy stays this far below the code redundancy 1 - R. Chosen so finite-n

@@ -1,5 +1,5 @@
-"""Real-plane qubit algebra: encoding, projective measurement, and
-eavesdropper error-rate functionals.
+"""Real-plane qubit algebra: encoding, uniform draws, projective
+measurement, and eavesdropper error-rate functionals.
 
 Every state handled here lies on the real great circle of the Bloch sphere, so a
 pure state is a single angle theta with vector (cos theta, sin theta), and an
@@ -153,6 +153,32 @@ def turn_by_bits(angles, bits):
     return angles + bits * HALF_PI
 
 
+def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform bits as uint8 0/1: the first n bits of one draw of
+    ceil(n/64) full-range words, rng.integers(0, 2**64, dtype=np.uint64),
+    read as little-endian bytes and each byte from its low bit up.
+
+    Every bit generator takes this path. It measured faster than unpacking
+    rng.bytes, which draws 32 bits at a time. A draw takes whole words, so a
+    k-bit call consumes ceil(k/64) of them.
+    """
+    import numpy as np
+
+    words = rng.integers(0, 1 << 64, size=-(-n // 64), dtype=np.uint64)
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
+                         bitorder="little")
+
+
+def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
+    """rng.random(shape) < p, except that p <= 0 and p >= 1 draw nothing:
+    uniforms lie in [0, 1), so the mask is then all false or all true."""
+    import numpy as np
+
+    if p <= 0.0 or p >= 1.0:
+        return np.full(shape, p >= 1.0)
+    return rng.random(shape) < p
+
+
 def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Projective measurement: outcome array for state/basis angle arrays.
 
@@ -165,17 +191,16 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     p1 evaluated in the dtype of theta - phi: no p1 <= 1e-12 exceeds a
     clipped u and every p1 >= 1 - 1e-12 does.
 
-    The comparison takes two stages when the angles form an array of at
-    least one element and every float32(theta - phi) lies in [-8, 8]. First
-    p32 = sin^2(float32(theta - phi)) in float32: rounding the difference
-    errs by at most 2^-21 and the float32 sine and square by a few ulp, so
-    p32 lies within 1e-6 of p1 (a test holds the host's float32 sine to
-    that). Each outcome is float32(u) < p32 where the two differ by more than
-    1e-4, and u < p1 in the angles' own dtype where they do not; those draws
-    are the only ones whose outcome the float32 errors could move, with 100
-    times the margin. About 1e-4 n draws are recomputed when every p1 is 0
-    or 1, 2e-4 n otherwise. Any other input takes the second stage alone,
-    and both give u < p1's outcome for every draw.
+    A float32 filter decides first and u < p1 recomputes what it leaves
+    uncertain (Shewchuk's adaptive predicates). When every float32(theta -
+    phi) lies in [-8, 8], p32 = sin^2(float32(theta - phi)) in float32:
+    rounding the difference errs by at most 2^-21 and the float32 sine and
+    square by a few ulp, so p32 lies within 1e-6 of p1 (a test holds the
+    host's float32 sine to that). Each outcome is float32(u) < p32 where the
+    two differ by more than 1e-4, 100 times the margin the float32 errors
+    could move; about 1e-4 n draws are uncertain when every p1 is 0 or 1,
+    2e-4 n otherwise. Any other input (out of range, non-finite or empty)
+    leaves every position uncertain.
 
     measure_codes snaps a small p1 table instead (_snap) and, unless every
     entry is 0, 1/2 or 1, compares the raw draws; both give the same
@@ -187,54 +212,52 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     dtype = np.result_type(thetas, phis, 1.0)
     u = rng.random(np.broadcast_shapes(thetas.shape, phis.shape))
     u.clip(ANGLE_TOL, _DRAW_MAX, out=u)
-    # Out-of-range differences fail the test below, and the second stage
-    # recomputes them, with numpy's warnings for them, in the angles' dtype.
+    outcomes = np.empty(u.shape, bool)
+    # Out-of-range differences fail the test below; the exact step warns for them.
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.subtract(thetas, phis, out=np.empty(u.shape, np.float32), dtype=dtype,
                         casting="same_kind")
-    if p.ndim and p.size and -_F32_ANGLE <= p.min() and p.max() <= _F32_ANGLE:
+    if p.size and -_F32_ANGLE <= p.min() and p.max() <= _F32_ANGLE:
         np.subtract(_sin2(p), u, out=p, dtype=np.float32, casting="same_kind")
-        outcomes = p > 0.0
+        np.greater(p, 0.0, out=outcomes)
         near = np.flatnonzero(np.abs(p, out=p) <= _F32_BAND)
-        if near.size:
-            d = np.subtract(np.broadcast_to(thetas, u.shape).flat[near],
-                            np.broadcast_to(phis, u.shape).flat[near], dtype=dtype)
-            outcomes.flat[near] = u.flat[near] < _sin2(d)
-        return outcomes.view("u1")
-    # A 0-d subtraction returns a numpy scalar, which `out=` rejects.
-    d = np.asarray(np.subtract(thetas, phis, dtype=dtype))
-    return (u < _sin2(d)).view("u1")
+    else:
+        near = np.arange(u.size)
+    d = np.subtract(np.broadcast_to(thetas, u.shape).flat[near],
+                    np.broadcast_to(phis, u.shape).flat[near], dtype=dtype)
+    outcomes.flat[near] = u.flat[near] < _sin2(d)
+    return outcomes.view("u1")[()]  # a 0-d call returns a numpy scalar
 
 
 def measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
     """Outcomes of measuring states rows.take(row_codes) in bases
-    cols.take(col_codes), on angle codes. When the (row, col) p1 table has
-    no more entries than there are positions, it is built and snapped once
-    (_snap) and the positions gather from it. If every entry is then 0, 1
-    or within 1e-12 of 1/2 (every two-basis attack), the call draws
-    uniform_bits, one bit per position in C order whatever entry the
-    position gathers, and reads each outcome from _coin_outcomes by
-    (entry, bit). Any other table compares one raw double per position
-    with the gathered p1, which gives
-    measure_many(rows.take(row_codes), cols.take(col_codes), rng)'s
-    outcomes from the same draws: the differences are the same floats
-    either way, and np.sin gives a float the same bits wherever it sits in
-    an array (a test checks this). A larger table takes that call itself.
-    take reads narrow codes about as fast as int64 ones; fancy indexing
-    with a uint8 index array takes about twice as long."""
+    cols.take(col_codes), on angle codes of any integer dtype. When the
+    (row, col) p1 table has no more entries than there are positions, it
+    is built and snapped once (_snap) and the positions gather from it by
+    a table index in the narrowest unsigned type that holds 2 * table
+    size, so that the coin index 2 * entry + bit fits too. If every entry
+    is then 0, 1 or within 1e-12 of 1/2 (intercept, key-guess and
+    block-guess rounds on the two-basis alphabet; breidbart and a fixed
+    basis off the multiples of pi/4 are not), the call draws uniform_bits,
+    one bit per position in C order whatever entry the position gathers,
+    and reads each outcome from _coin_outcomes by (entry, bit). Any other
+    table compares one raw double per position with the gathered p1,
+    which gives measure_many(rows.take(row_codes), cols.take(col_codes),
+    rng)'s outcomes from the same draws: the differences are the same
+    floats either way, and np.sin gives a float the same bits wherever it
+    sits in an array (a test checks this). A larger table takes that call
+    itself. take reads narrow codes about as fast as int64 ones; fancy
+    indexing with a uint8 index array takes about twice as long."""
     if rows.size * cols.size <= row_codes.size:
         import numpy as np
 
         table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
-        index = row_codes * cols.size + col_codes
+        index = row_codes.astype(np.min_scalar_type(2 * table.size))
+        index *= cols.size
+        index += col_codes.astype(index.dtype, copy=False)
         outcomes = _coin_outcomes(table)
         if outcomes is None:
             return (rng.random(index.shape) < table.take(index)).view("u1")
-        from .keystream import uniform_bits
-
-        # 2 * index + 1 reaches 2 * table.size - 1, which may not fit the codes' type.
-        index = index.astype(np.promote_types(index.dtype, np.min_scalar_type(len(outcomes))),
-                             copy=False)
         index *= 2
         index += uniform_bits(rng, index.size).reshape(index.shape)
         return np.frombuffer(outcomes, np.uint8).take(index)

@@ -35,7 +35,6 @@ from keyedqkd import (
     run_attack,
 )
 import keyedqkd.adversary
-import keyedqkd.keystream
 import keyedqkd.qubits
 from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
@@ -52,8 +51,8 @@ from keyedqkd.adversary import (
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
-from keyedqkd.keystream import uniform_bits
-from keyedqkd.qubits import ANGLE_TOL, MeasBasis, _DRAW_MAX, _sin2, measure_codes, measure_many
+from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, _DRAW_MAX, _sin2, measure_codes, measure_many,
+                             uniform_bits)
 
 import reference
 from reference import GivenDraws, key_angles, key_guess_successes
@@ -393,8 +392,17 @@ class TestCiphertextOnlyState:
                 ciphertext_only_state(running_key, config.alphabet, p_zero=bad)
 
     def test_rejects_a_selector_outside_the_alphabet(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="selects from 4 bases, the alphabet has 2"):
             ciphertext_only_state(RunningKey([0, 1, 3], 4), BasisAlphabet(2))
+
+    def test_rejects_a_key_of_fewer_bases_than_the_alphabet(self):
+        # Read through 16 bases, selector 1 would be the basis at pi/32, not
+        # pi/4: at p0 = 0.9 the off-diagonal would read 0.078 instead of 0.4.
+        key = RunningKey([0, 1, 1, 0], 2)
+        with pytest.raises(ValueError, match="selects from 2 bases, the alphabet has 16"):
+            ciphertext_only_state(key, BasisAlphabet(16), p_zero=0.9)
+        assert ciphertext_only_state(key, BasisAlphabet(2), p_zero=0.9)[1].entries[0, 1] == \
+            pytest.approx(0.4, abs=1e-12)
 
     @pytest.mark.parametrize("p_zero", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("m", [2, 16, 1024])
@@ -654,7 +662,7 @@ class TestCodedKernels:
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,text", [(2, "fixed:0.3"), (16, "fixed:0.3"), (2, "breidbart"),
                                         (16, "breidbart"), (2, "intercept:0.5"),
-                                        (2, "intercept:1")])
+                                        (2, "intercept:1"), (2, "fixed:1.2")])
     def test_state_attack_round(self, table_use, m, text, channel):
         config = lfsr_config(n=3000, m=m)
         strategy = AttackStrategy.parse(text)
@@ -713,14 +721,14 @@ class TestCodedKernels:
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
 
-    # m keyed and E attacker bases, and the narrowest dtype above 2 * (2m + 2E) * m:
-    # 32 and 24 fit a uint8, 2048 and 1088 a uint16, 66560 and 264192 a uint32.
-    # At m = E = 4096 (a key-guess round) every p1 is per element.
+    # m keyed and E attacker bases, and the narrowest dtype that holds 2 * (2m + 2E):
+    # 16, 12, 128 and 68 fit a uint8, 520, 1032 and 32768 a uint16. At
+    # m = E = 4096 (a key-guess round) every p1 is per element.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,e,n,code", [
-        (2, 2, 3000, np.uint8), (2, 1, 3000, np.uint8), (16, 16, 3000, np.uint16),
-        (16, 1, 3000, np.uint16), (128, 2, 3000, np.uint32), (256, 2, 3000, np.uint32),
-        (4096, 4096, 300, np.uint32)])
+        (2, 2, 3000, np.uint8), (2, 1, 3000, np.uint8), (16, 16, 3000, np.uint8),
+        (16, 1, 3000, np.uint8), (128, 2, 3000, np.uint16), (256, 2, 3000, np.uint16),
+        (4096, 4096, 300, np.uint16)])
     def test_resend_round_at_each_code_width(self, code_dtypes, m, e, n, code, channel):
         key_angles = BasisAlphabet(m).angle(np.arange(m))
         eve_angles = BasisAlphabet(e).angle(np.arange(e)) if e > 1 else np.array([0.3])
@@ -742,8 +750,8 @@ class TestCodedKernels:
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,text,code", [
-        (2, "breidbart", np.uint8), (2, "intercept:1", np.uint8), (16, "fixed:0.3", np.uint16),
-        (128, "intercept:1", np.uint32), (256, "intercept:0.5", np.uint32)])
+        (2, "breidbart", np.uint8), (2, "intercept:1", np.uint8), (16, "fixed:0.3", np.uint8),
+        (128, "intercept:1", np.uint16), (256, "intercept:0.5", np.uint16)])
     def test_state_attack_round_at_each_code_width(self, code_dtypes, m, text, code, channel):
         config = lfsr_config(n=3000, m=m)
         strategy = AttackStrategy.parse(text)
@@ -843,6 +851,26 @@ class TestCodedKernels:
         assert report.eve_bit_error == (binomial_ci(eve_err, eve_tot) if eve_tot else None)
         assert report.induced_qber == binomial_ci(user_err, user_tot)
 
+    @pytest.mark.parametrize("text", ["fixed:0.3", "breidbart"])
+    def test_state_attack_on_more_bases_than_positions(self, monkeypatch, text):
+        # At m > n the attack keeps only the bases its selectors use, and its
+        # counts equal the float path's over all m bases.
+        config = lfsr_config(n=300, m=4096, flip=0.1)
+        strategy, trials, bases = AttackStrategy.parse(text), 3, []
+
+        def spy(strategy, key, channel, rng):
+            bases.append(key[0].size)
+            return _state_attack_counts(strategy, key, channel, rng)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_state_attack_counts", spy)
+        report = run_attack(strategy, config, np.random.default_rng(8), trials=trials)
+        rounds = [reference.state_attack_counts(strategy, config, config.channel, chunk_rng)
+                  for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
+        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
+        assert report.eve_bit_error == binomial_ci(eve_err, eve_tot)
+        assert report.induced_qber == binomial_ci(user_err, user_tot)
+        assert bases == [np.unique(config.key_selectors()).size] * trials
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     def test_run_attack_block_guess(self, channel, threads):
@@ -893,6 +921,23 @@ class TestCoinDraws:
         bits = uniform_bits(np.random.default_rng(17), codes.size)
         _same_arrays([got], [np.where(p1[codes] == 0.5, bits, p1[codes]).astype(np.uint8)])
 
+    @pytest.mark.parametrize("step", [PI / 4, 0.01], ids=["coins", "doubles"])
+    def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, step):
+        # 100 rows by 3 columns on uint8 codes: entry indices run to 299 and
+        # (entry, bit) indices to 599, so measure_codes must widen them itself.
+        rows, cols = np.random.default_rng(3).permutation(100) * step, np.arange(3) * step
+        row_codes = np.tile(np.arange(100, dtype=np.uint8), 3)
+        col_codes = np.repeat(np.arange(3, dtype=np.uint8), 100)
+        got = measure_codes(rows, row_codes, cols, col_codes, np.random.default_rng(18))
+        thetas, phis = rows[row_codes], cols[col_codes]
+        if step == 0.01:
+            want = measure_many(thetas, phis, np.random.default_rng(18))
+        else:
+            p1 = np.round(2 * np.sin(thetas - phis) ** 2) / 2
+            bits = uniform_bits(np.random.default_rng(18), p1.size)
+            want = np.where(p1 == 0.5, bits, p1).astype(np.uint8)
+        _same_arrays([got], [want])
+
     @pytest.mark.parametrize("p1", [
         [0.0, 1.0, 0.5 - 2 * ANGLE_TOL], [0.0, 1.0, 0.5 + 2 * ANGLE_TOL],
         [0.0, 1.0, 0.5, 0.3]], ids=["half-minus-2tol", "half-plus-2tol", "one-other-entry"])
@@ -934,7 +979,7 @@ class TestCoinDraws:
             seen.append(n)
             return uniform_bits(rng, n)
 
-        monkeypatch.setattr(keyedqkd.keystream, "uniform_bits", spy)
+        monkeypatch.setattr(keyedqkd.qubits, "uniform_bits", spy)
         return seen
 
     @pytest.mark.parametrize("m,text,coins", [

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,18 @@ def run_child(code: str, *args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60)
 
 
+CLI_MAIN = "import sys\nfrom keyedqkd.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def run_capped(code: str, *args: str) -> subprocess.CompletedProcess:
+    """run_child in a child that caps its own address space at 2 GB before
+    it loads anything, so a huge allocation fails there and never reaches
+    the machine."""
+    pytest.importorskip("resource")
+    return run_child("import resource\n"
+                     "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n" + code, *args)
+
+
 def run_python(code: str, *args: str) -> str:
     """run_child's stdout; a nonzero exit raises."""
     out = run_child(code, *args)
@@ -351,22 +364,68 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == before
 
 
-    @pytest.mark.parametrize("strategy", ["breidbart", "keyguess"])
+    @pytest.mark.parametrize("strategy", ["breidbart", "blockguess:1"])
     def test_attack_out_of_memory_exits_one(self, tmp_path, strategy):
-        # At m = 2^36 the attack asks for 8m bytes of basis angles. The child
-        # caps its own address space at 2 GB before it loads anything, so
-        # the allocation fails there and never reaches the machine.
-        pytest.importorskip("resource")
-        limited = ("import resource, sys\n"
-                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                   "from keyedqkd.cli import main\n"
-                   "sys.exit(main(sys.argv[1:]))")
-        config = write_config(tmp_path, n=200, m=2 ** 36)
-        out = run_child(limited, "attack", strategy, "--config", str(config), "--seed", "1",
-                        "--output", str(tmp_path / "o.json"))
+        # At n = 2^40 the running key (breidbart) or the guessed block
+        # (blockguess) asks for terabytes at once.
+        config = write_config(tmp_path, n=2 ** 40,
+                              keystream={"kind": "repetition", "key": "10011010"})
+        out = run_capped(CLI_MAIN, "attack", strategy, "--config", str(config), "--seed", "1",
+                         "--output", str(tmp_path / "o.json"))
         assert out.returncode == EXIT_USAGE
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("strategy", ["breidbart", "keyguess"])
+    def test_attack_at_a_huge_basis_count_runs_under_the_cap(self, tmp_path, strategy):
+        # At m = 2^36 the attack builds only the bases its 200 positions use.
+        # A random guess at large m leaves the keyed and guessed angles
+        # independent and uniform on [0, pi/2), so her raw error is
+        # 1/2 - |E exp(2i theta)|^2 / 2 = 1/2 - 2/pi^2.
+        config = write_config(tmp_path, n=200, m=2 ** 36)
+        out = run_capped(CLI_MAIN, "attack", strategy, "--config", str(config), "--seed", "1",
+                         "--trials", "16", "--output", str(tmp_path / "o.json"))
+        assert out.returncode == EXIT_OK, out.stderr
+        report = json.loads((tmp_path / "o.json").read_text())
+        eve_error = report["eve_bit_error_analytic"] or 0.5 - 2 / math.pi ** 2
+        expected = [(report["eve_bit_error"], eve_error), (report["induced_qber"], 0.25)]
+        for interval, rate in expected:
+            assert abs(interval["estimate"] - rate) <= interval["half_width"], (interval, rate)
+
+    def test_every_admitted_attack_runs_at_any_basis_count_under_the_cap(self):
+        # Configs at m up to 2^63 and small n, each with every strategy: each
+        # attack returns a report or raises ValueError, in well under 2 GB.
+        property_check = """
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from keyedqkd import (AttackStrategy, BasisAlphabet, ChannelModel, LfsrKeystream, LfsrSpec,
+                      ProtocolConfig, RepetitionKeystream, SeedKey, run_attack)
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(bits=st.one_of(st.just(1), st.integers(2, 63)), n=st.integers(1, 48),
+       lfsr=st.booleans(), seed=st.integers(0, 2 ** 32))
+def check(bits, n, lfsr, seed):
+    keystream = (LfsrKeystream(LfsrSpec.from_text("4:4,3"), SeedKey.from_string("1001"))
+                 if lfsr else RepetitionKeystream(SeedKey.from_string("1")))
+    try:
+        config = ProtocolConfig(n=n, alphabet=BasisAlphabet(2 ** bits), keystream=keystream,
+                                channel=ChannelModel(flip_prob=0.1), code_rate=0.6,
+                                pa_security_param=0, verification_len=16)
+    except ValueError:
+        return
+    for text in ["breidbart", "fixed:1.2", "intercept", "intercept:0.5", "keyguess",
+                 "blockguess:1", "blockguess:2"]:
+        try:
+            report = run_attack(AttackStrategy.parse(text), config,
+                                np.random.default_rng(seed), trials=2)
+        except ValueError:
+            continue
+        assert report.trials == 2 and report.qubits == n
+
+check()
+"""
+        out = run_capped(property_check)
+        assert out.returncode == 0, out.stderr
 
 
 # Text without decimal digits, so stray tokens never spell a huge basis count.

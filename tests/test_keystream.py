@@ -19,7 +19,8 @@ from keyedqkd import (
     repetition_running_key,
 )
 
-from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits, uniform_below, uniform_bits
+from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
+from keyedqkd.qubits import uniform_below, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, lfsr_reference,
                        primitive_tap_sets, selectors_matmul)

@@ -1,5 +1,5 @@
 """Package exports: the names `keyedqkd` exports and the objects they resolve to,
-and no private name shared between its modules."""
+and neither a private name shared between its modules nor an import cycle among them."""
 
 import ast
 import importlib
@@ -105,3 +105,35 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 private += [(path.name, node.module, alias.name) for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def _sibling_imports(path: pathlib.Path, siblings: set) -> set:
+    """The sibling modules that `path` imports, relative or absolute, at module
+    level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("keyedqkd.")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "keyedqkd":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            found |= {inner[0]} if inner else {alias.name for alias in node.names}
+    return found & siblings
+
+
+def test_no_module_reaches_itself_through_sibling_imports():
+    paths = {path.stem: path for path in pathlib.Path(keyedqkd.__file__).parent.glob("*.py")}
+    graph = {name: _sibling_imports(path, set(paths)) for name, path in paths.items()}
+    cyclic = []
+    for start in sorted(graph):
+        reached, frontier = set(), set(graph[start])
+        while frontier:
+            name = frontier.pop()
+            reached.add(name)
+            frontier |= graph[name] - reached
+        if start in reached:
+            cyclic.append(start)
+    assert cyclic == []
