@@ -32,6 +32,7 @@ from .keystream import (
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
     BasisAlphabet,
+    CodeTable,
     DensityMatrix,
     MeasBasis,
     eve_error_key_granted,
@@ -58,8 +59,10 @@ SEED_DRAW = 1024
 # needs far more trials than its error statistics do.
 MAX_QUBIT_TRIALS = 16
 
-# The two-basis alphabet's basis angles, 0 and pi/4, by code.
+# The two-basis alphabet's basis angles, 0 and pi/4, by code; read-only,
+# as every attack on it shares them.
 _TWO_BASES = BasisAlphabet(2).angle(np.arange(2))
+_TWO_BASES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -205,10 +208,8 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
 
 
 def _with_bit(angles: np.ndarray) -> np.ndarray:
-    """The angles turned by a bit: angles[i] + b * pi/2 at code 2*i + b.
-    The two turns go in as Python floats: a bit array would cost a numpy
-    multiply on every call, about 2 us, three times per simulated round."""
-    return (angles[:, None] + (turn_by_bits(0.0, 0), turn_by_bits(0.0, 1))).ravel()
+    """The angles turned by a bit: angles[i] + b * pi/2 at code 2*i + b."""
+    return turn_by_bits(angles[:, None], np.arange(2)).ravel()
 
 
 def _decode_flip(d: np.ndarray) -> np.ndarray:
@@ -216,43 +217,70 @@ def _decode_flip(d: np.ndarray) -> np.ndarray:
     return np.cos(d) ** 2 < 0.5
 
 
-def _resend_round(key, eve, attacked, channel: ChannelModel, rng):
+@dataclass(frozen=True)
+class _ResendTables:
+    """What every measure-resend round against the keyed bases `key_angles`
+    shares, built once per attack by _resend_tables and read by every round
+    and thread: the code dtype of its states and its two CodeTables, `eve`
+    (keyed states in the attacker's bases) and `bob` (keyed or resent
+    states, turned by a channel flip, in the keyed bases)."""
+
+    key_angles: np.ndarray
+    code: np.dtype
+    eve: CodeTable
+    bob: CodeTable
+
+
+def _resend_tables(key_angles: np.ndarray, eve_angles: np.ndarray,
+                   positions: int) -> _ResendTables:
+    """The _ResendTables of rounds that measure at most `positions`
+    positions at once. The code dtype is the narrowest unsigned type that
+    holds 2 * (2m + 2E) for m keyed and E attacker bases, above the largest
+    state code (a keyed or resent state turned by a flip) and so above
+    every code of a round."""
+    keyed, resent = _with_bit(key_angles), _with_bit(eve_angles)
+    return _ResendTables(
+        key_angles, np.min_scalar_type(2 * (keyed.size + resent.size)),
+        CodeTable(keyed, eve_angles, positions),
+        CodeTable(_with_bit(np.concatenate([keyed, resent])), key_angles, positions))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, frozen in place: a value that every round and thread of an attack shares."""
+    a.setflags(write=False)
+    return a
+
+
+def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
+                  channel: ChannelModel, rng):
     """One transmission of any shape with measure-resend on the positions that
     `attacked` (indices, a mask or a slice) selects.
 
-    Bases come as (angles, codes) pairs: `key` holds the keyed bases and
-    `eve` the attacker's, each code array the shape of the transmission.
-    States are codes too, 2*i + b for angle i turned by bit b, and both
-    measurements go through qubits.measure_codes, which draws one bit per
-    position on a table of only 0, 1/2 and 1 and otherwise gives
-    measure_many's outcomes from the same floats and draws. Returns
-    per-position arrays: alice bits, eve outcomes (on attacked positions),
-    bob bits, detected mask.
+    `key_codes` index the keyed bases of `tables` and `eve_codes` the
+    attacker's, each the shape of the transmission. States are codes too,
+    2*i + b for angle i turned by bit b, and both measurements go through
+    qubits.measure_codes with the attack's prebuilt tables, so a round does
+    only per-position work. Returns per-position arrays: alice bits, eve
+    outcomes (on attacked positions), bob bits, detected mask.
 
-    Codes live in one dtype, chosen here: the narrowest unsigned type that
-    holds 2 * (2m + 2E) for m keyed and E attacker bases, above the largest
-    state code (a keyed or resent state turned by a flip) and so above
-    every code of the round. The arithmetic on them runs in place in that
-    type and cannot wrap; measure_codes sizes its own table index.
+    Codes live in the tables' one dtype; key codes already in it (as every
+    attack but key guessing at m > n passes them) are not copied. The
+    arithmetic on them runs in place in that type and cannot wrap.
     """
-    (key_angles, key_codes), (eve_angles, eve_codes) = key, eve
-    keyed, resent = _with_bit(key_angles), _with_bit(eve_angles)
-    code = np.min_scalar_type(2 * (keyed.size + resent.size))
-    key_codes = key_codes.astype(code, copy=False)
+    key_codes = key_codes.astype(tables.code, copy=False)
     alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
     state = key_codes * 2
     state += alice
-    eve_codes = eve_codes[attacked].astype(code)
-    outcome = measure_codes(keyed, state[attacked], eve_angles, eve_codes, rng)
+    eve_codes = eve_codes[attacked].astype(tables.code)
+    outcome = measure_codes(tables.eve, state[attacked], eve_codes, rng)
     eve_codes *= 2
     eve_codes += outcome
-    eve_codes += keyed.size
+    eve_codes += 2 * tables.key_angles.size
     state[attacked] = eve_codes
     lost, flipped = channel.draw(state.shape, rng)
     state *= 2
     state += flipped
-    sent = _with_bit(np.concatenate([keyed, resent]))
-    bob = measure_codes(sent, state, key_angles, key_codes, rng)
+    bob = measure_codes(tables.bob, state, key_codes, rng)
     return alice, outcome, bob, ~lost
 
 
@@ -265,11 +293,18 @@ def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
     all-true mask without drawing), so no n-element index array is
     gathered or scattered; otherwise they are indices.
     """
-    if strategy.kind == "intercept_resend_random":
-        hit = uniform_below(strategy.fraction, (n,), rng)
-        attacked = np.flatnonzero(hit) if strategy.fraction < 1.0 else slice(None)
-        return attacked, (_TWO_BASES, uniform_bits(rng, n))
-    return slice(None), (np.array([strategy.phi]), np.zeros(n, dtype=np.uint8))
+    if strategy.kind == "fixed_basis":
+        return _fixed_bases(strategy.phi, n)
+    hit = uniform_below(strategy.fraction, (n,), rng)
+    attacked = np.flatnonzero(hit) if strategy.fraction < 1.0 else slice(None)
+    return attacked, (_TWO_BASES, uniform_bits(rng, n))
+
+
+def _fixed_bases(phi: float, n: int):
+    """_eve_bases of a fixed basis at phi, which draws nothing: every
+    position attacked in the one basis, read-only, so that every round of
+    an attack can share one copy."""
+    return slice(None), (_read_only(np.array([phi])), _read_only(np.zeros(n, dtype=np.uint8)))
 
 
 def _bases_in_use(alphabet: BasisAlphabet, *selectors):
@@ -291,23 +326,55 @@ def _user_counts(alice, bob, detected):
     return int(np.count_nonzero((bob ^ alice) & detected)), int(np.count_nonzero(detected))
 
 
-def _state_attack_counts(strategy: AttackStrategy, key, channel: ChannelModel, rng):
-    """One round of intercept or fixed-basis measure-resend against the keyed
-    bases `key`, an (angles, codes) pair: (her bit errors, attacked positions,
-    user errors, detected positions).
+@dataclass(frozen=True)
+class _StateAttack:
+    """What every round of an intercept or fixed-basis attack shares, built
+    once by _state_attack and read-only: the strategy, the resend tables,
+    the keyed codes in their code dtype, her decoding-flip table by
+    (keyed code, attacker code), None when it holds no flip, and for a
+    fixed basis its round-invariant _fixed_bases, None for intercept,
+    whose rounds draw them (_eve_bases)."""
 
-    Her decoding flips are read from the (keyed basis, attacker basis) table
-    by the round's codes, and not at all when the table holds no flip, as
-    for intercept and breidbart on the two-basis alphabet; a fixed basis
-    past pi/4 there, such as fixed:1.2, flips basis 0."""
+    strategy: AttackStrategy
+    tables: _ResendTables
+    key_codes: np.ndarray
+    flips: np.ndarray | None
+    fixed: tuple | None
+
+
+def _state_attack(strategy: AttackStrategy, key) -> _StateAttack:
+    """The _StateAttack of `strategy` against the keyed bases `key`, an
+    (angles, codes) pair whose codes give every position of a round."""
     key_angles, key_codes = key
-    attacked, (eve_angles, eve_codes) = _eve_bases(strategy, key_codes.size, rng)
-    alice, outcome, bob, detected = _resend_round(
-        key, (eve_angles, eve_codes), attacked, channel, rng)
-    wrong = outcome ^ alice[attacked]
+    if strategy.kind == "fixed_basis":
+        fixed = _fixed_bases(strategy.phi, key_codes.size)
+        _, (eve_angles, _) = fixed
+    else:
+        fixed, eve_angles = None, _TWO_BASES
+    tables = _resend_tables(key_angles, eve_angles, key_codes.size)
     flips = _decode_flip(np.subtract.outer(key_angles, eve_angles)).ravel()
-    if flips.any():
-        wrong ^= flips.take(key_codes[attacked] * eve_angles.size + eve_codes[attacked])
+    return _StateAttack(strategy, tables, _read_only(key_codes.astype(tables.code)),
+                        _read_only(flips) if flips.any() else None, fixed)
+
+
+def _state_attack_counts(attack: _StateAttack, channel: ChannelModel, rng):
+    """One round of intercept or fixed-basis measure-resend: (her bit
+    errors, attacked positions, user errors, detected positions).
+
+    Her decoding flips are read from the attack's (keyed basis, attacker
+    basis) table by the round's codes, and not at all when the table holds
+    no flip, as for intercept and breidbart on the two-basis alphabet; a
+    fixed basis past pi/4 there, such as fixed:1.2, flips basis 0. Every
+    table comes prebuilt with `attack`, so the round does only
+    per-position work."""
+    key_codes = attack.key_codes
+    attacked, (eve_angles, eve_codes) = (attack.fixed or
+                                         _eve_bases(attack.strategy, key_codes.size, rng))
+    alice, outcome, bob, detected = _resend_round(
+        attack.tables, key_codes, eve_codes, attacked, channel, rng)
+    wrong = outcome ^ alice[attacked]
+    if attack.flips is not None:
+        wrong ^= attack.flips.take(key_codes[attacked] * eve_angles.size + eve_codes[attacked])
     return (int(np.count_nonzero(wrong)), outcome.size,
             *_user_counts(alice, bob, detected))
 
@@ -324,9 +391,10 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     positions), each None when there are no such positions.
     """
     angles, (codes,) = _bases_in_use(config.alphabet, config.key_selectors())
+    attack = _state_attack(strategy, (angles, codes))
 
     def kernel(_, chunk_rng):
-        return _state_attack_counts(strategy, (angles, codes), config.channel, chunk_rng)
+        return _state_attack_counts(attack, config.channel, chunk_rng)
 
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
@@ -395,39 +463,64 @@ def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Gener
         raise ValueError("the key-guessing attack targets an LFSR keystream")
     if len(guess) != len(config.keystream.seed):
         raise ValueError("guess length must match the seed length")
-    success, eve_error, user_errors, detected = _guess_round(
-        config, config.key_selectors(), guess, rng)
-    return success, eve_error, user_errors / detected if detected else None
-
-
-def _guess_round(config: ProtocolConfig, key_selectors, guess: SeedKey,
-                 rng: np.random.Generator):
-    """(success, eve bit-error rate, user errors, detected count) of one round."""
-    bits, _ = lfsr_bits(config.keystream.spec.taps, guess.bits,
-                        config.n * config.alphabet.bits_per_selector)
-    guess_selectors = expand_running_key(bits, config.n, config.alphabet).selectors
-    bases, (key_codes, guess_codes) = _bases_in_use(config.alphabet, key_selectors,
-                                                    guess_selectors)
-    alice, outcome, bob, detected = _resend_round(
-        (bases, key_codes), (bases, guess_codes), slice(None), config.channel, rng)
-    eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
+    eve_error, user_errors, detected = _guess_round(config, _guess_key(config), guess.bits, rng)
     return (guess == config.keystream.seed, eve_error,
-            *_user_counts(alice, bob, detected))
+            user_errors / detected if detected else None)
 
 
-def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Generator) -> int:
-    """How many of `count` uniform guesses equal `seed_bits`.
+def _guess_key(config: ProtocolConfig):
+    """What every key-guess round against `config` shares: (keyed codes,
+    resend tables). When every basis can be in use (m <= n), the tables
+    are built once over all m bases, attacker's and keyed alike, and the
+    codes are the key selectors in their code dtype, read-only. At m > n
+    the bases that a round uses depend on its guess, so the codes are the
+    raw selectors and the tables None: each round builds its own."""
+    selectors = config.key_selectors()
+    if config.alphabet.m > config.n:
+        return selectors, None
+    bases = config.alphabet.angle(np.arange(config.alphabet.m))
+    tables = _resend_tables(bases, bases, config.n)
+    return _read_only(selectors.astype(tables.code)), tables
+
+
+def _guess_round(config: ProtocolConfig, key, guess_bits, rng: np.random.Generator):
+    """(eve bit-error rate, user errors, detected count) of one round under
+    the guessed seed bits (any 0/1 sequence), against the _guess_key `key`."""
+    bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
+                        config.n * config.alphabet.bits_per_selector)
+    guess_codes = expand_running_key(bits, config.n, config.alphabet).selectors
+    key_codes, tables = key
+    if tables is None:
+        bases, (key_codes, guess_codes) = _bases_in_use(config.alphabet, key_codes, guess_codes)
+        tables = _resend_tables(bases, bases, config.n)
+    alice, outcome, bob, detected = _resend_round(
+        tables, key_codes, guess_codes, slice(None), config.channel, rng)
+    eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
+    return eve_error, *_user_counts(alice, bob, detected)
+
+
+def _key_guess_target(seed_bits: np.ndarray):
+    """(seed words, mask words): the L seed bits packed as ceil(L/64) uint64
+    words, lowest first, and the mask of the L low bits packed the same
+    way, read-only. Built once per attack for _key_guess_successes."""
+    width = -(-seed_bits.size // 64)
+    return (_read_only(_packed(bits_int(seed_bits), width)),
+            _read_only(_packed((1 << seed_bits.size) - 1, width)))
+
+
+def _key_guess_successes(target, count: int, rng: np.random.Generator) -> int:
+    """How many of `count` uniform guesses equal the seed whose
+    _key_guess_target is `target`.
 
     A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
     ceil(L/64) whole 64-bit draws. The guesses are therefore one
     (count, ceil(L/64)) draw of words, and a row hits when its words XOR
-    the seed packed the same way, with the bits past L masked off, are all
-    zero.
+    the packed seed, with the bits past L masked off, are all zero.
     """
-    width = -(-seed_bits.size // 64)
-    words = rng.integers(0, 1 << 64, size=(count, width), dtype=np.uint64)
-    words ^= _packed(bits_int(seed_bits), width)
-    words &= _packed((1 << seed_bits.size) - 1, width)
+    seed, mask = target
+    words = rng.integers(0, 1 << 64, size=(count, seed.size), dtype=np.uint64)
+    words ^= seed
+    words &= mask
     misses = words[:, 0]
     for column in words.T[1:]:
         misses |= column
@@ -437,6 +530,23 @@ def _key_guess_successes(seed_bits: np.ndarray, count: int, rng: np.random.Gener
 def _packed(value: int, width: int) -> np.ndarray:
     """The low 64 * width bits of `value` as `width` uint64 words, lowest first."""
     return np.array([value >> 64 * i & (1 << 64) - 1 for i in range(width)], dtype=np.uint64)
+
+
+def _key_guess_error(m: int) -> float:
+    """Raw bit error of an attacker who measures in the bases of a uniformly
+    guessed seed, with selectors uniform over m bases: 1/2 - 1/(2 m^2
+    sin^2(pi/(2m))).
+
+    Her error at basis offset d is sin^2(d). The guessed and keyed
+    selectors differ by k with triangular weight (m - |k|)/m^2, so the
+    error is 1/2 - (1/(2m^2)) sum_k (m - |k|) cos(k pi/m), and that sum is
+    the Fejer kernel sin^2(m x/2)/sin^2(x/2) at x = pi/m. As 1/(2 sin^2 h)
+    = (1 + cos 2h)/sin^2 2h, it is evaluated as 1/2 - (1 + cos(pi/m))/(m
+    sin(pi/m))^2, which is exactly 1/4 at m = 2; it rises to 1/2 - 2/pi^2
+    as m grows.
+    """
+    x = math.pi / m
+    return 0.5 - (1.0 + math.cos(x)) / (m * math.sin(x)) ** 2
 
 
 def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
@@ -452,21 +562,22 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     capped number of simulated rounds, since the success statistic alone
     needs very large trial counts; the induced user error pools errors over
     the detected qubits of every round and is None when none was detected.
+    Her analytic error is _key_guess_error(m), which treats a wrong
+    guess's selectors as uniform and independent of the key's.
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
     seed_bits = np.array(config.keystream.seed.bits, dtype=np.uint8)
     length = seed_bits.size
 
-    successes = sum(_map_chunks(partial(_key_guess_successes, seed_bits),
+    successes = sum(_map_chunks(partial(_key_guess_successes, _key_guess_target(seed_bits)),
                                 _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
-    key_selectors = config.key_selectors()
+    key = _guess_key(config)
 
     def round_kernel(_, chunk_rng):
-        guess = SeedKey(tuple(uniform_bits(chunk_rng, length).tolist()))
-        return _guess_round(config, key_selectors, guess, chunk_rng)[1:]
+        return _guess_round(config, key, uniform_bits(chunk_rng, length), chunk_rng)
 
     rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
     eve_err_sum, user_errors, detected = (sum(r[i] for r in rounds) for i in range(3))
@@ -477,6 +588,7 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
                                          4.0 * math.sqrt(0.25 / (qubit_trials * config.n))),
         induced_qber=ConfidenceInterval(user_errors / detected, 4.0 * math.sqrt(0.25 / detected))
         if detected else None,
+        eve_bit_error_analytic=_key_guess_error(config.alphabet.m),
         success_analytic=2.0 ** -length,
         success_mc=binomial_ci(successes, trials),
         info_fraction=1.0,
@@ -507,17 +619,18 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     return np.count_nonzero(bits, axis=1)
 
 
-def _block_guess_chunk(count: int, rng: np.random.Generator, k_blocks: int, block_len: int,
-                       channel: ChannelModel):
+def _block_guess_chunk(count: int, rng: np.random.Generator, tables: _ResendTables,
+                       k_blocks: int, block_len: int, channel: ChannelModel):
     """`count` block-guess trials: (success flags, user errors, attacker errors,
     detected positions), the errors and positions per trial as in
     BlockGuessTrials. The users' key blocks and the attacker's guesses come
-    from one bit draw."""
+    from one bit draw; `tables` are the two-basis resend tables that every
+    chunk of the attack shares."""
     key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
     success = _row_counts(guesses ^ key_blocks) == 0
     alice, outcome, bob, detected = _resend_round(
-        (_TWO_BASES, np.repeat(key_blocks, block_len, axis=1)),
-        (_TWO_BASES, np.repeat(guesses, block_len, axis=1)), slice(None), channel, rng)
+        tables, np.repeat(key_blocks, block_len, axis=1),
+        np.repeat(guesses, block_len, axis=1), slice(None), channel, rng)
     wrong = bob ^ alice
     wrong &= detected
     return success, _row_counts(wrong), _row_counts(outcome ^ alice), _row_counts(detected)
@@ -539,7 +652,10 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     if n % m_k:
         raise ValueError(f"block arithmetic needs m_k | n, got n={n}, m_k={m_k}")
     block_len = n // m_k
-    kernel = partial(_block_guess_chunk, k_blocks=k_blocks, block_len=block_len,
+    # The first chunk is the largest: it sizes the tables.
+    chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
+    tables = _resend_tables(_TWO_BASES, _TWO_BASES, chunk * k_blocks * block_len)
+    kernel = partial(_block_guess_chunk, tables=tables, k_blocks=k_blocks, block_len=block_len,
                      channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
     return BlockGuessTrials(
@@ -571,6 +687,7 @@ def attack_block_guess(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
         eve_bit_error=binomial_ci(int(record.eve_errors.sum()), record.attacked_per_trial * trials),
         induced_qber=binomial_ci(int(record.attacked_errors.sum()), detected)
         if detected else None,
+        eve_bit_error_analytic=0.25,
         induced_qber_analytic=0.25,
         success_analytic=2.0 ** -k_blocks,
         success_mc=binomial_ci(int(record.success.sum()), trials),

@@ -229,39 +229,67 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     return outcomes.view("u1")[()]  # a 0-d call returns a numpy scalar
 
 
-def measure_codes(rows, row_codes, cols, col_codes, rng) -> np.ndarray:
-    """Outcomes of measuring states rows.take(row_codes) in bases
-    cols.take(col_codes), on angle codes of any integer dtype. When the
-    (row, col) p1 table has no more entries than there are positions, it
-    is built and snapped once (_snap) and the positions gather from it by
-    a table index in the narrowest unsigned type that holds 2 * table
-    size, so that the coin index 2 * entry + bit fits too. If every entry
-    is then 0, 1 or within 1e-12 of 1/2 (intercept, key-guess and
-    block-guess rounds on the two-basis alphabet; breidbart and a fixed
-    basis off the multiples of pi/4 are not), the call draws uniform_bits,
-    one bit per position in C order whatever entry the position gathers,
-    and reads each outcome from _coin_outcomes by (entry, bit). Any other
-    table compares one raw double per position with the gathered p1,
-    which gives measure_many(rows.take(row_codes), cols.take(col_codes),
-    rng)'s outcomes from the same draws: the differences are the same
-    floats either way, and np.sin gives a float the same bits wherever it
-    sits in an array (a test checks this). A larger table takes that call
-    itself. take reads narrow codes about as fast as int64 ones; fancy
-    indexing with a uint8 index array takes about twice as long."""
-    if rows.size * cols.size <= row_codes.size:
+class CodeTable:
+    """States `rows` against bases `cols` (angle arrays), for measure_codes.
+
+    Built once per attack and shared read-only by its rounds and threads:
+    the angle arrays are frozen in place. When the (row, col) p1 table has
+    no more entries than `positions`, the most that any call will measure,
+    it is built and snapped once (_snap) as `p1`, with `index`, the
+    narrowest unsigned type that holds 2 * table size, so that the coin
+    index 2 * entry + bit fits too, and `coins`, the outcome of each entry
+    at each uniform bit (_coin_outcomes), or None when the table draws
+    doubles. A larger table is never built, and `p1` is None.
+    """
+
+    __slots__ = ("rows", "cols", "p1", "index", "coins")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, positions: int):
         import numpy as np
 
-        table = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
-        index = row_codes.astype(np.min_scalar_type(2 * table.size))
-        index *= cols.size
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        self.rows, self.cols = rows, cols
+        self.p1 = self.index = self.coins = None
+        if rows.size * cols.size <= positions:
+            self.p1 = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
+            self.p1.setflags(write=False)
+            self.index = np.min_scalar_type(2 * self.p1.size)
+            coins = _coin_outcomes(self.p1)
+            if coins is not None:
+                self.coins = np.frombuffer(bytes(coins), np.uint8)
+
+
+def measure_codes(table: CodeTable, row_codes, col_codes, rng) -> np.ndarray:
+    """Outcomes of measuring states table.rows.take(row_codes) in bases
+    table.cols.take(col_codes), on angle codes of any integer dtype.
+
+    When the table's p1 is built and has no more entries than the call has
+    positions, the positions gather from it by a table index of its
+    `index` dtype. If the table has `coins` (every entry 0, 1 or within
+    1e-12 of 1/2: intercept, key-guess and block-guess rounds on the
+    two-basis alphabet; breidbart and a fixed basis off the multiples of
+    pi/4 are not), the call draws uniform_bits, one bit per position in C
+    order whatever entry the position gathers, and reads each outcome by
+    (entry, bit). Any other table compares one raw double per position
+    with the gathered p1, which gives measure_many(rows.take(row_codes),
+    cols.take(col_codes), rng)'s outcomes from the same draws: the
+    differences are the same floats either way, and np.sin gives a float
+    the same bits wherever it sits in an array (a test checks this). A call
+    with fewer positions than table entries takes that measure_many call
+    itself. take reads narrow codes about as fast as int64 ones; fancy
+    indexing with a uint8 index array takes about twice as long."""
+    p1 = table.p1
+    if p1 is not None and p1.size <= row_codes.size:
+        index = row_codes.astype(table.index)
+        index *= table.cols.size
         index += col_codes.astype(index.dtype, copy=False)
-        outcomes = _coin_outcomes(table)
-        if outcomes is None:
-            return (rng.random(index.shape) < table.take(index)).view("u1")
+        if table.coins is None:
+            return (rng.random(index.shape) < p1.take(index)).view("u1")
         index *= 2
         index += uniform_bits(rng, index.size).reshape(index.shape)
-        return np.frombuffer(outcomes, np.uint8).take(index)
-    return measure_many(rows.take(row_codes), cols.take(col_codes), rng)
+        return table.coins.take(index)
+    return measure_many(table.rows.take(row_codes), table.cols.take(col_codes), rng)
 
 
 def _coin_outcomes(table: np.ndarray) -> bytearray | None:

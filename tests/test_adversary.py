@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import time
 from functools import partial
@@ -43,16 +44,21 @@ from keyedqkd.adversary import (
     _TWO_BASES,
     _block_guess_chunk,
     _chunk_rngs,
+    _guess_key,
+    _key_guess_error,
     _guess_round,
     _key_guess_successes,
+    _key_guess_target,
     _map_chunks,
     _resend_round,
+    _resend_tables,
+    _state_attack,
     _state_attack_counts,
     _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
-from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, _DRAW_MAX, _sin2, measure_codes, measure_many,
-                             uniform_bits)
+from keyedqkd.qubits import (ANGLE_TOL, CodeTable, MeasBasis, _DRAW_MAX, _sin2, measure_codes,
+                             measure_many, uniform_bits)
 
 import reference
 from reference import GivenDraws, key_angles, key_guess_successes
@@ -68,6 +74,16 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
         channel=ChannelModel(flip_prob=flip, loss=loss),
         code_rate=0.6, pa_security_param=64, verification_len=32,
     )
+
+
+def state_round(strategy, key, channel, rng):
+    """One intercept or fixed-basis round against key = (angles, codes)."""
+    return _state_attack_counts(_state_attack(strategy, key), channel, rng)
+
+
+def measure_by_codes(rows, row_codes, cols, col_codes, rng):
+    """measure_codes on a table sized for this one call's positions."""
+    return measure_codes(CodeTable(rows, cols, row_codes.size), row_codes, col_codes, rng)
 
 
 def repetition_config(n, key_bits):
@@ -257,19 +273,21 @@ class TestKeyGuess:
                 assert np.array_equal(uniform_bits(draw, length), row)
             for row in (0, count // 2, count - 1):
                 seed_bits = rows[row]
-                got = _key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+                got = _key_guess_successes(_key_guess_target(seed_bits), count,
+                                           np.random.default_rng(seed))
                 assert got >= 1
                 assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
                 # The seed with its last bit flipped: a guess that matches
                 # only its earlier words is no hit.
                 near = seed_bits.copy()
                 near[-1] ^= 1
-                assert (_key_guess_successes(near, count, np.random.default_rng(seed))
+                assert (_key_guess_successes(_key_guess_target(near), count,
+                                             np.random.default_rng(seed))
                         == key_guess_successes(near, count, np.random.default_rng(seed)))
         # A pending 32-bit half is left pending: the guesses take whole 64-bit draws.
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         rng.integers(0, 2), ref.integers(0, 2)
-        assert (_key_guess_successes(seed_bits, count, rng)
+        assert (_key_guess_successes(_key_guess_target(seed_bits), count, rng)
                 == key_guess_successes(seed_bits, count, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -284,12 +302,40 @@ class TestKeyGuess:
             pass
         counts = []
         for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
-            guess = SeedKey(tuple(uniform_bits(chunk_rng, 8).tolist()))
-            counts.append(_guess_round(config, config.key_selectors(), guess, chunk_rng)[2:])
+            guess = uniform_bits(chunk_rng, 8)
+            counts.append(_guess_round(config, _guess_key(config), guess, chunk_rng)[1:])
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0
         assert report.induced_qber.estimate == errors / detected
         assert report.induced_qber.half_width == 4.0 * math.sqrt(0.25 / detected)
+
+    @pytest.mark.parametrize("bits", range(1, 21))
+    def test_closed_form_error_equals_the_triangular_sum(self, bits):
+        # Guessed and keyed selectors differ by k with weight (m - |k|)/m^2,
+        # and her error at that offset is sin^2(k pi/(2m)).
+        m = 2 ** bits
+        k = np.arange(1 - m, m)
+        triangular = np.sum((m - np.abs(k)) * np.sin(k * PI / (2 * m)) ** 2) / m ** 2
+        assert _key_guess_error(m) == pytest.approx(triangular, rel=0, abs=1e-12)
+
+    def test_closed_form_error_values(self):
+        assert _key_guess_error(2) == 0.25
+        assert _key_guess_error(4) == pytest.approx(0.2866, abs=5e-5)
+        assert _key_guess_error(2 ** 40) == pytest.approx(0.5 - 2 / PI ** 2, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("m,seed", [(2, 30), (4, 31), (16, 32), (1024, 33)])
+    def test_report_error_matches_the_closed_form(self, m, seed):
+        # A 64-bit register from a dense seed, so the keyed selectors of one
+        # config are near uniform, as the closed form assumes. (From the
+        # sparse seed 10...01 the first selectors are mostly 0, which at
+        # m = 16 raises her error for that key by about one half-width.)
+        seed_text = "1111000011100111101010011100010111110111110101100110000011101110"
+        config = lfsr_config(n=20_000, m=m, taps="64:64,63,61,60", seed_text=seed_text)
+        report = run_attack(AttackStrategy.parse("keyguess"), config, np.random.default_rng(seed),
+                            trials=MAX_QUBIT_TRIALS)
+        assert report.eve_bit_error_analytic == _key_guess_error(m)
+        assert (abs(report.eve_bit_error.estimate - report.eve_bit_error_analytic)
+                <= report.eve_bit_error.half_width)
 
     def test_nothing_detected_reads_null(self):
         config = lfsr_config(n=4, loss=0.999)
@@ -305,6 +351,7 @@ class TestBlockGuess:
         assert abs(report.success_analytic - 2 ** -15) < 1e-9
         assert abs(report.success_analytic - 3.0517578125e-5) < 1e-9
         assert abs(report.info_fraction - 0.15) < 1e-12
+        assert report.eve_bit_error_analytic == 0.25
 
     def test_scaled_monte_carlo(self):
         report = attack_block_guess(40, 8, 3, np.random.default_rng(13), trials=10 ** 5)
@@ -652,9 +699,9 @@ class TestCodedKernels:
         """Records, per measure_codes call, whether it took the table branch."""
         seen = []
 
-        def spy(rows, row_codes, cols, col_codes, rng):
-            seen.append(rows.size * cols.size <= row_codes.size)
-            return measure_codes(rows, row_codes, cols, col_codes, rng)
+        def spy(table, row_codes, col_codes, rng):
+            seen.append(table.p1 is not None and table.p1.size <= row_codes.size)
+            return measure_codes(table, row_codes, col_codes, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -669,7 +716,7 @@ class TestCodedKernels:
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _state_attack_counts(strategy, key, channel, rng)
+            got = state_round(strategy, key, channel, rng)
             assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(table_use)
@@ -683,7 +730,7 @@ class TestCodedKernels:
         strategy = AttackStrategy.parse(text)
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = _state_attack_counts(strategy, key, channel, rng)
+        got = state_round(strategy, key, channel, rng)
         assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -699,12 +746,12 @@ class TestCodedKernels:
             guess_bits = np.random.default_rng(100 + seed).integers(0, 2, 8)
             guess = SeedKey(tuple(int(b) for b in guess_bits))
             guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
-            got = _guess_round(config, config.key_selectors(), guess, rng)
+            got = _guess_round(config, _guess_key(config), guess.bits, rng)
             bases = reference.basis_angles(m)
             alice, outcome, bob, detected = reference.resend_round(
                 key_angles(config), channel, key_angles(guessed), slice(None), ref_rng,
                 (bases, bases))
-            assert got == (guess == config.keystream.seed, float(np.mean(outcome != alice)),
+            assert got == (float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert table_use and all(used == tables for used in table_use)
@@ -714,9 +761,9 @@ class TestCodedKernels:
         """Records the dtype of the row codes of every measure_codes call."""
         seen = []
 
-        def spy(rows, row_codes, cols, col_codes, rng):
+        def spy(table, row_codes, col_codes, rng):
             seen.append(row_codes.dtype)
-            return measure_codes(rows, row_codes, cols, col_codes, rng)
+            return measure_codes(table, row_codes, col_codes, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -739,8 +786,8 @@ class TestCodedKernels:
         mask = draw.random(n) < 0.4
         for attacked in (mask, np.flatnonzero(mask), slice(None)):
             rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = _resend_round((key_angles, key_codes), (eve_angles, eve_codes), attacked,
-                                channel, rng)
+            got = _resend_round(_resend_tables(key_angles, eve_angles, n), key_codes, eve_codes,
+                                attacked, channel, rng)
             want = reference.resend_round(key_angles[key_codes], channel, eve_angles[eve_codes],
                                           attacked, ref_rng, (key_angles, eve_angles))
             _same_arrays(got, want)
@@ -757,7 +804,7 @@ class TestCodedKernels:
         strategy = AttackStrategy.parse(text)
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        got = _state_attack_counts(strategy, key, channel, rng)
+        got = state_round(strategy, key, channel, rng)
         assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # The round's two measurements gather by codes of the round's dtype.
@@ -796,7 +843,9 @@ class TestCodedKernels:
     def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _block_guess_chunk(count, rng, k_blocks=3, block_len=block_len, channel=channel)
+            tables = _resend_tables(_TWO_BASES, _TWO_BASES, count * 3 * block_len)
+            got = _block_guess_chunk(count, rng, tables, k_blocks=3, block_len=block_len,
+                                     channel=channel)
             _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -813,7 +862,7 @@ class TestCodedKernels:
         codes = np.repeat(np.arange(p1.size), len(draws))
         cols = np.zeros(1 if table else 5)
         rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
-        got = measure_codes(p1, codes, cols, np.zeros_like(codes), rng)
+        got = measure_by_codes(p1, codes, cols, np.zeros_like(codes), rng)
         want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
@@ -830,8 +879,8 @@ class TestCodedKernels:
         guess = np.random.default_rng(2).integers(0, 16, config.n)
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            got = _resend_round((bases, config.key_selectors()), (bases, guess), attacked,
-                                channel, rng)
+            got = _resend_round(_resend_tables(bases, bases, config.n), config.key_selectors(),
+                                guess, attacked, channel, rng)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng, (bases, bases))
             _same_arrays(got, want)
@@ -858,9 +907,9 @@ class TestCodedKernels:
         config = lfsr_config(n=300, m=4096, flip=0.1)
         strategy, trials, bases = AttackStrategy.parse(text), 3, []
 
-        def spy(strategy, key, channel, rng):
-            bases.append(key[0].size)
-            return _state_attack_counts(strategy, key, channel, rng)
+        def spy(attack, channel, rng):
+            bases.append(attack.tables.key_angles.size)
+            return _state_attack_counts(attack, channel, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "_state_attack_counts", spy)
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials)
@@ -887,6 +936,94 @@ class TestCodedKernels:
         assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), 3 * 8 * trials)
 
 
+class TestSharedTables:
+    """Each attack builds its round-invariant values once, before its
+    rounds run, and its rounds and threads share them read-only."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records every CodeTable the adversary builds."""
+        seen = []
+
+        def spy(rows, cols, positions):
+            seen.append(CodeTable(rows, cols, positions))
+            return seen[-1]
+
+        monkeypatch.setattr(keyedqkd.adversary, "CodeTable", spy)
+        return seen
+
+    CASES = [("breidbart", 2), ("breidbart", 16), ("intercept", 2), ("intercept:0.5", 2),
+             ("fixed:1.2", 2), ("keyguess", 2), ("keyguess", 16), ("blockguess:3", 2)]
+
+    @staticmethod
+    def attack(text, m, trials, threads=1, n=4096):
+        config = (repetition_config(40, "10011010") if text.startswith("block")
+                  else lfsr_config(n=n, m=m, flip=0.1, loss=0.1))
+        return run_attack(AttackStrategy.parse(text), config, np.random.default_rng(3),
+                          trials=trials, threads=threads)
+
+    @pytest.mark.parametrize("text,m", CASES)
+    def test_an_attack_builds_its_tables_once(self, built, text, m):
+        # At m <= n, two tables per attack whatever the trial count: the
+        # attacker's and the receiver's. Block guessing at 2 * TRIAL_CHUNK + 1
+        # trials spans three chunks.
+        counts = []
+        for trials in (1, 64) + ((2 * TRIAL_CHUNK + 1,) if text.startswith("block") else ()):
+            built.clear()
+            self.attack(text, m, trials)
+            counts.append(len(built))
+        assert counts == [2] * len(counts)
+
+    def test_key_guessing_at_more_bases_than_positions_builds_per_round(self, built):
+        # Each round's bases in use depend on its guess.
+        self.attack("keyguess", 4096, 5, n=300)
+        assert len(built) == 2 * 5
+
+    @pytest.mark.parametrize("text,m", CASES)
+    def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
+        shared = []
+        for name in ("_state_attack", "_guess_key", "_key_guess_target", "_resend_tables"):
+            real = getattr(keyedqkd.adversary, name)
+
+            def spy(*args, real=real, **kwargs):
+                shared.append(real(*args, **kwargs))
+                return shared[-1]
+
+            monkeypatch.setattr(keyedqkd.adversary, name, spy)
+        self.attack(text, m, 3)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(value):
+                yield from arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
+            elif isinstance(value, CodeTable):
+                yield from arrays([getattr(value, name) for name in CodeTable.__slots__])
+
+        found = list(arrays(shared + built))
+        assert built and any(table.p1 is not None for table in built)
+        assert found and not any(a.flags.writeable for a in found)
+        with pytest.raises(ValueError, match="read-only"):
+            built[0].rows[0] = 0.0
+
+    @pytest.mark.parametrize("text,m", CASES)
+    def test_reports_are_equal_at_one_and_two_threads(self, text, m):
+        # More than one chunk of guesses or block trials, and several rounds;
+        # a short switch interval makes the two workers interleave often.
+        trials = TRIAL_CHUNK + 5 if text.startswith(("key", "block")) else 6
+        one = self.attack(text, m, trials, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = self.attack(text, m, trials, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == two
+
+
 class TestCoinDraws:
     """measure_codes draws one bit per position, not one double, when every
     entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2. The
@@ -901,7 +1038,7 @@ class TestCoinDraws:
     def measure(p1, codes, seed):
         """measure_codes on the p1 rows by `codes`, and the generator it drew from."""
         rng = np.random.default_rng(seed)
-        return measure_codes(np.array(p1), codes, np.zeros(1), np.zeros_like(codes), rng), rng
+        return measure_by_codes(np.array(p1), codes, np.zeros(1), np.zeros_like(codes), rng), rng
 
     @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
     def test_an_entry_on_the_half_tolerance_is_a_coin(self, identity_sin2, edge):
@@ -928,7 +1065,7 @@ class TestCoinDraws:
         rows, cols = np.random.default_rng(3).permutation(100) * step, np.arange(3) * step
         row_codes = np.tile(np.arange(100, dtype=np.uint8), 3)
         col_codes = np.repeat(np.arange(3, dtype=np.uint8), 100)
-        got = measure_codes(rows, row_codes, cols, col_codes, np.random.default_rng(18))
+        got = measure_by_codes(rows, row_codes, cols, col_codes, np.random.default_rng(18))
         thetas, phis = rows[row_codes], cols[col_codes]
         if step == 0.01:
             want = measure_many(thetas, phis, np.random.default_rng(18))
@@ -965,8 +1102,8 @@ class TestCoinDraws:
         # State 0 in the basis at pi/4, from the intercept attacker's own table.
         positions = 2 ** 20
         codes = np.zeros(positions, dtype=np.uint8)
-        ones = int(measure_codes(_with_bit(_TWO_BASES), codes, _TWO_BASES, codes + 1,
-                                 np.random.default_rng(14)).sum())
+        ones = int(measure_by_codes(_with_bit(_TWO_BASES), codes, _TWO_BASES, codes + 1,
+                                    np.random.default_rng(14)).sum())
         assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
 
     @pytest.fixture
@@ -988,15 +1125,15 @@ class TestCoinDraws:
     def test_only_two_basis_measure_resend_rounds_draw_coins(self, coin_draws, m, text, coins):
         config = lfsr_config(n=3000, m=m)
         key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
-        _state_attack_counts(AttackStrategy.parse(text), key, ChannelModel(flip_prob=0.1),
-                             np.random.default_rng(15))
+        state_round(AttackStrategy.parse(text), key, ChannelModel(flip_prob=0.1),
+                    np.random.default_rng(15))
         assert len(coin_draws) == coins
 
     @pytest.mark.parametrize("m,coins", [(2, 2), (16, 0)])
     def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
         config = lfsr_config(n=2500, m=m, flip=0.1)
         guess = SeedKey.from_string("01101100")
-        _guess_round(config, config.key_selectors(), guess, np.random.default_rng(16))
+        _guess_round(config, _guess_key(config), guess.bits, np.random.default_rng(16))
         assert len(coin_draws) == coins
 
 

@@ -1,20 +1,32 @@
-"""Plain `run_protocol` loop: seconds and minor page faults per op.
+"""Plain loops of the benchmark's ops: seconds and minor page faults per op.
 
-The loop takes no calibration sample and allocates nothing between ops, so
+The loops take no calibration sample and allocate nothing between ops, so
 the allocator is left as a user's own loop leaves it (the benchmark's
 harness warms it first). Run from the root of a checkout, pinned to one CPU:
 
     PYTHONPATH=src python tools/plain_loop.py --n 100000 --ops 100 --cpu 1
+    PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --cpu 1
 
-The config is the benchmark's keygen-small one (m = 2, LFSR
-`64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64, |K_v| = 32) at the
-given n. Op k draws from `np.random.default_rng([seed, k])`, and the
-`--warmup` ops run first and are not counted. Each op's CPU seconds
+`keygen` (the default) runs `run_protocol` on the benchmark's keygen-small
+config (m = 2, LFSR `64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64,
+|K_v| = 32) at the given n. Op k draws from
+`np.random.default_rng([seed, k])`. It prints one JSON object: n, ops, the
+median CPU and wall seconds per op, the mean minor faults per op and the
+process's peak RSS in MB.
+
+`attacks` runs the attacks workload's four `run_attack` calls back to back
+at threads = 1: breidbart and intercept (16 trials) and keyguess (1e5
+trials, 16 simulated transmissions) on the noiseless LFSR config at n
+(default 12 500), and blockguess:3 (2.5e4 trials) on the repetition key
+`10011010` at n = 40. Attack i of op k draws from
+`np.random.default_rng([seed, 4k + i])`, as in the workload. It prints one
+JSON object: n, ops, per strategy the median CPU and wall milliseconds per
+attack and the mean minor faults per attack, and the peak RSS in MB.
+
+In both modes the `--warmup` ops run first and are not counted. CPU seconds
 (user + system) and minor faults are the changes in the process's own
-`resource.getrusage(RUSAGE_SELF)` counts, and its wall seconds come from
-`time.perf_counter`. Prints one JSON object: n, ops, the median CPU and
-wall seconds per op, the mean minor faults per op and the process's peak
-RSS in MB.
+`resource.getrusage(RUSAGE_SELF)` counts, and wall seconds come from
+`time.perf_counter`.
 """
 
 import argparse
@@ -26,45 +38,87 @@ import time
 
 import numpy as np
 
-from keyedqkd import (BasisAlphabet, ChannelModel, LfsrKeystream, LfsrSpec, ProtocolConfig,
-                      SeedKey, run_protocol)
+from keyedqkd import (AttackStrategy, BasisAlphabet, ChannelModel, LfsrKeystream, LfsrSpec,
+                      ProtocolConfig, RepetitionKeystream, SeedKey, run_attack, run_protocol)
+
+# (strategy, trials) of the attacks workload; blockguess runs on its own config.
+ATTACKS = (("breidbart", 16), ("intercept", 16), ("keyguess", 100_000), ("blockguess:3", 25_000))
+
+
+def lfsr_config(n: int, flip: float) -> ProtocolConfig:
+    return ProtocolConfig(
+        n=n, alphabet=BasisAlphabet(2),
+        keystream=LfsrKeystream(LfsrSpec.from_text("64:64,63,61,60"),
+                                SeedKey.from_string("1" + "0" * 62 + "1")),
+        channel=ChannelModel(flip_prob=flip),
+        code_rate=0.6, pa_security_param=64, verification_len=32,
+    )
+
+
+def timed(call):
+    """call()'s result, CPU seconds, wall seconds and minor faults."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = time.perf_counter()
+    result = call()
+    elapsed = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return result, cpu, elapsed, after.ru_minflt - before.ru_minflt
+
+
+def keygen(args) -> dict:
+    config = lfsr_config(args.n or 100_000, 0.02)
+    cpu, wall, faults = [], [], []
+    for k in range(args.warmup + args.ops):
+        outcome, *counts = timed(
+            lambda: run_protocol(config, np.random.default_rng([args.seed, k])))
+        if not outcome.verified:
+            raise SystemExit(f"op {k}: run not verified ({outcome.abort_reason})")
+        if k >= args.warmup:
+            for values, count in zip((cpu, wall, faults), counts):
+                values.append(count)
+    return {"n": config.n, "ops": args.ops,
+            "cpu_median_s": statistics.median(cpu), "wall_median_s": statistics.median(wall),
+            "minflt_per_op": statistics.fmean(faults)}
+
+
+def attacks(args) -> dict:
+    lfsr = lfsr_config(args.n or 12_500, 0.0)
+    block = ProtocolConfig(
+        n=40, alphabet=BasisAlphabet(2),
+        keystream=RepetitionKeystream(SeedKey.from_string("10011010")),
+        channel=ChannelModel(), code_rate=0.6, pa_security_param=64, verification_len=32)
+    jobs = [(text, AttackStrategy.parse(text), block if text.startswith("block") else lfsr, trials)
+            for text, trials in ATTACKS]
+    counts = {text: ([], [], []) for text, *_ in jobs}
+    for k in range(args.warmup + args.ops):
+        for i, (text, strategy, config, trials) in enumerate(jobs):
+            rng = np.random.default_rng([args.seed, k * len(jobs) + i])
+            _, *measured = timed(lambda: run_attack(strategy, config, rng, trials=trials))
+            if k >= args.warmup:
+                for values, count in zip(counts[text], measured):
+                    values.append(count)
+    return {"n": lfsr.n, "ops": args.ops, "attacks": {
+        text: {"cpu_median_ms": 1e3 * statistics.median(cpu),
+               "wall_median_ms": 1e3 * statistics.median(wall),
+               "minflt_per_attack": statistics.fmean(faults)}
+        for text, (cpu, wall, faults) in counts.items()}}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--n", type=int, required=True, help="qubits per run")
-    parser.add_argument("--ops", type=int, default=50, help="timed runs")
-    parser.add_argument("--warmup", type=int, default=3, help="untimed runs before them")
+    parser.add_argument("--mode", choices=("keygen", "attacks"), default="keygen")
+    parser.add_argument("--n", type=int, help="qubits per run (keygen 100 000, attacks 12 500)")
+    parser.add_argument("--ops", type=int, default=50, help="timed ops")
+    parser.add_argument("--warmup", type=int, default=3, help="untimed ops before them")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cpu", type=int, help="pin this process to one CPU")
     args = parser.parse_args()
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
-    config = ProtocolConfig(
-        n=args.n, alphabet=BasisAlphabet(2),
-        keystream=LfsrKeystream(LfsrSpec.from_text("64:64,63,61,60"),
-                                SeedKey.from_string("1" + "0" * 62 + "1")),
-        channel=ChannelModel(flip_prob=0.02),
-        code_rate=0.6, pa_security_param=64, verification_len=32,
-    )
-    cpu, wall, faults = [], [], []
-    for k in range(args.warmup + args.ops):
-        before = resource.getrusage(resource.RUSAGE_SELF)
-        start = time.perf_counter()
-        outcome = run_protocol(config, np.random.default_rng([args.seed, k]))
-        elapsed = time.perf_counter() - start
-        after = resource.getrusage(resource.RUSAGE_SELF)
-        if not outcome.verified:
-            raise SystemExit(f"op {k}: run not verified ({outcome.abort_reason})")
-        if k >= args.warmup:
-            cpu.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
-            wall.append(elapsed)
-            faults.append(after.ru_minflt - before.ru_minflt)
-    print(json.dumps({
-        "n": args.n, "ops": args.ops,
-        "cpu_median_s": statistics.median(cpu), "wall_median_s": statistics.median(wall),
-        "minflt_per_op": statistics.fmean(faults), "peak_rss_mb": after.ru_maxrss / 1024,
-    }))
+    result = keygen(args) if args.mode == "keygen" else attacks(args)
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps(result))
 
 
 if __name__ == "__main__":
