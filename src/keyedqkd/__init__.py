@@ -23,7 +23,6 @@ _EXPORTS = {
         "attack_key_guess",
         "block_guess_trials",
         "ciphertext_only_state",
-        "key_guess_round",
         "measure_resend_interference",
         "run_attack",
     ),

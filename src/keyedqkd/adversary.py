@@ -24,7 +24,6 @@ from .keystream import (
     LfsrKeystream,
     RepetitionKeystream,
     RunningKey,
-    SeedKey,
     bits_int,
     expand_running_key,
     lfsr_bits,
@@ -32,9 +31,9 @@ from .keystream import (
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
     BasisAlphabet,
-    CodeTable,
     DensityMatrix,
     MeasBasis,
+    OffsetTable,
     eve_error_key_granted,
     measure_codes,
     measure_many,
@@ -207,42 +206,33 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
     return results
 
 
-def _with_bit(angles: np.ndarray) -> np.ndarray:
-    """The angles turned by a bit: angles[i] + b * pi/2 at code 2*i + b."""
-    return turn_by_bits(angles[:, None], np.arange(2)).ravel()
-
-
-def _decode_flip(d: np.ndarray) -> np.ndarray:
-    """Likelihood decoding flips an outcome whose basis is more than pi/4 off the keyed one."""
-    return np.cos(d) ** 2 < 0.5
-
-
 @dataclass(frozen=True)
 class _ResendTables:
-    """What every measure-resend round against the keyed bases `key_angles`
-    shares, built once per attack by _resend_tables and read by every round
-    and thread: the code dtype of its states and its two CodeTables, `eve`
-    (keyed states in the attacker's bases) and `bob` (keyed or resent
+    """What every measure-resend round against m keyed bases shares, built
+    once per attack by _resend_tables and read by every round and thread:
+    m, the code dtype of its states and offsets, and its two OffsetTables,
+    `eve` (keyed states in the attacker's bases) and `bob` (keyed or resent
     states, turned by a channel flip, in the keyed bases)."""
 
-    key_angles: np.ndarray
+    m: int
     code: np.dtype
-    eve: CodeTable
-    bob: CodeTable
+    eve: OffsetTable
+    bob: OffsetTable
 
 
-def _resend_tables(key_angles: np.ndarray, eve_angles: np.ndarray,
-                   positions: int) -> _ResendTables:
+def _resend_tables(m: int, positions: int, phi: float | None = None) -> _ResendTables:
     """The _ResendTables of rounds that measure at most `positions`
-    positions at once. The code dtype is the narrowest unsigned type that
-    holds 2 * (2m + 2E) for m keyed and E attacker bases, above the largest
-    state code (a keyed or resent state turned by a flip) and so above
-    every code of a round."""
-    keyed, resent = _with_bit(key_angles), _with_bit(eve_angles)
-    return _ResendTables(
-        key_angles, np.min_scalar_type(2 * (keyed.size + resent.size)),
-        CodeTable(keyed, eve_angles, positions),
-        CodeTable(_with_bit(np.concatenate([keyed, resent])), key_angles, positions))
+    positions at once, for an attacker whose bases lie on the keyed
+    lattice (phi None), whose one table serves both measurements, or for
+    a fixed basis at phi: the attacker reads keyed states at shift -phi
+    and the receiver her resent states at +phi. The code dtype is the
+    narrowest unsigned type that holds 2m - 1, the largest state code and
+    offset."""
+    if phi is None:
+        eve = bob = OffsetTable(m, 0.0, positions)
+    else:
+        eve, bob = OffsetTable(m, -phi, positions), OffsetTable(m, phi, positions)
+    return _ResendTables(m, np.min_scalar_type(2 * m - 1), eve, bob)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -256,31 +246,41 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
     """One transmission of any shape with measure-resend on the positions that
     `attacked` (indices, a mask or a slice) selects.
 
-    `key_codes` index the keyed bases of `tables` and `eve_codes` the
-    attacker's, each the shape of the transmission. States are codes too,
-    2*i + b for angle i turned by bit b, and both measurements go through
-    qubits.measure_codes with the attack's prebuilt tables, so a round does
-    only per-position work. Returns per-position arrays: alice bits, eve
-    outcomes (on attacked positions), bob bits, detected mask.
+    `key_codes` are the keyed selectors and `eve_codes` the attacker's
+    bases on the keyed lattice, or 0 for a fixed basis, whose angle the
+    tables' shifts carry and which attacks every position; each is the
+    shape of the transmission and of any integer dtype. States are codes
+    too, j + m*b for basis j turned by bit b, and each measurement reads
+    the offset (state + m*flip - basis) mod 2m through
+    qubits.measure_codes with the attack's prebuilt tables, so a round
+    does only per-position work. The offsets come from wrapping
+    arithmetic in the tables' code dtype and & (2m - 1): 2m divides the
+    dtype's range, and every code, below 2m, casts into it exactly.
+    Returns per-position arrays: alice bits, eve outcomes (on attacked
+    positions), bob bits, detected mask.
 
-    Codes live in the tables' one dtype; key codes already in it (as every
-    attack but key guessing at m > n passes them) are not copied. The
-    arithmetic on them runs in place in that type and cannot wrap.
+    Key codes in the code dtype, as every attack passes them, are not
+    copied.
     """
-    key_codes = key_codes.astype(tables.code, copy=False)
+    m, code, lattice = tables.m, tables.code, 2 * tables.m - 1
+    key_codes = key_codes.astype(code, copy=False)
     alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
-    state = key_codes * 2
-    state += alice
-    eve_codes = eve_codes[attacked].astype(tables.code)
-    outcome = measure_codes(tables.eve, state[attacked], eve_codes, rng)
-    eve_codes *= 2
-    eve_codes += outcome
-    eve_codes += 2 * tables.key_angles.size
-    state[attacked] = eve_codes
+    state = np.multiply(alice, m, dtype=code)
+    state += key_codes
+    # Her resent states replace the attacked ones, so their offsets, and
+    # then the resent codes, may overwrite them in place.
+    offsets, eve_codes = state[attacked], eve_codes[attacked]
+    np.subtract(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
+    offsets &= lattice
+    outcome = measure_codes(tables.eve, offsets, rng)
+    np.multiply(outcome, m, out=offsets, dtype=code)
+    np.add(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
+    state[attacked] = offsets
     lost, flipped = channel.draw(state.shape, rng)
-    state *= 2
-    state += flipped
-    bob = measure_codes(tables.bob, state, key_codes, rng)
+    state += np.multiply(flipped, m, dtype=code)
+    state -= key_codes
+    state &= lattice
+    bob = measure_codes(tables.bob, state, rng)
     return alice, outcome, bob, ~lost
 
 
@@ -307,20 +307,6 @@ def _fixed_bases(phi: float, n: int):
     return slice(None), (_read_only(np.array([phi])), _read_only(np.zeros(n, dtype=np.uint8)))
 
 
-def _bases_in_use(alphabet: BasisAlphabet, *selectors):
-    """(basis angles, one code array per selector array) for a round.
-
-    When the alphabet has no more bases than the round has positions, the
-    angles are all m of them and the codes the selectors themselves.
-    Otherwise they are only the bases that the selectors use, compacted
-    together (np.unique), so memory follows n, not m; each angle is the
-    same float either way."""
-    if alphabet.m <= selectors[0].size:
-        return alphabet.angle(np.arange(alphabet.m)), selectors
-    used, codes = np.unique(np.concatenate(selectors), return_inverse=True)
-    return alphabet.angle(used), np.split(codes, len(selectors))
-
-
 def _user_counts(alice, bob, detected):
     """(user errors, detected positions) of one round."""
     return int(np.count_nonzero((bob ^ alice) & detected)), int(np.count_nonzero(detected))
@@ -330,10 +316,10 @@ def _user_counts(alice, bob, detected):
 class _StateAttack:
     """What every round of an intercept or fixed-basis attack shares, built
     once by _state_attack and read-only: the strategy, the resend tables,
-    the keyed codes in their code dtype, her decoding-flip table by
-    (keyed code, attacker code), None when it holds no flip, and for a
-    fixed basis its round-invariant _fixed_bases, None for intercept,
-    whose rounds draw them (_eve_bases)."""
+    the keyed codes in their code dtype, her decoding flip at each
+    position, None when there is none, and for a fixed basis its
+    round-invariant _fixed_bases, None for intercept, whose rounds draw
+    them (_eve_bases)."""
 
     strategy: AttackStrategy
     tables: _ResendTables
@@ -342,39 +328,41 @@ class _StateAttack:
     fixed: tuple | None
 
 
-def _state_attack(strategy: AttackStrategy, key) -> _StateAttack:
-    """The _StateAttack of `strategy` against the keyed bases `key`, an
-    (angles, codes) pair whose codes give every position of a round."""
-    key_angles, key_codes = key
+def _state_attack(strategy: AttackStrategy, alphabet: BasisAlphabet,
+                  selectors: np.ndarray) -> _StateAttack:
+    """The _StateAttack of `strategy` against the keyed bases `selectors`
+    of `alphabet`, one per position of a round.
+
+    Likelihood decoding flips an outcome whose basis is more than pi/4 off
+    the keyed one: for a fixed basis at phi, where cos^2(alphabet.angle(k)
+    - phi) < 1/2 for keyed selector k. Intercept, defined on the two-basis
+    alphabet alone, is never more than pi/4 off and never flips."""
+    phi = fixed = flips = None
     if strategy.kind == "fixed_basis":
-        fixed = _fixed_bases(strategy.phi, key_codes.size)
-        _, (eve_angles, _) = fixed
-    else:
-        fixed, eve_angles = None, _TWO_BASES
-    tables = _resend_tables(key_angles, eve_angles, key_codes.size)
-    flips = _decode_flip(np.subtract.outer(key_angles, eve_angles)).ravel()
-    return _StateAttack(strategy, tables, _read_only(key_codes.astype(tables.code)),
-                        _read_only(flips) if flips.any() else None, fixed)
+        phi = strategy.phi
+        fixed = _fixed_bases(phi, selectors.size)
+        flips = np.cos(alphabet.angle(selectors) - phi) ** 2 < 0.5
+        flips = _read_only(flips) if flips.any() else None
+    tables = _resend_tables(alphabet.m, selectors.size, phi)
+    return _StateAttack(strategy, tables, _read_only(selectors.astype(tables.code)), flips, fixed)
 
 
 def _state_attack_counts(attack: _StateAttack, channel: ChannelModel, rng):
     """One round of intercept or fixed-basis measure-resend: (her bit
     errors, attacked positions, user errors, detected positions).
 
-    Her decoding flips are read from the attack's (keyed basis, attacker
-    basis) table by the round's codes, and not at all when the table holds
-    no flip, as for intercept and breidbart on the two-basis alphabet; a
-    fixed basis past pi/4 there, such as fixed:1.2, flips basis 0. Every
-    table comes prebuilt with `attack`, so the round does only
-    per-position work."""
+    Her decoding flips are the attack's per-position mask, and not read at
+    all when it holds no flip, as for intercept and breidbart on the
+    two-basis alphabet; a fixed basis past pi/4 there, such as fixed:1.2,
+    flips basis 0. Every table comes prebuilt with `attack`, so the round
+    does only per-position work."""
     key_codes = attack.key_codes
-    attacked, (eve_angles, eve_codes) = (attack.fixed or
-                                         _eve_bases(attack.strategy, key_codes.size, rng))
+    attacked, (_, eve_codes) = attack.fixed or _eve_bases(attack.strategy, key_codes.size, rng)
     alice, outcome, bob, detected = _resend_round(
         attack.tables, key_codes, eve_codes, attacked, channel, rng)
     wrong = outcome ^ alice[attacked]
     if attack.flips is not None:
-        wrong ^= attack.flips.take(key_codes[attacked] * eve_angles.size + eve_codes[attacked])
+        wrong ^= attack.flips[attacked]
     return (int(np.count_nonzero(wrong)), outcome.size,
             *_user_counts(alice, bob, detected))
 
@@ -390,8 +378,7 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
-    angles, (codes,) = _bases_in_use(config.alphabet, config.key_selectors())
-    attack = _state_attack(strategy, (angles, codes))
+    attack = _state_attack(strategy, config.alphabet, config.key_selectors())
 
     def kernel(_, chunk_rng):
         return _state_attack_counts(attack, config.channel, chunk_rng)
@@ -451,48 +438,23 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     )
 
 
-def key_guess_round(config: ProtocolConfig, guess: SeedKey, rng: np.random.Generator):
-    """One transmission attacked under a guessed seed key.
-
-    Returns (success, eve bit-error rate, induced user error rate); the
-    induced rate is None when no qubit was detected. The guess expands
-    through the same register spec; an all-zero guess expands to the
-    all-zero stream (the attacker is free to guess a degenerate seed).
-    """
-    if not isinstance(config.keystream, LfsrKeystream):
-        raise ValueError("the key-guessing attack targets an LFSR keystream")
-    if len(guess) != len(config.keystream.seed):
-        raise ValueError("guess length must match the seed length")
-    eve_error, user_errors, detected = _guess_round(config, _guess_key(config), guess.bits, rng)
-    return (guess == config.keystream.seed, eve_error,
-            user_errors / detected if detected else None)
-
-
 def _guess_key(config: ProtocolConfig):
-    """What every key-guess round against `config` shares: (keyed codes,
-    resend tables). When every basis can be in use (m <= n), the tables
-    are built once over all m bases, attacker's and keyed alike, and the
-    codes are the key selectors in their code dtype, read-only. At m > n
-    the bases that a round uses depend on its guess, so the codes are the
-    raw selectors and the tables None: each round builds its own."""
-    selectors = config.key_selectors()
-    if config.alphabet.m > config.n:
-        return selectors, None
-    bases = config.alphabet.angle(np.arange(config.alphabet.m))
-    tables = _resend_tables(bases, bases, config.n)
-    return _read_only(selectors.astype(tables.code)), tables
+    """What every key-guess round against `config` shares, at every m:
+    (keyed codes, resend tables), the tables built once over the keyed
+    lattice and the key selectors in their code dtype, read-only."""
+    tables = _resend_tables(config.alphabet.m, config.n)
+    return _read_only(config.key_selectors().astype(tables.code)), tables
 
 
 def _guess_round(config: ProtocolConfig, key, guess_bits, rng: np.random.Generator):
     """(eve bit-error rate, user errors, detected count) of one round under
-    the guessed seed bits (any 0/1 sequence), against the _guess_key `key`."""
+    the guessed seed bits (any 0/1 sequence), against the _guess_key `key`.
+    An all-zero guess expands to the all-zero stream (the attacker is free
+    to guess a degenerate seed)."""
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_codes = expand_running_key(bits, config.n, config.alphabet).selectors
     key_codes, tables = key
-    if tables is None:
-        bases, (key_codes, guess_codes) = _bases_in_use(config.alphabet, key_codes, guess_codes)
-        tables = _resend_tables(bases, bases, config.n)
     alice, outcome, bob, detected = _resend_round(
         tables, key_codes, guess_codes, slice(None), config.channel, rng)
     eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
@@ -654,7 +616,7 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     block_len = n // m_k
     # The first chunk is the largest: it sizes the tables.
     chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
-    tables = _resend_tables(_TWO_BASES, _TWO_BASES, chunk * k_blocks * block_len)
+    tables = _resend_tables(2, chunk * k_blocks * block_len)
     kernel = partial(_block_guess_chunk, tables=tables, k_blocks=k_blocks, block_len=block_len,
                      channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)

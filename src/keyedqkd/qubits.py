@@ -229,76 +229,84 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     return outcomes.view("u1")[()]  # a 0-d call returns a numpy scalar
 
 
-class CodeTable:
-    """States `rows` against bases `cols` (angle arrays), for measure_codes.
+class OffsetTable:
+    """The p1 of every offset of a measurement on the keyed lattice, for
+    measure_codes.
 
-    Built once per attack and shared read-only by its rounds and threads:
-    the angle arrays are frozen in place. When the (row, col) p1 table has
-    no more entries than `positions`, the most that any call will measure,
-    it is built and snapped once (_snap) as `p1`, with `index`, the
-    narrowest unsigned type that holds 2 * table size, so that the coin
-    index 2 * entry + bit fits too, and `coins`, the outcome of each entry
-    at each uniform bit (_coin_outcomes), or None when the table draws
-    doubles. A larger table is never built, and `p1` is None.
+    Every keyed state and basis lies on the lattice of h = pi/(2m): a state
+    j + m*b (selector j turned by bit b) turned by a channel flip f and
+    measured in basis k sits at the offset o = ((j - k) + m(b + f)) mod 2m
+    from it. So p1 depends only on o, plus one constant `shift` for a
+    fixed basis off the lattice: entry o is sin^2(o*h + shift). Built once
+    per attack and shared read-only by its rounds and threads. When its
+    2m entries are no more than `positions`, the most that any call will
+    measure, it is built and snapped once (_snap) as `p1`, with `index`,
+    the narrowest unsigned type that holds 4m, so that the coin index
+    2o + bit fits, and `coins`, the outcome of each entry at each uniform
+    bit (_coin_outcomes), or None when the table draws doubles. A larger
+    table is never built, and `p1` is None.
     """
 
-    __slots__ = ("rows", "cols", "p1", "index", "coins")
+    __slots__ = ("step", "shift", "p1", "index", "coins")
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, positions: int):
+    def __init__(self, m: int, shift: float, positions: int):
         import numpy as np
 
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        self.rows, self.cols = rows, cols
+        self.step, self.shift = HALF_PI / m, shift
         self.p1 = self.index = self.coins = None
-        if rows.size * cols.size <= positions:
-            self.p1 = _snap(_sin2(np.subtract.outer(rows, cols))).ravel()
+        if 2 * m <= positions:
+            self.p1 = _snap(_sin2(np.arange(2 * m) * self.step + shift))
             self.p1.setflags(write=False)
-            self.index = np.min_scalar_type(2 * self.p1.size)
+            self.index = np.min_scalar_type(4 * m)
             coins = _coin_outcomes(self.p1)
             if coins is not None:
                 self.coins = np.frombuffer(bytes(coins), np.uint8)
 
 
-def measure_codes(table: CodeTable, row_codes, col_codes, rng) -> np.ndarray:
-    """Outcomes of measuring states table.rows.take(row_codes) in bases
-    table.cols.take(col_codes), on angle codes of any integer dtype.
+def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
+    """Outcomes of measurements at lattice offsets `offsets` (any integer
+    dtype, each in [0, 2m)) under `table`.
 
-    When the table's p1 is built and has no more entries than the call has
-    positions, the positions gather from it by a table index of its
-    `index` dtype. If the table has `coins` (every entry 0, 1 or within
-    1e-12 of 1/2: intercept, key-guess and block-guess rounds on the
-    two-basis alphabet; breidbart and a fixed basis off the multiples of
-    pi/4 are not), the call draws uniform_bits, one bit per position in C
-    order whatever entry the position gathers, and reads each outcome by
-    (entry, bit). Any other table compares one raw double per position
-    with the gathered p1, which gives measure_many(rows.take(row_codes),
-    cols.take(col_codes), rng)'s outcomes from the same draws: the
-    differences are the same floats either way, and np.sin gives a float
-    the same bits wherever it sits in an array (a test checks this). A call
-    with fewer positions than table entries takes that measure_many call
-    itself. take reads narrow codes about as fast as int64 ones; fancy
-    indexing with a uint8 index array takes about twice as long."""
+    When the table's p1 is built and has no more entries than the call
+    has positions, the positions gather from it. If the table has `coins`
+    (every entry 0, 1 or within 1e-12 of 1/2: the unshifted table on the
+    two-basis alphabet, which intercept, key guessing and block guessing
+    read there; not breidbart, nor a fixed basis off the multiples of
+    pi/4), the call draws uniform_bits, one bit per position in C order
+    whatever entry the position gathers, and reads each outcome by
+    (entry, bit) from an index of the table's `index` dtype. Any other
+    table compares one raw double per position with the gathered p1,
+    which gives measure_many(offsets * table.step, -table.shift, rng)'s
+    outcomes from the same draws: its theta - phi, o*h - (-shift), is the
+    table's o*h + shift to the bit, and np.sin gives a float the same bits
+    wherever it sits in an array (a test checks this). A call with fewer
+    positions than table entries takes that measure_many call itself, so
+    no call holds an array of m entries.
+
+    An offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of
+    the float path by an ulp or so, so p1 can differ from that path's by
+    as much, and an outcome can differ only where a draw lies that close
+    to p1."""
+    import numpy as np
+
     p1 = table.p1
-    if p1 is not None and p1.size <= row_codes.size:
-        index = row_codes.astype(table.index)
-        index *= table.cols.size
-        index += col_codes.astype(index.dtype, copy=False)
+    if p1 is not None and p1.size <= offsets.size:
         if table.coins is None:
-            return (rng.random(index.shape) < p1.take(index)).view("u1")
-        index *= 2
+            return (rng.random(offsets.shape) < p1.take(offsets)).view("u1")
+        index = np.multiply(offsets, 2, dtype=table.index, casting="unsafe")
         index += uniform_bits(rng, index.size).reshape(index.shape)
         return table.coins.take(index)
-    return measure_many(table.rows.take(row_codes), table.cols.take(col_codes), rng)
+    return measure_many(offsets * table.step, -table.shift, rng)
 
 
 def _coin_outcomes(table: np.ndarray) -> bytearray | None:
     """The outcome of each snapped p1 entry e at each uniform bit b, at byte
     2e + b, when every entry is 0, 1 or a fair coin (within ANGLE_TOL of
     1/2, bounds included): the bit for a coin, the entry itself otherwise.
-    None as soon as an entry is anything else. The tables hold tens of
-    entries, where this loop takes about a third of the time of numpy
-    calls over the whole table, and most other tables stop it early."""
+    None as soon as an entry is anything else. A coin table has 4 entries
+    (m = 2), where this loop takes about a third of the time of numpy calls
+    over the whole table; at m >= 4 entries 0 and 1 lie h < pi/4 apart, so
+    one of them stops it."""
     low, high = 0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL
     outcomes = bytearray()
     for p1 in memoryview(table):

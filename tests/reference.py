@@ -164,12 +164,13 @@ def is_coin(p1):
     return (p1 >= 0.5 - 1e-12) & (p1 <= 0.5 + 1e-12)
 
 
-def draws_coins(states, bases, positions: int) -> bool:
+def draws_coins(states, bases, m: int, positions: int) -> bool:
     """Whether measuring `positions` qubits whose states lie in `states` and
-    bases in `bases` draws bits, not doubles: the table of sin^2(state - basis)
-    over every pair has at most one entry per position, and each entry lies
-    within 1e-12 of 0, 1/2 or 1."""
-    if np.size(states) * np.size(bases) > positions:
+    bases in `bases`, against m keyed bases, draws bits, not doubles: the
+    table of the 2m offsets between state and basis has at most one entry
+    per position, and sin^2(state - basis) over every pair lies within
+    1e-12 of 0, 1/2 or 1."""
+    if 2 * m > positions:
         return False
     p1 = np.sin(np.subtract.outer(np.ravel(states), bases)) ** 2
     return bool(np.all((p1 <= 1e-12) | (p1 >= 1.0 - 1e-12) | is_coin(p1)))
@@ -219,13 +220,13 @@ def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
     theta = phi_key + alice * HALF_PI
     seen = theta[attacked]
     outcome = measure_many_snapped(seen, eve_phi[attacked], rng,
-                                   draws_coins(keyed, eve_bases, seen.size))
+                                   draws_coins(keyed, eve_bases, key_bases.size, seen.size))
     theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
     lost = draw_below(channel.loss, theta.shape, rng)
     flipped = draw_below(channel.flip_prob, theta.shape, rng)
     sent = with_turns(np.concatenate([keyed.ravel(), with_turns(eve_bases).ravel()]))
     bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng,
-                               draws_coins(sent, key_bases, theta.size))
+                               draws_coins(sent, key_bases, key_bases.size, theta.size))
     return alice, outcome, bob, ~lost
 
 

@@ -32,7 +32,6 @@ from keyedqkd import (
     block_guess_trials,
     ciphertext_only_state,
     eve_error_key_granted,
-    key_guess_round,
     run_attack,
 )
 import keyedqkd.adversary
@@ -41,7 +40,6 @@ from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
     TRIAL_CHUNK,
-    _TWO_BASES,
     _block_guess_chunk,
     _chunk_rngs,
     _guess_key,
@@ -54,10 +52,9 @@ from keyedqkd.adversary import (
     _resend_tables,
     _state_attack,
     _state_attack_counts,
-    _with_bit,
 )
 from keyedqkd.analysis import binomial_ci
-from keyedqkd.qubits import (ANGLE_TOL, CodeTable, MeasBasis, _DRAW_MAX, _sin2, measure_codes,
+from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
                              measure_many, uniform_bits)
 
 import reference
@@ -76,14 +73,22 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
     )
 
 
-def state_round(strategy, key, channel, rng):
-    """One intercept or fixed-basis round against key = (angles, codes)."""
-    return _state_attack_counts(_state_attack(strategy, key), channel, rng)
+def state_round(strategy, config, channel, rng):
+    """One intercept or fixed-basis round against `config`'s keyed bases."""
+    attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+    return _state_attack_counts(attack, channel, rng)
 
 
-def measure_by_codes(rows, row_codes, cols, col_codes, rng):
-    """measure_codes on a table sized for this one call's positions."""
-    return measure_codes(CodeTable(rows, cols, row_codes.size), row_codes, col_codes, rng)
+def table_of(monkeypatch, p1, positions):
+    """An OffsetTable whose snapped entries are `p1`, padded with zeros to 2m
+    for the smallest power of two m with 2m >= len(p1): its build reads
+    sin^2 from the list instead of the angles."""
+    m = max(2, 1 << (len(p1) - 1).bit_length() - 1)
+    padded = np.zeros(2 * m)
+    padded[:len(p1)] = p1
+    with monkeypatch.context() as patch:
+        patch.setattr(keyedqkd.qubits, "_sin2", lambda d: padded.copy())
+        return OffsetTable(m, 0.0, positions)
 
 
 def repetition_config(n, key_bits):
@@ -234,25 +239,27 @@ class TestKeyGuess:
 
     def test_correct_guess_is_invisible(self):
         config = lfsr_config(n=4096)
-        success, eve_err, induced = key_guess_round(
-            config, config.keystream.seed, np.random.default_rng(10))
-        assert success and eve_err == 0.0 and induced == 0.0
+        eve_err, errors, detected = _guess_round(
+            config, _guess_key(config), config.keystream.seed.bits, np.random.default_rng(10))
+        assert eve_err == 0.0 and errors == 0 and detected == config.n
 
     def test_wrong_guess_leaves_errors(self):
         config = lfsr_config(n=4096)
         wrong = SeedKey.from_string("01101011")
-        success, eve_err, induced = key_guess_round(config, wrong, np.random.default_rng(11))
-        assert not success and eve_err > 0.1 and induced > 0.1
+        assert wrong != config.keystream.seed
+        eve_err, errors, detected = _guess_round(config, _guess_key(config), wrong.bits,
+                                                 np.random.default_rng(11))
+        assert eve_err > 0.1 and errors / detected > 0.1
 
     def test_all_zero_guess_measures_in_basis_zero(self):
         # State 0 expands to zeros: every qubit is measured at angle 0, which
         # errs on the half of the qubits keyed to pi/4, half of the time.
         config = lfsr_config(n=20000)
-        success, eve_err, induced = key_guess_round(
-            config, SeedKey((0,) * len(config.keystream.seed)), np.random.default_rng(12))
+        eve_err, errors, detected = _guess_round(
+            config, _guess_key(config), (0,) * len(config.keystream.seed),
+            np.random.default_rng(12))
         sigma = math.sqrt(0.25 * 0.75 / config.n)
-        assert not success
-        assert abs(eve_err - 0.25) < 4 * sigma and abs(induced - 0.25) < 4 * sigma
+        assert abs(eve_err - 0.25) < 4 * sigma and abs(errors / detected - 0.25) < 4 * sigma
 
     def test_requires_lfsr_keystream(self):
         with pytest.raises(ValueError):
@@ -340,7 +347,8 @@ class TestKeyGuess:
     def test_nothing_detected_reads_null(self):
         config = lfsr_config(n=4, loss=0.999)
         guess = SeedKey.from_string("01101011")
-        assert key_guess_round(config, guess, np.random.default_rng(0))[2] is None
+        assert _guess_round(config, _guess_key(config), guess.bits,
+                            np.random.default_rng(0))[1:] == (0, 0)
         report = attack_key_guess(config, np.random.default_rng(0), trials=3)
         assert report.induced_qber is None and report.to_json_dict()["induced_qber"] is None
 
@@ -670,6 +678,10 @@ class TestTrialChunks:
 CHANNELS = [ChannelModel(), ChannelModel(flip_prob=0.1, loss=0.2)]
 CHANNEL_IDS = ["noiseless", "flip0.1-loss0.2"]
 
+# A 64-bit register from a dense seed, whose selectors are near uniform at any m.
+DENSE_KEY = dict(taps="64:64,63,61,60",
+                 seed_text="1111000011100111101010011100010111110111110101100110000011101110")
+
 
 def _same_arrays(got, want):
     assert len(got) == len(want)
@@ -690,55 +702,49 @@ def _recording_eve_bases(seen):
 
 
 class TestCodedKernels:
-    """The attack kernels on integer angle codes against their float-angle
-    originals in tests/reference.py: identical outputs and the same generator
-    state afterwards."""
+    """The attack kernels on integer lattice offsets against their
+    float-angle originals in tests/reference.py: identical outputs and the
+    same generator state afterwards, both where a call gathers from its
+    table of 2m entries (2m <= positions) and where it measures per
+    position."""
 
     @pytest.fixture
     def table_use(self, monkeypatch):
         """Records, per measure_codes call, whether it took the table branch."""
         seen = []
 
-        def spy(table, row_codes, col_codes, rng):
-            seen.append(table.p1 is not None and table.p1.size <= row_codes.size)
-            return measure_codes(table, row_codes, col_codes, rng)
+        def spy(table, offsets, rng):
+            seen.append(table.p1 is not None and table.p1.size <= offsets.size)
+            return measure_codes(table, offsets, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
 
+    # (m, n) on the table path (2m <= n) and on the per-position path
+    # (2m > n); at n = 3 intercept:0.5 attacks at most 3 positions.
+    STATE_PATHS = ([(text, m, n) for text in ("fixed:0.3", "breidbart")
+                    for m, n in [(2, 3), (2, 3000), (16, 31), (16, 3000), (1024, 300),
+                                 (1024, 2048), (2 ** 16, 300)]]
+                   + [(text, 2, n) for text in ("intercept:0.5", "intercept:1", "fixed:1.2")
+                      for n in (3, 3000)])
+
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("m,text", [(2, "fixed:0.3"), (16, "fixed:0.3"), (2, "breidbart"),
-                                        (16, "breidbart"), (2, "intercept:0.5"),
-                                        (2, "intercept:1"), (2, "fixed:1.2")])
-    def test_state_attack_round(self, table_use, m, text, channel):
-        config = lfsr_config(n=3000, m=m)
+    @pytest.mark.parametrize("text,m,n", STATE_PATHS)
+    def test_state_attack_round(self, table_use, text, m, n, channel):
+        config = lfsr_config(n=n, m=m, **DENSE_KEY)
         strategy = AttackStrategy.parse(text)
-        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = state_round(strategy, key, channel, rng)
+            got = state_round(strategy, config, channel, rng)
             assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert all(table_use)
+        assert table_use == [2 * m <= n] * 6
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("m", [128, 256])
-    @pytest.mark.parametrize("text", ["intercept:0.5", "intercept:1"])
-    def test_intercept_round_on_wide_alphabets(self, m, text, channel):
-        # Resent state codes start at 2m, past the range of a uint8.
-        config = lfsr_config(n=3000, m=m)
-        strategy = AttackStrategy.parse(text)
-        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        got = state_round(strategy, key, channel, rng)
-        assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("m,n,tables", [(2, 500, True), (16, 2500, True), (4096, 300, False)])
-    def test_key_guess_round(self, table_use, m, n, tables, channel):
-        # 8m^2 entries for the receiver's table: taken at m = 2 and 16, too
-        # many for 300 positions at m = 4096, where every p1 is per element.
+    @pytest.mark.parametrize("m,n", [(2, 500), (2, 3), (16, 2500), (16, 31), (1024, 2048),
+                                     (1024, 300), (4096, 300), (2 ** 16, 300)])
+    def test_key_guess_round(self, table_use, m, n, channel):
+        # One table of 2m entries, gathered from where 2m <= n.
         config = dataclasses.replace(lfsr_config(n=n, m=m), channel=channel)
         spec = config.keystream.spec
         for seed in range(3):
@@ -754,42 +760,48 @@ class TestCodedKernels:
             assert got == (float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert table_use and all(used == tables for used in table_use)
+        assert table_use == [2 * m <= n] * 6
 
     @pytest.fixture
     def code_dtypes(self, monkeypatch):
-        """Records the dtype of the row codes of every measure_codes call."""
+        """Records the dtype of the offsets of every measure_codes call."""
         seen = []
 
-        def spy(table, row_codes, col_codes, rng):
-            seen.append(row_codes.dtype)
-            return measure_codes(table, row_codes, col_codes, rng)
+        def spy(table, offsets, rng):
+            seen.append(offsets.dtype)
+            return measure_codes(table, offsets, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
 
-    # m keyed and E attacker bases, and the narrowest dtype that holds 2 * (2m + 2E):
-    # 16, 12, 128 and 68 fit a uint8, 520, 1032 and 32768 a uint16. At
-    # m = E = 4096 (a key-guess round) every p1 is per element.
+    # The narrowest unsigned dtype that holds 2m - 1: a uint8 up to m = 128,
+    # whose offsets fill it, a uint16 from m = 256 and a uint32 at m = 2^16.
+    # The attacker measures in bases on the keyed lattice, given by codes of
+    # their own narrow dtype, or in a fixed basis at 0.3, which attacks
+    # every position.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("m,e,n,code", [
-        (2, 2, 3000, np.uint8), (2, 1, 3000, np.uint8), (16, 16, 3000, np.uint8),
-        (16, 1, 3000, np.uint8), (128, 2, 3000, np.uint16), (256, 2, 3000, np.uint16),
-        (4096, 4096, 300, np.uint16)])
-    def test_resend_round_at_each_code_width(self, code_dtypes, m, e, n, code, channel):
+    @pytest.mark.parametrize("phi", [None, 0.3], ids=["lattice", "fixed"])
+    @pytest.mark.parametrize("m,n,code", [
+        (2, 3000, np.uint8), (16, 3000, np.uint8), (128, 3000, np.uint8),
+        (256, 3000, np.uint16), (4096, 300, np.uint16), (2 ** 16, 300, np.uint32)])
+    def test_resend_round_at_each_code_width(self, code_dtypes, m, n, code, phi, channel):
         key_angles = BasisAlphabet(m).angle(np.arange(m))
-        eve_angles = BasisAlphabet(e).angle(np.arange(e)) if e > 1 else np.array([0.3])
-        draw = np.random.default_rng(m + e)
+        draw = np.random.default_rng(m)
         key_codes = draw.integers(0, m, n)
-        eve_codes = draw.integers(0, e, n).astype(np.min_scalar_type(e - 1))
+        if phi is None:
+            eve_codes = draw.integers(0, m, n).astype(np.min_scalar_type(m - 1))
+            eve_angles, eve_bases = key_angles[eve_codes], key_angles
+        else:
+            eve_codes = np.zeros(n, dtype=np.uint8)
+            eve_angles, eve_bases = np.full(n, phi), np.array([phi])
         inputs = key_codes.copy(), eve_codes.copy()
         mask = draw.random(n) < 0.4
-        for attacked in (mask, np.flatnonzero(mask), slice(None)):
+        for attacked in (mask, np.flatnonzero(mask), slice(None))[0 if phi is None else 2:]:
             rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = _resend_round(_resend_tables(key_angles, eve_angles, n), key_codes, eve_codes,
-                                attacked, channel, rng)
-            want = reference.resend_round(key_angles[key_codes], channel, eve_angles[eve_codes],
-                                          attacked, ref_rng, (key_angles, eve_angles))
+            got = _resend_round(_resend_tables(m, n, phi), key_codes, eve_codes, attacked,
+                                channel, rng)
+            want = reference.resend_round(key_angles[key_codes], channel, eve_angles, attacked,
+                                          ref_rng, (key_angles, eve_bases))
             _same_arrays(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         _same_arrays((key_codes, eve_codes), inputs)
@@ -798,18 +810,16 @@ class TestCodedKernels:
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,text,code", [
         (2, "breidbart", np.uint8), (2, "intercept:1", np.uint8), (16, "fixed:0.3", np.uint8),
-        (128, "intercept:1", np.uint16), (256, "intercept:0.5", np.uint16)])
+        (128, "fixed:0.3", np.uint8), (256, "breidbart", np.uint16)])
     def test_state_attack_round_at_each_code_width(self, code_dtypes, m, text, code, channel):
         config = lfsr_config(n=3000, m=m)
         strategy = AttackStrategy.parse(text)
-        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        got = state_round(strategy, key, channel, rng)
+        got = state_round(strategy, config, channel, rng)
         assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # The round's two measurements gather by codes of the round's dtype.
+        # The round's two measurements read offsets of the round's dtype.
         assert code_dtypes == [np.dtype(code)] * 2
-
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     def test_full_interception_slice_equals_the_index_path(self, monkeypatch, channel, threads):
@@ -837,32 +847,33 @@ class TestCodedKernels:
         assert seen == [slice(None)]
         assert runs[0] == runs[1]
 
-    # 200-qubit blocks give rows of 600 positions, whose counts pass 255.
+    # 200-qubit blocks give rows of 600 positions, whose counts pass 255; a
+    # chunk of one trial of 1-qubit blocks measures 3 positions, fewer than
+    # the table's 4 entries, so per position.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("count,block_len", [(1, 8), (50, 8), (50, 200)])
+    @pytest.mark.parametrize("count,block_len", [(1, 1), (1, 8), (50, 8), (50, 200)])
     def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            tables = _resend_tables(_TWO_BASES, _TWO_BASES, count * 3 * block_len)
+            tables = _resend_tables(2, count * 3 * block_len)
             got = _block_guess_chunk(count, rng, tables, k_blocks=3, block_len=block_len,
                                      channel=channel)
             _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("table", [True, False])
-    def test_snapped_table_equals_the_clipped_draws_at_the_edges(self, monkeypatch, table):
-        # With sin^2 replaced by the identity, the rows are the p1 values
-        # themselves; every edge p1 meets every edge draw. Five attacker
-        # columns make the table larger than the positions, so the
-        # per-element branch, which clips the draws, runs instead.
-        monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
+
+    def test_snapped_table_equals_the_clipped_draws_at_the_edges(self, monkeypatch):
+        # Every edge p1 meets every edge draw: a table of these entries
+        # against measure_many, whose sin^2 is replaced by the identity so
+        # that its angles are the p1 values themselves.
         p1 = np.array([0.0, ANGLE_TOL, math.nextafter(ANGLE_TOL, 1.0), 0.5, _DRAW_MAX,
                        1.0 - ANGLE_TOL, 1.0])
         draws = [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]
         codes = np.repeat(np.arange(p1.size), len(draws))
-        cols = np.zeros(1 if table else 5)
+        table = table_of(monkeypatch, p1, codes.size)
+        monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
         rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
-        got = measure_by_codes(p1, codes, cols, np.zeros_like(codes), rng)
+        got = measure_codes(table, codes, rng)
         want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
@@ -870,6 +881,22 @@ class TestCodedKernels:
         assert want.reshape(p1.size, len(draws)).tolist() == [
             [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0],
             [1, 1, 1, 1], [1, 1, 1, 1]]
+
+    # Shifted tables, and unshifted ones off the two-basis alphabet, draw
+    # doubles on both paths.
+    @pytest.mark.parametrize("m,shift", [(2, 0.3), (2, -PI / 8), (16, 0.0), (16, -0.3),
+                                         (128, 0.0), (1024, 0.3), (1024, -PI / 8)])
+    def test_the_table_equals_the_per_position_path(self, m, shift):
+        # The same offsets, of the narrowest dtype, through a table of 2m
+        # entries and through measure_many on their angles.
+        offsets = np.random.default_rng(m).integers(0, 2 * m, 4 * m)
+        offsets = offsets.astype(np.min_scalar_type(2 * m - 1))
+        table, per_position = OffsetTable(m, shift, offsets.size), OffsetTable(m, shift, 0)
+        assert table.p1 is not None and table.coins is None and per_position.p1 is None
+        rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
+        _same_arrays([measure_codes(table, offsets, rng)],
+                     [measure_codes(per_position, offsets, ref_rng)])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     def test_resend_round_arrays(self, channel):
@@ -879,7 +906,7 @@ class TestCodedKernels:
         guess = np.random.default_rng(2).integers(0, 16, config.n)
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            got = _resend_round(_resend_tables(bases, bases, config.n), config.key_selectors(),
+            got = _resend_round(_resend_tables(16, config.n), config.key_selectors(),
                                 guess, attacked, channel, rng)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng, (bases, bases))
@@ -901,24 +928,18 @@ class TestCodedKernels:
         assert report.induced_qber == binomial_ci(user_err, user_tot)
 
     @pytest.mark.parametrize("text", ["fixed:0.3", "breidbart"])
-    def test_state_attack_on_more_bases_than_positions(self, monkeypatch, text):
-        # At m > n the attack keeps only the bases its selectors use, and its
-        # counts equal the float path's over all m bases.
+    def test_state_attack_on_more_bases_than_positions(self, table_use, text):
+        # At 2m > n every measurement is per position, and the counts equal
+        # the float path's over all m bases.
         config = lfsr_config(n=300, m=4096, flip=0.1)
-        strategy, trials, bases = AttackStrategy.parse(text), 3, []
-
-        def spy(attack, channel, rng):
-            bases.append(attack.tables.key_angles.size)
-            return _state_attack_counts(attack, channel, rng)
-
-        monkeypatch.setattr(keyedqkd.adversary, "_state_attack_counts", spy)
+        strategy, trials = AttackStrategy.parse(text), 3
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials)
         rounds = [reference.state_attack_counts(strategy, config, config.channel, chunk_rng)
                   for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
         eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
         assert report.eve_bit_error == binomial_ci(eve_err, eve_tot)
         assert report.induced_qber == binomial_ci(user_err, user_tot)
-        assert bases == [np.unique(config.key_selectors()).size] * trials
+        assert table_use == [False] * 2 * trials
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -942,14 +963,14 @@ class TestSharedTables:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Records every CodeTable the adversary builds."""
+        """Records every OffsetTable the adversary builds."""
         seen = []
 
-        def spy(rows, cols, positions):
-            seen.append(CodeTable(rows, cols, positions))
+        def spy(m, shift, positions):
+            seen.append(OffsetTable(m, shift, positions))
             return seen[-1]
 
-        monkeypatch.setattr(keyedqkd.adversary, "CodeTable", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "OffsetTable", spy)
         return seen
 
     CASES = [("breidbart", 2), ("breidbart", 16), ("intercept", 2), ("intercept:0.5", 2),
@@ -964,20 +985,26 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("text,m", CASES)
     def test_an_attack_builds_its_tables_once(self, built, text, m):
-        # At m <= n, two tables per attack whatever the trial count: the
-        # attacker's and the receiver's. Block guessing at 2 * TRIAL_CHUNK + 1
-        # trials spans three chunks.
+        # Whatever the trial count, one table per attack, which the
+        # attacker's and the receiver's measurements share, and two for a
+        # fixed basis, whose shifts set them apart. Block guessing at
+        # 2 * TRIAL_CHUNK + 1 trials spans three chunks.
+        tables = 2 if AttackStrategy.parse(text).kind == "fixed_basis" else 1
         counts = []
         for trials in (1, 64) + ((2 * TRIAL_CHUNK + 1,) if text.startswith("block") else ()):
             built.clear()
             self.attack(text, m, trials)
             counts.append(len(built))
-        assert counts == [2] * len(counts)
+        assert counts == [tables] * len(counts)
 
-    def test_key_guessing_at_more_bases_than_positions_builds_per_round(self, built):
-        # Each round's bases in use depend on its guess.
-        self.attack("keyguess", 4096, 5, n=300)
-        assert len(built) == 2 * 5
+    def test_key_guessing_at_more_bases_than_positions_builds_one_table(self, built):
+        # Every guess reads the same lattice, so one table serves all
+        # rounds; at 2m > n it holds no entries, and each call measures per
+        # position.
+        for trials in (1, 5):
+            built.clear()
+            self.attack("keyguess", 4096, trials, n=300)
+            assert len(built) == 1 and built[0].p1 is None
 
     @pytest.mark.parametrize("text,m", CASES)
     def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
@@ -1000,14 +1027,14 @@ class TestSharedTables:
                     yield from arrays(item)
             elif dataclasses.is_dataclass(value):
                 yield from arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
-            elif isinstance(value, CodeTable):
-                yield from arrays([getattr(value, name) for name in CodeTable.__slots__])
+            elif isinstance(value, OffsetTable):
+                yield from arrays([getattr(value, name) for name in OffsetTable.__slots__])
 
         found = list(arrays(shared + built))
         assert built and any(table.p1 is not None for table in built)
         assert found and not any(a.flags.writeable for a in found)
         with pytest.raises(ValueError, match="read-only"):
-            built[0].rows[0] = 0.0
+            built[0].p1[0] = 0.0
 
     @pytest.mark.parametrize("text,m", CASES)
     def test_reports_are_equal_at_one_and_two_threads(self, text, m):
@@ -1027,83 +1054,82 @@ class TestSharedTables:
 class TestCoinDraws:
     """measure_codes draws one bit per position, not one double, when every
     entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2. The
-    rule reads the table, never the positions. With sin^2 replaced by the
-    identity, the rows of a one-column table are the p1 values themselves."""
-
-    @pytest.fixture
-    def identity_sin2(self, monkeypatch):
-        monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
+    rule reads the table, never the positions. table_of builds a table of
+    the given entries."""
 
     @staticmethod
-    def measure(p1, codes, seed):
-        """measure_codes on the p1 rows by `codes`, and the generator it drew from."""
+    def measure(monkeypatch, p1, codes, seed):
+        """measure_codes on a table of the entries `p1` at offsets `codes`, and
+        the generator it drew from."""
         rng = np.random.default_rng(seed)
-        return measure_by_codes(np.array(p1), codes, np.zeros(1), np.zeros_like(codes), rng), rng
+        return measure_codes(table_of(monkeypatch, p1, codes.size), codes, rng), rng
 
     @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
-    def test_an_entry_on_the_half_tolerance_is_a_coin(self, identity_sin2, edge):
+    def test_an_entry_on_the_half_tolerance_is_a_coin(self, monkeypatch, edge):
         codes = np.tile(np.arange(3, dtype=np.uint8), 100).reshape(20, 15)
-        got, rng = self.measure([0.0, 1.0, edge], codes, 11)
+        got, rng = self.measure(monkeypatch, [0.0, 1.0, edge], codes, 11)
         want_rng = np.random.default_rng(11)
         bits = uniform_bits(want_rng, codes.size).reshape(codes.shape)
         # Certain 0 at code 0, certain 1 at code 1, the position's bit at code 2.
         _same_arrays([got], [np.where(codes == 2, bits, codes).astype(np.uint8)])
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, identity_sin2):
-        # 201 entries on uint8 codes: (entry, bit) indices run to 401.
+    def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, monkeypatch):
+        # 201 entries (256 with the padding) on uint8 codes: (entry, bit)
+        # indices run to 401.
         p1 = np.tile([0.0, 1.0, 0.5], 67)
         codes = np.tile(np.arange(p1.size, dtype=np.uint8), 3)
-        got, rng = self.measure(p1, codes, 17)
+        got, rng = self.measure(monkeypatch, p1, codes, 17)
         bits = uniform_bits(np.random.default_rng(17), codes.size)
         _same_arrays([got], [np.where(p1[codes] == 0.5, bits, p1[codes]).astype(np.uint8)])
 
-    @pytest.mark.parametrize("step", [PI / 4, 0.01], ids=["coins", "doubles"])
-    def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, step):
-        # 100 rows by 3 columns on uint8 codes: entry indices run to 299 and
-        # (entry, bit) indices to 599, so measure_codes must widen them itself.
-        rows, cols = np.random.default_rng(3).permutation(100) * step, np.arange(3) * step
-        row_codes = np.tile(np.arange(100, dtype=np.uint8), 3)
-        col_codes = np.repeat(np.arange(3, dtype=np.uint8), 100)
-        got = measure_by_codes(rows, row_codes, cols, col_codes, np.random.default_rng(18))
-        thetas, phis = rows[row_codes], cols[col_codes]
-        if step == 0.01:
-            want = measure_many(thetas, phis, np.random.default_rng(18))
+    @pytest.mark.parametrize("coins", [True, False], ids=["coins", "doubles"])
+    def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, monkeypatch, coins):
+        # Offsets that fill their uint8: 256 entries, m = 128, so (entry,
+        # bit) indices run to 511 and measure_codes must widen them itself.
+        offsets = np.tile(np.random.default_rng(3).permutation(256).astype(np.uint8), 3)
+        rng = np.random.default_rng(18)
+        if coins:
+            p1 = np.tile([0.0, 0.5, 1.0, 0.5], 64)
+            got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets, rng)
+            bits = uniform_bits(np.random.default_rng(18), offsets.size)
+            want = np.where(p1[offsets] == 0.5, bits, p1[offsets]).astype(np.uint8)
         else:
-            p1 = np.round(2 * np.sin(thetas - phis) ** 2) / 2
-            bits = uniform_bits(np.random.default_rng(18), p1.size)
-            want = np.where(p1 == 0.5, bits, p1).astype(np.uint8)
+            got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets, rng)
+            want = reference.measure_many_snapped(offsets * (PI / 2 / 128), 0.0,
+                                                  np.random.default_rng(18))
         _same_arrays([got], [want])
 
     @pytest.mark.parametrize("p1", [
         [0.0, 1.0, 0.5 - 2 * ANGLE_TOL], [0.0, 1.0, 0.5 + 2 * ANGLE_TOL],
         [0.0, 1.0, 0.5, 0.3]], ids=["half-minus-2tol", "half-plus-2tol", "one-other-entry"])
-    def test_a_table_with_another_entry_draws_doubles(self, identity_sin2, p1):
+    def test_a_table_with_another_entry_draws_doubles(self, monkeypatch, p1):
         # Positions gather codes 0..2 only: the entry that sends the call
         # down the double path need not be gathered at all.
         codes = np.tile(np.arange(3, dtype=np.uint8), 100)
-        got, rng = self.measure(p1, codes, 12)
+        got, rng = self.measure(monkeypatch, p1, codes, 12)
         want_rng = np.random.default_rng(12)
         want = (want_rng.random(codes.size) < np.array(p1)[codes]).view(np.uint8)
         _same_arrays([got], [want])
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("positions", [64, 130])
-    def test_certain_positions_of_a_coin_table_still_draw_a_bit_each(self, identity_sin2,
+    def test_certain_positions_of_a_coin_table_still_draw_a_bit_each(self, monkeypatch,
                                                                      positions):
         codes = np.arange(positions) % 2
-        got, rng = self.measure([0.0, 1.0, 0.5], codes, 13)
+        got, rng = self.measure(monkeypatch, [0.0, 1.0, 0.5], codes, 13)
         want_rng = np.random.default_rng(13)
         want_rng.integers(0, 1 << 64, size=-(-positions // 64), dtype=np.uint64)
         _same_arrays([got], [codes.astype(np.uint8)])
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_coin_positions_read_half(self):
-        # State 0 in the basis at pi/4, from the intercept attacker's own table.
+        # State 0 in the basis at pi/4, offset -1 mod 4 on the two-basis
+        # lattice, from the table that intercept reads.
         positions = 2 ** 20
-        codes = np.zeros(positions, dtype=np.uint8)
-        ones = int(measure_by_codes(_with_bit(_TWO_BASES), codes, _TWO_BASES, codes + 1,
-                                    np.random.default_rng(14)).sum())
+        offsets = np.full(positions, 3, dtype=np.uint8)
+        ones = int(measure_codes(OffsetTable(2, 0.0, positions), offsets,
+                                 np.random.default_rng(14)).sum())
         assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
 
     @pytest.fixture
@@ -1121,11 +1147,10 @@ class TestCoinDraws:
 
     @pytest.mark.parametrize("m,text,coins", [
         (2, "fixed:0.3", 0), (2, "breidbart", 0), (16, "fixed:0.3", 0), (16, "breidbart", 0),
-        (16, "intercept:1", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2)])
+        (2, "fixed:0", 2), (16, "fixed:0", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2)])
     def test_only_two_basis_measure_resend_rounds_draw_coins(self, coin_draws, m, text, coins):
         config = lfsr_config(n=3000, m=m)
-        key = (config.alphabet.angle(np.arange(m)), config.key_selectors())
-        state_round(AttackStrategy.parse(text), key, ChannelModel(flip_prob=0.1),
+        state_round(AttackStrategy.parse(text), config, ChannelModel(flip_prob=0.1),
                     np.random.default_rng(15))
         assert len(coin_draws) == coins
 
@@ -1137,27 +1162,18 @@ class TestCoinDraws:
         assert len(coin_draws) == coins
 
 
+@pytest.mark.parametrize("shift", [0.0, -0.3, 0.3])
 @pytest.mark.parametrize("m", [2, 16, 1024])
-def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m):
+def test_numpy_sin_of_a_table_is_bitwise_equal_to_sin_of_the_full_array(m, shift):
     """The coded kernels rest on this: np.sin gives each float the same bits
-    whether it is computed once in a small table or wherever it sits in a
-    full per-position array. If a numpy build breaks it, coded attack
-    outputs drift from the float path's and this test names the cause.
-
-    Both of the key-guess round's measurements are checked: the attacker's
-    (keyed states against guessed bases) and the receiver's (resent states,
-    turned by a channel flip, against keyed bases).
+    whether it is computed once in a table of the 2m offset angles or
+    wherever it sits in a full per-position array. If a numpy build breaks
+    it, the table path's outcomes drift from the per-position path's and
+    this test names the cause.
     """
-    rng = np.random.default_rng(m)
-    bases = BasisAlphabet(m).angle(np.arange(m))
     positions = 2 ** 18
-    for rows in (_with_bit(bases), _with_bit(_with_bit(bases))):
-        # At m = 1024 a random subset of the rows keeps the table within
-        # `positions` entries, the size at which measure_codes builds one.
-        rows = rows[np.sort(rng.permutation(rows.size)[:positions // m])]
-        row_codes = rng.integers(0, rows.size, positions)
-        col_codes = rng.integers(0, m, positions)
-        full = np.sin(rows[row_codes] - bases[col_codes]) ** 2
-        coded = _sin2(np.subtract.outer(rows, bases)).ravel().take(row_codes * m + col_codes)
-        assert rows.size * m <= positions
-        assert np.array_equal(coded.view(np.uint64), full.view(np.uint64))
+    offsets = np.random.default_rng(m).integers(0, 2 * m, positions)
+    step = BasisAlphabet(m).angle(1)
+    full = np.sin(offsets * step + shift) ** 2
+    coded = _sin2(np.arange(2 * m) * step + shift).take(offsets)
+    assert np.array_equal(coded.view(np.uint64), full.view(np.uint64))

@@ -50,6 +50,20 @@ CASES = [
     ("attack-blockguess-3.json",
      ["attack", "blockguess:3", "--config", "{golden}/repetition.json",
       "--trials", "5000", "--seed", "12"], 0),
+    # Many bases under a dense 64-bit seed: at m = 16 the measurement
+    # tables draw doubles; at m = 1024 > n every measurement is per position.
+    ("attack-breidbart-m16.json",
+     ["attack", "breidbart", "--config", "{golden}/lfsr-m16.json",
+      "--trials", "8", "--seed", "16"], 0),
+    ("attack-keyguess-m16.json",
+     ["attack", "keyguess", "--config", "{golden}/lfsr-m16.json",
+      "--trials", "2000", "--seed", "17"], 0),
+    ("attack-keyguess-m1024.json",
+     ["attack", "keyguess", "--config", "{golden}/lfsr-m1024.json",
+      "--trials", "2000", "--seed", "1024"], 0),
+    ("attack-fixed-0.3-m1024.json",
+     ["attack", "fixed:0.3", "--config", "{golden}/lfsr-m1024.json",
+      "--trials", "16", "--seed", "1025"], 0),
     ("sweep.csv", ["sweep", "--m", "2,4,8,16"], 0),
 ]
 
