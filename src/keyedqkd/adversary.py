@@ -42,6 +42,7 @@ from .qubits import (
     turn_by_bits,
     uniform_below,
     uniform_bits,
+    uniform_words,
 )
 
 BREIDBART_ANGLE = math.pi / 8
@@ -475,12 +476,12 @@ def _key_guess_successes(target, count: int, rng: np.random.Generator) -> int:
     _key_guess_target is `target`.
 
     A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
-    ceil(L/64) whole 64-bit draws. The guesses are therefore one
-    (count, ceil(L/64)) draw of words, and a row hits when its words XOR
+    ceil(L/64) whole 64-bit words. The guesses are therefore one
+    (count, ceil(L/64)) uniform_words draw, and a row hits when its words XOR
     the packed seed, with the bits past L masked off, are all zero.
     """
     seed, mask = target
-    words = rng.integers(0, 1 << 64, size=(count, seed.size), dtype=np.uint64)
+    words = uniform_words(rng, (count, seed.size))
     words ^= seed
     words &= mask
     misses = words[:, 0]

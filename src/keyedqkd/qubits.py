@@ -153,18 +153,40 @@ def turn_by_bits(angles, bits):
     return angles + bits * HALF_PI
 
 
-def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform bits as uint8 0/1: the first n bits of one draw of
-    ceil(n/64) full-range words, rng.integers(0, 2**64, dtype=np.uint64),
-    read as little-endian bytes and each byte from its low bit up.
+def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """The uint64 words, and the state after them, of rng.integers(0, 2**64,
+    size=shape, dtype=np.uint64) for a tuple `shape`, by uniform_bits' contract."""
+    import numpy as np
 
-    Every bit generator takes this path. It measured faster than unpacking
-    rng.bytes, which draws 32 bits at a time. A draw takes whole words, so a
-    k-bit call consumes ceil(k/64) of them.
+    bits = rng.bit_generator
+    if type(bits) in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64):
+        return bits.random_raw(shape)
+    if type(bits) is np.random.MT19937:
+        halves = bits.random_raw(2 * math.prod(shape))
+        words = halves[0::2] << 32
+        words |= halves[1::2]
+        return words.reshape(shape)
+    return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+
+def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform bits as uint8 0/1: the first n bits of ceil(n/64) words of
+    one uniform_words draw, read as little-endian bytes and each byte from
+    its low bit up. A draw takes whole words, so a k-bit call consumes
+    ceil(k/64) of them.
+
+    The words are those of rng.integers(0, 2**64, dtype=np.uint64), and so
+    is the generator state after them, pending 32-bit half included, on
+    every bit generator. That draw takes one 64-bit output per word, so on
+    exactly PCG64, PCG64DXSM, Philox and SFC64 the words are
+    bit_generator.random_raw(k). MT19937 outputs 32 bits at a time, high
+    half first: word i is (r[2i] << 32) | r[2i + 1] over r = random_raw(2k).
+    Any other bit generator, subclasses of these four and of MT19937
+    included, draws rng.integers itself.
     """
     import numpy as np
 
-    words = rng.integers(0, 1 << 64, size=-(-n // 64), dtype=np.uint64)
+    words = uniform_words(rng, (-(-n // 64),))
     return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
                          bitorder="little")
 
@@ -202,9 +224,9 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     2e-4 n otherwise. Any other input (out of range, non-finite or empty)
     leaves every position uncertain.
 
-    measure_codes snaps a small p1 table instead (_snap) and, unless every
-    entry is 0, 1/2 or 1, compares the raw draws; both give the same
-    outcome for every draw.
+    measure_codes snaps a small p1 table instead (_snap) and, unless it is
+    a two-basis table of only 0, 1/2 and 1, compares the raw draws; both
+    give the same outcome for every draw.
     """
     import numpy as np
 
@@ -240,27 +262,28 @@ class OffsetTable:
     fixed basis off the lattice: entry o is sin^2(o*h + shift). Built once
     per attack and shared read-only by its rounds and threads. When its
     2m entries are no more than `positions`, the most that any call will
-    measure, it is built and snapped once (_snap) as `p1`, with `index`,
-    the narrowest unsigned type that holds 4m, so that the coin index
-    2o + bit fits, and `coins`, the outcome of each entry at each uniform
-    bit (_coin_outcomes), or None when the table draws doubles. A larger
-    table is never built, and `p1` is None.
+    measure, it is built and snapped once (_snap) as `p1`, with `coins`,
+    the 8-bit mask of _coin_outcomes as a read-only 0-d uint8 array, or
+    None when the table draws doubles. Only a two-basis table (2m = 4) can
+    have coins: at m >= 4 adjacent entries lie h < pi/4 apart, so they
+    cannot both sit on multiples of pi/4. A larger table is never built,
+    and `p1` is None.
     """
 
-    __slots__ = ("step", "shift", "p1", "index", "coins")
+    __slots__ = ("step", "shift", "p1", "coins")
 
     def __init__(self, m: int, shift: float, positions: int):
         import numpy as np
 
         self.step, self.shift = HALF_PI / m, shift
-        self.p1 = self.index = self.coins = None
+        self.p1 = self.coins = None
         if 2 * m <= positions:
             self.p1 = _snap(_sin2(np.arange(2 * m) * self.step + shift))
             self.p1.setflags(write=False)
-            self.index = np.min_scalar_type(4 * m)
-            coins = _coin_outcomes(self.p1)
+            coins = _coin_outcomes(self.p1) if m == 2 else None
             if coins is not None:
-                self.coins = np.frombuffer(bytes(coins), np.uint8)
+                self.coins = np.array(coins, np.uint8)
+                self.coins.setflags(write=False)
 
 
 def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
@@ -273,8 +296,8 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     two-basis alphabet, which intercept, key guessing and block guessing
     read there; not breidbart, nor a fixed basis off the multiples of
     pi/4), the call draws uniform_bits, one bit per position in C order
-    whatever entry the position gathers, and reads each outcome by
-    (entry, bit) from an index of the table's `index` dtype. Any other
+    whatever entry the position reads, and each outcome is bit 2o + b of
+    the 8-bit mask, shifted out in place in uint8: no gather. Any other
     table compares one raw double per position with the gathered p1,
     which gives measure_many(offsets * table.step, -table.shift, rng)'s
     outcomes from the same draws: its theta - phi, o*h - (-shift), is the
@@ -293,32 +316,33 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     if p1 is not None and p1.size <= offsets.size:
         if table.coins is None:
             return (rng.random(offsets.shape) < p1.take(offsets)).view("u1")
-        index = np.multiply(offsets, 2, dtype=table.index, casting="unsafe")
+        index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
         index += uniform_bits(rng, index.size).reshape(index.shape)
-        return table.coins.take(index)
+        np.right_shift(table.coins, index, out=index)
+        index &= 1
+        return index
     return measure_many(offsets * table.step, -table.shift, rng)
 
 
-def _coin_outcomes(table: np.ndarray) -> bytearray | None:
-    """The outcome of each snapped p1 entry e at each uniform bit b, at byte
-    2e + b, when every entry is 0, 1 or a fair coin (within ANGLE_TOL of
-    1/2, bounds included): the bit for a coin, the entry itself otherwise.
-    None as soon as an entry is anything else. A coin table has 4 entries
-    (m = 2), where this loop takes about a third of the time of numpy calls
-    over the whole table; at m >= 4 entries 0 and 1 lie h < pi/4 apart, so
-    one of them stops it."""
+def _coin_outcomes(table: np.ndarray) -> int | None:
+    """The outcome of each snapped p1 entry e at each uniform bit b, as bit
+    2e + b of one integer, when every entry is 0, 1 or a fair coin (within
+    ANGLE_TOL of 1/2, bounds included): the bit for a coin, the entry
+    itself otherwise. None as soon as an entry is anything else. On the
+    4 entries of a two-basis table the mask fits 8 bits."""
     low, high = 0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL
-    outcomes = bytearray()
-    for p1 in memoryview(table):
+    mask = 0
+    for entry, p1 in enumerate(memoryview(table)):
         if p1 == 0.0:
-            outcomes += b"\0\0"
+            outcomes = 0b00
         elif p1 == 1.0:
-            outcomes += b"\1\1"
+            outcomes = 0b11
         elif low <= p1 <= high:
-            outcomes += b"\0\1"
+            outcomes = 0b10
         else:
             return None
-    return outcomes
+        mask |= outcomes << 2 * entry
+    return mask
 
 
 def _sin2(d: np.ndarray) -> np.ndarray:

@@ -164,6 +164,21 @@ def is_coin(p1):
     return (p1 >= 0.5 - 1e-12) & (p1 <= 0.5 + 1e-12)
 
 
+def coin_outcome_bytes(p1) -> bytes | None:
+    """The outcome of each snapped p1 entry e at uniform bit b, at byte
+    2e + b, when every entry is 0, 1 or within 1e-12 of 1/2: the bit for a
+    coin, the entry itself otherwise. None if any entry is anything else."""
+    outcomes = []
+    for p in np.asarray(p1).tolist():
+        if p == 0.0 or p == 1.0:
+            outcomes += [int(p), int(p)]
+        elif is_coin(p):
+            outcomes += [0, 1]
+        else:
+            return None
+    return bytes(outcomes)
+
+
 def draws_coins(states, bases, m: int, positions: int) -> bool:
     """Whether measuring `positions` qubits whose states lie in `states` and
     bases in `bases`, against m keyed bases, draws bits, not doubles: the

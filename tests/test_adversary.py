@@ -1053,7 +1053,8 @@ class TestSharedTables:
 
 class TestCoinDraws:
     """measure_codes draws one bit per position, not one double, when every
-    entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2. The
+    entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2 and the
+    table has the 4 entries of the two-basis alphabet. The
     rule reads the table, never the positions. table_of builds a table of
     the given entries."""
 
@@ -1063,6 +1064,25 @@ class TestCoinDraws:
         the generator it drew from."""
         rng = np.random.default_rng(seed)
         return measure_codes(table_of(monkeypatch, p1, codes.size), codes, rng), rng
+
+    @pytest.mark.parametrize("shift", [0.0, PI / 8, -PI / 8, PI / 4, -PI / 4, 0.3])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_a_table_past_two_bases_never_draws_coins(self, m, shift):
+        # Adjacent entries lie pi/(2m) < pi/4 apart, so they cannot both sit
+        # on multiples of pi/4: the per-entry oracle finds no coin table either.
+        table = OffsetTable(m, shift, 2 * m)
+        assert table.coins is None
+        assert reference.coin_outcome_bytes(table.p1) is None
+
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_a_two_basis_mask_holds_the_outcome_of_each_entry_at_each_bit(self, k):
+        # Shifts on the multiples of pi/4 give coin tables; bit 2e + b of the
+        # mask is byte 2e + b of the per-(entry, bit) oracle.
+        table = OffsetTable(2, k * PI / 4, 4)
+        assert table.coins.shape == () and table.coins.dtype == np.uint8
+        assert not table.coins.flags.writeable
+        slots = bytes(int(table.coins) >> i & 1 for i in range(8))
+        assert slots == reference.coin_outcome_bytes(table.p1)
 
     @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
     def test_an_entry_on_the_half_tolerance_is_a_coin(self, monkeypatch, edge):
@@ -1075,25 +1095,26 @@ class TestCoinDraws:
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, monkeypatch):
-        # 201 entries (256 with the padding) on uint8 codes: (entry, bit)
-        # indices run to 401.
+        # 201 entries (256 with the padding) on uint8 codes, each 0, 1 or
+        # 1/2: only a two-basis table draws coins, so this one compares one
+        # double per position with the entry its code gathers.
         p1 = np.tile([0.0, 1.0, 0.5], 67)
         codes = np.tile(np.arange(p1.size, dtype=np.uint8), 3)
         got, rng = self.measure(monkeypatch, p1, codes, 17)
-        bits = uniform_bits(np.random.default_rng(17), codes.size)
-        _same_arrays([got], [np.where(p1[codes] == 0.5, bits, p1[codes]).astype(np.uint8)])
+        want = np.random.default_rng(17).random(codes.size) < p1[codes]
+        _same_arrays([got], [want.view(np.uint8)])
 
     @pytest.mark.parametrize("coins", [True, False], ids=["coins", "doubles"])
     def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, monkeypatch, coins):
-        # Offsets that fill their uint8: 256 entries, m = 128, so (entry,
-        # bit) indices run to 511 and measure_codes must widen them itself.
+        # Offsets that fill their uint8: 256 entries, m = 128. Entries of
+        # 0, 1/2 and 1 still draw doubles there, as only a two-basis table
+        # draws coins.
         offsets = np.tile(np.random.default_rng(3).permutation(256).astype(np.uint8), 3)
         rng = np.random.default_rng(18)
         if coins:
             p1 = np.tile([0.0, 0.5, 1.0, 0.5], 64)
             got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets, rng)
-            bits = uniform_bits(np.random.default_rng(18), offsets.size)
-            want = np.where(p1[offsets] == 0.5, bits, p1[offsets]).astype(np.uint8)
+            want = (np.random.default_rng(18).random(offsets.size) < p1[offsets]).view(np.uint8)
         else:
             got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets, rng)
             want = reference.measure_many_snapped(offsets * (PI / 2 / 128), 0.0,

@@ -19,11 +19,12 @@ from keyedqkd import (
     repetition_running_key,
 )
 
+from keyedqkd.adversary import _key_guess_successes, _key_guess_target
 from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
 from keyedqkd.qubits import uniform_below, uniform_bits
 
-from reference import (draw_below, integer_bits, jump_rows_recurrence, lfsr_reference,
-                       primitive_tap_sets, selectors_matmul)
+from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
+                       lfsr_reference, primitive_tap_sets, selectors_matmul, word_bits)
 
 M2 = BasisAlphabet(2)
 M4 = BasisAlphabet(4)
@@ -447,6 +448,14 @@ BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.ran
                   np.random.MT19937]
 
 
+class SubclassedPCG64(np.random.PCG64):
+    """A PCG64 by another type, whose words must come from rng.integers: its
+    raw outputs are not to be read."""
+
+    def random_raw(self, size=None, output=True):
+        raise AssertionError("a subclass's raw outputs were read")
+
+
 def twin_generators(bit_generator, pending):
     """Two equal generators; with `pending`, after an odd 32-bit draw count."""
     pair = [np.random.Generator(bit_generator(77)) for _ in range(2)]
@@ -460,9 +469,9 @@ class TestUniformDraws:
     rebuilds it, bits and state, with and without a pending 32-bit half."""
 
     @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS + [SubclassedPCG64])
     def test_bits_match_the_integers_draw(self, bit_generator, pending):
-        for n in (0, 1, 2, 3, 7, 100_001):
+        for n in (0, 1, 2, 3, 7, 63, 64, 65, 12_500, 100_001):
             ref, rng = twin_generators(bit_generator, pending)
             expected, bits = integer_bits(ref, n), uniform_bits(rng, n)
             assert bits.dtype == np.uint8 and np.array_equal(bits, expected), n
@@ -470,6 +479,18 @@ class TestUniformDraws:
             # The next draws, 32- and 64-bit, agree too.
             assert np.array_equal(rng.integers(0, 2, size=5), ref.integers(0, 2, size=5)), n
             assert rng.random() == ref.random(), n
+        # Key guesses of 1, 2 and 3 words, against a seed that the fourth
+        # guess equals, so that the count is not 0.
+        count = 50
+        for length in (64, 65, 130):
+            peek, _ = twin_generators(bit_generator, pending)
+            seed_bits = word_bits(peek, (count, -(-length // 64)))[3, :length]
+            ref, rng = twin_generators(bit_generator, pending)
+            expected = key_guess_successes(seed_bits, count, ref)
+            assert expected >= 1, length
+            assert _key_guess_successes(_key_guess_target(seed_bits), count, rng) == expected
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state), length
+            assert rng.random() == ref.random(), length
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
