@@ -159,13 +159,8 @@ def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     import numpy as np
 
     bits = rng.bit_generator
-    if type(bits) in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64):
+    if type(bits) is np.random.PCG64:
         return bits.random_raw(shape)
-    if type(bits) is np.random.MT19937:
-        halves = bits.random_raw(2 * math.prod(shape))
-        words = halves[0::2] << 32
-        words |= halves[1::2]
-        return words.reshape(shape)
     return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
 
 
@@ -176,13 +171,11 @@ def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     ceil(k/64) of them.
 
     The words are those of rng.integers(0, 2**64, dtype=np.uint64), and so
-    is the generator state after them, pending 32-bit half included, on
-    every bit generator. That draw takes one 64-bit output per word, so on
-    exactly PCG64, PCG64DXSM, Philox and SFC64 the words are
-    bit_generator.random_raw(k). MT19937 outputs 32 bits at a time, high
-    half first: word i is (r[2i] << 32) | r[2i + 1] over r = random_raw(2k).
-    Any other bit generator, subclasses of these four and of MT19937
-    included, draws rng.integers itself.
+    is the generator state after them, pending 32-bit half included. That
+    draw takes one 64-bit output per word, so on exactly PCG64, the
+    generator of every caller here, the words are bit_generator.random_raw(k).
+    Any other bit generator, a subclass of PCG64 included, draws rng.integers
+    itself.
     """
     import numpy as np
 
