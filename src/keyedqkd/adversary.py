@@ -36,10 +36,9 @@ from .qubits import (
     OffsetTable,
     eve_error_key_granted,
     measure_codes,
-    measure_many,
+    measure_many,  # not called here: perfbench's trace wraps this module's binding
     require_integer,
     require_real,
-    turn_by_bits,
     uniform_below,
     uniform_bits,
     uniform_words,
@@ -58,11 +57,6 @@ SEED_DRAW = 1024
 # Transmission simulations are capped when a strategy's success statistic
 # needs far more trials than its error statistics do.
 MAX_QUBIT_TRIALS = 16
-
-# The two-basis alphabet's basis angles, 0 and pi/4, by code; read-only,
-# as every attack on it shares them.
-_TWO_BASES = BasisAlphabet(2).angle(np.arange(2))
-_TWO_BASES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -286,26 +280,16 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
 
 
 def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
-    """Attacked positions and attacker bases as (angles, codes) for one round
-    of an intercept or fixed-basis strategy.
+    """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
+    lattice, for one round of intercept.
 
-    The positions are slice(None) when every one is attacked (a fixed
-    basis, or intercept at fraction 1, where uniform_below returns an
-    all-true mask without drawing), so no n-element index array is
-    gathered or scattered; otherwise they are indices.
+    The positions are slice(None) at fraction 1, where uniform_below
+    returns an all-true mask without drawing, so no n-element index array
+    is gathered or scattered; otherwise they are indices.
     """
-    if strategy.kind == "fixed_basis":
-        return _fixed_bases(strategy.phi, n)
     hit = uniform_below(strategy.fraction, (n,), rng)
     attacked = np.flatnonzero(hit) if strategy.fraction < 1.0 else slice(None)
-    return attacked, (_TWO_BASES, uniform_bits(rng, n))
-
-
-def _fixed_bases(phi: float, n: int):
-    """_eve_bases of a fixed basis at phi, which draws nothing: every
-    position attacked in the one basis, read-only, so that every round of
-    an attack can share one copy."""
-    return slice(None), (_read_only(np.array([phi])), _read_only(np.zeros(n, dtype=np.uint8)))
+    return attacked, uniform_bits(rng, n)
 
 
 def _user_counts(alice, bob, detected):
@@ -315,12 +299,12 @@ def _user_counts(alice, bob, detected):
 
 @dataclass(frozen=True)
 class _StateAttack:
-    """What every round of an intercept or fixed-basis attack shares, built
-    once by _state_attack and read-only: the strategy, the resend tables,
-    the keyed codes in their code dtype, her decoding flip at each
-    position, None when there is none, and for a fixed basis its
-    round-invariant _fixed_bases, None for intercept, whose rounds draw
-    them (_eve_bases)."""
+    """What every round of a measure-resend attack shares, built once by
+    _state_attack and read-only: the strategy, the resend tables, the keyed
+    codes in their code dtype, her decoding flip at each position, None
+    when there is none, and for a fixed basis its round-invariant attacked
+    positions and basis codes (every position, code 0), None for intercept
+    and key guessing, whose rounds draw them."""
 
     strategy: AttackStrategy
     tables: _ResendTables
@@ -332,7 +316,8 @@ class _StateAttack:
 def _state_attack(strategy: AttackStrategy, alphabet: BasisAlphabet,
                   selectors: np.ndarray) -> _StateAttack:
     """The _StateAttack of `strategy` against the keyed bases `selectors`
-    of `alphabet`, one per position of a round.
+    of `alphabet`, one per position of a round. Key guessing shares only
+    the lattice tables and the keyed codes.
 
     Likelihood decoding flips an outcome whose basis is more than pi/4 off
     the keyed one: for a fixed basis at phi, where cos^2(alphabet.angle(k)
@@ -341,26 +326,34 @@ def _state_attack(strategy: AttackStrategy, alphabet: BasisAlphabet,
     phi = fixed = flips = None
     if strategy.kind == "fixed_basis":
         phi = strategy.phi
-        fixed = _fixed_bases(phi, selectors.size)
+        fixed = slice(None), _read_only(np.zeros(selectors.size, dtype=np.uint8))
         flips = np.cos(alphabet.angle(selectors) - phi) ** 2 < 0.5
         flips = _read_only(flips) if flips.any() else None
     tables = _resend_tables(alphabet.m, selectors.size, phi)
     return _StateAttack(strategy, tables, _read_only(selectors.astype(tables.code)), flips, fixed)
 
 
+def _state_round(attack: _StateAttack, channel: ChannelModel, rng):
+    """One round of intercept or fixed-basis measure-resend: (attacked
+    positions, _resend_round's arrays). Intercept measures in the bases at
+    0 and pi/4, lattice codes 0 and m/2, at every m. Every table comes
+    prebuilt with `attack`, so the round does only per-position work."""
+    tables = attack.tables
+    attacked, eve_codes = attack.fixed or _eve_bases(attack.strategy, attack.key_codes.size, rng)
+    if attack.fixed is None and tables.m != 2:
+        eve_codes = np.multiply(eve_codes, tables.m // 2, dtype=tables.code)
+    return attacked, _resend_round(tables, attack.key_codes, eve_codes, attacked, channel, rng)
+
+
 def _state_attack_counts(attack: _StateAttack, channel: ChannelModel, rng):
-    """One round of intercept or fixed-basis measure-resend: (her bit
-    errors, attacked positions, user errors, detected positions).
+    """One _state_round: (her bit errors, attacked positions, user errors,
+    detected positions).
 
     Her decoding flips are the attack's per-position mask, and not read at
     all when it holds no flip, as for intercept and breidbart on the
     two-basis alphabet; a fixed basis past pi/4 there, such as fixed:1.2,
-    flips basis 0. Every table comes prebuilt with `attack`, so the round
-    does only per-position work."""
-    key_codes = attack.key_codes
-    attacked, (_, eve_codes) = attack.fixed or _eve_bases(attack.strategy, key_codes.size, rng)
-    alice, outcome, bob, detected = _resend_round(
-        attack.tables, key_codes, eve_codes, attacked, channel, rng)
+    flips basis 0."""
+    attacked, (alice, outcome, bob, detected) = _state_round(attack, channel, rng)
     wrong = outcome ^ alice[attacked]
     if attack.flips is not None:
         wrong ^= attack.flips[attacked]
@@ -439,25 +432,17 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     )
 
 
-def _guess_key(config: ProtocolConfig):
-    """What every key-guess round against `config` shares, at every m:
-    (keyed codes, resend tables), the tables built once over the keyed
-    lattice and the key selectors in their code dtype, read-only."""
-    tables = _resend_tables(config.alphabet.m, config.n)
-    return _read_only(config.key_selectors().astype(tables.code)), tables
-
-
-def _guess_round(config: ProtocolConfig, key, guess_bits, rng: np.random.Generator):
+def _guess_round(config: ProtocolConfig, attack: _StateAttack, guess_bits,
+                 rng: np.random.Generator):
     """(eve bit-error rate, user errors, detected count) of one round under
-    the guessed seed bits (any 0/1 sequence), against the _guess_key `key`.
-    An all-zero guess expands to the all-zero stream (the attacker is free
-    to guess a degenerate seed)."""
+    the guessed seed bits (any 0/1 sequence), against the key-guess
+    _StateAttack `attack` of `config`. An all-zero guess expands to the
+    all-zero stream (the attacker is free to guess a degenerate seed)."""
     bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
                         config.n * config.alphabet.bits_per_selector)
     guess_codes = expand_running_key(bits, config.n, config.alphabet).selectors
-    key_codes, tables = key
     alice, outcome, bob, detected = _resend_round(
-        tables, key_codes, guess_codes, slice(None), config.channel, rng)
+        attack.tables, attack.key_codes, guess_codes, slice(None), config.channel, rng)
     eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
     return eve_error, *_user_counts(alice, bob, detected)
 
@@ -537,10 +522,10 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
                                 _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
-    key = _guess_key(config)
+    attack = _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
 
     def round_kernel(_, chunk_rng):
-        return _guess_round(config, key, uniform_bits(chunk_rng, length), chunk_rng)
+        return _guess_round(config, attack, uniform_bits(chunk_rng, length), chunk_rng)
 
     rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
     eve_err_sum, user_errors, detected = (sum(r[i] for r in rounds) for i in range(3))
@@ -693,20 +678,21 @@ def measure_resend_interference(strategy: AttackStrategy):
     """In-line interference callable for transmit_round/run_protocol.
 
     Realizes the measure-resend strategies against a live run: the returned
-    function measures the transmitted states in the strategy's bases and
-    forwards the projected states. Only intercept and fixed-basis strategies
-    act on states alone; key-targeting strategies need the run's keystream
-    and are evaluated through their dedicated attack functions.
+    function (config, rng) -> (alice bits, bob bits, detected mask) makes
+    the run's whole transmission as one _state_round of the attack, in which
+    the attacker measures the sent states in the strategy's bases and
+    forwards the projected states; intercept measures in the bases at 0 and
+    pi/4 at every m. Only intercept and fixed-basis strategies act on states
+    alone; key-targeting strategies need the run's keystream and are
+    evaluated through their dedicated attack functions.
     """
     if strategy.kind not in ("intercept_resend_random", "fixed_basis"):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
-    def interfere(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        attacked, (angles, codes) = _eve_bases(strategy, theta.size, rng)
-        eve_phi = angles.take(codes[attacked])
-        forwarded = theta.copy()
-        forwarded[attacked] = turn_by_bits(eve_phi, measure_many(theta[attacked], eve_phi, rng))
-        return forwarded
+    def interfere(config: ProtocolConfig, rng: np.random.Generator):
+        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+        _, (alice, _, bob, detected) = _state_round(attack, config.channel, rng)
+        return alice, bob, detected
 
     return interfere
 

@@ -231,34 +231,35 @@ class ProtocolOutcome:
         }
 
 
-def keyed_channel(config: ProtocolConfig, bits, rng: np.random.Generator, interference=None):
+def keyed_channel(config: ProtocolConfig, bits, rng: np.random.Generator):
     """Send one bit per qubit in its keyed basis, erase, flip, and measure it there.
 
-    `interference`, if given, is a callable (state_angles, rng) -> state_angles
-    applied between the sender and the channel: the hook an eavesdropper uses
-    to measure and resend in-line with a full run. Returns (sent state angles,
-    bob bits, detected mask).
+    Returns (sent state angles, bob bits, detected mask).
     """
     phi = config.alphabet.angle(config.key_selectors())
-    sent = theta = turn_by_bits(phi, bits)
-    if interference is not None:
-        theta = np.asarray(interference(theta, rng), dtype=float)
-        if theta.shape != phi.shape:
-            raise ValueError("interference must return one state angle per qubit")
-        if not np.isfinite(theta).all():
-            raise ValueError("interference returned a non-finite state angle")
+    theta = turn_by_bits(phi, bits)
     lost, flipped = config.channel.draw(theta.shape, rng)
-    return sent, measure_many(turn_by_bits(theta, flipped), phi, rng), ~lost
+    return theta, measure_many(turn_by_bits(theta, flipped), phi, rng), ~lost
 
 
 def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interference=None):
     """One keyed transmission: returns (alice bits, bob bits, detected positions).
 
-    The sender draws n uniform bits and sends them across keyed_channel,
-    with `interference`, if given, acting on the states in between.
+    The sender draws n uniform bits and sends them across keyed_channel.
+    `interference`, if given, makes the whole transmission in their place:
+    a callable (config, rng) -> (alice bits, bob bits, detected mask), three
+    arrays of one entry per qubit. It is the hook an eavesdropper uses to
+    measure and resend in-line with a full run
+    (adversary.measure_resend_interference).
     """
-    alice = uniform_bits(rng, config.n)
-    _, bob, detected = keyed_channel(config, alice, rng, interference)
+    if interference is None:
+        alice = uniform_bits(rng, config.n)
+        _, bob, detected = keyed_channel(config, alice, rng)
+    else:
+        sent = interference(config, rng)
+        if len(sent) != 3 or any(np.shape(a) != (config.n,) for a in sent):
+            raise ValueError("interference must return three arrays of one entry per qubit")
+        alice, bob, detected = sent
     detected = np.flatnonzero(detected)
     if detected.size == config.n:
         return alice, bob, detected
@@ -464,7 +465,7 @@ def run_protocol(config: ProtocolConfig, rng: np.random.Generator,
     verification step, including an amplified key shorter than |K_v|
     ("key_too_short"), consume no verification bits.
 
-    An `interference` callable (see keyed_channel) runs the pipeline against
+    An `interference` callable (see transmit_round) runs the pipeline against
     an in-line eavesdropper; errors she induces surface in the estimate and
     close the rate gate like any other channel noise.
     """

@@ -267,11 +267,12 @@ def state_attack_counts(strategy, config, channel, rng):
 
 
 def eve_bases(strategy, n: int, rng):
-    """Attacked positions and attacker bases of one intercept round as index
-    arrays, even when every position is attacked: (indices, (angles, int64
-    codes)). Draws: the attack mask, then the attacker's basis bits."""
+    """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
+    lattice, of one intercept round as index arrays, even when every
+    position is attacked: (indices, int64 codes). Draws: the attack mask,
+    then the attacker's basis bits."""
     attacked = np.flatnonzero(draw_below(strategy.fraction, n, rng))
-    return attacked, (np.array([0.0, HALF_PI / 2]), integer_bits(rng, n).astype(np.int64))
+    return attacked, integer_bits(rng, n).astype(np.int64)
 
 
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):

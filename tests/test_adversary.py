@@ -42,7 +42,6 @@ from keyedqkd.adversary import (
     TRIAL_CHUNK,
     _block_guess_chunk,
     _chunk_rngs,
-    _guess_key,
     _key_guess_error,
     _guess_round,
     _key_guess_successes,
@@ -52,6 +51,7 @@ from keyedqkd.adversary import (
     _resend_tables,
     _state_attack,
     _state_attack_counts,
+    _state_round,
 )
 from keyedqkd.analysis import binomial_ci
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
@@ -62,6 +62,8 @@ from reference import GivenDraws, key_angles, key_guess_successes
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
+CHANNELS = [ChannelModel(), ChannelModel(flip_prob=0.1, loss=0.2)]
+CHANNEL_IDS = ["noiseless", "flip0.1-loss0.2"]
 
 
 def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7,2,1", m=2):
@@ -77,6 +79,11 @@ def state_round(strategy, config, channel, rng):
     """One intercept or fixed-basis round against `config`'s keyed bases."""
     attack = _state_attack(strategy, config.alphabet, config.key_selectors())
     return _state_attack_counts(attack, channel, rng)
+
+
+def guess_key(config):
+    """What every key-guess round against `config` shares."""
+    return _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
 
 
 def table_of(monkeypatch, p1, positions):
@@ -240,14 +247,14 @@ class TestKeyGuess:
     def test_correct_guess_is_invisible(self):
         config = lfsr_config(n=4096)
         eve_err, errors, detected = _guess_round(
-            config, _guess_key(config), config.keystream.seed.bits, np.random.default_rng(10))
+            config, guess_key(config), config.keystream.seed.bits, np.random.default_rng(10))
         assert eve_err == 0.0 and errors == 0 and detected == config.n
 
     def test_wrong_guess_leaves_errors(self):
         config = lfsr_config(n=4096)
         wrong = SeedKey.from_string("01101011")
         assert wrong != config.keystream.seed
-        eve_err, errors, detected = _guess_round(config, _guess_key(config), wrong.bits,
+        eve_err, errors, detected = _guess_round(config, guess_key(config), wrong.bits,
                                                  np.random.default_rng(11))
         assert eve_err > 0.1 and errors / detected > 0.1
 
@@ -256,7 +263,7 @@ class TestKeyGuess:
         # errs on the half of the qubits keyed to pi/4, half of the time.
         config = lfsr_config(n=20000)
         eve_err, errors, detected = _guess_round(
-            config, _guess_key(config), (0,) * len(config.keystream.seed),
+            config, guess_key(config), (0,) * len(config.keystream.seed),
             np.random.default_rng(12))
         sigma = math.sqrt(0.25 * 0.75 / config.n)
         assert abs(eve_err - 0.25) < 4 * sigma and abs(errors / detected - 0.25) < 4 * sigma
@@ -310,7 +317,7 @@ class TestKeyGuess:
         counts = []
         for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
             guess = uniform_bits(chunk_rng, 8)
-            counts.append(_guess_round(config, _guess_key(config), guess, chunk_rng)[1:])
+            counts.append(_guess_round(config, guess_key(config), guess, chunk_rng)[1:])
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0
         assert report.induced_qber.estimate == errors / detected
@@ -347,7 +354,7 @@ class TestKeyGuess:
     def test_nothing_detected_reads_null(self):
         config = lfsr_config(n=4, loss=0.999)
         guess = SeedKey.from_string("01101011")
-        assert _guess_round(config, _guess_key(config), guess.bits,
+        assert _guess_round(config, guess_key(config), guess.bits,
                             np.random.default_rng(0))[1:] == (0, 0)
         report = attack_key_guess(config, np.random.default_rng(0), trials=3)
         assert report.induced_qber is None and report.to_json_dict()["induced_qber"] is None
@@ -498,32 +505,59 @@ class TestInlineInterference:
         with pytest.raises(ValueError):
             measure_resend_interference(AttackStrategy.parse("blockguess:3"))
 
-    def test_interference_matches_standalone_attack_statistics(self):
-        # The same strategy through the in-line hook and through the
-        # dedicated attack round must induce the same error rate.
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("text", ["breidbart", "fixed:0.3", "intercept:0.5", "intercept:1"])
+    def test_interference_is_the_attack_round(self, text, channel):
+        # The in-line hook makes the transmission as one round of the
+        # attack kernels: the same arrays, detected mask as positions, and
+        # the same generator state.
         from keyedqkd import measure_resend_interference, transmit_round
-        config = lfsr_config(n=10 ** 5)
-        hook = measure_resend_interference(AttackStrategy.parse("breidbart"))
-        alice, bob, _ = transmit_round(config, np.random.default_rng(22), hook)
-        qber = float(np.mean(alice != bob))
-        sigma = math.sqrt(0.25 * 0.75 / 10 ** 5)
-        assert abs(qber - 0.25) < 4 * sigma
+        config = dataclasses.replace(lfsr_config(n=3000), channel=channel)
+        strategy = AttackStrategy.parse(text)
+        rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+        got = transmit_round(config, rng, measure_resend_interference(strategy))
+        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+        _, (alice, _, bob, detected) = _state_round(attack, channel, ref_rng)
+        positions = np.flatnonzero(detected)
+        _same_arrays(got, (alice[positions], bob[positions], positions))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    # In-line interference is where measure_many sees p1 other than 0 or 1:
-    # Eve's measurement and Bob's of her resent states. Recorded with a
-    # sampler that took every p1 in float64: sha256 of a run's outcome JSON
-    # with its final generator state, and of Bob's bits from one round.
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("text", ["intercept:0.5", "intercept:1"])
+    def test_inline_intercept_off_two_bases_measures_at_0_and_pi_4(self, text, channel):
+        # At m = 16 her bases are lattice codes 0 and m/2, which the float
+        # reference gives as angles.
+        from keyedqkd import measure_resend_interference, transmit_round
+        config = dataclasses.replace(lfsr_config(n=3000, m=16), channel=channel)
+        strategy = AttackStrategy.parse(text)
+        rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
+        got = transmit_round(config, rng, measure_resend_interference(strategy))
+        attacked, codes = reference.eve_bases(strategy, config.n, ref_rng)
+        two = reference.basis_angles(2)
+        alice, _, bob, detected = reference.resend_round(
+            key_angles(config), channel, two[codes], attacked, ref_rng,
+            (reference.basis_angles(16), two))
+        positions = np.flatnonzero(detected)
+        _same_arrays(got, (alice[positions], bob[positions], positions))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # sha256 of a run's outcome JSON with its final generator state, and of
+    # Bob's bits from one round. The breidbart pins were recorded with a
+    # sampler that took every p1 in float64. The intercept pins were
+    # recorded once in-line interference became the attack round, which
+    # draws her mask and bases before Alice's bits and, at m = 2, draws
+    # coin bits, not doubles, for her measurement and Bob's.
     INLINE_PINS = {
         ("breidbart", 2): ("00b15be6d0ae6ccb72e51ca430debdcce57e2417f7763a313038273b731013a6",
                            "0a29a8b114e170725fba2ee79b7f4ccb3ae3a04025d9cba64ef680bc6251c62a"),
         ("breidbart", 16): ("8329d24b6d1ff79684b4adf296975b410dfef46d10e8764bfcb4bebf0a93fd6b",
                             "cecbe39686c0265cbada3ed2b15b7468a89a07c7fe463eb3afe67acc9ba9d701"),
         ("intercept:0.5", 2): (
-            "3f69fa4e738a8f07ac15c188c0fece1c9edecfaee72cdb792345eaf51074f4c8",
-            "90a1d9f407921df4be9f6ddbf4094d099c64b63938aab8abbf948fac1122f261"),
+            "dd8f2e657c7c5b5b420fb4e66de6e15d0408adf898d703bad14c8a5405aa2e1e",
+            "3d8db0fa8212bb171349b62bccd66d23d0f530a8037e71f41d7f8b337ff86429"),
         ("intercept:0.5", 16): (
-            "7c5b516e38cbbaccf02ff11c362189cd4195b6f6ead74e3d771ba9543284dc7d",
-            "0fa675674b39b29e35da97e5a9e10666fe2f8f3574db18121c2acc54d2488928"),
+            "16f9bda05d6d6aeefd99c32518c0a0ec79b6788dfe49f854acbbd4a30e9184ae",
+            "af0e949201ded33f378fd290e4dde3c8081cea3bd0380edc2459cb1eb70b292f"),
     }
 
     @pytest.mark.parametrize("text,m", list(INLINE_PINS))
@@ -675,9 +709,6 @@ class TestTrialChunks:
                        np.random.default_rng(0), threads=threads)
 
 
-CHANNELS = [ChannelModel(), ChannelModel(flip_prob=0.1, loss=0.2)]
-CHANNEL_IDS = ["noiseless", "flip0.1-loss0.2"]
-
 # A 64-bit register from a dense seed, whose selectors are near uniform at any m.
 DENSE_KEY = dict(taps="64:64,63,61,60",
                  seed_text="1111000011100111101010011100010111110111110101100110000011101110")
@@ -694,9 +725,9 @@ def _recording_eve_bases(seen):
     real = keyedqkd.adversary._eve_bases
 
     def eve_bases(strategy, n, rng):
-        attacked, eve = real(strategy, n, rng)
+        attacked, codes = real(strategy, n, rng)
         seen.append(attacked)
-        return attacked, eve
+        return attacked, codes
 
     return eve_bases
 
@@ -752,7 +783,7 @@ class TestCodedKernels:
             guess_bits = np.random.default_rng(100 + seed).integers(0, 2, 8)
             guess = SeedKey(tuple(int(b) for b in guess_bits))
             guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
-            got = _guess_round(config, _guess_key(config), guess.bits, rng)
+            got = _guess_round(config, guess_key(config), guess.bits, rng)
             bases = reference.basis_angles(m)
             alice, outcome, bob, detected = reference.resend_round(
                 key_angles(config), channel, key_angles(guessed), slice(None), ref_rng,
@@ -1009,7 +1040,7 @@ class TestSharedTables:
     @pytest.mark.parametrize("text,m", CASES)
     def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
         shared = []
-        for name in ("_state_attack", "_guess_key", "_key_guess_target", "_resend_tables"):
+        for name in ("_state_attack", "_key_guess_target", "_resend_tables"):
             real = getattr(keyedqkd.adversary, name)
 
             def spy(*args, real=real, **kwargs):
@@ -1179,7 +1210,7 @@ class TestCoinDraws:
     def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
         config = lfsr_config(n=2500, m=m, flip=0.1)
         guess = SeedKey.from_string("01101100")
-        _guess_round(config, _guess_key(config), guess.bits, np.random.default_rng(16))
+        _guess_round(config, guess_key(config), guess.bits, np.random.default_rng(16))
         assert len(coin_draws) == coins
 
 

@@ -136,3 +136,22 @@ def test_no_module_reaches_itself_through_sibling_imports():
         if start in reached:
             cyclic.append(start)
     assert cyclic == []
+
+
+def _callers(name: str) -> set:
+    """The modules of the package that call `name`, by bare name or as an attribute."""
+    found = set()
+    for path in pathlib.Path(keyedqkd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_keyed_send_samples_angles():
+    # The attack kernels and in-line interference measure lattice offsets
+    # through qubits.measure_codes; float angles are turned and measured
+    # only by protocol's keyed send and by measure_codes itself.
+    assert _callers("measure_many") == {"protocol", "qubits"}
+    assert _callers("turn_by_bits") == {"protocol"}

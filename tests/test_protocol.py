@@ -441,16 +441,14 @@ class TestTransmitRound:
         alice, bob, _ = transmit_round(config, np.random.default_rng(14))
         assert np.array_equal(alice, bob)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_interference(self, bad):
-        # A NaN state would read as outcome 0 everywhere, and an infinite one
-        # as a made-up error rate, if it reached the channel.
-        def interfere(theta, rng):
-            theta = theta.copy()
-            theta[7] = bad
-            return theta
+    def test_rejects_interference_that_returns_short_arrays(self):
+        # The hook makes the whole transmission: three arrays of one entry
+        # per qubit, or a ValueError before any of them is read.
+        def interfere(config, rng):
+            bits = np.zeros(config.n, dtype=np.uint8)
+            return bits, bits[:-1], np.ones(config.n, dtype=bool)
 
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="three arrays of one entry per qubit"):
             transmit_round(make_config(n=100), np.random.default_rng(15), interfere)
 
 
