@@ -11,6 +11,7 @@ the worker-thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque
@@ -40,6 +41,7 @@ from .qubits import (
     require_integer,
     require_real,
     uniform_below,
+    uniform_bit_rows,
     uniform_bits,
     uniform_words,
 )
@@ -57,6 +59,11 @@ SEED_DRAW = 1024
 # Transmission simulations are capped when a strategy's success statistic
 # needs far more trials than its error statistics do.
 MAX_QUBIT_TRIALS = 16
+
+# Attack rounds run in blocks whose (rounds, positions) code array holds at
+# most this many bytes: half of glibc's default 128 KiB mmap threshold, so a
+# block's arrays come from the heap and its numpy calls stay few.
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,20 +174,46 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
     Child seeds come from the caller's generator, SEED_DRAW at a time; each
     seed is one 64-bit draw, so the pieces reproduce a single draw of all the
     seeds and the split is deterministic and identical for every thread count.
+    Each child is default_rng(seed), built as the Generator(PCG64(seed)) it
+    returns, without its argument checks.
     """
-    if require_integer(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
-    chunks = -(-trials // chunk)
+    chunks = -(-_trial_count(trials) // chunk)
     for first in range(0, chunks, SEED_DRAW):
         seeds = rng.integers(0, 2 ** 63, size=min(SEED_DRAW, chunks - first))
-        for index, seed in enumerate(seeds, first):
-            yield min(chunk, trials - index * chunk), np.random.default_rng(int(seed))
+        for index, seed in enumerate(seeds.tolist(), first):
+            yield min(chunk, trials - index * chunk), np.random.Generator(np.random.PCG64(seed))
+
+
+def _trial_count(trials) -> int:
+    """`trials` as an int; non-integers and counts below 1 raise ValueError."""
+    if require_integer(trials, "trials") < 1:
+        raise ValueError("trials must be >= 1")
+    return int(trials)
+
+
+def _round_blocks(rng: np.random.Generator, trials: int, row_bytes: int):
+    """Yield (generators,) per block of rounds, lazily: the child generators
+    of _chunk_rngs(rng, trials, chunk=1), one per round, in order, B to a
+    block and the last block possibly shorter.
+
+    A block holds at most BLOCK_BYTES // row_bytes rows of `row_bytes`
+    bytes, one at least, and B spreads the rounds evenly over as few blocks
+    as that allows (4 for 16 rows of 12 500 bytes), so B depends on the
+    trial count and the row alone, never on the thread count.
+    """
+    trials = _trial_count(trials)
+    most = max(1, BLOCK_BYTES // row_bytes)
+    size = -(-trials // -(-trials // most))
+    rounds = (child for _, child in _chunk_rngs(rng, trials, chunk=1))
+    while block := tuple(itertools.islice(rounds, size)):
+        yield (block,)
 
 
 def _map_chunks(kernel, chunks, threads: int) -> list:
-    """kernel(*chunk) per chunk, in order; min(threads, usable CPUs) workers,
-    as many in flight. Usable CPUs are the process's affinity set where the
-    OS reports one; with one worker the chunks run on the calling thread."""
+    """kernel(*chunk) per chunk, a chunk of trials or a block of rounds, in
+    order; min(threads, usable CPUs) workers, as many in flight. Usable CPUs
+    are the process's affinity set where the OS reports one; with one worker
+    the chunks run on the calling thread."""
     threads = require_integer(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -237,79 +270,104 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
-                  channel: ChannelModel, rng):
-    """One transmission of any shape with measure-resend on the positions that
-    `attacked` (indices, a mask or a slice) selects.
+                  channel: ChannelModel, rngs):
+    """A block of transmissions, one row per generator of `rngs`, with
+    measure-resend on the positions of each row that `attacked` (indices,
+    a mask or a slice along the rows) selects. Row r draws from rngs[r]
+    exactly what a block of that row alone would, and each step is one
+    numpy call over the block.
 
     `key_codes` are the keyed selectors and `eve_codes` the attacker's
     bases on the keyed lattice, or 0 for a fixed basis, whose angle the
-    tables' shifts carry and which attacks every position; each is the
-    shape of the transmission and of any integer dtype. States are codes
-    too, j + m*b for basis j turned by bit b, and each measurement reads
-    the offset (state + m*flip - basis) mod 2m through
-    qubits.measure_codes with the attack's prebuilt tables, so a round
-    does only per-position work. The offsets come from wrapping
+    tables' shifts carry and which attacks every position; each is one row
+    of the transmission, shared by every row, or one per row, of any
+    integer dtype. States are codes too, j + m*b for basis j turned by bit
+    b, and each measurement reads the offset (state + m*flip - basis) mod
+    2m through qubits.measure_codes with the attack's prebuilt tables, so a
+    block does only per-position work. The offsets come from wrapping
     arithmetic in the tables' code dtype and & (2m - 1): 2m divides the
     dtype's range, and every code, below 2m, casts into it exactly.
-    Returns per-position arrays: alice bits, eve outcomes (on attacked
-    positions), bob bits, detected mask.
+    Returns (rows, positions) arrays: alice bits, eve outcomes (on attacked
+    positions), bob bits, and the detected mask, None when the channel
+    loses nothing.
 
     Key codes in the code dtype, as every attack passes them, are not
     copied.
     """
     m, code, lattice = tables.m, tables.code, 2 * tables.m - 1
     key_codes = key_codes.astype(code, copy=False)
-    alice = uniform_bits(rng, key_codes.size).reshape(key_codes.shape)
+    n = key_codes.shape[-1]
+    alice = uniform_bit_rows(rngs, n)
     state = np.multiply(alice, m, dtype=code)
     state += key_codes
     # Her resent states replace the attacked ones, so their offsets, and
     # then the resent codes, may overwrite them in place.
-    offsets, eve_codes = state[attacked], eve_codes[attacked]
+    offsets, eve_codes = state[:, attacked], eve_codes[..., attacked]
     np.subtract(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
     offsets &= lattice
-    outcome = measure_codes(tables.eve, offsets, rng)
+    outcome = measure_codes(tables.eve, offsets, rngs)
     np.multiply(outcome, m, out=offsets, dtype=code)
     np.add(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
-    state[attacked] = offsets
-    lost, flipped = channel.draw(state.shape, rng)
-    state += np.multiply(flipped, m, dtype=code)
+    state[:, attacked] = offsets
+    lost, flipped = channel.draw(rngs, n)
+    if flipped is not None:
+        state += np.multiply(flipped, m, dtype=code)
     state -= key_codes
     state &= lattice
-    bob = measure_codes(tables.bob, state, rng)
-    return alice, outcome, bob, ~lost
+    bob = measure_codes(tables.bob, state, rngs)
+    return alice, outcome, bob, None if lost is None else ~lost
 
 
-def _eve_bases(strategy: AttackStrategy, n: int, rng: np.random.Generator):
+def _eve_bases(strategy: AttackStrategy, n: int, rngs):
     """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
-    lattice, for one round of intercept.
+    lattice, one row per generator, for a block of intercept rounds.
 
-    The positions are slice(None) at fraction 1, where uniform_below
-    returns an all-true mask without drawing, so no n-element index array
-    is gathered or scattered; otherwise they are indices.
+    The positions are slice(None) at fraction 1, which draws no mask, so no
+    n-element index array is gathered or scattered; otherwise they are the
+    indices that one round attacks, and the block holds that round alone,
+    as rounds attack different numbers of positions.
     """
-    hit = uniform_below(strategy.fraction, (n,), rng)
-    attacked = np.flatnonzero(hit) if strategy.fraction < 1.0 else slice(None)
-    return attacked, uniform_bits(rng, n)
+    if strategy.fraction < 1.0:
+        (rng,) = rngs
+        attacked = np.flatnonzero(uniform_below(strategy.fraction, (n,), rng))
+    else:
+        attacked = slice(None)
+    return attacked, uniform_bit_rows(rngs, n)
+
+
+def _row_counts(bits: np.ndarray) -> np.ndarray:
+    """The ones in each row of a 2-D 0/1 array, as int64: rows of fewer
+    than 256 positions by np.einsum over their uint8 bytes, which cannot
+    wrap there and makes no wider copy of the rows, and wider rows by one
+    count_nonzero each, as a count along an axis casts every entry to an
+    integer first."""
+    if bits.shape[1] < 256:
+        return np.einsum("ij->i", bits.view(np.uint8)).astype(np.int64)
+    return np.array([np.count_nonzero(row) for row in bits], dtype=np.int64)
 
 
 def _user_counts(alice, bob, detected):
-    """(user errors, detected positions) of one round."""
-    return int(np.count_nonzero((bob ^ alice) & detected)), int(np.count_nonzero(detected))
+    """(user errors, detected positions) of each row of a block, as int64
+    arrays; a detected mask of None detects every position. Overwrites
+    `bob` with the errors."""
+    wrong = np.bitwise_xor(bob, alice, out=bob)
+    if detected is None:
+        return _row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64)
+    wrong &= detected
+    return _row_counts(wrong), _row_counts(detected)
 
 
 @dataclass(frozen=True)
 class _StateAttack:
     """What every round of a measure-resend attack shares, built once by
     _state_attack and read-only: the strategy, the resend tables, the keyed
-    codes in their code dtype, her decoding flip at each position, None
-    when there is none, and for a fixed basis its round-invariant attacked
-    positions and basis codes (every position, code 0), None for intercept
-    and key guessing, whose rounds draw them."""
+    codes in their code dtype, and for a fixed basis its round-invariant
+    attacked positions and basis codes (every position, code 0), None for
+    intercept and key guessing, whose rounds draw them."""
 
     strategy: AttackStrategy
     tables: _ResendTables
     key_codes: np.ndarray
-    flips: np.ndarray | None
     fixed: tuple | None
 
 
@@ -317,47 +375,55 @@ def _state_attack(strategy: AttackStrategy, alphabet: BasisAlphabet,
                   selectors: np.ndarray) -> _StateAttack:
     """The _StateAttack of `strategy` against the keyed bases `selectors`
     of `alphabet`, one per position of a round. Key guessing shares only
-    the lattice tables and the keyed codes.
-
-    Likelihood decoding flips an outcome whose basis is more than pi/4 off
-    the keyed one: for a fixed basis at phi, where cos^2(alphabet.angle(k)
-    - phi) < 1/2 for keyed selector k. Intercept, defined on the two-basis
-    alphabet alone, is never more than pi/4 off and never flips."""
-    phi = fixed = flips = None
+    the lattice tables and the keyed codes."""
+    phi = fixed = None
     if strategy.kind == "fixed_basis":
         phi = strategy.phi
         fixed = slice(None), _read_only(np.zeros(selectors.size, dtype=np.uint8))
-        flips = np.cos(alphabet.angle(selectors) - phi) ** 2 < 0.5
-        flips = _read_only(flips) if flips.any() else None
     tables = _resend_tables(alphabet.m, selectors.size, phi)
-    return _StateAttack(strategy, tables, _read_only(selectors.astype(tables.code)), flips, fixed)
+    return _StateAttack(strategy, tables, _read_only(selectors.astype(tables.code)), fixed)
 
 
-def _state_round(attack: _StateAttack, channel: ChannelModel, rng):
-    """One round of intercept or fixed-basis measure-resend: (attacked
-    positions, _resend_round's arrays). Intercept measures in the bases at
-    0 and pi/4, lattice codes 0 and m/2, at every m. Every table comes
-    prebuilt with `attack`, so the round does only per-position work."""
+def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
+                    selectors: np.ndarray) -> np.ndarray | None:
+    """Her likelihood decoding flip at each position once she is granted
+    the keyed `selectors`, read-only, or None when she flips nothing.
+
+    She flips an outcome whose basis is more than pi/4 off the keyed one:
+    for a fixed basis at phi, where cos^2(alphabet.angle(k) - phi) < 1/2
+    for keyed selector k. Intercept, defined on the two-basis alphabet
+    alone, is never more than pi/4 off and never flips; nor does breidbart
+    there, while a fixed basis past pi/4, such as fixed:1.2, flips basis 0.
+    Only the Monte Carlo attack decodes, so an in-line run never builds
+    them."""
+    if strategy.kind != "fixed_basis":
+        return None
+    flips = np.cos(alphabet.angle(selectors) - strategy.phi) ** 2 < 0.5
+    return _read_only(flips) if flips.any() else None
+
+
+def _state_round(attack: _StateAttack, channel: ChannelModel, rngs):
+    """One block of intercept or fixed-basis measure-resend rounds, one row
+    per generator: (attacked positions, _resend_round's arrays). Intercept
+    measures in the bases at 0 and pi/4, lattice codes 0 and m/2, at every
+    m. Every table comes prebuilt with `attack`, so the block does only
+    per-position work."""
     tables = attack.tables
-    attacked, eve_codes = attack.fixed or _eve_bases(attack.strategy, attack.key_codes.size, rng)
+    attacked, eve_codes = attack.fixed or _eve_bases(attack.strategy, attack.key_codes.size, rngs)
     if attack.fixed is None and tables.m != 2:
         eve_codes = np.multiply(eve_codes, tables.m // 2, dtype=tables.code)
-    return attacked, _resend_round(tables, attack.key_codes, eve_codes, attacked, channel, rng)
+    return attacked, _resend_round(tables, attack.key_codes, eve_codes, attacked, channel, rngs)
 
 
-def _state_attack_counts(attack: _StateAttack, channel: ChannelModel, rng):
-    """One _state_round: (her bit errors, attacked positions, user errors,
-    detected positions).
-
-    Her decoding flips are the attack's per-position mask, and not read at
-    all when it holds no flip, as for intercept and breidbart on the
-    two-basis alphabet; a fixed basis past pi/4 there, such as fixed:1.2,
-    flips basis 0."""
-    attacked, (alice, outcome, bob, detected) = _state_round(attack, channel, rng)
-    wrong = outcome ^ alice[attacked]
-    if attack.flips is not None:
-        wrong ^= attack.flips[attacked]
-    return (int(np.count_nonzero(wrong)), outcome.size,
+def _state_attack_counts(attack: _StateAttack, flips, channel: ChannelModel, rngs):
+    """One _state_round block: (her bit errors, attacked positions, user
+    errors, detected positions), each an int64 array of one count per row.
+    Her decoding `flips` (_decoding_flips) are not read at all when None."""
+    attacked, (alice, outcome, bob, detected) = _state_round(attack, channel, rngs)
+    wrong = np.bitwise_xor(outcome, alice[:, attacked], out=outcome)
+    if flips is not None:
+        wrong ^= flips[attacked]
+    return (_row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64),
             *_user_counts(alice, bob, detected))
 
 
@@ -369,16 +435,19 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     by likelihood: keep the outcome when her basis is within pi/4 of the
     keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
     attacker is never off by more than pi/4, so her outcome stands.
+    The rounds run in blocks (_round_blocks), but those of intercept at a
+    fraction below 1, which attack different numbers of positions, run
+    one to a block.
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
     attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-
-    def kernel(_, chunk_rng):
-        return _state_attack_counts(attack, config.channel, chunk_rng)
-
-    parts = _map_chunks(kernel, _chunk_rngs(rng, trials, chunk=1), threads)
-    eve_err, eve_tot, user_err, user_tot = (sum(p[i] for p in parts) for i in range(4))
+    flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+    row_bytes = attack.key_codes.nbytes if strategy.fraction == 1.0 else BLOCK_BYTES
+    parts = _map_chunks(partial(_state_attack_counts, attack, flips, config.channel),
+                        _round_blocks(rng, trials, row_bytes), threads)
+    eve_err, eve_tot, user_err, user_tot = (sum(int(p[i].sum()) for p in parts)
+                                            for i in range(4))
     return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
             binomial_ci(user_err, user_tot) if user_tot else None)
 
@@ -432,18 +501,21 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     )
 
 
-def _guess_round(config: ProtocolConfig, attack: _StateAttack, guess_bits,
-                 rng: np.random.Generator):
-    """(eve bit-error rate, user errors, detected count) of one round under
-    the guessed seed bits (any 0/1 sequence), against the key-guess
-    _StateAttack `attack` of `config`. An all-zero guess expands to the
-    all-zero stream (the attacker is free to guess a degenerate seed)."""
-    bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
-                        config.n * config.alphabet.bits_per_selector)
-    guess_codes = expand_running_key(bits, config.n, config.alphabet).selectors
+def _guess_round(config: ProtocolConfig, attack: _StateAttack, guesses, rngs):
+    """One block of rounds, row r under the guessed seed bits guesses[r]
+    (any 0/1 sequence) and drawing from rngs[r], against the key-guess
+    _StateAttack `attack` of `config`: (her bit-error rate, user errors,
+    detected count), each an array of one entry per row. An all-zero guess
+    expands to the all-zero stream (the attacker is free to guess a
+    degenerate seed)."""
+    guess_codes = np.empty((len(guesses), config.n), attack.tables.code)
+    for row, guess_bits in zip(guess_codes, guesses):
+        bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
+                            config.n * config.alphabet.bits_per_selector)
+        row[...] = expand_running_key(bits, config.n, config.alphabet).selectors
     alice, outcome, bob, detected = _resend_round(
-        attack.tables, attack.key_codes, guess_codes, slice(None), config.channel, rng)
-    eve_error = np.count_nonzero(outcome ^ alice) / outcome.size
+        attack.tables, attack.key_codes, guess_codes, slice(None), config.channel, rngs)
+    eve_error = _row_counts(np.bitwise_xor(outcome, alice, out=outcome)) / config.n
     return eve_error, *_user_counts(alice, bob, detected)
 
 
@@ -524,11 +596,14 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
     attack = _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
 
-    def round_kernel(_, chunk_rng):
-        return _guess_round(config, attack, uniform_bits(chunk_rng, length), chunk_rng)
+    def round_kernel(rngs):
+        return _guess_round(config, attack, [uniform_bits(r, length) for r in rngs], rngs)
 
-    rounds = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, chunk=1), threads)
-    eve_err_sum, user_errors, detected = (sum(r[i] for r in rounds) for i in range(3))
+    blocks = _map_chunks(round_kernel,
+                         _round_blocks(rng, qubit_trials, attack.key_codes.nbytes), threads)
+    # Her rates add up round by round, in order, as Python floats.
+    eve_err_sum = sum(rate for b in blocks for rate in b[0].tolist())
+    user_errors, detected = (sum(int(b[i].sum()) for b in blocks) for i in (1, 2))
     return AttackReport(
         strategy="keyguess",
         trials=trials, qubits=config.n,
@@ -557,16 +632,6 @@ class BlockGuessTrials:
     attacked_detected: np.ndarray
 
 
-def _row_counts(bits: np.ndarray) -> np.ndarray:
-    """The ones in each row of a 2-D 0/1 array, as int64. A row of fewer
-    than 256 positions takes a uint8 product with a ones vector, which
-    cannot wrap there, makes no wider copy of the rows and runs about twice
-    as fast as a sum over the row."""
-    if bits.shape[1] < 256:
-        return (bits.view(np.uint8) @ np.ones(bits.shape[1], np.uint8)).astype(np.int64)
-    return np.count_nonzero(bits, axis=1)
-
-
 def _block_guess_chunk(count: int, rng: np.random.Generator, tables: _ResendTables,
                        k_blocks: int, block_len: int, channel: ChannelModel):
     """`count` block-guess trials: (success flags, user errors, attacker errors,
@@ -576,12 +641,13 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, tables: _ResendTabl
     chunk of the attack shares."""
     key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
     success = _row_counts(guesses ^ key_blocks) == 0
-    alice, outcome, bob, detected = _resend_round(
-        tables, np.repeat(key_blocks, block_len, axis=1),
-        np.repeat(guesses, block_len, axis=1), slice(None), channel, rng)
-    wrong = bob ^ alice
-    wrong &= detected
-    return success, _row_counts(wrong), _row_counts(outcome ^ alice), _row_counts(detected)
+    # The chunk is one row of a resend block, as its trials draw from one
+    # generator in C order, and splits into one row per trial after it.
+    alice, outcome, bob, detected = (a if a is None else a.reshape(count, -1) for a in _resend_round(
+        tables, np.repeat(key_blocks, block_len, axis=1).reshape(1, -1),
+        np.repeat(guesses, block_len, axis=1).reshape(1, -1), slice(None), channel, (rng,)))
+    errors, detected = _user_counts(alice, bob, detected)
+    return success, errors, _row_counts(np.bitwise_xor(outcome, alice, out=outcome)), detected
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -691,8 +757,8 @@ def measure_resend_interference(strategy: AttackStrategy):
 
     def interfere(config: ProtocolConfig, rng: np.random.Generator):
         attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-        _, (alice, _, bob, detected) = _state_round(attack, config.channel, rng)
-        return alice, bob, detected
+        _, (alice, _, bob, detected) = _state_round(attack, config.channel, (rng,))
+        return alice[0], bob[0], np.ones(config.n, bool) if detected is None else detected[0]
 
     return interfere
 

@@ -21,7 +21,7 @@ from .analysis import h2, rate_window
 from .keystream import (MAX_SELECTOR_BITS, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey,
                         as_bits, bits_int, lfsr_bits)
 from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
-                     require_real, turn_by_bits, uniform_below, uniform_bits)
+                     require_real, turn_by_bits, uniform_below_rows, uniform_bits)
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
 # entropy stays this far below the code redundancy 1 - R. Chosen so finite-n
@@ -50,9 +50,12 @@ class ChannelModel:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must lie in [0, 1), got {self.loss}")
 
-    def draw(self, shape, rng: np.random.Generator):
-        """(lost, flipped) masks for states of `shape`: the erasure draw, then the flip draw."""
-        return uniform_below(self.loss, shape, rng), uniform_below(self.flip_prob, shape, rng)
+    def draw(self, rngs, n: int):
+        """(lost, flipped) for len(rngs) rows of n states, row r drawn from
+        rngs[r], its erasure draw before its flip draw: each a (rows, n)
+        mask, or None when its probability is 0, where no state is lost or
+        flipped and nothing is drawn."""
+        return uniform_below_rows(self.loss, rngs, n), uniform_below_rows(self.flip_prob, rngs, n)
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,10 @@ def keyed_channel(config: ProtocolConfig, bits, rng: np.random.Generator):
     """
     phi = config.alphabet.angle(config.key_selectors())
     theta = turn_by_bits(phi, bits)
-    lost, flipped = config.channel.draw(theta.shape, rng)
-    return theta, measure_many(turn_by_bits(theta, flipped), phi, rng), ~lost
+    lost, flipped = config.channel.draw((rng,), config.n)
+    received = theta if flipped is None else turn_by_bits(theta, flipped[0])
+    detected = np.ones(config.n, bool) if lost is None else ~lost[0]
+    return theta, measure_many(received, phi, rng), detected
 
 
 def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interference=None):

@@ -155,7 +155,7 @@ def turn_by_bits(angles, bits):
 
 def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """The uint64 words, and the state after them, of rng.integers(0, 2**64,
-    size=shape, dtype=np.uint64) for a tuple `shape`, by uniform_bits' contract."""
+    size=shape, dtype=np.uint64) for a tuple `shape`, by uniform_bit_rows' contract."""
     import numpy as np
 
     bits = rng.bit_generator
@@ -165,10 +165,16 @@ def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform bits as uint8 0/1: the first n bits of ceil(n/64) words of
-    one uniform_words draw, read as little-endian bytes and each byte from
-    its low bit up. A draw takes whole words, so a k-bit call consumes
-    ceil(k/64) of them.
+    """n uniform bits as uint8 0/1: the one row of uniform_bit_rows((rng,), n)."""
+    return uniform_bit_rows((rng,), n)[0]
+
+
+def uniform_bit_rows(rngs, n: int) -> np.ndarray:
+    """A (len(rngs), n) uint8 array of uniform 0/1 bits, row r drawn from
+    rngs[r]: the first n bits of ceil(n/64) words of one uniform_words
+    draw per row, read as little-endian bytes and each byte from its low
+    bit up. A draw takes whole words, so a k-bit row consumes ceil(k/64)
+    of them. Several rows share one word buffer and one unpackbits call.
 
     The words are those of rng.integers(0, 2**64, dtype=np.uint64), and so
     is the generator state after them, pending 32-bit half included. That
@@ -179,8 +185,14 @@ def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    words = uniform_words(rng, (-(-n // 64),))
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n,
+    shape = len(rngs), -(-n // 64)
+    if len(rngs) == 1:
+        words = uniform_words(rngs[0], shape)
+    else:
+        words = np.empty(shape, np.uint64)
+        for row, rng in zip(words, rngs):
+            row[...] = uniform_words(rng, row.shape)
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, count=n,
                          bitorder="little")
 
 
@@ -192,6 +204,22 @@ def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
     if p <= 0.0 or p >= 1.0:
         return np.full(shape, p >= 1.0)
     return rng.random(shape) < p
+
+
+def uniform_below_rows(p: float, rngs, n: int) -> np.ndarray | None:
+    """The (len(rngs), n) mask whose row r is uniform_below(p, (n,), rngs[r]),
+    or None at p <= 0, where every row is all false: nothing is drawn or
+    built, and a caller skips the pass that would read the mask."""
+    import numpy as np
+
+    if p <= 0.0:
+        return None
+    if len(rngs) == 1:
+        return uniform_below(p, (1, n), rngs[0])
+    mask = np.empty((len(rngs), n), bool)
+    for row, rng in zip(mask, rngs):
+        row[...] = uniform_below(p, (n,), rng)
+    return mask
 
 
 def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -279,25 +307,28 @@ class OffsetTable:
                 self.coins.setflags(write=False)
 
 
-def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
-    """Outcomes of measurements at lattice offsets `offsets` (any integer
-    dtype, each in [0, 2m)) under `table`.
+def measure_codes(table: OffsetTable, offsets, rngs) -> np.ndarray:
+    """Outcomes of measurements at lattice offsets `offsets` (a 2-D array
+    of any integer dtype, each entry in [0, 2m)) under `table`, row r
+    drawing from rngs[r] exactly what a call on that row alone would.
 
-    When the table's p1 is built and has no more entries than the call
-    has positions, the positions gather from it. If the table has `coins`
+    When the table's p1 is built and has no more entries than a row has
+    positions, the positions gather from it. If the table has `coins`
     (every entry 0, 1 or within 1e-12 of 1/2: the unshifted table on the
     two-basis alphabet, which intercept, key guessing and block guessing
     read there; not breidbart, nor a fixed basis off the multiples of
-    pi/4), the call draws uniform_bits, one bit per position in C order
+    pi/4), each row draws uniform_bits, one bit per position in C order
     whatever entry the position reads, and each outcome is bit 2o + b of
-    the 8-bit mask, shifted out in place in uint8: no gather. Any other
-    table compares one raw double per position with the gathered p1,
-    which gives measure_many(offsets * table.step, -table.shift, rng)'s
-    outcomes from the same draws: its theta - phi, o*h - (-shift), is the
-    table's o*h + shift to the bit, and np.sin gives a float the same bits
-    wherever it sits in an array (a test checks this). A call with fewer
-    positions than table entries takes that measure_many call itself, so
-    no call holds an array of m entries.
+    the 8-bit mask, shifted out of the whole block in place in uint8: no
+    gather. Any other table compares one raw double per position with the
+    gathered p1, a row at a time in two buffers that every row reuses, so
+    no (rows, positions) float array is built; that gives
+    measure_many(offsets * table.step, -table.shift, rng)'s outcomes from
+    the same draws: its theta - phi, o*h - (-shift), is the table's
+    o*h + shift to the bit, and np.sin gives a float the same bits
+    wherever it sits in an array (a test checks this). Rows
+    with fewer positions than table entries take that measure_many call
+    themselves, so no call holds an array of m entries.
 
     An offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of
     the float path by an ulp or so, so p1 can differ from that path's by
@@ -305,16 +336,25 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     to p1."""
     import numpy as np
 
-    p1 = table.p1
-    if p1 is not None and p1.size <= offsets.size:
-        if table.coins is None:
-            return (rng.random(offsets.shape) < p1.take(offsets)).view("u1")
-        index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
-        index += uniform_bits(rng, index.size).reshape(index.shape)
-        np.right_shift(table.coins, index, out=index)
-        index &= 1
-        return index
-    return measure_many(offsets * table.step, -table.shift, rng)
+    p1, positions = table.p1, offsets.shape[1]
+    if p1 is None or p1.size > positions:
+        return np.stack([measure_many(row * table.step, -table.shift, rng)
+                         for row, rng in zip(offsets, rngs)])
+    if table.coins is None:
+        # Two buffers, not one of twice the size, keep each under glibc's
+        # mmap threshold at the workload's rows. The offsets lie in [0, 2m),
+        # so take's clip mode clips nothing; it writes straight into `p`,
+        # where the default mode buffers a copy.
+        outcomes = np.empty(offsets.shape, bool)
+        u, p = np.empty(positions), np.empty(positions)
+        for row, out, rng in zip(offsets, outcomes, rngs):
+            np.less(rng.random(out=u), p1.take(row, out=p, mode="clip"), out=out)
+        return outcomes.view("u1")
+    index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
+    index += uniform_bit_rows(rngs, positions)
+    np.right_shift(table.coins, index, out=index)
+    index &= 1
+    return index
 
 
 def _coin_outcomes(table: np.ndarray) -> int | None:

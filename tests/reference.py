@@ -154,7 +154,10 @@ class GivenDraws:
     def __init__(self, draws, seed):
         self.draws, self.rng = np.asarray(draws), np.random.default_rng(seed)
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = self.random(out.shape)
+            return out
         self.rng.random(shape)
         return np.resize(self.draws, shape)
 
@@ -308,6 +311,14 @@ def word_bits(rng, shape) -> np.ndarray:
 def integer_bits(rng, n: int) -> np.ndarray:
     """n uniform bits: the first n bits of ceil(n/64) words."""
     return word_bits(rng, (-(-n // 64),))[:n]
+
+
+def draw_below_rows(p: float, rngs, n: int):
+    """draw_below(p, n, rng) for each generator, stacked as rows; None at
+    p <= 0, where no row draws and every row is all false."""
+    if p <= 0:
+        return None
+    return np.stack([draw_below(p, n, rng) for rng in rngs])
 
 
 def draw_below(p: float, shape, rng) -> np.ndarray:

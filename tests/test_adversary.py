@@ -37,11 +37,13 @@ from keyedqkd import (
 import keyedqkd.adversary
 import keyedqkd.qubits
 from keyedqkd.adversary import (
+    BLOCK_BYTES,
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
     TRIAL_CHUNK,
     _block_guess_chunk,
     _chunk_rngs,
+    _decoding_flips,
     _key_guess_error,
     _guess_round,
     _key_guess_successes,
@@ -49,13 +51,15 @@ from keyedqkd.adversary import (
     _map_chunks,
     _resend_round,
     _resend_tables,
+    _round_blocks,
+    _row_counts,
     _state_attack,
     _state_attack_counts,
     _state_round,
 )
 from keyedqkd.analysis import binomial_ci
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
-                             measure_many, uniform_bits)
+                             measure_many, uniform_bit_rows, uniform_bits)
 
 import reference
 from reference import GivenDraws, key_angles, key_guess_successes
@@ -76,14 +80,29 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
 
 
 def state_round(strategy, config, channel, rng):
-    """One intercept or fixed-basis round against `config`'s keyed bases."""
+    """One intercept or fixed-basis round against `config`'s keyed bases: the
+    counts of a block of one row, as ints."""
     attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-    return _state_attack_counts(attack, channel, rng)
+    flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+    return tuple(int(c[0]) for c in _state_attack_counts(attack, flips, channel, (rng,)))
 
 
 def guess_key(config):
     """What every key-guess round against `config` shares."""
     return _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
+
+
+def guess_round(config, guess_bits, rng):
+    """One key-guess round under `guess_bits`, a block of one row: (her
+    bit-error rate, user errors, detected count)."""
+    eve_error, errors, detected = _guess_round(config, guess_key(config), [guess_bits], (rng,))
+    return float(eve_error[0]), int(errors[0]), int(detected[0])
+
+
+def one_row(arrays, n):
+    """A one-row block's arrays as one round's: row 0 of each, and an
+    all-true mask of n entries for a detected mask of None."""
+    return tuple(np.ones(n, bool) if a is None else a[0] for a in arrays)
 
 
 def table_of(monkeypatch, p1, positions):
@@ -246,25 +265,23 @@ class TestKeyGuess:
 
     def test_correct_guess_is_invisible(self):
         config = lfsr_config(n=4096)
-        eve_err, errors, detected = _guess_round(
-            config, guess_key(config), config.keystream.seed.bits, np.random.default_rng(10))
+        eve_err, errors, detected = guess_round(
+            config, config.keystream.seed.bits, np.random.default_rng(10))
         assert eve_err == 0.0 and errors == 0 and detected == config.n
 
     def test_wrong_guess_leaves_errors(self):
         config = lfsr_config(n=4096)
         wrong = SeedKey.from_string("01101011")
         assert wrong != config.keystream.seed
-        eve_err, errors, detected = _guess_round(config, guess_key(config), wrong.bits,
-                                                 np.random.default_rng(11))
+        eve_err, errors, detected = guess_round(config, wrong.bits, np.random.default_rng(11))
         assert eve_err > 0.1 and errors / detected > 0.1
 
     def test_all_zero_guess_measures_in_basis_zero(self):
         # State 0 expands to zeros: every qubit is measured at angle 0, which
         # errs on the half of the qubits keyed to pi/4, half of the time.
         config = lfsr_config(n=20000)
-        eve_err, errors, detected = _guess_round(
-            config, guess_key(config), (0,) * len(config.keystream.seed),
-            np.random.default_rng(12))
+        eve_err, errors, detected = guess_round(
+            config, (0,) * len(config.keystream.seed), np.random.default_rng(12))
         sigma = math.sqrt(0.25 * 0.75 / config.n)
         assert abs(eve_err - 0.25) < 4 * sigma and abs(errors / detected - 0.25) < 4 * sigma
 
@@ -317,7 +334,7 @@ class TestKeyGuess:
         counts = []
         for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
             guess = uniform_bits(chunk_rng, 8)
-            counts.append(_guess_round(config, guess_key(config), guess, chunk_rng)[1:])
+            counts.append(guess_round(config, guess, chunk_rng)[1:])
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0
         assert report.induced_qber.estimate == errors / detected
@@ -354,8 +371,7 @@ class TestKeyGuess:
     def test_nothing_detected_reads_null(self):
         config = lfsr_config(n=4, loss=0.999)
         guess = SeedKey.from_string("01101011")
-        assert _guess_round(config, guess_key(config), guess.bits,
-                            np.random.default_rng(0))[1:] == (0, 0)
+        assert guess_round(config, guess.bits, np.random.default_rng(0))[1:] == (0, 0)
         report = attack_key_guess(config, np.random.default_rng(0), trials=3)
         assert report.induced_qber is None and report.to_json_dict()["induced_qber"] is None
 
@@ -517,7 +533,8 @@ class TestInlineInterference:
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
         got = transmit_round(config, rng, measure_resend_interference(strategy))
         attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-        _, (alice, _, bob, detected) = _state_round(attack, channel, ref_rng)
+        _, arrays = _state_round(attack, channel, (ref_rng,))
+        alice, _, bob, detected = one_row(arrays, config.n)
         positions = np.flatnonzero(detected)
         _same_arrays(got, (alice[positions], bob[positions], positions))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -721,15 +738,23 @@ def _same_arrays(got, want):
 
 
 def _recording_eve_bases(seen):
-    """The library's _eve_bases, appending the attacked positions of each round to `seen`."""
+    """The library's _eve_bases, appending the attacked positions of each block to `seen`."""
     real = keyedqkd.adversary._eve_bases
 
-    def eve_bases(strategy, n, rng):
-        attacked, codes = real(strategy, n, rng)
+    def eve_bases(strategy, n, rngs):
+        attacked, codes = real(strategy, n, rngs)
         seen.append(attacked)
         return attacked, codes
 
     return eve_bases
+
+
+def _reference_eve_bases(strategy, n, rngs):
+    """reference.eve_bases for a block, one generator per row: the index
+    arrays, which every row of a block shares, and one row of codes each."""
+    rows = [reference.eve_bases(strategy, n, rng) for rng in rngs]
+    assert all(np.array_equal(attacked, rows[0][0]) for attacked, _ in rows)
+    return rows[0][0], np.stack([codes for _, codes in rows])
 
 
 class TestCodedKernels:
@@ -744,9 +769,9 @@ class TestCodedKernels:
         """Records, per measure_codes call, whether it took the table branch."""
         seen = []
 
-        def spy(table, offsets, rng):
-            seen.append(table.p1 is not None and table.p1.size <= offsets.size)
-            return measure_codes(table, offsets, rng)
+        def spy(table, offsets, rngs):
+            seen.append(table.p1 is not None and table.p1.size <= offsets.shape[1])
+            return measure_codes(table, offsets, rngs)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -783,7 +808,7 @@ class TestCodedKernels:
             guess_bits = np.random.default_rng(100 + seed).integers(0, 2, 8)
             guess = SeedKey(tuple(int(b) for b in guess_bits))
             guessed = dataclasses.replace(config, keystream=LfsrKeystream(spec, guess))
-            got = _guess_round(config, guess_key(config), guess.bits, rng)
+            got = guess_round(config, guess.bits, rng)
             bases = reference.basis_angles(m)
             alice, outcome, bob, detected = reference.resend_round(
                 key_angles(config), channel, key_angles(guessed), slice(None), ref_rng,
@@ -798,9 +823,9 @@ class TestCodedKernels:
         """Records the dtype of the offsets of every measure_codes call."""
         seen = []
 
-        def spy(table, offsets, rng):
+        def spy(table, offsets, rngs):
             seen.append(offsets.dtype)
-            return measure_codes(table, offsets, rng)
+            return measure_codes(table, offsets, rngs)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -829,8 +854,8 @@ class TestCodedKernels:
         mask = draw.random(n) < 0.4
         for attacked in (mask, np.flatnonzero(mask), slice(None))[0 if phi is None else 2:]:
             rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = _resend_round(_resend_tables(m, n, phi), key_codes, eve_codes, attacked,
-                                channel, rng)
+            got = one_row(_resend_round(_resend_tables(m, n, phi), key_codes, eve_codes,
+                                        attacked, channel, (rng,)), n)
             want = reference.resend_round(key_angles[key_codes], channel, eve_angles, attacked,
                                           ref_rng, (key_angles, eve_bases))
             _same_arrays(got, want)
@@ -858,8 +883,9 @@ class TestCodedKernels:
         strategy, seen = AttackStrategy.parse("intercept"), []
         monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", _recording_eve_bases(seen))
         fast = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
-        assert seen == [slice(None)] * 5
-        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", reference.eve_bases)
+        # The five rounds of 600 positions run as one block.
+        assert seen == [slice(None)]
+        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", _reference_eve_bases)
         assert fast == run_attack(strategy, config, np.random.default_rng(8), trials=5,
                                   threads=threads)
 
@@ -869,7 +895,7 @@ class TestCodedKernels:
         config = dataclasses.replace(lfsr_config(n=4000), channel=channel)
         hook = measure_resend_interference(AttackStrategy.parse("intercept"))
         seen, runs = [], []
-        for eve_bases in (_recording_eve_bases(seen), reference.eve_bases):
+        for eve_bases in (_recording_eve_bases(seen), _reference_eve_bases):
             monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", eve_bases)
             rng = np.random.default_rng(23)
             outcome = run_protocol(config, rng, interference=hook)
@@ -904,7 +930,7 @@ class TestCodedKernels:
         table = table_of(monkeypatch, p1, codes.size)
         monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
         rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
-        got = measure_codes(table, codes, rng)
+        got = measure_codes(table, codes.reshape(1, -1), (rng,))[0]
         want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
@@ -925,8 +951,8 @@ class TestCodedKernels:
         table, per_position = OffsetTable(m, shift, offsets.size), OffsetTable(m, shift, 0)
         assert table.p1 is not None and table.coins is None and per_position.p1 is None
         rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
-        _same_arrays([measure_codes(table, offsets, rng)],
-                     [measure_codes(per_position, offsets, ref_rng)])
+        _same_arrays([measure_codes(table, offsets.reshape(1, -1), (rng,))],
+                     [measure_codes(per_position, offsets.reshape(1, -1), (ref_rng,))])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -937,8 +963,8 @@ class TestCodedKernels:
         guess = np.random.default_rng(2).integers(0, 16, config.n)
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            got = _resend_round(_resend_tables(16, config.n), config.key_selectors(),
-                                guess, attacked, channel, rng)
+            got = one_row(_resend_round(_resend_tables(16, config.n), config.key_selectors(),
+                                        guess, attacked, channel, (rng,)), config.n)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng, (bases, bases))
             _same_arrays(got, want)
@@ -970,7 +996,8 @@ class TestCodedKernels:
         eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
         assert report.eve_bit_error == binomial_ci(eve_err, eve_tot)
         assert report.induced_qber == binomial_ci(user_err, user_tot)
-        assert table_use == [False] * 2 * trials
+        # One block of the three rounds, whose two measurements are per position.
+        assert table_use == [False] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -1040,7 +1067,7 @@ class TestSharedTables:
     @pytest.mark.parametrize("text,m", CASES)
     def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
         shared = []
-        for name in ("_state_attack", "_key_guess_target", "_resend_tables"):
+        for name in ("_state_attack", "_decoding_flips", "_key_guess_target", "_resend_tables"):
             real = getattr(keyedqkd.adversary, name)
 
             def spy(*args, real=real, **kwargs):
@@ -1082,6 +1109,203 @@ class TestSharedTables:
         assert one == two
 
 
+def _same_state(a, b) -> bool:
+    """Generator states equal, array entries (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestRoundBlocks:
+    """Attack rounds run in blocks, one row and one child generator per
+    round: each step of a block is one numpy call over all its rows, and a
+    block gives each round the counts, and leaves each generator in the
+    state, that the same kernel gives on that round alone, a block of one
+    row."""
+
+    CHANNELS = [ChannelModel(), ChannelModel(loss=0.3), ChannelModel(flip_prob=0.1)]
+    CHANNEL_IDS = ["noiseless", "lossy", "flipping"]
+
+    # (m, n): tables of 2m <= n entries, the coin table of intercept and
+    # key guessing at m = 2 and doubles elsewhere, rows of doubles past
+    # one compare piece at n = 9000, and per-position measurements at
+    # m = 1024 and 2^16 with n = 300 < 2m.
+    PATHS = [(2, 700), (2, 9000), (16, 700), (1024, 2100), (1024, 300), (2 ** 16, 300)]
+
+    @staticmethod
+    def kernel(text, config):
+        """The block kernel of strategy `text` against `config`, a function of
+        the generators of its rows; key guessing draws each row's guess first."""
+        strategy = AttackStrategy.parse(text)
+        if strategy.kind == "key_guess":
+            attack = guess_key(config)
+
+            def guess_rounds(rngs):
+                guesses = [uniform_bits(rng, len(config.keystream.seed)) for rng in rngs]
+                return _guess_round(config, attack, guesses, rngs)
+
+            return guess_rounds
+        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+        flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+        return partial(_state_attack_counts, attack, flips, config.channel)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
+                             ids=["pcg64", "mt19937"])
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("m,n", PATHS)
+    @pytest.mark.parametrize("text", ["breidbart", "fixed:0.3", "fixed:1.2", "intercept",
+                                      "keyguess"])
+    def test_a_block_gives_each_round_its_own_counts(self, text, m, n, channel, bit_generator):
+        config = dataclasses.replace(lfsr_config(n=n, m=m, **DENSE_KEY), channel=channel)
+        kernel = self.kernel(text, config)
+        block = [np.random.Generator(bit_generator(seed)) for seed in range(3)]
+        alone = [np.random.Generator(bit_generator(seed)) for seed in range(3)]
+        got = kernel(block)
+        assert all(len(counts) == 3 for counts in got)
+        for row, rng in enumerate(alone):
+            want = kernel((rng,))
+            assert [counts[row] for counts in got] == [counts[0] for counts in want], row
+            assert _same_state(block[row].bit_generator.state, rng.bit_generator.state), row
+
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("text,m", [
+        ("breidbart", 2), ("breidbart", 16), ("fixed:0.3", 2), ("fixed:1.2", 2),
+        ("intercept", 2), ("intercept:0.5", 2), ("keyguess", 2), ("keyguess", 16)])
+    def test_reports_equal_one_round_per_block_at_one_and_two_threads(self, monkeypatch, text,
+                                                                       m, channel):
+        # 13 rounds of 12 500 uint8 codes: blocks of 5, 5 and 3 rounds,
+        # except intercept below fraction 1, whose rounds attack different
+        # numbers of positions and run one to a block.
+        config = dataclasses.replace(lfsr_config(n=12_500, m=m, **DENSE_KEY), channel=channel)
+        strategy = AttackStrategy.parse(text)
+        sizes, real = [], keyedqkd.adversary._resend_round
+
+        def spy(*args):
+            sizes.append(len(args[-1]))
+            return real(*args)
+
+        def attack(threads):
+            return run_attack(strategy, config, np.random.default_rng(40), trials=13,
+                              threads=threads)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_resend_round", spy)
+        blocked = attack(1)
+        assert sizes == ([1] * 13 if strategy.fraction < 1.0 else [5, 5, 3])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert attack(2) == blocked
+        finally:
+            sys.setswitchinterval(interval)
+        sizes.clear()
+        monkeypatch.setattr(keyedqkd.adversary, "BLOCK_BYTES", 1)
+        assert attack(1) == blocked
+        assert sizes == [1] * 13
+
+    def test_block_sizes_depend_on_the_rounds_and_their_bytes_alone(self):
+        def sizes(trials, row_bytes):
+            blocks = _round_blocks(np.random.default_rng(0), trials, row_bytes)
+            return [len(rngs) for (rngs,) in blocks]
+
+        # The attacks workload: 16 rounds of 12 500 uint8 codes.
+        assert sizes(16, 12_500) == [4] * 4
+        assert sizes(13, 12_500) == [5, 5, 3]
+        assert sizes(16, 25_000) == [2] * 8
+        assert sizes(6, 4096) == [6]
+        assert sizes(1, 10 ** 6) == [1]
+        assert sizes(5, BLOCK_BYTES) == [1] * 5
+        # Every block holds at most BLOCK_BYTES of codes.
+        for trials in range(1, 40):
+            for row_bytes in (1, 300, 4096, 12_500, 40_000):
+                assert max(sizes(trials, row_bytes)) * row_bytes <= max(BLOCK_BYTES, row_bytes)
+        # The rows' generators are _chunk_rngs' children, in order.
+        children = [rng for _, rng in _chunk_rngs(np.random.default_rng(3), 13, chunk=1)]
+        rows = [rng for (rngs,) in _round_blocks(np.random.default_rng(3), 13, 12_500)
+                for rng in rngs]
+        assert [rng.random() for rng in children] == [rng.random() for rng in rows]
+
+    def test_blocks_are_grouped_lazily(self):
+        rng = np.random.default_rng(3)
+        (first,) = next(_round_blocks(rng, 10 ** 18, BLOCK_BYTES))
+        assert len(first) == 1
+        # Only the first piece of seeds was drawn from the caller's generator.
+        reference = np.random.default_rng(3)
+        reference.integers(0, 2 ** 63, size=SEED_DRAW)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5])
+    def test_rejects_a_bad_trial_count(self, trials):
+        with pytest.raises(ValueError, match="trials must be"):
+            next(_round_blocks(np.random.default_rng(0), trials, 100))
+
+
+class TestCertainMasks:
+    """A probability of 0 draws, builds and reads no mask, and a full
+    interception draws no attack mask; draws and outputs stay the same."""
+
+    def test_a_noiseless_channel_draws_nothing(self):
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        assert ChannelModel().draw(rngs, 100) == (None, None)
+        lost, flipped = ChannelModel(loss=0.3).draw(rngs, 100)
+        assert lost.shape == (3, 100) and flipped is None
+        lost, flipped = ChannelModel(flip_prob=0.1).draw(rngs, 100)
+        assert lost is None and flipped.shape == (3, 100)
+        for seed, rng in enumerate(rngs):
+            want = np.random.default_rng(seed)
+            want.random(100), want.random(100)
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_a_round_that_loses_nothing_has_no_detected_mask(self):
+        config = lfsr_config(n=500)
+        attack = _state_attack(AttackStrategy.parse("breidbart"), config.alphabet,
+                               config.key_selectors())
+        _, (*_, detected) = _state_round(attack, ChannelModel(flip_prob=0.1),
+                                         (np.random.default_rng(0),))
+        assert detected is None
+        _, (*_, detected) = _state_round(attack, ChannelModel(loss=0.1),
+                                         (np.random.default_rng(0),))
+        assert detected.shape == (1, 500)
+
+    def test_full_interception_draws_no_attack_mask(self, monkeypatch):
+        def no_mask(*args):
+            raise AssertionError("a mask was drawn at fraction 1")
+
+        monkeypatch.setattr(keyedqkd.adversary, "uniform_below", no_mask)
+        rngs = (np.random.default_rng(0), np.random.default_rng(1))
+        attacked, codes = keyedqkd.adversary._eve_bases(AttackStrategy.parse("intercept"), 64,
+                                                        rngs)
+        assert attacked == slice(None) and codes.shape == (2, 64)
+
+    @pytest.mark.parametrize("text", ["breidbart", "fixed:1.2", "intercept:0.5"])
+    def test_only_the_monte_carlo_attack_builds_decoding_flips(self, monkeypatch, text):
+        from keyedqkd import measure_resend_interference, run_protocol
+        built, real = [], keyedqkd.adversary._decoding_flips
+
+        def spy(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(keyedqkd.adversary, "_decoding_flips", spy)
+        strategy, config = AttackStrategy.parse(text), lfsr_config(n=4000)
+        run_protocol(config, np.random.default_rng(0),
+                     interference=measure_resend_interference(strategy))
+        assert built == []
+        run_attack(strategy, config, np.random.default_rng(0), trials=2)
+        assert len(built) == 1
+        assert (built[0] is not None) == (text == "fixed:1.2")
+
+
+@pytest.mark.parametrize("width", [1, 15, 255, 256, 300])
+def test_row_counts_equal_count_nonzero(width):
+    # Random rows, and all-ones rows whose counts reach the row width.
+    bits = (np.random.default_rng(width).random((70, width)) < 0.5).view(np.uint8)
+    bits[:3] = 1
+    for rows in (bits, bits.view(bool)):
+        counts = _row_counts(rows)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.count_nonzero(rows, axis=1))
+
+
 class TestCoinDraws:
     """measure_codes draws one bit per position, not one double, when every
     entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2 and the
@@ -1094,7 +1318,8 @@ class TestCoinDraws:
         """measure_codes on a table of the entries `p1` at offsets `codes`, and
         the generator it drew from."""
         rng = np.random.default_rng(seed)
-        return measure_codes(table_of(monkeypatch, p1, codes.size), codes, rng), rng
+        got = measure_codes(table_of(monkeypatch, p1, codes.size), codes.reshape(1, -1), (rng,))
+        return got.reshape(codes.shape), rng
 
     @pytest.mark.parametrize("shift", [0.0, PI / 8, -PI / 8, PI / 4, -PI / 4, 0.3])
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
@@ -1144,10 +1369,10 @@ class TestCoinDraws:
         rng = np.random.default_rng(18)
         if coins:
             p1 = np.tile([0.0, 0.5, 1.0, 0.5], 64)
-            got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets, rng)
+            got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets[None], (rng,))[0]
             want = (np.random.default_rng(18).random(offsets.size) < p1[offsets]).view(np.uint8)
         else:
-            got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets, rng)
+            got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets[None], (rng,))[0]
             want = reference.measure_many_snapped(offsets * (PI / 2 / 128), 0.0,
                                                   np.random.default_rng(18))
         _same_arrays([got], [want])
@@ -1180,8 +1405,8 @@ class TestCoinDraws:
         # lattice, from the table that intercept reads.
         positions = 2 ** 20
         offsets = np.full(positions, 3, dtype=np.uint8)
-        ones = int(measure_codes(OffsetTable(2, 0.0, positions), offsets,
-                                 np.random.default_rng(14)).sum())
+        ones = int(measure_codes(OffsetTable(2, 0.0, positions), offsets[None],
+                                 (np.random.default_rng(14),)).sum())
         assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
 
     @pytest.fixture
@@ -1190,11 +1415,11 @@ class TestCoinDraws:
         draws go through its imported name and are not counted."""
         seen = []
 
-        def spy(rng, n):
+        def spy(rngs, n):
             seen.append(n)
-            return uniform_bits(rng, n)
+            return uniform_bit_rows(rngs, n)
 
-        monkeypatch.setattr(keyedqkd.qubits, "uniform_bits", spy)
+        monkeypatch.setattr(keyedqkd.qubits, "uniform_bit_rows", spy)
         return seen
 
     @pytest.mark.parametrize("m,text,coins", [
@@ -1210,7 +1435,7 @@ class TestCoinDraws:
     def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
         config = lfsr_config(n=2500, m=m, flip=0.1)
         guess = SeedKey.from_string("01101100")
-        _guess_round(config, guess_key(config), guess.bits, np.random.default_rng(16))
+        guess_round(config, guess.bits, np.random.default_rng(16))
         assert len(coin_draws) == coins
 
 

@@ -21,7 +21,7 @@ from keyedqkd import (
 
 from keyedqkd.adversary import _key_guess_successes, _key_guess_target
 from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
-from keyedqkd.qubits import uniform_below, uniform_bits
+from keyedqkd.qubits import uniform_below, uniform_below_rows, uniform_bit_rows, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
                        lfsr_reference, primitive_tap_sets, selectors_matmul, word_bits)
@@ -507,3 +507,33 @@ class TestUniformDraws:
                 assert mask.all() or not p >= 1.0, (p, shape)
                 assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, shape)
                 assert rng.integers(0, 2) == ref.integers(0, 2), (p, shape)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS + [SubclassedPCG64])
+    def test_each_row_draws_what_its_generator_alone_would(self, bit_generator, pending):
+        # Three rows, each from its own generator: row r holds the bits, or
+        # the mask, that a one-generator call on generator r gives, and
+        # leaves it in the same state.
+        for n in (0, 1, 63, 65, 12_500):
+            for p in (None, 0.0, 0.3, 1.0):
+                rows = [twin_generators(bit_generator, pending) for _ in range(3)]
+                for _, rng in rows[1:]:
+                    rng.random(5)  # generators in different states
+                for ref, _ in rows[1:]:
+                    ref.random(5)
+                rngs = [rng for _, rng in rows]
+                if p is None:
+                    got = uniform_bit_rows(rngs, n)
+                    want = [uniform_bits(ref, n) for ref, _ in rows]
+                else:
+                    got = uniform_below_rows(p, rngs, n)
+                    want = [uniform_below(p, (n,), ref) for ref, _ in rows]
+                if p == 0.0:
+                    assert got is None
+                else:
+                    assert got.shape == (3, n) and got.dtype == want[0].dtype
+                    for row, expected in zip(got, want):
+                        assert np.array_equal(row, expected), (n, p)
+                for ref, rng in rows:
+                    assert same_state(rng.bit_generator.state, ref.bit_generator.state), (n, p)
+                    assert rng.random() == ref.random(), (n, p)

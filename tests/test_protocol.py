@@ -33,7 +33,7 @@ from keyedqkd import (
 import keyedqkd.protocol
 from keyedqkd.protocol import bits_to_hex
 
-from reference import draw_below, integer_bits, lfsr_reference, toeplitz_hash_direct
+from reference import draw_below_rows, integer_bits, lfsr_reference, toeplitz_hash_direct
 
 M2 = BasisAlphabet(2)
 LFSR16 = LfsrKeystream(LfsrSpec.from_text("16:16,15,13,4"), SeedKey.from_string("1011001110001111"))
@@ -458,7 +458,7 @@ def with_reference_draws(monkeypatch, run):
     fast_rng = np.random.default_rng(2024)
     fast = run(fast_rng)
     monkeypatch.setattr(keyedqkd.protocol, "uniform_bits", integer_bits)
-    monkeypatch.setattr(keyedqkd.protocol, "uniform_below", draw_below)
+    monkeypatch.setattr(keyedqkd.protocol, "uniform_below_rows", draw_below_rows)
     ref_rng = np.random.default_rng(2024)
     return fast, run(ref_rng), fast_rng.bit_generator.state, ref_rng.bit_generator.state
 

@@ -6,6 +6,7 @@ harness warms it first). Run from the root of a checkout, pinned to one CPU:
 
     PYTHONPATH=src python tools/plain_loop.py --n 100000 --ops 100 --cpu 1
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --cpu 1
+    PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --threads 2
 
 `keygen` (the default) runs `run_protocol` on the benchmark's keygen-small
 config (m = 2, LFSR `64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64,
@@ -15,13 +16,15 @@ median CPU and wall seconds per op, the mean minor faults per op and the
 process's peak RSS in MB.
 
 `attacks` runs the attacks workload's four `run_attack` calls back to back
-at threads = 1: breidbart and intercept (16 trials) and keyguess (1e5
-trials, 16 simulated transmissions) on the noiseless LFSR config at n
-(default 12 500), and blockguess:3 (2.5e4 trials) on the repetition key
-`10011010` at n = 40. Attack i of op k draws from
-`np.random.default_rng([seed, 4k + i])`, as in the workload. It prints one
-JSON object: n, ops, per strategy the median CPU and wall milliseconds per
-attack and the mean minor faults per attack, and the peak RSS in MB.
+at `--threads` (default 1; the workload runs 2): breidbart and intercept
+(16 trials) and keyguess (1e5 trials, 16 simulated transmissions) on the
+noiseless LFSR config at n (default 12 500), and blockguess:3 (2.5e4
+trials) on the repetition key `10011010` at n = 40. Attack i of op k draws
+from `np.random.default_rng([seed, 4k + i])`, as in the workload. It prints
+one JSON object: n, threads, ops, per strategy the median CPU and wall
+milliseconds per attack and the mean minor faults per attack, and the peak
+RSS in MB. To compare threads = 1 with threads = 2, run it once at each,
+unpinned; the CPU time of a two-thread attack is summed over its threads.
 
 In both modes the `--warmup` ops run first and are not counted. CPU seconds
 (user + system) and minor faults are the changes in the process's own
@@ -94,11 +97,12 @@ def attacks(args) -> dict:
     for k in range(args.warmup + args.ops):
         for i, (text, strategy, config, trials) in enumerate(jobs):
             rng = np.random.default_rng([args.seed, k * len(jobs) + i])
-            _, *measured = timed(lambda: run_attack(strategy, config, rng, trials=trials))
+            _, *measured = timed(lambda: run_attack(strategy, config, rng, trials=trials,
+                                                    threads=args.threads))
             if k >= args.warmup:
                 for values, count in zip(counts[text], measured):
                     values.append(count)
-    return {"n": lfsr.n, "ops": args.ops, "attacks": {
+    return {"n": lfsr.n, "threads": args.threads, "ops": args.ops, "attacks": {
         text: {"cpu_median_ms": 1e3 * statistics.median(cpu),
                "wall_median_ms": 1e3 * statistics.median(wall),
                "minflt_per_attack": statistics.fmean(faults)}
@@ -113,6 +117,7 @@ def main() -> None:
     parser.add_argument("--warmup", type=int, default=3, help="untimed ops before them")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cpu", type=int, help="pin this process to one CPU")
+    parser.add_argument("--threads", type=int, default=1, help="attack worker threads (attacks)")
     args = parser.parse_args()
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
