@@ -64,6 +64,20 @@ CASES = [
     ("attack-fixed-0.3-m1024.json",
      ["attack", "fixed:0.3", "--config", "{golden}/lfsr-m1024.json",
       "--trials", "16", "--seed", "1025"], 0),
+    # A lossy channel, so the detected mask is drawn and read; fixed:1.2
+    # lies past pi/4 of basis 0, so its decoding flips are read too.
+    ("attack-fixed-1.2-lossy.json",
+     ["attack", "fixed:1.2", "--config", "{golden}/lfsr-m2-lossy.json",
+      "--trials", "16", "--seed", "2001"], 0),
+    ("attack-intercept-0.5-lossy.json",
+     ["attack", "intercept:0.5", "--config", "{golden}/lfsr-m2-lossy.json",
+      "--trials", "16", "--seed", "2002"], 0),
+    ("attack-keyguess-lossy.json",
+     ["attack", "keyguess", "--config", "{golden}/lfsr-m2-lossy.json",
+      "--trials", "2000", "--seed", "2003"], 0),
+    ("attack-blockguess-3-lossy.json",
+     ["attack", "blockguess:3", "--config", "{golden}/repetition-lossy.json",
+      "--trials", "5000", "--seed", "2004"], 0),
     ("sweep.csv", ["sweep", "--m", "2,4,8,16"], 0),
 ]
 
