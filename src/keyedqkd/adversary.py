@@ -40,7 +40,7 @@ from .qubits import (
     measure_many,  # not called here: perfbench's trace wraps this module's binding
     require_integer,
     require_real,
-    uniform_below,
+    uniform_below_rows,
     uniform_bit_rows,
     uniform_bits,
     uniform_words,
@@ -235,32 +235,43 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
 
 
 @dataclass(frozen=True)
-class _ResendTables:
-    """What every measure-resend round against m keyed bases shares, built
-    once per attack by _resend_tables and read by every round and thread:
-    m, the code dtype of its states and offsets, and its two OffsetTables,
-    `eve` (keyed states in the attacker's bases) and `bob` (keyed or resent
-    states, turned by a channel flip, in the keyed bases)."""
+class _Attack:
+    """What every measure-resend round of one attack shares, built once by
+    _attack and read by every round and thread: m, the code dtype of its
+    states and offsets, its OffsetTables `eve` (keyed states in the
+    attacker's bases) and `bob` (keyed or resent states, turned by a
+    channel flip, in the keyed bases), the keyed codes (None for block
+    guessing), a fixed basis's codes, all 0 (None otherwise), and
+    intercept's attacked fraction (1 for every other attack)."""
 
     m: int
     code: np.dtype
     eve: OffsetTable
     bob: OffsetTable
+    key_codes: np.ndarray | None
+    zeros: np.ndarray | None
+    fraction: float
 
 
-def _resend_tables(m: int, positions: int, phi: float | None = None) -> _ResendTables:
-    """The _ResendTables of rounds that measure at most `positions`
-    positions at once, for an attacker whose bases lie on the keyed
-    lattice (phi None), whose one table serves both measurements, or for
-    a fixed basis at phi: the attacker reads keyed states at shift -phi
-    and the receiver her resent states at +phi. The code dtype is the
-    narrowest unsigned type that holds 2m - 1, the largest state code and
-    offset."""
+def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
+            selectors: np.ndarray | None = None) -> _Attack:
+    """The read-only _Attack of `strategy` (None for block guessing) on m
+    keyed bases, whose rounds measure at most `positions` positions at once,
+    with a round's keyed `selectors`, if any. An attacker on the keyed
+    lattice shares one table between both measurements; against a fixed
+    basis at phi, she reads keyed states at shift -phi and the receiver her
+    resent states at +phi. The code dtype is the narrowest unsigned type
+    that holds 2m - 1, the largest state code and offset."""
+    phi = strategy.phi if strategy is not None and strategy.kind == "fixed_basis" else None
     if phi is None:
         eve = bob = OffsetTable(m, 0.0, positions)
     else:
         eve, bob = OffsetTable(m, -phi, positions), OffsetTable(m, phi, positions)
-    return _ResendTables(m, np.min_scalar_type(2 * m - 1), eve, bob)
+    code = np.min_scalar_type(2 * m - 1)
+    return _Attack(m, code, eve, bob,
+                   None if selectors is None else _read_only(selectors.astype(code)),
+                   None if phi is None else _read_only(np.zeros(positions, np.uint8)),
+                   1.0 if strategy is None else strategy.fraction)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -269,7 +280,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
+def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
                   channel: ChannelModel, rngs):
     """A block of transmissions, one row per generator of `rngs`, with
     measure-resend on the positions of each row that `attacked` (indices,
@@ -285,7 +296,7 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
     b, and each measurement reads the offset (state + m*flip - basis) mod
     2m through qubits.measure_codes with the attack's prebuilt tables, so a
     block does only per-position work. The offsets come from wrapping
-    arithmetic in the tables' code dtype and & (2m - 1): 2m divides the
+    arithmetic in the attack's code dtype and & (2m - 1): 2m divides the
     dtype's range, and every code, below 2m, casts into it exactly.
     Returns (rows, positions) arrays: alice bits, eve outcomes (on attacked
     positions), bob bits, and the detected mask, None when the channel
@@ -294,7 +305,7 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
     Key codes in the code dtype, as every attack passes them, are not
     copied.
     """
-    m, code, lattice = tables.m, tables.code, 2 * tables.m - 1
+    m, code, lattice = attack.m, attack.code, 2 * attack.m - 1
     key_codes = key_codes.astype(code, copy=False)
     n = key_codes.shape[-1]
     alice = uniform_bit_rows(rngs, n)
@@ -305,7 +316,7 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
     offsets, eve_codes = state[:, attacked], eve_codes[..., attacked]
     np.subtract(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
     offsets &= lattice
-    outcome = measure_codes(tables.eve, offsets, rngs)
+    outcome = measure_codes(attack.eve, offsets, rngs)
     np.multiply(outcome, m, out=offsets, dtype=code)
     np.add(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
     state[:, attacked] = offsets
@@ -314,25 +325,8 @@ def _resend_round(tables: _ResendTables, key_codes, eve_codes, attacked,
         state += np.multiply(flipped, m, dtype=code)
     state -= key_codes
     state &= lattice
-    bob = measure_codes(tables.bob, state, rngs)
+    bob = measure_codes(attack.bob, state, rngs)
     return alice, outcome, bob, None if lost is None else ~lost
-
-
-def _eve_bases(strategy: AttackStrategy, n: int, rngs):
-    """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
-    lattice, one row per generator, for a block of intercept rounds.
-
-    The positions are slice(None) at fraction 1, which draws no mask, so no
-    n-element index array is gathered or scattered; otherwise they are the
-    indices that one round attacks, and the block holds that round alone,
-    as rounds attack different numbers of positions.
-    """
-    if strategy.fraction < 1.0:
-        (rng,) = rngs
-        attacked = np.flatnonzero(uniform_below(strategy.fraction, (n,), rng))
-    else:
-        attacked = slice(None)
-    return attacked, uniform_bit_rows(rngs, n)
 
 
 def _row_counts(bits: np.ndarray) -> np.ndarray:
@@ -346,42 +340,23 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(row) for row in bits], dtype=np.int64)
 
 
-def _user_counts(alice, bob, detected):
-    """(user errors, detected positions) of each row of a block, as int64
-    arrays; a detected mask of None detects every position. Overwrites
-    `bob` with the errors."""
-    wrong = np.bitwise_xor(bob, alice, out=bob)
-    if detected is None:
-        return _row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64)
-    wrong &= detected
-    return _row_counts(wrong), _row_counts(detected)
-
-
-@dataclass(frozen=True)
-class _StateAttack:
-    """What every round of a measure-resend attack shares, built once by
-    _state_attack and read-only: the strategy, the resend tables, the keyed
-    codes in their code dtype, and for a fixed basis its round-invariant
-    attacked positions and basis codes (every position, code 0), None for
-    intercept and key guessing, whose rounds draw them."""
-
-    strategy: AttackStrategy
-    tables: _ResendTables
-    key_codes: np.ndarray
-    fixed: tuple | None
-
-
-def _state_attack(strategy: AttackStrategy, alphabet: BasisAlphabet,
-                  selectors: np.ndarray) -> _StateAttack:
-    """The _StateAttack of `strategy` against the keyed bases `selectors`
-    of `alphabet`, one per position of a round. Key guessing shares only
-    the lattice tables and the keyed codes."""
-    phi = fixed = None
-    if strategy.kind == "fixed_basis":
-        phi = strategy.phi
-        fixed = slice(None), _read_only(np.zeros(selectors.size, dtype=np.uint8))
-    tables = _resend_tables(alphabet.m, selectors.size, phi)
-    return _StateAttack(strategy, tables, _read_only(selectors.astype(tables.code)), fixed)
+def _counts(alice, outcome, bob, detected, attacked=slice(None), flips=None):
+    """(her bit errors, attacked positions, user errors, detected
+    positions) of each row of a block of _resend_round's arrays, as int64
+    arrays: her outcomes on the `attacked` positions, each flipped where
+    her decoding `flips` (_decoding_flips; not read when None) are set, and
+    the receiver's bits on the detected positions, every position for a
+    detected mask of None, each against the sent bits. Overwrites `outcome`
+    and `bob` with the errors."""
+    wrong = np.bitwise_xor(outcome, alice[:, attacked], out=outcome)
+    if flips is not None:
+        wrong ^= flips[attacked]
+    user = np.bitwise_xor(bob, alice, out=bob)
+    if detected is not None:
+        user &= detected
+    return (_row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64), _row_counts(user),
+            np.full(len(user), user.shape[1], np.int64) if detected is None
+            else _row_counts(detected))
 
 
 def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
@@ -402,29 +377,26 @@ def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
     return _read_only(flips) if flips.any() else None
 
 
-def _state_round(attack: _StateAttack, channel: ChannelModel, rngs):
+def _state_round(attack: _Attack, channel: ChannelModel, rngs):
     """One block of intercept or fixed-basis measure-resend rounds, one row
-    per generator: (attacked positions, _resend_round's arrays). Intercept
-    measures in the bases at 0 and pi/4, lattice codes 0 and m/2, at every
-    m. Every table comes prebuilt with `attack`, so the block does only
-    per-position work."""
-    tables = attack.tables
-    attacked, eve_codes = attack.fixed or _eve_bases(attack.strategy, attack.key_codes.size, rngs)
-    if attack.fixed is None and tables.m != 2:
-        eve_codes = np.multiply(eve_codes, tables.m // 2, dtype=tables.code)
-    return attacked, _resend_round(tables, attack.key_codes, eve_codes, attacked, channel, rngs)
-
-
-def _state_attack_counts(attack: _StateAttack, flips, channel: ChannelModel, rngs):
-    """One _state_round block: (her bit errors, attacked positions, user
-    errors, detected positions), each an int64 array of one count per row.
-    Her decoding `flips` (_decoding_flips) are not read at all when None."""
-    attacked, (alice, outcome, bob, detected) = _state_round(attack, channel, rngs)
-    wrong = np.bitwise_xor(outcome, alice[:, attacked], out=outcome)
-    if flips is not None:
-        wrong ^= flips[attacked]
-    return (_row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64),
-            *_user_counts(alice, bob, detected))
+    per generator: _resend_round's arrays and the attacked positions, in
+    _counts' order. A fixed basis attacks every position at code 0.
+    Intercept draws her bases at 0 and pi/4, lattice codes 0 and m/2, at
+    every m; at fraction 1 she attacks slice(None), which draws no mask, so
+    no n-element index array is gathered or scattered; below it she first
+    draws the indices one round attacks (slice(0), no draw, at fraction 0),
+    and the block holds that round alone, as rounds attack different
+    numbers of positions."""
+    attacked, eve_codes = slice(None), attack.zeros
+    if eve_codes is None:
+        n = attack.key_codes.size
+        if attack.fraction < 1.0:
+            mask = uniform_below_rows(attack.fraction, rngs, n)
+            attacked = slice(0) if mask is None else np.flatnonzero(mask)
+        eve_codes = uniform_bit_rows(rngs, n)
+        if attack.m != 2:
+            eve_codes = np.multiply(eve_codes, attack.m // 2, dtype=attack.code)
+    return *_resend_round(attack, attack.key_codes, eve_codes, attacked, channel, rngs), attacked
 
 
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
@@ -441,11 +413,14 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
-    attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+
+    def counts(rngs):
+        return _counts(*_state_round(attack, config.channel, rngs), flips)
+
     row_bytes = attack.key_codes.nbytes if strategy.fraction == 1.0 else BLOCK_BYTES
-    parts = _map_chunks(partial(_state_attack_counts, attack, flips, config.channel),
-                        _round_blocks(rng, trials, row_bytes), threads)
+    parts = _map_chunks(counts, _round_blocks(rng, trials, row_bytes), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(int(p[i].sum()) for p in parts)
                                             for i in range(4))
     return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
@@ -501,31 +476,29 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     )
 
 
-def _guess_round(config: ProtocolConfig, attack: _StateAttack, guesses, rngs):
+def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rngs):
     """One block of rounds, row r under the guessed seed bits guesses[r]
     (any 0/1 sequence) and drawing from rngs[r], against the key-guess
-    _StateAttack `attack` of `config`: (her bit-error rate, user errors,
-    detected count), each an array of one entry per row. An all-zero guess
-    expands to the all-zero stream (the attacker is free to guess a
+    _Attack `attack` of `config`: the _counts of the block. An all-zero
+    guess expands to the all-zero stream (the attacker is free to guess a
     degenerate seed)."""
-    guess_codes = np.empty((len(guesses), config.n), attack.tables.code)
+    guess_codes = np.empty((len(guesses), config.n), attack.code)
     for row, guess_bits in zip(guess_codes, guesses):
         bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
                             config.n * config.alphabet.bits_per_selector)
         row[...] = expand_running_key(bits, config.n, config.alphabet).selectors
-    alice, outcome, bob, detected = _resend_round(
-        attack.tables, attack.key_codes, guess_codes, slice(None), config.channel, rngs)
-    eve_error = _row_counts(np.bitwise_xor(outcome, alice, out=outcome)) / config.n
-    return eve_error, *_user_counts(alice, bob, detected)
+    return _counts(*_resend_round(attack, attack.key_codes, guess_codes, slice(None),
+                                  config.channel, rngs))
 
 
 def _key_guess_target(seed_bits: np.ndarray):
     """(seed words, mask words): the L seed bits packed as ceil(L/64) uint64
     words, lowest first, and the mask of the L low bits packed the same
-    way, read-only. Built once per attack for _key_guess_successes."""
-    width = -(-seed_bits.size // 64)
-    return (_read_only(_packed(bits_int(seed_bits), width)),
-            _read_only(_packed((1 << seed_bits.size) - 1, width)))
+    way, read-only, as views of immutable bytes. Built once per attack for
+    _key_guess_successes."""
+    size = 8 * -(-seed_bits.size // 64)
+    return tuple(np.frombuffer(value.to_bytes(size, "little"), "<u8")
+                 for value in (bits_int(seed_bits), (1 << seed_bits.size) - 1))
 
 
 def _key_guess_successes(target, count: int, rng: np.random.Generator) -> int:
@@ -545,11 +518,6 @@ def _key_guess_successes(target, count: int, rng: np.random.Generator) -> int:
     for column in words.T[1:]:
         misses |= column
     return count - int(np.count_nonzero(misses))
-
-
-def _packed(value: int, width: int) -> np.ndarray:
-    """The low 64 * width bits of `value` as `width` uint64 words, lowest first."""
-    return np.array([value >> 64 * i & (1 << 64) - 1 for i in range(width)], dtype=np.uint64)
 
 
 def _key_guess_error(m: int) -> float:
@@ -594,7 +562,7 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
                                 _chunk_rngs(rng, trials), threads))
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
-    attack = _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
+    attack = _attack(config.alphabet.m, config.n, selectors=config.key_selectors())
 
     def round_kernel(rngs):
         return _guess_round(config, attack, [uniform_bits(r, length) for r in rngs], rngs)
@@ -602,8 +570,8 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     blocks = _map_chunks(round_kernel,
                          _round_blocks(rng, qubit_trials, attack.key_codes.nbytes), threads)
     # Her rates add up round by round, in order, as Python floats.
-    eve_err_sum = sum(rate for b in blocks for rate in b[0].tolist())
-    user_errors, detected = (sum(int(b[i].sum()) for b in blocks) for i in (1, 2))
+    eve_err_sum = sum(rate for b in blocks for rate in (b[0] / config.n).tolist())
+    user_errors, detected = (sum(int(b[i].sum()) for b in blocks) for i in (2, 3))
     return AttackReport(
         strategy="keyguess",
         trials=trials, qubits=config.n,
@@ -632,22 +600,23 @@ class BlockGuessTrials:
     attacked_detected: np.ndarray
 
 
-def _block_guess_chunk(count: int, rng: np.random.Generator, tables: _ResendTables,
+def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
                        k_blocks: int, block_len: int, channel: ChannelModel):
     """`count` block-guess trials: (success flags, user errors, attacker errors,
     detected positions), the errors and positions per trial as in
     BlockGuessTrials. The users' key blocks and the attacker's guesses come
-    from one bit draw; `tables` are the two-basis resend tables that every
-    chunk of the attack shares."""
+    from one bit draw; `attack` holds the two-basis tables that every chunk
+    of the attack shares."""
     key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
     success = _row_counts(guesses ^ key_blocks) == 0
     # The chunk is one row of a resend block, as its trials draw from one
     # generator in C order, and splits into one row per trial after it.
-    alice, outcome, bob, detected = (a if a is None else a.reshape(count, -1) for a in _resend_round(
-        tables, np.repeat(key_blocks, block_len, axis=1).reshape(1, -1),
-        np.repeat(guesses, block_len, axis=1).reshape(1, -1), slice(None), channel, (rng,)))
-    errors, detected = _user_counts(alice, bob, detected)
-    return success, errors, _row_counts(np.bitwise_xor(outcome, alice, out=outcome)), detected
+    arrays = _resend_round(attack, np.repeat(key_blocks, block_len, axis=1).reshape(1, -1),
+                           np.repeat(guesses, block_len, axis=1).reshape(1, -1), slice(None),
+                           channel, (rng,))
+    eve_errors, _, errors, detected = _counts(*(a if a is None else a.reshape(count, -1)
+                                                for a in arrays))
+    return success, errors, eve_errors, detected
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -668,9 +637,8 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     block_len = n // m_k
     # The first chunk is the largest: it sizes the tables.
     chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
-    tables = _resend_tables(2, chunk * k_blocks * block_len)
-    kernel = partial(_block_guess_chunk, tables=tables, k_blocks=k_blocks, block_len=block_len,
-                     channel=channel or ChannelModel())
+    kernel = partial(_block_guess_chunk, attack=_attack(2, chunk * k_blocks * block_len),
+                     k_blocks=k_blocks, block_len=block_len, channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
     return BlockGuessTrials(
         success=np.concatenate([p[0] for p in parts]),
@@ -756,8 +724,8 @@ def measure_resend_interference(strategy: AttackStrategy):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
     def interfere(config: ProtocolConfig, rng: np.random.Generator):
-        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-        _, (alice, _, bob, detected) = _state_round(attack, config.channel, (rng,))
+        attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
+        alice, _, bob, detected, _ = _state_round(attack, config.channel, (rng,))
         return alice[0], bob[0], np.ones(config.n, bool) if detected is None else detected[0]
 
     return interfere

@@ -250,8 +250,7 @@ class RunningKey:
         """Wrap int64 selectors in [0, m) that no other code references.
 
         expand_running_key builds its selectors fresh and in range, so it hands
-        them over here without the second 8n-byte copy; copying them cost
-        keygen-small about 4 % of its rate.
+        them over here without the second 8n-byte copy.
         """
         selectors.setflags(write=False)
         key = object.__new__(cls)

@@ -252,17 +252,18 @@ def transmit_round(config: ProtocolConfig, rng: np.random.Generator, interferenc
 
     The sender draws n uniform bits and sends them across keyed_channel.
     `interference`, if given, makes the whole transmission in their place:
-    a callable (config, rng) -> (alice bits, bob bits, detected mask), three
-    arrays of one entry per qubit. It is the hook an eavesdropper uses to
-    measure and resend in-line with a full run
-    (adversary.measure_resend_interference).
+    a callable (config, rng) -> (alice bits, bob bits, detected mask), a
+    tuple or list of three arrays of one entry per qubit; any other return
+    raises ValueError. It is the hook an eavesdropper uses to measure and
+    resend in-line with a full run (adversary.measure_resend_interference).
     """
     if interference is None:
         alice = uniform_bits(rng, config.n)
         _, bob, detected = keyed_channel(config, alice, rng)
     else:
         sent = interference(config, rng)
-        if len(sent) != 3 or any(np.shape(a) != (config.n,) for a in sent):
+        if (not isinstance(sent, (tuple, list)) or len(sent) != 3
+                or any(np.shape(a) != (config.n,) for a in sent)):
             raise ValueError("interference must return three arrays of one entry per qubit")
         alice, bob, detected = sent
     detected = np.flatnonzero(detected)
@@ -352,7 +353,7 @@ def _toeplitz_hash(bits: np.ndarray, out_len: int, seed: np.ndarray) -> np.ndarr
     seg = np.rint(window)
     if np.abs(window - seg).max() > 0.25:
         raise ArithmeticError("FFT convolution lost integer exactness")
-    # Parity by an integer AND: a float remainder takes about 20 times as long.
+    # Parity by an integer AND, not a float remainder.
     return (seg.astype(np.int64) & 1).astype(np.uint8)
 
 

@@ -196,29 +196,18 @@ def uniform_bit_rows(rngs, n: int) -> np.ndarray:
                          bitorder="little")
 
 
-def uniform_below(p: float, shape, rng: np.random.Generator) -> np.ndarray:
-    """rng.random(shape) < p, except that p <= 0 and p >= 1 draw nothing:
-    uniforms lie in [0, 1), so the mask is then all false or all true."""
-    import numpy as np
-
-    if p <= 0.0 or p >= 1.0:
-        return np.full(shape, p >= 1.0)
-    return rng.random(shape) < p
-
-
 def uniform_below_rows(p: float, rngs, n: int) -> np.ndarray | None:
-    """The (len(rngs), n) mask whose row r is uniform_below(p, (n,), rngs[r]),
-    or None at p <= 0, where every row is all false: nothing is drawn or
-    built, and a caller skips the pass that would read the mask."""
+    """The (len(rngs), n) mask whose row r is rngs[r].random(n) < p, one
+    double per element, or None at p <= 0, where every row is all false:
+    nothing is drawn or built, and a caller skips the pass that would read
+    the mask."""
     import numpy as np
 
     if p <= 0.0:
         return None
-    if len(rngs) == 1:
-        return uniform_below(p, (1, n), rngs[0])
     mask = np.empty((len(rngs), n), bool)
     for row, rng in zip(mask, rngs):
-        row[...] = uniform_below(p, (n,), rng)
+        np.less(rng.random(n), p, out=row)
     return mask
 
 

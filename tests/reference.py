@@ -294,7 +294,7 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
             np.sum(detected, axis=1))
 
 
-# The draw contract of uniform_bits and uniform_below, rebuilt with shifts
+# The draw contract of uniform_bits and uniform_below_rows, rebuilt with shifts
 # over the raw bytes, and selector and jump-table code as it was before the
 # keygen kernels.
 

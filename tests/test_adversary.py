@@ -41,8 +41,10 @@ from keyedqkd.adversary import (
     MAX_QUBIT_TRIALS,
     SEED_DRAW,
     TRIAL_CHUNK,
+    _attack,
     _block_guess_chunk,
     _chunk_rngs,
+    _counts,
     _decoding_flips,
     _key_guess_error,
     _guess_round,
@@ -50,11 +52,8 @@ from keyedqkd.adversary import (
     _key_guess_target,
     _map_chunks,
     _resend_round,
-    _resend_tables,
     _round_blocks,
     _row_counts,
-    _state_attack,
-    _state_attack_counts,
     _state_round,
 )
 from keyedqkd.analysis import binomial_ci
@@ -82,21 +81,21 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
 def state_round(strategy, config, channel, rng):
     """One intercept or fixed-basis round against `config`'s keyed bases: the
     counts of a block of one row, as ints."""
-    attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-    return tuple(int(c[0]) for c in _state_attack_counts(attack, flips, channel, (rng,)))
+    return tuple(int(c[0]) for c in _counts(*_state_round(attack, channel, (rng,)), flips))
 
 
 def guess_key(config):
     """What every key-guess round against `config` shares."""
-    return _state_attack(AttackStrategy("key_guess"), config.alphabet, config.key_selectors())
+    return _attack(config.alphabet.m, config.n, selectors=config.key_selectors())
 
 
 def guess_round(config, guess_bits, rng):
     """One key-guess round under `guess_bits`, a block of one row: (her
     bit-error rate, user errors, detected count)."""
-    eve_error, errors, detected = _guess_round(config, guess_key(config), [guess_bits], (rng,))
-    return float(eve_error[0]), int(errors[0]), int(detected[0])
+    eve_errors, _, errors, detected = _guess_round(config, guess_key(config), [guess_bits], (rng,))
+    return float(eve_errors[0] / config.n), int(errors[0]), int(detected[0])
 
 
 def one_row(arrays, n):
@@ -532,8 +531,8 @@ class TestInlineInterference:
         strategy = AttackStrategy.parse(text)
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
         got = transmit_round(config, rng, measure_resend_interference(strategy))
-        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
-        _, arrays = _state_round(attack, channel, (ref_rng,))
+        attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
+        *arrays, _ = _state_round(attack, channel, (ref_rng,))
         alice, _, bob, detected = one_row(arrays, config.n)
         positions = np.flatnonzero(detected)
         _same_arrays(got, (alice[positions], bob[positions], positions))
@@ -737,24 +736,24 @@ def _same_arrays(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def _recording_eve_bases(seen):
-    """The library's _eve_bases, appending the attacked positions of each block to `seen`."""
-    real = keyedqkd.adversary._eve_bases
+def _recording_state_round(seen):
+    """The library's _state_round, appending the attacked positions of each block to `seen`."""
+    real = keyedqkd.adversary._state_round
 
-    def eve_bases(strategy, n, rngs):
-        attacked, codes = real(strategy, n, rngs)
-        seen.append(attacked)
-        return attacked, codes
+    def state_round(attack, channel, rngs):
+        arrays = real(attack, channel, rngs)
+        seen.append(arrays[-1])
+        return arrays
 
-    return eve_bases
+    return state_round
 
 
-def _reference_eve_bases(strategy, n, rngs):
-    """reference.eve_bases for a block, one generator per row: the index
-    arrays, which every row of a block shares, and one row of codes each."""
-    rows = [reference.eve_bases(strategy, n, rng) for rng in rngs]
-    assert all(np.array_equal(attacked, rows[0][0]) for attacked, _ in rows)
-    return rows[0][0], np.stack([codes for _, codes in rows])
+def _index_path(attack, key_codes, eve_codes, attacked, channel, rngs):
+    """The library's _resend_round, which attacks the positions of a slice
+    through the index array of every position it selects."""
+    if isinstance(attacked, slice):
+        attacked = np.arange(key_codes.shape[-1])[attacked]
+    return _resend_round(attack, key_codes, eve_codes, attacked, channel, rngs)
 
 
 class TestCodedKernels:
@@ -854,8 +853,9 @@ class TestCodedKernels:
         mask = draw.random(n) < 0.4
         for attacked in (mask, np.flatnonzero(mask), slice(None))[0 if phi is None else 2:]:
             rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = one_row(_resend_round(_resend_tables(m, n, phi), key_codes, eve_codes,
-                                        attacked, channel, (rng,)), n)
+            attack = _attack(m, n, None if phi is None else AttackStrategy("fixed_basis", phi=phi))
+            got = one_row(_resend_round(attack, key_codes, eve_codes, attacked, channel, (rng,)),
+                          n)
             want = reference.resend_round(key_angles[key_codes], channel, eve_angles, attacked,
                                           ref_rng, (key_angles, eve_bases))
             _same_arrays(got, want)
@@ -881,11 +881,11 @@ class TestCodedKernels:
     def test_full_interception_slice_equals_the_index_path(self, monkeypatch, channel, threads):
         config = dataclasses.replace(lfsr_config(n=600), channel=channel)
         strategy, seen = AttackStrategy.parse("intercept"), []
-        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", _recording_eve_bases(seen))
+        monkeypatch.setattr(keyedqkd.adversary, "_state_round", _recording_state_round(seen))
         fast = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
         # The five rounds of 600 positions run as one block.
         assert seen == [slice(None)]
-        monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", _reference_eve_bases)
+        monkeypatch.setattr(keyedqkd.adversary, "_resend_round", _index_path)
         assert fast == run_attack(strategy, config, np.random.default_rng(8), trials=5,
                                   threads=threads)
 
@@ -895,13 +895,14 @@ class TestCodedKernels:
         config = dataclasses.replace(lfsr_config(n=4000), channel=channel)
         hook = measure_resend_interference(AttackStrategy.parse("intercept"))
         seen, runs = [], []
-        for eve_bases in (_recording_eve_bases(seen), _reference_eve_bases):
-            monkeypatch.setattr(keyedqkd.adversary, "_eve_bases", eve_bases)
+        monkeypatch.setattr(keyedqkd.adversary, "_state_round", _recording_state_round(seen))
+        for resend_round in (_resend_round, _index_path):
+            monkeypatch.setattr(keyedqkd.adversary, "_resend_round", resend_round)
             rng = np.random.default_rng(23)
             outcome = run_protocol(config, rng, interference=hook)
             runs.append((outcome.to_json_dict(), outcome.detected_positions.tolist(),
                          rng.bit_generator.state))
-        assert seen == [slice(None)]
+        assert seen == [slice(None)] * 2
         assert runs[0] == runs[1]
 
     # 200-qubit blocks give rows of 600 positions, whose counts pass 255; a
@@ -912,8 +913,8 @@ class TestCodedKernels:
     def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            tables = _resend_tables(2, count * 3 * block_len)
-            got = _block_guess_chunk(count, rng, tables, k_blocks=3, block_len=block_len,
+            attack = _attack(2, count * 3 * block_len)
+            got = _block_guess_chunk(count, rng, attack, k_blocks=3, block_len=block_len,
                                      channel=channel)
             _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -963,7 +964,7 @@ class TestCodedKernels:
         guess = np.random.default_rng(2).integers(0, 16, config.n)
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            got = one_row(_resend_round(_resend_tables(16, config.n), config.key_selectors(),
+            got = one_row(_resend_round(_attack(16, config.n), config.key_selectors(),
                                         guess, attacked, channel, (rng,)), config.n)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng, (bases, bases))
@@ -1067,7 +1068,7 @@ class TestSharedTables:
     @pytest.mark.parametrize("text,m", CASES)
     def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
         shared = []
-        for name in ("_state_attack", "_decoding_flips", "_key_guess_target", "_resend_tables"):
+        for name in ("_attack", "_decoding_flips", "_key_guess_target"):
             real = getattr(keyedqkd.adversary, name)
 
             def spy(*args, real=real, **kwargs):
@@ -1145,9 +1146,9 @@ class TestRoundBlocks:
                 return _guess_round(config, attack, guesses, rngs)
 
             return guess_rounds
-        attack = _state_attack(strategy, config.alphabet, config.key_selectors())
+        attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
         flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-        return partial(_state_attack_counts, attack, flips, config.channel)
+        return lambda rngs: _counts(*_state_round(attack, config.channel, rngs), flips)
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
                              ids=["pcg64", "mt19937"])
@@ -1257,24 +1258,28 @@ class TestCertainMasks:
 
     def test_a_round_that_loses_nothing_has_no_detected_mask(self):
         config = lfsr_config(n=500)
-        attack = _state_attack(AttackStrategy.parse("breidbart"), config.alphabet,
-                               config.key_selectors())
-        _, (*_, detected) = _state_round(attack, ChannelModel(flip_prob=0.1),
-                                         (np.random.default_rng(0),))
+        attack = _attack(2, config.n, AttackStrategy.parse("breidbart"), config.key_selectors())
+        *_, detected, _ = _state_round(attack, ChannelModel(flip_prob=0.1),
+                                       (np.random.default_rng(0),))
         assert detected is None
-        _, (*_, detected) = _state_round(attack, ChannelModel(loss=0.1),
-                                         (np.random.default_rng(0),))
+        *_, detected, _ = _state_round(attack, ChannelModel(loss=0.1), (np.random.default_rng(0),))
         assert detected.shape == (1, 500)
 
     def test_full_interception_draws_no_attack_mask(self, monkeypatch):
         def no_mask(*args):
             raise AssertionError("a mask was drawn at fraction 1")
 
-        monkeypatch.setattr(keyedqkd.adversary, "uniform_below", no_mask)
+        monkeypatch.setattr(keyedqkd.adversary, "uniform_below_rows", no_mask)
+        selectors = lfsr_config(n=64).key_selectors()
         rngs = (np.random.default_rng(0), np.random.default_rng(1))
-        attacked, codes = keyedqkd.adversary._eve_bases(AttackStrategy.parse("intercept"), 64,
-                                                        rngs)
-        assert attacked == slice(None) and codes.shape == (2, 64)
+        attack = _attack(2, 64, AttackStrategy.parse("intercept"), selectors)
+        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), rngs)
+        assert attacked == slice(None) and outcome.shape == (2, 64)
+        # At fraction 0 the mask is None, and she attacks nothing.
+        monkeypatch.undo()
+        attack = _attack(2, 64, AttackStrategy.parse("intercept:0"), selectors)
+        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), rngs[:1])
+        assert attacked == slice(0) and outcome.shape == (1, 0)
 
     @pytest.mark.parametrize("text", ["breidbart", "fixed:1.2", "intercept:0.5"])
     def test_only_the_monte_carlo_attack_builds_decoding_flips(self, monkeypatch, text):

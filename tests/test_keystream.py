@@ -21,7 +21,7 @@ from keyedqkd import (
 
 from keyedqkd.adversary import _key_guess_successes, _key_guess_target
 from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
-from keyedqkd.qubits import uniform_below, uniform_below_rows, uniform_bit_rows, uniform_bits
+from keyedqkd.qubits import uniform_below_rows, uniform_bit_rows, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
                        lfsr_reference, primitive_tap_sets, selectors_matmul, word_bits)
@@ -465,7 +465,7 @@ def twin_generators(bit_generator, pending):
 
 
 class TestUniformDraws:
-    """uniform_bits and uniform_below against the draw contract as tests/reference.py
+    """uniform_bits and uniform_below_rows against the draw contract as tests/reference.py
     rebuilds it, bits and state, with and without a pending 32-bit half."""
 
     @pytest.mark.parametrize("pending", [False, True])
@@ -495,18 +495,20 @@ class TestUniformDraws:
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_zero_probability_skips_the_draw_state_exactly(self, bit_generator, pending):
-        # p <= 0 and p >= 1 give constant masks and draw nothing, on every
-        # bit generator; 0 < p < 1 and NaN draw, and the state check holds
-        # them to rng.random's draws.
-        for p in (-0.5, 0.0, 0.3, 1.0, 1.5, math.nan):
-            for shape in ((0,), (1,), (1001,), (7, 3)):
+        # p <= 0 gives no mask and draws nothing, on every bit generator;
+        # every other p below 1, NaN included, draws one double per
+        # element, and the state check holds them to rng.random's draws.
+        for p in (-0.5, 0.0, 0.3, 0.999, math.nan):
+            for n in (0, 1, 1001):
                 ref, rng = twin_generators(bit_generator, pending)
-                expected, mask = draw_below(p, shape, ref), uniform_below(p, shape, rng)
-                assert mask.dtype == bool and mask.shape == shape
-                assert np.array_equal(mask, expected), (p, shape)
-                assert mask.all() or not p >= 1.0, (p, shape)
-                assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, shape)
-                assert rng.integers(0, 2) == ref.integers(0, 2), (p, shape)
+                mask = uniform_below_rows(p, (rng,), n)
+                if p <= 0.0:
+                    assert mask is None, p
+                else:
+                    assert mask.dtype == bool and mask.shape == (1, n)
+                    assert np.array_equal(mask, draw_below(p, (1, n), ref)), (p, n)
+                assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, n)
+                assert rng.integers(0, 2) == ref.integers(0, 2), (p, n)
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS + [SubclassedPCG64])
@@ -515,7 +517,7 @@ class TestUniformDraws:
         # the mask, that a one-generator call on generator r gives, and
         # leaves it in the same state.
         for n in (0, 1, 63, 65, 12_500):
-            for p in (None, 0.0, 0.3, 1.0):
+            for p in (None, 0.0, 0.3, 0.999):
                 rows = [twin_generators(bit_generator, pending) for _ in range(3)]
                 for _, rng in rows[1:]:
                     rng.random(5)  # generators in different states
@@ -527,7 +529,7 @@ class TestUniformDraws:
                     want = [uniform_bits(ref, n) for ref, _ in rows]
                 else:
                     got = uniform_below_rows(p, rngs, n)
-                    want = [uniform_below(p, (n,), ref) for ref, _ in rows]
+                    want = [draw_below(p, n, ref) for ref, _ in rows]
                 if p == 0.0:
                     assert got is None
                 else:

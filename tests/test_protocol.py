@@ -441,12 +441,15 @@ class TestTransmitRound:
         alice, bob, _ = transmit_round(config, np.random.default_rng(14))
         assert np.array_equal(alice, bob)
 
-    def test_rejects_interference_that_returns_short_arrays(self):
-        # The hook makes the whole transmission: three arrays of one entry
-        # per qubit, or a ValueError before any of them is read.
+    @pytest.mark.parametrize("returned", ["short", "none", "scalar", "iterator"])
+    def test_rejects_interference_that_returns_short_arrays(self, returned):
+        # The hook makes the whole transmission: a tuple or list of three
+        # arrays of one entry per qubit, or a ValueError before any of them
+        # is read.
         def interfere(config, rng):
             bits = np.zeros(config.n, dtype=np.uint8)
-            return bits, bits[:-1], np.ones(config.n, dtype=bool)
+            sent = bits, bits[:-1] if returned == "short" else bits, np.ones(config.n, dtype=bool)
+            return {"none": None, "scalar": 0, "iterator": iter(sent)}.get(returned, sent)
 
         with pytest.raises(ValueError, match="three arrays of one entry per qubit"):
             transmit_round(make_config(n=100), np.random.default_rng(15), interfere)
