@@ -269,6 +269,24 @@ def state_attack_counts(strategy, config, channel, rng):
             int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
 
 
+def key_guess_round(config, rng):
+    """One key-guessing round against `config`'s LFSR key over its channel:
+    (her bit-error rate, user errors, detected). Draws: her guess of the
+    seed, then the transmission; the guess's selectors come from the
+    recurrence, grouped big-endian, and an all-zero guess gives basis 0
+    everywhere."""
+    spec, n, m = config.keystream.spec, config.n, config.alphabet.m
+    k = m.bit_length() - 1
+    guess = integer_bits(rng, max(spec.taps))
+    selectors = selectors_matmul(lfsr_reference(spec.taps, guess, n * k), n, k)
+    bases = basis_angles(m)
+    alice, outcome, bob, detected = resend_round(key_angles(config), config.channel,
+                                                 bases[selectors], slice(None), rng,
+                                                 (bases, bases))
+    return (float(np.mean(outcome != alice)), int(np.sum((bob != alice) & detected)),
+            int(np.sum(detected)))
+
+
 def eve_bases(strategy, n: int, rng):
     """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
     lattice, of one intercept round as index arrays, even when every

@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keyedqkd import (
     AttackStrategy,
@@ -56,7 +57,7 @@ from keyedqkd.adversary import (
     _row_counts,
     _state_round,
 )
-from keyedqkd.analysis import binomial_ci
+from keyedqkd.analysis import ConfidenceInterval, binomial_ci
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
                              measure_many, uniform_bit_rows, uniform_bits)
 
@@ -1238,6 +1239,58 @@ class TestRoundBlocks:
     def test_rejects_a_bad_trial_count(self, trials):
         with pytest.raises(ValueError, match="trials must be"):
             next(_round_blocks(np.random.default_rng(0), trials, 100))
+
+
+def _children(rng, count):
+    """The child generators that run_attack seeds from `rng`, one per round."""
+    return [np.random.default_rng(seed) for seed in rng.integers(0, 2 ** 63, size=count).tolist()]
+
+
+@st.composite
+def attack_cases(draw):
+    """A run_attack case: (strategy, config, seed, trials, threads). Intercept
+    runs on the two-basis alphabet, at fractions 0 and 1 and between."""
+    kind = draw(st.sampled_from(["intercept", "breidbart", "fixed", "keyguess"]))
+    if kind == "intercept":
+        fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        strategy = AttackStrategy("intercept_resend_random", fraction=fraction)
+    elif kind == "fixed":
+        strategy = AttackStrategy("fixed_basis", phi=draw(st.floats(0.0, PI, exclude_max=True)))
+    else:
+        strategy = AttackStrategy.parse(kind)
+    m = 2 if kind == "intercept" else 2 ** draw(st.integers(1, 10))
+    config = lfsr_config(n=draw(st.integers(1, 300)), m=m, loss=draw(st.sampled_from([0.0, 0.2])),
+                         flip=draw(st.sampled_from([0.0, 0.1])))
+    return (strategy, config, draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 7)),
+            draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=attack_cases())
+def test_reports_equal_the_reference_on_the_same_streams(case):
+    # The statistics of run_attack's report, rebuilt from tests/reference.py's
+    # float-angle kernels drawing from the same child generators.
+    strategy, config, seed, trials, threads = case
+    report = run_attack(strategy, config, np.random.default_rng(seed), trials=trials,
+                        threads=threads)
+    rng = np.random.default_rng(seed)
+    if strategy.kind == "key_guess":
+        (chunk,) = _children(rng, 1)
+        successes = reference.key_guess_successes(config.keystream.seed.bits, trials, chunk)
+        rounds = [reference.key_guess_round(config, child) for child in _children(rng, trials)]
+        rate = sum(r[0] for r in rounds)
+        errors, detected = (sum(r[i] for r in rounds) for i in (1, 2))
+        want = (ConfidenceInterval(rate / trials, 4.0 * math.sqrt(0.25 / (trials * config.n))),
+                ConfidenceInterval(errors / detected, 4.0 * math.sqrt(0.25 / detected))
+                if detected else None,
+                binomial_ci(successes, trials))
+    else:
+        rounds = [reference.state_attack_counts(strategy, config, config.channel, child)
+                  for child in _children(rng, trials)]
+        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
+        want = (binomial_ci(eve_err, eve_tot) if eve_tot else None,
+                binomial_ci(user_err, user_tot) if user_tot else None, None)
+    assert (report.eve_bit_error, report.induced_qber, report.success_mc) == want
 
 
 class TestCertainMasks:
