@@ -11,7 +11,6 @@ the worker-thread count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import deque
@@ -40,8 +39,7 @@ from .qubits import (
     measure_many,  # not called here: perfbench's trace wraps this module's binding
     require_integer,
     require_real,
-    uniform_below_rows,
-    uniform_bit_rows,
+    uniform_below,
     uniform_bits,
     uniform_words,
 )
@@ -62,7 +60,8 @@ MAX_QUBIT_TRIALS = 16
 
 # Attack rounds run in blocks whose (rounds, positions) code array holds at
 # most this many bytes: half of glibc's default 128 KiB mmap threshold, so a
-# block's arrays come from the heap and its numpy calls stay few.
+# block's arrays come from the heap and its numpy calls stay few. A block's
+# rounds share one generator, so a change here moves multi-round draws.
 BLOCK_BYTES = 1 << 16
 
 
@@ -191,22 +190,15 @@ def _trial_count(trials) -> int:
     return int(trials)
 
 
-def _round_blocks(rng: np.random.Generator, trials: int, row_bytes: int):
-    """Yield (generators,) per block of rounds, lazily: the child generators
-    of _chunk_rngs(rng, trials, chunk=1), one per round, in order, B to a
-    block and the last block possibly shorter.
-
-    A block holds at most BLOCK_BYTES // row_bytes rows of `row_bytes`
-    bytes, one at least, and B spreads the rounds evenly over as few blocks
-    as that allows (4 for 16 rows of 12 500 bytes), so B depends on the
-    trial count and the row alone, never on the thread count.
-    """
+def _block_size(trials: int, row_bytes: int) -> int:
+    """B, the rounds to a block of _chunk_rngs(rng, trials, B) for rows of
+    `row_bytes`: at most BLOCK_BYTES // row_bytes, one at least, spread
+    evenly over as few blocks as that allows (4 for 16 rows of 12 500
+    bytes), so B, and with it every draw, depends on the trial count and
+    the row alone, never on the thread count."""
     trials = _trial_count(trials)
     most = max(1, BLOCK_BYTES // row_bytes)
-    size = -(-trials // -(-trials // most))
-    rounds = (child for _, child in _chunk_rngs(rng, trials, chunk=1))
-    while block := tuple(itertools.islice(rounds, size)):
-        yield (block,)
+    return -(-trials // -(-trials // most))
 
 
 def _map_chunks(kernel, chunks, threads: int) -> list:
@@ -281,12 +273,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
-                  channel: ChannelModel, rngs):
-    """A block of transmissions, one row per generator of `rngs`, with
-    measure-resend on the positions of each row that `attacked` (indices,
-    a mask or a slice along the rows) selects. Row r draws from rngs[r]
-    exactly what a block of that row alone would, and each step is one
-    numpy call over the block.
+                  channel: ChannelModel, count: int, rng: np.random.Generator):
+    """A block of `count` transmissions, one per row, with measure-resend
+    on the positions of each row that `attacked` (indices, a mask or a
+    slice along the rows) selects. Each step is one numpy call over the
+    block and draws for all its rows from `rng` in C order, so a block of
+    one row draws what one round does.
 
     `key_codes` are the keyed selectors and `eve_codes` the attacker's
     bases on the keyed lattice, or 0 for a fixed basis, whose angle the
@@ -308,7 +300,7 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
     m, code, lattice = attack.m, attack.code, 2 * attack.m - 1
     key_codes = key_codes.astype(code, copy=False)
     n = key_codes.shape[-1]
-    alice = uniform_bit_rows(rngs, n)
+    alice = uniform_bits(rng, (count, n))
     state = np.multiply(alice, m, dtype=code)
     state += key_codes
     # Her resent states replace the attacked ones, so their offsets, and
@@ -316,16 +308,16 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
     offsets, eve_codes = state[:, attacked], eve_codes[..., attacked]
     np.subtract(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
     offsets &= lattice
-    outcome = measure_codes(attack.eve, offsets, rngs)
+    outcome = measure_codes(attack.eve, offsets, rng)
     np.multiply(outcome, m, out=offsets, dtype=code)
     np.add(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
     state[:, attacked] = offsets
-    lost, flipped = channel.draw(rngs, n)
+    lost, flipped = channel.draw(rng, state.shape)
     if flipped is not None:
         state += np.multiply(flipped, m, dtype=code)
     state -= key_codes
     state &= lattice
-    bob = measure_codes(attack.bob, state, rngs)
+    bob = measure_codes(attack.bob, state, rng)
     return alice, outcome, bob, None if lost is None else ~lost
 
 
@@ -377,9 +369,9 @@ def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
     return _read_only(flips) if flips.any() else None
 
 
-def _state_round(attack: _Attack, channel: ChannelModel, rngs):
-    """One block of intercept or fixed-basis measure-resend rounds, one row
-    per generator: _resend_round's arrays and the attacked positions, in
+def _state_round(attack: _Attack, channel: ChannelModel, count: int, rng: np.random.Generator):
+    """A block of `count` intercept or fixed-basis measure-resend rounds:
+    _resend_round's arrays and the attacked positions, in
     _counts' order. A fixed basis attacks every position at code 0.
     Intercept draws her bases at 0 and pi/4, lattice codes 0 and m/2, at
     every m; at fraction 1 she attacks slice(None), which draws no mask, so
@@ -391,12 +383,13 @@ def _state_round(attack: _Attack, channel: ChannelModel, rngs):
     if eve_codes is None:
         n = attack.key_codes.size
         if attack.fraction < 1.0:
-            mask = uniform_below_rows(attack.fraction, rngs, n)
+            mask = uniform_below(attack.fraction, rng, n)
             attacked = slice(0) if mask is None else np.flatnonzero(mask)
-        eve_codes = uniform_bit_rows(rngs, n)
+        eve_codes = uniform_bits(rng, (count, n))
         if attack.m != 2:
             eve_codes = np.multiply(eve_codes, attack.m // 2, dtype=attack.code)
-    return *_resend_round(attack, attack.key_codes, eve_codes, attacked, channel, rngs), attacked
+    return (*_resend_round(attack, attack.key_codes, eve_codes, attacked, channel, count, rng),
+            attacked)
 
 
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
@@ -407,7 +400,7 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     by likelihood: keep the outcome when her basis is within pi/4 of the
     keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
     attacker is never off by more than pi/4, so her outcome stands.
-    The rounds run in blocks (_round_blocks), but those of intercept at a
+    The rounds run in blocks (_block_size), but those of intercept at a
     fraction below 1, which attack different numbers of positions, run
     one to a block.
     Returns (her bit error over attacked positions, user error over detected
@@ -416,11 +409,11 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
 
-    def counts(rngs):
-        return _counts(*_state_round(attack, config.channel, rngs), flips)
+    def counts(count, rng):
+        return _counts(*_state_round(attack, config.channel, count, rng), flips)
 
     row_bytes = attack.key_codes.nbytes if strategy.fraction == 1.0 else BLOCK_BYTES
-    parts = _map_chunks(counts, _round_blocks(rng, trials, row_bytes), threads)
+    parts = _map_chunks(counts, _chunk_rngs(rng, trials, _block_size(trials, row_bytes)), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(int(p[i].sum()) for p in parts)
                                             for i in range(4))
     return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
@@ -476,10 +469,10 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     )
 
 
-def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rngs):
-    """One block of rounds, row r under the guessed seed bits guesses[r]
-    (any 0/1 sequence) and drawing from rngs[r], against the key-guess
-    _Attack `attack` of `config`: the _counts of the block. An all-zero
+def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.random.Generator):
+    """A block of rounds, row r under the guessed seed bits guesses[r]
+    (any 0/1 sequence), drawing from `rng` against the key-guess _Attack
+    `attack` of `config`: the _counts of the block. An all-zero
     guess expands to the all-zero stream (the attacker is free to guess a
     degenerate seed)."""
     guess_codes = np.empty((len(guesses), config.n), attack.code)
@@ -488,7 +481,7 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rngs):
                             config.n * config.alphabet.bits_per_selector)
         row[...] = expand_running_key(bits, config.n, config.alphabet).selectors
     return _counts(*_resend_round(attack, attack.key_codes, guess_codes, slice(None),
-                                  config.channel, rngs))
+                                  config.channel, len(guesses), rng))
 
 
 def _key_guess_target(seed_bits: np.ndarray):
@@ -564,11 +557,11 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
     attack = _attack(config.alphabet.m, config.n, selectors=config.key_selectors())
 
-    def round_kernel(rngs):
-        return _guess_round(config, attack, [uniform_bits(r, length) for r in rngs], rngs)
+    def round_kernel(count, rng):
+        return _guess_round(config, attack, uniform_bits(rng, (count, length)), rng)
 
-    blocks = _map_chunks(round_kernel,
-                         _round_blocks(rng, qubit_trials, attack.key_codes.nbytes), threads)
+    block = _block_size(qubit_trials, attack.key_codes.nbytes)
+    blocks = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, block), threads)
     # Her rates add up round by round, in order, as Python floats.
     eve_err_sum = sum(rate for b in blocks for rate in (b[0] / config.n).tolist())
     user_errors, detected = (sum(int(b[i].sum()) for b in blocks) for i in (2, 3))
@@ -613,7 +606,7 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     # generator in C order, and splits into one row per trial after it.
     arrays = _resend_round(attack, np.repeat(key_blocks, block_len, axis=1).reshape(1, -1),
                            np.repeat(guesses, block_len, axis=1).reshape(1, -1), slice(None),
-                           channel, (rng,))
+                           channel, 1, rng)
     eve_errors, _, errors, detected = _counts(*(a if a is None else a.reshape(count, -1)
                                                 for a in arrays))
     return success, errors, eve_errors, detected
@@ -725,7 +718,7 @@ def measure_resend_interference(strategy: AttackStrategy):
 
     def interfere(config: ProtocolConfig, rng: np.random.Generator):
         attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        alice, _, bob, detected, _ = _state_round(attack, config.channel, (rng,))
+        alice, _, bob, detected, _ = _state_round(attack, config.channel, 1, rng)
         return alice[0], bob[0], np.ones(config.n, bool) if detected is None else detected[0]
 
     return interfere

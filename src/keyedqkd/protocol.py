@@ -21,7 +21,7 @@ from .analysis import h2, rate_window
 from .keystream import (MAX_SELECTOR_BITS, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey,
                         as_bits, bits_int, lfsr_bits)
 from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
-                     require_real, turn_by_bits, uniform_below_rows, uniform_bits)
+                     require_real, turn_by_bits, uniform_below, uniform_bits)
 
 # Idealized Shannon-limit reconciliation succeeds when the empirical error
 # entropy stays this far below the code redundancy 1 - R. Chosen so finite-n
@@ -50,12 +50,12 @@ class ChannelModel:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must lie in [0, 1), got {self.loss}")
 
-    def draw(self, rngs, n: int):
-        """(lost, flipped) for len(rngs) rows of n states, row r drawn from
-        rngs[r], its erasure draw before its flip draw: each a (rows, n)
-        mask, or None when its probability is 0, where no state is lost or
-        flipped and nothing is drawn."""
-        return uniform_below_rows(self.loss, rngs, n), uniform_below_rows(self.flip_prob, rngs, n)
+    def draw(self, rng: np.random.Generator, shape):
+        """(lost, flipped) for states of `shape`, n or (rows, n), the
+        erasure draw before the flip draw: each a mask of that shape, or
+        None when its probability is 0, where no state is lost or flipped
+        and nothing is drawn."""
+        return uniform_below(self.loss, rng, shape), uniform_below(self.flip_prob, rng, shape)
 
 
 @dataclass(frozen=True)
@@ -116,20 +116,20 @@ class ProtocolConfig:
     def from_json_dict(cls, doc: dict) -> "ProtocolConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config document must be a JSON object, got {doc!r}")
-        unknown = set(doc) - cls._JSON_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        _known(doc, "config", cls._JSON_FIELDS)
         try:
             ks_doc = _object(doc, "keystream")
             kind = _string(ks_doc, "kind")
             if kind == "lfsr":
+                _known(ks_doc, "keystream", ("kind", "spec", "seed"))
                 keystream = LfsrKeystream(LfsrSpec.from_text(_string(ks_doc, "spec")),
                                           SeedKey.from_string(_string(ks_doc, "seed")))
             elif kind == "repetition":
+                _known(ks_doc, "keystream", ("kind", "key"))
                 keystream = RepetitionKeystream(SeedKey.from_string(_string(ks_doc, "key")))
             else:
                 raise ValueError(f"unknown keystream kind {kind!r}")
-            channel = _object(doc, "channel")
+            channel = _known(_object(doc, "channel"), "channel", ("flip_prob", "loss"))
             return cls(
                 n=_integer(doc, "n"),
                 alphabet=BasisAlphabet(_integer(doc, "m")),
@@ -150,6 +150,13 @@ class ProtocolConfig:
     def key_selectors(self) -> np.ndarray:
         """Keyed basis index of every qubit: the running key's selectors."""
         return self.keystream.running_key(self.n, self.alphabet).selectors
+
+
+def _known(doc: dict, what: str, fields) -> dict:
+    """`doc`, whose keys must all be among `fields`; a stray one raises ValueError."""
+    if set(doc) - set(fields):
+        raise ValueError(f"unknown {what} fields: {sorted(set(doc) - set(fields))}")
+    return doc
 
 
 def _object(doc: dict, field: str) -> dict:
@@ -241,9 +248,9 @@ def keyed_channel(config: ProtocolConfig, bits, rng: np.random.Generator):
     """
     phi = config.alphabet.angle(config.key_selectors())
     theta = turn_by_bits(phi, bits)
-    lost, flipped = config.channel.draw((rng,), config.n)
-    received = theta if flipped is None else turn_by_bits(theta, flipped[0])
-    detected = np.ones(config.n, bool) if lost is None else ~lost[0]
+    lost, flipped = config.channel.draw(rng, config.n)
+    received = theta if flipped is None else turn_by_bits(theta, flipped)
+    detected = np.ones(config.n, bool) if lost is None else ~lost
     return theta, measure_many(received, phi, rng), detected
 
 

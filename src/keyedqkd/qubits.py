@@ -155,7 +155,7 @@ def turn_by_bits(angles, bits):
 
 def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """The uint64 words, and the state after them, of rng.integers(0, 2**64,
-    size=shape, dtype=np.uint64) for a tuple `shape`, by uniform_bit_rows' contract."""
+    size=shape, dtype=np.uint64) for a tuple `shape`, by uniform_bits' contract."""
     import numpy as np
 
     bits = rng.bit_generator
@@ -164,17 +164,11 @@ def uniform_words(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
 
 
-def uniform_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform bits as uint8 0/1: the one row of uniform_bit_rows((rng,), n)."""
-    return uniform_bit_rows((rng,), n)[0]
-
-
-def uniform_bit_rows(rngs, n: int) -> np.ndarray:
-    """A (len(rngs), n) uint8 array of uniform 0/1 bits, row r drawn from
-    rngs[r]: the first n bits of ceil(n/64) words of one uniform_words
-    draw per row, read as little-endian bytes and each byte from its low
-    bit up. A draw takes whole words, so a k-bit row consumes ceil(k/64)
-    of them. Several rows share one word buffer and one unpackbits call.
+def uniform_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform 0/1 bits as uint8, of `shape` n or (rows, n): each row the
+    first n bits of its ceil(n/64) whole words, read as little-endian bytes
+    and each byte from its low bit up, from one uniform_words draw of every
+    row's words in C order, which is what the rows drawn in turn would take.
 
     The words are those of rng.integers(0, 2**64, dtype=np.uint64), and so
     is the generator state after them, pending 32-bit half included. That
@@ -185,29 +179,25 @@ def uniform_bit_rows(rngs, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    shape = len(rngs), -(-n // 64)
-    if len(rngs) == 1:
-        words = uniform_words(rngs[0], shape)
-    else:
-        words = np.empty(shape, np.uint64)
-        for row, rng in zip(words, rngs):
-            row[...] = uniform_words(rng, row.shape)
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, count=n,
+    *rows, n = np.atleast_1d(shape).tolist()
+    words = uniform_words(rng, (*rows, -(-n // 64)))
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, count=n,
                          bitorder="little")
 
 
-def uniform_below_rows(p: float, rngs, n: int) -> np.ndarray | None:
-    """The (len(rngs), n) mask whose row r is rngs[r].random(n) < p, one
-    double per element, or None at p <= 0, where every row is all false:
-    nothing is drawn or built, and a caller skips the pass that would read
-    the mask."""
+def uniform_below(p: float, rng: np.random.Generator, shape) -> np.ndarray | None:
+    """The mask rng.random(shape) < p of `shape` n or (rows, n), or None at
+    p <= 0, where every element is false: nothing is drawn or built, and a
+    caller skips the pass that would read the mask. The doubles are drawn
+    a row at a time into one row buffer, as split calls draw the same."""
     import numpy as np
 
     if p <= 0.0:
         return None
-    mask = np.empty((len(rngs), n), bool)
-    for row, rng in zip(mask, rngs):
-        np.less(rng.random(n), p, out=row)
+    mask = np.empty(shape, bool)
+    u = np.empty(mask.shape[-1])
+    for row in np.atleast_2d(mask):
+        np.less(rng.random(out=u), p, out=row)
     return mask
 
 
@@ -296,28 +286,29 @@ class OffsetTable:
                 self.coins.setflags(write=False)
 
 
-def measure_codes(table: OffsetTable, offsets, rngs) -> np.ndarray:
+def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     """Outcomes of measurements at lattice offsets `offsets` (a 2-D array
-    of any integer dtype, each entry in [0, 2m)) under `table`, row r
-    drawing from rngs[r] exactly what a call on that row alone would.
+    of any integer dtype, each entry in [0, 2m)) under `table`, every draw
+    from `rng` in C order, so a block of rows draws what the same rows
+    measured one after another would.
 
     When the table's p1 is built and has no more entries than a row has
     positions, the positions gather from it. If the table has `coins`
     (every entry 0, 1 or within 1e-12 of 1/2: the unshifted table on the
     two-basis alphabet, which intercept, key guessing and block guessing
     read there; not breidbart, nor a fixed basis off the multiples of
-    pi/4), each row draws uniform_bits, one bit per position in C order
-    whatever entry the position reads, and each outcome is bit 2o + b of
-    the 8-bit mask, shifted out of the whole block in place in uint8: no
-    gather. Any other table compares one raw double per position with the
-    gathered p1, a row at a time in two buffers that every row reuses, so
-    no (rows, positions) float array is built; that gives
+    pi/4), the block draws uniform_bits, one bit per position whatever
+    entry the position reads, and each outcome is bit 2o + b of the 8-bit
+    mask, shifted out of the whole block in place in uint8: no gather. Any
+    other table compares one raw double per position with the gathered
+    p1, a row at a time in two buffers that every row reuses, so no
+    (rows, positions) float array is built; that gives
     measure_many(offsets * table.step, -table.shift, rng)'s outcomes from
     the same draws: its theta - phi, o*h - (-shift), is the table's
     o*h + shift to the bit, and np.sin gives a float the same bits
-    wherever it sits in an array (a test checks this). Rows
-    with fewer positions than table entries take that measure_many call
-    themselves, so no call holds an array of m entries.
+    wherever it sits in an array (a test checks this). A block of rows
+    with fewer positions than table entries takes that measure_many call
+    itself, so no call builds a table of m entries.
 
     An offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of
     the float path by an ulp or so, so p1 can differ from that path's by
@@ -327,8 +318,7 @@ def measure_codes(table: OffsetTable, offsets, rngs) -> np.ndarray:
 
     p1, positions = table.p1, offsets.shape[1]
     if p1 is None or p1.size > positions:
-        return np.stack([measure_many(row * table.step, -table.shift, rng)
-                         for row, rng in zip(offsets, rngs)])
+        return measure_many(offsets * table.step, -table.shift, rng)
     if table.coins is None:
         # Two buffers, not one of twice the size, keep each under glibc's
         # mmap threshold at the workload's rows. The offsets lie in [0, 2m),
@@ -336,11 +326,11 @@ def measure_codes(table: OffsetTable, offsets, rngs) -> np.ndarray:
         # where the default mode buffers a copy.
         outcomes = np.empty(offsets.shape, bool)
         u, p = np.empty(positions), np.empty(positions)
-        for row, out, rng in zip(offsets, outcomes, rngs):
+        for row, out in zip(offsets, outcomes):
             np.less(rng.random(out=u), p1.take(row, out=p, mode="clip"), out=out)
         return outcomes.view("u1")
     index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
-    index += uniform_bit_rows(rngs, positions)
+    index += uniform_bits(rng, offsets.shape)
     np.right_shift(table.coins, index, out=index)
     index &= 1
     return index

@@ -5,6 +5,7 @@ polynomial order for primitivity, explicit Toeplitz matrix construction,
 outer-product mixtures and brute-force scans.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,24 @@ def primitive_tap_sets(max_degree: int) -> dict[int, list[tuple[int, ...]]]:
                 found.append(taps)
         table[degree] = found
     return table
+
+
+@functools.lru_cache(maxsize=8)
+def lfsr_matrix(taps: tuple, count: int) -> np.ndarray:
+    """The (count, L) 0/1 matrix whose row k selects the seed bits that term
+    k of lfsr_reference's recurrence XORs: the terms are linear over GF(2)
+    in the seed. Rows 0..L-1 are the identity and row k is the XOR of rows
+    k - t over the taps, min(taps) rows at a time, as no row of such a step
+    reads another. Read-only, as it is cached."""
+    length, step = max(taps), min(taps)
+    rows = np.zeros((max(count, length), length), np.uint8)
+    rows[:length] = np.eye(length, dtype=np.uint8)
+    for k in range(length, count, step):
+        end = min(k + step, count)
+        for t in taps:
+            rows[k:end] ^= rows[k - t:end - t]
+    rows.setflags(write=False)
+    return rows[:count]
 
 
 def lfsr_reference(taps, seed_bits, count: int) -> np.ndarray:
@@ -141,7 +160,7 @@ def measure_many_snapped(thetas, phis, rng, coins: bool = False) -> np.ndarray:
     p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
     p1 = np.where(p1 <= 1e-12, 0.0, np.where(p1 >= 1.0 - 1e-12, 1.0, p1))
     if coins:
-        bits = integer_bits(rng, p1.size).reshape(p1.shape)
+        bits = integer_bits(rng, p1.shape)
         return np.where(is_coin(p1), bits, p1).astype(np.uint8)
     return (rng.random(p1.shape) < p1).astype(np.uint8)
 
@@ -187,11 +206,17 @@ def draws_coins(states, bases, m: int, positions: int) -> bool:
     bases in `bases`, against m keyed bases, draws bits, not doubles: the
     table of the 2m offsets between state and basis has at most one entry
     per position, and sin^2(state - basis) over every pair lies within
-    1e-12 of 0, 1/2 or 1."""
+    1e-12 of 0, 1/2 or 1. The pairs are checked about 4096 at a time, a
+    chunk of states against every basis, stopping at the first chunk with
+    another value, so memory does not grow with the number of pairs."""
     if 2 * m > positions:
         return False
-    p1 = np.sin(np.subtract.outer(np.ravel(states), bases)) ** 2
-    return bool(np.all((p1 <= 1e-12) | (p1 >= 1.0 - 1e-12) | is_coin(p1)))
+    states, step = np.ravel(states), max(1, 4096 // np.size(bases))
+    for first in range(0, states.size, step):
+        p1 = np.sin(np.subtract.outer(states[first:first + step], bases)) ** 2
+        if not np.all((p1 <= 1e-12) | (p1 >= 1.0 - 1e-12) | is_coin(p1)):
+            return False
+    return True
 
 
 def key_guess_successes(seed_bits, count: int, rng) -> int:
@@ -226,65 +251,79 @@ def with_turns(angles) -> np.ndarray:
 
 
 def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
-    """One transmission with measure-resend on the positions `attacked` (a mask
-    or slice) selects: (alice bits, eve outcomes on attacked positions, bob
-    bits, detected mask). `bases` holds every angle the keyed and the
-    attacker bases may take, (key, eve); with the bit and flip turns they give
-    the states each measurement may meet, which decide whether it draws bits
-    (draws_coins). Draws: alice, eve, lost, flipped, bob."""
+    """A transmission, or a block of them, one per row of `phi_key` (n
+    angles, or (rows, n)), with measure-resend on the positions `attacked`
+    (a mask or slice) selects: (alice bits, eve outcomes on attacked
+    positions, bob bits, detected mask). `bases` holds every angle the
+    keyed and the attacker bases may take, (key, eve); with the bit and
+    flip turns they give the states each measurement may meet, which decide
+    whether it draws bits (draws_coins), as do the positions of a row.
+    Draws, each for every row in C order: alice, eve, lost, flipped, bob. A
+    mask selects along the rows of a block of one row only."""
     key_bases, eve_bases = bases
     keyed = with_turns(key_bases)
-    alice = integer_bits(rng, phi_key.size).reshape(phi_key.shape)
+    alice = integer_bits(rng, phi_key.shape)
     theta = phi_key + alice * HALF_PI
     seen = theta[attacked]
     outcome = measure_many_snapped(seen, eve_phi[attacked], rng,
-                                   draws_coins(keyed, eve_bases, key_bases.size, seen.size))
+                                   draws_coins(keyed, eve_bases, key_bases.size, seen.shape[-1]))
     theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
     lost = draw_below(channel.loss, theta.shape, rng)
     flipped = draw_below(channel.flip_prob, theta.shape, rng)
     sent = with_turns(np.concatenate([keyed.ravel(), with_turns(eve_bases).ravel()]))
     bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng,
-                               draws_coins(sent, key_bases, key_bases.size, theta.size))
+                               draws_coins(sent, key_bases, key_bases.size, theta.shape[-1]))
     return alice, outcome, bob, ~lost
 
 
-def state_attack_counts(strategy, config, channel, rng):
-    """One intercept or fixed-basis round against `config`'s keyed bases over
-    `channel`, decoded by likelihood once the key is granted: (eve bit errors,
-    attacked, user errors, detected)."""
-    phi_key = key_angles(config)
-    n = phi_key.size
+def row_counts(rows: int, *masks):
+    """Per row of a block of `rows`, the ones of each 0/1 mask, as tuples of ints."""
+    return [tuple(int(c) for c in counts)
+            for counts in zip(*(np.reshape(mask, (rows, -1)).sum(axis=1) for mask in masks))]
+
+
+def state_attack_counts(strategy, config, channel, rng, rows=1):
+    """A block of `rows` intercept or fixed-basis rounds against `config`'s
+    keyed bases over `channel`: per row (eve bit errors, attacked, user
+    errors, detected). A fixed basis decodes by likelihood once the key is
+    granted; intercept keeps her outcomes, as on the two-basis alphabet,
+    where her basis is never more than pi/4 off. Intercept below fraction 1
+    draws one round, as its rounds attack different numbers of positions."""
+    phi_key = np.tile(key_angles(config), (rows, 1))
     if strategy.kind == "intercept_resend_random":
-        attacked = draw_below(strategy.fraction, n, rng)
+        attacked = (slice(None) if strategy.fraction >= 1
+                    else draw_below(strategy.fraction, phi_key.shape, rng))
         eve_bases = basis_angles(2)
-        eve_phi = integer_bits(rng, n) * (HALF_PI / 2)
+        eve_phi = integer_bits(rng, phi_key.shape) * (HALF_PI / 2)
     else:
-        attacked = np.ones(n, dtype=bool)
+        attacked = slice(None)
         eve_bases = np.array([strategy.phi])
-        eve_phi = np.full(n, strategy.phi)
+        eve_phi = np.full(phi_key.shape, strategy.phi)
     alice, outcome, bob, detected = resend_round(
         phi_key, channel, eve_phi, attacked, rng, (basis_angles(config.alphabet.m), eve_bases))
     flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
-    return (int(np.sum((outcome ^ flip) != alice[attacked])), int(np.sum(attacked)),
-            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
+    flip &= strategy.kind == "fixed_basis"
+    return row_counts(rows, (outcome ^ flip) != alice[attacked], np.ones_like(outcome),
+                      (bob != alice) & detected, detected)
 
 
-def key_guess_round(config, rng):
-    """One key-guessing round against `config`'s LFSR key over its channel:
-    (her bit-error rate, user errors, detected). Draws: her guess of the
-    seed, then the transmission; the guess's selectors come from the
-    recurrence, grouped big-endian, and an all-zero guess gives basis 0
-    everywhere."""
+def key_guess_rounds(config, rng, rows=1):
+    """A block of `rows` key-guessing rounds against `config`'s LFSR key over
+    its channel: per row (her bit-error rate, user errors, detected).
+    Draws: her guesses of the seed, one per row, then the transmissions;
+    a guess's selectors come from the recurrence (lfsr_matrix), grouped
+    big-endian, and an all-zero guess gives basis 0 everywhere."""
     spec, n, m = config.keystream.spec, config.n, config.alphabet.m
     k = m.bit_length() - 1
-    guess = integer_bits(rng, max(spec.taps))
-    selectors = selectors_matmul(lfsr_reference(spec.taps, guess, n * k), n, k)
+    guesses = integer_bits(rng, (rows, max(spec.taps))).astype(np.int64)
+    bits = guesses @ lfsr_matrix(spec.taps, n * k).T.astype(np.int64) % 2
+    selectors = np.stack([selectors_matmul(row, n, k) for row in bits])
     bases = basis_angles(m)
-    alice, outcome, bob, detected = resend_round(key_angles(config), config.channel,
-                                                 bases[selectors], slice(None), rng,
-                                                 (bases, bases))
-    return (float(np.mean(outcome != alice)), int(np.sum((bob != alice) & detected)),
-            int(np.sum(detected)))
+    alice, outcome, bob, detected = resend_round(np.tile(key_angles(config), (rows, 1)),
+                                                 config.channel, bases[selectors], slice(None),
+                                                 rng, (bases, bases))
+    return [(float(np.mean(wrong)), errors, seen) for wrong, (errors, seen) in
+            zip(outcome != alice, row_counts(rows, (bob != alice) & detected, detected))]
 
 
 def eve_bases(strategy, n: int, rng):
@@ -299,20 +338,21 @@ def eve_bases(strategy, n: int, rng):
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
     user errors on detected positions, attacker errors, detected positions)
-    per trial. Draws: the key blocks and then the guesses, in one bit draw."""
+    per trial. Draws: the key blocks and then the guesses, in one bit draw;
+    then the trials' transmissions, as one row."""
     blocks = integer_bits(rng, 2 * count * k_blocks).astype(np.int64)
     key_blocks = blocks[:count * k_blocks].reshape(count, k_blocks)
     guesses = blocks[count * k_blocks:].reshape(count, k_blocks)
     success = np.all(guesses == key_blocks, axis=1)
-    key_phi = np.repeat(key_blocks, block_len, axis=1) * (HALF_PI / 2)
-    guess_phi = np.repeat(guesses, block_len, axis=1) * (HALF_PI / 2)
-    alice, outcome, bob, detected = resend_round(key_phi, channel, guess_phi, slice(None), rng,
-                                                 (basis_angles(2), basis_angles(2)))
+    key_phi = np.repeat(key_blocks, block_len, axis=1).reshape(1, -1) * (HALF_PI / 2)
+    guess_phi = np.repeat(guesses, block_len, axis=1).reshape(1, -1) * (HALF_PI / 2)
+    alice, outcome, bob, detected = (a.reshape(count, -1) for a in resend_round(
+        key_phi, channel, guess_phi, slice(None), rng, (basis_angles(2), basis_angles(2))))
     return (success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1),
             np.sum(detected, axis=1))
 
 
-# The draw contract of uniform_bits and uniform_below_rows, rebuilt with shifts
+# The draw contract of uniform_bits and uniform_below, rebuilt with shifts
 # over the raw bytes, and selector and jump-table code as it was before the
 # keygen kernels.
 
@@ -326,17 +366,17 @@ def word_bits(rng, shape) -> np.ndarray:
     return bits.reshape(*np.shape(words)[:-1], -1)
 
 
-def integer_bits(rng, n: int) -> np.ndarray:
-    """n uniform bits: the first n bits of ceil(n/64) words."""
-    return word_bits(rng, (-(-n // 64),))[:n]
+def integer_bits(rng, shape) -> np.ndarray:
+    """Uniform bits of `shape` n or (rows, n): each row the first n bits of
+    its ceil(n/64) words, the rows' words drawn in one call."""
+    *rows, n = np.atleast_1d(shape).tolist()
+    return word_bits(rng, (*rows, -(-n // 64)))[..., :n]
 
 
-def draw_below_rows(p: float, rngs, n: int):
-    """draw_below(p, n, rng) for each generator, stacked as rows; None at
-    p <= 0, where no row draws and every row is all false."""
-    if p <= 0:
-        return None
-    return np.stack([draw_below(p, n, rng) for rng in rngs])
+def mask_below(p: float, rng, shape):
+    """draw_below(p, shape, rng), or None at p <= 0, where nothing is drawn
+    and every element is false."""
+    return None if p <= 0 else draw_below(p, shape, rng)
 
 
 def draw_below(p: float, shape, rng) -> np.ndarray:

@@ -44,6 +44,7 @@ from keyedqkd.adversary import (
     TRIAL_CHUNK,
     _attack,
     _block_guess_chunk,
+    _block_size,
     _chunk_rngs,
     _counts,
     _decoding_flips,
@@ -53,13 +54,12 @@ from keyedqkd.adversary import (
     _key_guess_target,
     _map_chunks,
     _resend_round,
-    _round_blocks,
     _row_counts,
     _state_round,
 )
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
-                             measure_many, uniform_bit_rows, uniform_bits)
+                             measure_many, uniform_bits)
 
 import reference
 from reference import GivenDraws, key_angles, key_guess_successes
@@ -84,7 +84,7 @@ def state_round(strategy, config, channel, rng):
     counts of a block of one row, as ints."""
     attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-    return tuple(int(c[0]) for c in _counts(*_state_round(attack, channel, (rng,)), flips))
+    return tuple(int(c[0]) for c in _counts(*_state_round(attack, channel, 1, rng), flips))
 
 
 def guess_key(config):
@@ -95,7 +95,7 @@ def guess_key(config):
 def guess_round(config, guess_bits, rng):
     """One key-guess round under `guess_bits`, a block of one row: (her
     bit-error rate, user errors, detected count)."""
-    eve_errors, _, errors, detected = _guess_round(config, guess_key(config), [guess_bits], (rng,))
+    eve_errors, _, errors, detected = _guess_round(config, guess_key(config), [guess_bits], rng)
     return float(eve_errors[0] / config.n), int(errors[0]), int(detected[0])
 
 
@@ -328,13 +328,8 @@ class TestKeyGuess:
         config = lfsr_config(n=4, loss=0.8, flip=0.2)
         trials = MAX_QUBIT_TRIALS
         report = attack_key_guess(config, np.random.default_rng(21), trials=trials)
-        replay = np.random.default_rng(21)
-        for _ in _chunk_rngs(replay, trials):
-            pass
-        counts = []
-        for _, chunk_rng in _chunk_rngs(replay, trials, chunk=1):
-            guess = uniform_bits(chunk_rng, 8)
-            counts.append(guess_round(config, guess, chunk_rng)[1:])
+        _, rounds = _reference_rounds(AttackStrategy.parse("keyguess"), config, 21, trials)
+        counts = [row[1:] for row in rounds]
         errors, detected = (sum(c[i] for c in counts) for i in range(2))
         assert any(d == 0 for _, d in counts) and detected > 0
         assert report.induced_qber.estimate == errors / detected
@@ -533,7 +528,7 @@ class TestInlineInterference:
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
         got = transmit_round(config, rng, measure_resend_interference(strategy))
         attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        *arrays, _ = _state_round(attack, channel, (ref_rng,))
+        *arrays, _ = _state_round(attack, channel, 1, ref_rng)
         alice, _, bob, detected = one_row(arrays, config.n)
         positions = np.flatnonzero(detected)
         _same_arrays(got, (alice[positions], bob[positions], positions))
@@ -741,20 +736,20 @@ def _recording_state_round(seen):
     """The library's _state_round, appending the attacked positions of each block to `seen`."""
     real = keyedqkd.adversary._state_round
 
-    def state_round(attack, channel, rngs):
-        arrays = real(attack, channel, rngs)
+    def state_round(attack, channel, count, rng):
+        arrays = real(attack, channel, count, rng)
         seen.append(arrays[-1])
         return arrays
 
     return state_round
 
 
-def _index_path(attack, key_codes, eve_codes, attacked, channel, rngs):
+def _index_path(attack, key_codes, eve_codes, attacked, channel, count, rng):
     """The library's _resend_round, which attacks the positions of a slice
     through the index array of every position it selects."""
     if isinstance(attacked, slice):
         attacked = np.arange(key_codes.shape[-1])[attacked]
-    return _resend_round(attack, key_codes, eve_codes, attacked, channel, rngs)
+    return _resend_round(attack, key_codes, eve_codes, attacked, channel, count, rng)
 
 
 class TestCodedKernels:
@@ -769,9 +764,9 @@ class TestCodedKernels:
         """Records, per measure_codes call, whether it took the table branch."""
         seen = []
 
-        def spy(table, offsets, rngs):
+        def spy(table, offsets, rng):
             seen.append(table.p1 is not None and table.p1.size <= offsets.shape[1])
-            return measure_codes(table, offsets, rngs)
+            return measure_codes(table, offsets, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -792,15 +787,17 @@ class TestCodedKernels:
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = state_round(strategy, config, channel, rng)
-            assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
+            assert [got] == reference.state_attack_counts(strategy, config, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert table_use == [2 * m <= n] * 6
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,n", [(2, 500), (2, 3), (16, 2500), (16, 31), (1024, 2048),
-                                     (1024, 300), (4096, 300), (2 ** 16, 300)])
+                                     (1024, 300), (4096, 300), (2 ** 16, 300),
+                                     (2 ** 16, 2 ** 17)])
     def test_key_guess_round(self, table_use, m, n, channel):
-        # One table of 2m entries, gathered from where 2m <= n.
+        # One table of 2m entries, gathered from where 2m <= n, up to the
+        # table of 2^17 entries at m = 2^16.
         config = dataclasses.replace(lfsr_config(n=n, m=m), channel=channel)
         spec = config.keystream.spec
         for seed in range(3):
@@ -823,9 +820,9 @@ class TestCodedKernels:
         """Records the dtype of the offsets of every measure_codes call."""
         seen = []
 
-        def spy(table, offsets, rngs):
+        def spy(table, offsets, rng):
             seen.append(offsets.dtype)
-            return measure_codes(table, offsets, rngs)
+            return measure_codes(table, offsets, rng)
 
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
         return seen
@@ -855,8 +852,7 @@ class TestCodedKernels:
         for attacked in (mask, np.flatnonzero(mask), slice(None))[0 if phi is None else 2:]:
             rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
             attack = _attack(m, n, None if phi is None else AttackStrategy("fixed_basis", phi=phi))
-            got = one_row(_resend_round(attack, key_codes, eve_codes, attacked, channel, (rng,)),
-                          n)
+            got = one_row(_resend_round(attack, key_codes, eve_codes, attacked, channel, 1, rng), n)
             want = reference.resend_round(key_angles[key_codes], channel, eve_angles, attacked,
                                           ref_rng, (key_angles, eve_bases))
             _same_arrays(got, want)
@@ -873,7 +869,7 @@ class TestCodedKernels:
         strategy = AttackStrategy.parse(text)
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         got = state_round(strategy, config, channel, rng)
-        assert got == reference.state_attack_counts(strategy, config, channel, ref_rng)
+        assert [got] == reference.state_attack_counts(strategy, config, channel, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # The round's two measurements read offsets of the round's dtype.
         assert code_dtypes == [np.dtype(code)] * 2
@@ -932,7 +928,7 @@ class TestCodedKernels:
         table = table_of(monkeypatch, p1, codes.size)
         monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
         rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
-        got = measure_codes(table, codes.reshape(1, -1), (rng,))[0]
+        got = measure_codes(table, codes.reshape(1, -1), rng)[0]
         want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
         _same_arrays([got], [want])
         assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
@@ -953,8 +949,8 @@ class TestCodedKernels:
         table, per_position = OffsetTable(m, shift, offsets.size), OffsetTable(m, shift, 0)
         assert table.p1 is not None and table.coins is None and per_position.p1 is None
         rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
-        _same_arrays([measure_codes(table, offsets.reshape(1, -1), (rng,))],
-                     [measure_codes(per_position, offsets.reshape(1, -1), (ref_rng,))])
+        _same_arrays([measure_codes(table, offsets.reshape(1, -1), rng)],
+                     [measure_codes(per_position, offsets.reshape(1, -1), ref_rng)])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -966,7 +962,7 @@ class TestCodedKernels:
         for attacked in (mask, slice(None)):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
             got = one_row(_resend_round(_attack(16, config.n), config.key_selectors(),
-                                        guess, attacked, channel, (rng,)), config.n)
+                                        guess, attacked, channel, 1, rng), config.n)
             want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
                                           ref_rng, (bases, bases))
             _same_arrays(got, want)
@@ -980,11 +976,7 @@ class TestCodedKernels:
         strategy, trials = AttackStrategy.parse(text), 5
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials,
                             threads=threads)
-        rounds = [reference.state_attack_counts(strategy, config, channel, chunk_rng)
-                  for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
-        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
-        assert report.eve_bit_error == (binomial_ci(eve_err, eve_tot) if eve_tot else None)
-        assert report.induced_qber == binomial_ci(user_err, user_tot)
+        assert _statistics(report) == _reference_report(strategy, config, 8, trials)
 
     @pytest.mark.parametrize("text", ["fixed:0.3", "breidbart"])
     def test_state_attack_on_more_bases_than_positions(self, table_use, text):
@@ -993,11 +985,7 @@ class TestCodedKernels:
         config = lfsr_config(n=300, m=4096, flip=0.1)
         strategy, trials = AttackStrategy.parse(text), 3
         report = run_attack(strategy, config, np.random.default_rng(8), trials=trials)
-        rounds = [reference.state_attack_counts(strategy, config, config.channel, chunk_rng)
-                  for _, chunk_rng in _chunk_rngs(np.random.default_rng(8), trials, chunk=1)]
-        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
-        assert report.eve_bit_error == binomial_ci(eve_err, eve_tot)
-        assert report.induced_qber == binomial_ci(user_err, user_tot)
+        assert _statistics(report) == _reference_report(strategy, config, 8, trials)
         # One block of the three rounds, whose two measurements are per position.
         assert table_use == [False] * 2
 
@@ -1119,11 +1107,12 @@ def _same_state(a, b) -> bool:
 
 
 class TestRoundBlocks:
-    """Attack rounds run in blocks, one row and one child generator per
-    round: each step of a block is one numpy call over all its rows, and a
-    block gives each round the counts, and leaves each generator in the
-    state, that the same kernel gives on that round alone, a block of one
-    row."""
+    """Attack rounds run in blocks of B rounds, one child generator per
+    block: each step of a block is one numpy call over all its rows, and
+    draws for every row from the block's generator in C order. A block
+    equals tests/reference.py drawing that stream by hand, and a block of
+    one row draws what one round drew when each round had a generator of
+    its own."""
 
     CHANNELS = [ChannelModel(), ChannelModel(loss=0.3), ChannelModel(flip_prob=0.1)]
     CHANNEL_IDS = ["noiseless", "lossy", "flipping"]
@@ -1135,21 +1124,17 @@ class TestRoundBlocks:
     PATHS = [(2, 700), (2, 9000), (16, 700), (1024, 2100), (1024, 300), (2 ** 16, 300)]
 
     @staticmethod
-    def kernel(text, config):
-        """The block kernel of strategy `text` against `config`, a function of
-        the generators of its rows; key guessing draws each row's guess first."""
-        strategy = AttackStrategy.parse(text)
+    def kernel(strategy, config):
+        """The block kernel of `strategy` against `config`, a function of the
+        block's row count and generator; key guessing draws the rows'
+        guesses first."""
         if strategy.kind == "key_guess":
-            attack = guess_key(config)
-
-            def guess_rounds(rngs):
-                guesses = [uniform_bits(rng, len(config.keystream.seed)) for rng in rngs]
-                return _guess_round(config, attack, guesses, rngs)
-
-            return guess_rounds
+            attack, length = guess_key(config), len(config.keystream.seed)
+            return lambda count, rng: _guess_round(config, attack,
+                                                   uniform_bits(rng, (count, length)), rng)
         attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
         flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-        return lambda rngs: _counts(*_state_round(attack, config.channel, rngs), flips)
+        return lambda count, rng: _counts(*_state_round(attack, config.channel, count, rng), flips)
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
                              ids=["pcg64", "mt19937"])
@@ -1157,23 +1142,28 @@ class TestRoundBlocks:
     @pytest.mark.parametrize("m,n", PATHS)
     @pytest.mark.parametrize("text", ["breidbart", "fixed:0.3", "fixed:1.2", "intercept",
                                       "keyguess"])
-    def test_a_block_gives_each_round_its_own_counts(self, text, m, n, channel, bit_generator):
+    def test_a_block_equals_the_reference_drawing_its_stream(self, text, m, n, channel,
+                                                             bit_generator):
         config = dataclasses.replace(lfsr_config(n=n, m=m, **DENSE_KEY), channel=channel)
-        kernel = self.kernel(text, config)
-        block = [np.random.Generator(bit_generator(seed)) for seed in range(3)]
-        alone = [np.random.Generator(bit_generator(seed)) for seed in range(3)]
-        got = kernel(block)
-        assert all(len(counts) == 3 for counts in got)
-        for row, rng in enumerate(alone):
-            want = kernel((rng,))
-            assert [counts[row] for counts in got] == [counts[0] for counts in want], row
-            assert _same_state(block[row].bit_generator.state, rng.bit_generator.state), row
+        strategy = AttackStrategy.parse(text)
+        kernel = self.kernel(strategy, config)
+        for rows in (1, 3):
+            rng, ref_rng = (np.random.Generator(bit_generator(rows)) for _ in range(2))
+            eve, attacked, user, detected = (c.tolist() for c in kernel(rows, rng))
+            if strategy.kind == "key_guess":
+                got = [(e / n, u, d) for e, u, d in zip(eve, user, detected)]
+                want = reference.key_guess_rounds(config, ref_rng, rows)
+            else:
+                got = list(zip(eve, attacked, user, detected))
+                want = reference.state_attack_counts(strategy, config, channel, ref_rng, rows)
+            assert got == want, rows
+            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), rows
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("text,m", [
         ("breidbart", 2), ("breidbart", 16), ("fixed:0.3", 2), ("fixed:1.2", 2),
         ("intercept", 2), ("intercept:0.5", 2), ("keyguess", 2), ("keyguess", 16)])
-    def test_reports_equal_one_round_per_block_at_one_and_two_threads(self, monkeypatch, text,
+    def test_reports_equal_the_reference_blocks_at_one_and_two_threads(self, monkeypatch, text,
                                                                        m, channel):
         # 13 rounds of 12 500 uint8 codes: blocks of 5, 5 and 3 rounds,
         # except intercept below fraction 1, whose rounds attack different
@@ -1183,7 +1173,7 @@ class TestRoundBlocks:
         sizes, real = [], keyedqkd.adversary._resend_round
 
         def spy(*args):
-            sizes.append(len(args[-1]))
+            sizes.append(args[-2])
             return real(*args)
 
         def attack(threads):
@@ -1193,21 +1183,27 @@ class TestRoundBlocks:
         monkeypatch.setattr(keyedqkd.adversary, "_resend_round", spy)
         blocked = attack(1)
         assert sizes == ([1] * 13 if strategy.fraction < 1.0 else [5, 5, 3])
+        assert _statistics(blocked) == _reference_report(strategy, config, 40, 13)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert attack(2) == blocked
         finally:
             sys.setswitchinterval(interval)
+        # One round to a block: each round draws from a child of its own,
+        # as every round did before blocks shared a generator, and the
+        # reports of multi-round blocks move.
         sizes.clear()
         monkeypatch.setattr(keyedqkd.adversary, "BLOCK_BYTES", 1)
-        assert attack(1) == blocked
+        alone = attack(1)
         assert sizes == [1] * 13
+        assert _statistics(alone) == _reference_report(strategy, config, 40, 13)
+        assert (alone == blocked) == (strategy.fraction < 1.0)
 
     def test_block_sizes_depend_on_the_rounds_and_their_bytes_alone(self):
         def sizes(trials, row_bytes):
-            blocks = _round_blocks(np.random.default_rng(0), trials, row_bytes)
-            return [len(rngs) for (rngs,) in blocks]
+            blocks = _chunk_rngs(np.random.default_rng(0), trials, _block_size(trials, row_bytes))
+            return [count for count, _ in blocks]
 
         # The attacks workload: 16 rounds of 12 500 uint8 codes.
         assert sizes(16, 12_500) == [4] * 4
@@ -1220,16 +1216,19 @@ class TestRoundBlocks:
         for trials in range(1, 40):
             for row_bytes in (1, 300, 4096, 12_500, 40_000):
                 assert max(sizes(trials, row_bytes)) * row_bytes <= max(BLOCK_BYTES, row_bytes)
-        # The rows' generators are _chunk_rngs' children, in order.
-        children = [rng for _, rng in _chunk_rngs(np.random.default_rng(3), 13, chunk=1)]
-        rows = [rng for (rngs,) in _round_blocks(np.random.default_rng(3), 13, 12_500)
-                for rng in rngs]
-        assert [rng.random() for rng in children] == [rng.random() for rng in rows]
+
+    def test_each_block_draws_from_one_child_generator(self):
+        # Blocks of 5, 5 and 3 rounds take the first three seeds of one draw.
+        seeds = np.random.default_rng(3).integers(0, 2 ** 63, size=3)
+        blocks = list(_chunk_rngs(np.random.default_rng(3), 13, _block_size(13, 12_500)))
+        assert [count for count, _ in blocks] == [5, 5, 3]
+        for seed, (_, child) in zip(seeds.tolist(), blocks):
+            assert child.random() == np.random.default_rng(seed).random()
 
     def test_blocks_are_grouped_lazily(self):
         rng = np.random.default_rng(3)
-        (first,) = next(_round_blocks(rng, 10 ** 18, BLOCK_BYTES))
-        assert len(first) == 1
+        count, _ = next(_chunk_rngs(rng, 10 ** 18, _block_size(10 ** 18, BLOCK_BYTES)))
+        assert count == 1
         # Only the first piece of seeds was drawn from the caller's generator.
         reference = np.random.default_rng(3)
         reference.integers(0, 2 ** 63, size=SEED_DRAW)
@@ -1238,12 +1237,61 @@ class TestRoundBlocks:
     @pytest.mark.parametrize("trials", [0, -1, 2.5])
     def test_rejects_a_bad_trial_count(self, trials):
         with pytest.raises(ValueError, match="trials must be"):
-            next(_round_blocks(np.random.default_rng(0), trials, 100))
+            _block_size(trials, 100)
 
 
-def _children(rng, count):
-    """The child generators that run_attack seeds from `rng`, one per round."""
-    return [np.random.default_rng(seed) for seed in rng.integers(0, 2 ** 63, size=count).tolist()]
+def _row_bytes(strategy, config) -> int:
+    """The bytes of one round's codes, which size its block; intercept below
+    fraction 1 runs one round to a block."""
+    if strategy.fraction < 1.0:
+        return BLOCK_BYTES
+    return config.n * np.min_scalar_type(2 * config.alphabet.m - 1).itemsize
+
+
+def _reference_rounds(strategy, config, seed, trials):
+    """(successful guesses, per-round counts) of run_attack on a generator
+    seeded with `seed`, from tests/reference.py's kernels: each block of
+    _block_size rounds drawn by hand from the child generator that
+    run_attack seeds for it. Key guessing first counts its successes over
+    chunks of guesses (None for the other attacks), and its counts are
+    (her error rate, user errors, detected)."""
+    rng = np.random.default_rng(seed)
+    if strategy.kind == "key_guess":
+        successes = sum(reference.key_guess_successes(config.keystream.seed.bits, count, child)
+                        for count, child in _chunk_rngs(rng, trials))
+        trials = min(trials, MAX_QUBIT_TRIALS)
+
+        def block(child, rows):
+            return reference.key_guess_rounds(config, child, rows)
+    else:
+        successes = None
+
+        def block(child, rows):
+            return reference.state_attack_counts(strategy, config, config.channel, child, rows)
+    blocks = _chunk_rngs(rng, trials, _block_size(trials, _row_bytes(strategy, config)))
+    return successes, [row for rows, child in blocks for row in block(child, rows)]
+
+
+def _reference_report(strategy, config, seed, trials):
+    """_statistics of run_attack's report, rebuilt from _reference_rounds."""
+    successes, rounds = _reference_rounds(strategy, config, seed, trials)
+    if successes is None:
+        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
+        return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
+                binomial_ci(user_err, user_tot) if user_tot else None, None)
+    # Her rates add up round by round, in order, as Python floats.
+    rate, errors, detected = (sum(r[i] for r in rounds) for i in range(3))
+    qubits = len(rounds) * config.n
+    return (ConfidenceInterval(rate / len(rounds), 4.0 * math.sqrt(0.25 / qubits)),
+            ConfidenceInterval(errors / detected, 4.0 * math.sqrt(0.25 / detected))
+            if detected else None,
+            binomial_ci(successes, trials))
+
+
+def _statistics(report):
+    """The Monte Carlo fields of an AttackReport: her bit error, the induced
+    rate and the success rate."""
+    return report.eve_bit_error, report.induced_qber, report.success_mc
 
 
 @st.composite
@@ -1269,28 +1317,11 @@ def attack_cases(draw):
 @given(case=attack_cases())
 def test_reports_equal_the_reference_on_the_same_streams(case):
     # The statistics of run_attack's report, rebuilt from tests/reference.py's
-    # float-angle kernels drawing from the same child generators.
+    # float-angle kernels drawing each block from the same child generator.
     strategy, config, seed, trials, threads = case
     report = run_attack(strategy, config, np.random.default_rng(seed), trials=trials,
                         threads=threads)
-    rng = np.random.default_rng(seed)
-    if strategy.kind == "key_guess":
-        (chunk,) = _children(rng, 1)
-        successes = reference.key_guess_successes(config.keystream.seed.bits, trials, chunk)
-        rounds = [reference.key_guess_round(config, child) for child in _children(rng, trials)]
-        rate = sum(r[0] for r in rounds)
-        errors, detected = (sum(r[i] for r in rounds) for i in (1, 2))
-        want = (ConfidenceInterval(rate / trials, 4.0 * math.sqrt(0.25 / (trials * config.n))),
-                ConfidenceInterval(errors / detected, 4.0 * math.sqrt(0.25 / detected))
-                if detected else None,
-                binomial_ci(successes, trials))
-    else:
-        rounds = [reference.state_attack_counts(strategy, config, config.channel, child)
-                  for child in _children(rng, trials)]
-        eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
-        want = (binomial_ci(eve_err, eve_tot) if eve_tot else None,
-                binomial_ci(user_err, user_tot) if user_tot else None, None)
-    assert (report.eve_bit_error, report.induced_qber, report.success_mc) == want
+    assert _statistics(report) == _reference_report(strategy, config, seed, trials)
 
 
 class TestCertainMasks:
@@ -1298,40 +1329,38 @@ class TestCertainMasks:
     interception draws no attack mask; draws and outputs stay the same."""
 
     def test_a_noiseless_channel_draws_nothing(self):
-        rngs = [np.random.default_rng(seed) for seed in range(3)]
-        assert ChannelModel().draw(rngs, 100) == (None, None)
-        lost, flipped = ChannelModel(loss=0.3).draw(rngs, 100)
+        rng = np.random.default_rng(0)
+        assert ChannelModel().draw(rng, (3, 100)) == (None, None)
+        lost, flipped = ChannelModel(loss=0.3).draw(rng, (3, 100))
         assert lost.shape == (3, 100) and flipped is None
-        lost, flipped = ChannelModel(flip_prob=0.1).draw(rngs, 100)
-        assert lost is None and flipped.shape == (3, 100)
-        for seed, rng in enumerate(rngs):
-            want = np.random.default_rng(seed)
-            want.random(100), want.random(100)
-            assert rng.bit_generator.state == want.bit_generator.state
+        lost, flipped = ChannelModel(flip_prob=0.1).draw(rng, 100)
+        assert lost is None and flipped.shape == (100,)
+        want = np.random.default_rng(0)
+        want.random(300), want.random(100)
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_a_round_that_loses_nothing_has_no_detected_mask(self):
         config = lfsr_config(n=500)
         attack = _attack(2, config.n, AttackStrategy.parse("breidbart"), config.key_selectors())
-        *_, detected, _ = _state_round(attack, ChannelModel(flip_prob=0.1),
-                                       (np.random.default_rng(0),))
+        *_, detected, _ = _state_round(attack, ChannelModel(flip_prob=0.1), 1,
+                                       np.random.default_rng(0))
         assert detected is None
-        *_, detected, _ = _state_round(attack, ChannelModel(loss=0.1), (np.random.default_rng(0),))
+        *_, detected, _ = _state_round(attack, ChannelModel(loss=0.1), 1, np.random.default_rng(0))
         assert detected.shape == (1, 500)
 
     def test_full_interception_draws_no_attack_mask(self, monkeypatch):
         def no_mask(*args):
             raise AssertionError("a mask was drawn at fraction 1")
 
-        monkeypatch.setattr(keyedqkd.adversary, "uniform_below_rows", no_mask)
+        monkeypatch.setattr(keyedqkd.adversary, "uniform_below", no_mask)
         selectors = lfsr_config(n=64).key_selectors()
-        rngs = (np.random.default_rng(0), np.random.default_rng(1))
         attack = _attack(2, 64, AttackStrategy.parse("intercept"), selectors)
-        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), rngs)
+        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), 2, np.random.default_rng(0))
         assert attacked == slice(None) and outcome.shape == (2, 64)
         # At fraction 0 the mask is None, and she attacks nothing.
         monkeypatch.undo()
         attack = _attack(2, 64, AttackStrategy.parse("intercept:0"), selectors)
-        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), rngs[:1])
+        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), 1, np.random.default_rng(1))
         assert attacked == slice(0) and outcome.shape == (1, 0)
 
     @pytest.mark.parametrize("text", ["breidbart", "fixed:1.2", "intercept:0.5"])
@@ -1376,7 +1405,7 @@ class TestCoinDraws:
         """measure_codes on a table of the entries `p1` at offsets `codes`, and
         the generator it drew from."""
         rng = np.random.default_rng(seed)
-        got = measure_codes(table_of(monkeypatch, p1, codes.size), codes.reshape(1, -1), (rng,))
+        got = measure_codes(table_of(monkeypatch, p1, codes.size), codes.reshape(1, -1), rng)
         return got.reshape(codes.shape), rng
 
     @pytest.mark.parametrize("shift", [0.0, PI / 8, -PI / 8, PI / 4, -PI / 4, 0.3])
@@ -1427,10 +1456,10 @@ class TestCoinDraws:
         rng = np.random.default_rng(18)
         if coins:
             p1 = np.tile([0.0, 0.5, 1.0, 0.5], 64)
-            got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets[None], (rng,))[0]
+            got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets[None], rng)[0]
             want = (np.random.default_rng(18).random(offsets.size) < p1[offsets]).view(np.uint8)
         else:
-            got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets[None], (rng,))[0]
+            got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets[None], rng)[0]
             want = reference.measure_many_snapped(offsets * (PI / 2 / 128), 0.0,
                                                   np.random.default_rng(18))
         _same_arrays([got], [want])
@@ -1464,7 +1493,7 @@ class TestCoinDraws:
         positions = 2 ** 20
         offsets = np.full(positions, 3, dtype=np.uint8)
         ones = int(measure_codes(OffsetTable(2, 0.0, positions), offsets[None],
-                                 (np.random.default_rng(14),)).sum())
+                                 np.random.default_rng(14)).sum())
         assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
 
     @pytest.fixture
@@ -1473,11 +1502,11 @@ class TestCoinDraws:
         draws go through its imported name and are not counted."""
         seen = []
 
-        def spy(rngs, n):
-            seen.append(n)
-            return uniform_bit_rows(rngs, n)
+        def spy(rng, shape):
+            seen.append(shape)
+            return uniform_bits(rng, shape)
 
-        monkeypatch.setattr(keyedqkd.qubits, "uniform_bit_rows", spy)
+        monkeypatch.setattr(keyedqkd.qubits, "uniform_bits", spy)
         return seen
 
     @pytest.mark.parametrize("m,text,coins", [

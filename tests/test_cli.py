@@ -131,6 +131,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--seed", "1",
                      "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("field,extra", [("channel", {"los": 0.5}),
+                                             ("keystream", {"key": "1001"})])
+    def test_unknown_nested_config_field_exits_one(self, tmp_path, capsys, field, extra):
+        config = write_config(tmp_path, **{field: dict(BASE_CONFIG[field], **extra)})
+        assert main(["run", "--config", str(config), "--seed", "1",
+                     "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+        assert f"unknown {field} fields" in capsys.readouterr().err
+
     def test_seed_required(self, config_path, tmp_path, capsys):
         code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "o.json")])
         capsys.readouterr()

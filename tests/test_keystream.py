@@ -21,10 +21,11 @@ from keyedqkd import (
 
 from keyedqkd.adversary import _key_guess_successes, _key_guess_target
 from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
-from keyedqkd.qubits import uniform_below_rows, uniform_bit_rows, uniform_bits
+from keyedqkd.qubits import uniform_below, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
-                       lfsr_reference, primitive_tap_sets, selectors_matmul, word_bits)
+                       lfsr_matrix, lfsr_reference, primitive_tap_sets, selectors_matmul,
+                       word_bits)
 
 M2 = BasisAlphabet(2)
 M4 = BasisAlphabet(4)
@@ -465,7 +466,7 @@ def twin_generators(bit_generator, pending):
 
 
 class TestUniformDraws:
-    """uniform_bits and uniform_below_rows against the draw contract as tests/reference.py
+    """uniform_bits and uniform_below against the draw contract as tests/reference.py
     rebuilds it, bits and state, with and without a pending 32-bit half."""
 
     @pytest.mark.parametrize("pending", [False, True])
@@ -501,41 +502,49 @@ class TestUniformDraws:
         for p in (-0.5, 0.0, 0.3, 0.999, math.nan):
             for n in (0, 1, 1001):
                 ref, rng = twin_generators(bit_generator, pending)
-                mask = uniform_below_rows(p, (rng,), n)
+                mask = uniform_below(p, rng, n)
                 if p <= 0.0:
                     assert mask is None, p
                 else:
-                    assert mask.dtype == bool and mask.shape == (1, n)
-                    assert np.array_equal(mask, draw_below(p, (1, n), ref)), (p, n)
+                    assert mask.dtype == bool and mask.shape == (n,)
+                    assert np.array_equal(mask, draw_below(p, n, ref)), (p, n)
                 assert same_state(rng.bit_generator.state, ref.bit_generator.state), (p, n)
                 assert rng.integers(0, 2) == ref.integers(0, 2), (p, n)
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS + [SubclassedPCG64])
-    def test_each_row_draws_what_its_generator_alone_would(self, bit_generator, pending):
-        # Three rows, each from its own generator: row r holds the bits, or
-        # the mask, that a one-generator call on generator r gives, and
-        # leaves it in the same state.
+    def test_a_block_draws_its_rows_in_c_order(self, bit_generator, pending):
+        # A (3, n) draw holds the bits, or the mask, of the reference's one
+        # draw of that shape, and of three one-row draws made one after
+        # another, and leaves the generator in the same state as both.
         for n in (0, 1, 63, 65, 12_500):
             for p in (None, 0.0, 0.3, 0.999):
-                rows = [twin_generators(bit_generator, pending) for _ in range(3)]
-                for _, rng in rows[1:]:
-                    rng.random(5)  # generators in different states
-                for ref, _ in rows[1:]:
-                    ref.random(5)
-                rngs = [rng for _, rng in rows]
+                ref, rng = twin_generators(bit_generator, pending)
+                rows, _ = twin_generators(bit_generator, pending)
                 if p is None:
-                    got = uniform_bit_rows(rngs, n)
-                    want = [uniform_bits(ref, n) for ref, _ in rows]
+                    got = uniform_bits(rng, (3, n))
+                    want = integer_bits(ref, (3, n))
+                    alone = [uniform_bits(rows, n) for _ in range(3)]
                 else:
-                    got = uniform_below_rows(p, rngs, n)
-                    want = [draw_below(p, n, ref) for ref, _ in rows]
+                    got = uniform_below(p, rng, (3, n))
+                    want = None if p == 0.0 else draw_below(p, (3, n), ref)
+                    alone = [uniform_below(p, rows, n) for _ in range(3)]
                 if p == 0.0:
-                    assert got is None
+                    assert got is None and alone == [None] * 3
                 else:
-                    assert got.shape == (3, n) and got.dtype == want[0].dtype
-                    for row, expected in zip(got, want):
-                        assert np.array_equal(row, expected), (n, p)
-                for ref, rng in rows:
-                    assert same_state(rng.bit_generator.state, ref.bit_generator.state), (n, p)
-                    assert rng.random() == ref.random(), (n, p)
+                    assert got.shape == (3, n) and got.dtype == want.dtype
+                    assert np.array_equal(got, want), (n, p)
+                    assert np.array_equal(got, np.stack(alone)), (n, p)
+                for other in (ref, rows):
+                    assert same_state(rng.bit_generator.state, other.bit_generator.state), (n, p)
+                assert rng.random() == ref.random(), (n, p)
+
+    @pytest.mark.parametrize("taps", [(8, 7, 2, 1), (64, 63, 61, 60), (4, 3), (5, 3)])
+    def test_the_recurrence_matrix_gives_the_recurrence(self, taps):
+        # The oracle of a guessed seed's terms: linear in the seed over GF(2).
+        length = max(taps)
+        draw = np.random.default_rng(length)
+        for count in (1, length, length + 1, 3 * length + 7, 5000):
+            matrix = lfsr_matrix(taps, count).astype(np.int64)
+            for seed in [np.zeros(length, np.int64), *draw.integers(0, 2, (3, length))]:
+                assert np.array_equal(matrix @ seed % 2, lfsr_reference(taps, seed, count))

@@ -33,7 +33,7 @@ from keyedqkd import (
 import keyedqkd.protocol
 from keyedqkd.protocol import bits_to_hex
 
-from reference import draw_below_rows, integer_bits, lfsr_reference, toeplitz_hash_direct
+from reference import integer_bits, lfsr_reference, mask_below, toeplitz_hash_direct
 
 M2 = BasisAlphabet(2)
 LFSR16 = LfsrKeystream(LfsrSpec.from_text("16:16,15,13,4"), SeedKey.from_string("1011001110001111"))
@@ -461,7 +461,7 @@ def with_reference_draws(monkeypatch, run):
     fast_rng = np.random.default_rng(2024)
     fast = run(fast_rng)
     monkeypatch.setattr(keyedqkd.protocol, "uniform_bits", integer_bits)
-    monkeypatch.setattr(keyedqkd.protocol, "uniform_below_rows", draw_below_rows)
+    monkeypatch.setattr(keyedqkd.protocol, "uniform_below", mask_below)
     ref_rng = np.random.default_rng(2024)
     return fast, run(ref_rng), fast_rng.bit_generator.state, ref_rng.bit_generator.state
 
@@ -730,6 +730,21 @@ class TestConfigSerialization:
         doc["code_rte"] = 0.6
         with pytest.raises(ValueError, match="unknown config fields"):
             ProtocolConfig.from_json_dict(doc)
+
+    def test_unknown_nested_fields_raise(self):
+        # A misspelt loss once loaded and ran lossless, and a stray key
+        # beside an LFSR seed was ignored.
+        lfsr = make_config().to_json_dict()
+        repetition = make_config(keystream=RepetitionKeystream(SeedKey.from_string("1001")))
+        repetition = repetition.to_json_dict()
+        for doc, field, extra in [
+                (lfsr, "channel", {"los": 0.5}), (repetition, "channel", {"flip": 0.1}),
+                (lfsr, "keystream", {"key": "1001"}), (repetition, "keystream", {"seed": "1"}),
+                (repetition, "keystream", {"spec": "4:4,3"})]:
+            bad, key = dict(doc, **{field: dict(doc[field], **extra)}), next(iter(extra))
+            with pytest.raises(ValueError, match=rf"unknown {field} fields: \['{key}'\]"):
+                ProtocolConfig.from_json_dict(bad)
+            assert ProtocolConfig.from_json_dict(doc).to_json_dict() == doc
 
     def test_invalid_values_raise(self):
         with pytest.raises(ValueError):
