@@ -362,10 +362,15 @@ def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
     alone, is never more than pi/4 off and never flips; nor does breidbart
     there, while a fixed basis past pi/4, such as fixed:1.2, flips basis 0.
     Only the Monte Carlo attack decodes, so an in-line run never builds
-    them."""
+    them. At m <= n the test runs once per basis, and the selectors gather
+    from it only if some basis flips; at m > n once per position."""
     if strategy.kind != "fixed_basis":
         return None
-    flips = np.cos(alphabet.angle(selectors) - strategy.phi) ** 2 < 0.5
+    per_basis = alphabet.m <= selectors.size
+    bases = np.arange(alphabet.m) if per_basis else selectors
+    flips = np.cos(alphabet.angle(bases) - strategy.phi) ** 2 < 0.5
+    if per_basis and flips.any():
+        flips = flips[selectors]
     return _read_only(flips) if flips.any() else None
 
 

@@ -224,9 +224,9 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     2e-4 n otherwise. Any other input (out of range, non-finite or empty)
     leaves every position uncertain.
 
-    measure_codes snaps a small p1 table instead (_snap) and, unless it is
-    a two-basis table of only 0, 1/2 and 1, compares the raw draws; both
-    give the same outcome for every draw.
+    measure_codes snaps a small p1 table instead (_snap) and draws from it
+    by its own rules, one bit or one byte per position: the same
+    distribution from other draws.
     """
     import numpy as np
 
@@ -264,22 +264,29 @@ class OffsetTable:
     2m entries are no more than `positions`, the most that any call will
     measure, it is built and snapped once (_snap) as `p1`, with `coins`,
     the 8-bit mask of _coin_outcomes as a read-only 0-d uint8 array, or
-    None when the table draws doubles. Only a two-basis table (2m = 4) can
+    None when the table draws bytes. Only a two-basis table (2m = 4) can
     have coins: at m >= 4 adjacent entries lie h < pi/4 apart, so they
-    cannot both sit on multiples of pi/4. A larger table is never built,
-    and `p1` is None.
+    cannot both sit on multiples of pi/4. Beside p1 it holds the byte
+    rule's `threshold` t = min(floor(256 p1), 255) as uint8 and
+    `fraction` f = 256 p1 - t as float64, exact: a snapped 0 gives t = 0,
+    f = 0 and a snapped 1 gives t = 255, f = 1. A larger table is never
+    built, and `p1`, `threshold` and `fraction` are None.
     """
 
-    __slots__ = ("step", "shift", "p1", "coins")
+    __slots__ = ("step", "shift", "p1", "coins", "threshold", "fraction")
 
     def __init__(self, m: int, shift: float, positions: int):
         import numpy as np
 
         self.step, self.shift = HALF_PI / m, shift
-        self.p1 = self.coins = None
+        self.p1 = self.coins = self.threshold = self.fraction = None
         if 2 * m <= positions:
             self.p1 = _snap(_sin2(np.arange(2 * m) * self.step + shift))
-            self.p1.setflags(write=False)
+            scaled = self.p1 * 256.0
+            self.threshold = np.minimum(scaled, 255.0).astype(np.uint8)
+            self.fraction = scaled - self.threshold
+            for a in (self.p1, self.threshold, self.fraction):
+                a.setflags(write=False)
             coins = _coin_outcomes(self.p1) if m == 2 else None
             if coins is not None:
                 self.coins = np.array(coins, np.uint8)
@@ -289,45 +296,55 @@ class OffsetTable:
 def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     """Outcomes of measurements at lattice offsets `offsets` (a 2-D array
     of any integer dtype, each entry in [0, 2m)) under `table`, every draw
-    from `rng` in C order, so a block of rows draws what the same rows
-    measured one after another would.
+    from `rng`. On the coin and per-position paths a block of rows draws
+    what the same rows measured one after another would; the byte path
+    draws every row's bytes before the block's ties.
 
     When the table's p1 is built and has no more entries than a row has
-    positions, the positions gather from it. If the table has `coins`
-    (every entry 0, 1 or within 1e-12 of 1/2: the unshifted table on the
-    two-basis alphabet, which intercept, key guessing and block guessing
-    read there; not breidbart, nor a fixed basis off the multiples of
-    pi/4), the block draws uniform_bits, one bit per position whatever
-    entry the position reads, and each outcome is bit 2o + b of the 8-bit
-    mask, shifted out of the whole block in place in uint8: no gather. Any
-    other table compares one raw double per position with the gathered
-    p1, a row at a time in two buffers that every row reuses, so no
-    (rows, positions) float array is built; that gives
-    measure_many(offsets * table.step, -table.shift, rng)'s outcomes from
-    the same draws: its theta - phi, o*h - (-shift), is the table's
-    o*h + shift to the bit, and np.sin gives a float the same bits
-    wherever it sits in an array (a test checks this). A block of rows
-    with fewer positions than table entries takes that measure_many call
-    itself, so no call builds a table of m entries.
+    positions, the positions read it. If the table has `coins` (every entry
+    0, 1 or 1/2: the unshifted table on the two-basis alphabet, which
+    intercept, key guessing and block guessing read there; not breidbart,
+    nor a fixed basis off the multiples of pi/4), the block draws
+    uniform_bits, one bit per position whatever entry the position reads,
+    and each outcome is bit 2o + b of the 8-bit mask, shifted out of the
+    whole block in place in uint8: no gather. Any other table draws one
+    byte per position, each row's first n bytes of its ceil(n/8)
+    uniform_words read little-endian, rows in C order, and the outcome is
+    byte < threshold[o]. The ties, byte == threshold[o] (1 in 256), then
+    draw one double R each, in C order, in one rng.random call, and their
+    outcome is R < fraction[o]. So P(1) = (t + f)/256, p1 to within 2^-61,
+    and snapped entries are certain for every byte (Knuth and Yao's lazy
+    comparison of uniform bits with p1's binary expansion, cut after 8
+    bits). The thresholds gather a row at a time. A block of rows with
+    fewer positions than table entries takes
+    measure_many(offsets * table.step, -table.shift, rng) itself, so no
+    call builds a table of m entries.
 
+    The table path gives the float path's distribution, not its outcomes
+    from the same draws: its draws are bits or bytes, not doubles. Its
+    o*h + shift is that path's theta - phi to the bit, and np.sin gives a
+    float the same bits wherever it sits in an array (a test checks this).
     An offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of
-    the float path by an ulp or so, so p1 can differ from that path's by
-    as much, and an outcome can differ only where a draw lies that close
-    to p1."""
+    the keyed send by an ulp or so, so p1 can differ from that path's by
+    as much."""
     import numpy as np
 
-    p1, positions = table.p1, offsets.shape[1]
+    p1, (rows, positions) = table.p1, offsets.shape
     if p1 is None or p1.size > positions:
         return measure_many(offsets * table.step, -table.shift, rng)
     if table.coins is None:
-        # Two buffers, not one of twice the size, keep each under glibc's
-        # mmap threshold at the workload's rows. The offsets lie in [0, 2m),
-        # so take's clip mode clips nothing; it writes straight into `p`,
-        # where the default mode buffers a copy.
-        outcomes = np.empty(offsets.shape, bool)
-        u, p = np.empty(positions), np.empty(positions)
-        for row, out in zip(offsets, outcomes):
-            np.less(rng.random(out=u), p1.take(row, out=p, mode="clip"), out=out)
+        draws = uniform_words(rng, (rows, -(-positions // 8)))
+        draws = draws.astype("<u8", copy=False).view(np.uint8)[:, :positions]
+        # A row at a time, so take's intp copy of the indices never grows
+        # past one row. The offsets lie in [0, 2m), so its clip mode clips
+        # nothing; it writes straight into the row, where the default mode
+        # buffers a copy.
+        thresholds = np.empty(offsets.shape, np.uint8)
+        for row, out in zip(offsets, thresholds):
+            table.threshold.take(row, out=out, mode="clip")
+        outcomes = np.less(draws, thresholds)
+        ties = np.flatnonzero(draws == thresholds)
+        outcomes.flat[ties] = rng.random(ties.size) < table.fraction[offsets.flat[ties]]
         return outcomes.view("u1")
     index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
     index += uniform_bits(rng, offsets.shape)
@@ -338,18 +355,16 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
 
 def _coin_outcomes(table: np.ndarray) -> int | None:
     """The outcome of each snapped p1 entry e at each uniform bit b, as bit
-    2e + b of one integer, when every entry is 0, 1 or a fair coin (within
-    ANGLE_TOL of 1/2, bounds included): the bit for a coin, the entry
-    itself otherwise. None as soon as an entry is anything else. On the
-    4 entries of a two-basis table the mask fits 8 bits."""
-    low, high = 0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL
+    2e + b of one integer, when every entry is 0, 1 or 1/2: the bit for a
+    coin, the entry itself otherwise. None as soon as an entry is anything
+    else. On the 4 entries of a two-basis table the mask fits 8 bits."""
     mask = 0
     for entry, p1 in enumerate(memoryview(table)):
         if p1 == 0.0:
             outcomes = 0b00
         elif p1 == 1.0:
             outcomes = 0b11
-        elif low <= p1 <= high:
+        elif p1 == 0.5:
             outcomes = 0b10
         else:
             return None
@@ -367,14 +382,16 @@ def _sin2(d: np.ndarray) -> np.ndarray:
 
 
 def _snap(p1: np.ndarray) -> np.ndarray:
-    """p1 in place with values <= ANGLE_TOL set to 0 and values >= 1 - ANGLE_TOL
-    set to 1, so that for every draw u in [0, 1), u < snap(p1) exactly when
-    measure_many's clipped u < p1: at or beyond the tolerances both are
-    certain, and in between p1 lies in [nextafter(ANGLE_TOL, 1), _DRAW_MAX],
-    where the clip moves no draw across p1, as no double lies strictly
-    between _DRAW_MAX and 1 - ANGLE_TOL."""
+    """p1 in place with values <= ANGLE_TOL set to 0, values >= 1 - ANGLE_TOL
+    set to 1 and values within ANGLE_TOL of 1/2, bounds included, set to
+    1/2. Certain at or beyond the tolerances, as measure_many's clip makes
+    them for every draw. A fair coin on every route: the two-basis coin
+    rule reads it as one bit, and the byte rule's ties follow floor(256 p1),
+    which an ulp either side of 1/2 would move, so the p1 an offset table
+    and a float-angle sum round to would tie on different bytes."""
     p1[p1 <= ANGLE_TOL] = 0.0
     p1[p1 >= 1.0 - ANGLE_TOL] = 1.0
+    p1[(p1 >= 0.5 - ANGLE_TOL) & (p1 <= 0.5 + ANGLE_TOL)] = 0.5
     return p1
 
 

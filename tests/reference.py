@@ -152,17 +152,41 @@ def helstrom_error(rho0, rho1, p0: float) -> float:
     return 0.5 * (1.0 - float(np.abs(eigs).sum()))
 
 
-def measure_many_snapped(thetas, phis, rng, coins: bool = False) -> np.ndarray:
+def measure_many_snapped(thetas, phis, rng, rule: str = "doubles") -> np.ndarray:
     """Projective measurement that snaps sin^2(theta - phi) within 1e-12 of 0 or 1
-    to certainty before comparing one uniform draw per element against it.
-    With `coins` every snapped p1 must be 0, 1/2 or 1 within 1e-12: then each
-    element reads one uniform bit instead, the bit itself where p1 is 1/2."""
+    to certainty before drawing by `rule` (draw_rule): "doubles" compares
+    one uniform double per element against it; "coins" needs every snapped
+    p1 to be 0, 1/2 or 1 within 1e-12 and reads one uniform bit per element
+    instead, the bit itself where p1 is 1/2; "bytes" reads p1 within 1e-12
+    of 1/2 as 1/2 and draws byte_outcomes."""
     p1 = np.sin(np.asarray(thetas) - np.asarray(phis)) ** 2
     p1 = np.where(p1 <= 1e-12, 0.0, np.where(p1 >= 1.0 - 1e-12, 1.0, p1))
-    if coins:
+    if rule == "coins":
         bits = integer_bits(rng, p1.shape)
         return np.where(is_coin(p1), bits, p1).astype(np.uint8)
+    if rule == "bytes":
+        return byte_outcomes(np.where(is_coin(p1), 0.5, p1), rng)
     return (rng.random(p1.shape) < p1).astype(np.uint8)
+
+
+def byte_outcomes(p1, rng) -> np.ndarray:
+    """Outcomes of p1, n or (rows, n), by the byte rule: one byte per
+    element, each row's first n bytes of its ceil(n/8) words, byte i the
+    bits 8(i % 8) up of word i // 8; outcome 1 below t = min(floor(256 p1),
+    255), 0 above it, and at a tie, after every byte is drawn, one double
+    per tie in C order, below f = 256 p1 - t."""
+    p1 = np.asarray(p1)
+    rows = p1.reshape(-1, p1.shape[-1]) if p1.ndim else p1.reshape(1, 1)
+    n = rows.shape[1]
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=(len(rows), -(-n // 8)),
+                         dtype=np.uint64, endpoint=True)
+    shifts = np.uint64(8) * (np.arange(n) % 8).astype(np.uint64)
+    draws = (words[:, np.arange(n) // 8] >> shifts) & np.uint64(0xFF)
+    t = np.minimum(np.floor(256 * rows), 255)
+    outcomes = draws < t
+    tie = draws == t
+    outcomes[tie] = rng.random(int(tie.sum())) < (256 * rows - t)[tie]
+    return outcomes.reshape(p1.shape).astype(np.uint8)
 
 
 class GivenDraws:
@@ -179,6 +203,27 @@ class GivenDraws:
             return out
         self.rng.random(shape)
         return np.resize(self.draws, shape)
+
+
+class GivenWords:
+    """A stand-in generator off PCG64, so uniform_words asks it for
+    integers: its 64-bit words carry the bytes `data`, 8 to a word,
+    little-endian, and its doubles are `doubles`, in order. `calls` records
+    each draw, ("words", shape) or ("doubles", count)."""
+
+    bit_generator = None
+
+    def __init__(self, data, doubles):
+        self.words = np.frombuffer(np.asarray(data, np.uint8).tobytes(), "<u8")
+        self.doubles, self.calls = np.asarray(doubles, float), []
+
+    def integers(self, low, high, size=None, dtype=None):
+        self.calls.append(("words", size))
+        return self.words.reshape(size).astype(dtype)
+
+    def random(self, size=None):
+        self.calls.append(("doubles", size))
+        return self.doubles[:size]
 
 
 def is_coin(p1):
@@ -201,22 +246,23 @@ def coin_outcome_bytes(p1) -> bytes | None:
     return bytes(outcomes)
 
 
-def draws_coins(states, bases, m: int, positions: int) -> bool:
-    """Whether measuring `positions` qubits whose states lie in `states` and
-    bases in `bases`, against m keyed bases, draws bits, not doubles: the
-    table of the 2m offsets between state and basis has at most one entry
-    per position, and sin^2(state - basis) over every pair lies within
-    1e-12 of 0, 1/2 or 1. The pairs are checked about 4096 at a time, a
-    chunk of states against every basis, stopping at the first chunk with
-    another value, so memory does not grow with the number of pairs."""
+def draw_rule(states, bases, m: int, positions: int) -> str:
+    """How measuring `positions` qubits whose states lie in `states` and
+    bases in `bases`, against m keyed bases, draws: "doubles" when the
+    table of the 2m offsets between state and basis has more entries than
+    positions; otherwise "coins" when sin^2(state - basis) over every pair
+    lies within 1e-12 of 0, 1/2 or 1, and "bytes" when it does not. The
+    pairs are checked about 4096 at a time, a chunk of states against
+    every basis, stopping at the first chunk with another value, so memory
+    does not grow with the number of pairs."""
     if 2 * m > positions:
-        return False
+        return "doubles"
     states, step = np.ravel(states), max(1, 4096 // np.size(bases))
     for first in range(0, states.size, step):
         p1 = np.sin(np.subtract.outer(states[first:first + step], bases)) ** 2
         if not np.all((p1 <= 1e-12) | (p1 >= 1.0 - 1e-12) | is_coin(p1)):
-            return False
-    return True
+            return "bytes"
+    return "coins"
 
 
 def key_guess_successes(seed_bits, count: int, rng) -> int:
@@ -257,7 +303,7 @@ def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
     positions, bob bits, detected mask). `bases` holds every angle the
     keyed and the attacker bases may take, (key, eve); with the bit and
     flip turns they give the states each measurement may meet, which decide
-    whether it draws bits (draws_coins), as do the positions of a row.
+    how it draws (draw_rule), as do the positions of a row.
     Draws, each for every row in C order: alice, eve, lost, flipped, bob. A
     mask selects along the rows of a block of one row only."""
     key_bases, eve_bases = bases
@@ -266,13 +312,13 @@ def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
     theta = phi_key + alice * HALF_PI
     seen = theta[attacked]
     outcome = measure_many_snapped(seen, eve_phi[attacked], rng,
-                                   draws_coins(keyed, eve_bases, key_bases.size, seen.shape[-1]))
+                                   draw_rule(keyed, eve_bases, key_bases.size, seen.shape[-1]))
     theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
     lost = draw_below(channel.loss, theta.shape, rng)
     flipped = draw_below(channel.flip_prob, theta.shape, rng)
     sent = with_turns(np.concatenate([keyed.ravel(), with_turns(eve_bases).ravel()]))
     bob = measure_many_snapped(theta + flipped * HALF_PI, phi_key, rng,
-                               draws_coins(sent, key_bases, key_bases.size, theta.shape[-1]))
+                               draw_rule(sent, key_bases, key_bases.size, theta.shape[-1]))
     return alice, outcome, bob, ~lost
 
 

@@ -62,7 +62,7 @@ from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2
                              measure_many, uniform_bits)
 
 import reference
-from reference import GivenDraws, key_angles, key_guess_successes
+from reference import GivenDraws, GivenWords, key_angles, key_guess_successes
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
@@ -554,22 +554,23 @@ class TestInlineInterference:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     # sha256 of a run's outcome JSON with its final generator state, and of
-    # Bob's bits from one round. The breidbart pins were recorded with a
-    # sampler that took every p1 in float64. The intercept pins were
-    # recorded once in-line interference became the attack round, which
-    # draws her mask and bases before Alice's bits and, at m = 2, draws
-    # coin bits, not doubles, for her measurement and Bob's.
+    # Bob's bits from one round. The intercept pins at m = 2 were recorded
+    # once in-line interference became the attack round, which draws her
+    # mask and bases before Alice's bits and, at m = 2, draws coin bits, not
+    # doubles, for her measurement and Bob's. The breidbart pins and
+    # intercept at m = 16 were recorded when every other table measurement
+    # came to draw one byte per position and a double per tie.
     INLINE_PINS = {
-        ("breidbart", 2): ("00b15be6d0ae6ccb72e51ca430debdcce57e2417f7763a313038273b731013a6",
-                           "0a29a8b114e170725fba2ee79b7f4ccb3ae3a04025d9cba64ef680bc6251c62a"),
-        ("breidbart", 16): ("8329d24b6d1ff79684b4adf296975b410dfef46d10e8764bfcb4bebf0a93fd6b",
-                            "cecbe39686c0265cbada3ed2b15b7468a89a07c7fe463eb3afe67acc9ba9d701"),
+        ("breidbart", 2): ("a81d9da1807527ee679715dac01d68b75f6c397fc465f7e1e67bbc92c3cb91ac",
+                           "dbf93ffbf160333fceea0b1088472b5f06dda22c949d68b7227e2dc45083fb79"),
+        ("breidbart", 16): ("20902ea1afae0a547e57df7a15fa22cef68c9decfaa0c8b7062a5c3d2bb8b30f",
+                            "535456ee2d6bb120fadc88a2a612d71aaefa86cb94b329d8205774c9f7e3dc51"),
         ("intercept:0.5", 2): (
             "dd8f2e657c7c5b5b420fb4e66de6e15d0408adf898d703bad14c8a5405aa2e1e",
             "3d8db0fa8212bb171349b62bccd66d23d0f530a8037e71f41d7f8b337ff86429"),
         ("intercept:0.5", 16): (
-            "16f9bda05d6d6aeefd99c32518c0a0ec79b6788dfe49f854acbbd4a30e9184ae",
-            "af0e949201ded33f378fd290e4dde3c8081cea3bd0380edc2459cb1eb70b292f"),
+            "036f56d3696809fa4b84a8b008e28302828cdc762e34b82947b3d87adb0ee452",
+            "3f6da7a44d5a16a31796151f43d8fc58d412232a4f6f143a28c16aa165a8a736"),
     }
 
     @pytest.mark.parametrize("text,m", list(INLINE_PINS))
@@ -917,40 +918,42 @@ class TestCodedKernels:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-    def test_snapped_table_equals_the_clipped_draws_at_the_edges(self, monkeypatch):
-        # Every edge p1 meets every edge draw: a table of these entries
-        # against measure_many, whose sin^2 is replaced by the identity so
-        # that its angles are the p1 values themselves.
-        p1 = np.array([0.0, ANGLE_TOL, math.nextafter(ANGLE_TOL, 1.0), 0.5, _DRAW_MAX,
-                       1.0 - ANGLE_TOL, 1.0])
-        draws = [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]
-        codes = np.repeat(np.arange(p1.size), len(draws))
-        table = table_of(monkeypatch, p1, codes.size)
+    def test_snapped_edges_are_certain_as_the_clip_makes_them(self, monkeypatch):
+        # Every edge p1 against measure_many's edge draws and the table's
+        # every byte with edge tie draws: measure_many's sin^2 is replaced by
+        # the identity, so that its angles are the p1 values themselves.
+        p1 = np.array([0.0, ANGLE_TOL, math.nextafter(ANGLE_TOL, 1.0), 0.5 - ANGLE_TOL, 0.5,
+                       _DRAW_MAX, 1.0 - ANGLE_TOL, 1.0])
+        table = table_of(monkeypatch, p1, 256 * p1.size)
+        assert table.p1.tolist() == [0.0, 0.0, p1[2], 0.5, 0.5, _DRAW_MAX, 1.0, 1.0]
+        assert table.threshold.tolist() == [0, 0, 0, 128, 128, 255, 255, 255]
+        codes = np.repeat(np.arange(p1.size, dtype=np.uint8), 256)
+        data = np.tile(np.arange(256, dtype=np.uint8), p1.size)
         monkeypatch.setattr(keyedqkd.qubits, "_sin2", lambda d: d)
-        rng, ref_rng = GivenDraws(draws, 7), GivenDraws(draws, 7)
-        got = measure_codes(table, codes.reshape(1, -1), rng)[0]
-        want = measure_many(p1[codes], np.zeros(codes.size), ref_rng)
-        _same_arrays([got], [want])
-        assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
-        # Certain below and above the tolerances, the clip's reading between them.
-        assert want.reshape(p1.size, len(draws)).tolist() == [
-            [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0],
-            [1, 1, 1, 1], [1, 1, 1, 1]]
+        for draw in [0.0, 1e-13, _DRAW_MAX, math.nextafter(1.0, 0.0)]:
+            got = measure_codes(table, codes[None], GivenWords(data, [draw] * p1.size))[0]
+            got = got.reshape(p1.size, 256)
+            want = measure_many(p1, np.zeros(p1.size), GivenDraws([draw], 7))
+            # Certain below and above the tolerances, on both paths.
+            certain = [0, 1, 6, 7]
+            assert want[certain].tolist() == [0, 0, 1, 1]
+            assert (got[certain] == want[certain, None]).all()
 
     # Shifted tables, and unshifted ones off the two-basis alphabet, draw
-    # doubles on both paths.
+    # bytes from the table.
     @pytest.mark.parametrize("m,shift", [(2, 0.3), (2, -PI / 8), (16, 0.0), (16, -0.3),
                                          (128, 0.0), (1024, 0.3), (1024, -PI / 8)])
-    def test_the_table_equals_the_per_position_path(self, m, shift):
+    def test_the_table_draws_the_byte_rule_on_the_per_position_p1(self, m, shift):
         # The same offsets, of the narrowest dtype, through a table of 2m
-        # entries and through measure_many on their angles.
+        # entries and through the float reference on their angles.
         offsets = np.random.default_rng(m).integers(0, 2 * m, 4 * m)
         offsets = offsets.astype(np.min_scalar_type(2 * m - 1))
-        table, per_position = OffsetTable(m, shift, offsets.size), OffsetTable(m, shift, 0)
-        assert table.p1 is not None and table.coins is None and per_position.p1 is None
+        table = OffsetTable(m, shift, offsets.size)
+        assert table.p1 is not None and table.coins is None
         rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
-        _same_arrays([measure_codes(table, offsets.reshape(1, -1), rng)],
-                     [measure_codes(per_position, offsets.reshape(1, -1), ref_rng)])
+        _same_arrays([measure_codes(table, offsets.reshape(1, -1), rng)[0]],
+                     [reference.measure_many_snapped(offsets * table.step, -shift, ref_rng,
+                                                     "bytes")])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -1381,6 +1384,23 @@ class TestCertainMasks:
         assert len(built) == 1
         assert (built[0] is not None) == (text == "fixed:1.2")
 
+    # pi/4 lies on the threshold of basis 0; n = 5 < m = 16 tests per position.
+    @pytest.mark.parametrize("phi", [PI / 8, 0.3, PI / 4, 1.2])
+    @pytest.mark.parametrize("m,n", [(2, 300), (4, 300), (16, 300), (16, 5), (1024, 300)])
+    def test_decoding_flips_equal_the_per_position_test(self, m, n, phi):
+        alphabet = BasisAlphabet(m)
+        strategy = AttackStrategy("fixed_basis", phi=phi)
+        for seed in range(3):
+            selectors = np.random.default_rng(seed).integers(0, m, n)
+            selectors = selectors.astype(np.min_scalar_type(2 * m - 1))
+            want = np.cos(alphabet.angle(selectors) - strategy.phi) ** 2 < 0.5
+            got = _decoding_flips(strategy, alphabet, selectors)
+            if want.any():
+                _same_arrays([got], [want])
+                assert not got.flags.writeable
+            else:
+                assert got is None
+
 
 @pytest.mark.parametrize("width", [1, 15, 255, 256, 300])
 def test_row_counts_equal_count_nonzero(width):
@@ -1439,42 +1459,42 @@ class TestCoinDraws:
 
     def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, monkeypatch):
         # 201 entries (256 with the padding) on uint8 codes, each 0, 1 or
-        # 1/2: only a two-basis table draws coins, so this one compares one
-        # double per position with the entry its code gathers.
+        # 1/2: only a two-basis table draws coins, so this one draws one
+        # byte per position against the entry its code gathers.
         p1 = np.tile([0.0, 1.0, 0.5], 67)
         codes = np.tile(np.arange(p1.size, dtype=np.uint8), 3)
         got, rng = self.measure(monkeypatch, p1, codes, 17)
-        want = np.random.default_rng(17).random(codes.size) < p1[codes]
-        _same_arrays([got], [want.view(np.uint8)])
+        want_rng = np.random.default_rng(17)
+        _same_arrays([got], [reference.byte_outcomes(p1[codes], want_rng)])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
-    @pytest.mark.parametrize("coins", [True, False], ids=["coins", "doubles"])
-    def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, monkeypatch, coins):
+    @pytest.mark.parametrize("entries", ["halves", "sines"])
+    def test_a_table_index_past_the_range_of_the_codes_does_not_wrap(self, monkeypatch, entries):
         # Offsets that fill their uint8: 256 entries, m = 128. Entries of
-        # 0, 1/2 and 1 still draw doubles there, as only a two-basis table
+        # 0, 1/2 and 1 still draw bytes there, as only a two-basis table
         # draws coins.
         offsets = np.tile(np.random.default_rng(3).permutation(256).astype(np.uint8), 3)
         rng = np.random.default_rng(18)
-        if coins:
+        if entries == "halves":
             p1 = np.tile([0.0, 0.5, 1.0, 0.5], 64)
             got = measure_codes(table_of(monkeypatch, p1, offsets.size), offsets[None], rng)[0]
-            want = (np.random.default_rng(18).random(offsets.size) < p1[offsets]).view(np.uint8)
+            want = reference.byte_outcomes(p1[offsets], np.random.default_rng(18))
         else:
             got = measure_codes(OffsetTable(128, 0.0, offsets.size), offsets[None], rng)[0]
             want = reference.measure_many_snapped(offsets * (PI / 2 / 128), 0.0,
-                                                  np.random.default_rng(18))
+                                                  np.random.default_rng(18), "bytes")
         _same_arrays([got], [want])
 
     @pytest.mark.parametrize("p1", [
         [0.0, 1.0, 0.5 - 2 * ANGLE_TOL], [0.0, 1.0, 0.5 + 2 * ANGLE_TOL],
         [0.0, 1.0, 0.5, 0.3]], ids=["half-minus-2tol", "half-plus-2tol", "one-other-entry"])
-    def test_a_table_with_another_entry_draws_doubles(self, monkeypatch, p1):
+    def test_a_table_with_another_entry_draws_bytes(self, monkeypatch, p1):
         # Positions gather codes 0..2 only: the entry that sends the call
-        # down the double path need not be gathered at all.
+        # down the byte path need not be gathered at all.
         codes = np.tile(np.arange(3, dtype=np.uint8), 100)
         got, rng = self.measure(monkeypatch, p1, codes, 12)
         want_rng = np.random.default_rng(12)
-        want = (want_rng.random(codes.size) < np.array(p1)[codes]).view(np.uint8)
-        _same_arrays([got], [want])
+        _same_arrays([got], [reference.byte_outcomes(np.array(p1)[codes], want_rng)])
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("positions", [64, 130])
@@ -1524,6 +1544,73 @@ class TestCoinDraws:
         guess = SeedKey.from_string("01101100")
         guess_round(config, guess.bits, np.random.default_rng(16))
         assert len(coin_draws) == coins
+
+
+class TestByteDraws:
+    """measure_codes on a table that is not a coin table draws one byte per
+    position and, after all of them, one double per tie: outcome 1 below
+    t = min(floor(256 p1), 255), 0 above it, and R < f = 256 p1 - t at
+    the tie. Here t and f are rebuilt from the table's p1."""
+
+    @staticmethod
+    def table(monkeypatch, name):
+        if name == "edges":
+            p1 = [0.0, 1.0, 2.0 ** -9, 1.0 - 2.0 ** -9, 1.0 / 3.0, 0.5 - 2 * ANGLE_TOL,
+                  0.5 + 2 * ANGLE_TOL, _DRAW_MAX, math.nextafter(ANGLE_TOL, 1.0)]
+            return table_of(monkeypatch, p1, 1 << 20)
+        m, shift = name
+        return OffsetTable(m, shift, 1 << 20)
+
+    TABLES = ["edges", (2, PI / 8), (2, -1.2), (16, 0.0), (16, -0.3), (128, 0.3)]
+
+    @pytest.mark.parametrize("name", TABLES, ids=str)
+    def test_every_byte_at_every_entry(self, monkeypatch, name):
+        table = self.table(monkeypatch, name)
+        assert table.coins is None
+        entries = table.p1.size
+        t = np.minimum(np.floor(256 * table.p1), 255)
+        f = 256 * table.p1 - t
+        assert table.threshold.tolist() == t.tolist() and table.fraction.tolist() == f.tolist()
+        codes = np.repeat(np.arange(entries), 256).astype(np.min_scalar_type(entries - 1))
+        data = np.tile(np.arange(256, dtype=np.uint8), entries)
+        below = np.arange(256) < t[:, None]
+        # One tie per entry, at its byte t, drawn in entry order: a double
+        # on f itself, just below it, and random ones; none reaches 1.
+        last = math.nextafter(1.0, 0.0)
+        for doubles in (np.minimum(f, last), np.maximum(np.nextafter(f, 0.0), 0.0),
+                        np.random.default_rng(entries).random(entries)):
+            rng = GivenWords(data, doubles)
+            got = measure_codes(table, codes[None], rng)[0].reshape(entries, 256)
+            assert rng.calls == [("words", (1, 32 * entries)), ("doubles", entries)]
+            want = below.astype(np.uint8)
+            want[np.arange(entries), t.astype(int)] = doubles < f
+            _same_arrays([got], [want])
+            # A snapped entry is certain for every byte.
+            assert not got[table.p1 == 0.0].any() and got[table.p1 == 1.0].all()
+
+    @pytest.mark.parametrize("p1", [2.0 ** -9, math.sin(PI / 8) ** 2, 1.0 / 3.0, 1.0 - 2.0 ** -9],
+                             ids=["2^-9", "sin2(pi/8)", "1/3", "1-2^-9"])
+    def test_frequencies_match_probabilities(self, monkeypatch, p1):
+        # 2^20 draws in 16 rows, a table of [p1, 0, 0, 0] read at entry 0.
+        codes = np.zeros((16, 1 << 16), np.uint8)
+        table = table_of(monkeypatch, [p1, 0.0, 0.0, 0.0], codes.size)
+        ones = int(measure_codes(table, codes, np.random.default_rng(31)).sum())
+        assert abs(ones / codes.size - p1) < 4 * math.sqrt(p1 * (1 - p1) / codes.size)
+
+    # Rows whose bytes fill their words and rows that leave some unread, on
+    # PCG64 (random_raw) and on Philox (integers).
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize("m,shift", [(2, PI / 8), (16, -0.3)])
+    @pytest.mark.parametrize("rows,n", [(1, 32), (1, 37), (3, 1001), (4, 4096)])
+    def test_a_block_draws_its_bytes_then_its_ties(self, bit_generator, m, shift, rows, n):
+        table = OffsetTable(m, shift, n)
+        offsets = np.random.default_rng(n).integers(0, 2 * m, (rows, n)).astype(np.uint8)
+        rng = np.random.Generator(bit_generator(5))
+        ref_rng = np.random.Generator(bit_generator(5))
+        got = measure_codes(table, offsets, rng)
+        _same_arrays([got], [reference.byte_outcomes(table.p1[offsets], ref_rng)])
+        # Philox's state holds arrays, which repr writes out in full.
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.3, 0.3])

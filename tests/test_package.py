@@ -158,6 +158,12 @@ def test_only_the_keyed_send_samples_angles():
     assert _callers("turn_by_bits") == {"protocol"}
 
 
+def test_only_qubits_draws_uniform_doubles():
+    # The sampling rules, and with them every generator.random call, have
+    # one owner.
+    assert _callers("random") == {"qubits"}
+
+
 # Bound in adversary only so that perfbench's trace can wrap that binding;
 # nothing in adversary calls it.
 UNUSED_IMPORTS = {("adversary", "measure_many")}

@@ -7,6 +7,7 @@ harness warms it first). Run from the root of a checkout, pinned to one CPU:
     PYTHONPATH=src python tools/plain_loop.py --n 100000 --ops 100 --cpu 1
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --cpu 1
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --threads 2
+    PYTHONPATH=src python tools/plain_loop.py --mode attacks --m 16 --ops 60 --cpu 1
 
 `keygen` (the default) runs `run_protocol` on the benchmark's keygen-small
 config (m = 2, LFSR `64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64,
@@ -19,9 +20,11 @@ process's peak RSS in MB.
 at `--threads` (default 1; the workload runs 2): breidbart and intercept
 (16 trials) and keyguess (1e5 trials, 16 simulated transmissions) on the
 noiseless LFSR config at n (default 12 500), and blockguess:3 (2.5e4
-trials) on the repetition key `10011010` at n = 40. Attack i of op k draws
+trials) on the repetition key `10011010` at n = 40. Breidbart and keyguess
+run on `--m` keyed bases (default 2, the workload's); intercept, defined
+on two bases, and blockguess stay on two at every `--m`. Attack i of op k draws
 from `np.random.default_rng([seed, 4k + i])`, as in the workload. It prints
-one JSON object: n, threads, ops, per strategy the median CPU and wall
+one JSON object: n, m, threads, ops, per strategy the median CPU and wall
 milliseconds per attack and the mean minor faults per attack, and the peak
 RSS in MB. To compare threads = 1 with threads = 2, run it once at each,
 unpinned; the CPU time of a two-thread attack is summed over its threads.
@@ -48,9 +51,9 @@ from keyedqkd import (AttackStrategy, BasisAlphabet, ChannelModel, LfsrKeystream
 ATTACKS = (("breidbart", 16), ("intercept", 16), ("keyguess", 100_000), ("blockguess:3", 25_000))
 
 
-def lfsr_config(n: int, flip: float) -> ProtocolConfig:
+def lfsr_config(n: int, flip: float, m: int = 2) -> ProtocolConfig:
     return ProtocolConfig(
-        n=n, alphabet=BasisAlphabet(2),
+        n=n, alphabet=BasisAlphabet(m),
         keystream=LfsrKeystream(LfsrSpec.from_text("64:64,63,61,60"),
                                 SeedKey.from_string("1" + "0" * 62 + "1")),
         channel=ChannelModel(flip_prob=flip),
@@ -86,13 +89,13 @@ def keygen(args) -> dict:
 
 
 def attacks(args) -> dict:
-    lfsr = lfsr_config(args.n or 12_500, 0.0)
+    lfsr, keyed = (lfsr_config(args.n or 12_500, 0.0, m) for m in (2, args.m))
     block = ProtocolConfig(
         n=40, alphabet=BasisAlphabet(2),
         keystream=RepetitionKeystream(SeedKey.from_string("10011010")),
         channel=ChannelModel(), code_rate=0.6, pa_security_param=64, verification_len=32)
-    jobs = [(text, AttackStrategy.parse(text), block if text.startswith("block") else lfsr, trials)
-            for text, trials in ATTACKS]
+    configs = {"breidbart": keyed, "intercept": lfsr, "keyguess": keyed, "blockguess:3": block}
+    jobs = [(text, AttackStrategy.parse(text), configs[text], trials) for text, trials in ATTACKS]
     counts = {text: ([], [], []) for text, *_ in jobs}
     for k in range(args.warmup + args.ops):
         for i, (text, strategy, config, trials) in enumerate(jobs):
@@ -102,7 +105,7 @@ def attacks(args) -> dict:
             if k >= args.warmup:
                 for values, count in zip(counts[text], measured):
                     values.append(count)
-    return {"n": lfsr.n, "threads": args.threads, "ops": args.ops, "attacks": {
+    return {"n": lfsr.n, "m": args.m, "threads": args.threads, "ops": args.ops, "attacks": {
         text: {"cpu_median_ms": 1e3 * statistics.median(cpu),
                "wall_median_ms": 1e3 * statistics.median(wall),
                "minflt_per_attack": statistics.fmean(faults)}
@@ -118,6 +121,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cpu", type=int, help="pin this process to one CPU")
     parser.add_argument("--threads", type=int, default=1, help="attack worker threads (attacks)")
+    parser.add_argument("--m", type=int, default=2,
+                        help="keyed bases of the LFSR strategies (attacks; blockguess keeps 2)")
     args = parser.parse_args()
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
