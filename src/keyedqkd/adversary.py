@@ -26,7 +26,7 @@ from .keystream import (
     RunningKey,
     bits_int,
     expand_running_key,
-    lfsr_bits,
+    lfsr_rows,
 )
 from .protocol import ChannelModel, ProtocolConfig
 from .qubits import (
@@ -479,14 +479,14 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
     (any 0/1 sequence), drawing from `rng` against the key-guess _Attack
     `attack` of `config`: the _counts of the block. An all-zero
     guess expands to the all-zero stream (the attacker is free to guess a
-    degenerate seed)."""
-    guess_codes = np.empty((len(guesses), config.n), attack.code)
-    for row, guess_bits in zip(guess_codes, guesses):
-        bits, _ = lfsr_bits(config.keystream.spec.taps, guess_bits,
-                            config.n * config.alphabet.bits_per_selector)
-        row[...] = expand_running_key(bits, config.n, config.alphabet).selectors
-    return _counts(*_resend_round(attack, attack.key_codes, guess_codes, slice(None),
-                                  config.channel, len(guesses), rng))
+    degenerate seed). The streams are one lfsr_rows array, and as a row
+    holds n whole selectors, one running key over it gives every row's."""
+    rows, n, k = len(guesses), config.n, config.alphabet.bits_per_selector
+    codes = lfsr_rows(config.keystream.spec.taps, guesses, n * k)
+    if k > 1:  # at m = 2 each bit is its own selector
+        codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
+    return _counts(*_resend_round(attack, attack.key_codes, codes.reshape(rows, n), slice(None),
+                                  config.channel, rows, rng))
 
 
 def _key_guess_target(seed_bits: np.ndarray):
@@ -604,17 +604,26 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     detected positions), the errors and positions per trial as in
     BlockGuessTrials. The users' key blocks and the attacker's guesses come
     from one bit draw; `attack` holds the two-basis tables that every chunk
-    of the attack shares."""
-    key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, count, k_blocks)
-    success = _row_counts(guesses ^ key_blocks) == 0
-    # The chunk is one row of a resend block, as its trials draw from one
-    # generator in C order, and splits into one row per trial after it.
-    arrays = _resend_round(attack, np.repeat(key_blocks, block_len, axis=1).reshape(1, -1),
-                           np.repeat(guesses, block_len, axis=1).reshape(1, -1), slice(None),
-                           channel, 1, rng)
-    eve_errors, _, errors, detected = _counts(*(a if a is None else a.reshape(count, -1)
-                                                for a in arrays))
-    return success, errors, eve_errors, detected
+    of the attack shares. The chunk is one resend block of block_len rows,
+    row r position r of every (trial, block), so every row shares one key
+    row and one guess row; a trial's counts sum over the rows, then its k
+    blocks, in the narrowest unsigned type that holds k * block_len."""
+    key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, -1)
+    success = _row_counts((guesses ^ key_blocks).reshape(count, k_blocks)) == 0
+    alice, outcome, bob, detected = _resend_round(attack, key_blocks, guesses, slice(None),
+                                                  channel, block_len, rng)
+    outcome ^= alice
+    bob ^= alice
+    if detected is not None:
+        bob &= detected
+    dtype = np.min_scalar_type(k_blocks * block_len)
+
+    def per_trial(bits):
+        return np.einsum("ij->i", bits.sum(axis=0, dtype=dtype).reshape(count, k_blocks))
+
+    return (success, per_trial(bob), per_trial(outcome),
+            np.full(count, k_blocks * block_len, dtype) if detected is None
+            else per_trial(detected))
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -635,15 +644,15 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     block_len = n // m_k
     # The first chunk is the largest: it sizes the tables.
     chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
-    kernel = partial(_block_guess_chunk, attack=_attack(2, chunk * k_blocks * block_len),
+    kernel = partial(_block_guess_chunk, attack=_attack(2, chunk * k_blocks),
                      k_blocks=k_blocks, block_len=block_len, channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
     return BlockGuessTrials(
         success=np.concatenate([p[0] for p in parts]),
-        attacked_errors=np.concatenate([p[1] for p in parts]),
-        eve_errors=np.concatenate([p[2] for p in parts]),
+        attacked_errors=np.concatenate([p[1] for p in parts], dtype=np.int64),
+        eve_errors=np.concatenate([p[2] for p in parts], dtype=np.int64),
         attacked_per_trial=k_blocks * block_len,
-        attacked_detected=np.concatenate([p[3] for p in parts]),
+        attacked_detected=np.concatenate([p[3] for p in parts], dtype=np.int64),
     )
 
 

@@ -2,7 +2,7 @@
 of per-qubit basis selectors.
 
 Two expanders are built in: a Fibonacci-configuration LFSR over the seed key
-(`lfsr_stream`, one block-parallel kernel `lfsr_bits`) and the repetition
+(`lfsr_stream`, one block-parallel kernel `lfsr_rows`) and the repetition
 expander that stretches an m_k-bit key over n qubits in contiguous blocks.
 `expand_running_key` groups a 0/1 bit array into selectors.
 """
@@ -92,9 +92,10 @@ class LfsrSpec:
         return f"{self.length}:{','.join(str(t) for t in self.taps)}"
 
 
-# Output bits per jump-table block of lfsr_bits.
+# Output bits per jump-table block of lfsr_rows, and the bits (1 MiB) of
+# the largest table it doubles that block towards.
 _BLOCK = 4096
-_BLOCK_MASK = (1 << _BLOCK) - 1
+_TABLE_BITS = 1 << 23
 # bytes.translate table turning the digits of format(state, "b") into 0/1 bytes.
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -121,10 +122,11 @@ def _jump(rows: tuple[int, ...], state: int, digits: str) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
-    """Jump table of the register with `taps`: one row per state bit.
+def _jump_rows(taps: tuple[int, ...], block: int) -> tuple[int, ...]:
+    """Jump table of the register with `taps` for blocks of `block` output
+    bits: one row per state bit.
 
-    Row j holds the first _BLOCK + L sequence bits (bit k = sequence bit k) of
+    Row j holds the first block + L sequence bits (bit k = sequence bit k) of
     the register started from the unit state with only bit L - 1 - j set, i.e.
     rows run from the top state bit down, in the order format(state, "b")
     lists the bits. Row 0 is the impulse response. One step takes unit state
@@ -132,7 +134,7 @@ def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     shifted down one bit is row j + 1, XOR row 0 when j + 1 is a tap. Rows of
     B + L bits thus take B + 2L - 1 impulse bits, and a table of block B
     extends the impulse response by B bits (from its last L bits as a state),
-    so the block doubles from 1 until it reaches _BLOCK.
+    so the block doubles from 1 until it reaches `block`.
     """
     length = max(taps)
     digits = f"0{length}b"
@@ -140,46 +142,54 @@ def _jump_rows(taps: tuple[int, ...]) -> tuple[int, ...]:
     for k in range(length, size):
         impulse |= (functools.reduce(xor, (impulse >> k - t for t in taps)) & 1) << k
     while True:
-        block = min(size - 2 * length + 1, _BLOCK)
+        step = min(size - 2 * length + 1, block)
         rows = [impulse]
         for j in range(1, length):
             rows.append(rows[-1] >> 1 ^ (impulse if j in taps else 0))
-        mask = (1 << block + length) - 1
+        mask = (1 << step + length) - 1
         rows = tuple(row & mask for row in rows)
-        if block == _BLOCK:
+        if step == block:
             return rows
         impulse |= _jump(rows, impulse >> size - length, digits) >> length << size
-        size += block
+        size += step
 
 
-def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Next `count` output bits of the register with `taps` from `state`, and
-    the state after them.
+def lfsr_rows(taps: tuple[int, ...], states, count: int) -> np.ndarray:
+    """The first `count` output bits of the register with `taps` from each
+    state of the sequence `states`, as a (states, count) uint8 array.
 
     A state is the next L sequence bits a[s..s+L-1], as a 0/1 sequence;
     nothing is validated, and state 0 yields zeros. The recurrence is
     lfsr_stream's. The kernel is block-parallel (the F2-linear jump-ahead of
     Haramoto et al., 2008): the sequence is linear in the state, so the next
-    B + L bits from any state, B = _BLOCK = 4096, are the XOR of the rows of
-    `_jump_rows` picked by its set bits. A block yields B output bits, and its
-    last L bits are the state B steps on. Rows are Python ints, so any L works,
-    and the table of each tap tuple is built once per process. Blocks run
-    until count + L sequence bits are out; the first count are returned and
-    the last L are the new state.
+    B + L bits from any state are the XOR of the rows of `_jump_rows` that
+    its set bits pick. A block yields B output bits, and its last L bits are
+    the state B steps on. B doubles from _BLOCK while it is short of `count`
+    and the table of L rows of 2B bits stays within _TABLE_BITS, so up to
+    2^17 bits at L = 64 take one XOR per state. Rows are Python ints, so any L works, and each table is
+    built once per process. Every row's bytes go to one unpack.
     """
+    length, block = max(taps), _BLOCK
+    while block < count and 2 * block * length <= _TABLE_BITS:
+        block *= 2
+    rows, digits, size = _jump_rows(taps, block), f"0{length}b", (block + length + 7) // 8
+    blocks, spans = -(-count // block), []
+    for state in states:
+        state = bits_int(state)
+        for _ in range(blocks):
+            span = _jump(rows, state, digits)
+            spans.append(span.to_bytes(size, "little")[:block // 8])
+            state = span >> block
+    spans = np.frombuffer(b"".join(spans), np.uint8).reshape(len(states), blocks * block // 8)
+    return np.unpackbits(spans, axis=1, count=count, bitorder="little")
+
+
+def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next `count` output bits of the register with `taps` from `state`, and
+    the state after them, the last L of lfsr_rows' count + L bits."""
     if require_integer(count, "count") < 0:
         raise ValueError("count must be nonnegative")
-    rows = _jump_rows(taps)
-    length = len(rows)
-    state = bits_int(state)
-    digits = f"0{length}b"
-    blocks = []
-    for _ in range(-(-(count + length) // _BLOCK)):
-        span = _jump(rows, state, digits)
-        blocks.append((span & _BLOCK_MASK).to_bytes(_BLOCK // 8, "little"))
-        state = span >> _BLOCK
-    bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8),
-                         count=count + length, bitorder="little")
+    bits = lfsr_rows(taps, [state], count + max(taps))[0]
     return bits[:count], bits[count:]
 
 

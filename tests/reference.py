@@ -385,17 +385,19 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
     user errors on detected positions, attacker errors, detected positions)
     per trial. Draws: the key blocks and then the guesses, in one bit draw;
-    then the trials' transmissions, as one row."""
+    then the trials' transmissions, as a block of block_len rows whose row
+    r holds position r of every block of every trial, trial by trial."""
     blocks = integer_bits(rng, 2 * count * k_blocks).astype(np.int64)
     key_blocks = blocks[:count * k_blocks].reshape(count, k_blocks)
     guesses = blocks[count * k_blocks:].reshape(count, k_blocks)
     success = np.all(guesses == key_blocks, axis=1)
-    key_phi = np.repeat(key_blocks, block_len, axis=1).reshape(1, -1) * (HALF_PI / 2)
-    guess_phi = np.repeat(guesses, block_len, axis=1).reshape(1, -1) * (HALF_PI / 2)
-    alice, outcome, bob, detected = (a.reshape(count, -1) for a in resend_round(
+    # Angle [r, i * k_blocks + b]: position r of block b of trial i.
+    key_phi = np.tile(key_blocks.reshape(1, -1) * (HALF_PI / 2), (block_len, 1))
+    guess_phi = np.tile(guesses.reshape(1, -1) * (HALF_PI / 2), (block_len, 1))
+    alice, outcome, bob, detected = (a.reshape(block_len, count, k_blocks) for a in resend_round(
         key_phi, channel, guess_phi, slice(None), rng, (basis_angles(2), basis_angles(2))))
-    return (success, np.sum((bob != alice) & detected, axis=1), np.sum(outcome != alice, axis=1),
-            np.sum(detected, axis=1))
+    return (success, *(np.sum(mask, axis=(0, 2)) for mask in (
+        (bob != alice) & detected, outcome != alice, detected)))
 
 
 # The draw contract of uniform_bits and uniform_below, rebuilt with shifts
@@ -440,8 +442,10 @@ def selectors_matmul(bits, n: int, k: int) -> np.ndarray:
 
 
 def jump_rows_recurrence(taps, block: int) -> tuple:
-    """Jump table of lfsr_bits from the recurrence: row j has bit k set when
-    sequence bit k (k < block + L) depends on state bit L - 1 - j."""
+    """Jump table of lfsr_rows from the recurrence: row j has bit k set when
+    sequence bit k (k < block + L) depends on state bit L - 1 - j. The
+    dependences are ints, one per sequence bit, read out as a bit matrix
+    whose columns are the rows."""
     length = max(taps)
     forms = [1 << i for i in range(length)]  # forms[k]: the state bits sequence bit k depends on
     for k in range(block):
@@ -449,5 +453,9 @@ def jump_rows_recurrence(taps, block: int) -> tuple:
         for t in taps:
             term ^= forms[k + length - t]
         forms.append(term)
-    return tuple(sum(((form >> bit) & 1) << k for k, form in enumerate(forms))
-                 for bit in reversed(range(length)))
+    width = -(-length // 8)
+    data = np.frombuffer(b"".join(form.to_bytes(width, "little") for form in forms), np.uint8)
+    matrix = np.unpackbits(data.reshape(len(forms), width), axis=1, count=length,
+                           bitorder="little")
+    return tuple(int.from_bytes(np.packbits(matrix[:, bit], bitorder="little").tobytes(),
+                                "little") for bit in reversed(range(length)))

@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import time
+import types
 from functools import partial
 
 import numpy as np
@@ -33,6 +34,7 @@ from keyedqkd import (
     block_guess_trials,
     ciphertext_only_state,
     eve_error_key_granted,
+    expand_running_key,
     run_attack,
 )
 import keyedqkd.adversary
@@ -58,11 +60,13 @@ from keyedqkd.adversary import (
     _state_round,
 )
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
+from keyedqkd.keystream import lfsr_bits
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
                              measure_many, uniform_bits)
 
 import reference
 from reference import GivenDraws, GivenWords, key_angles, key_guess_successes
+from test_keystream import table_blocks
 
 PI = math.pi
 BREIDBART_ERROR = (2.0 - math.sqrt(2.0)) / 4.0
@@ -362,6 +366,41 @@ class TestKeyGuess:
         assert report.eve_bit_error_analytic == _key_guess_error(m)
         assert (abs(report.eve_bit_error.estimate - report.eve_bit_error_analytic)
                 <= report.eve_bit_error.half_width)
+
+    # Streams on either side of one 4096-bit block and of the largest
+    # table's block, for registers of 4, 16 and 64 bits.
+    @pytest.mark.parametrize("bits", [1, 2, 4, 10, 16])
+    @pytest.mark.parametrize("taps", ["4:4,3", "16:16,15,13,4", "64:64,63,61,60"])
+    def test_each_guess_row_is_the_per_guess_expansion(self, monkeypatch, taps, bits):
+        spec, alphabet = LfsrSpec.from_text(taps), BasisAlphabet(2 ** bits)
+        length, largest = spec.length, table_blocks(spec.length)[-1]
+        seen, tables = [], []
+
+        def recording_round(attack, key_codes, codes, attacked, channel, count, rng):
+            seen.append(codes)
+            return (np.zeros((count, 1), np.uint8),) * 3 + (None,)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_resend_round", recording_round)
+        jump_rows = keyedqkd.keystream._jump_rows
+        monkeypatch.setattr(keyedqkd.keystream, "_jump_rows",
+                            lambda taps, block: tables.append(block) or jump_rows(taps, block))
+        rng = np.random.default_rng(length * bits)
+        for stream in (4095, 4096, 4097, largest, largest + 1):
+            for n in sorted({stream // bits, -(-stream // bits)}):
+                config = lfsr_config(n=n, m=2 ** bits, taps=taps, seed_text="1" * length)
+                guesses = np.vstack([uniform_bits(rng, (2, length)), np.zeros(length, np.uint8)])
+                tables.clear()
+                _guess_round(config, types.SimpleNamespace(key_codes=None), guesses, None)
+                # One table, the smallest that covers the stream, or the largest.
+                assert tables == [min(b for b in table_blocks(length) + [largest]
+                                      if b >= min(n * bits, largest))]
+                rows = seen.pop()
+                assert rows.shape == (3, n)
+                for row, guess in zip(rows, guesses):
+                    want = expand_running_key(lfsr_bits(spec.taps, guess, n * bits)[0], n,
+                                              alphabet).selectors
+                    assert np.array_equal(row, want), (n, guess)
+                assert not rows[2].any()
 
     def test_nothing_detected_reads_null(self):
         config = lfsr_config(n=4, loss=0.999)
@@ -733,6 +772,14 @@ def _same_arrays(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def _same_chunk(got, want, attacked):
+    """A block-guess chunk's records equal the reference's, its counts held
+    in the narrowest unsigned type that holds the `attacked` positions of a
+    trial."""
+    assert [a.dtype for a in got[1:]] == [np.min_scalar_type(attacked)] * 3
+    _same_arrays([got[0], *(a.astype(np.int64) for a in got[1:])], want)
+
+
 def _recording_state_round(seen):
     """The library's _state_round, appending the attacked positions of each block to `seen`."""
     real = keyedqkd.adversary._state_round
@@ -903,18 +950,19 @@ class TestCodedKernels:
         assert seen == [slice(None)] * 2
         assert runs[0] == runs[1]
 
-    # 200-qubit blocks give rows of 600 positions, whose counts pass 255; a
-    # chunk of one trial of 1-qubit blocks measures 3 positions, fewer than
-    # the table's 4 entries, so per position.
+    # 200-qubit blocks give trials of 600 positions, whose counts pass 255;
+    # a chunk of one trial has rows of its 3 blocks, fewer positions than
+    # the table's 4 entries, so it measures per position.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("count,block_len", [(1, 1), (1, 8), (50, 8), (50, 200)])
     def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            attack = _attack(2, count * 3 * block_len)
+            attack = _attack(2, count * 3)
             got = _block_guess_chunk(count, rng, attack, k_blocks=3, block_len=block_len,
                                      channel=channel)
-            _same_arrays(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel))
+            _same_chunk(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel),
+                        3 * block_len)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -1325,6 +1373,47 @@ def test_reports_equal_the_reference_on_the_same_streams(case):
     report = run_attack(strategy, config, np.random.default_rng(seed), trials=trials,
                         threads=threads)
     assert _statistics(report) == _reference_report(strategy, config, seed, trials)
+
+
+@st.composite
+def block_guess_cases(draw):
+    """A block_guess_trials case: (n, m_k, k, trials, channel, threads, bit
+    generator, seed). Trials reach past two chunks, and past one chunk by a
+    single trial, whose k < 4 positions a row take the per-position path;
+    blocks long enough for a trial's counts to pass 255 come with fewer
+    trials, so each case measures at most about 2e5 positions."""
+    m_k = draw(st.integers(1, 8))
+    k = draw(st.integers(1, m_k))
+    trials = draw(st.one_of(st.integers(1, 9), st.sampled_from([4097, 8193, 9000]),
+                            st.integers(1, 9000)))
+    block_len = draw(st.integers(1, max(1, min(600, 200_000 // (trials * k)))))
+    channel = ChannelModel(loss=draw(st.sampled_from([0.0, 0.2])),
+                           flip_prob=draw(st.sampled_from([0.0, 0.1])))
+    return (m_k * block_len, m_k, k, trials, channel, draw(st.sampled_from([1, 2])),
+            draw(st.sampled_from([np.random.PCG64, np.random.Philox, np.random.SFC64])),
+            draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=block_guess_cases())
+def test_block_guess_trials_equal_the_reference_on_the_same_streams(case):
+    # Every per-trial record of block_guess_trials, rebuilt chunk by chunk
+    # from tests/reference.py's float-angle kernel on the same child
+    # generators; and one chunk drawn straight from the case's generator,
+    # as the children are PCG64 whatever the caller's is.
+    n, m_k, k, trials, channel, threads, bit_generator, seed = case
+    record = block_guess_trials(n, m_k, k, np.random.Generator(bit_generator(seed)), trials,
+                                threads, channel)
+    parts = [reference.block_guess_chunk(count, child, k, n // m_k, channel) for count, child
+             in _chunk_rngs(np.random.Generator(bit_generator(seed)), trials)]
+    got = (record.success, record.attacked_errors, record.eve_errors, record.attacked_detected)
+    _same_arrays(got, [np.concatenate([p[i] for p in parts]) for i in range(4)])
+    assert record.attacked_per_trial == k * (n // m_k)
+    count = min(trials, TRIAL_CHUNK)
+    rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    _same_chunk(_block_guess_chunk(count, rng, _attack(2, count * k), k, n // m_k, channel),
+                reference.block_guess_chunk(count, ref_rng, k, n // m_k, channel), n // m_k * k)
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 class TestCertainMasks:

@@ -20,7 +20,7 @@ from keyedqkd import (
 )
 
 from keyedqkd.adversary import _key_guess_successes, _key_guess_target
-from keyedqkd.keystream import _BLOCK, _jump_rows, lfsr_bits
+from keyedqkd.keystream import _BLOCK, _TABLE_BITS, _jump_rows, lfsr_bits, lfsr_rows
 from keyedqkd.qubits import uniform_below, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
@@ -132,6 +132,15 @@ class TestLfsrStream:
         assert np.array_equal(np.concatenate([head, tail]), lfsr_stream(spec, seed, 33))
 
 
+def table_blocks(length):
+    """Every block lfsr_rows may take at register length `length`: _BLOCK,
+    doubled while the doubled table's rows stay within _TABLE_BITS."""
+    blocks = [_BLOCK]
+    while 2 * blocks[-1] * length <= _TABLE_BITS:
+        blocks.append(2 * blocks[-1])
+    return blocks
+
+
 def random_register(rng, length):
     """Random tap set with highest tap `length` and a random nonzero seed."""
     taps = {length, *(int(t) for t in rng.integers(1, length, size=rng.integers(1, 5)))}
@@ -169,6 +178,19 @@ class TestTakeKernel:
             assert np.array_equal(state, expected[done:done + length]), count
         assert lfsr_bits(taps, state, 1)[0][0] == expected[done]
 
+    @pytest.mark.parametrize("length", [5, 64])
+    def test_rows_are_each_states_stream(self, length):
+        # One row per state, the all-zero state included, each the stream
+        # the reference runs from it, on either side of a block's end.
+        rng = np.random.default_rng(3000 + length)
+        taps, seed = random_register(rng, length)
+        states = [seed.bits, (0,) * length, tuple(rng.integers(0, 2, length))]
+        for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+            rows = lfsr_rows(taps, states, count)
+            assert rows.shape == (3, count) and rows.dtype == np.uint8
+            for row, state in zip(rows, states):
+                assert np.array_equal(row, lfsr_reference(taps, state, count + length)[:count])
+
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             lfsr_bits((4, 1), (1, 0, 0, 0), -1)
@@ -178,7 +200,29 @@ class TestTakeKernel:
     @pytest.mark.parametrize("taps", [(1,), (2, 1), (5, 2), (16, 12, 3, 1), (64, 63, 61, 60),
                                       (100, 37, 5)])
     def test_jump_table_matches_recurrence(self, taps):
-        assert _jump_rows(taps) == jump_rows_recurrence(taps, _BLOCK)
+        assert _jump_rows(taps, _BLOCK) == jump_rows_recurrence(taps, _BLOCK)
+
+    @pytest.mark.parametrize("taps", [(4, 3), (5, 2), (16, 12, 3, 1), (64, 63, 61, 60),
+                                      (100, 37, 5)])
+    def test_every_table_block_matches_the_recurrence(self, taps):
+        # Each block from _BLOCK up to the largest, a prefix of the rows of
+        # the largest from the recurrence.
+        length, blocks = max(taps), table_blocks(max(taps))
+        largest = jump_rows_recurrence(taps, blocks[-1])
+        for block in blocks:
+            mask = (1 << block + length) - 1
+            assert _jump_rows(taps, block) == tuple(row & mask for row in largest), block
+
+    @pytest.mark.parametrize("taps,period", [((1,), 1), ((2, 1), 3)])
+    def test_the_largest_tables_repeat_their_period(self, taps, period):
+        # Registers of 1 and 2 bits take blocks of 2^23 and 2^22 bits, too
+        # long for the recurrence here; their sequences repeat every
+        # `period` bits, so each row repeats its first `period` bits.
+        length, block = max(taps), table_blocks(max(taps))[-1]
+        assert block == _TABLE_BITS // length
+        for got, head in zip(_jump_rows(taps, block), jump_rows_recurrence(taps, period)):
+            first = format(head, f"0{period + length}b")[::-1][:period]  # bit k at index k
+            assert got == int((first * (block // period + 2))[:block + length][::-1], 2)
 
     @pytest.mark.parametrize("length", [2, 16, 64, 100])
     def test_kernel_matches_reference_and_keeps_state_zero(self, length):

@@ -8,6 +8,7 @@ harness warms it first). Run from the root of a checkout, pinned to one CPU:
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --cpu 1
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --threads 2
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --m 16 --ops 60 --cpu 1
+    PYTHONPATH=src python tools/plain_loop.py --mode attacks --only blockguess:3 --cpu 1
 
 `keygen` (the default) runs `run_protocol` on the benchmark's keygen-small
 config (m = 2, LFSR `64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64,
@@ -22,12 +23,15 @@ at `--threads` (default 1; the workload runs 2): breidbart and intercept
 noiseless LFSR config at n (default 12 500), and blockguess:3 (2.5e4
 trials) on the repetition key `10011010` at n = 40. Breidbart and keyguess
 run on `--m` keyed bases (default 2, the workload's); intercept, defined
-on two bases, and blockguess stay on two at every `--m`. Attack i of op k draws
-from `np.random.default_rng([seed, 4k + i])`, as in the workload. It prints
-one JSON object: n, m, threads, ops, per strategy the median CPU and wall
-milliseconds per attack and the mean minor faults per attack, and the peak
-RSS in MB. To compare threads = 1 with threads = 2, run it once at each,
-unpinned; the CPU time of a two-thread attack is summed over its threads.
+on two bases, and blockguess stay on two at every `--m`. Attack i of op k
+draws from `np.random.default_rng([seed, 4k + i])`, as in the workload.
+`--only STRATEGY` (repeatable) runs only the named attacks, each on its own
+seeds still, so that one attack can be timed, and its faults counted, on a
+heap that the others have not touched. It prints one JSON object: n, m,
+threads, ops, per attack run the median CPU and wall milliseconds per
+attack and the mean minor faults per attack, and the peak RSS in MB. To
+compare threads = 1 with threads = 2, run it once at each, unpinned; the
+CPU time of a two-thread attack is summed over its threads.
 
 In both modes the `--warmup` ops run first and are not counted. CPU seconds
 (user + system) and minor faults are the changes in the process's own
@@ -95,11 +99,12 @@ def attacks(args) -> dict:
         keystream=RepetitionKeystream(SeedKey.from_string("10011010")),
         channel=ChannelModel(), code_rate=0.6, pa_security_param=64, verification_len=32)
     configs = {"breidbart": keyed, "intercept": lfsr, "keyguess": keyed, "blockguess:3": block}
-    jobs = [(text, AttackStrategy.parse(text), configs[text], trials) for text, trials in ATTACKS]
-    counts = {text: ([], [], []) for text, *_ in jobs}
+    jobs = [(i, text, AttackStrategy.parse(text), configs[text], trials)
+            for i, (text, trials) in enumerate(ATTACKS) if not args.only or text in args.only]
+    counts = {text: ([], [], []) for _, text, *_ in jobs}
     for k in range(args.warmup + args.ops):
-        for i, (text, strategy, config, trials) in enumerate(jobs):
-            rng = np.random.default_rng([args.seed, k * len(jobs) + i])
+        for i, text, strategy, config, trials in jobs:
+            rng = np.random.default_rng([args.seed, k * len(ATTACKS) + i])
             _, *measured = timed(lambda: run_attack(strategy, config, rng, trials=trials,
                                                     threads=args.threads))
             if k >= args.warmup:
@@ -123,6 +128,8 @@ def main() -> None:
     parser.add_argument("--threads", type=int, default=1, help="attack worker threads (attacks)")
     parser.add_argument("--m", type=int, default=2,
                         help="keyed bases of the LFSR strategies (attacks; blockguess keeps 2)")
+    parser.add_argument("--only", action="append", choices=[text for text, _ in ATTACKS],
+                        metavar="STRATEGY", help="run only this attack (attacks; repeatable)")
     args = parser.parse_args()
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
