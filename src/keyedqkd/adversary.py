@@ -479,8 +479,7 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
     (any 0/1 sequence), drawing from `rng` against the key-guess _Attack
     `attack` of `config`: the _counts of the block. An all-zero
     guess expands to the all-zero stream (the attacker is free to guess a
-    degenerate seed). The streams are one lfsr_rows array, and as a row
-    holds n whole selectors, one running key over it gives every row's."""
+    degenerate seed). One lfsr_rows call and one running key expand the block."""
     rows, n, k = len(guesses), config.n, config.alphabet.bits_per_selector
     codes = lfsr_rows(config.keystream.spec.taps, guesses, n * k)
     if k > 1:  # at m = 2 each bit is its own selector
@@ -604,26 +603,26 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     detected positions), the errors and positions per trial as in
     BlockGuessTrials. The users' key blocks and the attacker's guesses come
     from one bit draw; `attack` holds the two-basis tables that every chunk
-    of the attack shares. The chunk is one resend block of block_len rows,
-    row r position r of every (trial, block), so every row shares one key
-    row and one guess row; a trial's counts sum over the rows, then its k
-    blocks, in the narrowest unsigned type that holds k * block_len."""
-    key_blocks, guesses = uniform_bits(rng, 2 * count * k_blocks).reshape(2, -1)
-    success = _row_counts((guesses ^ key_blocks).reshape(count, k_blocks)) == 0
-    alice, outcome, bob, detected = _resend_round(attack, key_blocks, guesses, slice(None),
-                                                  channel, block_len, rng)
-    outcome ^= alice
+    of the attack shares. The chunk is one resend block of its count * k
+    (trial, block) pairs' positions, rows along the shorter side: block_len
+    rows sharing a key row and a guess row, or a row per pair, its two bits
+    broadcast. Counts sum over a pair's positions, then a trial's pairs, in
+    the narrowest type that holds k * block_len: several times quicker than
+    in int64, to which block_guess_trials widens them as it joins chunks."""
+    pairs = count * k_blocks
+    blocks = uniform_bits(rng, 2 * pairs).reshape(2, -1)  # key blocks, guesses
+    success = _row_counts((blocks[0] ^ blocks[1]).reshape(count, k_blocks)) == 0
+    axis, dtype = int(block_len > pairs), np.min_scalar_type(k_blocks * block_len)
+    if axis:
+        blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
+    alice, outcome, bob, detected = _resend_round(attack, *blocks, slice(None), channel,
+                                                  min(block_len, pairs), rng)
     bob ^= alice
     if detected is not None:
         bob &= detected
-    dtype = np.min_scalar_type(k_blocks * block_len)
-
-    def per_trial(bits):
-        return np.einsum("ij->i", bits.sum(axis=0, dtype=dtype).reshape(count, k_blocks))
-
-    return (success, per_trial(bob), per_trial(outcome),
-            np.full(count, k_blocks * block_len, dtype) if detected is None
-            else per_trial(detected))
+    return (success, *(np.full(count, k_blocks * block_len, dtype) if a is None else
+                       np.einsum("ij->i", a.sum(axis=axis, dtype=dtype).reshape(count, k_blocks))
+                       for a in (bob, np.bitwise_xor(outcome, alice, out=outcome), detected)))
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -642,18 +641,15 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     if n % m_k:
         raise ValueError(f"block arithmetic needs m_k | n, got n={n}, m_k={m_k}")
     block_len = n // m_k
-    # The first chunk is the largest: it sizes the tables.
+    # The first chunk is the largest: its longer side sizes the tables.
     chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
-    kernel = partial(_block_guess_chunk, attack=_attack(2, chunk * k_blocks),
+    kernel = partial(_block_guess_chunk, attack=_attack(2, max(chunk * k_blocks, block_len)),
                      k_blocks=k_blocks, block_len=block_len, channel=channel or ChannelModel())
     parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
-    return BlockGuessTrials(
-        success=np.concatenate([p[0] for p in parts]),
-        attacked_errors=np.concatenate([p[1] for p in parts], dtype=np.int64),
-        eve_errors=np.concatenate([p[2] for p in parts], dtype=np.int64),
-        attacked_per_trial=k_blocks * block_len,
-        attacked_detected=np.concatenate([p[3] for p in parts], dtype=np.int64),
-    )
+    success, *counts = zip(*parts)
+    errors, eve_errors, detected = (np.concatenate(c, dtype=np.int64) for c in counts)
+    success = np.concatenate(success)
+    return BlockGuessTrials(success, errors, eve_errors, k_blocks * block_len, detected)
 
 
 def attack_block_guess(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,

@@ -44,8 +44,9 @@ _F32_BAND = 1e-4
 # so co-minimizers are resolved by angle rather than by float noise.
 _TIE_TOL = 1e-12
 
-# Angles in the grid scan of optimal_fixed_basis.
-_GRID_POINTS = 4096
+# Angles in the grid scan of optimal_fixed_basis, and doubles per rng.random
+# call of uniform_below: 64 KiB, half of glibc's default mmap threshold.
+_GRID_POINTS, _MASK_BUFFER = 4096, 1 << 13
 
 
 def _wrap(angle: float) -> float:
@@ -189,15 +190,16 @@ def uniform_below(p: float, rng: np.random.Generator, shape) -> np.ndarray | Non
     """The mask rng.random(shape) < p of `shape` n or (rows, n), or None at
     p <= 0, where every element is false: nothing is drawn or built, and a
     caller skips the pass that would read the mask. The doubles are drawn
-    a row at a time into one row buffer, as split calls draw the same."""
+    _MASK_BUFFER at a time into one buffer, across rows, as split calls
+    draw the same."""
     import numpy as np
 
     if p <= 0.0:
         return None
     mask = np.empty(shape, bool)
-    u = np.empty(mask.shape[-1])
-    for row in np.atleast_2d(mask):
-        np.less(rng.random(out=u), p, out=row)
+    flat, u = mask.reshape(-1), np.empty(min(mask.size, _MASK_BUFFER))
+    for start in range(0, mask.size, _MASK_BUFFER):
+        np.less(rng.random(out=u[:mask.size - start]), p, out=flat[start:start + _MASK_BUFFER])
     return mask
 
 

@@ -385,17 +385,24 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     """`count` block-guess trials on the two-basis alphabet: (success flags,
     user errors on detected positions, attacker errors, detected positions)
     per trial. Draws: the key blocks and then the guesses, in one bit draw;
-    then the trials' transmissions, as a block of block_len rows whose row
-    r holds position r of every block of every trial, trial by trial."""
+    then the trials' transmissions, as one block over the blocks of every
+    trial, trial by trial, and the positions of each, its rows along the
+    shorter side: block_len rows, row r position r of every block, or one
+    row per block."""
     blocks = integer_bits(rng, 2 * count * k_blocks).astype(np.int64)
     key_blocks = blocks[:count * k_blocks].reshape(count, k_blocks)
     guesses = blocks[count * k_blocks:].reshape(count, k_blocks)
     success = np.all(guesses == key_blocks, axis=1)
     # Angle [r, i * k_blocks + b]: position r of block b of trial i.
-    key_phi = np.tile(key_blocks.reshape(1, -1) * (HALF_PI / 2), (block_len, 1))
-    guess_phi = np.tile(guesses.reshape(1, -1) * (HALF_PI / 2), (block_len, 1))
-    alice, outcome, bob, detected = (a.reshape(block_len, count, k_blocks) for a in resend_round(
-        key_phi, channel, guess_phi, slice(None), rng, (basis_angles(2), basis_angles(2))))
+    key_phi, guess_phi = (np.tile(bits.reshape(1, -1) * (HALF_PI / 2), (block_len, 1))
+                          for bits in (key_blocks, guesses))
+    by_block = block_len > count * k_blocks
+    if by_block:
+        key_phi, guess_phi = np.ascontiguousarray(key_phi.T), np.ascontiguousarray(guess_phi.T)
+    arrays = resend_round(key_phi, channel, guess_phi, slice(None), rng,
+                          (basis_angles(2), basis_angles(2)))
+    alice, outcome, bob, detected = (a.T.reshape(block_len, count, k_blocks) if by_block
+                                     else a.reshape(block_len, count, k_blocks) for a in arrays)
     return (success, *(np.sum(mask, axis=(0, 2)) for mask in (
         (bob != alice) & detected, outcome != alice, detected)))
 

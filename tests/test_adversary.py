@@ -951,14 +951,15 @@ class TestCodedKernels:
         assert runs[0] == runs[1]
 
     # 200-qubit blocks give trials of 600 positions, whose counts pass 255;
-    # a chunk of one trial has rows of its 3 blocks, fewer positions than
-    # the table's 4 entries, so it measures per position.
+    # blocks longer than the chunk has blocks (3 a trial) give a row each;
+    # a chunk of one trial with 1-qubit blocks has one row of 3 positions,
+    # fewer than the table's 4 entries, so it measures per position.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("count,block_len", [(1, 1), (1, 8), (50, 8), (50, 200)])
     def test_block_guess_chunk(self, count, block_len, channel):
         for seed in range(3):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            attack = _attack(2, count * 3)
+            attack = _attack(2, max(count * 3, block_len))
             got = _block_guess_chunk(count, rng, attack, k_blocks=3, block_len=block_len,
                                      channel=channel)
             _same_chunk(got, reference.block_guess_chunk(count, ref_rng, 3, block_len, channel),
@@ -1379,9 +1380,11 @@ def test_reports_equal_the_reference_on_the_same_streams(case):
 def block_guess_cases(draw):
     """A block_guess_trials case: (n, m_k, k, trials, channel, threads, bit
     generator, seed). Trials reach past two chunks, and past one chunk by a
-    single trial, whose k < 4 positions a row take the per-position path;
-    blocks long enough for a trial's counts to pass 255 come with fewer
-    trials, so each case measures at most about 2e5 positions."""
+    single trial; a chunk of fewer blocks than block_len has a row per
+    block, and one of fewer than 4 blocks, with blocks shorter than 4,
+    takes the per-position path; blocks long enough for a trial's counts
+    to pass 255 come with fewer trials, so each case measures at most
+    about 2e5 positions."""
     m_k = draw(st.integers(1, 8))
     k = draw(st.integers(1, m_k))
     trials = draw(st.one_of(st.integers(1, 9), st.sampled_from([4097, 8193, 9000]),
@@ -1411,7 +1414,8 @@ def test_block_guess_trials_equal_the_reference_on_the_same_streams(case):
     assert record.attacked_per_trial == k * (n // m_k)
     count = min(trials, TRIAL_CHUNK)
     rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-    _same_chunk(_block_guess_chunk(count, rng, _attack(2, count * k), k, n // m_k, channel),
+    attack = _attack(2, max(count * k, n // m_k))
+    _same_chunk(_block_guess_chunk(count, rng, attack, k, n // m_k, channel),
                 reference.block_guess_chunk(count, ref_rng, k, n // m_k, channel), n // m_k * k)
     assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
