@@ -4,7 +4,7 @@ Active attacks are measure-resend: the attacker measures the transmitted
 state and forwards her projected state, which then crosses the users' channel.
 Passive bounds elsewhere grant her a perfect copy, so measure-resend covers
 every strategy quantified here. Strategy evaluation is deterministic given
-(config, rng seed); Monte Carlo trials run in fixed-size chunks whose
+(config, rng seed); Monte Carlo rounds run in fixed-size chunks whose
 sub-seeds derive from the caller's generator, so results are independent of
 the worker-thread count.
 """
@@ -46,8 +46,9 @@ from .qubits import (
 
 BREIDBART_ANGLE = math.pi / 8
 
-# Monte Carlo trials are processed in chunks of this size; each chunk draws
-# its own child generator so thread scheduling cannot reorder randomness.
+# Block-guess trials run in chunks of this size, each drawing from its own
+# child generator so thread scheduling cannot reorder randomness; key-guess
+# successes draw this many guesses per call from the caller's generator.
 TRIAL_CHUNK = 4096
 
 # Child seeds are drawn this many at a time, so a huge trial count never
@@ -176,18 +177,19 @@ def _chunk_rngs(rng: np.random.Generator, trials: int, chunk: int = TRIAL_CHUNK)
     Each child is default_rng(seed), built as the Generator(PCG64(seed)) it
     returns, without its argument checks.
     """
-    chunks = -(-_trial_count(trials) // chunk)
+    chunks = -(-_positive(trials, "trials") // chunk)
     for first in range(0, chunks, SEED_DRAW):
         seeds = rng.integers(0, 2 ** 63, size=min(SEED_DRAW, chunks - first))
         for index, seed in enumerate(seeds.tolist(), first):
             yield min(chunk, trials - index * chunk), np.random.Generator(np.random.PCG64(seed))
 
 
-def _trial_count(trials) -> int:
-    """`trials` as an int; non-integers and counts below 1 raise ValueError."""
-    if require_integer(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
-    return int(trials)
+def _positive(count, what: str) -> int:
+    """`count`, a count of `what`, as an int; non-integers and counts below
+    1 raise ValueError."""
+    if require_integer(count, what) < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+    return int(count)
 
 
 def _block_size(trials: int, row_bytes: int) -> int:
@@ -196,7 +198,7 @@ def _block_size(trials: int, row_bytes: int) -> int:
     evenly over as few blocks as that allows (4 for 16 rows of 12 500
     bytes), so B, and with it every draw, depends on the trial count and
     the row alone, never on the thread count."""
-    trials = _trial_count(trials)
+    trials = _positive(trials, "trials")
     most = max(1, BLOCK_BYTES // row_bytes)
     return -(-trials // -(-trials // most))
 
@@ -206,11 +208,8 @@ def _map_chunks(kernel, chunks, threads: int) -> list:
     order; min(threads, usable CPUs) workers, as many in flight. Usable CPUs
     are the process's affinity set where the OS reports one; with one worker
     the chunks run on the calling thread."""
-    threads = require_integer(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, usable or 1)
+    workers = min(_positive(threads, "threads"), usable or 1)
     if workers == 1:
         return [kernel(*c) for c in chunks]
     # Imported here, so one-worker runs never load concurrent.futures.
@@ -488,33 +487,30 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
                                   config.channel, rows, rng))
 
 
-def _key_guess_target(seed_bits: np.ndarray):
-    """(seed words, mask words): the L seed bits packed as ceil(L/64) uint64
-    words, lowest first, and the mask of the L low bits packed the same
-    way, read-only, as views of immutable bytes. Built once per attack for
-    _key_guess_successes."""
-    size = 8 * -(-seed_bits.size // 64)
-    return tuple(np.frombuffer(value.to_bytes(size, "little"), "<u8")
-                 for value in (bits_int(seed_bits), (1 << seed_bits.size) - 1))
-
-
-def _key_guess_successes(target, count: int, rng: np.random.Generator) -> int:
-    """How many of `count` uniform guesses equal the seed whose
-    _key_guess_target is `target`.
+def _key_guess_successes(seed_bits: np.ndarray, trials: int, rng: np.random.Generator) -> int:
+    """How many of `trials` uniform guesses, drawn from `rng`, equal the L
+    seed bits `seed_bits`.
 
     A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
-    ceil(L/64) whole 64-bit words. The guesses are therefore one
-    (count, ceil(L/64)) uniform_words draw, and a row hits when its words XOR
-    the packed seed, with the bits past L masked off, are all zero.
+    ceil(L/64) whole 64-bit words. The guesses are therefore rows of
+    ceil(L/64) uniform_words, TRIAL_CHUNK rows to a draw, as split word
+    draws take what one draw does; a row hits when its words XOR the seed
+    packed lowest word first, with the bits past L masked off, are all zero.
     """
-    seed, mask = target
-    words = uniform_words(rng, (count, seed.size))
-    words ^= seed
-    words &= mask
-    misses = words[:, 0]
-    for column in words.T[1:]:
-        misses |= column
-    return count - int(np.count_nonzero(misses))
+    size = 8 * -(-seed_bits.size // 64)
+    seed, mask = (np.frombuffer(value.to_bytes(size, "little"), "<u8")
+                  for value in (bits_int(seed_bits), (1 << seed_bits.size) - 1))
+    hits = 0
+    for done in range(0, trials, TRIAL_CHUNK):
+        count = min(TRIAL_CHUNK, trials - done)
+        words = uniform_words(rng, (count, seed.size))
+        words ^= seed
+        words &= mask
+        misses = words[:, 0]
+        for column in words.T[1:]:
+            misses |= column
+        hits += count - int(np.count_nonzero(misses))
+    return hits
 
 
 def _key_guess_error(m: int) -> float:
@@ -548,15 +544,16 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     needs very large trial counts; the induced user error pools errors over
     the detected qubits of every round and is None when none was detected.
     Her analytic error is _key_guess_error(m), which treats a wrong
-    guess's selectors as uniform and independent of the key's.
+    guess's selectors as uniform and independent of the key's. The guesses
+    come from `rng` itself, before the rounds' child seeds.
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
+    trials = _positive(trials, "trials")
+    _positive(threads, "threads")  # raises before anything is drawn
     seed_bits = np.array(config.keystream.seed.bits, dtype=np.uint8)
     length = seed_bits.size
-
-    successes = sum(_map_chunks(partial(_key_guess_successes, _key_guess_target(seed_bits)),
-                                _chunk_rngs(rng, trials), threads))
+    successes = _key_guess_successes(seed_bits, trials, rng)
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
     attack = _attack(config.alphabet.m, config.n, selectors=config.key_selectors())

@@ -187,15 +187,6 @@ def lfsr_rows(taps: tuple[int, ...], states, count: int) -> np.ndarray:
     return np.unpackbits(spans, axis=1, count=count, bitorder="little")
 
 
-def lfsr_bits(taps: tuple[int, ...], state, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Next `count` output bits of the register with `taps` from `state`, and
-    the state after them, the last L of lfsr_rows' count + L bits."""
-    if require_integer(count, "count") < 0:
-        raise ValueError("count must be nonnegative")
-    bits = lfsr_rows(taps, [state], count + max(taps))[0]
-    return bits[:count], bits[count:]
-
-
 def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
     """First `count` output bits of the Fibonacci-configuration LFSR started
     from `seed`.
@@ -216,7 +207,9 @@ def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:
         raise ValueError(f"seed length {len(seed)} != register length {spec.length}")
     if seed.is_zero:
         raise ValueError("all-zero seed is rejected (degenerate cycle)")
-    return lfsr_bits(spec.taps, seed.bits, count)[0]
+    if require_integer(count, "count") < 0:
+        raise ValueError("count must be nonnegative")
+    return lfsr_rows(spec.taps, [seed.bits], count)[0]
 
 
 def lfsr_period(spec: LfsrSpec, seed: SeedKey) -> int:

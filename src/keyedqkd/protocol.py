@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import h2, rate_window
 from .keystream import (MAX_SELECTOR_BITS, LfsrKeystream, LfsrSpec, RepetitionKeystream, SeedKey,
-                        as_bits, bits_int, lfsr_bits)
+                        as_bits, bits_int, lfsr_rows)
 from .qubits import (BasisAlphabet, measure_many, optimal_fixed_basis, require_integer,
                      require_real, turn_by_bits, uniform_below, uniform_bits)
 
@@ -443,7 +443,7 @@ def _tag(key_bits: np.ndarray, selector: np.ndarray) -> np.ndarray:
     taps = _VERIFICATION_TAPS.get(kv)
     if taps is None:
         raise ValueError(f"verification hash supports 1 <= |K_v| <= {MAX_VERIFICATION_LEN}, got {kv}")
-    seed, _ = lfsr_bits(taps, selector, key_bits.size + kv - 1)
+    seed = lfsr_rows(taps, [selector], key_bits.size + kv - 1)[0]
     return _toeplitz_hash(key_bits, kv, seed)
 
 

@@ -53,14 +53,13 @@ from keyedqkd.adversary import (
     _key_guess_error,
     _guess_round,
     _key_guess_successes,
-    _key_guess_target,
     _map_chunks,
     _resend_round,
     _row_counts,
     _state_round,
 )
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
-from keyedqkd.keystream import lfsr_bits
+from keyedqkd.keystream import lfsr_rows
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
                              measure_many, uniform_bits)
 
@@ -293,38 +292,54 @@ class TestKeyGuess:
         with pytest.raises(ValueError):
             attack_key_guess(repetition_config(40, "10011010"), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
+                                               np.random.SFC64])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 16, 64, 65, 130])
-    @pytest.mark.parametrize("count", [1, 7, 3001, 4096])
-    def test_success_count_matches_the_int64_reference(self, length, count):
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    def test_success_count_matches_the_int64_reference(self, length, count, bit_generator):
         # Seeds taken from rows the reference itself draws, so long seeds
         # still have successes to count; a guess takes whole 64-bit words,
-        # and past 64 bits it spans several, the last one masked.
+        # and past 64 bits it spans several, the last one masked. The
+        # reference draws every guess at once, so guesses drawn a chunk at
+        # a time must split one draw; the last row lies past every chunk.
         width = -(-length // 64)
-        for seed in range(4):
-            rows = reference.word_bits(np.random.default_rng(seed), (count, width))[:, :length]
+        for seed in range(2):
+            def generator():
+                return np.random.Generator(bit_generator(seed))
+
+            rows = reference.word_bits(generator(), (count, width))[:, :length]
             # Each row is the guess uniform_bits draws for one trial.
-            draw = np.random.default_rng(seed)
-            for row in rows[:7]:
+            draw = generator()
+            for row in rows[:3]:
                 assert np.array_equal(uniform_bits(draw, length), row)
             for row in (0, count // 2, count - 1):
                 seed_bits = rows[row]
-                got = _key_guess_successes(_key_guess_target(seed_bits), count,
-                                           np.random.default_rng(seed))
+                got = _key_guess_successes(seed_bits, count, generator())
                 assert got >= 1
-                assert got == key_guess_successes(seed_bits, count, np.random.default_rng(seed))
+                assert got == key_guess_successes(seed_bits, count, generator())
                 # The seed with its last bit flipped: a guess that matches
                 # only its earlier words is no hit.
                 near = seed_bits.copy()
                 near[-1] ^= 1
-                assert (_key_guess_successes(_key_guess_target(near), count,
-                                             np.random.default_rng(seed))
-                        == key_guess_successes(near, count, np.random.default_rng(seed)))
+                rng, ref = generator(), generator()
+                assert (_key_guess_successes(near, count, rng)
+                        == key_guess_successes(near, count, ref))
+                assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
         # A pending 32-bit half is left pending: the guesses take whole 64-bit draws.
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        rng, ref = generator(), generator()
         rng.integers(0, 2), ref.integers(0, 2)
-        assert (_key_guess_successes(_key_guess_target(seed_bits), count, rng)
+        assert (_key_guess_successes(seed_bits, count, rng)
                 == key_guess_successes(seed_bits, count, ref))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+        assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
+
+    @pytest.mark.parametrize("trials,threads", [(0, 1), (2.5, 1), (5, 0), (5, 1.5)])
+    def test_a_bad_count_raises_before_anything_is_drawn(self, trials, threads):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trials|threads"):
+            attack_key_guess(lfsr_config(n=40), rng, trials=trials, threads=threads)
+        assert rng.bit_generator.state == state
 
     def test_induced_rate_pools_detected_qubits(self):
         # Under heavy loss some rounds detect nothing: they add to neither
@@ -397,7 +412,7 @@ class TestKeyGuess:
                 rows = seen.pop()
                 assert rows.shape == (3, n)
                 for row, guess in zip(rows, guesses):
-                    want = expand_running_key(lfsr_bits(spec.taps, guess, n * bits)[0], n,
+                    want = expand_running_key(lfsr_rows(spec.taps, [guess], n * bits)[0], n,
                                               alphabet).selectors
                     assert np.array_equal(row, want), (n, guess)
                 assert not rows[2].any()
@@ -1109,7 +1124,7 @@ class TestSharedTables:
     @pytest.mark.parametrize("text,m", CASES)
     def test_shared_values_are_read_only(self, built, monkeypatch, text, m):
         shared = []
-        for name in ("_attack", "_decoding_flips", "_key_guess_target"):
+        for name in ("_attack", "_decoding_flips"):
             real = getattr(keyedqkd.adversary, name)
 
             def spy(*args, real=real, **kwargs):
@@ -1300,17 +1315,16 @@ def _row_bytes(strategy, config) -> int:
     return config.n * np.min_scalar_type(2 * config.alphabet.m - 1).itemsize
 
 
-def _reference_rounds(strategy, config, seed, trials):
+def _reference_rounds(strategy, config, seed, trials, bit_generator=np.random.PCG64):
     """(successful guesses, per-round counts) of run_attack on a generator
-    seeded with `seed`, from tests/reference.py's kernels: each block of
-    _block_size rounds drawn by hand from the child generator that
+    Generator(bit_generator(seed)), from tests/reference.py's kernels: each
+    block of _block_size rounds drawn by hand from the child generator that
     run_attack seeds for it. Key guessing first counts its successes over
-    chunks of guesses (None for the other attacks), and its counts are
-    (her error rate, user errors, detected)."""
-    rng = np.random.default_rng(seed)
+    one draw of every guess from that generator (None for the other
+    attacks), and its counts are (her error rate, user errors, detected)."""
+    rng = np.random.Generator(bit_generator(seed))
     if strategy.kind == "key_guess":
-        successes = sum(reference.key_guess_successes(config.keystream.seed.bits, count, child)
-                        for count, child in _chunk_rngs(rng, trials))
+        successes = reference.key_guess_successes(config.keystream.seed.bits, trials, rng)
         trials = min(trials, MAX_QUBIT_TRIALS)
 
         def block(child, rows):
@@ -1324,9 +1338,9 @@ def _reference_rounds(strategy, config, seed, trials):
     return successes, [row for rows, child in blocks for row in block(child, rows)]
 
 
-def _reference_report(strategy, config, seed, trials):
+def _reference_report(strategy, config, seed, trials, bit_generator=np.random.PCG64):
     """_statistics of run_attack's report, rebuilt from _reference_rounds."""
-    successes, rounds = _reference_rounds(strategy, config, seed, trials)
+    successes, rounds = _reference_rounds(strategy, config, seed, trials, bit_generator)
     if successes is None:
         eve_err, eve_tot, user_err, user_tot = (sum(r[i] for r in rounds) for i in range(4))
         return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
@@ -1348,8 +1362,11 @@ def _statistics(report):
 
 @st.composite
 def attack_cases(draw):
-    """A run_attack case: (strategy, config, seed, trials, threads). Intercept
-    runs on the two-basis alphabet, at fractions 0 and 1 and between."""
+    """A run_attack case: (strategy, config, seed, trials, threads, bit
+    generator). Intercept runs on the two-basis alphabet, at fractions 0
+    and 1 and between. Key guessing also takes trials past one and two
+    draws of TRIAL_CHUNK guesses; its rounds stay capped at
+    MAX_QUBIT_TRIALS."""
     kind = draw(st.sampled_from(["intercept", "breidbart", "fixed", "keyguess"]))
     if kind == "intercept":
         fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
@@ -1361,19 +1378,25 @@ def attack_cases(draw):
     m = 2 if kind == "intercept" else 2 ** draw(st.integers(1, 10))
     config = lfsr_config(n=draw(st.integers(1, 300)), m=m, loss=draw(st.sampled_from([0.0, 0.2])),
                          flip=draw(st.sampled_from([0.0, 0.1])))
-    return (strategy, config, draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 7)),
-            draw(st.sampled_from([1, 2])))
+    trials = st.integers(1, 7)
+    if kind == "keyguess":
+        trials = st.one_of(trials, st.sampled_from([4097, 8193]))
+    return (strategy, config, draw(st.integers(0, 2 ** 32)), draw(trials),
+            draw(st.sampled_from([1, 2])),
+            draw(st.sampled_from([np.random.PCG64, np.random.Philox, np.random.SFC64])))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(case=attack_cases())
 def test_reports_equal_the_reference_on_the_same_streams(case):
     # The statistics of run_attack's report, rebuilt from tests/reference.py's
-    # float-angle kernels drawing each block from the same child generator.
-    strategy, config, seed, trials, threads = case
-    report = run_attack(strategy, config, np.random.default_rng(seed), trials=trials,
-                        threads=threads)
-    assert _statistics(report) == _reference_report(strategy, config, seed, trials)
+    # float-angle kernels drawing each block from the same child generator,
+    # and key guesses from the caller's generator, whatever its bit generator.
+    strategy, config, seed, trials, threads, bit_generator = case
+    report = run_attack(strategy, config, np.random.Generator(bit_generator(seed)),
+                        trials=trials, threads=threads)
+    assert _statistics(report) == _reference_report(strategy, config, seed, trials,
+                                                     bit_generator)
 
 
 @st.composite

@@ -19,8 +19,8 @@ from keyedqkd import (
     repetition_running_key,
 )
 
-from keyedqkd.adversary import _key_guess_successes, _key_guess_target
-from keyedqkd.keystream import _BLOCK, _TABLE_BITS, _jump_rows, lfsr_bits, lfsr_rows
+from keyedqkd.adversary import _key_guess_successes
+from keyedqkd.keystream import _BLOCK, _TABLE_BITS, _jump_rows, lfsr_rows
 from keyedqkd.qubits import uniform_below, uniform_bits
 
 from reference import (draw_below, integer_bits, jump_rows_recurrence, key_guess_successes,
@@ -125,11 +125,12 @@ class TestLfsrStream:
         assert np.array_equal(a, b)
 
     def test_take_continues_midstream(self):
-        # The state lfsr_bits returns continues the stream where it stopped.
+        # The last L of count + L bits are the state that continues the
+        # stream where the first count stopped.
         spec, seed = LfsrSpec((5, 3)), SeedKey.from_string("10011")
-        head, state = lfsr_bits(spec.taps, seed.bits, 13)
-        tail, _ = lfsr_bits(spec.taps, state, 20)
-        assert np.array_equal(np.concatenate([head, tail]), lfsr_stream(spec, seed, 33))
+        head = lfsr_rows(spec.taps, [seed.bits], 13 + 5)[0]
+        tail = lfsr_rows(spec.taps, [head[13:]], 20)[0]
+        assert np.array_equal(np.concatenate([head[:13], tail]), lfsr_stream(spec, seed, 33))
 
 
 def table_blocks(length):
@@ -150,7 +151,7 @@ def random_register(rng, length):
 
 
 class TestTakeKernel:
-    """lfsr_bits' jump-table blocks, and lfsr_stream, against the per-bit reference."""
+    """lfsr_rows' jump-table blocks, and lfsr_stream, against the per-bit reference."""
 
     @pytest.mark.parametrize("length", [2, 3, 7, 16, 31, 32, 33, 63, 64, 65, 97, 127, 128])
     def test_matches_reference_and_iteration(self, length):
@@ -158,25 +159,27 @@ class TestTakeKernel:
         taps, seed = random_register(rng, length)
         for count in (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length):
             expected = lfsr_reference(taps, seed.bits, count + length)
-            bits, state = lfsr_bits(taps, seed.bits, count)
-            assert np.array_equal(bits, expected[:count]), (taps, count)
-            assert np.array_equal(state, expected[count:]), (taps, count)
-            assert np.array_equal(lfsr_stream(LfsrSpec(taps), seed, count), bits), (taps, count)
+            bits = lfsr_rows(taps, [seed.bits], count + length)[0]
+            assert np.array_equal(bits, expected), (taps, count)
+            assert np.array_equal(lfsr_stream(LfsrSpec(taps), seed, count), bits[:count]), \
+                (taps, count)
 
     @pytest.mark.parametrize("length", [5, 64, 100])
     def test_take_after_take_tracks_state(self, length):
-        # Chained calls, each fed the state the previous one returned.
+        # Chained calls, each fed the last L bits of the previous one's
+        # count + L as its state.
         rng = np.random.default_rng(1000 + length)
         taps, seed = random_register(rng, length)
         counts = (0, 1, length - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + length, 7)
         expected = lfsr_reference(taps, seed.bits, sum(counts) + length + 1)
         state, done = seed.bits, 0
         for count in counts:
-            bits, state = lfsr_bits(taps, state, count)
-            assert np.array_equal(bits, expected[done:done + count]), count
+            bits = lfsr_rows(taps, [state], count + length)[0]
+            assert np.array_equal(bits[:count], expected[done:done + count]), count
             done += count
+            state = bits[count:]
             assert np.array_equal(state, expected[done:done + length]), count
-        assert lfsr_bits(taps, state, 1)[0][0] == expected[done]
+        assert lfsr_rows(taps, [state], 1)[0][0] == expected[done]
 
     @pytest.mark.parametrize("length", [5, 64])
     def test_rows_are_each_states_stream(self, length):
@@ -192,9 +195,7 @@ class TestTakeKernel:
                 assert np.array_equal(row, lfsr_reference(taps, state, count + length)[:count])
 
     def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            lfsr_bits((4, 1), (1, 0, 0, 0), -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
             lfsr_stream(LfsrSpec((4, 1)), SeedKey.from_string("1000"), -1)
 
     @pytest.mark.parametrize("taps", [(1,), (2, 1), (5, 2), (16, 12, 3, 1), (64, 63, 61, 60),
@@ -230,12 +231,10 @@ class TestTakeKernel:
         taps, seed = random_register(rng, length)
         for count in (0, 1, _BLOCK, 2 * _BLOCK + 3):
             expected = lfsr_reference(taps, seed.bits, count + length)
-            bits, state = lfsr_bits(taps, np.array(seed.bits, dtype=np.uint8), count)
-            assert np.array_equal(bits, expected[:count]), (taps, count)
-            assert np.array_equal(state, expected[count:]), (taps, count)
-            zeros, zero_state = lfsr_bits(taps, np.zeros(length, dtype=np.uint8), count)
-            assert zeros.size == count and not zeros.any()
-            assert zero_state.size == length and not zero_state.any()
+            bits = lfsr_rows(taps, [np.array(seed.bits, dtype=np.uint8)], count + length)[0]
+            assert np.array_equal(bits, expected), (taps, count)
+            zeros = lfsr_rows(taps, [np.zeros(length, dtype=np.uint8)], count + length)[0]
+            assert zeros.size == count + length and not zeros.any()
 
 
 def reference_periods(taps):
@@ -533,7 +532,7 @@ class TestUniformDraws:
             ref, rng = twin_generators(bit_generator, pending)
             expected = key_guess_successes(seed_bits, count, ref)
             assert expected >= 1, length
-            assert _key_guess_successes(_key_guess_target(seed_bits), count, rng) == expected
+            assert _key_guess_successes(seed_bits, count, rng) == expected
             assert same_state(rng.bit_generator.state, ref.bit_generator.state), length
             assert rng.random() == ref.random(), length
 
