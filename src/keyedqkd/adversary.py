@@ -26,6 +26,7 @@ from .keystream import (
     RunningKey,
     bits_int,
     expand_running_key,
+    lfsr_row_bytes,
     lfsr_rows,
 )
 from .protocol import ChannelModel, ProtocolConfig
@@ -36,6 +37,7 @@ from .qubits import (
     OffsetTable,
     eve_error_key_granted,
     measure_codes,
+    measure_coin_words,
     measure_many,  # not called here: perfbench's trace wraps this module's binding
     require_integer,
     require_real,
@@ -232,8 +234,11 @@ class _Attack:
     states and offsets, its OffsetTables `eve` (keyed states in the
     attacker's bases) and `bob` (keyed or resent states, turned by a
     channel flip, in the keyed bases), the keyed codes (None for block
-    guessing), a fixed basis's codes, all 0 (None otherwise), and
-    intercept's attacked fraction (1 for every other attack)."""
+    guessing), a fixed basis's codes, all 0 (None otherwise),
+    intercept's attacked fraction (1 for every other attack), and the keyed
+    codes _pack'ed when every round runs on packed words (_packs; intercept
+    at fraction 1, key guessing, or a fixed basis on a multiple of pi/4,
+    each on two bases), None otherwise."""
 
     m: int
     code: np.dtype
@@ -242,6 +247,7 @@ class _Attack:
     key_codes: np.ndarray | None
     zeros: np.ndarray | None
     fraction: float
+    key_words: np.ndarray | None
 
 
 def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
@@ -259,16 +265,37 @@ def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
     else:
         eve, bob = OffsetTable(m, -phi, positions), OffsetTable(m, phi, positions)
     code = np.min_scalar_type(2 * m - 1)
-    return _Attack(m, code, eve, bob,
-                   None if selectors is None else _read_only(selectors.astype(code)),
+    fraction = 1.0 if strategy is None else strategy.fraction
+    key_codes = None if selectors is None else _read_only(selectors.astype(code))
+    packed = key_codes is not None and fraction == 1.0 and _packs(eve, bob, positions)
+    return _Attack(m, code, eve, bob, key_codes,
                    None if phi is None else _read_only(np.zeros(positions, np.uint8)),
-                   1.0 if strategy is None else strategy.fraction)
+                   fraction, _read_only(_pack(key_codes)) if packed else None)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """`a`, frozen in place: a value that every round and thread of an attack shares."""
     a.setflags(write=False)
     return a
+
+
+def _packs(eve: OffsetTable, bob: OffsetTable, positions: int) -> bool:
+    """Whether rows of `positions` positions, every one attacked, measured
+    under the attacker's table `eve` and the receiver's `bob`, run on
+    packed words (_packed_round): both tables draw coins, so m = 2, and a
+    row has no fewer positions than a table has entries, below which
+    measure_codes measures each position on its own."""
+    return eve.coins is not None and bob.coins is not None and eve.p1.size <= positions
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """0/1 or bool `bits`, packed along their last axis into uint64 words
+    as uniform_words' words hold uniform_bits: position p at bit p % 64 of
+    word p // 64, and 0 past the last position."""
+    n = bits.shape[-1]
+    packed = np.zeros((*bits.shape[:-1], 8 * -(-n // 64)), np.uint8)
+    packed[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")
 
 
 def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
@@ -294,7 +321,11 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
     loses nothing.
 
     Key codes in the code dtype, as every attack passes them, are not
-    copied.
+    copied. The Monte Carlo attacks run their two-basis coin rounds that
+    attack every position on _packed_round, which reads the same words in
+    the same order; this kernel runs every other round: breidbart and
+    other fixed angles, m >= 4, intercept below fraction 1, rows shorter
+    than a table, and in-line interference.
     """
     m, code, lattice = attack.m, attack.code, 2 * attack.m - 1
     key_codes = key_codes.astype(code, copy=False)
@@ -318,6 +349,50 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
     state &= lattice
     bob = measure_codes(attack.bob, state, rng)
     return alice, outcome, bob, None if lost is None else ~lost
+
+
+def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: ChannelModel,
+                  count: int, rng: np.random.Generator):
+    """_resend_round of a block of `count` rows of n positions, every one
+    attacked, on packed words: the rounds that _packs admits. `key_words`
+    and `eve_words` are the keyed bases and hers (None for a fixed basis,
+    which measures at code 0), _pack'ed, each broadcasting to (count,
+    ceil(n/64)). The block draws the words _resend_round draws, in its
+    order: the sent bits, her coins, the channel's masks, the receiver's
+    coins (measure_coin_words).
+
+    On two bases a state code is 2a + k, sent bit a in keyed basis k, and
+    an offset's bits are word logic. She measures (2a + k - e) mod 4 in
+    her basis e: low bit k ^ e, high bit a ^ (e & ~k), where the borrow
+    e & ~k is e & (k ^ e). She resends 2x + e for her outcome x, which a
+    channel flip f turns by 2, and the receiver measures it in basis k:
+    low bit e ^ k again, high bit x ^ f ^ (k & (k ^ e)).
+
+    Returns (errors, detected): a (2, count, ceil(n/64)) array of words,
+    her outcomes and then the receiver's bits on detected positions, each
+    XOR the sent bits, whose bits past n are set at random unless the
+    channel loses, and the detected mask, None when it loses nothing.
+    """
+    alice = uniform_words(rng, (count, -(-n // 64)))
+    if eve_words is None:
+        low, high, resent = key_words, alice, key_words
+    else:
+        low = key_words ^ eve_words
+        high, resent = alice ^ (eve_words & low), key_words & low
+    outcome = measure_coin_words(attack.eve, high, low, rng)
+    lost, flipped = channel.draw(rng, (count, n))
+    high = outcome ^ resent
+    if flipped is not None:
+        high ^= _pack(flipped)
+    bob = measure_coin_words(attack.bob, high, low, rng)
+    errors = np.empty((2, *alice.shape), alice.dtype)
+    np.bitwise_xor(outcome, alice, out=errors[0])
+    np.bitwise_xor(bob, alice, out=errors[1])
+    if lost is None:
+        return errors, None
+    detected = np.logical_not(lost, out=lost)
+    errors[1] &= _pack(detected)
+    return errors, detected
 
 
 def _row_counts(bits: np.ndarray) -> np.ndarray:
@@ -348,6 +423,26 @@ def _counts(alice, outcome, bob, detected, attacked=slice(None), flips=None):
     return (_row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64), _row_counts(user),
             np.full(len(user), user.shape[1], np.int64) if detected is None
             else _row_counts(detected))
+
+
+def _word_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """The ones among the first n positions of each word in packed `words`,
+    rows of ceil(n/64) along the last axis, per word as uint8; clears the
+    bits past n."""
+    if n % 64:
+        words[..., -1] &= (1 << n % 64) - 1
+    return np.bitwise_count(words)
+
+
+def _packed_counts(n: int, errors, detected, flips=None):
+    """_counts of a block of _packed_round's arrays on rows of n positions,
+    her errors flipped where her _pack'ed decoding `flips` are set (not
+    read when None). Overwrites `errors`."""
+    if flips is not None:
+        errors[0] ^= flips
+    her, user = _word_counts(errors, n).sum(axis=-1, dtype=np.int64)
+    every = np.full(len(her), n, np.int64)
+    return her, every, user, every if detected is None else _row_counts(detected)
 
 
 def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
@@ -396,6 +491,17 @@ def _state_round(attack: _Attack, channel: ChannelModel, count: int, rng: np.ran
             attacked)
 
 
+def _packed_state_round(attack: _Attack, channel: ChannelModel, count: int,
+                        rng: np.random.Generator):
+    """_state_round of an attack with key words (intercept at fraction 1 or
+    a fixed basis on a multiple of pi/4, on two bases) on _packed_round: her
+    bases are the words of _state_round's bit draw, a fixed basis draws
+    none."""
+    n, words = attack.key_codes.size, attack.key_words.shape[-1]
+    eve = None if attack.zeros is not None else uniform_words(rng, (count, words))
+    return _packed_round(attack, n, attack.key_words, eve, channel, count, rng)
+
+
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
                          rng: np.random.Generator, trials: int, threads: int):
     """Error rates of intercept or fixed-basis measure-resend over `trials` rounds.
@@ -406,15 +512,21 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     attacker is never off by more than pi/4, so her outcome stands.
     The rounds run in blocks (_block_size), but those of intercept at a
     fraction below 1, which attack different numbers of positions, run
-    one to a block.
+    one to a block. An attack with key words runs its blocks on
+    _packed_state_round, its decoding flips packed once.
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
     attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+    if attack.key_words is not None and flips is not None:
+        flips = _read_only(_pack(flips))
 
     def counts(count, rng):
-        return _counts(*_state_round(attack, config.channel, count, rng), flips)
+        if attack.key_words is None:
+            return _counts(*_state_round(attack, config.channel, count, rng), flips)
+        return _packed_counts(config.n, *_packed_state_round(attack, config.channel, count, rng),
+                              flips)
 
     row_bytes = attack.key_codes.nbytes if strategy.fraction == 1.0 else BLOCK_BYTES
     parts = _map_chunks(counts, _chunk_rngs(rng, trials, _block_size(trials, row_bytes)), threads)
@@ -478,8 +590,15 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
     (any 0/1 sequence), drawing from `rng` against the key-guess _Attack
     `attack` of `config`: the _counts of the block. An all-zero
     guess expands to the all-zero stream (the attacker is free to guess a
-    degenerate seed). One lfsr_rows call and one running key expand the block."""
+    degenerate seed). One lfsr_rows call and one running key expand the
+    block; on two bases the block runs on _packed_round, and the words of
+    lfsr_row_bytes, before their unpack, are her bases."""
     rows, n, k = len(guesses), config.n, config.alphabet.bits_per_selector
+    if attack.key_words is not None:
+        words = lfsr_row_bytes(config.keystream.spec.taps, guesses, n).view("<u8")
+        return _packed_counts(n, *_packed_round(attack, n, attack.key_words,
+                                                words[:, :attack.key_words.size],
+                                                config.channel, rows, rng))
     codes = lfsr_rows(config.keystream.spec.taps, guesses, n * k)
     if k > 1:  # at m = 2 each bit is its own selector
         codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
@@ -603,23 +722,43 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     of the attack shares. The chunk is one resend block of its count * k
     (trial, block) pairs' positions, rows along the shorter side: block_len
     rows sharing a key row and a guess row, or a row per pair, its two bits
-    broadcast. Counts sum over a pair's positions, then a trial's pairs, in
-    the narrowest type that holds k * block_len: several times quicker than
-    in int64, to which block_guess_trials widens them as it joins chunks."""
+    broadcast. It runs on _packed_round unless its rows are shorter than a
+    table (_packs): a pair's counts are then the ones of its row's words,
+    or the sums of its position in each row, unpacked. Counts sum over a
+    pair's positions, then a trial's pairs, in the narrowest type that
+    holds k * block_len: several times quicker than in int64, to which
+    block_guess_trials widens them as it joins chunks."""
     pairs = count * k_blocks
     blocks = uniform_bits(rng, 2 * pairs).reshape(2, -1)  # key blocks, guesses
     success = _row_counts((blocks[0] ^ blocks[1]).reshape(count, k_blocks)) == 0
     axis, dtype = int(block_len > pairs), np.min_scalar_type(k_blocks * block_len)
-    if axis:
-        blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
-    alice, outcome, bob, detected = _resend_round(attack, *blocks, slice(None), channel,
-                                                  min(block_len, pairs), rng)
-    bob ^= alice
+    rows, n = min(block_len, pairs), max(block_len, pairs)
+    if _packs(attack.eve, attack.bob, n):
+        if axis:  # a row per pair: its two bits fill every position of its words
+            key, eve = blocks.astype(np.uint64)[..., None] * np.uint64(2 ** 64 - 1)
+        else:
+            key, eve = _pack(blocks)
+        errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
+        if axis:
+            her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
+        else:
+            her, user = np.unpackbits(errors.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                                      count=n, bitorder="little").sum(axis=1, dtype=dtype)
+    else:
+        if axis:
+            blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
+        alice, outcome, bob, detected = _resend_round(attack, *blocks, slice(None), channel,
+                                                      rows, rng)
+        bob ^= alice
+        if detected is not None:
+            bob &= detected
+        her, user = (a.sum(axis=axis, dtype=dtype)
+                     for a in (np.bitwise_xor(outcome, alice, out=outcome), bob))
     if detected is not None:
-        bob &= detected
+        detected = detected.sum(axis=axis, dtype=dtype)
     return (success, *(np.full(count, k_blocks * block_len, dtype) if a is None else
-                       np.einsum("ij->i", a.sum(axis=axis, dtype=dtype).reshape(count, k_blocks))
-                       for a in (bob, np.bitwise_xor(outcome, alice, out=outcome), detected)))
+                       np.einsum("ij->i", a.reshape(count, k_blocks))
+                       for a in (user, her, detected)))
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -631,6 +770,16 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     first k_blocks blocks (the choice is irrelevant by symmetry), guesses one
     basis bit per block, and measure-resends the k*n/m_k covered qubits.
     """
+    parts, attacked = _block_guess_chunks(n, m_k, k_blocks, rng, trials, threads, channel)
+    success, *counts = zip(*parts)
+    errors, eve_errors, detected = (np.concatenate(c, dtype=np.int64) for c in counts)
+    return BlockGuessTrials(np.concatenate(success), errors, eve_errors, attacked, detected)
+
+
+def _block_guess_chunks(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
+                        trials: int, threads: int, channel: ChannelModel | None):
+    """block_guess_trials' _block_guess_chunk records, chunk by chunk, and
+    the attacked positions of a trial."""
     n, m_k = require_integer(n, "qubit count"), require_integer(m_k, "key length")
     k_blocks = require_integer(k_blocks, "k_blocks")
     if not 1 <= k_blocks <= m_k:
@@ -642,11 +791,7 @@ def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     chunk = min(require_integer(trials, "trials"), TRIAL_CHUNK)
     kernel = partial(_block_guess_chunk, attack=_attack(2, max(chunk * k_blocks, block_len)),
                      k_blocks=k_blocks, block_len=block_len, channel=channel or ChannelModel())
-    parts = _map_chunks(kernel, _chunk_rngs(rng, trials), threads)
-    success, *counts = zip(*parts)
-    errors, eve_errors, detected = (np.concatenate(c, dtype=np.int64) for c in counts)
-    success = np.concatenate(success)
-    return BlockGuessTrials(success, errors, eve_errors, k_blocks * block_len, detected)
+    return _map_chunks(kernel, _chunk_rngs(rng, trials), threads), k_blocks * block_len
 
 
 def attack_block_guess(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,
@@ -660,19 +805,21 @@ def attack_block_guess(n: int, m_k: int, k_blocks: int, rng: np.random.Generator
     averages to an unconditional 1/4 over attacked positions. Her bit error
     is reported over attacked positions, the induced user error over the
     detected ones (None when none was detected), as for the other attacks.
+    The report reads block_guess_trials' totals only, summed over its
+    chunks' narrow counts, with no int64 array per trial.
     """
-    record = block_guess_trials(n, m_k, k_blocks, rng, trials, threads, channel)
-    detected = int(record.attacked_detected.sum())
+    parts, attacked = _block_guess_chunks(n, m_k, k_blocks, rng, trials, threads, channel)
+    successes, errors, eve_errors, detected = (int(np.concatenate(c).sum(dtype=np.int64))
+                                               for c in zip(*parts))
     return AttackReport(
         strategy=f"blockguess:{k_blocks}",
         trials=trials, qubits=n,
-        eve_bit_error=binomial_ci(int(record.eve_errors.sum()), record.attacked_per_trial * trials),
-        induced_qber=binomial_ci(int(record.attacked_errors.sum()), detected)
-        if detected else None,
+        eve_bit_error=binomial_ci(eve_errors, attacked * trials),
+        induced_qber=binomial_ci(errors, detected) if detected else None,
         eve_bit_error_analytic=0.25,
         induced_qber_analytic=0.25,
         success_analytic=2.0 ** -k_blocks,
-        success_mc=binomial_ci(int(record.success.sum()), trials),
+        success_mc=binomial_ci(successes, trials),
         info_fraction=k_blocks / m_k,
     )
 

@@ -167,8 +167,19 @@ def lfsr_rows(taps: tuple[int, ...], states, count: int) -> np.ndarray:
     the state B steps on. B doubles from _BLOCK while it is short of `count`
     and the table of L rows of 2B bits stays within _TABLE_BITS, so up to
     2^17 bits at L = 64 take one XOR per state. Rows are Python ints, so any
-    L works. Every row's bytes go to one unpack.
+    L works. Every row's bytes (lfsr_row_bytes) go to one unpack.
     """
+    spans = lfsr_row_bytes(taps, states, count)
+    if len(states) == 1:  # a flat unpack, a microsecond quicker than one by rows
+        return np.unpackbits(spans.reshape(-1), count=count, bitorder="little")[None]
+    return np.unpackbits(spans, axis=1, count=count, bitorder="little")
+
+
+def lfsr_row_bytes(taps: tuple[int, ...], states, count: int) -> np.ndarray:
+    """lfsr_rows' bits before the unpack: a read-only (states, bytes) uint8
+    array whose row s holds the first `count` output bits from states[s],
+    bit k at bit k % 8 of byte k // 8, and then the next output bits up to a
+    whole number of jump-table blocks, each a whole number of 64-bit words."""
     length, block = max(taps), _BLOCK
     while block < count and 2 * block * length <= _TABLE_BITS:
         block *= 2
@@ -180,11 +191,7 @@ def lfsr_rows(taps: tuple[int, ...], states, count: int) -> np.ndarray:
             span = _jump(rows, state, digits)
             spans.append(span.to_bytes(size, "little")[:block // 8])
             state = span >> block
-    spans = np.frombuffer(b"".join(spans), np.uint8)
-    if len(states) == 1:  # a flat unpack, a microsecond quicker than one by rows
-        return np.unpackbits(spans, count=count, bitorder="little")[None]
-    spans = spans.reshape(len(states), blocks * block // 8)
-    return np.unpackbits(spans, axis=1, count=count, bitorder="little")
+    return np.frombuffer(b"".join(spans), np.uint8).reshape(len(states), blocks * block // 8)
 
 
 def lfsr_stream(spec: LfsrSpec, seed: SeedKey, count: int) -> np.ndarray:

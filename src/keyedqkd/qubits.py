@@ -309,7 +309,8 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     nor a fixed basis off the multiples of pi/4), the block draws
     uniform_bits, one bit per position whatever entry the position reads,
     and each outcome is bit 2o + b of the 8-bit mask, shifted out of the
-    whole block in place in uint8: no gather. Any other table draws one
+    whole block in place in uint8: no gather. (measure_coin_words draws the
+    same bits for offsets packed 64 to a word.) Any other table draws one
     byte per position, each row's first n bytes of its ceil(n/8)
     uniform_words read little-endian, rows in C order, and the outcome is
     byte < threshold[o]. The ties, byte == threshold[o] (1 in 256), then
@@ -353,6 +354,33 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     np.right_shift(table.coins, index, out=index)
     index &= 1
     return index
+
+
+def measure_coin_words(table: OffsetTable, high, low, rng) -> np.ndarray:
+    """measure_codes' coin path, bit-sliced: the outcomes at the two-basis
+    offsets o = 2 high + low under `table`, which has coins. `high` is a
+    (rows, words) uint64 array of the offsets' high bits, 64 positions to a
+    word (position p at bit p % 64 of word p // 64, as uniform_bits reads
+    its words), and `low`, their low bits, broadcasts to it. The coin bits
+    are uniform_words(rng, high.shape), the words measure_codes' coin path
+    draws for rows of 64 * words - 63 to 64 * words positions, so each
+    position reads the coin bit, and gets the outcome, that it gets there.
+
+    As p1[o + 2] = 1 - p1[o] (the state turned by pi/2), one low bit reads
+    a coin at both high bits and the other reads 0 and 1: high itself where
+    its entry at high 0 is 0, its complement where it is 1. The outcome is
+    the word select r0 ^ (low & (r0 ^ r1)) of what low bits 0 and 1 read.
+    Bits past a row's positions hold outcomes of nothing, which the caller
+    masks; the coin words are overwritten."""
+    import numpy as np
+
+    coin = uniform_words(rng, high.shape)
+    first, second = (coin if p1 == 0.5 else high if p1 == 0.0 else ~high
+                     for p1 in table.p1[:2].tolist())
+    outcome = np.bitwise_xor(first, second, out=None if first is coin else coin)
+    outcome &= low
+    outcome ^= first
+    return outcome
 
 
 def _coin_outcomes(table: np.ndarray) -> int | None:

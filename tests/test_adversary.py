@@ -54,6 +54,10 @@ from keyedqkd.adversary import (
     _guess_round,
     _key_guess_successes,
     _map_chunks,
+    _pack,
+    _packed_counts,
+    _packed_state_round,
+    _packs,
     _resend_round,
     _row_counts,
     _state_round,
@@ -61,7 +65,7 @@ from keyedqkd.adversary import (
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
 from keyedqkd.keystream import lfsr_rows
 from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
-                             measure_many, uniform_bits)
+                             measure_coin_words, measure_many, uniform_bits)
 
 import reference
 from reference import GivenDraws, GivenWords, key_angles, key_guess_successes
@@ -405,7 +409,8 @@ class TestKeyGuess:
                 config = lfsr_config(n=n, m=2 ** bits, taps=taps, seed_text="1" * length)
                 guesses = np.vstack([uniform_bits(rng, (2, length)), np.zeros(length, np.uint8)])
                 tables.clear()
-                _guess_round(config, types.SimpleNamespace(key_codes=None), guesses, None)
+                _guess_round(config, types.SimpleNamespace(key_codes=None, key_words=None), guesses,
+                             None)
                 # One table, the smallest that covers the stream, or the largest.
                 assert tables == [min(b for b in table_blocks(length) + [largest]
                                       if b >= min(n * bits, largest))]
@@ -824,14 +829,20 @@ class TestCodedKernels:
 
     @pytest.fixture
     def table_use(self, monkeypatch):
-        """Records, per measure_codes call, whether it took the table branch."""
+        """Records, per measure_codes call, whether it took the table
+        branch, and "packed" per measure_coin_words call."""
         seen = []
 
         def spy(table, offsets, rng):
             seen.append(table.p1 is not None and table.p1.size <= offsets.shape[1])
             return measure_codes(table, offsets, rng)
 
+        def packed(table, high, low, rng):
+            seen.append("packed")
+            return measure_coin_words(table, high, low, rng)
+
         monkeypatch.setattr(keyedqkd.adversary, "measure_codes", spy)
+        monkeypatch.setattr(keyedqkd.adversary, "measure_coin_words", packed)
         return seen
 
     # (m, n) on the table path (2m <= n) and on the per-position path
@@ -876,7 +887,8 @@ class TestCodedKernels:
             assert got == (float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert table_use == [2 * m <= n] * 6
+        # Two-basis rounds of at least 4 positions run packed.
+        assert table_use == (["packed"] if m == 2 and n >= 4 else [2 * m <= n]) * 6
 
     @pytest.fixture
     def code_dtypes(self, monkeypatch):
@@ -942,9 +954,13 @@ class TestCodedKernels:
         config = dataclasses.replace(lfsr_config(n=600), channel=channel)
         strategy, seen = AttackStrategy.parse("intercept"), []
         monkeypatch.setattr(keyedqkd.adversary, "_state_round", _recording_state_round(seen))
+        packed = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
+        assert seen == []
+        # Without packed words the five rounds of 600 positions run as one
+        # _state_round block.
+        monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
         fast = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
-        # The five rounds of 600 positions run as one block.
-        assert seen == [slice(None)]
+        assert seen == [slice(None)] and fast == packed
         monkeypatch.setattr(keyedqkd.adversary, "_resend_round", _index_path)
         assert fast == run_attack(strategy, config, np.random.default_rng(8), trials=5,
                                   threads=threads)
@@ -1070,6 +1086,95 @@ class TestCodedKernels:
         assert report.success_mc == binomial_ci(int(success.sum()), trials)
         assert report.induced_qber == binomial_ci(int(errors.sum()), int(detected.sum()))
         assert report.eve_bit_error == binomial_ci(int(eve_errors.sum()), 3 * 8 * trials)
+
+
+PACKED_N = [1, 63, 64, 65, 1000, 12_500]
+
+
+def _packed_layouts():
+    """(n, rows, layout, count, k_blocks, block_len) of a block-guess chunk
+    whose rows hold n positions: `rows` rows of n (trial, block) pairs
+    (layout "pairs"), or a row of block_len = n positions per pair ("rows";
+    it needs n > rows)."""
+    for n in PACKED_N:
+        for rows in (1, 2, 5):
+            k = max(d for d in range(1, 6) if n % d == 0)
+            if rows <= n:
+                yield n, rows, "pairs", n // k, k, rows
+            if rows < n:
+                yield n, rows, "rows", 1 if rows % 2 else rows // 2, rows if rows % 2 else 2, n
+
+
+class TestPackedRounds:
+    """The packed kernel (_packed_round) against the code-offset kernel
+    (_resend_round) on the same stream: equal counts and generator states
+    after, for every round that takes the packed path (intercept at fraction
+    1, a fixed basis on a multiple of pi/4 and key guessing, each on two
+    bases, and every block-guess chunk in both row layouts). Rows of n < 4
+    positions, fewer than a table's entries, never run packed. Streams come
+    from PCG64 (raw words) and from Philox and SFC64 (integers)."""
+
+    CHANNELS = [ChannelModel(), ChannelModel(loss=0.2), ChannelModel(flip_prob=0.1),
+                ChannelModel(flip_prob=0.1, loss=0.2)]
+    CHANNEL_IDS = ["noiseless", "loss0.2", "flip0.1", "flip0.1-loss0.2"]
+    GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64]
+
+    @pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("n", PACKED_N)
+    # Fixed angles within the snap tolerance of pi/4 and pi/2 read all four
+    # two-basis coin tables, and past them her decoding flips basis 0.
+    @pytest.mark.parametrize("text", ["intercept", "keyguess", "fixed:0", f"fixed:{PI / 4!r}",
+                                      f"fixed:{PI / 4 + 4e-13!r}", f"fixed:{PI / 2 - 4e-13!r}"])
+    def test_attack_rounds(self, text, n, channel, bit_generator):
+        config = dataclasses.replace(lfsr_config(n=n, **DENSE_KEY), channel=channel)
+        strategy = AttackStrategy.parse(text)
+        if strategy.kind == "key_guess":
+            attack = guess_key(config)
+            codes = dataclasses.replace(attack, key_words=None)
+            length = len(config.keystream.seed)
+
+            def kernels(rows, rng, ref_rng):
+                return (_guess_round(config, kernel_attack, uniform_bits(r, (rows, length)), r)
+                        for kernel_attack, r in ((attack, rng), (codes, ref_rng)))
+        else:
+            attack = _attack(2, n, strategy, config.key_selectors())
+            flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+            words = None if flips is None else _pack(flips)
+            assert (flips is None) == (strategy.phi in (None, 0.0, PI / 4) or n < 4)
+
+            def kernels(rows, rng, ref_rng):
+                return (_packed_counts(n, *_packed_state_round(attack, channel, rows, rng), words),
+                        _counts(*_state_round(attack, channel, rows, ref_rng), flips))
+        assert (attack.key_words is None) == (n < 4)
+        if n < 4:
+            return
+        for rows in range(1, 6):
+            rng, ref_rng = (np.random.Generator(bit_generator(100 * n + rows)) for _ in range(2))
+            _same_arrays(*kernels(rows, rng, ref_rng))
+            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("n,rows,layout,count,k_blocks,block_len", _packed_layouts())
+    def test_block_guess_chunks(self, monkeypatch, n, rows, layout, count, k_blocks, block_len,
+                                channel, bit_generator):
+        pairs = count * k_blocks
+        assert (min(pairs, block_len), max(pairs, block_len)) == (rows, n)
+        assert (block_len > pairs) == (layout == "rows")
+        attack = _attack(2, n)
+        assert _packs(attack.eve, attack.bob, n) == (n >= 4)
+
+        def chunk():
+            rng = np.random.Generator(bit_generator(n + rows))
+            return (_block_guess_chunk(count, rng, attack, k_blocks, block_len, channel),
+                    rng.bit_generator.state)
+
+        packed, packed_state = chunk()
+        monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
+        codes, codes_state = chunk()
+        _same_arrays(packed, codes)
+        assert _same_state(packed_state, codes_state)
 
 
 class TestSharedTables:
@@ -1235,19 +1340,25 @@ class TestRoundBlocks:
         # 13 rounds of 12 500 uint8 codes: blocks of 5, 5 and 3 rounds,
         # except intercept below fraction 1, whose rounds attack different
         # numbers of positions and run one to a block.
+        # Two-basis intercept at fraction 1 and key guessing run their
+        # blocks on _packed_round, every other attack on _resend_round;
+        # either takes the block's row count second to last.
         config = dataclasses.replace(lfsr_config(n=12_500, m=m, **DENSE_KEY), channel=channel)
         strategy = AttackStrategy.parse(text)
-        sizes, real = [], keyedqkd.adversary._resend_round
+        sizes = []
 
-        def spy(*args):
-            sizes.append(args[-2])
-            return real(*args)
+        def spy(real):
+            def kernel(*args):
+                sizes.append(args[-2])
+                return real(*args)
+            return kernel
 
         def attack(threads):
             return run_attack(strategy, config, np.random.default_rng(40), trials=13,
                               threads=threads)
 
-        monkeypatch.setattr(keyedqkd.adversary, "_resend_round", spy)
+        for name in ("_resend_round", "_packed_round"):
+            monkeypatch.setattr(keyedqkd.adversary, name, spy(getattr(keyedqkd.adversary, name)))
         blocked = attack(1)
         assert sizes == ([1] * 13 if strategy.fraction < 1.0 else [5, 5, 3])
         assert _statistics(blocked) == _reference_report(strategy, config, 40, 13)
@@ -1562,6 +1673,8 @@ class TestCoinDraws:
         assert not table.coins.flags.writeable
         slots = bytes(int(table.coins) >> i & 1 for i in range(8))
         assert slots == reference.coin_outcome_bytes(table.p1)
+        # measure_coin_words' select rests on p1[o + 2] = 1 - p1[o].
+        assert table.p1[2:].tolist() == (1.0 - table.p1[:2]).tolist()
 
     @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
     def test_an_entry_on_the_half_tolerance_is_a_coin(self, monkeypatch, edge):
@@ -1634,32 +1747,47 @@ class TestCoinDraws:
 
     @pytest.fixture
     def coin_draws(self, monkeypatch):
-        """Counts the bit draws measure_codes makes; the adversary's own bit
-        draws go through its imported name and are not counted."""
+        """Records the coin draws of the attack rounds: ("bits", shape) per
+        bit draw measure_codes makes, and ("words", shape) per word draw of
+        measure_coin_words, the coins of a packed round. The adversary's own
+        bit draws go through its imported name and are not recorded."""
         seen = []
 
-        def spy(rng, shape):
-            seen.append(shape)
+        def bits(rng, shape):
+            seen.append(("bits", shape))
             return uniform_bits(rng, shape)
 
-        monkeypatch.setattr(keyedqkd.qubits, "uniform_bits", spy)
+        def words(table, high, low, rng):
+            seen.append(("words", high.shape))
+            return measure_coin_words(table, high, low, rng)
+
+        monkeypatch.setattr(keyedqkd.qubits, "uniform_bits", bits)
+        monkeypatch.setattr(keyedqkd.adversary, "measure_coin_words", words)
         return seen
 
+    # One round of each attack as run_attack runs it: two-basis rounds that
+    # attack every position draw their coins as words, the 47 of 3000
+    # positions; intercept below fraction 1 as bits, hers on the attacked
+    # positions; every other round none.
     @pytest.mark.parametrize("m,text,coins", [
         (2, "fixed:0.3", 0), (2, "breidbart", 0), (16, "fixed:0.3", 0), (16, "breidbart", 0),
         (2, "fixed:0", 2), (16, "fixed:0", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2)])
     def test_only_two_basis_measure_resend_rounds_draw_coins(self, coin_draws, m, text, coins):
-        config = lfsr_config(n=3000, m=m)
-        state_round(AttackStrategy.parse(text), config, ChannelModel(flip_prob=0.1),
-                    np.random.default_rng(15))
+        strategy = AttackStrategy.parse(text)
+        run_attack(strategy, lfsr_config(n=3000, m=m, flip=0.1), np.random.default_rng(15))
         assert len(coin_draws) == coins
+        if coins and strategy.fraction == 1.0:
+            assert coin_draws == [("words", (1, 47))] * 2
+        elif coins:
+            (eve, (_, attacked)), (bob, shape) = coin_draws
+            assert (eve, bob, shape) == ("bits", "bits", (1, 3000)) and 0 < attacked < 3000
 
-    @pytest.mark.parametrize("m,coins", [(2, 2), (16, 0)])
+    @pytest.mark.parametrize("m,coins", [(2, [("words", (1, 40))] * 2), (16, [])])
     def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
         config = lfsr_config(n=2500, m=m, flip=0.1)
         guess = SeedKey.from_string("01101100")
         guess_round(config, guess.bits, np.random.default_rng(16))
-        assert len(coin_draws) == coins
+        assert coin_draws == coins
 
 
 class TestByteDraws:
