@@ -236,9 +236,9 @@ class _Attack:
     channel flip, in the keyed bases), the keyed codes (None for block
     guessing), a fixed basis's codes, all 0 (None otherwise),
     intercept's attacked fraction (1 for every other attack), and the keyed
-    codes _pack'ed when every round runs on packed words (_packs; intercept
-    at fraction 1, key guessing, or a fixed basis on a multiple of pi/4,
-    each on two bases), None otherwise."""
+    codes _pack'ed when every round runs on packed words (_packs;
+    intercept, key guessing, or a fixed basis on a multiple of pi/4, each
+    on two bases), None otherwise."""
 
     m: int
     code: np.dtype
@@ -267,7 +267,7 @@ def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
     code = np.min_scalar_type(2 * m - 1)
     fraction = 1.0 if strategy is None else strategy.fraction
     key_codes = None if selectors is None else _read_only(selectors.astype(code))
-    packed = key_codes is not None and fraction == 1.0 and _packs(eve, bob, positions)
+    packed = key_codes is not None and _packs(eve, bob, positions)
     return _Attack(m, code, eve, bob, key_codes,
                    None if phi is None else _read_only(np.zeros(positions, np.uint8)),
                    fraction, _read_only(_pack(key_codes)) if packed else None)
@@ -280,12 +280,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _packs(eve: OffsetTable, bob: OffsetTable, positions: int) -> bool:
-    """Whether rows of `positions` positions, every one attacked, measured
-    under the attacker's table `eve` and the receiver's `bob`, run on
-    packed words (_packed_round): both tables draw coins, so m = 2, and a
-    row has no fewer positions than a table has entries, below which
-    measure_codes measures each position on its own."""
-    return eve.coins is not None and bob.coins is not None and eve.p1.size <= positions
+    """Whether rows of `positions` positions measured under the tables
+    `eve` and `bob` run on packed words (_packed_round): both are coin
+    tables, so m = 2, and no row is shorter than a table."""
+    return eve.coins and bob.coins and eve.p1.size <= positions
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -298,50 +296,46 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return packed.view("<u8")
 
 
-def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
-                  channel: ChannelModel, count: int, rng: np.random.Generator):
+def _resend_round(attack: _Attack, key_codes, eve_codes, channel: ChannelModel, count: int,
+                  rng: np.random.Generator):
     """A block of `count` transmissions, one per row, with measure-resend
-    on the positions of each row that `attacked` (indices, a mask or a
-    slice along the rows) selects. Each step is one numpy call over the
-    block and draws for all its rows from `rng` in C order, so a block of
-    one row draws what one round does.
+    on every position. Each step is one numpy call over the block and
+    draws for all its rows from `rng` in C order, so a block of one row
+    draws what one round does.
 
     `key_codes` are the keyed selectors and `eve_codes` the attacker's
     bases on the keyed lattice, or 0 for a fixed basis, whose angle the
-    tables' shifts carry and which attacks every position; each is one row
-    of the transmission, shared by every row, or one per row, of any
-    integer dtype. States are codes too, j + m*b for basis j turned by bit
-    b, and each measurement reads the offset (state + m*flip - basis) mod
-    2m through qubits.measure_codes with the attack's prebuilt tables, so a
-    block does only per-position work. The offsets come from wrapping
-    arithmetic in the attack's code dtype and & (2m - 1): 2m divides the
-    dtype's range, and every code, below 2m, casts into it exactly.
-    Returns (rows, positions) arrays: alice bits, eve outcomes (on attacked
-    positions), bob bits, and the detected mask, None when the channel
+    tables' shifts carry; each is one row of the transmission, shared by
+    every row, or one per row, of any integer dtype. A position that she
+    measures in its keyed basis sits at offset m*a: her outcome is the
+    sent bit a and she resends the sent state. States are codes too, j +
+    m*b for basis j turned by bit b, and each measurement reads the offset
+    (state + m*flip - basis) mod 2m through qubits.measure_codes with the
+    attack's prebuilt tables, so a block does only per-position work. The
+    offsets come from wrapping arithmetic in the attack's code dtype and &
+    (2m - 1): 2m divides the dtype's range, and every code, below 2m,
+    casts into it exactly. Returns (rows, positions) arrays: alice bits,
+    eve outcomes, bob bits, and the detected mask, None when the channel
     loses nothing.
 
     Key codes in the code dtype, as every attack passes them, are not
-    copied. The Monte Carlo attacks run their two-basis coin rounds that
-    attack every position on _packed_round, which reads the same words in
-    the same order; this kernel runs every other round: breidbart and
-    other fixed angles, m >= 4, intercept below fraction 1, rows shorter
-    than a table, and in-line interference.
+    copied. The Monte Carlo attacks and in-line interference run their
+    rounds on two-basis coin tables on _packed_round; this kernel runs
+    every other round: breidbart and other fixed angles, m >= 4, and rows
+    shorter than a table.
     """
     m, code, lattice = attack.m, attack.code, 2 * attack.m - 1
     key_codes = key_codes.astype(code, copy=False)
-    n = key_codes.shape[-1]
-    alice = uniform_bits(rng, (count, n))
+    alice = uniform_bits(rng, (count, key_codes.shape[-1]))
     state = np.multiply(alice, m, dtype=code)
     state += key_codes
-    # Her resent states replace the attacked ones, so their offsets, and
-    # then the resent codes, may overwrite them in place.
-    offsets, eve_codes = state[:, attacked], eve_codes[..., attacked]
-    np.subtract(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
-    offsets &= lattice
-    outcome = measure_codes(attack.eve, offsets, rng)
-    np.multiply(outcome, m, out=offsets, dtype=code)
-    np.add(offsets, eve_codes, out=offsets, dtype=code, casting="unsafe")
-    state[:, attacked] = offsets
+    # Her resent states replace the sent ones, so their offsets, and then
+    # the resent codes, overwrite them in place.
+    np.subtract(state, eve_codes, out=state, dtype=code, casting="unsafe")
+    state &= lattice
+    outcome = measure_codes(attack.eve, state, rng)
+    np.multiply(outcome, m, out=state, dtype=code)
+    np.add(state, eve_codes, out=state, dtype=code, casting="unsafe")
     lost, flipped = channel.draw(rng, state.shape)
     if flipped is not None:
         state += np.multiply(flipped, m, dtype=code)
@@ -353,13 +347,12 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, attacked,
 
 def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: ChannelModel,
                   count: int, rng: np.random.Generator):
-    """_resend_round of a block of `count` rows of n positions, every one
-    attacked, on packed words: the rounds that _packs admits. `key_words`
-    and `eve_words` are the keyed bases and hers (None for a fixed basis,
-    which measures at code 0), _pack'ed, each broadcasting to (count,
-    ceil(n/64)). The block draws the words _resend_round draws, in its
-    order: the sent bits, her coins, the channel's masks, the receiver's
-    coins (measure_coin_words).
+    """_resend_round of a block of `count` rows of n positions on packed
+    words: the rounds that _packs admits. `key_words` and `eve_words` are
+    the keyed bases and hers (None for a fixed basis, which measures at
+    code 0), _pack'ed, each broadcasting to (count, ceil(n/64)). The block
+    draws the words _resend_round draws, in its order: the sent bits, her
+    coins, the channel's masks, the receiver's coins (measure_coin_words).
 
     On two bases a state code is 2a + k, sent bit a in keyed basis k, and
     an offset's bits are word logic. She measures (2a + k - e) mod 4 in
@@ -368,10 +361,11 @@ def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: Channe
     channel flip f turns by 2, and the receiver measures it in basis k:
     low bit e ^ k again, high bit x ^ f ^ (k & (k ^ e)).
 
-    Returns (errors, detected): a (2, count, ceil(n/64)) array of words,
-    her outcomes and then the receiver's bits on detected positions, each
-    XOR the sent bits, whose bits past n are set at random unless the
-    channel loses, and the detected mask, None when it loses nothing.
+    Returns (alice, errors, detected): the sent words; a (2, count,
+    ceil(n/64)) array of words, her outcomes and then the receiver's bits
+    on detected positions, each XOR the sent bits, whose bits past n are
+    set at random unless the channel loses; and the detected mask, None
+    when it loses nothing.
     """
     alice = uniform_words(rng, (count, -(-n // 64)))
     if eve_words is None:
@@ -389,10 +383,10 @@ def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: Channe
     np.bitwise_xor(outcome, alice, out=errors[0])
     np.bitwise_xor(bob, alice, out=errors[1])
     if lost is None:
-        return errors, None
+        return alice, errors, None
     detected = np.logical_not(lost, out=lost)
     errors[1] &= _pack(detected)
-    return errors, detected
+    return alice, errors, detected
 
 
 def _row_counts(bits: np.ndarray) -> np.ndarray:
@@ -406,23 +400,22 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(row) for row in bits], dtype=np.int64)
 
 
-def _counts(alice, outcome, bob, detected, attacked=slice(None), flips=None):
-    """(her bit errors, attacked positions, user errors, detected
-    positions) of each row of a block of _resend_round's arrays, as int64
-    arrays: her outcomes on the `attacked` positions, each flipped where
-    her decoding `flips` (_decoding_flips; not read when None) are set, and
-    the receiver's bits on the detected positions, every position for a
-    detected mask of None, each against the sent bits. Overwrites `outcome`
-    and `bob` with the errors."""
-    wrong = np.bitwise_xor(outcome, alice[:, attacked], out=outcome)
+def _counts(alice, outcome, bob, detected, flips=None):
+    """(her bit errors, her positions, user errors, detected positions) of
+    each row of a block of _resend_round's arrays, as int64 arrays: her
+    outcomes, each flipped where her decoding `flips` (_decoding_flips;
+    not read when None) are set, and the receiver's bits on the detected
+    positions, every position for a detected mask of None, each against
+    the sent bits. Overwrites `outcome` and `bob` with the errors."""
+    wrong = np.bitwise_xor(outcome, alice, out=outcome)
     if flips is not None:
-        wrong ^= flips[attacked]
+        wrong ^= flips
     user = np.bitwise_xor(bob, alice, out=bob)
     if detected is not None:
         user &= detected
-    return (_row_counts(wrong), np.full(len(wrong), wrong.shape[1], np.int64), _row_counts(user),
-            np.full(len(user), user.shape[1], np.int64) if detected is None
-            else _row_counts(detected))
+    every = np.full(len(wrong), wrong.shape[1], np.int64)
+    return (_row_counts(wrong), every, _row_counts(user),
+            every if detected is None else _row_counts(detected))
 
 
 def _word_counts(words: np.ndarray, n: int) -> np.ndarray:
@@ -435,9 +428,9 @@ def _word_counts(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _packed_counts(n: int, errors, detected, flips=None):
-    """_counts of a block of _packed_round's arrays on rows of n positions,
-    her errors flipped where her _pack'ed decoding `flips` are set (not
-    read when None). Overwrites `errors`."""
+    """_counts of a block of _packed_round's errors and detected mask on
+    rows of n positions, her errors flipped where her _pack'ed decoding
+    `flips` are set (not read when None). Overwrites `errors`."""
     if flips is not None:
         errors[0] ^= flips
     her, user = _word_counts(errors, n).sum(axis=-1, dtype=np.int64)
@@ -468,38 +461,70 @@ def _decoding_flips(strategy: AttackStrategy, alphabet: BasisAlphabet,
     return _read_only(flips) if flips.any() else None
 
 
+def _attacked(attack: _Attack, count: int, rng: np.random.Generator) -> np.ndarray | None:
+    """Intercept's attacked mask of a block of `count` rounds, one row per
+    round (uniform_below, drawn per row in C order): None at fraction 1,
+    where she attacks every position and nothing is drawn, and all false at
+    fraction 0, where nothing is drawn either."""
+    if attack.fraction == 1.0:
+        return None
+    shape = (count, attack.key_codes.size)
+    mask = uniform_below(attack.fraction, rng, shape)
+    return np.zeros(shape, bool) if mask is None else mask
+
+
 def _state_round(attack: _Attack, channel: ChannelModel, count: int, rng: np.random.Generator):
     """A block of `count` intercept or fixed-basis measure-resend rounds:
-    _resend_round's arrays and the attacked positions, in
-    _counts' order. A fixed basis attacks every position at code 0.
-    Intercept draws her bases at 0 and pi/4, lattice codes 0 and m/2, at
-    every m; at fraction 1 she attacks slice(None), which draws no mask, so
-    no n-element index array is gathered or scattered; below it she first
-    draws the indices one round attacks (slice(0), no draw, at fraction 0),
-    and the block holds that round alone, as rounds attack different
-    numbers of positions."""
-    attacked, eve_codes = slice(None), attack.zeros
+    _resend_round's arrays and her attacked mask (None: every position). A
+    fixed basis measures every position at code 0. Intercept draws her
+    mask (_attacked), then her bases at 0 and pi/4, lattice codes 0 and
+    m/2, at every m, and where the mask is clear she measures in the keyed
+    basis instead, whose outcome is the sent bit: no error, and the sent
+    state resent."""
+    attacked, eve_codes = None, attack.zeros
     if eve_codes is None:
-        n = attack.key_codes.size
-        if attack.fraction < 1.0:
-            mask = uniform_below(attack.fraction, rng, n)
-            attacked = slice(0) if mask is None else np.flatnonzero(mask)
-        eve_codes = uniform_bits(rng, (count, n))
+        attacked = _attacked(attack, count, rng)
+        eve_codes = uniform_bits(rng, (count, attack.key_codes.size))
         if attack.m != 2:
             eve_codes = np.multiply(eve_codes, attack.m // 2, dtype=attack.code)
-    return (*_resend_round(attack, attack.key_codes, eve_codes, attacked, channel, count, rng),
-            attacked)
+        if attacked is not None:
+            eve_codes = np.where(attacked, eve_codes, attack.key_codes)
+    return (*_resend_round(attack, attack.key_codes, eve_codes, channel, count, rng), attacked)
 
 
 def _packed_state_round(attack: _Attack, channel: ChannelModel, count: int,
                         rng: np.random.Generator):
-    """_state_round of an attack with key words (intercept at fraction 1 or
-    a fixed basis on a multiple of pi/4, on two bases) on _packed_round: her
-    bases are the words of _state_round's bit draw, a fixed basis draws
-    none."""
+    """_state_round of an attack with key words (intercept or a fixed basis
+    on a multiple of pi/4, on two bases) on _packed_round: _packed_round's
+    arrays and her attacked mask. Her bases are the words of _state_round's
+    bit draw, r, and under her _pack'ed mask att she measures in (r & att)
+    | (k & ~att) for the key words k; a fixed basis draws none."""
     n, words = attack.key_codes.size, attack.key_words.shape[-1]
-    eve = None if attack.zeros is not None else uniform_words(rng, (count, words))
-    return _packed_round(attack, n, attack.key_words, eve, channel, count, rng)
+    attacked = eve = None
+    if attack.zeros is None:
+        attacked = _attacked(attack, count, rng)
+        eve = uniform_words(rng, (count, words))
+        if attacked is not None:
+            att = _pack(attacked)
+            eve &= att
+            eve |= attack.key_words & ~att
+    return (*_packed_round(attack, n, attack.key_words, eve, channel, count, rng), attacked)
+
+
+def _state_counts(attack: _Attack, flips, channel: ChannelModel, count: int,
+                  rng: np.random.Generator):
+    """_counts of a block of `count` intercept or fixed-basis rounds, her
+    errors flipped where her decoding `flips` are set (_pack'ed when the
+    attack has key words, whose blocks run on _packed_state_round). Her
+    positions are those of her attacked mask, where one is drawn: off it
+    she measures in the keyed basis and makes no error."""
+    if attack.key_words is None:
+        *arrays, attacked = _state_round(attack, channel, count, rng)
+        her, every, user, detected = _counts(*arrays, flips)
+    else:
+        _, errors, detected, attacked = _packed_state_round(attack, channel, count, rng)
+        her, every, user, detected = _packed_counts(attack.key_codes.size, errors, detected, flips)
+    return her, every if attacked is None else _row_counts(attacked), user, detected
 
 
 def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
@@ -510,10 +535,8 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     by likelihood: keep the outcome when her basis is within pi/4 of the
     keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
     attacker is never off by more than pi/4, so her outcome stands.
-    The rounds run in blocks (_block_size), but those of intercept at a
-    fraction below 1, which attack different numbers of positions, run
-    one to a block. An attack with key words runs its blocks on
-    _packed_state_round, its decoding flips packed once.
+    The rounds run in blocks (_block_size) of _state_counts at every
+    fraction, the decoding flips of an attack with key words packed once.
     Returns (her bit error over attacked positions, user error over detected
     positions), each None when there are no such positions.
     """
@@ -522,14 +545,9 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     if attack.key_words is not None and flips is not None:
         flips = _read_only(_pack(flips))
 
-    def counts(count, rng):
-        if attack.key_words is None:
-            return _counts(*_state_round(attack, config.channel, count, rng), flips)
-        return _packed_counts(config.n, *_packed_state_round(attack, config.channel, count, rng),
-                              flips)
-
-    row_bytes = attack.key_codes.nbytes if strategy.fraction == 1.0 else BLOCK_BYTES
-    parts = _map_chunks(counts, _chunk_rngs(rng, trials, _block_size(trials, row_bytes)), threads)
+    block = _block_size(trials, attack.key_codes.nbytes)
+    parts = _map_chunks(partial(_state_counts, attack, flips, config.channel),
+                        _chunk_rngs(rng, trials, block), threads)
     eve_err, eve_tot, user_err, user_tot = (sum(int(p[i].sum()) for p in parts)
                                             for i in range(4))
     return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
@@ -550,10 +568,12 @@ def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
     """
     if config.alphabet.m != 2:
         raise ValueError("the random-basis opaque attack is defined on the two-basis alphabet")
-    eve_error, induced = _state_attack_errors(
-        AttackStrategy("intercept_resend_random", fraction=fraction), config, rng, trials, threads)
+    strategy = AttackStrategy("intercept_resend_random", fraction=fraction)
+    fraction = strategy.fraction
+    eve_error, induced = _state_attack_errors(strategy, config, rng, trials, threads)
     return AttackReport(
-        strategy=f"intercept:{fraction:g}" if fraction != 1.0 else "intercept",
+        # The float's repr, so that the label parses back to the same fraction.
+        strategy=f"intercept:{fraction!r}" if fraction != 1.0 else "intercept",
         trials=trials, qubits=config.n,
         eve_bit_error=eve_error, induced_qber=induced,
         eve_bit_error_analytic=0.25,
@@ -598,11 +618,11 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
         words = lfsr_row_bytes(config.keystream.spec.taps, guesses, n).view("<u8")
         return _packed_counts(n, *_packed_round(attack, n, attack.key_words,
                                                 words[:, :attack.key_words.size],
-                                                config.channel, rows, rng))
+                                                config.channel, rows, rng)[1:])
     codes = lfsr_rows(config.keystream.spec.taps, guesses, n * k)
     if k > 1:  # at m = 2 each bit is its own selector
         codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
-    return _counts(*_resend_round(attack, attack.key_codes, codes.reshape(rows, n), slice(None),
+    return _counts(*_resend_round(attack, attack.key_codes, codes.reshape(rows, n),
                                   config.channel, rows, rng))
 
 
@@ -738,7 +758,7 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
             key, eve = blocks.astype(np.uint64)[..., None] * np.uint64(2 ** 64 - 1)
         else:
             key, eve = _pack(blocks)
-        errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
+        _, errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
         if axis:
             her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
         else:
@@ -747,8 +767,7 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     else:
         if axis:
             blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
-        alice, outcome, bob, detected = _resend_round(attack, *blocks, slice(None), channel,
-                                                      rows, rng)
+        alice, outcome, bob, detected = _resend_round(attack, *blocks, channel, rows, rng)
         bob ^= alice
         if detected is not None:
             bob &= detected
@@ -860,19 +879,28 @@ def measure_resend_interference(strategy: AttackStrategy):
 
     Realizes the measure-resend strategies against a live run: the returned
     function (config, rng) -> (alice bits, bob bits, detected mask) makes
-    the run's whole transmission as one _state_round of the attack, in which
+    the run's whole transmission as one round of the attack, in which
     the attacker measures the sent states in the strategy's bases and
     forwards the projected states; intercept measures in the bases at 0 and
-    pi/4 at every m. Only intercept and fixed-basis strategies act on states
-    alone; key-targeting strategies need the run's keystream and are
-    evaluated through their dedicated attack functions.
+    pi/4 at every m. A round with key words runs on _packed_state_round,
+    whose sent and received words unpack in one call (the received ones
+    read at detected positions only), and any other on _state_round. Only
+    intercept and fixed-basis strategies act on states alone; key-targeting
+    strategies need the run's keystream and are evaluated through their
+    dedicated attack functions.
     """
     if strategy.kind not in ("intercept_resend_random", "fixed_basis"):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
     def interfere(config: ProtocolConfig, rng: np.random.Generator):
         attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        alice, _, bob, detected, _ = _state_round(attack, config.channel, 1, rng)
+        if attack.key_words is None:
+            alice, _, bob, detected, _ = _state_round(attack, config.channel, 1, rng)
+        else:
+            alice, errors, detected, _ = _packed_state_round(attack, config.channel, 1, rng)
+            words = np.stack((alice, errors[1] ^ alice)).astype("<u8", copy=False)
+            alice, bob = np.unpackbits(words.view(np.uint8), axis=-1, count=config.n,
+                                       bitorder="little")
         return alice[0], bob[0], np.ones(config.n, bool) if detected is None else detected[0]
 
     return interfere

@@ -227,8 +227,8 @@ def measure_many(thetas: np.ndarray, phis: np.ndarray, rng: np.random.Generator)
     leaves every position uncertain.
 
     measure_codes snaps a small p1 table instead (_snap) and draws from it
-    by its own rules, one bit or one byte per position: the same
-    distribution from other draws.
+    by its own rule, one byte per position (measure_coin_words: one bit),
+    the same distribution from other draws.
     """
     import numpy as np
 
@@ -264,15 +264,15 @@ class OffsetTable:
     fixed basis off the lattice: entry o is sin^2(o*h + shift). Built once
     per attack and shared read-only by its rounds and threads. When its
     2m entries are no more than `positions`, the most that any call will
-    measure, it is built and snapped once (_snap) as `p1`, with `coins`,
-    the 8-bit mask of _coin_outcomes as a read-only 0-d uint8 array, or
-    None when the table draws bytes. Only a two-basis table (2m = 4) can
-    have coins: at m >= 4 adjacent entries lie h < pi/4 apart, so they
-    cannot both sit on multiples of pi/4. Beside p1 it holds the byte
-    rule's `threshold` t = min(floor(256 p1), 255) as uint8 and
-    `fraction` f = 256 p1 - t as float64, exact: a snapped 0 gives t = 0,
-    f = 0 and a snapped 1 gives t = 255, f = 1. A larger table is never
-    built, and `p1`, `threshold` and `fraction` are None.
+    measure, it is built and snapped once (_snap) as `p1`, with `coins`
+    true when every entry is 0, 1/2 or 1, the tables that measure_coin_words
+    reads. Only a two-basis table (2m = 4) can be one: at m >= 4 adjacent
+    entries lie h < pi/4 apart, so they cannot both sit on multiples of
+    pi/4. Beside p1 it holds the byte rule's `threshold` t = min(floor(256
+    p1), 255) as uint8 and `fraction` f = 256 p1 - t as float64, exact: a
+    snapped 0 gives t = 0, f = 0 and a snapped 1 gives t = 255, f = 1. A
+    larger table is never built: `p1`, `threshold` and `fraction` are None
+    and `coins` is false.
     """
 
     __slots__ = ("step", "shift", "p1", "coins", "threshold", "fraction")
@@ -281,7 +281,8 @@ class OffsetTable:
         import numpy as np
 
         self.step, self.shift = HALF_PI / m, shift
-        self.p1 = self.coins = self.threshold = self.fraction = None
+        self.p1 = self.threshold = self.fraction = None
+        self.coins = False
         if 2 * m <= positions:
             self.p1 = _snap(_sin2(np.arange(2 * m) * self.step + shift))
             scaled = self.p1 * 256.0
@@ -289,82 +290,69 @@ class OffsetTable:
             self.fraction = scaled - self.threshold
             for a in (self.p1, self.threshold, self.fraction):
                 a.setflags(write=False)
-            coins = _coin_outcomes(self.p1) if m == 2 else None
-            if coins is not None:
-                self.coins = np.array(coins, np.uint8)
-                self.coins.setflags(write=False)
+            self.coins = m == 2 and set(self.p1.tolist()) <= {0.0, 0.5, 1.0}
 
 
 def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     """Outcomes of measurements at lattice offsets `offsets` (a 2-D array
     of any integer dtype, each entry in [0, 2m)) under `table`, every draw
-    from `rng`. On the coin and per-position paths a block of rows draws
-    what the same rows measured one after another would; the byte path
-    draws every row's bytes before the block's ties.
+    from `rng`. On the per-position path a block of rows draws what the
+    same rows measured one after another would; the byte path draws every
+    row's bytes before the block's ties.
 
     When the table's p1 is built and has no more entries than a row has
-    positions, the positions read it. If the table has `coins` (every entry
-    0, 1 or 1/2: the unshifted table on the two-basis alphabet, which
-    intercept, key guessing and block guessing read there; not breidbart,
-    nor a fixed basis off the multiples of pi/4), the block draws
-    uniform_bits, one bit per position whatever entry the position reads,
-    and each outcome is bit 2o + b of the 8-bit mask, shifted out of the
-    whole block in place in uint8: no gather. (measure_coin_words draws the
-    same bits for offsets packed 64 to a word.) Any other table draws one
-    byte per position, each row's first n bytes of its ceil(n/8)
-    uniform_words read little-endian, rows in C order, and the outcome is
-    byte < threshold[o]. The ties, byte == threshold[o] (1 in 256), then
-    draw one double R each, in C order, in one rng.random call, and their
-    outcome is R < fraction[o]. So P(1) = (t + f)/256, p1 to within 2^-61,
-    and snapped entries are certain for every byte (Knuth and Yao's lazy
+    positions, the positions read it: the block draws one byte per
+    position, each row's first n bytes of its ceil(n/8) uniform_words read
+    little-endian, rows in C order, and the outcome is byte <
+    threshold[o]. The ties, byte == threshold[o] (1 in 256), then draw one
+    double R each, in C order, in one rng.random call, and their outcome
+    is R < fraction[o]. So P(1) = (t + f)/256, p1 to within 2^-61, and
+    snapped entries are certain for every byte (Knuth and Yao's lazy
     comparison of uniform bits with p1's binary expansion, cut after 8
     bits). The thresholds gather a row at a time. A block of rows with
     fewer positions than table entries takes
     measure_many(offsets * table.step, -table.shift, rng) itself, so no
-    call builds a table of m entries.
+    call builds a table of m entries. Offsets packed 64 to a word under a
+    table with `coins` draw one bit per position instead
+    (measure_coin_words).
 
     The table path gives the float path's distribution, not its outcomes
-    from the same draws: its draws are bits or bytes, not doubles. Its
-    o*h + shift is that path's theta - phi to the bit, and np.sin gives a
-    float the same bits wherever it sits in an array (a test checks this).
-    An offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of
-    the keyed send by an ulp or so, so p1 can differ from that path's by
-    as much."""
+    from the same draws: its draws are bytes, not doubles. Its o*h +
+    shift is that path's theta - phi to the bit, and np.sin gives a float
+    the same bits wherever it sits in an array (a test checks this). An
+    offset angle o*h rounds differently from the j*h + b*pi/2 - k*h of the
+    keyed send by an ulp or so, so p1 can differ from that path's by as
+    much."""
     import numpy as np
 
     p1, (rows, positions) = table.p1, offsets.shape
     if p1 is None or p1.size > positions:
         return measure_many(offsets * table.step, -table.shift, rng)
-    if table.coins is None:
-        draws = uniform_words(rng, (rows, -(-positions // 8)))
-        draws = draws.astype("<u8", copy=False).view(np.uint8)[:, :positions]
-        # A row at a time, so take's intp copy of the indices never grows
-        # past one row. The offsets lie in [0, 2m), so its clip mode clips
-        # nothing; it writes straight into the row, where the default mode
-        # buffers a copy.
-        thresholds = np.empty(offsets.shape, np.uint8)
-        for row, out in zip(offsets, thresholds):
-            table.threshold.take(row, out=out, mode="clip")
-        outcomes = np.less(draws, thresholds)
-        ties = np.flatnonzero(draws == thresholds)
-        outcomes.flat[ties] = rng.random(ties.size) < table.fraction[offsets.flat[ties]]
-        return outcomes.view("u1")
-    index = np.multiply(offsets, 2, dtype=np.uint8, casting="unsafe")
-    index += uniform_bits(rng, offsets.shape)
-    np.right_shift(table.coins, index, out=index)
-    index &= 1
-    return index
+    draws = uniform_words(rng, (rows, -(-positions // 8)))
+    draws = draws.astype("<u8", copy=False).view(np.uint8)[:, :positions]
+    # A row at a time, so take's intp copy of the indices never grows past
+    # one row. The offsets lie in [0, 2m), so its clip mode clips nothing;
+    # it writes straight into the row, where the default mode buffers a
+    # copy.
+    thresholds = np.empty(offsets.shape, np.uint8)
+    for row, out in zip(offsets, thresholds):
+        table.threshold.take(row, out=out, mode="clip")
+    outcomes = np.less(draws, thresholds)
+    ties = np.flatnonzero(draws == thresholds)
+    outcomes.flat[ties] = rng.random(ties.size) < table.fraction[offsets.flat[ties]]
+    return outcomes.view("u1")
 
 
 def measure_coin_words(table: OffsetTable, high, low, rng) -> np.ndarray:
-    """measure_codes' coin path, bit-sliced: the outcomes at the two-basis
-    offsets o = 2 high + low under `table`, which has coins. `high` is a
-    (rows, words) uint64 array of the offsets' high bits, 64 positions to a
-    word (position p at bit p % 64 of word p // 64, as uniform_bits reads
-    its words), and `low`, their low bits, broadcasts to it. The coin bits
-    are uniform_words(rng, high.shape), the words measure_codes' coin path
-    draws for rows of 64 * words - 63 to 64 * words positions, so each
-    position reads the coin bit, and gets the outcome, that it gets there.
+    """The outcomes at the two-basis offsets o = 2 high + low under
+    `table`, which has coins (every entry 0, 1/2 or 1), bit-sliced. `high`
+    is a (rows, words) uint64 array of the offsets' high bits, 64
+    positions to a word (position p at bit p % 64 of word p // 64, as
+    uniform_bits reads its words), and `low`, their low bits, broadcasts
+    to it. Each position draws one coin bit, whatever entry it reads: the
+    bits of uniform_words(rng, high.shape), which are uniform_bits' bits
+    of rows of 64 * words - 63 to 64 * words positions. The outcome is the
+    bit where the entry is 1/2 and the entry itself where it is 0 or 1.
 
     As p1[o + 2] = 1 - p1[o] (the state turned by pi/2), one low bit reads
     a coin at both high bits and the other reads 0 and 1: high itself where
@@ -381,25 +369,6 @@ def measure_coin_words(table: OffsetTable, high, low, rng) -> np.ndarray:
     outcome &= low
     outcome ^= first
     return outcome
-
-
-def _coin_outcomes(table: np.ndarray) -> int | None:
-    """The outcome of each snapped p1 entry e at each uniform bit b, as bit
-    2e + b of one integer, when every entry is 0, 1 or 1/2: the bit for a
-    coin, the entry itself otherwise. None as soon as an entry is anything
-    else. On the 4 entries of a two-basis table the mask fits 8 bits."""
-    mask = 0
-    for entry, p1 in enumerate(memoryview(table)):
-        if p1 == 0.0:
-            outcomes = 0b00
-        elif p1 == 1.0:
-            outcomes = 0b11
-        elif p1 == 0.5:
-            outcomes = 0b10
-        else:
-            return None
-        mask |= outcomes << 2 * entry
-    return mask
 
 
 def _sin2(d: np.ndarray) -> np.ndarray:

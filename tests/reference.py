@@ -231,19 +231,10 @@ def is_coin(p1):
     return (p1 >= 0.5 - 1e-12) & (p1 <= 0.5 + 1e-12)
 
 
-def coin_outcome_bytes(p1) -> bytes | None:
-    """The outcome of each snapped p1 entry e at uniform bit b, at byte
-    2e + b, when every entry is 0, 1 or within 1e-12 of 1/2: the bit for a
-    coin, the entry itself otherwise. None if any entry is anything else."""
-    outcomes = []
-    for p in np.asarray(p1).tolist():
-        if p == 0.0 or p == 1.0:
-            outcomes += [int(p), int(p)]
-        elif is_coin(p):
-            outcomes += [0, 1]
-        else:
-            return None
-    return bytes(outcomes)
+def coin_table(p1) -> bool:
+    """Whether every snapped p1 entry is 0, 1 or within 1e-12 of 1/2."""
+    p1 = np.asarray(p1)
+    return bool(np.all((p1 == 0.0) | (p1 == 1.0) | is_coin(p1)))
 
 
 def draw_rule(states, bases, m: int, positions: int) -> str:
@@ -296,24 +287,21 @@ def with_turns(angles) -> np.ndarray:
     return np.add.outer(np.ravel(angles), [0.0, HALF_PI])
 
 
-def resend_round(phi_key, channel, eve_phi, attacked, rng, bases):
+def resend_round(phi_key, channel, eve_phi, rng, bases):
     """A transmission, or a block of them, one per row of `phi_key` (n
-    angles, or (rows, n)), with measure-resend on the positions `attacked`
-    (a mask or slice) selects: (alice bits, eve outcomes on attacked
-    positions, bob bits, detected mask). `bases` holds every angle the
-    keyed and the attacker bases may take, (key, eve); with the bit and
-    flip turns they give the states each measurement may meet, which decide
-    how it draws (draw_rule), as do the positions of a row.
-    Draws, each for every row in C order: alice, eve, lost, flipped, bob. A
-    mask selects along the rows of a block of one row only."""
+    angles, or (rows, n)), with measure-resend on every position: (alice
+    bits, eve outcomes, bob bits, detected mask). `bases` holds every
+    angle the keyed and the attacker bases may take, (key, eve); with the
+    bit and flip turns they give the states each measurement may meet,
+    which decide how it draws (draw_rule), as do the positions of a row.
+    Draws, each for every row in C order: alice, eve, lost, flipped, bob."""
     key_bases, eve_bases = bases
     keyed = with_turns(key_bases)
     alice = integer_bits(rng, phi_key.shape)
     theta = phi_key + alice * HALF_PI
-    seen = theta[attacked]
-    outcome = measure_many_snapped(seen, eve_phi[attacked], rng,
-                                   draw_rule(keyed, eve_bases, key_bases.size, seen.shape[-1]))
-    theta[attacked] = eve_phi[attacked] + outcome * HALF_PI
+    outcome = measure_many_snapped(theta, eve_phi, rng,
+                                   draw_rule(keyed, eve_bases, key_bases.size, theta.shape[-1]))
+    theta = eve_phi + outcome * HALF_PI
     lost = draw_below(channel.loss, theta.shape, rng)
     flipped = draw_below(channel.flip_prob, theta.shape, rng)
     sent = with_turns(np.concatenate([keyed.ravel(), with_turns(eve_bases).ravel()]))
@@ -328,28 +316,38 @@ def row_counts(rows: int, *masks):
             for counts in zip(*(np.reshape(mask, (rows, -1)).sum(axis=1) for mask in masks))]
 
 
-def state_attack_counts(strategy, config, channel, rng, rows=1):
+def state_attack_round(strategy, config, channel, rng, rows=1):
     """A block of `rows` intercept or fixed-basis rounds against `config`'s
-    keyed bases over `channel`: per row (eve bit errors, attacked, user
-    errors, detected). A fixed basis decodes by likelihood once the key is
-    granted; intercept keeps her outcomes, as on the two-basis alphabet,
-    where her basis is never more than pi/4 off. Intercept below fraction 1
-    draws one round, as its rounds attack different numbers of positions."""
+    keyed bases over `channel`: resend_round's arrays, one row per round,
+    and her attacked mask. Intercept draws the mask (draw_below, which
+    draws nothing at fraction 0 or 1), then her basis bits, 0 or pi/4 where
+    the mask is set; where it is clear she measures in the keyed basis."""
     phi_key = np.tile(key_angles(config), (rows, 1))
+    bases = basis_angles(config.alphabet.m)
     if strategy.kind == "intercept_resend_random":
-        attacked = (slice(None) if strategy.fraction >= 1
-                    else draw_below(strategy.fraction, phi_key.shape, rng))
-        eve_bases = basis_angles(2)
-        eve_phi = integer_bits(rng, phi_key.shape) * (HALF_PI / 2)
+        attacked = draw_below(strategy.fraction, phi_key.shape, rng)
+        eve_phi = np.where(attacked, integer_bits(rng, phi_key.shape) * (HALF_PI / 2), phi_key)
+        # Her bases at 0 and pi/4 lie on the keyed lattice at every m.
+        eve_bases = bases
     else:
-        attacked = slice(None)
+        attacked = np.ones(phi_key.shape, bool)
         eve_bases = np.array([strategy.phi])
         eve_phi = np.full(phi_key.shape, strategy.phi)
-    alice, outcome, bob, detected = resend_round(
-        phi_key, channel, eve_phi, attacked, rng, (basis_angles(config.alphabet.m), eve_bases))
-    flip = (np.cos(phi_key[attacked] - eve_phi[attacked]) ** 2) < 0.5
-    flip &= strategy.kind == "fixed_basis"
-    return row_counts(rows, (outcome ^ flip) != alice[attacked], np.ones_like(outcome),
+    return (*resend_round(phi_key, channel, eve_phi, rng, (bases, eve_bases)), attacked)
+
+
+def state_attack_counts(strategy, config, channel, rng, rows=1):
+    """state_attack_round's block as counts: per row (eve bit errors,
+    attacked, user errors, detected), her errors over her attacked
+    positions. A fixed basis decodes by likelihood once the key is
+    granted; intercept keeps her outcomes, as on the two-basis alphabet,
+    where her basis is never more than pi/4 off."""
+    alice, outcome, bob, detected, attacked = state_attack_round(strategy, config, channel, rng,
+                                                                 rows)
+    phi_key = key_angles(config)
+    flip = (np.cos(phi_key - strategy.phi) ** 2 < 0.5 if strategy.kind == "fixed_basis"
+            else np.zeros(phi_key.shape, bool))
+    return row_counts(rows, ((outcome ^ flip) != alice) & attacked, attacked,
                       (bob != alice) & detected, detected)
 
 
@@ -366,19 +364,10 @@ def key_guess_rounds(config, rng, rows=1):
     selectors = np.stack([selectors_matmul(row, n, k) for row in bits])
     bases = basis_angles(m)
     alice, outcome, bob, detected = resend_round(np.tile(key_angles(config), (rows, 1)),
-                                                 config.channel, bases[selectors], slice(None),
-                                                 rng, (bases, bases))
+                                                 config.channel, bases[selectors], rng,
+                                                 (bases, bases))
     return [(float(np.mean(wrong)), errors, seen) for wrong, (errors, seen) in
             zip(outcome != alice, row_counts(rows, (bob != alice) & detected, detected))]
-
-
-def eve_bases(strategy, n: int, rng):
-    """Attacked positions and attacker basis codes, 0 or 1 on the two-basis
-    lattice, of one intercept round as index arrays, even when every
-    position is attacked: (indices, int64 codes). Draws: the attack mask,
-    then the attacker's basis bits."""
-    attacked = np.flatnonzero(draw_below(strategy.fraction, n, rng))
-    return attacked, integer_bits(rng, n).astype(np.int64)
 
 
 def block_guess_chunk(count, rng, k_blocks, block_len, channel):
@@ -399,8 +388,7 @@ def block_guess_chunk(count, rng, k_blocks, block_len, channel):
     by_block = block_len > count * k_blocks
     if by_block:
         key_phi, guess_phi = np.ascontiguousarray(key_phi.T), np.ascontiguousarray(guess_phi.T)
-    arrays = resend_round(key_phi, channel, guess_phi, slice(None), rng,
-                          (basis_angles(2), basis_angles(2)))
+    arrays = resend_round(key_phi, channel, guess_phi, rng, (basis_angles(2), basis_angles(2)))
     alice, outcome, bob, detected = (a.T.reshape(block_len, count, k_blocks) if by_block
                                      else a.reshape(block_len, count, k_blocks) for a in arrays)
     return (success, *(np.sum(mask, axis=(0, 2)) for mask in (

@@ -48,18 +48,16 @@ from keyedqkd.adversary import (
     _block_guess_chunk,
     _block_size,
     _chunk_rngs,
-    _counts,
     _decoding_flips,
     _key_guess_error,
     _guess_round,
     _key_guess_successes,
     _map_chunks,
     _pack,
-    _packed_counts,
     _packed_state_round,
-    _packs,
     _resend_round,
     _row_counts,
+    _state_counts,
     _state_round,
 )
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
@@ -86,12 +84,22 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
     )
 
 
+def state_kernel(strategy, config, channel):
+    """The block kernel of intercept or fixed-basis rounds against
+    `config`'s keyed bases over `channel`, a function of the block's row
+    count and generator, as the Monte Carlo attack runs it: its decoding
+    flips _pack'ed when it runs on packed words."""
+    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
+    flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
+    if attack.key_words is not None and flips is not None:
+        flips = _pack(flips)
+    return partial(_state_counts, attack, flips, channel)
+
+
 def state_round(strategy, config, channel, rng):
     """One intercept or fixed-basis round against `config`'s keyed bases: the
     counts of a block of one row, as ints."""
-    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-    flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-    return tuple(int(c[0]) for c in _counts(*_state_round(attack, channel, 1, rng), flips))
+    return tuple(int(c[0]) for c in state_kernel(strategy, config, channel)(1, rng))
 
 
 def guess_key(config):
@@ -205,6 +213,16 @@ class TestInterceptResend:
     def test_requires_two_basis_alphabet(self):
         with pytest.raises(ValueError):
             attack_intercept_resend(lfsr_config(m=4), np.random.default_rng(0))
+
+    # Fractions that a %g label would round to 1, or to one label for two.
+    @pytest.mark.parametrize("fraction", [0, 0.0, 0.1, 0.5, 0.1234567, 0.1234568, 0.9999999,
+                                          np.float64(1 / 3), 1, 1.0])
+    def test_the_report_names_the_attack_that_ran(self, fraction):
+        strategy = AttackStrategy("intercept_resend_random", fraction=fraction)
+        report = run_attack(strategy, lfsr_config(n=64), np.random.default_rng(0))
+        assert AttackStrategy.parse(report.strategy).fraction == strategy.fraction
+        assert "np." not in report.strategy
+        assert (report.strategy == "intercept") == (fraction == 1)
 
 
 class TestFixedBasis:
@@ -395,7 +413,7 @@ class TestKeyGuess:
         length, largest = spec.length, table_blocks(spec.length)[-1]
         seen, tables = [], []
 
-        def recording_round(attack, key_codes, codes, attacked, channel, count, rng):
+        def recording_round(attack, key_codes, codes, channel, count, rng):
             seen.append(codes)
             return (np.zeros((count, 1), np.uint8),) * 3 + (None,)
 
@@ -551,6 +569,21 @@ class TestCiphertextOnlyState:
             assert shared.setdefault(j, rho) is rho
 
 
+def inline_equals_the_reference(strategy, config, seed, bit_generator=np.random.PCG64):
+    """transmit_round under `strategy`'s in-line interference draws what
+    tests/reference.py's state_attack_round does on a generator of the same
+    seed: the same arrays, the detected mask as positions, and the same
+    generator state after."""
+    from keyedqkd import measure_resend_interference, transmit_round
+    rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    got = transmit_round(config, rng, measure_resend_interference(strategy))
+    alice, _, bob, detected, _ = reference.state_attack_round(strategy, config, config.channel,
+                                                              ref_rng)
+    positions = np.flatnonzero(detected[0])
+    _same_arrays(got, (alice[0, positions], bob[0, positions], positions))
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
 class TestInlineInterference:
     def test_full_interception_trips_the_rate_gate(self):
         from keyedqkd import measure_resend_interference, run_protocol
@@ -579,45 +612,29 @@ class TestInlineInterference:
     @pytest.mark.parametrize("text", ["breidbart", "fixed:0.3", "intercept:0.5", "intercept:1"])
     def test_interference_is_the_attack_round(self, text, channel):
         # The in-line hook makes the transmission as one round of the
-        # attack kernels: the same arrays, detected mask as positions, and
-        # the same generator state.
-        from keyedqkd import measure_resend_interference, transmit_round
-        config = dataclasses.replace(lfsr_config(n=3000), channel=channel)
-        strategy = AttackStrategy.parse(text)
-        rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
-        got = transmit_round(config, rng, measure_resend_interference(strategy))
-        attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        *arrays, _ = _state_round(attack, channel, 1, ref_rng)
-        alice, _, bob, detected = one_row(arrays, config.n)
-        positions = np.flatnonzero(detected)
-        _same_arrays(got, (alice[positions], bob[positions], positions))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # attack, which the float reference draws by hand: the same arrays,
+        # detected mask as positions, and the same generator state.
+        # Intercept at m = 2 runs on packed words, breidbart and fixed:0.3
+        # on codes.
+        inline_equals_the_reference(AttackStrategy.parse(text),
+                                    dataclasses.replace(lfsr_config(n=3000), channel=channel),
+                                    22)
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("text", ["intercept:0.5", "intercept:1"])
     def test_inline_intercept_off_two_bases_measures_at_0_and_pi_4(self, text, channel):
         # At m = 16 her bases are lattice codes 0 and m/2, which the float
-        # reference gives as angles.
-        from keyedqkd import measure_resend_interference, transmit_round
-        config = dataclasses.replace(lfsr_config(n=3000, m=16), channel=channel)
-        strategy = AttackStrategy.parse(text)
-        rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
-        got = transmit_round(config, rng, measure_resend_interference(strategy))
-        attacked, codes = reference.eve_bases(strategy, config.n, ref_rng)
-        two = reference.basis_angles(2)
-        alice, _, bob, detected = reference.resend_round(
-            key_angles(config), channel, two[codes], attacked, ref_rng,
-            (reference.basis_angles(16), two))
-        positions = np.flatnonzero(detected)
-        _same_arrays(got, (alice[positions], bob[positions], positions))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # reference gives as angles, and the keyed codes off her mask.
+        inline_equals_the_reference(AttackStrategy.parse(text),
+                                    dataclasses.replace(lfsr_config(n=3000, m=16),
+                                                        channel=channel),
+                                    24)
 
     # sha256 of a run's outcome JSON with its final generator state, and of
-    # Bob's bits from one round. The intercept pins at m = 2 were recorded
-    # once in-line interference became the attack round, which draws her
-    # mask and bases before Alice's bits and, at m = 2, draws coin bits, not
-    # doubles, for her measurement and Bob's. The breidbart pins and
-    # intercept at m = 16 were recorded when every other table measurement
+    # Bob's bits from one round. The intercept pins were recorded once she
+    # came to draw her mask per row and measure every position, in the
+    # keyed basis off the mask, which at m = 2 runs on packed words. The
+    # breidbart pins were recorded when every other table measurement
     # came to draw one byte per position and a double per tie.
     INLINE_PINS = {
         ("breidbart", 2): ("a81d9da1807527ee679715dac01d68b75f6c397fc465f7e1e67bbc92c3cb91ac",
@@ -625,11 +642,11 @@ class TestInlineInterference:
         ("breidbart", 16): ("20902ea1afae0a547e57df7a15fa22cef68c9decfaa0c8b7062a5c3d2bb8b30f",
                             "535456ee2d6bb120fadc88a2a612d71aaefa86cb94b329d8205774c9f7e3dc51"),
         ("intercept:0.5", 2): (
-            "dd8f2e657c7c5b5b420fb4e66de6e15d0408adf898d703bad14c8a5405aa2e1e",
-            "3d8db0fa8212bb171349b62bccd66d23d0f530a8037e71f41d7f8b337ff86429"),
+            "0c566c0a04a8fc3bd6a8935df14b59ca410564b8bf11e57bcaf3532abce68f5d",
+            "78e459553991ef7a0521f17cfcbbe7f41e5d1d1a251d968f9360437a8ffc45a9"),
         ("intercept:0.5", 16): (
-            "036f56d3696809fa4b84a8b008e28302828cdc762e34b82947b3d87adb0ee452",
-            "3f6da7a44d5a16a31796151f43d8fc58d412232a4f6f143a28c16aa165a8a736"),
+            "2c2e3f00f826dbb4aab285c5d3301011a9eb52a461dbfd24856b9d4607d92830",
+            "a4d9ad2cc5d5e58494a2fcf9c9ff57be4f47310e2c6c20135e61e9d71cd9cc63"),
     }
 
     @pytest.mark.parametrize("text,m", list(INLINE_PINS))
@@ -800,24 +817,18 @@ def _same_chunk(got, want, attacked):
     _same_arrays([got[0], *(a.astype(np.int64) for a in got[1:])], want)
 
 
-def _recording_state_round(seen):
-    """The library's _state_round, appending the attacked positions of each block to `seen`."""
-    real = keyedqkd.adversary._state_round
+def _full_mask(seen):
+    """The library's _attacked, but with an all-true mask, drawn from
+    nothing, where it returns None at fraction 1: the path of a fraction
+    below 1 on every position. Appends each mask to `seen`."""
+    real = keyedqkd.adversary._attacked
 
-    def state_round(attack, channel, count, rng):
-        arrays = real(attack, channel, count, rng)
-        seen.append(arrays[-1])
-        return arrays
+    def attacked(attack, count, rng):
+        mask = real(attack, count, rng)
+        seen.append(np.ones((count, attack.key_codes.size), bool) if mask is None else mask)
+        return seen[-1]
 
-    return state_round
-
-
-def _index_path(attack, key_codes, eve_codes, attacked, channel, count, rng):
-    """The library's _resend_round, which attacks the positions of a slice
-    through the index array of every position it selects."""
-    if isinstance(attacked, slice):
-        attacked = np.arange(key_codes.shape[-1])[attacked]
-    return _resend_round(attack, key_codes, eve_codes, attacked, channel, count, rng)
+    return attacked
 
 
 class TestCodedKernels:
@@ -846,7 +857,7 @@ class TestCodedKernels:
         return seen
 
     # (m, n) on the table path (2m <= n) and on the per-position path
-    # (2m > n); at n = 3 intercept:0.5 attacks at most 3 positions.
+    # (2m > n); at n = 3000 two-basis intercept runs on packed words.
     STATE_PATHS = ([(text, m, n) for text in ("fixed:0.3", "breidbart")
                     for m, n in [(2, 3), (2, 3000), (16, 31), (16, 3000), (1024, 300),
                                  (1024, 2048), (2 ** 16, 300)]]
@@ -863,7 +874,8 @@ class TestCodedKernels:
             got = state_round(strategy, config, channel, rng)
             assert [got] == reference.state_attack_counts(strategy, config, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert table_use == [2 * m <= n] * 6
+        packed = strategy.kind == "intercept_resend_random" and n >= 4
+        assert table_use == (["packed"] if packed else [2 * m <= n]) * 6
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,n", [(2, 500), (2, 3), (16, 2500), (16, 31), (1024, 2048),
@@ -882,8 +894,7 @@ class TestCodedKernels:
             got = guess_round(config, guess.bits, rng)
             bases = reference.basis_angles(m)
             alice, outcome, bob, detected = reference.resend_round(
-                key_angles(config), channel, key_angles(guessed), slice(None), ref_rng,
-                (bases, bases))
+                key_angles(config), channel, key_angles(guessed), ref_rng, (bases, bases))
             assert got == (float(np.mean(outcome != alice)),
                            int(np.sum((bob != alice) & detected)), int(np.sum(detected)))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -905,13 +916,13 @@ class TestCodedKernels:
     # The narrowest unsigned dtype that holds 2m - 1: a uint8 up to m = 128,
     # whose offsets fill it, a uint16 from m = 256 and a uint32 at m = 2^16.
     # The attacker measures in bases on the keyed lattice, given by codes of
-    # their own narrow dtype, or in a fixed basis at 0.3, which attacks
-    # every position.
+    # their own narrow dtype, or in a fixed basis at 0.3. (On two bases
+    # the lattice's coin table runs on packed words, never on codes.)
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    @pytest.mark.parametrize("phi", [None, 0.3], ids=["lattice", "fixed"])
-    @pytest.mark.parametrize("m,n,code", [
-        (2, 3000, np.uint8), (16, 3000, np.uint8), (128, 3000, np.uint8),
-        (256, 3000, np.uint16), (4096, 300, np.uint16), (2 ** 16, 300, np.uint32)])
+    @pytest.mark.parametrize("m,n,code,phi", [
+        (2, 3000, np.uint8, 0.3), *((m, n, code, phi) for phi in (None, 0.3) for m, n, code in [
+            (16, 3000, np.uint8), (128, 3000, np.uint8), (256, 3000, np.uint16),
+            (4096, 300, np.uint16), (2 ** 16, 300, np.uint32)])])
     def test_resend_round_at_each_code_width(self, code_dtypes, m, n, code, phi, channel):
         key_angles = BasisAlphabet(m).angle(np.arange(m))
         draw = np.random.default_rng(m)
@@ -923,21 +934,21 @@ class TestCodedKernels:
             eve_codes = np.zeros(n, dtype=np.uint8)
             eve_angles, eve_bases = np.full(n, phi), np.array([phi])
         inputs = key_codes.copy(), eve_codes.copy()
-        mask = draw.random(n) < 0.4
-        for attacked in (mask, np.flatnonzero(mask), slice(None))[0 if phi is None else 2:]:
-            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-            attack = _attack(m, n, None if phi is None else AttackStrategy("fixed_basis", phi=phi))
-            got = one_row(_resend_round(attack, key_codes, eve_codes, attacked, channel, 1, rng), n)
-            want = reference.resend_round(key_angles[key_codes], channel, eve_angles, attacked,
-                                          ref_rng, (key_angles, eve_bases))
-            _same_arrays(got, want)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        attack = _attack(m, n, None if phi is None else AttackStrategy("fixed_basis", phi=phi))
+        got = one_row(_resend_round(attack, key_codes, eve_codes, channel, 1, rng), n)
+        want = reference.resend_round(key_angles[key_codes], channel, eve_angles, ref_rng,
+                                      (key_angles, eve_bases))
+        _same_arrays(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         _same_arrays((key_codes, eve_codes), inputs)
         assert set(code_dtypes) == {np.dtype(code)}
 
+    # Intercept at m = 16, as in-line interference runs it, measures
+    # keyed codes off her mask.
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("m,text,code", [
-        (2, "breidbart", np.uint8), (2, "intercept:1", np.uint8), (16, "fixed:0.3", np.uint8),
+        (2, "breidbart", np.uint8), (16, "intercept:0.5", np.uint8), (16, "fixed:0.3", np.uint8),
         (128, "fixed:0.3", np.uint8), (256, "breidbart", np.uint16)])
     def test_state_attack_round_at_each_code_width(self, code_dtypes, m, text, code, channel):
         config = lfsr_config(n=3000, m=m)
@@ -948,37 +959,44 @@ class TestCodedKernels:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         # The round's two measurements read offsets of the round's dtype.
         assert code_dtypes == [np.dtype(code)] * 2
+
+    # Fraction 1 draws, builds and ANDs no mask; an all-true mask, drawn
+    # from nothing, takes the path of every other fraction. Both give the
+    # same report, on packed words and on codes (whose two-basis tables
+    # then draw bytes).
+    @pytest.mark.parametrize("kernel", ["packed", "codes"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    def test_full_interception_slice_equals_the_index_path(self, monkeypatch, channel, threads):
+    def test_full_interception_equals_an_all_true_mask(self, monkeypatch, channel, threads,
+                                                      kernel):
         config = dataclasses.replace(lfsr_config(n=600), channel=channel)
         strategy, seen = AttackStrategy.parse("intercept"), []
-        monkeypatch.setattr(keyedqkd.adversary, "_state_round", _recording_state_round(seen))
-        packed = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
-        assert seen == []
-        # Without packed words the five rounds of 600 positions run as one
-        # _state_round block.
-        monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
-        fast = run_attack(strategy, config, np.random.default_rng(8), trials=5, threads=threads)
-        assert seen == [slice(None)] and fast == packed
-        monkeypatch.setattr(keyedqkd.adversary, "_resend_round", _index_path)
-        assert fast == run_attack(strategy, config, np.random.default_rng(8), trials=5,
-                                  threads=threads)
+        if kernel == "codes":
+            monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
+
+        def attack():
+            return run_attack(strategy, config, np.random.default_rng(8), trials=5,
+                              threads=threads)
+
+        fast = attack()
+        monkeypatch.setattr(keyedqkd.adversary, "_attacked", _full_mask(seen))
+        assert attack() == fast
+        # The five rounds of 600 positions run as one block.
+        assert [mask.shape for mask in seen] == [(5, 600)]
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
-    def test_full_interception_inline_slice_equals_the_index_path(self, monkeypatch, channel):
+    def test_full_interception_inline_equals_an_all_true_mask(self, monkeypatch, channel):
         from keyedqkd import measure_resend_interference, run_protocol
         config = dataclasses.replace(lfsr_config(n=4000), channel=channel)
         hook = measure_resend_interference(AttackStrategy.parse("intercept"))
         seen, runs = [], []
-        monkeypatch.setattr(keyedqkd.adversary, "_state_round", _recording_state_round(seen))
-        for resend_round in (_resend_round, _index_path):
-            monkeypatch.setattr(keyedqkd.adversary, "_resend_round", resend_round)
+        for attacked in (keyedqkd.adversary._attacked, _full_mask(seen)):
+            monkeypatch.setattr(keyedqkd.adversary, "_attacked", attacked)
             rng = np.random.default_rng(23)
             outcome = run_protocol(config, rng, interference=hook)
             runs.append((outcome.to_json_dict(), outcome.detected_positions.tolist(),
                          rng.bit_generator.state))
-        assert seen == [slice(None)] * 2
+        assert [mask.shape for mask in seen] == [(1, 4000)]
         assert runs[0] == runs[1]
 
     # 200-qubit blocks give trials of 600 positions, whose counts pass 255;
@@ -1029,7 +1047,7 @@ class TestCodedKernels:
         offsets = np.random.default_rng(m).integers(0, 2 * m, 4 * m)
         offsets = offsets.astype(np.min_scalar_type(2 * m - 1))
         table = OffsetTable(m, shift, offsets.size)
-        assert table.p1 is not None and table.coins is None
+        assert table.p1 is not None and not table.coins
         rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
         _same_arrays([measure_codes(table, offsets.reshape(1, -1), rng)[0]],
                      [reference.measure_many_snapped(offsets * table.step, -shift, ref_rng,
@@ -1040,16 +1058,14 @@ class TestCodedKernels:
     def test_resend_round_arrays(self, channel):
         config = lfsr_config(n=1000, m=16)
         bases = config.alphabet.angle(np.arange(16))
-        mask = np.random.default_rng(1).random(config.n) < 0.4
         guess = np.random.default_rng(2).integers(0, 16, config.n)
-        for attacked in (mask, slice(None)):
-            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            got = one_row(_resend_round(_attack(16, config.n), config.key_selectors(),
-                                        guess, attacked, channel, 1, rng), config.n)
-            want = reference.resend_round(key_angles(config), channel, bases[guess], attacked,
-                                          ref_rng, (bases, bases))
-            _same_arrays(got, want)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = one_row(_resend_round(_attack(16, config.n), config.key_selectors(), guess, channel,
+                                    1, rng), config.n)
+        want = reference.resend_round(key_angles(config), channel, bases[guess], ref_rng,
+                                      (bases, bases))
+        _same_arrays(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -1106,75 +1122,72 @@ def _packed_layouts():
 
 
 class TestPackedRounds:
-    """The packed kernel (_packed_round) against the code-offset kernel
-    (_resend_round) on the same stream: equal counts and generator states
-    after, for every round that takes the packed path (intercept at fraction
-    1, a fixed basis on a multiple of pi/4 and key guessing, each on two
-    bases, and every block-guess chunk in both row layouts). Rows of n < 4
-    positions, fewer than a table's entries, never run packed. Streams come
-    from PCG64 (raw words) and from Philox and SFC64 (integers)."""
+    """The packed kernel (_packed_round) against tests/reference.py's
+    float-angle kernels, whose coin rule draws one bit per position and
+    shares no code with it, on the same stream: equal counts, or arrays,
+    and generator states after, for every round that takes the packed path
+    (intercept at every fraction, a fixed basis on a multiple of pi/4 and
+    key guessing, each on two bases, in-line interference there, and every
+    block-guess chunk in both row layouts). Rows of n < 4 positions, fewer
+    than a table's entries, never run packed. Streams come from PCG64 (raw
+    words) and from Philox and SFC64 (integers)."""
 
     CHANNELS = [ChannelModel(), ChannelModel(loss=0.2), ChannelModel(flip_prob=0.1),
                 ChannelModel(flip_prob=0.1, loss=0.2)]
     CHANNEL_IDS = ["noiseless", "loss0.2", "flip0.1", "flip0.1-loss0.2"]
     GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64]
 
+    @pytest.fixture
+    def packed(self, monkeypatch):
+        """Records the row count of every _packed_round block."""
+        seen, real = [], keyedqkd.adversary._packed_round
+
+        def spy(attack, n, key_words, eve_words, channel, count, rng):
+            seen.append(count)
+            return real(attack, n, key_words, eve_words, channel, count, rng)
+
+        monkeypatch.setattr(keyedqkd.adversary, "_packed_round", spy)
+        return seen
+
     @pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda g: g.__name__)
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("n", PACKED_N)
     # Fixed angles within the snap tolerance of pi/4 and pi/2 read all four
     # two-basis coin tables, and past them her decoding flips basis 0.
-    @pytest.mark.parametrize("text", ["intercept", "keyguess", "fixed:0", f"fixed:{PI / 4!r}",
-                                      f"fixed:{PI / 4 + 4e-13!r}", f"fixed:{PI / 2 - 4e-13!r}"])
-    def test_attack_rounds(self, text, n, channel, bit_generator):
+    @pytest.mark.parametrize("text", ["intercept", "intercept:0.5", "intercept:0", "keyguess",
+                                      "fixed:0", f"fixed:{PI / 4!r}", f"fixed:{PI / 4 + 4e-13!r}",
+                                      f"fixed:{PI / 2 - 4e-13!r}"])
+    def test_attack_rounds(self, packed, text, n, channel, bit_generator):
         config = dataclasses.replace(lfsr_config(n=n, **DENSE_KEY), channel=channel)
-        strategy = AttackStrategy.parse(text)
-        if strategy.kind == "key_guess":
-            attack = guess_key(config)
-            codes = dataclasses.replace(attack, key_words=None)
-            length = len(config.keystream.seed)
+        for rows in (1, 2, 5):
+            _block_equals_the_reference(AttackStrategy.parse(text), config, rows, bit_generator,
+                                        100 * n + rows)
+        assert packed == ([] if n < 4 else [1, 2, 5])
 
-            def kernels(rows, rng, ref_rng):
-                return (_guess_round(config, kernel_attack, uniform_bits(r, (rows, length)), r)
-                        for kernel_attack, r in ((attack, rng), (codes, ref_rng)))
-        else:
-            attack = _attack(2, n, strategy, config.key_selectors())
-            flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-            words = None if flips is None else _pack(flips)
-            assert (flips is None) == (strategy.phi in (None, 0.0, PI / 4) or n < 4)
-
-            def kernels(rows, rng, ref_rng):
-                return (_packed_counts(n, *_packed_state_round(attack, channel, rows, rng), words),
-                        _counts(*_state_round(attack, channel, rows, ref_rng), flips))
-        assert (attack.key_words is None) == (n < 4)
-        if n < 4:
-            return
-        for rows in range(1, 6):
-            rng, ref_rng = (np.random.Generator(bit_generator(100 * n + rows)) for _ in range(2))
-            _same_arrays(*kernels(rows, rng, ref_rng))
-            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    @pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
+    @pytest.mark.parametrize("n", PACKED_N)
+    @pytest.mark.parametrize("text", ["intercept", "intercept:0.5", "intercept:0", "fixed:0",
+                                      f"fixed:{PI / 4!r}"])
+    def test_inline_rounds(self, packed, text, n, channel, bit_generator):
+        config = dataclasses.replace(lfsr_config(n=n, **DENSE_KEY), channel=channel)
+        inline_equals_the_reference(AttackStrategy.parse(text), config, 7 * n, bit_generator)
+        assert packed == ([] if n < 4 else [1])
 
     @pytest.mark.parametrize("bit_generator", GENERATORS, ids=lambda g: g.__name__)
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("n,rows,layout,count,k_blocks,block_len", _packed_layouts())
-    def test_block_guess_chunks(self, monkeypatch, n, rows, layout, count, k_blocks, block_len,
+    def test_block_guess_chunks(self, packed, n, rows, layout, count, k_blocks, block_len,
                                 channel, bit_generator):
         pairs = count * k_blocks
         assert (min(pairs, block_len), max(pairs, block_len)) == (rows, n)
         assert (block_len > pairs) == (layout == "rows")
-        attack = _attack(2, n)
-        assert _packs(attack.eve, attack.bob, n) == (n >= 4)
-
-        def chunk():
-            rng = np.random.Generator(bit_generator(n + rows))
-            return (_block_guess_chunk(count, rng, attack, k_blocks, block_len, channel),
-                    rng.bit_generator.state)
-
-        packed, packed_state = chunk()
-        monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
-        codes, codes_state = chunk()
-        _same_arrays(packed, codes)
-        assert _same_state(packed_state, codes_state)
+        rng, ref_rng = (np.random.Generator(bit_generator(n + rows)) for _ in range(2))
+        got = _block_guess_chunk(count, rng, _attack(2, n), k_blocks, block_len, channel)
+        _same_chunk(got, reference.block_guess_chunk(count, ref_rng, k_blocks, block_len,
+                                                     channel), k_blocks * block_len)
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert packed == ([] if n < 4 else [rows])
 
 
 class TestSharedTables:
@@ -1271,6 +1284,26 @@ class TestSharedTables:
         assert one == two
 
 
+def _block_equals_the_reference(strategy, config, rows, bit_generator, seed):
+    """A block of `rows` rounds of `strategy` against `config`, as the Monte
+    Carlo attack runs it (key guessing draws the rows' guesses first), has
+    the counts of tests/reference.py drawing the same stream by hand, on
+    generators of `bit_generator(seed)`, and leaves the same state."""
+    rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    if strategy.kind == "key_guess":
+        attack, length = guess_key(config), len(config.keystream.seed)
+        eve, _, user, detected = (c.tolist() for c in _guess_round(
+            config, attack, uniform_bits(rng, (rows, length)), rng))
+        got = [(e / config.n, u, d) for e, u, d in zip(eve, user, detected)]
+        want = reference.key_guess_rounds(config, ref_rng, rows)
+    else:
+        got = list(zip(*(c.tolist() for c in state_kernel(strategy, config, config.channel)(
+            rows, rng))))
+        want = reference.state_attack_counts(strategy, config, config.channel, ref_rng, rows)
+    assert got == want, rows
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), rows
+
+
 def _same_state(a, b) -> bool:
     """Generator states equal, array entries (MT19937's key) included."""
     if isinstance(a, dict):
@@ -1295,19 +1328,6 @@ class TestRoundBlocks:
     # m = 1024 and 2^16 with n = 300 < 2m.
     PATHS = [(2, 700), (2, 9000), (16, 700), (1024, 2100), (1024, 300), (2 ** 16, 300)]
 
-    @staticmethod
-    def kernel(strategy, config):
-        """The block kernel of `strategy` against `config`, a function of the
-        block's row count and generator; key guessing draws the rows'
-        guesses first."""
-        if strategy.kind == "key_guess":
-            attack, length = guess_key(config), len(config.keystream.seed)
-            return lambda count, rng: _guess_round(config, attack,
-                                                   uniform_bits(rng, (count, length)), rng)
-        attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
-        return lambda count, rng: _counts(*_state_round(attack, config.channel, count, rng), flips)
-
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937],
                              ids=["pcg64", "mt19937"])
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
@@ -1317,19 +1337,9 @@ class TestRoundBlocks:
     def test_a_block_equals_the_reference_drawing_its_stream(self, text, m, n, channel,
                                                              bit_generator):
         config = dataclasses.replace(lfsr_config(n=n, m=m, **DENSE_KEY), channel=channel)
-        strategy = AttackStrategy.parse(text)
-        kernel = self.kernel(strategy, config)
         for rows in (1, 3):
-            rng, ref_rng = (np.random.Generator(bit_generator(rows)) for _ in range(2))
-            eve, attacked, user, detected = (c.tolist() for c in kernel(rows, rng))
-            if strategy.kind == "key_guess":
-                got = [(e / n, u, d) for e, u, d in zip(eve, user, detected)]
-                want = reference.key_guess_rounds(config, ref_rng, rows)
-            else:
-                got = list(zip(eve, attacked, user, detected))
-                want = reference.state_attack_counts(strategy, config, channel, ref_rng, rows)
-            assert got == want, rows
-            assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), rows
+            _block_equals_the_reference(AttackStrategy.parse(text), config, rows, bit_generator,
+                                        rows)
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=CHANNEL_IDS)
     @pytest.mark.parametrize("text,m", [
@@ -1337,10 +1347,8 @@ class TestRoundBlocks:
         ("intercept", 2), ("intercept:0.5", 2), ("keyguess", 2), ("keyguess", 16)])
     def test_reports_equal_the_reference_blocks_at_one_and_two_threads(self, monkeypatch, text,
                                                                        m, channel):
-        # 13 rounds of 12 500 uint8 codes: blocks of 5, 5 and 3 rounds,
-        # except intercept below fraction 1, whose rounds attack different
-        # numbers of positions and run one to a block.
-        # Two-basis intercept at fraction 1 and key guessing run their
+        # 13 rounds of 12 500 uint8 codes: blocks of 5, 5 and 3 rounds at
+        # every fraction. Two-basis intercept and key guessing run their
         # blocks on _packed_round, every other attack on _resend_round;
         # either takes the block's row count second to last.
         config = dataclasses.replace(lfsr_config(n=12_500, m=m, **DENSE_KEY), channel=channel)
@@ -1360,7 +1368,7 @@ class TestRoundBlocks:
         for name in ("_resend_round", "_packed_round"):
             monkeypatch.setattr(keyedqkd.adversary, name, spy(getattr(keyedqkd.adversary, name)))
         blocked = attack(1)
-        assert sizes == ([1] * 13 if strategy.fraction < 1.0 else [5, 5, 3])
+        assert sizes == [5, 5, 3]
         assert _statistics(blocked) == _reference_report(strategy, config, 40, 13)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1376,7 +1384,7 @@ class TestRoundBlocks:
         alone = attack(1)
         assert sizes == [1] * 13
         assert _statistics(alone) == _reference_report(strategy, config, 40, 13)
-        assert (alone == blocked) == (strategy.fraction < 1.0)
+        assert alone != blocked
 
     def test_block_sizes_depend_on_the_rounds_and_their_bytes_alone(self):
         def sizes(trials, row_bytes):
@@ -1418,11 +1426,8 @@ class TestRoundBlocks:
             _block_size(trials, 100)
 
 
-def _row_bytes(strategy, config) -> int:
-    """The bytes of one round's codes, which size its block; intercept below
-    fraction 1 runs one round to a block."""
-    if strategy.fraction < 1.0:
-        return BLOCK_BYTES
+def _row_bytes(config) -> int:
+    """The bytes of one round's codes, which size its block at every fraction."""
     return config.n * np.min_scalar_type(2 * config.alphabet.m - 1).itemsize
 
 
@@ -1445,7 +1450,7 @@ def _reference_rounds(strategy, config, seed, trials, bit_generator=np.random.PC
 
         def block(child, rows):
             return reference.state_attack_counts(strategy, config, config.channel, child, rows)
-    blocks = _chunk_rngs(rng, trials, _block_size(trials, _row_bytes(strategy, config)))
+    blocks = _chunk_rngs(rng, trials, _block_size(trials, _row_bytes(config)))
     return successes, [row for rows, child in blocks for row in block(child, rows)]
 
 
@@ -1508,6 +1513,37 @@ def test_reports_equal_the_reference_on_the_same_streams(case):
                         trials=trials, threads=threads)
     assert _statistics(report) == _reference_report(strategy, config, seed, trials,
                                                      bit_generator)
+
+
+@st.composite
+def inline_cases(draw):
+    """An in-line interference case: (strategy, config, seed, bit
+    generator). Intercept at fractions 0 and 1 and between, breidbart and
+    fixed bases, the multiples of pi/4 among them, on m = 2 to 2^10 keyed
+    bases and small n, with loss and flips."""
+    kind = draw(st.sampled_from(["intercept", "breidbart", "fixed"]))
+    if kind == "intercept":
+        fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        strategy = AttackStrategy("intercept_resend_random", fraction=fraction)
+    elif kind == "fixed":
+        phi = draw(st.one_of(st.sampled_from([0.0, PI / 4, PI / 2]),
+                             st.floats(0.0, PI, exclude_max=True)))
+        strategy = AttackStrategy("fixed_basis", phi=phi)
+    else:
+        strategy = AttackStrategy.parse(kind)
+    config = lfsr_config(n=draw(st.integers(1, 300)), m=2 ** draw(st.integers(1, 10)),
+                         loss=draw(st.sampled_from([0.0, 0.2])),
+                         flip=draw(st.sampled_from([0.0, 0.1])))
+    return (strategy, config, draw(st.integers(0, 2 ** 32)),
+            draw(st.sampled_from([np.random.PCG64, np.random.Philox, np.random.SFC64])))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(case=inline_cases())
+def test_inline_rounds_equal_the_reference_on_the_same_streams(case):
+    # transmit_round under in-line interference, against tests/reference.py's
+    # float-angle round on the same stream, whatever its bit generator.
+    inline_equals_the_reference(*case)
 
 
 @st.composite
@@ -1585,13 +1621,30 @@ class TestCertainMasks:
         monkeypatch.setattr(keyedqkd.adversary, "uniform_below", no_mask)
         selectors = lfsr_config(n=64).key_selectors()
         attack = _attack(2, 64, AttackStrategy.parse("intercept"), selectors)
+        *_, attacked = _packed_state_round(attack, ChannelModel(), 2, np.random.default_rng(0))
+        assert attacked is None
         _, outcome, *_, attacked = _state_round(attack, ChannelModel(), 2, np.random.default_rng(0))
-        assert attacked == slice(None) and outcome.shape == (2, 64)
-        # At fraction 0 the mask is None, and she attacks nothing.
-        monkeypatch.undo()
-        attack = _attack(2, 64, AttackStrategy.parse("intercept:0"), selectors)
-        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), 1, np.random.default_rng(1))
-        assert attacked == slice(0) and outcome.shape == (1, 0)
+        assert attacked is None and outcome.shape == (2, 64)
+
+    @pytest.mark.parametrize("packs", [True, False], ids=["packed", "codes"])
+    def test_no_interception_measures_every_position_in_the_keyed_basis(self, monkeypatch,
+                                                                        packs):
+        # At fraction 0 the mask draws nothing and is all clear: she
+        # measures every position in its keyed basis, errs nowhere and
+        # counts no position. On packed words, where each position draws
+        # one coin bit whatever it reads, the block draws what fraction 1
+        # draws; the byte rule's ties follow the offsets.
+        if not packs:
+            monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args: False)
+        config, got = lfsr_config(n=64, flip=0.1), []
+        for text in ("intercept:0", "intercept"):
+            rng = np.random.default_rng(1)
+            counts = state_kernel(AttackStrategy.parse(text), config, config.channel)(3, rng)
+            got.append(([c.tolist() for c in counts], rng.bit_generator.state))
+        (none, state), (full, full_state) = got
+        assert none[:2] == [[0] * 3, [0] * 3] and full[1] == [64] * 3
+        assert none[3] == [64] * 3 and 0 < sum(none[2]) < sum(full[2])
+        assert (state == full_state) == packs
 
     @pytest.mark.parametrize("text", ["breidbart", "fixed:1.2", "intercept:0.5"])
     def test_only_the_monte_carlo_attack_builds_decoding_flips(self, monkeypatch, text):
@@ -1641,11 +1694,11 @@ def test_row_counts_equal_count_nonzero(width):
 
 
 class TestCoinDraws:
-    """measure_codes draws one bit per position, not one double, when every
-    entry of its snapped p1 table is 0, 1 or within ANGLE_TOL of 1/2 and the
-    table has the 4 entries of the two-basis alphabet. The
-    rule reads the table, never the positions. table_of builds a table of
-    the given entries."""
+    """An OffsetTable is a coin table when it has the 4 entries of the
+    two-basis alphabet, each 0, 1 or within ANGLE_TOL of 1/2; then
+    measure_coin_words draws one bit per position, whatever entry the
+    position reads. measure_codes draws bytes from every table. table_of
+    builds a table of the given entries."""
 
     @staticmethod
     def measure(monkeypatch, p1, codes, seed):
@@ -1655,36 +1708,51 @@ class TestCoinDraws:
         got = measure_codes(table_of(monkeypatch, p1, codes.size), codes.reshape(1, -1), rng)
         return got.reshape(codes.shape), rng
 
+    @staticmethod
+    def coin_words(table, offsets, seed):
+        """measure_coin_words under `table` at the two-basis `offsets`, one
+        row, and (the coin bits, the generator state) of a twin generator
+        that draws the same words."""
+        high, low = (_pack(bits[None]) for bits in (offsets >> 1 & 1, offsets & 1))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = measure_coin_words(table, high, low, rng)
+        got = np.unpackbits(got.view(np.uint8), count=offsets.size, bitorder="little")
+        coins = uniform_bits(twin, offsets.size)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        return got, coins
+
     @pytest.mark.parametrize("shift", [0.0, PI / 8, -PI / 8, PI / 4, -PI / 4, 0.3])
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
     def test_a_table_past_two_bases_never_draws_coins(self, m, shift):
         # Adjacent entries lie pi/(2m) < pi/4 apart, so they cannot both sit
         # on multiples of pi/4: the per-entry oracle finds no coin table either.
         table = OffsetTable(m, shift, 2 * m)
-        assert table.coins is None
-        assert reference.coin_outcome_bytes(table.p1) is None
+        assert table.coins is False
+        assert not reference.coin_table(table.p1)
 
     @pytest.mark.parametrize("k", range(-4, 5))
-    def test_a_two_basis_mask_holds_the_outcome_of_each_entry_at_each_bit(self, k):
-        # Shifts on the multiples of pi/4 give coin tables; bit 2e + b of the
-        # mask is byte 2e + b of the per-(entry, bit) oracle.
+    def test_a_two_basis_coin_table_gives_the_outcome_of_each_entry_at_each_bit(self, k):
+        # Shifts on the multiples of pi/4 give coin tables. Every offset at
+        # both coin bits: the bit where the entry is 1/2, the entry itself
+        # where it is 0 or 1.
         table = OffsetTable(2, k * PI / 4, 4)
-        assert table.coins.shape == () and table.coins.dtype == np.uint8
-        assert not table.coins.flags.writeable
-        slots = bytes(int(table.coins) >> i & 1 for i in range(8))
-        assert slots == reference.coin_outcome_bytes(table.p1)
+        assert table.coins is True and reference.coin_table(table.p1)
         # measure_coin_words' select rests on p1[o + 2] = 1 - p1[o].
         assert table.p1[2:].tolist() == (1.0 - table.p1[:2]).tolist()
+        offsets = np.arange(1024) % 4
+        got, coins = self.coin_words(table, offsets, 10 + k)
+        entry = table.p1[offsets]
+        assert {0, 1} <= set(coins[entry == 0.5].tolist())
+        _same_arrays([got], [np.where(entry == 0.5, coins, entry).astype(np.uint8)])
 
     @pytest.mark.parametrize("edge", [0.5 - ANGLE_TOL, 0.5 + ANGLE_TOL])
     def test_an_entry_on_the_half_tolerance_is_a_coin(self, monkeypatch, edge):
-        codes = np.tile(np.arange(3, dtype=np.uint8), 100).reshape(20, 15)
-        got, rng = self.measure(monkeypatch, [0.0, 1.0, edge], codes, 11)
-        want_rng = np.random.default_rng(11)
-        bits = uniform_bits(want_rng, codes.size).reshape(codes.shape)
-        # Certain 0 at code 0, certain 1 at code 1, the position's bit at code 2.
-        _same_arrays([got], [np.where(codes == 2, bits, codes).astype(np.uint8)])
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+        table = table_of(monkeypatch, [edge, 0.0, 1.0 - edge, 1.0], 4)
+        assert table.coins is True and table.p1.tolist() == [0.5, 0.0, 0.5, 1.0]
+        offsets = np.tile(np.arange(4), 75)
+        got, coins = self.coin_words(table, offsets, 11)
+        # The position's bit at codes 0 and 2, certain 0 at 1 and 1 at 3.
+        _same_arrays([got], [np.where(offsets % 2 == 0, coins, offsets >> 1).astype(np.uint8)])
 
     def test_a_coin_table_past_half_the_code_range_does_not_wrap(self, monkeypatch):
         # 201 entries (256 with the padding) on uint8 codes, each 0, 1 or
@@ -1727,30 +1795,29 @@ class TestCoinDraws:
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("positions", [64, 130])
-    def test_certain_positions_of_a_coin_table_still_draw_a_bit_each(self, monkeypatch,
-                                                                     positions):
-        codes = np.arange(positions) % 2
-        got, rng = self.measure(monkeypatch, [0.0, 1.0, 0.5], codes, 13)
-        want_rng = np.random.default_rng(13)
-        want_rng.integers(0, 1 << 64, size=-(-positions // 64), dtype=np.uint64)
-        _same_arrays([got], [codes.astype(np.uint8)])
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+    def test_certain_positions_of_a_coin_table_still_draw_a_bit_each(self, positions):
+        # Offsets 0 and 2 of the unshifted table, entries 0 and 1.
+        offsets = 2 * (np.arange(positions) % 2)
+        got, _ = self.coin_words(OffsetTable(2, 0.0, 4), offsets, 13)
+        _same_arrays([got], [(offsets >> 1).astype(np.uint8)])
 
     def test_coin_positions_read_half(self):
         # State 0 in the basis at pi/4, offset -1 mod 4 on the two-basis
         # lattice, from the table that intercept reads.
-        positions = 2 ** 20
-        offsets = np.full(positions, 3, dtype=np.uint8)
-        ones = int(measure_codes(OffsetTable(2, 0.0, positions), offsets[None],
-                                 np.random.default_rng(14)).sum())
-        assert abs(ones / positions - 0.5) < 4 * math.sqrt(0.25 / positions)
+        words = 2 ** 14
+        ones = np.full((1, words), 2 ** 64 - 1, np.uint64)
+        got = measure_coin_words(OffsetTable(2, 0.0, 4), ones, ones, np.random.default_rng(14))
+        positions = 64 * words
+        assert abs(int(np.bitwise_count(got).sum()) / positions - 0.5) < 4 * math.sqrt(
+            0.25 / positions)
 
     @pytest.fixture
     def coin_draws(self, monkeypatch):
-        """Records the coin draws of the attack rounds: ("bits", shape) per
-        bit draw measure_codes makes, and ("words", shape) per word draw of
-        measure_coin_words, the coins of a packed round. The adversary's own
-        bit draws go through its imported name and are not recorded."""
+        """Records the coin draws of the attack rounds: ("words", shape)
+        per word draw of measure_coin_words, the coins of a packed round,
+        and ("bits", shape) per bit draw in qubits, which no measurement
+        makes. The adversary's own bit draws go through its imported name
+        and are not recorded."""
         seen = []
 
         def bits(rng, shape):
@@ -1765,22 +1832,17 @@ class TestCoinDraws:
         monkeypatch.setattr(keyedqkd.adversary, "measure_coin_words", words)
         return seen
 
-    # One round of each attack as run_attack runs it: two-basis rounds that
-    # attack every position draw their coins as words, the 47 of 3000
-    # positions; intercept below fraction 1 as bits, hers on the attacked
-    # positions; every other round none.
+    # One round of each attack as run_attack runs it: two-basis rounds on
+    # coin tables draw their coins as words, the 47 of 3000 positions, at
+    # every attacked fraction; every other round none.
     @pytest.mark.parametrize("m,text,coins", [
         (2, "fixed:0.3", 0), (2, "breidbart", 0), (16, "fixed:0.3", 0), (16, "breidbart", 0),
-        (2, "fixed:0", 2), (16, "fixed:0", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2)])
+        (2, "fixed:0", 2), (16, "fixed:0", 0), (2, "intercept:1", 2), (2, "intercept:0.5", 2),
+        (2, "intercept:0", 2)])
     def test_only_two_basis_measure_resend_rounds_draw_coins(self, coin_draws, m, text, coins):
         strategy = AttackStrategy.parse(text)
         run_attack(strategy, lfsr_config(n=3000, m=m, flip=0.1), np.random.default_rng(15))
-        assert len(coin_draws) == coins
-        if coins and strategy.fraction == 1.0:
-            assert coin_draws == [("words", (1, 47))] * 2
-        elif coins:
-            (eve, (_, attacked)), (bob, shape) = coin_draws
-            assert (eve, bob, shape) == ("bits", "bits", (1, 3000)) and 0 < attacked < 3000
+        assert coin_draws == [("words", (1, 47))] * coins
 
     @pytest.mark.parametrize("m,coins", [(2, [("words", (1, 40))] * 2), (16, [])])
     def test_key_guess_rounds_draw_coins_on_two_bases_only(self, coin_draws, m, coins):
@@ -1810,7 +1872,7 @@ class TestByteDraws:
     @pytest.mark.parametrize("name", TABLES, ids=str)
     def test_every_byte_at_every_entry(self, monkeypatch, name):
         table = self.table(monkeypatch, name)
-        assert table.coins is None
+        assert table.coins is False
         entries = table.p1.size
         t = np.minimum(np.floor(256 * table.p1), 255)
         f = 256 * table.p1 - t

@@ -9,6 +9,7 @@ harness warms it first). Run from the root of a checkout, pinned to one CPU:
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --ops 60 --threads 2
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --m 16 --ops 60 --cpu 1
     PYTHONPATH=src python tools/plain_loop.py --mode attacks --only blockguess:3 --cpu 1
+    PYTHONPATH=src python tools/plain_loop.py --mode attacks --only intercept:0.5 --cpu 1
 
 `keygen` (the default) runs `run_protocol` on the benchmark's keygen-small
 config (m = 2, LFSR `64:64,63,61,60`, flip 0.02, loss 0, R = 0.6, s = 64,
@@ -27,9 +28,11 @@ on two bases, and blockguess stay on two at every `--m`. Attack i of op k
 draws from `np.random.default_rng([seed, 4k + i])`, as in the workload.
 `--only STRATEGY` (repeatable) runs only the named attacks, each on its own
 seeds still, so that one attack can be timed, and its faults counted, on a
-heap that the others have not touched. It prints one JSON object: n, m,
-threads, ops, per attack run the median CPU and wall milliseconds per
-attack and the mean minor faults per attack, and the peak RSS in MB. To
+heap that the others have not touched; `intercept:<fraction>` runs as
+intercept does (16 trials, on intercept's seeds) at that attacked
+fraction. It prints one JSON object: n, m, threads, ops, per attack run
+the median CPU and wall milliseconds per attack and the mean minor faults
+per attack, and the peak RSS in MB. To
 compare threads = 1 with threads = 2, run it once at each, unpinned; the
 CPU time of a two-thread attack is summed over its threads.
 
@@ -53,6 +56,19 @@ from keyedqkd import (AttackStrategy, BasisAlphabet, ChannelModel, LfsrKeystream
 
 # (strategy, trials) of the attacks workload; blockguess runs on its own config.
 ATTACKS = (("breidbart", 16), ("intercept", 16), ("keyguess", 100_000), ("blockguess:3", 25_000))
+
+
+def attack_name(text: str) -> str:
+    """An --only value: an attack of ATTACKS, or intercept:<fraction>."""
+    if run_as(text) not in dict(ATTACKS):
+        raise argparse.ArgumentTypeError(f"not an attack of the workload: {text!r}")
+    AttackStrategy.parse(text)  # a bad fraction raises ValueError
+    return text
+
+
+def run_as(text: str) -> str:
+    """The attack of ATTACKS whose trials and seeds `text` takes."""
+    return "intercept" if text.startswith("intercept:") else text
 
 
 def lfsr_config(n: int, flip: float, m: int = 2) -> ProtocolConfig:
@@ -99,8 +115,9 @@ def attacks(args) -> dict:
         keystream=RepetitionKeystream(SeedKey.from_string("10011010")),
         channel=ChannelModel(), code_rate=0.6, pa_security_param=64, verification_len=32)
     configs = {"breidbart": keyed, "intercept": lfsr, "keyguess": keyed, "blockguess:3": block}
-    jobs = [(i, text, AttackStrategy.parse(text), configs[text], trials)
-            for i, (text, trials) in enumerate(ATTACKS) if not args.only or text in args.only]
+    jobs = [(i, text, AttackStrategy.parse(text), configs[name], trials)
+            for i, (name, trials) in enumerate(ATTACKS)
+            for text in dict.fromkeys(args.only or [name]) if run_as(text) == name]
     counts = {text: ([], [], []) for _, text, *_ in jobs}
     for k in range(args.warmup + args.ops):
         for i, text, strategy, config, trials in jobs:
@@ -128,8 +145,8 @@ def main() -> None:
     parser.add_argument("--threads", type=int, default=1, help="attack worker threads (attacks)")
     parser.add_argument("--m", type=int, default=2,
                         help="keyed bases of the LFSR strategies (attacks; blockguess keeps 2)")
-    parser.add_argument("--only", action="append", choices=[text for text, _ in ATTACKS],
-                        metavar="STRATEGY", help="run only this attack (attacks; repeatable)")
+    parser.add_argument("--only", action="append", type=attack_name, metavar="STRATEGY",
+                        help="run only this attack, or intercept:<fraction> (attacks; repeatable)")
     args = parser.parse_args()
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
