@@ -234,18 +234,18 @@ class _Attack:
     states and offsets, its OffsetTables `eve` (keyed states in the
     attacker's bases) and `bob` (keyed or resent states, turned by a
     channel flip, in the keyed bases), the keyed codes (None for block
-    guessing), a fixed basis's codes, all 0 (None otherwise),
-    intercept's attacked fraction (1 for every other attack), and the keyed
-    codes _pack'ed when every round runs on packed words (_packs;
-    intercept, key guessing, or a fixed basis on a multiple of pi/4, each
-    on two bases), None otherwise."""
+    guessing), whether she measures in a fixed basis (at code 0 on either
+    kernel, the tables' shifts carrying its angle), intercept's attacked
+    fraction (1 for every other attack), and the keyed codes _pack'ed when
+    every round runs on packed words (_packs; intercept, key guessing, or a
+    fixed basis on a multiple of pi/4, each on two bases), None otherwise."""
 
     m: int
     code: np.dtype
     eve: OffsetTable
     bob: OffsetTable
     key_codes: np.ndarray | None
-    zeros: np.ndarray | None
+    fixed: bool
     fraction: float
     key_words: np.ndarray | None
 
@@ -268,9 +268,8 @@ def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
     fraction = 1.0 if strategy is None else strategy.fraction
     key_codes = None if selectors is None else _read_only(selectors.astype(code))
     packed = key_codes is not None and _packs(eve, bob, positions)
-    return _Attack(m, code, eve, bob, key_codes,
-                   None if phi is None else _read_only(np.zeros(positions, np.uint8)),
-                   fraction, _read_only(_pack(key_codes)) if packed else None)
+    return _Attack(m, code, eve, bob, key_codes, phi is not None, fraction,
+                   _read_only(_pack(key_codes)) if packed else None)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -314,9 +313,11 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, channel: ChannelModel, 
     attack's prebuilt tables, so a block does only per-position work. The
     offsets come from wrapping arithmetic in the attack's code dtype and &
     (2m - 1): 2m divides the dtype's range, and every code, below 2m,
-    casts into it exactly. Returns (rows, positions) arrays: alice bits,
-    eve outcomes, bob bits, and the detected mask, None when the channel
-    loses nothing.
+    casts into it exactly. Returns (alice, errors, detected), as
+    _packed_round does on words: the sent bits; her outcomes and the
+    receiver's bits on detected positions, each XORed with the sent bits
+    in place, as a pair; and the detected mask, None when the channel loses
+    nothing; all (rows, positions).
 
     Key codes in the code dtype, as every attack passes them, are not
     copied. The Monte Carlo attacks and in-line interference run their
@@ -342,15 +343,21 @@ def _resend_round(attack: _Attack, key_codes, eve_codes, channel: ChannelModel, 
     state -= key_codes
     state &= lattice
     bob = measure_codes(attack.bob, state, rng)
-    return alice, outcome, bob, None if lost is None else ~lost
+    outcome ^= alice
+    bob ^= alice
+    if lost is None:
+        return alice, (outcome, bob), None
+    detected = np.logical_not(lost, out=lost)
+    bob &= detected
+    return alice, (outcome, bob), detected
 
 
 def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: ChannelModel,
                   count: int, rng: np.random.Generator):
     """_resend_round of a block of `count` rows of n positions on packed
     words: the rounds that _packs admits. `key_words` and `eve_words` are
-    the keyed bases and hers (None for a fixed basis, which measures at
-    code 0), _pack'ed, each broadcasting to (count, ceil(n/64)). The block
+    the keyed bases and hers (0 for a fixed basis, which measures at code
+    0), _pack'ed, each broadcasting to (count, ceil(n/64)). The block
     draws the words _resend_round draws, in its order: the sent bits, her
     coins, the channel's masks, the receiver's coins (measure_coin_words).
 
@@ -359,20 +366,16 @@ def _packed_round(attack: _Attack, n: int, key_words, eve_words, channel: Channe
     her basis e: low bit k ^ e, high bit a ^ (e & ~k), where the borrow
     e & ~k is e & (k ^ e). She resends 2x + e for her outcome x, which a
     channel flip f turns by 2, and the receiver measures it in basis k:
-    low bit e ^ k again, high bit x ^ f ^ (k & (k ^ e)).
+    low bit e ^ k again, high bit x ^ f ^ (k & (k ^ e)). At e = 0 these
+    read low k, high a and resent k.
 
-    Returns (alice, errors, detected): the sent words; a (2, count,
-    ceil(n/64)) array of words, her outcomes and then the receiver's bits
-    on detected positions, each XOR the sent bits, whose bits past n are
-    set at random unless the channel loses; and the detected mask, None
-    when it loses nothing.
+    Returns _resend_round's (alice, errors, detected), the sent bits and
+    the errors as words, the errors one (2, count, ceil(n/64)) array whose
+    bits past n are set at random unless the channel loses.
     """
     alice = uniform_words(rng, (count, -(-n // 64)))
-    if eve_words is None:
-        low, high, resent = key_words, alice, key_words
-    else:
-        low = key_words ^ eve_words
-        high, resent = alice ^ (eve_words & low), key_words & low
+    low = key_words ^ eve_words
+    high, resent = alice ^ (eve_words & low), key_words & low
     outcome = measure_coin_words(attack.eve, high, low, rng)
     lost, flipped = channel.draw(rng, (count, n))
     high = outcome ^ resent
@@ -400,24 +403,6 @@ def _row_counts(bits: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(row) for row in bits], dtype=np.int64)
 
 
-def _counts(alice, outcome, bob, detected, flips=None):
-    """(her bit errors, her positions, user errors, detected positions) of
-    each row of a block of _resend_round's arrays, as int64 arrays: her
-    outcomes, each flipped where her decoding `flips` (_decoding_flips;
-    not read when None) are set, and the receiver's bits on the detected
-    positions, every position for a detected mask of None, each against
-    the sent bits. Overwrites `outcome` and `bob` with the errors."""
-    wrong = np.bitwise_xor(outcome, alice, out=outcome)
-    if flips is not None:
-        wrong ^= flips
-    user = np.bitwise_xor(bob, alice, out=bob)
-    if detected is not None:
-        user &= detected
-    every = np.full(len(wrong), wrong.shape[1], np.int64)
-    return (_row_counts(wrong), every, _row_counts(user),
-            every if detected is None else _row_counts(detected))
-
-
 def _word_counts(words: np.ndarray, n: int) -> np.ndarray:
     """The ones among the first n positions of each word in packed `words`,
     rows of ceil(n/64) along the last axis, per word as uint8; clears the
@@ -427,13 +412,21 @@ def _word_counts(words: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_count(words)
 
 
-def _packed_counts(n: int, errors, detected, flips=None):
-    """_counts of a block of _packed_round's errors and detected mask on
-    rows of n positions, her errors flipped where her _pack'ed decoding
-    `flips` are set (not read when None). Overwrites `errors`."""
+def _counts(n: int, errors, detected, flips=None):
+    """(her bit errors, her positions, user errors, detected positions) of
+    each row of a block of n positions, as int64 arrays, from the errors
+    and detected mask of either kernel (_resend_round, _packed_round): her
+    errors flipped where her decoding `flips` (_decoding_flips, _pack'ed
+    on words; not read when None) are set, and every position detected for
+    a mask of None. Words count their first n positions (_word_counts),
+    bytes their ones (_row_counts). Overwrites `errors`."""
+    her, user = errors
     if flips is not None:
-        errors[0] ^= flips
-    her, user = _word_counts(errors, n).sum(axis=-1, dtype=np.int64)
+        her ^= flips
+    if her.dtype == np.uint64:  # one array of both rows' words
+        her, user = _word_counts(errors, n).sum(axis=-1, dtype=np.int64)
+    else:
+        her, user = _row_counts(her), _row_counts(user)
     every = np.full(len(her), n, np.int64)
     return her, every, user, every if detected is None else _row_counts(detected)
 
@@ -474,56 +467,45 @@ def _attacked(attack: _Attack, count: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _state_round(attack: _Attack, channel: ChannelModel, count: int, rng: np.random.Generator):
-    """A block of `count` intercept or fixed-basis measure-resend rounds:
-    _resend_round's arrays and her attacked mask (None: every position). A
-    fixed basis measures every position at code 0. Intercept draws her
-    mask (_attacked), then her bases at 0 and pi/4, lattice codes 0 and
-    m/2, at every m, and where the mask is clear she measures in the keyed
-    basis instead, whose outcome is the sent bit: no error, and the sent
-    state resent."""
-    attacked, eve_codes = None, attack.zeros
-    if eve_codes is None:
+    """A block of `count` intercept or fixed-basis measure-resend rounds on
+    the attack's kernel, _packed_round when it has key words and
+    _resend_round otherwise: the kernel's (alice, errors, detected) and her
+    attacked mask (None: every position). A fixed basis measures every
+    position at code 0. Intercept draws her mask (_attacked), then her
+    bases at 0 and pi/4, lattice codes 0 and m/2, at every m, as bits r,
+    and where the mask att is clear she measures in the keyed basis k
+    instead, whose outcome is the sent bit: no error, and the sent state
+    resent. On codes her bases are np.where(att, r, k), on words (r & att)
+    | (k & ~att), the bit draw's words under her _pack'ed mask."""
+    n, key_words, attacked, eve = attack.key_codes.size, attack.key_words, None, 0
+    if not attack.fixed:
         attacked = _attacked(attack, count, rng)
-        eve_codes = uniform_bits(rng, (count, attack.key_codes.size))
-        if attack.m != 2:
-            eve_codes = np.multiply(eve_codes, attack.m // 2, dtype=attack.code)
-        if attacked is not None:
-            eve_codes = np.where(attacked, eve_codes, attack.key_codes)
-    return (*_resend_round(attack, attack.key_codes, eve_codes, channel, count, rng), attacked)
-
-
-def _packed_state_round(attack: _Attack, channel: ChannelModel, count: int,
-                        rng: np.random.Generator):
-    """_state_round of an attack with key words (intercept or a fixed basis
-    on a multiple of pi/4, on two bases) on _packed_round: _packed_round's
-    arrays and her attacked mask. Her bases are the words of _state_round's
-    bit draw, r, and under her _pack'ed mask att she measures in (r & att)
-    | (k & ~att) for the key words k; a fixed basis draws none."""
-    n, words = attack.key_codes.size, attack.key_words.shape[-1]
-    attacked = eve = None
-    if attack.zeros is None:
-        attacked = _attacked(attack, count, rng)
-        eve = uniform_words(rng, (count, words))
-        if attacked is not None:
-            att = _pack(attacked)
-            eve &= att
-            eve |= attack.key_words & ~att
-    return (*_packed_round(attack, n, attack.key_words, eve, channel, count, rng), attacked)
+        if key_words is None:
+            eve = uniform_bits(rng, (count, n))
+            if attack.m != 2:
+                eve = np.multiply(eve, attack.m // 2, dtype=attack.code)
+            if attacked is not None:
+                eve = np.where(attacked, eve, attack.key_codes)
+        else:
+            eve = uniform_words(rng, (count, key_words.shape[-1]))
+            if attacked is not None:
+                att = _pack(attacked)
+                eve &= att
+                eve |= key_words & ~att
+    if key_words is None:
+        return (*_resend_round(attack, attack.key_codes, eve, channel, count, rng), attacked)
+    return (*_packed_round(attack, n, key_words, eve, channel, count, rng), attacked)
 
 
 def _state_counts(attack: _Attack, flips, channel: ChannelModel, count: int,
                   rng: np.random.Generator):
-    """_counts of a block of `count` intercept or fixed-basis rounds, her
-    errors flipped where her decoding `flips` are set (_pack'ed when the
-    attack has key words, whose blocks run on _packed_state_round). Her
-    positions are those of her attacked mask, where one is drawn: off it
-    she measures in the keyed basis and makes no error."""
-    if attack.key_words is None:
-        *arrays, attacked = _state_round(attack, channel, count, rng)
-        her, every, user, detected = _counts(*arrays, flips)
-    else:
-        _, errors, detected, attacked = _packed_state_round(attack, channel, count, rng)
-        her, every, user, detected = _packed_counts(attack.key_codes.size, errors, detected, flips)
+    """_counts of a block of `count` _state_round rounds, her errors
+    flipped where her decoding `flips` are set (_pack'ed when the attack
+    has key words). Her positions are those of her attacked mask, where
+    one is drawn: off it she measures in the keyed basis and makes no
+    error."""
+    _, errors, detected, attacked = _state_round(attack, channel, count, rng)
+    her, every, user, detected = _counts(attack.key_codes.size, errors, detected, flips)
     return her, every if attacked is None else _row_counts(attacked), user, detected
 
 
@@ -614,16 +596,18 @@ def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.rando
     block; on two bases the block runs on _packed_round, and the words of
     lfsr_row_bytes, before their unpack, are her bases."""
     rows, n, k = len(guesses), config.n, config.alphabet.bits_per_selector
+    taps = config.keystream.spec.taps
     if attack.key_words is not None:
-        words = lfsr_row_bytes(config.keystream.spec.taps, guesses, n).view("<u8")
-        return _packed_counts(n, *_packed_round(attack, n, attack.key_words,
-                                                words[:, :attack.key_words.size],
-                                                config.channel, rows, rng)[1:])
-    codes = lfsr_rows(config.keystream.spec.taps, guesses, n * k)
-    if k > 1:  # at m = 2 each bit is its own selector
-        codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
-    return _counts(*_resend_round(attack, attack.key_codes, codes.reshape(rows, n),
-                                  config.channel, rows, rng))
+        words = lfsr_row_bytes(taps, guesses, n).view("<u8")[:, :attack.key_words.size]
+        _, errors, detected = _packed_round(attack, n, attack.key_words, words, config.channel,
+                                            rows, rng)
+    else:
+        codes = lfsr_rows(taps, guesses, n * k)
+        if k > 1:  # at m = 2 each bit is its own selector
+            codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
+        _, errors, detected = _resend_round(attack, attack.key_codes, codes.reshape(rows, n),
+                                            config.channel, rows, rng)
+    return _counts(n, errors, detected)
 
 
 def _key_guess_successes(seed_bits: np.ndarray, trials: int, rng: np.random.Generator) -> int:
@@ -759,20 +743,17 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
         else:
             key, eve = _pack(blocks)
         _, errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
-        if axis:
-            her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
-        else:
-            her, user = np.unpackbits(errors.astype("<u8", copy=False).view(np.uint8), axis=-1,
-                                      count=n, bitorder="little").sum(axis=1, dtype=dtype)
+        if not axis:  # a pair is a position of each row: summed over rows, unpacked
+            errors = np.unpackbits(errors.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                                   count=n, bitorder="little")
     else:
         if axis:
             blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
-        alice, outcome, bob, detected = _resend_round(attack, *blocks, channel, rows, rng)
-        bob ^= alice
-        if detected is not None:
-            bob &= detected
-        her, user = (a.sum(axis=axis, dtype=dtype)
-                     for a in (np.bitwise_xor(outcome, alice, out=outcome), bob))
+        _, errors, detected = _resend_round(attack, *blocks, channel, rows, rng)
+    if errors[0].dtype == np.uint64:  # a row of words per pair
+        her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
+    else:
+        her, user = (a.sum(axis=axis, dtype=dtype) for a in errors)
     if detected is not None:
         detected = detected.sum(axis=axis, dtype=dtype)
     return (success, *(np.full(count, k_blocks * block_len, dtype) if a is None else
@@ -799,7 +780,7 @@ def _block_guess_chunks(n: int, m_k: int, k_blocks: int, rng: np.random.Generato
                         trials: int, threads: int, channel: ChannelModel | None):
     """block_guess_trials' _block_guess_chunk records, chunk by chunk, and
     the attacked positions of a trial."""
-    n, m_k = require_integer(n, "qubit count"), require_integer(m_k, "key length")
+    n, m_k = _positive(n, "qubit count"), _positive(m_k, "key length")
     k_blocks = require_integer(k_blocks, "k_blocks")
     if not 1 <= k_blocks <= m_k:
         raise ValueError(f"k_blocks must lie in [1, {m_k}], got {k_blocks}")
@@ -882,23 +863,22 @@ def measure_resend_interference(strategy: AttackStrategy):
     the run's whole transmission as one round of the attack, in which
     the attacker measures the sent states in the strategy's bases and
     forwards the projected states; intercept measures in the bases at 0 and
-    pi/4 at every m. A round with key words runs on _packed_state_round,
-    whose sent and received words unpack in one call (the received ones
-    read at detected positions only), and any other on _state_round. Only
-    intercept and fixed-basis strategies act on states alone; key-targeting
-    strategies need the run's keystream and are evaluated through their
-    dedicated attack functions.
+    pi/4 at every m. The round is one _state_round: the receiver's bits are
+    its user errors XOR the sent bits, read at detected positions only, and
+    on packed words both unpack in one call. Only intercept and
+    fixed-basis strategies act on states alone; key-targeting strategies
+    need the run's keystream and are evaluated through their dedicated
+    attack functions.
     """
     if strategy.kind not in ("intercept_resend_random", "fixed_basis"):
         raise ValueError(f"{strategy.kind} cannot run as in-line interference")
 
     def interfere(config: ProtocolConfig, rng: np.random.Generator):
         attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
-        if attack.key_words is None:
-            alice, _, bob, detected, _ = _state_round(attack, config.channel, 1, rng)
-        else:
-            alice, errors, detected, _ = _packed_state_round(attack, config.channel, 1, rng)
-            words = np.stack((alice, errors[1] ^ alice)).astype("<u8", copy=False)
+        alice, (_, bob), detected, _ = _state_round(attack, config.channel, 1, rng)
+        bob ^= alice
+        if alice.dtype == np.uint64:
+            words = np.stack((alice, bob)).astype("<u8", copy=False)
             alice, bob = np.unpackbits(words.view(np.uint8), axis=-1, count=config.n,
                                        bitorder="little")
         return alice[0], bob[0], np.ones(config.n, bool) if detected is None else detected[0]

@@ -48,13 +48,13 @@ from keyedqkd.adversary import (
     _block_guess_chunk,
     _block_size,
     _chunk_rngs,
+    _counts,
     _decoding_flips,
     _key_guess_error,
     _guess_round,
     _key_guess_successes,
     _map_chunks,
     _pack,
-    _packed_state_round,
     _resend_round,
     _row_counts,
     _state_counts,
@@ -114,10 +114,19 @@ def guess_round(config, guess_bits, rng):
     return float(eve_errors[0] / config.n), int(errors[0]), int(detected[0])
 
 
-def one_row(arrays, n):
-    """A one-row block's arrays as one round's: row 0 of each, and an
-    all-true mask of n entries for a detected mask of None."""
-    return tuple(np.ones(n, bool) if a is None else a[0] for a in arrays)
+def one_row(result, n):
+    """A one-row block's (alice, errors, detected) as one round's (alice,
+    her errors, user errors, detected): row 0 of each, and an all-true
+    mask of n entries for a detected mask of None."""
+    alice, (her, user), detected = result
+    return tuple(np.ones(n, bool) if a is None else a[0] for a in (alice, her, user, detected))
+
+
+def reference_errors(alice, outcome, bob, detected):
+    """reference.resend_round's arrays as one_row reads a kernel's: alice,
+    her outcomes XOR alice, the receiver's bits XOR alice on detected
+    positions, and the detected mask."""
+    return alice, outcome ^ alice, (bob ^ alice) & detected, detected
 
 
 def table_of(monkeypatch, p1, positions):
@@ -415,7 +424,8 @@ class TestKeyGuess:
 
         def recording_round(attack, key_codes, codes, channel, count, rng):
             seen.append(codes)
-            return (np.zeros((count, 1), np.uint8),) * 3 + (None,)
+            zeros = np.zeros((count, 1), np.uint8)
+            return zeros, (zeros, zeros), None
 
         monkeypatch.setattr(keyedqkd.adversary, "_resend_round", recording_round)
         jump_rows = keyedqkd.keystream._jump_rows
@@ -511,6 +521,14 @@ class TestBlockGuess:
             attack_block_guess(40, 8, 9, rng)
         with pytest.raises(ValueError):
             attack_block_guess(41, 8, 2, rng)
+        # No qubits, or no key, raise as such, not as a count of trials.
+        for n, m_k, what in [(0, 4, "qubit count"), (-40, 4, "qubit count"),
+                             (40, 0, "key length"), (40, -8, "key length")]:
+            for run in (attack_block_guess, block_guess_trials):
+                with pytest.raises(ValueError, match=f"{what} must be >= 1, got {min(n, m_k)}"):
+                    run(n, m_k, 2, rng, trials=3)
+        # Every count is checked before anything is drawn.
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestCiphertextOnlyState:
@@ -939,7 +957,7 @@ class TestCodedKernels:
         got = one_row(_resend_round(attack, key_codes, eve_codes, channel, 1, rng), n)
         want = reference.resend_round(key_angles[key_codes], channel, eve_angles, ref_rng,
                                       (key_angles, eve_bases))
-        _same_arrays(got, want)
+        _same_arrays(got, reference_errors(*want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         _same_arrays((key_codes, eve_codes), inputs)
         assert set(code_dtypes) == {np.dtype(code)}
@@ -1064,7 +1082,7 @@ class TestCodedKernels:
                                     1, rng), config.n)
         want = reference.resend_round(key_angles(config), channel, bases[guess], ref_rng,
                                       (bases, bases))
-        _same_arrays(got, want)
+        _same_arrays(got, reference_errors(*want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1491,7 +1509,7 @@ def attack_cases(draw):
         strategy = AttackStrategy("fixed_basis", phi=draw(st.floats(0.0, PI, exclude_max=True)))
     else:
         strategy = AttackStrategy.parse(kind)
-    m = 2 if kind == "intercept" else 2 ** draw(st.integers(1, 10))
+    m = 2 if kind == "intercept" else 2 ** draw(st.integers(1, 12))
     config = lfsr_config(n=draw(st.integers(1, 300)), m=m, loss=draw(st.sampled_from([0.0, 0.2])),
                          flip=draw(st.sampled_from([0.0, 0.1])))
     trials = st.integers(1, 7)
@@ -1519,7 +1537,7 @@ def test_reports_equal_the_reference_on_the_same_streams(case):
 def inline_cases(draw):
     """An in-line interference case: (strategy, config, seed, bit
     generator). Intercept at fractions 0 and 1 and between, breidbart and
-    fixed bases, the multiples of pi/4 among them, on m = 2 to 2^10 keyed
+    fixed bases, the multiples of pi/4 among them, on m = 2 to 2^12 keyed
     bases and small n, with loss and flips."""
     kind = draw(st.sampled_from(["intercept", "breidbart", "fixed"]))
     if kind == "intercept":
@@ -1531,7 +1549,7 @@ def inline_cases(draw):
         strategy = AttackStrategy("fixed_basis", phi=phi)
     else:
         strategy = AttackStrategy.parse(kind)
-    config = lfsr_config(n=draw(st.integers(1, 300)), m=2 ** draw(st.integers(1, 10)),
+    config = lfsr_config(n=draw(st.integers(1, 300)), m=2 ** draw(st.integers(1, 12)),
                          loss=draw(st.sampled_from([0.0, 0.2])),
                          flip=draw(st.sampled_from([0.0, 0.1])))
     return (strategy, config, draw(st.integers(0, 2 ** 32)),
@@ -1620,11 +1638,14 @@ class TestCertainMasks:
 
         monkeypatch.setattr(keyedqkd.adversary, "uniform_below", no_mask)
         selectors = lfsr_config(n=64).key_selectors()
-        attack = _attack(2, 64, AttackStrategy.parse("intercept"), selectors)
-        *_, attacked = _packed_state_round(attack, ChannelModel(), 2, np.random.default_rng(0))
-        assert attacked is None
-        _, outcome, *_, attacked = _state_round(attack, ChannelModel(), 2, np.random.default_rng(0))
-        assert attacked is None and outcome.shape == (2, 64)
+        # On packed words (one word a row) and on codes.
+        for packs, row in ((True, 1), (False, 64)):
+            monkeypatch.setattr(keyedqkd.adversary, "_packs", lambda *args, packs=packs: packs)
+            attack = _attack(2, 64, AttackStrategy.parse("intercept"), selectors)
+            assert (attack.key_words is not None) == packs
+            _, errors, _, attacked = _state_round(attack, ChannelModel(), 2,
+                                                  np.random.default_rng(0))
+            assert attacked is None and [e.shape for e in errors] == [(2, row)] * 2
 
     @pytest.mark.parametrize("packs", [True, False], ids=["packed", "codes"])
     def test_no_interception_measures_every_position_in_the_keyed_basis(self, monkeypatch,
@@ -1691,6 +1712,28 @@ def test_row_counts_equal_count_nonzero(width):
         counts = _row_counts(rows)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.count_nonzero(rows, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("flipped", [False, True], ids=["no-flips", "flips"])
+@pytest.mark.parametrize("lossy", [False, True], ids=["no-mask", "detected-mask"])
+def test_counts_of_words_equal_counts_of_their_bytes(n, flipped, lossy):
+    # Errors of 5 rows as random words, with random bits past n in the last
+    # word, and the same errors unpacked to bytes, which stop at n: one
+    # count tail gives both the same counts, and those of a count by hand,
+    # her errors flipped where her decoding flips are set.
+    draw = np.random.default_rng(n)
+    words = draw.integers(0, 2 ** 64, (2, 5, -(-n // 64)), dtype=np.uint64)
+    her, user = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, count=n,
+                              bitorder="little")
+    flips = draw.random(n) < 0.5 if flipped else None
+    detected = draw.random((5, n)) < 0.7 if lossy else None
+    every = np.full(5, n, np.int64)
+    want = tuple(a if a is every else a.sum(axis=1, dtype=np.int64) for a in (
+        her ^ flips if flipped else her, every, user, every if detected is None else detected))
+    packed = _counts(n, words, detected, None if flips is None else _pack(flips))
+    _same_arrays(packed, want)
+    _same_arrays(_counts(n, (her, user), detected, flips), packed)
 
 
 class TestCoinDraws:
