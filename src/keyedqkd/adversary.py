@@ -49,8 +49,7 @@ from .qubits import (
 BREIDBART_ANGLE = math.pi / 8
 
 # Block-guess trials run in chunks of this size, each drawing from its own
-# child generator so thread scheduling cannot reorder randomness; key-guess
-# successes draw this many guesses per call from the caller's generator.
+# child generator so thread scheduling cannot reorder randomness.
 TRIAL_CHUNK = 4096
 
 # Child seeds are drawn this many at a time, so a huge trial count never
@@ -616,23 +615,24 @@ def _key_guess_successes(seed_bits: np.ndarray, trials: int, rng: np.random.Gene
 
     A guess of an L-bit seed is uniform_bits(rng, L): the first L bits of
     ceil(L/64) whole 64-bit words. The guesses are therefore rows of
-    ceil(L/64) uniform_words, TRIAL_CHUNK rows to a draw, as split word
-    draws take what one draw does; a row hits when its words XOR the seed
-    packed lowest word first, with the bits past L masked off, are all zero.
+    ceil(L/64) uniform_words, BLOCK_BYTES of rows to a draw (8192 rows at
+    L <= 64), as split word draws take what one draw does. Only a partial
+    last word is masked to its L % 64 bits, and a row hits when each of
+    its words equals the seed's, packed lowest word first: one compare
+    per word column.
     """
-    size = 8 * -(-seed_bits.size // 64)
-    seed, mask = (np.frombuffer(value.to_bytes(size, "little"), "<u8")
-                  for value in (bits_int(seed_bits), (1 << seed_bits.size) - 1))
-    hits = 0
-    for done in range(0, trials, TRIAL_CHUNK):
-        count = min(TRIAL_CHUNK, trials - done)
+    seed = np.frombuffer(bits_int(seed_bits).to_bytes(8 * -(-seed_bits.size // 64), "little"),
+                         "<u8")
+    rows, hits = max(1, BLOCK_BYTES // seed.nbytes), 0
+    for done in range(0, trials, rows):
+        count = min(rows, trials - done)
         words = uniform_words(rng, (count, seed.size))
-        words ^= seed
-        words &= mask
-        misses = words[:, 0]
-        for column in words.T[1:]:
-            misses |= column
-        hits += count - int(np.count_nonzero(misses))
+        if seed_bits.size % 64:
+            words[:, -1] &= (1 << seed_bits.size % 64) - 1
+        hit = words[:, 0] == seed[0]
+        for column, word in zip(words.T[1:], seed[1:]):
+            hit &= column == word
+        hits += int(np.count_nonzero(hit))
     return hits
 
 
@@ -728,13 +728,14 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
     rows sharing a key row and a guess row, or a row per pair, its two bits
     broadcast. It runs on _packed_round unless its rows are shorter than a
     table (_packs): a pair's counts are then the ones of its row's words,
-    or the sums of its position in each row, unpacked. Counts sum over a
-    pair's positions, then a trial's pairs, in the narrowest type that
-    holds k * block_len: several times quicker than in int64, to which
-    block_guess_trials widens them as it joins chunks."""
+    or the sums of its position in each row, unpacked. Each pair's key ^
+    guess bit and counts (her errors, the user's, detections if lossy) are
+    a column of one array in the narrowest type that holds k * block_len,
+    several times quicker than int64 (block_guess_trials widens them). A
+    trial sums its k adjacent columns and succeeds where their key ^ guess
+    sum is 0."""
     pairs = count * k_blocks
     blocks = uniform_bits(rng, 2 * pairs).reshape(2, -1)  # key blocks, guesses
-    success = _row_counts((blocks[0] ^ blocks[1]).reshape(count, k_blocks)) == 0
     axis, dtype = int(block_len > pairs), np.min_scalar_type(k_blocks * block_len)
     rows, n = min(block_len, pairs), max(block_len, pairs)
     if _packs(attack.eve, attack.bob, n):
@@ -743,22 +744,24 @@ def _block_guess_chunk(count: int, rng: np.random.Generator, attack: _Attack,
         else:
             key, eve = _pack(blocks)
         _, errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
-        if not axis:  # a pair is a position of each row: summed over rows, unpacked
+        if axis:  # a row of words per pair
+            errors = _word_counts(errors, n)
+        else:  # a pair is a position of each row: summed over rows, unpacked
             errors = np.unpackbits(errors.astype("<u8", copy=False).view(np.uint8), axis=-1,
                                    count=n, bitorder="little")
     else:
-        if axis:
-            blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
-        _, errors, detected = _resend_round(attack, *blocks, channel, rows, rng)
-    if errors[0].dtype == np.uint64:  # a row of words per pair
-        her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
-    else:
-        her, user = (a.sum(axis=axis, dtype=dtype) for a in errors)
-    if detected is not None:
-        detected = detected.sum(axis=axis, dtype=dtype)
-    return (success, *(np.full(count, k_blocks * block_len, dtype) if a is None else
-                       np.einsum("ij->i", a.reshape(count, k_blocks))
-                       for a in (user, her, detected)))
+        pair_rows = np.broadcast_to(blocks[..., None], (2, pairs, block_len)) if axis else blocks
+        _, errors, detected = _resend_round(attack, *pair_rows, channel, rows, rng)
+    per_pair = np.empty((3 if detected is None else 4, pairs), dtype)
+    np.bitwise_xor(blocks[0], blocks[1], out=per_pair[0])
+    for out, a in zip(per_pair[1:], (*errors, detected)):
+        a.sum(axis=axis, dtype=dtype, out=out)
+    per_pair = per_pair.reshape(len(per_pair), count, k_blocks)
+    per_trial = per_pair[..., 0].copy()
+    for column in range(1, k_blocks):
+        per_trial += per_pair[..., column]
+    every = np.full(count, k_blocks * block_len, dtype) if detected is None else per_trial[3]
+    return per_trial[0] == 0, per_trial[2], per_trial[1], every
 
 
 def block_guess_trials(n: int, m_k: int, k_blocks: int, rng: np.random.Generator,

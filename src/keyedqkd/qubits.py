@@ -270,18 +270,18 @@ class OffsetTable:
     entries lie h < pi/4 apart, so they cannot both sit on multiples of
     pi/4. Beside p1 it holds the byte rule's `threshold` t = min(floor(256
     p1), 255) as uint8 and `fraction` f = 256 p1 - t as float64, exact: a
-    snapped 0 gives t = 0, f = 0 and a snapped 1 gives t = 255, f = 1. A
-    larger table is never built: `p1`, `threshold` and `fraction` are None
-    and `coins` is false.
+    snapped 0 gives t = 0, f = 0 and a snapped 1 gives t = 255, f = 1, and
+    at m = 2 the `terms` of _thresholds (None at m >= 4). A larger table
+    is never built: those are None too and `coins` is false.
     """
 
-    __slots__ = ("step", "shift", "p1", "coins", "threshold", "fraction")
+    __slots__ = ("step", "shift", "p1", "coins", "threshold", "fraction", "terms")
 
     def __init__(self, m: int, shift: float, positions: int):
         import numpy as np
 
         self.step, self.shift = HALF_PI / m, shift
-        self.p1 = self.threshold = self.fraction = None
+        self.p1 = self.threshold = self.fraction = self.terms = None
         self.coins = False
         if 2 * m <= positions:
             self.p1 = _snap(_sin2(np.arange(2 * m) * self.step + shift))
@@ -291,6 +291,9 @@ class OffsetTable:
             for a in (self.p1, self.threshold, self.fraction):
                 a.setflags(write=False)
             self.coins = m == 2 and set(self.p1.tolist()) <= {0.0, 0.5, 1.0}
+            if m == 2:
+                t0, t1, t2, t3 = self.threshold.tolist()
+                self.terms = tuple(c % 256 for c in (t0, t1 - t0, t2 - t0, t3 - t2 - t1 + t0))
 
 
 def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
@@ -309,8 +312,8 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
     is R < fraction[o]. So P(1) = (t + f)/256, p1 to within 2^-61, and
     snapped entries are certain for every byte (Knuth and Yao's lazy
     comparison of uniform bits with p1's binary expansion, cut after 8
-    bits). The thresholds gather a row at a time. A block of rows with
-    fewer positions than table entries takes
+    bits). _thresholds forms the t, with no gather at m = 2. A block of
+    rows with fewer positions than table entries takes
     measure_many(offsets * table.step, -table.shift, rng) itself, so no
     call builds a table of m entries. Offsets packed 64 to a word under a
     table with `coins` draw one bit per position instead
@@ -330,17 +333,40 @@ def measure_codes(table: OffsetTable, offsets, rng) -> np.ndarray:
         return measure_many(offsets * table.step, -table.shift, rng)
     draws = uniform_words(rng, (rows, -(-positions // 8)))
     draws = draws.astype("<u8", copy=False).view(np.uint8)[:, :positions]
-    # A row at a time, so take's intp copy of the indices never grows past
-    # one row. The offsets lie in [0, 2m), so its clip mode clips nothing;
-    # it writes straight into the row, where the default mode buffers a
-    # copy.
-    thresholds = np.empty(offsets.shape, np.uint8)
-    for row, out in zip(offsets, thresholds):
-        table.threshold.take(row, out=out, mode="clip")
-    outcomes = np.less(draws, thresholds)
+    outcomes = np.empty(offsets.shape, bool)  # _thresholds' work buffer until the compare
+    thresholds = _thresholds(table, offsets, outcomes.view(np.uint8))
+    np.less(draws, thresholds, out=outcomes)
     ties = np.flatnonzero(draws == thresholds)
     outcomes.flat[ties] = rng.random(ties.size) < table.fraction[offsets.flat[ties]]
     return outcomes.view("u1")
+
+
+def _thresholds(table: OffsetTable, offsets, bits) -> np.ndarray:
+    """table.threshold[o] at every offset o of the 2-D `offsets`, as uint8,
+    overwriting `bits`, a uint8 array of their shape. At m = 2 with no
+    gather: c0 + c1 lo + c2 hi + c3 (lo & hi), exact in wrapping uint8, for
+    lo = o & 1, hi = o >> 1 = (o > 1), lo & hi = (o == 3), each formed in
+    `bits`, and `terms` c0 = t0, c1 = t1 - t0, c2 = t2 - t0 and c3 = t3 -
+    t2 - t1 + t0, zero terms skipped. At m >= 4 a take a row at a time, so
+    its intp copy of the indices never grows past one row; its clip mode
+    clips nothing, and it writes straight into the row."""
+    import numpy as np
+
+    thresholds = np.empty(offsets.shape, np.uint8)
+    if table.terms is None:
+        for row, out in zip(offsets, thresholds):
+            table.threshold.take(row, out=out, mode="clip")
+        return thresholds
+    c0, c1, c2, c3 = table.terms
+    offsets, flags = offsets.astype(np.uint8, copy=False), bits.view(bool)
+    thresholds.fill(c0)
+    for c, rule, value, out in ((c1, np.bitwise_and, 1, bits), (c2, np.greater, 1, flags),
+                                (c3, np.equal, 3, flags)):
+        if c:
+            rule(offsets, value, out=out)
+            bits *= c
+            thresholds += bits
+    return thresholds
 
 
 def measure_coin_words(table: OffsetTable, high, low, rng) -> np.ndarray:

@@ -55,15 +55,18 @@ from keyedqkd.adversary import (
     _key_guess_successes,
     _map_chunks,
     _pack,
+    _packed_round,
+    _packs,
     _resend_round,
     _row_counts,
     _state_counts,
     _state_round,
+    _word_counts,
 )
 from keyedqkd.analysis import ConfidenceInterval, binomial_ci
 from keyedqkd.keystream import lfsr_rows
-from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, measure_codes,
-                             measure_coin_words, measure_many, uniform_bits)
+from keyedqkd.qubits import (ANGLE_TOL, MeasBasis, OffsetTable, _DRAW_MAX, _sin2, _thresholds,
+                             measure_codes, measure_coin_words, measure_many, uniform_bits)
 
 import reference
 from reference import GivenDraws, GivenWords, key_angles, key_guess_successes
@@ -326,7 +329,9 @@ class TestKeyGuess:
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox,
                                                np.random.SFC64])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 16, 64, 65, 130])
-    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    # A draw takes BLOCK_BYTES of guess rows: 8192 of one word, 4096 of
+    # two and 2730 of three, so the counts fall on either side of each.
+    @pytest.mark.parametrize("count", [2730, 2731, 4095, 4096, 4097, 8191, 8192, 8193, 16385])
     def test_success_count_matches_the_int64_reference(self, length, count, bit_generator):
         # Seeds taken from rows the reference itself draws, so long seeds
         # still have successes to count; a guess takes whole 64-bit words,
@@ -363,6 +368,16 @@ class TestKeyGuess:
                 == key_guess_successes(seed_bits, count, ref))
         assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
         assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
+
+    @pytest.mark.parametrize("length,rows", [(1, 8192), (64, 8192), (65, 4096), (130, 2730)])
+    def test_success_draws_take_block_bytes_of_rows(self, monkeypatch, length, rows):
+        shapes, real = [], keyedqkd.adversary.uniform_words
+        monkeypatch.setattr(keyedqkd.adversary, "uniform_words",
+                            lambda rng, shape: shapes.append(shape) or real(rng, shape))
+        width = -(-length // 64)
+        assert rows * width * 8 <= BLOCK_BYTES < (rows + 1) * width * 8
+        _key_guess_successes(np.zeros(length, np.uint8), 2 * rows + 1, np.random.default_rng(0))
+        assert shapes == [(rows, width), (rows, width), (1, width)]
 
     @pytest.mark.parametrize("trials,threads", [(0, 1), (2.5, 1), (5, 0), (5, 1.5)])
     def test_a_bad_count_raises_before_anything_is_drawn(self, trials, threads):
@@ -1208,6 +1223,62 @@ class TestPackedRounds:
         assert packed == ([] if n < 4 else [rows])
 
 
+def _einsum_chunk(count, rng, attack, k_blocks, block_len, channel):
+    """_block_guess_chunk as it reduced before its one array of per-pair
+    rows: success flags from _row_counts of each trial's key ^ guess bits,
+    and each count by np.einsum over a trial's pairs."""
+    pairs = count * k_blocks
+    blocks = uniform_bits(rng, 2 * pairs).reshape(2, -1)
+    success = _row_counts((blocks[0] ^ blocks[1]).reshape(count, k_blocks)) == 0
+    axis, dtype = int(block_len > pairs), np.min_scalar_type(k_blocks * block_len)
+    rows, n = min(block_len, pairs), max(block_len, pairs)
+    if _packs(attack.eve, attack.bob, n):
+        if axis:
+            key, eve = blocks.astype(np.uint64)[..., None] * np.uint64(2 ** 64 - 1)
+        else:
+            key, eve = _pack(blocks)
+        _, errors, detected = _packed_round(attack, n, key, eve, channel, rows, rng)
+        if not axis:
+            errors = np.unpackbits(errors.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                                   count=n, bitorder="little")
+    else:
+        if axis:
+            blocks = np.broadcast_to(blocks[..., None], (2, pairs, block_len))
+        _, errors, detected = _resend_round(attack, *blocks, channel, rows, rng)
+    if errors[0].dtype == np.uint64:
+        her, user = _word_counts(errors, n).sum(axis=-1, dtype=dtype)
+    else:
+        her, user = (a.sum(axis=axis, dtype=dtype) for a in errors)
+    if detected is not None:
+        detected = detected.sum(axis=axis, dtype=dtype)
+    return (success, *(np.full(count, k_blocks * block_len, dtype) if a is None else
+                       np.einsum("ij->i", a.reshape(count, k_blocks))
+                       for a in (user, her, detected)))
+
+
+class TestBlockGuessReduction:
+    """A chunk's per-trial records, from one array of per-pair rows summed
+    a column at a time, equal the einsum reduction's, on the same stream."""
+
+    @pytest.mark.parametrize("channel", [ChannelModel(), ChannelModel(flip_prob=0.05, loss=0.2)],
+                             ids=["noiseless", "flip0.05-loss0.2"])
+    @pytest.mark.parametrize("k_blocks", [1, 2, 3, 8])
+    # n = 40 in 8 blocks: rows of 5 shorter than the pairs; n = 1e4 in 8
+    # blocks, 3 trials: a row of 1250 positions per pair. One trial at n =
+    # 8 and 24 (blocks of 1 and 3) makes rows shorter than a table, which
+    # measure per position, in either layout.
+    @pytest.mark.parametrize("n,count", [(40, 1), (40, 7), (40, TRIAL_CHUNK), (10_000, 3),
+                                         (8, 1), (24, 1)])
+    def test_records_equal_the_einsum_reduction(self, n, count, k_blocks, channel):
+        block_len = n // 8
+        attack = _attack(2, max(count * k_blocks, block_len))
+        for seed in range(8):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _block_guess_chunk(count, rng, attack, k_blocks, block_len, channel)
+            _same_arrays(got, _einsum_chunk(count, ref_rng, attack, k_blocks, block_len, channel))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSharedTables:
     """Each attack builds its round-invariant values once, before its
     rounds run, and its rounds and threads share them read-only."""
@@ -1499,8 +1570,8 @@ def attack_cases(draw):
     """A run_attack case: (strategy, config, seed, trials, threads, bit
     generator). Intercept runs on the two-basis alphabet, at fractions 0
     and 1 and between. Key guessing also takes trials past one and two
-    draws of TRIAL_CHUNK guesses; its rounds stay capped at
-    MAX_QUBIT_TRIALS."""
+    draws of guesses (8192 a draw of these one-word seeds); its rounds stay
+    capped at MAX_QUBIT_TRIALS."""
     kind = draw(st.sampled_from(["intercept", "breidbart", "fixed", "keyguess"]))
     if kind == "intercept":
         fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
@@ -1514,7 +1585,7 @@ def attack_cases(draw):
                          flip=draw(st.sampled_from([0.0, 0.1])))
     trials = st.integers(1, 7)
     if kind == "keyguess":
-        trials = st.one_of(trials, st.sampled_from([4097, 8193]))
+        trials = st.one_of(trials, st.sampled_from([8193, 16385]))
     return (strategy, config, draw(st.integers(0, 2 ** 32)), draw(trials),
             draw(st.sampled_from([1, 2])),
             draw(st.sampled_from([np.random.PCG64, np.random.Philox, np.random.SFC64])))
@@ -1960,6 +2031,54 @@ class TestByteDraws:
         _same_arrays([got], [reference.byte_outcomes(table.p1[offsets], ref_rng)])
         # Philox's state holds arrays, which repr writes out in full.
         assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def _take_spy(array: np.ndarray, calls: list) -> np.ndarray:
+    """A view of `array` that appends the indices' shape of each take on it to `calls`."""
+    class Spy(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            calls.append(np.shape(indices))
+            return np.ndarray.take(self, indices, *args, **kwargs)
+
+    return array.view(Spy)
+
+
+class TestTwoBasisThresholds:
+    """At m = 2 the byte rule's thresholds come from an offset's two bits
+    by wrapping uint8 arithmetic, never from a gather of the table."""
+
+    # The attacks' shifts (0, -+pi/8, fixed angles), the multiples of
+    # pi/16, the coin table at pi/4 from either side, and random angles.
+    SHIFTS = [0.0, PI / 8, -PI / 8, *(k * PI / 16 for k in range(-16, 17)), 1.2, -1.2,
+              PI / 4 - 1e-13, PI / 4 + 1e-13,
+              *np.random.default_rng(38).uniform(-PI, PI, 200).tolist()]
+
+    def test_every_entry_of_every_table_equals_the_gather(self):
+        entries = np.tile(np.arange(4), (2, 3))
+        for shift in self.SHIFTS:
+            table = OffsetTable(2, shift, 4)
+            want = table.threshold.take(entries)
+            for dtype in (np.uint8, np.uint16, np.int64):
+                got = _thresholds(table, entries.astype(dtype), np.empty(entries.shape, np.uint8))
+                _same_arrays([got], [want])
+        assert OffsetTable(4, 0.3, 8).terms is None and OffsetTable(2, 0.3, 3).terms is None
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_measure_codes_draws_what_the_gather_draws(self, dtype):
+        # The gather, through an equal table whose terms are cleared, is
+        # the reference; spies on both tables' thresholds count the takes.
+        offsets = np.random.default_rng(7).integers(0, 4, (3, 1001)).astype(dtype)
+        arithmetic, gathered = [], []
+        for seed, shift in enumerate(self.SHIFTS):
+            table, gather = (OffsetTable(2, shift, offsets.shape[1]) for _ in range(2))
+            gather.terms = None
+            table.threshold = _take_spy(table.threshold, arithmetic)
+            gather.threshold = _take_spy(gather.threshold, gathered)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            _same_arrays([measure_codes(table, offsets, rng)],
+                         [measure_codes(gather, offsets, ref_rng)])
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert arithmetic == [] and gathered == [(1001,)] * 3 * len(self.SHIFTS)
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.3, 0.3])
