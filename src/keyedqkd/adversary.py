@@ -235,9 +235,10 @@ class _Attack:
     channel flip, in the keyed bases), the keyed codes (None for block
     guessing), whether she measures in a fixed basis (at code 0 on either
     kernel, the tables' shifts carrying its angle), intercept's attacked
-    fraction (1 for every other attack), and the keyed codes _pack'ed when
+    fraction (1 for every other attack), the keyed codes _pack'ed when
     every round runs on packed words (_packs; intercept, key guessing, or a
-    fixed basis on a multiple of pi/4, each on two bases), None otherwise."""
+    fixed basis on a multiple of pi/4, each on two bases), None otherwise,
+    and key guessing's register taps (None for every other attack)."""
 
     m: int
     code: np.dtype
@@ -247,17 +248,19 @@ class _Attack:
     fixed: bool
     fraction: float
     key_words: np.ndarray | None
+    taps: tuple[int, ...] | None
 
 
 def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
-            selectors: np.ndarray | None = None) -> _Attack:
+            selectors: np.ndarray | None = None, taps: tuple[int, ...] | None = None) -> _Attack:
     """The read-only _Attack of `strategy` (None for block guessing) on m
     keyed bases, whose rounds measure at most `positions` positions at once,
-    with a round's keyed `selectors`, if any. An attacker on the keyed
-    lattice shares one table between both measurements; against a fixed
-    basis at phi, she reads keyed states at shift -phi and the receiver her
-    resent states at +phi. The code dtype is the narrowest unsigned type
-    that holds 2m - 1, the largest state code and offset."""
+    with a round's keyed `selectors`, if any, and key guessing's register
+    `taps`. An attacker on the keyed lattice shares one table between both
+    measurements; against a fixed basis at phi, she reads keyed states at
+    shift -phi and the receiver her resent states at +phi. The code dtype
+    is the narrowest unsigned type that holds 2m - 1, the largest state
+    code and offset."""
     phi = strategy.phi if strategy is not None and strategy.kind == "fixed_basis" else None
     if phi is None:
         eve = bob = OffsetTable(m, 0.0, positions)
@@ -268,7 +271,7 @@ def _attack(m: int, positions: int, strategy: AttackStrategy | None = None,
     key_codes = None if selectors is None else _read_only(selectors.astype(code))
     packed = key_codes is not None and _packs(eve, bob, positions)
     return _Attack(m, code, eve, bob, key_codes, phi is not None, fraction,
-                   _read_only(_pack(key_codes)) if packed else None)
+                   _read_only(_pack(key_codes)) if packed else None, taps)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -466,18 +469,29 @@ def _attacked(attack: _Attack, count: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _state_round(attack: _Attack, channel: ChannelModel, count: int, rng: np.random.Generator):
-    """A block of `count` intercept or fixed-basis measure-resend rounds on
-    the attack's kernel, _packed_round when it has key words and
+    """A block of `count` intercept, fixed-basis or key-guess measure-resend
+    rounds on the attack's kernel, _packed_round when it has key words and
     _resend_round otherwise: the kernel's (alice, errors, detected) and her
-    attacked mask (None: every position). A fixed basis measures every
-    position at code 0. Intercept draws her mask (_attacked), then her
+    attacked mask (None: every position). Only her bases differ. A fixed
+    basis measures every position at code 0. Key guessing draws a guessed
+    seed per row and measures in its stream's bases: words of
+    lfsr_row_bytes, or lfsr_rows grouped into selectors; an all-zero guess
+    is the all-zero stream. Intercept draws her mask (_attacked), then her
     bases at 0 and pi/4, lattice codes 0 and m/2, at every m, as bits r,
     and where the mask att is clear she measures in the keyed basis k
     instead, whose outcome is the sent bit: no error, and the sent state
     resent. On codes her bases are np.where(att, r, k), on words (r & att)
     | (k & ~att), the bit draw's words under her _pack'ed mask."""
     n, key_words, attacked, eve = attack.key_codes.size, attack.key_words, None, 0
-    if not attack.fixed:
+    if attack.taps is not None:
+        guesses = uniform_bits(rng, (count, max(attack.taps)))
+        if key_words is not None:
+            eve = lfsr_row_bytes(attack.taps, guesses, n).view("<u8")[:, :key_words.shape[-1]]
+        else:
+            alphabet = BasisAlphabet(attack.m)
+            eve = lfsr_rows(attack.taps, guesses, n * alphabet.bits_per_selector).reshape(-1)
+            eve = expand_running_key(eve, count * n, alphabet).selectors.reshape(count, n)
+    elif not attack.fixed:
         attacked = _attacked(attack, count, rng)
         if key_words is None:
             eve = uniform_bits(rng, (count, n))
@@ -508,20 +522,21 @@ def _state_counts(attack: _Attack, flips, channel: ChannelModel, count: int,
     return her, every if attacked is None else _row_counts(attacked), user, detected
 
 
-def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
+def _state_attack_counts(strategy: AttackStrategy, config: ProtocolConfig,
                          rng: np.random.Generator, trials: int, threads: int):
-    """Error rates of intercept or fixed-basis measure-resend over `trials` rounds.
+    """Intercept, fixed-basis or key-guess measure-resend over `trials` rounds.
 
     The attacker is granted the running key afterwards and decodes each bit
     by likelihood: keep the outcome when her basis is within pi/4 of the
     keyed basis, flip it otherwise. On the two-basis alphabet a random-basis
     attacker is never off by more than pi/4, so her outcome stands.
-    The rounds run in blocks (_block_size) of _state_counts at every
-    fraction, the decoding flips of an attack with key words packed once.
-    Returns (her bit error over attacked positions, user error over detected
-    positions), each None when there are no such positions.
+    The rounds run in blocks (_block_size) of _state_counts, the decoding
+    flips of an attack with key words packed once. Returns the rounds'
+    (her bit errors, her positions, user errors, detected positions), one
+    int64 array each, a round an entry.
     """
-    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
+    taps = config.keystream.spec.taps if strategy.kind == "key_guess" else None
+    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors(), taps)
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
     if attack.key_words is not None and flips is not None:
         flips = _read_only(_pack(flips))
@@ -529,10 +544,12 @@ def _state_attack_errors(strategy: AttackStrategy, config: ProtocolConfig,
     block = _block_size(trials, attack.key_codes.nbytes)
     parts = _map_chunks(partial(_state_counts, attack, flips, config.channel),
                         _chunk_rngs(rng, trials, block), threads)
-    eve_err, eve_tot, user_err, user_tot = (sum(int(p[i].sum()) for p in parts)
-                                            for i in range(4))
-    return (binomial_ci(eve_err, eve_tot) if eve_tot else None,
-            binomial_ci(user_err, user_tot) if user_tot else None)
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def _pooled(errors: np.ndarray, positions: np.ndarray) -> ConfidenceInterval | None:
+    """binomial_ci of every round's errors over its positions; None without positions."""
+    return binomial_ci(int(errors.sum()), int(positions.sum())) if positions.any() else None
 
 
 def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
@@ -551,12 +568,12 @@ def attack_intercept_resend(config: ProtocolConfig, rng: np.random.Generator,
         raise ValueError("the random-basis opaque attack is defined on the two-basis alphabet")
     strategy = AttackStrategy("intercept_resend_random", fraction=fraction)
     fraction = strategy.fraction
-    eve_error, induced = _state_attack_errors(strategy, config, rng, trials, threads)
+    her, attacked, user, detected = _state_attack_counts(strategy, config, rng, trials, threads)
     return AttackReport(
         # The float's repr, so that the label parses back to the same fraction.
         strategy=f"intercept:{fraction!r}" if fraction != 1.0 else "intercept",
         trials=trials, qubits=config.n,
-        eve_bit_error=eve_error, induced_qber=induced,
+        eve_bit_error=_pooled(her, attacked), induced_qber=_pooled(user, detected),
         eve_bit_error_analytic=0.25,
         induced_qber_analytic=0.25 * fraction,
     )
@@ -575,38 +592,15 @@ def attack_fixed_basis(config: ProtocolConfig, phi: float, rng: np.random.Genera
     cosines sum to 0 for m >= 2; the sum is m/2 and the rate 1/4.
     """
     basis = MeasBasis(phi)
-    eve_error, induced = _state_attack_errors(
+    her, measured, user, detected = _state_attack_counts(
         AttackStrategy("fixed_basis", phi=basis.phi), config, rng, trials, threads)
     return AttackReport(
         strategy=f"fixed:{basis.phi:.9g}",
         trials=trials, qubits=config.n,
-        eve_bit_error=eve_error, induced_qber=induced,
+        eve_bit_error=_pooled(her, measured), induced_qber=_pooled(user, detected),
         eve_bit_error_analytic=eve_error_key_granted(basis, config.alphabet),
         induced_qber_analytic=0.25,
     )
-
-
-def _guess_round(config: ProtocolConfig, attack: _Attack, guesses, rng: np.random.Generator):
-    """A block of rounds, row r under the guessed seed bits guesses[r]
-    (any 0/1 sequence), drawing from `rng` against the key-guess _Attack
-    `attack` of `config`: the _counts of the block. An all-zero
-    guess expands to the all-zero stream (the attacker is free to guess a
-    degenerate seed). One lfsr_rows call and one running key expand the
-    block; on two bases the block runs on _packed_round, and the words of
-    lfsr_row_bytes, before their unpack, are her bases."""
-    rows, n, k = len(guesses), config.n, config.alphabet.bits_per_selector
-    taps = config.keystream.spec.taps
-    if attack.key_words is not None:
-        words = lfsr_row_bytes(taps, guesses, n).view("<u8")[:, :attack.key_words.size]
-        _, errors, detected = _packed_round(attack, n, attack.key_words, words, config.channel,
-                                            rows, rng)
-    else:
-        codes = lfsr_rows(taps, guesses, n * k)
-        if k > 1:  # at m = 2 each bit is its own selector
-            codes = expand_running_key(codes.reshape(-1), rows * n, config.alphabet).selectors
-        _, errors, detected = _resend_round(attack, attack.key_codes, codes.reshape(rows, n),
-                                            config.channel, rows, rng)
-    return _counts(n, errors, detected)
 
 
 def _key_guess_successes(seed_bits: np.ndarray, trials: int, rng: np.random.Generator) -> int:
@@ -668,27 +662,21 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
     the detected qubits of every round and is None when none was detected.
     Her analytic error is _key_guess_error(m), which treats a wrong
     guess's selectors as uniform and independent of the key's. The guesses
-    come from `rng` itself, before the rounds' child seeds.
+    counted come from `rng` itself, before the _state_attack_counts rounds.
     """
     if not isinstance(config.keystream, LfsrKeystream):
         raise ValueError("the key-guessing attack targets an LFSR keystream")
     trials = _positive(trials, "trials")
     _positive(threads, "threads")  # raises before anything is drawn
     seed_bits = np.array(config.keystream.seed.bits, dtype=np.uint8)
-    length = seed_bits.size
     successes = _key_guess_successes(seed_bits, trials, rng)
 
     qubit_trials = min(trials, MAX_QUBIT_TRIALS)
-    attack = _attack(config.alphabet.m, config.n, selectors=config.key_selectors())
-
-    def round_kernel(count, rng):
-        return _guess_round(config, attack, uniform_bits(rng, (count, length)), rng)
-
-    block = _block_size(qubit_trials, attack.key_codes.nbytes)
-    blocks = _map_chunks(round_kernel, _chunk_rngs(rng, qubit_trials, block), threads)
+    her, _, user, detected = _state_attack_counts(AttackStrategy("key_guess"), config, rng,
+                                                  qubit_trials, threads)
     # Her rates add up round by round, in order, as Python floats.
-    eve_err_sum = sum(rate for b in blocks for rate in (b[0] / config.n).tolist())
-    user_errors, detected = (sum(int(b[i].sum()) for b in blocks) for i in (2, 3))
+    eve_err_sum = sum((her / config.n).tolist())
+    user_errors, detected = int(user.sum()), int(detected.sum())
     return AttackReport(
         strategy="keyguess",
         trials=trials, qubits=config.n,
@@ -697,7 +685,7 @@ def attack_key_guess(config: ProtocolConfig, rng: np.random.Generator,
         induced_qber=ConfidenceInterval(user_errors / detected, 4.0 * math.sqrt(0.25 / detected))
         if detected else None,
         eve_bit_error_analytic=_key_guess_error(config.alphabet.m),
-        success_analytic=2.0 ** -length,
+        success_analytic=2.0 ** -seed_bits.size,
         success_mc=binomial_ci(successes, trials),
         info_fraction=1.0,
     )

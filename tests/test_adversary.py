@@ -10,7 +10,6 @@ import os
 import sys
 import threading
 import time
-import types
 from functools import partial
 
 import numpy as np
@@ -51,7 +50,6 @@ from keyedqkd.adversary import (
     _counts,
     _decoding_flips,
     _key_guess_error,
-    _guess_round,
     _key_guess_successes,
     _map_chunks,
     _pack,
@@ -88,11 +86,12 @@ def lfsr_config(n=10 ** 5, flip=0.0, loss=0.0, seed_text="10110101", taps="8:8,7
 
 
 def state_kernel(strategy, config, channel):
-    """The block kernel of intercept or fixed-basis rounds against
-    `config`'s keyed bases over `channel`, a function of the block's row
-    count and generator, as the Monte Carlo attack runs it: its decoding
-    flips _pack'ed when it runs on packed words."""
-    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors())
+    """The block kernel of intercept, fixed-basis or key-guess rounds
+    against `config`'s keyed bases over `channel`, a function of the
+    block's row count and generator, as the Monte Carlo attack runs it: its
+    decoding flips _pack'ed when it runs on packed words."""
+    taps = config.keystream.spec.taps if strategy.kind == "key_guess" else None
+    attack = _attack(config.alphabet.m, config.n, strategy, config.key_selectors(), taps)
     flips = _decoding_flips(strategy, config.alphabet, attack.key_codes)
     if attack.key_words is not None and flips is not None:
         flips = _pack(flips)
@@ -107,13 +106,39 @@ def state_round(strategy, config, channel, rng):
 
 def guess_key(config):
     """What every key-guess round against `config` shares."""
-    return _attack(config.alphabet.m, config.n, selectors=config.key_selectors())
+    return _attack(config.alphabet.m, config.n, AttackStrategy("key_guess"),
+                   config.key_selectors(), config.keystream.spec.taps)
+
+
+class GuessFirst:
+    """A stand-in generator off PCG64, so uniform_words asks it for
+    integers: its first draw, the guesses of a key-guess _state_round,
+    returns the words of the 0/1 rows `guesses` and draws nothing; every
+    later draw is the generator `rng`'s own, which on PCG64 takes what its
+    raw words would."""
+
+    bit_generator = None
+
+    def __init__(self, guesses, rng):
+        self.words, self.rng = _pack(np.asarray(guesses, np.uint8)), rng
+
+    def integers(self, low, high, size=None, dtype=None):
+        if self.words is None:
+            return self.rng.integers(low, high, size=size, dtype=dtype)
+        words, self.words = self.words.reshape(size), None
+        return words
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def guess_round(config, guess_bits, rng):
-    """One key-guess round under `guess_bits`, a block of one row: (her
-    bit-error rate, user errors, detected count)."""
-    eve_errors, _, errors, detected = _guess_round(config, guess_key(config), [guess_bits], rng)
+    """One key-guess round under `guess_bits`, a _state_round block of one
+    row whose other draws come from `rng`: (her bit-error rate, user
+    errors, detected count)."""
+    _, errors, detected, _ = _state_round(guess_key(config), config.channel, 1,
+                                          GuessFirst([guess_bits], rng))
+    eve_errors, _, errors, detected = _counts(config.n, errors, detected)
     return float(eve_errors[0] / config.n), int(errors[0]), int(detected[0])
 
 
@@ -450,10 +475,11 @@ class TestKeyGuess:
         for stream in (4095, 4096, 4097, largest, largest + 1):
             for n in sorted({stream // bits, -(-stream // bits)}):
                 config = lfsr_config(n=n, m=2 ** bits, taps=taps, seed_text="1" * length)
+                # Codes at every m, so each row reaches _resend_round.
+                attack = dataclasses.replace(guess_key(config), key_words=None)
                 guesses = np.vstack([uniform_bits(rng, (2, length)), np.zeros(length, np.uint8)])
                 tables.clear()
-                _guess_round(config, types.SimpleNamespace(key_codes=None, key_words=None), guesses,
-                             None)
+                _state_round(attack, config.channel, 3, GuessFirst(guesses, None))
                 # One table, the smallest that covers the stream, or the largest.
                 assert tables == [min(b for b in table_blocks(length) + [largest]
                                       if b >= min(n * bits, largest))]
@@ -1379,15 +1405,12 @@ def _block_equals_the_reference(strategy, config, rows, bit_generator, seed):
     the counts of tests/reference.py drawing the same stream by hand, on
     generators of `bit_generator(seed)`, and leaves the same state."""
     rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    got = list(zip(*(c.tolist() for c in state_kernel(strategy, config, config.channel)(
+        rows, rng))))
     if strategy.kind == "key_guess":
-        attack, length = guess_key(config), len(config.keystream.seed)
-        eve, _, user, detected = (c.tolist() for c in _guess_round(
-            config, attack, uniform_bits(rng, (rows, length)), rng))
-        got = [(e / config.n, u, d) for e, u, d in zip(eve, user, detected)]
+        got = [(e / config.n, u, d) for e, _, u, d in got]
         want = reference.key_guess_rounds(config, ref_rng, rows)
     else:
-        got = list(zip(*(c.tolist() for c in state_kernel(strategy, config, config.channel)(
-            rows, rng))))
         want = reference.state_attack_counts(strategy, config, config.channel, ref_rng, rows)
     assert got == want, rows
     assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state), rows

@@ -158,6 +158,25 @@ def test_only_the_keyed_send_samples_angles():
     assert _callers("turn_by_bits") == {"protocol"}
 
 
+def _calling_definitions(module: str, name: str) -> set:
+    """The module-level functions and classes of `module` that call `name`,
+    by bare name or as an attribute, and "<module>" for a call outside them."""
+    tree = ast.parse((pathlib.Path(keyedqkd.__file__).parent / f"{module}.py").read_text())
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in tree.body for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+
+
+@pytest.mark.parametrize("kernel", ["_resend_round", "_packed_round"])
+def test_attack_rounds_have_one_driver(kernel):
+    # Intercept, a fixed basis, key guessing and in-line interference run
+    # their rounds through _state_round, which draws her bases; block
+    # guessing's chunks, rows of (trial, block) pairs, are the one other
+    # caller of the measure-resend kernels.
+    assert _callers(kernel) == {"adversary"}
+    assert _calling_definitions("adversary", kernel) == {"_state_round", "_block_guess_chunk"}
+
+
 def test_only_qubits_draws_uniform_doubles():
     # The sampling rules, and with them every generator.random call, have
     # one owner.
